@@ -8,17 +8,29 @@ coefficients (dim p > 1) a value of order k is a *core tensor* of shape
 with coefficient c in slot t, where vec(c)[a*p+b] = c[a, b].  Outer
 coefficients are never stored; callers multiply them in.
 
-The free evaluation of a partitioned functional removes interval blocks one
-at a time, folding each value into the neighboring argument.  That peel order
-exists exactly for noncrossing partitions, which is why the classical
-(all-partition) calculus here is kept to commuting scalars.
+Conversions use the first-block recursion (Nica & Speicher, Lectures on the
+Combinatorics of Free Probability, Lect. 10-11): a partition of a word w is
+the block V holding its first letter plus a partition of the rest.
+Classically m(w) = sum_V kappa(w|V) m(w|V^c).  Freely the rest splits into
+the segments after each element of V, and m(w) = sum_V kappa(w|V)[segment
+moments in its slots] b m(trailing segment), b the coefficient after V; for
+matrix tables this is Speicher's operator-valued relation (Mem. AMS 132,
+1998, no. 627).  Sub-word values are memoised within one conversion,
+shortest first, and the inversions solve the same relation for kappa(w).
+
+eval_partitioned_free instead evaluates one partitioned functional by
+removing interval blocks one at a time, folding each value into the
+neighboring argument.  That peel order exists exactly for noncrossing
+partitions, which is why the classical (all-partition) calculus here is kept
+to commuting scalars.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -35,7 +47,6 @@ from .partitions import (
     ONE,
     Partition,
     StarPattern,
-    all_partitions_cached,
     kernel,
     noncrossing_cached,
     refines,
@@ -55,10 +66,11 @@ def identity_element(dim: int):
     return np.eye(dim, dtype=complex)
 
 
-def zero_element(dim: int):
+def zero_element(dim: int, k: int = 1):
+    """Zero scalar, or the zero core tensor of order k."""
     if dim == 1:
         return 0.0 + 0.0j
-    return np.zeros((dim, dim), dtype=complex)
+    return np.zeros(core_shape(dim, k), dtype=complex)
 
 
 def pattern_sort_key(letters: str) -> tuple:
@@ -128,14 +140,9 @@ class _PatternTable:
         keys = set(self.data) | set(other.data)
         worst = 0.0
         for key in keys:
-            k = len(key)
-            a = self.data.get(key)
-            b = other.data.get(key)
-            if a is None:
-                a = 0j if self.dim == 1 else np.zeros(core_shape(self.dim, k))
-            if b is None:
-                b = 0j if other.dim == 1 else np.zeros(core_shape(other.dim, k))
-            worst = max(worst, float(np.max(np.abs(np.asarray(a) - np.asarray(b)))))
+            a = np.asarray(self.data.get(key, 0j))
+            b = np.asarray(other.data.get(key, 0j))
+            worst = max(worst, float(np.max(np.abs(a - b))))
         return worst
 
 
@@ -252,17 +259,6 @@ def _block_patterns(blocks: tuple, letters: str) -> tuple[str, ...]:
     )
 
 
-@lru_cache(maxsize=None)
-def _slot_basis(dim: int, k: int, slot: int):
-    """All dim*dim basis matrices, broadcast-shaped for coefficient slot."""
-    p = dim
-    basis = np.zeros((p * p, p, p), dtype=complex)
-    idx = np.arange(p * p)
-    basis[idx, idx // p, idx % p] = 1.0
-    shape = (1,) * slot + (p * p,) + (1,) * (k - 2 - slot) + (p, p)
-    return basis.reshape(shape)
-
-
 def _apply_core(core: np.ndarray, inners: list, dim: int) -> np.ndarray:
     """Contract a core tensor with vec'd coefficient arrays (broadcasting)."""
     s = len(inners) + 1
@@ -277,41 +273,6 @@ def _apply_core(core: np.ndarray, inners: list, dim: int) -> np.ndarray:
         subs.append("..." + letters[t])
     expr = letters + "xy," + ",".join(subs) + "->...xy"
     return np.einsum(expr, core, *operands)
-
-
-def _scalar_partition_value(table: _PatternTable, blocks: tuple, letters: str):
-    out = 1.0 + 0.0j
-    for sub in _block_patterns(blocks, letters):
-        v = table.data.get(sub)
-        if v is None:
-            return None
-        out *= v
-    return out
-
-
-def _core_partition_tensor(table: _PatternTable, part: Partition, letters: str):
-    """Core tensor of the partitioned functional, or None when it vanishes."""
-    k = part.k
-    p = table.dim
-    if p == 1:
-        return _scalar_partition_value(table, part.blocks, letters)
-    subs = _block_patterns(part.blocks, letters)
-    cores = {}
-    for b, sub in zip(part.blocks, subs):
-        core = table.data.get(sub)
-        if core is None:
-            return None
-        cores[b] = core
-
-    def block_value(block, inners):
-        return _apply_core(cores[block], inners, p)
-
-    ident = np.eye(p, dtype=complex)
-    lefts = {pos: ident for pos in range(1, k + 1)}
-    rights = {pos: _slot_basis(p, k, pos - 1) for pos in range(1, k)}
-    rights[k] = ident
-    val = _run_plan(_peel_plan(part.blocks, k, False), block_value, lefts, rights, np.matmul)
-    return np.broadcast_to(val, core_shape(p, k)).copy()
 
 
 def _coerce_coeff(c, dim: int):
@@ -438,87 +399,127 @@ def eval_partitioned_classical(table, part: Partition, pattern, coeffs=None):
 # moment <-> cumulant conversions
 
 
-def _check_conversion_bounds(dim: int, order: int) -> None:
-    limit = MAX_SCALAR_ORDER if dim == 1 else MAX_MATRIX_ORDER
-    if order > limit:
-        raise OrderBoundError(
-            f"conversion order {order} exceeds the dim-{dim} bound {limit}"
-        )
-    if order < 0:
+def _first_blocks(k: int, free: bool) -> list:
+    """Every block V of a k-letter word that holds position 0, except the whole word.
+
+    Each V comes with the position tuples whose moments multiply kappa(w|V).
+    Free: one segment after each element of V, running to the next element or
+    to the end (empty segments are ()).  Classical: the complement of V.
+    """
+    out = []
+    for mask in range(2 ** (k - 1) - 1):
+        block = (0,) + tuple(i for i in range(1, k) if mask >> (i - 1) & 1)
+        if free:
+            ends = block[1:] + (k,)
+            pieces = tuple(tuple(range(v + 1, e)) for v, e in zip(block, ends))
+        else:
+            pieces = (tuple(i for i in range(k) if i not in block),)
+        out.append((block, pieces))
+    return out
+
+
+def _product_term(mul):
+    """kappa(w|V) times the piece moments in order; None marks an empty segment."""
+    return lambda kappa, moments: reduce(mul, [m for m in moments if m is not None], kappa)
+
+
+def _splice_cores(kappa: np.ndarray, moments: list) -> np.ndarray:
+    """Core of kappa(w|V) with the segment moment cores M in its slots.
+
+    A slot (x, y) of kappa takes b M b': it splits into (x, i) for b and
+    (j, y) for b', with M's own slots between.  The trailing M multiplies
+    through b from the right, so the value's pair takes X from kappa and Y
+    from M.  No axis is summed: the term is a broadcast product.
+    """
+    p = kappa.shape[-1]
+    ids = itertools.count()
+    head = [next(ids) for _ in range(2 * len(moments))]
+    factors, out = [(kappa, head)], []
+    for j, m in enumerate(moments):
+        x, y = head[2 * j:2 * j + 2]
+        if m is None:
+            out += [x, y]
+            continue
+        tail = [next(ids) for _ in range(2 * m.ndim - 2)]
+        factors.append((m, tail))
+        *inner, i, jj = tail
+        out += [x, i, *inner, jj, y] if j < len(moments) - 1 else [y, i, *inner, x, jj]
+    place = [out.index(a) for a in range(len(out))]
+    val = None
+    for factor, axes in factors:
+        spots = [place[a] for a in axes]
+        view = factor.reshape((p,) * len(axes)).transpose(np.argsort(spots))
+        view = np.expand_dims(view, tuple(n for n in range(len(out)) if n not in spots))
+        val = view if val is None else np.multiply(val, view, order="C")
+    return val.reshape(core_shape(p, len(out) // 2))
+
+
+def _first_block_recursion(words, given, to_moments: bool, free: bool, term, zero, cat) -> dict:
+    """m(w) = kappa(w) + sum over _first_blocks(V) of term(kappa(w|V), piece moments).
+
+    given(w) is the known side (None when absent); every sub-word is shorter
+    than w, so words in order of length find both sides already memoised.
+    Returns the other side for every word.
+    """
+    kappa, moment = {}, {}
+    blocks = {k: _first_blocks(k, free) for k in {len(w) for w in words}}
+    for w in words:
+        k = len(w)
+        lower = zero(k)
+        for block, pieces in blocks[k]:
+            kv = kappa.get(cat([w[i] for i in block]))
+            if kv is not None:
+                lower += term(kv, [moment[cat([w[i] for i in piece])] if piece else None
+                                   for piece in pieces])
+        value = given(w)
+        if to_moments:
+            if value is not None:
+                kappa[w] = value
+                lower += value
+            moment[w] = lower
+        else:
+            moment[w] = zero(k) if value is None else value
+            kappa[w] = moment[w] - lower
+    return moment if to_moments else kappa
+
+
+def _convert(table: _PatternTable, K: int, free: bool, to_moments: bool) -> _PatternTable:
+    p = table.dim
+    if not free and p != 1:
+        raise UnsupportedAlgebraError("classical conversions take scalar tables")
+    limit = MAX_SCALAR_ORDER if p == 1 else MAX_MATRIX_ORDER
+    if K > limit:
+        raise OrderBoundError(f"conversion order {K} exceeds the dim-{p} bound {limit}")
+    if K < 0:
         raise OrderBoundError("order must be nonnegative")
-
-
-def _zero_value(dim: int, k: int):
-    if dim == 1:
-        return 0.0 + 0.0j
-    return np.zeros(core_shape(dim, k), dtype=complex)
-
-
-def _sum_over(table: _PatternTable, parts, k: int, letters: str, skip_whole: bool):
-    acc = _zero_value(table.dim, k)
-    for part in parts:
-        if skip_whole and part.num_blocks == 1:
-            continue
-        val = _core_partition_tensor(table, part, letters)
-        if val is None:
-            continue
-        acc = acc + val
-    return acc
+    table.require_order(K)
+    words = [d.letters for k in range(1, K + 1) for d in StarPattern.all_patterns(k)]
+    term = _product_term(operator.mul) if p == 1 else _splice_cores
+    values = _first_block_recursion(words, table.data.get, to_moments, free, term,
+                                    lambda k: zero_element(p, k), "".join)
+    out = (MomentTable if to_moments else CumulantTable)(order=K, dim=p)
+    for w in words:
+        out.set(w, values[w])
+    return out
 
 
 def free_cumulants_to_moments(table: CumulantTable, K: int) -> MomentTable:
-    """Sum the partitioned cumulants over noncrossing partitions."""
-    _check_conversion_bounds(table.dim, K)
-    table.require_order(K)
-    out = MomentTable(order=K, dim=table.dim)
-    for k in range(1, K + 1):
-        for d in StarPattern.all_patterns(k):
-            out.set(d, _sum_over(table, noncrossing_cached(k), k, d.letters, False))
-    return out
+    """Moments from free cumulants (noncrossing first-block recursion)."""
+    return _convert(table, K, free=True, to_moments=True)
 
 
 def moments_to_free_cumulants(table: MomentTable, K: int) -> CumulantTable:
-    """Invert the noncrossing sum order by order."""
-    _check_conversion_bounds(table.dim, K)
-    table.require_order(K)
-    out = CumulantTable(order=K, dim=table.dim)
-    for k in range(1, K + 1):
-        for d in StarPattern.all_patterns(k):
-            moment = table.data.get(d.letters)
-            if moment is None:
-                moment = _zero_value(table.dim, k)
-            lower = _sum_over(out, noncrossing_cached(k), k, d.letters, True)
-            out.set(d, moment - lower)
-    return out
+    """Free cumulants from moments: the same recursion, solved for kappa(w)."""
+    return _convert(table, K, free=True, to_moments=False)
 
 
 def classical_cumulants_to_moments(table: CumulantTable, K: int) -> MomentTable:
-    """Sum the partitioned cumulants over all partitions (scalars only)."""
-    if table.dim != 1:
-        raise UnsupportedAlgebraError("classical conversions take scalar tables")
-    _check_conversion_bounds(1, K)
-    table.require_order(K)
-    out = MomentTable(order=K, dim=1)
-    for k in range(1, K + 1):
-        for d in StarPattern.all_patterns(k):
-            out.set(d, _sum_over(table, all_partitions_cached(k), k, d.letters, False))
-    return out
+    """Moments from classical cumulants (all-partition recursion, scalars only)."""
+    return _convert(table, K, free=False, to_moments=True)
 
 
 def moments_to_classical_cumulants(table: MomentTable, K: int) -> CumulantTable:
-    if table.dim != 1:
-        raise UnsupportedAlgebraError("classical conversions take scalar tables")
-    _check_conversion_bounds(1, K)
-    table.require_order(K)
-    out = CumulantTable(order=K, dim=1)
-    for k in range(1, K + 1):
-        for d in StarPattern.all_patterns(k):
-            moment = table.data.get(d.letters)
-            if moment is None:
-                moment = 0.0 + 0.0j
-            lower = _sum_over(out, all_partitions_cached(k), k, d.letters, True)
-            out.set(d, moment - lower)
-    return out
+    return _convert(table, K, free=False, to_moments=False)
 
 
 # ---------------------------------------------------------------------------
@@ -569,7 +570,7 @@ def joint_moments_free_family(table: CumulantTable, n: int, word, pattern, coeff
     inner = None
     if coeffs is not None:
         inner = list(coeffs[1:])
-    acc = _zero_value(table.dim, 1)
+    acc = zero_element(table.dim)
     for part in noncrossing_cached(k):
         if not refines(part, ker):
             continue
@@ -630,6 +631,7 @@ def multivariate_cumulants_from_joint_moments(oracle, K: int) -> MultiCumulantTa
 
     The oracle exposes .n, .dim and .moment(word, pattern); mixed entries of
     the result are the freeness certificate (zero iff the family is free).
+    The free first-block recursion runs on words of (index, letter) pairs.
     """
     n = int(oracle.n)
     dim = int(getattr(oracle, "dim", 1))
@@ -637,37 +639,21 @@ def multivariate_cumulants_from_joint_moments(oracle, K: int) -> MultiCumulantTa
         raise OrderBoundError(f"multivariate order bound is {MAX_MULTI_ORDER}")
     if n > MAX_ALPHABET:
         raise OrderBoundError(f"multivariate alphabet bound is {MAX_ALPHABET}")
+    source = {tuple(zip(word, d.letters)): (word, d)
+              for k in range(1, K + 1)
+              for word in itertools.product(range(1, n + 1), repeat=k)
+              for d in StarPattern.all_patterns(k)}
+
+    def given(w):
+        moment = oracle.moment(*source[w])
+        return complex(moment) if dim == 1 else np.asarray(moment, dtype=complex)
+
+    mul = operator.mul if dim == 1 else operator.matmul
+    values = _first_block_recursion(list(source), given, False, True, _product_term(mul),
+                                    lambda k: zero_element(dim), tuple)
     out = MultiCumulantTable(order=K, n=n, dim=dim)
-    ident = identity_element(dim)
-    mul = (lambda a, b: a * b) if dim == 1 else np.matmul
-
-    for k in range(1, K + 1):
-        for word in itertools.product(range(1, n + 1), repeat=k):
-            for d in StarPattern.all_patterns(k):
-                moment = oracle.moment(word, d)
-                moment = complex(moment) if dim == 1 else np.asarray(moment, dtype=complex)
-                acc = moment
-                for part in noncrossing_cached(k):
-                    if part.num_blocks == 1:
-                        continue
-
-                    def block_value(block, inners, _w=word, _d=d.letters):
-                        sub_w = tuple(_w[x - 1] for x in block)
-                        sub_d = "".join(_d[x - 1] for x in block)
-                        v = out.get(sub_w, sub_d)
-                        if v is None:
-                            return None
-                        for inner in inners:
-                            v = mul(v, inner)
-                        return v
-
-                    lefts = {pos: ident for pos in range(1, k + 1)}
-                    rights = {pos: ident for pos in range(1, k + 1)}
-                    val = _run_plan(_peel_plan(part.blocks, k, False), block_value,
-                                    lefts, rights, mul)
-                    if val is not None:
-                        acc = acc - val
-                out.set(word, d, acc)
+    for w, (word, d) in source.items():
+        out.set(word, d, values[w])
     return out
 
 

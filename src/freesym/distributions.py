@@ -8,14 +8,12 @@ declared data only.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .cumulants import (
     CumulantTable,
-    core_shape,
     moments_to_classical_cumulants,
     moments_to_free_cumulants,
 )
@@ -23,6 +21,7 @@ from .errors import IncompleteTableError, InputMismatchError, SchemaError
 from .partitions import ONE, STAR, StarPattern
 
 SNAP_TOL = 1e-12
+SELFADJOINT_TOL = 1e-9
 
 FREE_KINDS = (
     "SYMMETRIC",
@@ -204,15 +203,10 @@ class CumulantSpecSingle:
 
 def _matrix_entry_core(value: np.ndarray, k: int, p: int) -> np.ndarray:
     """Core tensor for the product convention: value times the coefficients."""
-    core = np.zeros(core_shape(p, k), dtype=complex)
-    basis = np.zeros((p * p, p, p), dtype=complex)
-    idx = np.arange(p * p)
-    basis[idx, idx // p, idx % p] = 1.0
-    for combo in itertools.product(range(p * p), repeat=k - 1):
-        out = np.asarray(value, dtype=complex)
-        for i in combo:
-            out = out @ basis[i]
-        core[combo] = out
+    units = np.eye(p * p, dtype=complex).reshape(p * p, p, p)
+    core = np.asarray(value, dtype=complex)
+    for _ in range(k - 1):
+        core = np.einsum("...xy,ayz->...axz", core, units)
     return core
 
 
@@ -297,26 +291,23 @@ def classify_classical(spec: CumulantSpecSingle, K: int, m_scan: int | None = No
     return tags
 
 
-def classify_free_report(spec: CumulantSpecSingle, K: int, m_scan: int | None = None) -> dict:
+def _report(spec: CumulantSpecSingle, K: int, m_scan: int | None, free: bool) -> dict:
     bound = m_scan or max(3, K)
-    tags, noncanonical = _classify(spec, K, True, bound)
+    tags, noncanonical = _classify(spec, K, free, bound)
     return {
         "tags": sorted(t.label() for t in tags),
         "minimal": sorted(t.label() for t in minimal_tags(tags)),
         "noncanonical_shifted": noncanonical,
         "m_scan": bound,
     }
+
+
+def classify_free_report(spec: CumulantSpecSingle, K: int, m_scan: int | None = None) -> dict:
+    return _report(spec, K, m_scan, True)
 
 
 def classify_classical_report(spec: CumulantSpecSingle, K: int, m_scan: int | None = None) -> dict:
-    bound = m_scan or max(3, K)
-    tags, noncanonical = _classify(spec, K, False, bound)
-    return {
-        "tags": sorted(t.label() for t in tags),
-        "minimal": sorted(t.label() for t in minimal_tags(tags)),
-        "noncanonical_shifted": noncanonical,
-        "m_scan": bound,
-    }
+    return _report(spec, K, m_scan, False)
 
 
 def implies(a, b) -> bool:
@@ -493,12 +484,30 @@ def spec_from_cumulant_table(table: CumulantTable, selfadjoint: bool = False) ->
     )
 
 
+def _selfadjoint_spec(moments, cumulants: CumulantTable, K: int):
+    """A self-adjoint spec when every moment up to K is real and the same on
+    all patterns of its order (relative to that order's largest), else None."""
+    if moments.dim != 1:
+        return None
+    for k in range(1, K + 1):
+        values = np.array([complex(moments.data.get(d.letters, 0j))
+                           for d in StarPattern.all_patterns(k)])
+        if np.max(np.abs(values - values[0].real)) > SELFADJOINT_TOL * np.max(np.abs(values)):
+            return None
+    entries = {ONE * k: cumulants.data[ONE * k].real for k in range(1, K + 1)}
+    return CumulantSpecSingle(order=cumulants.order, entries=entries, selfadjoint=True)
+
+
+def _classify_moments(moments, K: int, free: bool):
+    table = (moments_to_free_cumulants if free else moments_to_classical_cumulants)(moments, K)
+    spec = _selfadjoint_spec(moments, table, K) or spec_from_cumulant_table(table)
+    return (classify_free if free else classify_classical)(spec, K)
+
+
 def classify_free_moments(moments, K: int):
     """Classify from a moment table by inverting to free cumulants first."""
-    table = moments_to_free_cumulants(moments, K)
-    return classify_free(spec_from_cumulant_table(table), K)
+    return _classify_moments(moments, K, True)
 
 
 def classify_classical_moments(moments, K: int):
-    table = moments_to_classical_cumulants(moments, K)
-    return classify_classical(spec_from_cumulant_table(table), K)
+    return _classify_moments(moments, K, False)

@@ -1,4 +1,6 @@
+import gc
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from freesym.cumulants import (
     CumulantTable,
     MomentTable,
     classical_cumulants_to_moments,
+    core_shape,
     eval_partitioned_classical,
     eval_partitioned_free,
     free_cumulants_to_moments,
@@ -24,7 +27,12 @@ from freesym.errors import (
     SizeLimitError,
     UnsupportedAlgebraError,
 )
-from freesym.partitions import Partition, StarPattern, enumerate_noncrossing
+from freesym.partitions import (
+    Partition,
+    StarPattern,
+    enumerate_all_partitions,
+    enumerate_noncrossing,
+)
 
 
 def selfadjoint_moments(values, order):
@@ -337,3 +345,159 @@ def test_multivariate_guards():
         multivariate_cumulants_from_joint_moments(_FreeFamilyOracle(spec, 4), 2)
     with pytest.raises(OrderBoundError):
         multivariate_cumulants_from_joint_moments(_FreeFamilyOracle(spec, 2), 7)
+
+
+# ---------------------------------------------------------------------------
+# the conversions against their definition: sums of partitioned functionals
+
+
+def _coefficient_units(p):
+    return np.eye(p * p, dtype=complex).reshape(p * p, p, p)
+
+
+def partition_sum(table, K, free):
+    """Moments by the defining sum of eval_partitioned_* over (noncrossing) partitions.
+
+    For a matrix table the core entry at slots (e_1, ..., e_{k-1}) is the sum
+    with the unit coefficients E_{e_t} in slot t.
+    """
+    evaluate = eval_partitioned_free if free else eval_partitioned_classical
+    parts = enumerate_noncrossing if free else enumerate_all_partitions
+    p = table.dim
+    units = _coefficient_units(p)
+    out = MomentTable(order=K, dim=p)
+    for k in range(1, K + 1):
+        for d in StarPattern.all_patterns(k):
+            if p == 1:
+                out.set(d, sum(evaluate(table, part, d) for part in parts(k)))
+                continue
+            core = np.zeros(core_shape(p, k), dtype=complex)
+            for slots in itertools.product(range(p * p), repeat=k - 1):
+                coeffs = [units[e] for e in slots] + [np.eye(p, dtype=complex)]
+                core[slots] = sum(evaluate(table, part, d, coeffs) for part in parts(k))
+            out.set(d, core)
+    return out
+
+
+def relative_error(got, want):
+    """Largest entry difference over the largest entry of want."""
+    keys = set(got.data) | set(want.data)
+    diff = max(float(np.max(np.abs(np.asarray(got.data.get(key, 0j))
+                                   - np.asarray(want.data.get(key, 0j))))) for key in keys)
+    scale = max(float(np.max(np.abs(np.asarray(v)))) for v in want.data.values())
+    return diff / scale
+
+
+def assert_matches_definition(kappa, K, free):
+    to_moments = free_cumulants_to_moments if free else classical_cumulants_to_moments
+    to_cumulants = moments_to_free_cumulants if free else moments_to_classical_cumulants
+    want = partition_sum(kappa, K, free)
+    assert relative_error(to_moments(kappa, K), want) < 1e-12
+    # the inversion returns cumulants whose partition sum is the input
+    back = to_cumulants(want, K)
+    assert relative_error(partition_sum(back, K, free), want) < 1e-12
+
+
+@pytest.mark.parametrize("free", [True, False])
+@pytest.mark.parametrize("K", range(1, 7))
+def test_scalar_conversions_match_partition_sums(K, free):
+    assert_matches_definition(random_cumulant_table(K, seed=60 + K), K, free)
+
+
+@pytest.mark.parametrize("dim,K", [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3)])
+def test_matrix_conversions_match_partition_sums(dim, K):
+    assert_matches_definition(random_cumulant_table(K, dim=dim, seed=70 + K), K, True)
+
+
+@pytest.mark.parametrize("free", [True, False])
+def test_sparse_tables_match_partition_sums(free):
+    # only order 2 present: the semicircle (free) and the Gaussian (classical)
+    assert_matches_definition(selfadjoint_cumulants([0, 1.3, 0, 0, 0, 0], 6), 6, free)
+    moments = haar_unitary_moments(6)
+    to_cumulants = moments_to_free_cumulants if free else moments_to_classical_cumulants
+    back = to_cumulants(moments, 6)
+    assert relative_error(partition_sum(back, 6, free), moments) < 1e-12
+
+
+class _TabulatedFamily:
+    """Seeded joint moments on every (word, pattern): any table is a moment functional."""
+
+    def __init__(self, n, K, seed):
+        rng = np.random.default_rng(seed)
+        self.n, self.dim = n, 1
+        self.values = {
+            (word, d.letters): complex(rng.standard_normal(), rng.standard_normal()) * 0.5 ** k
+            for k in range(1, K + 1)
+            for word in itertools.product(range(1, n + 1), repeat=k)
+            for d in StarPattern.all_patterns(k)
+        }
+
+    def moment(self, word, pattern):
+        return self.values[(tuple(word), StarPattern.coerce(pattern).letters)]
+
+
+@pytest.mark.parametrize("K", range(1, 5))
+def test_multivariate_cumulants_match_partition_sums(K):
+    family = _TabulatedFamily(2, K, seed=80 + K)
+    multi = multivariate_cumulants_from_joint_moments(family, K)
+    scale = max(abs(v) for v in family.values.values())
+    for (word, letters), want in family.values.items():
+        got = 0j
+        for part in enumerate_noncrossing(len(word)):
+            term = 1 + 0j
+            for block in part.blocks:
+                term *= multi.get([word[x - 1] for x in block], "".join(letters[x - 1] for x in block))
+            got += term
+        assert abs(got - want) < 1e-12 * scale
+
+
+# ---------------------------------------------------------------------------
+# the advertised bounds, and memory across repeated conversions
+
+
+def product_core(p, k):
+    """Core of c_1, ..., c_{k-1} -> c_1 ... c_{k-1}: a scalar tensored with the identity."""
+    core = np.eye(p, dtype=complex)
+    for _ in range(k - 1):
+        core = np.einsum("...xy,ayz->...axz", core, _coefficient_units(p))
+    return core
+
+
+def test_dim2_order6_round_trip():
+    kappa = random_cumulant_table(6, dim=2, seed=90)
+    back = moments_to_free_cumulants(free_cumulants_to_moments(kappa, 6), 6)
+    assert kappa.max_abs_difference(back) < 1e-9
+
+
+def test_dim3_order5_lifted_scalar():
+    scalar = random_cumulant_table(5, seed=91)
+    moments = free_cumulants_to_moments(scalar, 5)
+    lift = CumulantTable(order=5, dim=3)
+    for letters, value in scalar.data.items():
+        lift.set(letters, value * product_core(3, len(letters)))
+    lifted_moments = free_cumulants_to_moments(lift, 5)
+    back = moments_to_free_cumulants(lifted_moments, 5)
+    for letters, value in moments.data.items():
+        core = product_core(3, len(letters))
+        assert np.max(np.abs(lifted_moments.get(letters) - value * core)) < 1e-12
+        assert np.max(np.abs(back.get(letters) - scalar.get(letters) * core)) < 1e-12
+
+
+def test_repeated_conversions_retain_no_memory():
+    kappa = random_cumulant_table(8, seed=92)
+
+    def convert():
+        free_cumulants_to_moments(kappa, 8)
+        classical_cumulants_to_moments(kappa, 8)
+
+    convert()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(3):
+            convert()
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 1 << 20, retained

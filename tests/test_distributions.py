@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
 
-from freesym.cumulants import MomentTable
+from freesym.cumulants import (
+    MomentTable,
+    classical_cumulants_to_moments,
+    free_cumulants_to_moments,
+)
 from freesym.distributions import (
     ClassicalClassTag,
     CumulantSpecSingle,
@@ -297,3 +301,39 @@ def test_tiny_entries_snap_to_zero():
     )
     assert "11" not in spec.entries
     assert F("CIRCULAR") in classify_free(spec, K=4)
+
+
+def _moments_of(entries, free, selfadjoint=True, order=6):
+    spec = CumulantSpecSingle(order=order, entries=entries, selfadjoint=selfadjoint)
+    convert = free_cumulants_to_moments if free else classical_cumulants_to_moments
+    return convert(spec.to_table(), order)
+
+
+def test_semicircle_moments_classify_semicircular():
+    tags = classify_free_moments(_moments_of({"11": 1.7}, free=True), K=6)
+    assert minimal_tags(tags) == {F("SEMICIRCULAR")}
+    assert F("ORTHOGONAL") in tags
+
+
+def test_gaussian_moments_classify_gaussian():
+    tags = classify_classical_moments(_moments_of({"11": 0.6}, free=False), K=6)
+    assert minimal_tags(tags) == {C("GAUSSIAN")}
+    assert C("ORTHOGONAL") in tags
+
+
+def test_circular_moments_are_not_semicircular_or_gaussian():
+    circular = {"1*": 1.0, "*1": 1.0}
+    free_tags = classify_free_moments(_moments_of(circular, True, selfadjoint=False), K=6)
+    assert minimal_tags(free_tags) == {F("CIRCULAR")}
+    assert F("SEMICIRCULAR") not in free_tags
+    cl_tags = classify_classical_moments(_moments_of(circular, False, selfadjoint=False), K=6)
+    assert minimal_tags(cl_tags) == {C("COMPLEX_GAUSSIAN")}
+    assert C("GAUSSIAN") not in cl_tags
+
+
+def test_shifted_semicircle_moments_stay_shifted_orthogonal():
+    spec = CumulantSpecSingle(order=6, entries={"11": 1.2}, selfadjoint=True, shift=0.5)
+    moments = free_cumulants_to_moments(spec.to_table(), 6)
+    tags = classify_free_moments(moments, K=6)
+    assert F("SHIFTED_ORTHOGONAL") in tags
+    assert F("SEMICIRCULAR") not in tags

@@ -18,11 +18,19 @@ matrix tables this is Speicher's operator-valued relation (Mem. AMS 132,
 1998, no. 627).  Sub-word values are memoised within one conversion,
 shortest first, and the inversions solve the same relation for kappa(w).
 
+Joint moment tensors of n free copies (joint_moment_tensor) run the same
+free recursion on whole index tensors.  Mixed free cumulants vanish, so a
+first block V contributes kappa(w|V) only where the indices on V agree: its
+term is the all-equal tensor on V's positions times the segment tensors.
+
 eval_partitioned_free instead evaluates one partitioned functional by
 removing interval blocks one at a time, folding each value into the
 neighboring argument.  That peel order exists exactly for noncrossing
 partitions, which is why the classical (all-partition) calculus here is kept
-to commuting scalars.
+to commuting scalars.  It is the reference definition: summed over
+partitions it gives the conversions' values, and joint_moments_free_family
+sums it over the noncrossing partitions refining a word's kernel, which the
+joint tensors match word by word.
 """
 
 from __future__ import annotations
@@ -399,15 +407,17 @@ def eval_partitioned_classical(table, part: Partition, pattern, coeffs=None):
 # moment <-> cumulant conversions
 
 
-def _first_blocks(k: int, free: bool) -> list:
-    """Every block V of a k-letter word that holds position 0, except the whole word.
+@lru_cache(maxsize=None)
+def _first_blocks(k: int, free: bool) -> tuple:
+    """Every block V of a k-letter word that holds position 0, the whole word last.
 
     Each V comes with the position tuples whose moments multiply kappa(w|V).
     Free: one segment after each element of V, running to the next element or
     to the end (empty segments are ()).  Classical: the complement of V.
+    The cache holds one entry per (k, free), k at most MAX_SCALAR_ORDER.
     """
     out = []
-    for mask in range(2 ** (k - 1) - 1):
+    for mask in range(2 ** (k - 1)):
         block = (0,) + tuple(i for i in range(1, k) if mask >> (i - 1) & 1)
         if free:
             ends = block[1:] + (k,)
@@ -415,7 +425,7 @@ def _first_blocks(k: int, free: bool) -> list:
         else:
             pieces = (tuple(i for i in range(k) if i not in block),)
         out.append((block, pieces))
-    return out
+    return tuple(out)
 
 
 def _product_term(mul):
@@ -462,7 +472,7 @@ def _first_block_recursion(words, given, to_moments: bool, free: bool, term, zer
     Returns the other side for every word.
     """
     kappa, moment = {}, {}
-    blocks = {k: _first_blocks(k, free) for k in {len(w) for w in words}}
+    blocks = {k: _first_blocks(k, free)[:-1] for k in {len(w) for w in words}}
     for w in words:
         k = len(w)
         lower = zero(k)
@@ -526,17 +536,6 @@ def moments_to_classical_cumulants(table: MomentTable, K: int) -> CumulantTable:
 # free identically distributed families
 
 
-@lru_cache(maxsize=None)
-def _kernel_mask(blocks: tuple, k: int, n: int) -> np.ndarray:
-    """Boolean (n,)*k tensor: which index words are constant on each block."""
-    grids = np.indices((n,) * k)
-    mask = np.ones((n,) * k, dtype=bool)
-    for b in blocks:
-        for x in b[1:]:
-            mask &= grids[b[0] - 1] == grids[x - 1]
-    return mask
-
-
 def joint_moments_free_family(table: CumulantTable, n: int, word, pattern, coeffs=None):
     """Joint moment of n free copies with one shared cumulant table.
 
@@ -588,8 +587,21 @@ def joint_moments_free_family(table: CumulantTable, n: int, word, pattern, coeff
 def joint_moment_tensor(table: CumulantTable, n: int, k: int, pattern, coeffs=None):
     """All joint moments of length k at once, indexed by the word.
 
-    Returns shape (n,)*k for scalar tables, (n,)*k+(p,p) for matrix ones.
-    The kernel masks make the word dependence a sum of indicator tensors.
+    Returns shape (n,)*k for scalar tables, (n,)*k+(p,p) for matrix ones
+    (and for scalar tables with matrix coefficients).  coeffs is the
+    interleaved list b_0..b_k, identity when omitted.  Computed by the free
+    first-block recursion on whole index tensors; joint_moments_free_family
+    is the pointwise definition it matches.
+    """
+    return _joint_moment_tensor(table, n, k, pattern, coeffs, {})
+
+
+def _joint_moment_tensor(table, n: int, k: int, pattern, coeffs, memo: dict):
+    """joint_moment_tensor with a caller-owned memo of segment tensors.
+
+    The memo is keyed by segment letters and coefficients only, so it may be
+    shared by every call on the same (table, n).  The result is always a
+    fresh array.
     """
     d = StarPattern.coerce(pattern)
     if len(d) != k:
@@ -599,31 +611,85 @@ def joint_moment_tensor(table: CumulantTable, n: int, k: int, pattern, coeffs=No
     if k == 0:
         raise InputMismatchError("joint moment tensors need k >= 1")
     table.require_order(k)
-    p = table.dim
-    inner = None if coeffs is None else list(coeffs[1:])
     if coeffs is not None and len(coeffs) != k + 1:
         raise InputMismatchError(f"need {k + 1} interleaved coefficients")
+    p = table.dim
+    if p == 1:
+        # scalar coefficients commute out of every term
+        tensor = _free_family_tensor(table, n, d.letters, None, memo)
+        if coeffs is None:
+            return tensor.copy()
+        if any(np.asarray(c).ndim for c in coeffs):
+            return tensor[..., None, None] * _ordered_coeff_product(coeffs)
+        return tensor * reduce(operator.mul, (complex(c) for c in coeffs))
+    if coeffs is None:
+        coeffs = [identity_element(p)] * (k + 1)
+    cs = [_coerce_coeff(c, p) for c in coeffs]
+    return np.matmul(cs[0], _free_family_tensor(table, n, d.letters, cs[1:], memo))
 
-    matrix_out = p > 1 or (coeffs is not None and any(np.asarray(c).ndim for c in coeffs))
-    if p == 1 and matrix_out:
-        scalar = joint_moment_tensor(table, n, k, pattern, None)
-        return scalar[..., None, None] * _ordered_coeff_product(coeffs)
-    if matrix_out:
-        acc = np.zeros((n,) * k + (p, p), dtype=complex)
-    else:
-        acc = np.zeros((n,) * k, dtype=complex)
-    for part in noncrossing_cached(k):
-        val = eval_partitioned_free(table, part, d.letters, inner)
-        if isinstance(val, complex) and val == 0:
-            continue
-        mask = _kernel_mask(part.blocks, k, n)
-        if matrix_out:
-            acc += mask[..., None, None] * val
-        else:
-            acc += mask * val
-    if coeffs is not None and matrix_out:
-        acc = np.einsum("ab,...bc->...ac", _coerce_coeff(coeffs[0], p), acc)
-    return acc
+
+def _diagonal(acc: np.ndarray, block) -> np.ndarray:
+    """Writable view of acc whose leading axis runs along the block's common index.
+
+    The block's axes merge into that one axis; the other axes follow in order.
+    """
+    rest = [ax for ax in range(acc.ndim) if ax not in block]
+    shape = (acc.shape[block[0]],) + tuple(acc.shape[ax] for ax in rest)
+    strides = (sum(acc.strides[ax] for ax in block),) + tuple(acc.strides[ax] for ax in rest)
+    return np.ndarray(shape, acc.dtype, buffer=acc, strides=strides)
+
+
+def _free_family_tensor(table, n: int, letters: str, cs, memo: dict) -> np.ndarray:
+    """Moments of n free copies on every index word, by the first-block recursion.
+
+    M[w] = sum_{V containing 1} kappa(w|V) delta_V (x) [segment tensors]:
+    mixed free cumulants vanish, so kappa(w|V) is the table's value where
+    the indices on V agree (delta_V) and zero elsewhere, and the segments
+    after each element of V are independent words.  cs is None for scalar
+    tables (identity coefficients); for matrix tables cs[i] is the
+    coefficient after letter i, each segment value ends with its last
+    coefficient, and the cores are spliced as in _splice_cores: slot t of
+    kappa takes b M(segment t), the trailing segment multiplies through b
+    from the right.  Index axes come first, in word order.
+    """
+    matrix = cs is not None
+    p = table.dim
+    coeff_keys = [c.tobytes() for c in cs] if matrix else []
+
+    def segment(a: int, e: int) -> np.ndarray:
+        key = (letters[a:e], tuple(coeff_keys[a:e]))
+        value = memo.get(key)
+        if value is None:
+            value = memo[key] = build(a, e)
+        return value
+
+    def build(a: int, e: int) -> np.ndarray:
+        word = letters[a:e]
+        acc = np.zeros((n,) * len(word) + ((p, p) if matrix else ()), dtype=complex)
+        for block, pieces in _first_blocks(len(word), True):
+            kappa = table.data.get("".join([word[i] for i in block]))
+            if kappa is None:
+                continue
+            segs = [segment(a + piece[0], a + piece[-1] + 1) if piece else None
+                    for piece in pieces]
+            if not matrix:
+                term = kappa
+                for s in segs:
+                    if s is not None:
+                        term = np.multiply.outer(term, s)
+            else:
+                sides = [cs[a + v] if s is None else np.matmul(cs[a + v], s)
+                         for v, s in zip(block, segs)]
+                term = kappa
+                for side in sides[:-1]:
+                    term = np.tensordot(term, side.reshape(side.shape[:-2] + (p * p,)),
+                                        axes=([0], [-1]))
+                term = np.moveaxis(np.tensordot(term, sides[-1], axes=([1], [-2])), 0, -2)
+            view = _diagonal(acc, block)
+            view += term
+        return acc
+
+    return segment(0, len(letters))
 
 
 def multivariate_cumulants_from_joint_moments(oracle, K: int) -> MultiCumulantTable:

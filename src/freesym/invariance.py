@@ -14,7 +14,7 @@ from itertools import product
 
 import numpy as np
 
-from .cumulants import CumulantTable, joint_moment_tensor, pattern_sort_key
+from .cumulants import CumulantTable, _joint_moment_tensor, pattern_sort_key
 from .distributions import CumulantSpecSingle, FreeClassTag, sample_spec
 from .errors import InputMismatchError, OrderBoundError
 from .fixtures import witness_for_family
@@ -27,25 +27,27 @@ from .qgroups import (
     check_family,
     family_below,
     operator_norm,
+    spectral_norms,
 )
-
-# symbol pools for the dynamically built contractions; k never exceeds 8
-_I_POOL = "abcdefgh"
-_J_POOL = "nopqrstu"
-_A_POOL = "ABCDEFGHJ"
 
 
 @dataclass
 class FreeIIDJoint:
     """n free copies of one variable, described by its cumulant table.
 
-    Moment tensors are cached per (order, pattern, coefficient set) since
-    the same tensors get contracted against many different models.
+    Moment tensors come from the free first-block recursion
+    (cumulants.joint_moment_tensor).  The joint keeps that recursion's memo
+    of segment tensors, keyed by letters and coefficients, so every order
+    and pattern of a scan reuses the shorter words' tensors.  With a
+    cache_key the finished tensor is cached per (order, pattern, cache_key),
+    since the same tensors get contracted against many different models;
+    without one each call returns a fresh array.
     """
 
     table: CumulantTable
     n: int
     _cache: dict = field(default_factory=dict, repr=False)
+    _memo: dict = field(default_factory=dict, repr=False)
 
     @property
     def order(self) -> int:
@@ -60,11 +62,9 @@ class FreeIIDJoint:
         if cache_key is not None:
             key = (k, letters, cache_key)
             if key not in self._cache:
-                self._cache[key] = joint_moment_tensor(
-                    self.table, self.n, k, letters, coeffs
-                )
+                self._cache[key] = self.moment_tensor(k, letters, coeffs)
             return self._cache[key]
-        return joint_moment_tensor(self.table, self.n, k, letters, coeffs)
+        return _joint_moment_tensor(self.table, self.n, k, letters, coeffs, self._memo)
 
 
 @dataclass
@@ -137,18 +137,23 @@ def _action_lhs(E: np.ndarray, rep: MatrixRep, letters: str) -> np.ndarray:
     """Contract a moment tensor with the model's entry chains.
 
     Output axes: k word indices, then the coefficient pair when E carries
-    one, then the block pair of the chained entries.
+    one, then the block pair of the chained entries.  The word slots are
+    contracted one at a time, left to right, each as one matrix product:
+    slot t sums E's index i_t and the chain's open block index against
+    u_{i_t j_t}, seen as an (i, A) x (j, B) matrix.
     """
-    k = len(letters)
-    has_p = E.ndim == k + 2
-    e_sub = _I_POOL[:k] + ("YZ" if has_p else "")
-    subs = [e_sub]
-    operands = [E]
-    for t, letter in enumerate(letters):
-        operands.append(rep.letter_array(letter))
-        subs.append(_I_POOL[t] + _J_POOL[t] + _A_POOL[t] + _A_POOL[t + 1])
-    out = _J_POOL[:k] + ("YZ" if has_p else "") + _A_POOL[0] + _A_POOL[k]
-    return np.einsum(",".join(subs) + "->" + out, *operands, optimize=True)
+    n, d, k = rep.n, rep.d, len(letters)
+    mats = {ch: rep.letter_array(ch).transpose(0, 2, 1, 3).reshape(n * d, n * d)
+            for ch in set(letters)}
+    # rows (i_2..i_k, [Y, Z]), columns (j_1, A_0, A_1)
+    T = E.reshape(n, -1).T @ rep.letter_array(letters[0]).reshape(n, -1)
+    for ch in letters[1:]:
+        # rows lose i_t; columns gain j_t and swap A_{t-1} for A_t
+        T = T.reshape(n, -1, d).transpose(1, 0, 2).reshape(-1, n * d) @ mats[ch]
+    # ([Y, Z], j_1, A_0, j_2..j_k, A_k) -> (j_1..j_k, [Y, Z], A_0, A_k)
+    pre = E.ndim - k
+    T = T.reshape(E.shape[k:] + (n, d) + (n,) * (k - 1) + (d,))
+    return T.transpose(pre, *range(pre + 2, pre + k + 1), *range(pre), pre + 1, pre + k + 1)
 
 
 def _residual_tensor(lhs: np.ndarray, E: np.ndarray, k: int, d: int) -> np.ndarray:
@@ -159,8 +164,7 @@ def _residual_tensor(lhs: np.ndarray, E: np.ndarray, k: int, d: int) -> np.ndarr
         diff = np.moveaxis(diff, -3, -2)
         p = diff.shape[-4]
         diff = diff.reshape(diff.shape[:k] + (p * d, p * d))
-    svals = np.linalg.svd(diff, compute_uv=False)
-    return svals[..., 0]
+    return spectral_norms(diff)
 
 
 def check_invariance(

@@ -129,6 +129,17 @@ class MatrixRep:
         return self.entries.transpose(0, 2, 1, 3).reshape(nd, nd)
 
 
+def spectral_norms(batch) -> np.ndarray:
+    """Largest singular value of each trailing matrix in a batch (..., r, c).
+
+    A 1x1 matrix's singular value is its modulus, so those skip the SVD.
+    """
+    batch = np.asarray(batch)
+    if batch.shape[-2:] == (1, 1):
+        return np.abs(batch[..., 0, 0])
+    return np.linalg.svd(batch, compute_uv=False)[..., 0]
+
+
 def operator_norm(x) -> float:
     if isinstance(x, MatrixRep):
         mat = x.flatten()
@@ -146,7 +157,7 @@ def operator_norm(x) -> float:
             raise InputMismatchError(f"cannot take operator norm of shape {arr.shape}")
     if mat.size == 0:
         return 0.0
-    return float(np.linalg.svd(mat, compute_uv=False)[0])
+    return float(spectral_norms(mat))
 
 
 def _unitarity_residuals(mat: np.ndarray) -> tuple[float, float]:
@@ -201,17 +212,15 @@ def full_delta_identity_holds(rep: MatrixRep, pattern) -> Check:
         raise InputMismatchError("delta identity needs pattern length >= 2")
     if rep.n**k > TUPLE_BUDGET:
         raise BudgetError(f"{rep.n}^{k} index tuples exceed the budget")
-    chain = rep.letter_array(d.letters[0])
-    for letter in d.letters[1:]:
-        chain = np.einsum(
-            "a...xy,aiyz->a...ixz", chain, rep.letter_array(letter)
-        )
-    total = chain.sum(axis=0)
-    target = np.zeros_like(total)
+    # the last link also sums the shared row index, so the (n,)*(k+1) chain
+    # is never held next to the (n,)*k total
+    diff = rep.letter_array(d.letters[0])
+    for t, letter in enumerate(d.letters[1:], 2):
+        out = "...ixz" if t == k else "a...ixz"
+        diff = np.einsum("a...xy,aiyz->" + out, diff, rep.letter_array(letter))
     for i in range(rep.n):
-        target[(i,) * k] = np.eye(rep.d)
-    diff = (total - target).reshape(-1, rep.d, rep.d)
-    svals = np.linalg.svd(diff, compute_uv=False)[:, 0]
+        diff[(i,) * k] -= np.eye(rep.d)
+    svals = spectral_norms(diff.reshape(-1, rep.d, rep.d))
     worst = int(np.argmax(svals))
     residual = float(svals[worst])
     return Check(
@@ -264,7 +273,11 @@ def _commutativity_residual(rep: MatrixRep) -> float:
 
 
 def check_family(rep: MatrixRep, tag: FamilyTag) -> Check:
-    base = check_biunitary(rep)
+    return _check_family(rep, tag, check_biunitary(rep))
+
+
+def _check_family(rep: MatrixRep, tag: FamilyTag, base: Check) -> Check:
+    """check_family with the model's biunitarity check already made."""
     residuals = {"biunitary": base.residual}
     witness = None
     kind = tag.kind
@@ -476,7 +489,8 @@ def all_family_tags(m_max: int = M_MAX_DEFAULT, classical: bool = False):
 
 def lattice_position(rep: MatrixRep, m_max: int = M_MAX_DEFAULT) -> dict:
     tags = all_family_tags(m_max)
-    results = {tag: check_family(rep, tag) for tag in tags}
+    base = check_biunitary(rep)
+    results = {tag: _check_family(rep, tag, base) for tag in tags}
     satisfied = {tag for tag, chk in results.items() if chk.holds}
     minimal = {
         t

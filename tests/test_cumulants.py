@@ -501,3 +501,48 @@ def test_repeated_conversions_retain_no_memory():
     finally:
         tracemalloc.stop()
     assert retained < 1 << 20, retained
+
+
+def _first_occurrence_labels(word):
+    """The word relabelled 1, 2, ... in order of first occurrence (same kernel)."""
+    first = tuple(dict.fromkeys(word)).index
+    return tuple(first(i) + 1 for i in word)
+
+
+def _random_coeffs(kind, k, rng):
+    if kind == "none":
+        return None
+    if kind == "scalar":
+        return list(rng.standard_normal(k + 1) + 1j * rng.standard_normal(k + 1))
+    return [rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) for _ in range(k + 1)]
+
+
+@pytest.mark.parametrize("coeff_kind", ["none", "scalar", "matrix"])
+@pytest.mark.parametrize("table_kind", ["dense", "semicircle", "dim2"])
+def test_joint_tensors_match_pointwise_moments(table_kind, coeff_kind):
+    """Recursion tensors against joint_moments_free_family on every word.
+
+    n in {2, 3}, k <= 5, every pattern.  The pointwise definition depends on
+    a word only through its kernel, so it is evaluated once per kernel, at
+    the first-occurrence relabelling, and shared by n = 2 and n = 3.
+    """
+    table = {
+        "dense": lambda: random_cumulant_table(5, seed=61, scale=0.6),
+        "semicircle": lambda: semicircular_spec(5),
+        "dim2": lambda: random_cumulant_table(5, dim=2, seed=62),
+    }[table_kind]()
+    rng = np.random.default_rng(63)
+    for k in range(1, 6):
+        for d in StarPattern.all_patterns(k):
+            coeffs = _random_coeffs(coeff_kind, k, rng)
+            pointwise = {}
+            for n in (2, 3):
+                tensor = joint_moment_tensor(table, n, k, d, coeffs)
+                want = np.zeros_like(tensor)
+                for word in itertools.product(range(1, n + 1), repeat=k):
+                    key = _first_occurrence_labels(word)
+                    if key not in pointwise:
+                        pointwise[key] = joint_moments_free_family(table, n, key, d, coeffs)
+                    want[tuple(i - 1 for i in word)] = pointwise[key]
+                err = np.max(np.abs(tensor - want))
+                assert err <= 1e-12 * np.max(np.abs(want)), (n, d.letters, err)

@@ -14,8 +14,10 @@ from freesym.fixtures import (
     unit_i_diag_rep,
 )
 from freesym.invariance import (
+    _PROBE_CLASSES,
     FreeIIDJoint,
     TableJoint,
+    _action_lhs,
     check_2_exchangeable,
     check_invariance,
     cumulant_identity_extractor,
@@ -23,7 +25,8 @@ from freesym.invariance import (
     matrix_b_coeffs,
     theorem1_probe,
 )
-from freesym.qgroups import FamilyTag, coproduct_lift, operator_norm
+from freesym.partitions import StarPattern
+from freesym.qgroups import FamilyTag, MatrixRep, coproduct_lift, operator_norm
 
 
 def spec_of(kind, m=None, seed=0):
@@ -233,3 +236,56 @@ def test_probe_grid_has_no_mismatches():
     assert any("B_S_PLUS" in note for note in probe["notes"])
     row = probe["grid"]["CIRCULAR"]
     assert all(cell["expected"] and cell["actual"] for cell in row.values())
+
+
+def _einsum_action(E, rep, letters):
+    """The one-einsum contraction _action_lhs replaced, kept as its reference."""
+    i_pool, j_pool, a_pool = "abcdefgh", "nopqrstu", "ABCDEFGHJ"
+    k = len(letters)
+    pair = "YZ" if E.ndim == k + 2 else ""
+    subs, operands = [i_pool[:k] + pair], [E]
+    for t, letter in enumerate(letters):
+        operands.append(rep.letter_array(letter))
+        subs.append(i_pool[t] + j_pool[t] + a_pool[t] + a_pool[t + 1])
+    out = j_pool[:k] + pair + a_pool[0] + a_pool[k]
+    return np.einsum(",".join(subs) + "->" + out, *operands, optimize=True)
+
+
+def test_slot_by_slot_action_matches_einsum():
+    rng = np.random.default_rng(80)
+    reps = [rep for rep, _ in fixture_set().reps.values()]
+    reps.append(coproduct_lift(nilpotent_pair_rep(2), nilpotent_pair_rep(2)))
+    reps.append(MatrixRep(rng.standard_normal((3, 3, 2, 2)) + 1j * rng.standard_normal((3, 3, 2, 2))))
+    for rep in reps:
+        for k in range(1, 5):
+            for d in StarPattern.all_patterns(k):
+                for pair in ((), (2, 2)):
+                    shape = (rep.n,) * k + pair
+                    E = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                    got, want = _action_lhs(E, rep, d.letters), _einsum_action(E, rep, d.letters)
+                    assert got.shape == want.shape
+                    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_relabelling_the_model_keeps_every_verdict():
+    for ctag in _PROBE_CLASSES:
+        spec = sample_spec(ctag, seed=0)
+        for name, (rep, _) in fixture_set().reps.items():
+            sigma = np.roll(np.arange(rep.n), 1)
+            moved = MatrixRep(rep.entries[np.ix_(sigma, sigma)], tol=rep.tol)
+            want = check_invariance(spec, rep, 4).invariant
+            assert check_invariance(spec, moved, 4).invariant == want, (ctag.label(), name)
+
+
+def test_invariance_survives_the_coproduct_lift():
+    invariant_cells = 0
+    for ctag in _PROBE_CLASSES:
+        spec = sample_spec(ctag, seed=0)
+        for name, (rep, _) in fixture_set().reps.items():
+            if not check_invariance(spec, rep, 4).invariant:
+                continue
+            invariant_cells += 1
+            lifted = coproduct_lift(rep, rep)
+            verdict = check_invariance(spec, lifted, 4)
+            assert verdict.invariant, (ctag.label(), name, verdict.first_violation)
+    assert invariant_cells > 0

@@ -31,8 +31,10 @@ from freesym.qgroups import (
     hadamard,
     lattice_position,
     operator_norm,
+    spectral_norms,
     structural_consequences,
 )
+from freesym import qgroups
 
 F = FamilyTag
 
@@ -341,3 +343,22 @@ def test_irrational_phase_avoids_all_moduli():
     assert check_family(rep, F("H_0_PLUS")).holds
     for m in range(3, 13):
         assert not check_family(rep, F("H_M_PLUS", m)).holds, m
+
+
+@pytest.mark.parametrize("d", [1, 2, 4])
+def test_spectral_norms_match_svd(d):
+    rng = np.random.default_rng(70 + d)
+    batch = rng.standard_normal((3, 5, d, d)) + 1j * rng.standard_normal((3, 5, d, d))
+    want = np.linalg.svd(batch, compute_uv=False)[..., 0]
+    got = spectral_norms(batch)
+    assert got.shape == want.shape
+    assert np.allclose(got, want, rtol=1e-12, atol=0)
+
+
+def test_lattice_position_checks_biunitarity_once(monkeypatch):
+    calls = []
+    original = qgroups.check_biunitary
+    monkeypatch.setattr(qgroups, "check_biunitary", lambda rep: calls.append(rep) or original(rep))
+    pos = lattice_position(rotation_rep(2))
+    assert pos["minimal"] == ["O_PLUS"]
+    assert len(calls) == 1

@@ -1,4 +1,4 @@
-"""Moment and cumulant tables plus the partitioned functional calculus.
+"""Moment and cumulant tables plus the moment <-> cumulant calculus.
 
 A table stores, per star pattern of each order, the value of a multilinear
 functional applied to the variable's pattern of plain/adjoined copies.  For
@@ -15,22 +15,24 @@ Classically m(w) = sum_V kappa(w|V) m(w|V^c).  Freely the rest splits into
 the segments after each element of V, and m(w) = sum_V kappa(w|V)[segment
 moments in its slots] b m(trailing segment), b the coefficient after V; for
 matrix tables this is Speicher's operator-valued relation (Mem. AMS 132,
-1998, no. 627).  Sub-word values are memoised within one conversion,
-shortest first, and the inversions solve the same relation for kappa(w).
+1998, no. 627).  The inversions solve the same relation for kappa(w).
 
-Joint moment tensors of n free copies (joint_moment_tensor) run the same
-free recursion on whole index tensors.  Mixed free cumulants vanish, so a
-first block V contributes kappa(w|V) only where the indices on V agree: its
-term is the all-equal tensor on V's positions times the segment tensors.
+Every word up to the conversion order has a place in one flat array
+(_flat_index), and for each order an integer plan (_order_plan) lists, for
+every first block V and every word at once, where kappa(w|V) and the piece
+moments sit.  Scalar tables in both calculi, and the multivariate inverter
+on words of (index, letter) pairs, evaluate a whole order as numpy gathers,
+products and one sum over V (_gathered_recursion); absent entries are exact
+zeros.  Matrix cores read their operands through the same plan and splice
+them word by word (_spliced_recursion).
 
-eval_partitioned_free instead evaluates one partitioned functional by
-removing interval blocks one at a time, folding each value into the
-neighboring argument.  That peel order exists exactly for noncrossing
-partitions, which is why the classical (all-partition) calculus here is kept
-to commuting scalars.  It is the reference definition: summed over
-partitions it gives the conversions' values, and joint_moments_free_family
-sums it over the noncrossing partitions refining a word's kernel, which the
-joint tensors match word by word.
+Joint moments of n free copies run the free recursion too: on whole index
+tensors (joint_moment_tensor) or on one word's segments
+(joint_moments_free_family).  Mixed free cumulants vanish, so a first block V
+contributes kappa(w|V) only where the indices on V agree.
+
+The defining sums over partitions, which these recursions reproduce, are
+the test suite's reference (tests/reference.py).
 """
 
 from __future__ import annotations
@@ -44,24 +46,18 @@ import numpy as np
 
 from .errors import (
     BudgetError,
-    CrossingPartitionError,
     IncompleteTableError,
     InputMismatchError,
     OrderBoundError,
     SizeLimitError,
     UnsupportedAlgebraError,
 )
-from .partitions import (
-    ONE,
-    Partition,
-    StarPattern,
-    kernel,
-    noncrossing_cached,
-    refines,
-)
+from .partitions import ONE, STAR, StarPattern
 
 MAX_DIM = 3
 MAX_SCALAR_ORDER = 8
+# Dense cores hold p^(2k) entries at order k: at dim 3 each order-6 table is
+# about 0.55 GB, and a dim-3, K=6 conversion peaks at about 1.14 GB RSS.
 MAX_MATRIX_ORDER = 6
 MAX_MULTI_ORDER = 6
 MAX_ALPHABET = 3
@@ -204,83 +200,7 @@ class MultiCumulantTable:
 
 
 # ---------------------------------------------------------------------------
-# nested evaluation of partitioned functionals
-
-
-@lru_cache(maxsize=None)
-def _peel_plan(blocks: tuple, k: int, rightmost: bool) -> tuple:
-    """Order in which interval blocks get removed, with attachment targets.
-
-    Each step is (block, attach, pos): after evaluating the block, its value
-    multiplies rights[pos] from the right ("right"), lefts[pos] from the left
-    ("left"), or is the final result ("final").  A stuck scan means some pair
-    of blocks crosses.
-    """
-    remaining = list(range(1, k + 1))
-    todo = set(blocks)
-    steps = []
-    while todo:
-        spots = []
-        for b in todo:
-            i = remaining.index(b[0])
-            if tuple(remaining[i:i + len(b)]) == b:
-                spots.append((i, b))
-        if not spots:
-            raise CrossingPartitionError(
-                f"no interval block left in {sorted(todo)}; partition crosses"
-            )
-        i, b = max(spots) if rightmost else min(spots)
-        if i > 0:
-            steps.append((b, "right", remaining[i - 1]))
-        elif i + len(b) < len(remaining):
-            steps.append((b, "left", remaining[i + len(b)]))
-        else:
-            steps.append((b, "final", 0))
-        del remaining[i:i + len(b)]
-        todo.remove(b)
-    return tuple(steps)
-
-
-def _run_plan(plan, block_value, lefts, rights, mul):
-    lefts = dict(lefts)
-    rights = dict(rights)
-    result = None
-    for block, attach, pos in plan:
-        inners = [mul(rights[a], lefts[b]) for a, b in zip(block, block[1:])]
-        val = block_value(block, inners)
-        if val is None:
-            return None
-        val = mul(mul(lefts[block[0]], val), rights[block[-1]])
-        if attach == "right":
-            rights[pos] = mul(rights[pos], val)
-        elif attach == "left":
-            lefts[pos] = mul(val, lefts[pos])
-        else:
-            result = val
-    return result
-
-
-@lru_cache(maxsize=None)
-def _block_patterns(blocks: tuple, letters: str) -> tuple[str, ...]:
-    return tuple(
-        "".join(letters[x - 1] for x in b) for b in blocks
-    )
-
-
-def _apply_core(core: np.ndarray, inners: list, dim: int) -> np.ndarray:
-    """Contract a core tensor with vec'd coefficient arrays (broadcasting)."""
-    s = len(inners) + 1
-    if s == 1:
-        return core
-    letters = "abcdefg"[: s - 1]
-    operands = []
-    subs = []
-    for t, inner in enumerate(inners):
-        v = inner.reshape(inner.shape[:-2] + (dim * dim,))
-        operands.append(v)
-        subs.append("..." + letters[t])
-    expr = letters + "xy," + ",".join(subs) + "->...xy"
-    return np.einsum(expr, core, *operands)
+# coefficients
 
 
 def _coerce_coeff(c, dim: int):
@@ -310,97 +230,15 @@ def _ordered_coeff_product(coeffs) -> np.ndarray:
     return out
 
 
-def eval_partitioned_free(table, part: Partition, pattern, coeffs=None, rightmost=False):
-    """Nested evaluation of the partitioned functional on concrete arguments.
+def _times_coeff_product(value, coeffs):
+    """Scalar-valued moments times the ordered product of their coefficients.
 
-    Argument j is the variable's pattern[j] power followed by coefficient
-    coeffs[j]; a missing coeffs list means identity coefficients throughout.
-    Raises CrossingPartitionError when the partition admits no peel order.
+    Scalar coefficients commute out of every term; a matrix among them makes
+    the product a matrix, whose two axes are appended to value's.
     """
-    d = StarPattern.coerce(pattern)
-    k = part.k
-    if len(d) != k:
-        raise InputMismatchError("pattern length must match the partition size")
-    if coeffs is None:
-        coeffs = [identity_element(table.dim)] * k
-    if len(coeffs) != k:
-        raise InputMismatchError(f"need {k} coefficients, got {len(coeffs)}")
-    table.require_order(max((len(b) for b in part.blocks), default=0))
-    if k == 0:
-        return identity_element(table.dim)
-    p = table.dim
-    subs = _block_patterns(part.blocks, d.letters)
-    if p == 1 and all(np.asarray(c).ndim == 0 for c in coeffs):
-        def block_value(block, inners):
-            v = table.data.get(subs[block_index[block]])
-            if v is None:
-                return None
-            for inner in inners:
-                v = v * inner
-            return v
-        block_index = {b: i for i, b in enumerate(part.blocks)}
-        lefts = {pos: 1.0 + 0.0j for pos in range(1, k + 1)}
-        rights = {pos: complex(coeffs[pos - 1]) for pos in range(1, k + 1)}
-        val = _run_plan(_peel_plan(part.blocks, k, rightmost), block_value, lefts, rights,
-                        lambda a, b: a * b)
-        return 0.0 + 0.0j if val is None else val
-    if p == 1:
-        raise InputMismatchError("matrix coefficients need a matrix-valued table")
-    cs = [_coerce_coeff(c, p) for c in coeffs]
-    block_index = {b: i for i, b in enumerate(part.blocks)}
-
-    def block_value(block, inners):
-        core = table.data.get(subs[block_index[block]])
-        if core is None:
-            return None
-        return _apply_core(core, inners, p)
-
-    ident = np.eye(p, dtype=complex)
-    lefts = {pos: ident for pos in range(1, k + 1)}
-    rights = {pos: cs[pos - 1] for pos in range(1, k + 1)}
-    val = _run_plan(_peel_plan(part.blocks, k, rightmost), block_value, lefts, rights, np.matmul)
-    return np.zeros((p, p), dtype=complex) if val is None else val
-
-
-def eval_partitioned_classical(table, part: Partition, pattern, coeffs=None):
-    """Product of per-block functional values, blocks in canonical order.
-
-    Valid for any partition, crossing or not.  With matrix coefficients the
-    product-of-blocks order is the canonical one; callers wanting commuting
-    semantics should stick to scalars.
-    """
-    d = StarPattern.coerce(pattern)
-    k = part.k
-    if len(d) != k:
-        raise InputMismatchError("pattern length must match the partition size")
-    if coeffs is None:
-        coeffs = [identity_element(table.dim)] * k
-    if len(coeffs) != k:
-        raise InputMismatchError(f"need {k} coefficients, got {len(coeffs)}")
-    table.require_order(max((len(b) for b in part.blocks), default=0))
-    if k == 0:
-        return identity_element(table.dim)
-    p = table.dim
-    subs = _block_patterns(part.blocks, d.letters)
-    if p == 1:
-        out = 1.0 + 0.0j
-        for sub in subs:
-            v = table.data.get(sub)
-            if v is None:
-                return 0.0 + 0.0j
-            out *= v
-        for c in coeffs:
-            out *= complex(c)
-        return out
-    cs = [_coerce_coeff(c, p) for c in coeffs]
-    out = np.eye(p, dtype=complex)
-    for b, sub in zip(part.blocks, subs):
-        core = table.data.get(sub)
-        if core is None:
-            return np.zeros((p, p), dtype=complex)
-        inners = [cs[pos - 1] for pos in b[:-1]]
-        out = out @ _apply_core(core, inners, p) @ cs[b[-1] - 1]
-    return out
+    if any(np.ndim(c) for c in coeffs):
+        return np.multiply.outer(value, _ordered_coeff_product(coeffs))
+    return value * reduce(operator.mul, (complex(c) for c in coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -428,9 +266,79 @@ def _first_blocks(k: int, free: bool) -> tuple:
     return tuple(out)
 
 
-def _product_term(mul):
-    """kappa(w|V) times the piece moments in order; None marks an empty segment."""
-    return lambda kappa, moments: reduce(mul, [m for m in moments if m is not None], kappa)
+def _flat_index(digits, a: int) -> int:
+    """Position of a word, given by its digits 0..a-1, among all words of every order.
+
+    Horner's rule in bijective base a (digit d counts d + 1): the empty word
+    is 0, and the a^k words of order k fill positions (a^k - 1)/(a - 1)
+    onward in the order of their digit tuples.
+    """
+    i = 0
+    for d in digits:
+        i = i * a + d + 1
+    return i
+
+
+def _order_plan(k: int, a: int, free: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices of kappa(w|V) and of w's nonempty pieces, for every word w of order k.
+
+    Row r is the block _first_blocks(k, free)[r] (the whole word left out),
+    column c the word whose digit tuple has code c.  kappa_at[r, c] and
+    moment_at[r, j, c] are _flat_index positions; rows with fewer nonempty
+    pieces than the widest are padded with 0, the empty word.
+    """
+    rows = _first_blocks(k, free)[:-1]
+    filled = [[piece for piece in pieces if piece] for _, pieces in rows]
+    shifted = np.arange(a ** k)[:, None] // a ** np.arange(k - 1, -1, -1) % a + 1
+
+    def at(positions) -> np.ndarray:
+        return shifted[:, list(positions)] @ a ** np.arange(len(positions) - 1, -1, -1)
+
+    size = (a ** (k + 1) - 1) // (a - 1)
+    dtype = np.int16 if size <= np.iinfo(np.int16).max else np.int32
+    kappa_at = np.zeros((len(rows), a ** k), dtype)
+    moment_at = np.zeros((len(rows), max(map(len, filled), default=0), a ** k), dtype)
+    for r, ((block, _), pieces) in enumerate(zip(rows, filled)):
+        kappa_at[r] = at(block)
+        for j, piece in enumerate(pieces):
+            moment_at[r, j] = at(piece)
+    kappa_at.flags.writeable = moment_at.flags.writeable = False
+    return kappa_at, moment_at
+
+
+@lru_cache(maxsize=2 * MAX_SCALAR_ORDER)
+def _star_plan(k: int, free: bool) -> tuple[np.ndarray, np.ndarray]:
+    """_order_plan over the star letters {1, *}: 0.55 MB of int16 for k <= 8, both calculi."""
+    return _order_plan(k, 2, free)
+
+
+def _gathered_recursion(known: np.ndarray, K: int, a: int, free: bool, to_moments: bool,
+                        mul=np.multiply) -> np.ndarray:
+    """m(w) = kappa(w) + sum over V of kappa(w|V) times the piece moments, an order at a time.
+
+    known holds the given side at every _flat_index of words up to order K,
+    absent entries as exact zeros (slot 0, the empty word, is ignored).
+    Values are scalars, or p x p matrices multiplied by mul=np.matmul.
+    Every term of an order is gathered through its plan at once and
+    multiplied in place (at k=8 two 0.5 MB slabs live at a time); a term
+    involves shorter words only, so the order's moments (or, inverting,
+    cumulants) follow from one sum over V.  Returns the other side.
+    """
+    solved = np.zeros_like(known)
+    kappa, moment = (known, solved) if to_moments else (solved, known.copy())
+    moment[0] = np.eye(known.shape[-1]) if known.ndim > 1 else 1
+    for k in range(1, K + 1):
+        kappa_at, moment_at = _star_plan(k, free) if a == 2 else _order_plan(k, a, free)
+        term = kappa[kappa_at]
+        for j in range(moment_at.shape[1]):
+            mul(term, moment[moment_at[:, j]], out=term)
+        start = (a ** k - 1) // (a - 1)
+        run = slice(start, start + a ** k)
+        if to_moments:
+            moment[run] = kappa[run] + term.sum(axis=0)
+        else:
+            kappa[run] = moment[run] - term.sum(axis=0)
+    return solved
 
 
 def _splice_cores(kappa: np.ndarray, moments: list) -> np.ndarray:
@@ -464,33 +372,33 @@ def _splice_cores(kappa: np.ndarray, moments: list) -> np.ndarray:
     return val.reshape(core_shape(p, len(out) // 2))
 
 
-def _first_block_recursion(words, given, to_moments: bool, free: bool, term, zero, cat) -> dict:
-    """m(w) = kappa(w) + sum over _first_blocks(V) of term(kappa(w|V), piece moments).
+def _spliced_recursion(known: list, K: int, to_moments: bool, p: int) -> list:
+    """The free recursion word by word for dim-p cores, operands read through the plan.
 
-    given(w) is the known side (None when absent); every sub-word is shorter
-    than w, so words in order of length find both sides already memoised.
-    Returns the other side for every word.
+    known is the given side at every _flat_index over the star letters, None
+    where absent.  Returns the other side.
     """
-    kappa, moment = {}, {}
-    blocks = {k: _first_blocks(k, free)[:-1] for k in {len(w) for w in words}}
-    for w in words:
-        k = len(w)
-        lower = zero(k)
-        for block, pieces in blocks[k]:
-            kv = kappa.get(cat([w[i] for i in block]))
-            if kv is not None:
-                lower += term(kv, [moment[cat([w[i] for i in piece])] if piece else None
-                                   for piece in pieces])
-        value = given(w)
-        if to_moments:
-            if value is not None:
-                kappa[w] = value
-                lower += value
-            moment[w] = lower
-        else:
-            moment[w] = zero(k) if value is None else value
-            kappa[w] = moment[w] - lower
-    return moment if to_moments else kappa
+    solved = [None] * len(known)
+    kappa, moment = (known, solved) if to_moments else (solved, list(known))
+    for k in range(1, K + 1):
+        kappa_at, moment_at = _star_plan(k, True)
+        blocks = _first_blocks(k, True)[:-1]
+        for code in range(2 ** k):
+            w = 2 ** k - 1 + code
+            lower = zero_element(p, k)
+            for (_, pieces), kv, at in zip(blocks, kappa_at[:, code].tolist(),
+                                           moment_at[:, :, code].tolist()):
+                if kappa[kv] is not None:
+                    filled = iter(at)
+                    lower += _splice_cores(kappa[kv], [moment[next(filled)] if piece else None
+                                                       for piece in pieces])
+            if to_moments:
+                moment[w] = lower if kappa[w] is None else lower + kappa[w]
+            else:
+                if moment[w] is None:
+                    moment[w] = zero_element(p, k)
+                kappa[w] = moment[w] - lower
+    return solved
 
 
 def _convert(table: _PatternTable, K: int, free: bool, to_moments: bool) -> _PatternTable:
@@ -503,13 +411,18 @@ def _convert(table: _PatternTable, K: int, free: bool, to_moments: bool) -> _Pat
     if K < 0:
         raise OrderBoundError("order must be nonnegative")
     table.require_order(K)
+    # each order's patterns come in code order, so words[i] has flat index i + 1
     words = [d.letters for k in range(1, K + 1) for d in StarPattern.all_patterns(k)]
-    term = _product_term(operator.mul) if p == 1 else _splice_cores
-    values = _first_block_recursion(words, table.data.get, to_moments, free, term,
-                                    lambda k: zero_element(p, k), "".join)
     out = (MomentTable if to_moments else CumulantTable)(order=K, dim=p)
-    for w in words:
-        out.set(w, values[w])
+    if p == 1:
+        known = np.array([0j] + [table.data.get(w, 0j) for w in words])
+        values = _gathered_recursion(known, K, 2, free, to_moments)[1:]
+        _require_finite(values)
+        out.data = dict(zip(words, values.tolist()))
+        return out
+    values = _spliced_recursion([None] + [table.data.get(w) for w in words], K, to_moments, p)
+    for w, value in zip(words, values[1:]):
+        out.set(w, value)
     return out
 
 
@@ -539,9 +452,9 @@ def moments_to_classical_cumulants(table: MomentTable, K: int) -> CumulantTable:
 def joint_moments_free_family(table: CumulantTable, n: int, word, pattern, coeffs=None):
     """Joint moment of n free copies with one shared cumulant table.
 
-    Mixed cumulants of free variables vanish, so only noncrossing partitions
-    refining the word's kernel contribute.  coeffs is the interleaved list
-    b_0..b_k (length k+1); identity when omitted.
+    One entry of joint_moment_tensor, by the same free first-block recursion
+    run on this word's contiguous segments (_free_family_word).  coeffs is
+    the interleaved list b_0..b_k (length k+1); identity when omitted.
     """
     d = StarPattern.coerce(pattern)
     idx = tuple(int(i) for i in word)
@@ -558,30 +471,57 @@ def joint_moments_free_family(table: CumulantTable, n: int, word, pattern, coeff
             out = coeffs[0] if np.asarray(coeffs[0]).ndim else complex(coeffs[0])
         return out
     table.require_order(k)
+    p = table.dim
+    if p == 1:
+        value = _free_family_word(table, idx, d.letters, None)
+        return value if coeffs is None else _times_coeff_product(value, coeffs)
+    if coeffs is None:
+        coeffs = [identity_element(p)] * (k + 1)
+    cs = [_coerce_coeff(c, p) for c in coeffs]
+    return cs[0] @ _free_family_word(table, idx, d.letters, cs[1:])
 
-    scalar_coeffs = coeffs is None or all(np.asarray(c).ndim == 0 for c in coeffs)
-    if table.dim == 1 and not scalar_coeffs:
-        # scalar spec with matrix coefficients: the coefficients ride along
-        scalar = joint_moments_free_family(table, n, word, pattern, None)
-        return scalar * _ordered_coeff_product(coeffs)
 
-    ker = kernel(idx)
-    inner = None
-    if coeffs is not None:
-        inner = list(coeffs[1:])
-    acc = zero_element(table.dim)
-    for part in noncrossing_cached(k):
-        if not refines(part, ker):
-            continue
-        val = eval_partitioned_free(table, part, d.letters, inner)
-        acc = acc + val
-    if coeffs is not None:
-        b0 = coeffs[0]
-        if table.dim == 1:
-            acc = complex(b0) * acc
-        else:
-            acc = _coerce_coeff(b0, table.dim) @ acc
-    return acc
+def _free_family_word(table, idx: tuple, letters: str, cs):
+    """One entry of _free_family_tensor: its recursion on one word's segments.
+
+    A first block V of a segment counts only where the indices on V agree,
+    so V runs over the subsets of the segment's positions that carry its
+    first index.  Segment values are memoised for this word only; cs is as
+    in _free_family_tensor.
+    """
+    memo = {}
+
+    def segment(a: int, e: int):
+        if (a, e) not in memo:
+            memo[a, e] = build(a, e)
+        return memo[a, e]
+
+    def build(a: int, e: int):
+        same = [j for j in range(a + 1, e) if idx[j] == idx[a]]
+        total = zero_element(table.dim)
+        for size in range(len(same) + 1):
+            for rest in itertools.combinations(same, size):
+                block = (a,) + rest
+                kappa = table.data.get("".join([letters[j] for j in block]))
+                if kappa is None:
+                    continue
+                segs = [segment(v + 1, end) if v + 1 < end else None
+                        for v, end in zip(block, rest + (e,))]
+                if cs is None:
+                    term = kappa
+                    for s in segs:
+                        if s is not None:
+                            term = term * s
+                else:
+                    sides = [cs[v] if s is None else cs[v] @ s for v, s in zip(block, segs)]
+                    term = kappa
+                    for side in sides[:-1]:
+                        term = np.tensordot(side.reshape(-1), term, axes=(0, 0))
+                    term = term @ sides[-1]
+                total = total + term
+        return total
+
+    return segment(0, len(idx))
 
 
 def joint_moment_tensor(table: CumulantTable, n: int, k: int, pattern, coeffs=None):
@@ -591,7 +531,7 @@ def joint_moment_tensor(table: CumulantTable, n: int, k: int, pattern, coeffs=No
     (and for scalar tables with matrix coefficients).  coeffs is the
     interleaved list b_0..b_k, identity when omitted.  Computed by the free
     first-block recursion on whole index tensors; joint_moments_free_family
-    is the pointwise definition it matches.
+    computes one entry.
     """
     return _joint_moment_tensor(table, n, k, pattern, coeffs, {})
 
@@ -615,13 +555,8 @@ def _joint_moment_tensor(table, n: int, k: int, pattern, coeffs, memo: dict):
         raise InputMismatchError(f"need {k + 1} interleaved coefficients")
     p = table.dim
     if p == 1:
-        # scalar coefficients commute out of every term
         tensor = _free_family_tensor(table, n, d.letters, None, memo)
-        if coeffs is None:
-            return tensor.copy()
-        if any(np.asarray(c).ndim for c in coeffs):
-            return tensor[..., None, None] * _ordered_coeff_product(coeffs)
-        return tensor * reduce(operator.mul, (complex(c) for c in coeffs))
+        return tensor.copy() if coeffs is None else _times_coeff_product(tensor, coeffs)
     if coeffs is None:
         coeffs = [identity_element(p)] * (k + 1)
     cs = [_coerce_coeff(c, p) for c in coeffs]
@@ -697,7 +632,8 @@ def multivariate_cumulants_from_joint_moments(oracle, K: int) -> MultiCumulantTa
 
     The oracle exposes .n, .dim and .moment(word, pattern); mixed entries of
     the result are the freeness certificate (zero iff the family is free).
-    The free first-block recursion runs on words of (index, letter) pairs.
+    The free first-block recursion runs on words over the 2n letters
+    (index, 1 or *), letter 2(i - 1) + [*] in _flat_index.
     """
     n = int(oracle.n)
     dim = int(getattr(oracle, "dim", 1))
@@ -705,21 +641,22 @@ def multivariate_cumulants_from_joint_moments(oracle, K: int) -> MultiCumulantTa
         raise OrderBoundError(f"multivariate order bound is {MAX_MULTI_ORDER}")
     if n > MAX_ALPHABET:
         raise OrderBoundError(f"multivariate alphabet bound is {MAX_ALPHABET}")
-    source = {tuple(zip(word, d.letters)): (word, d)
-              for k in range(1, K + 1)
-              for word in itertools.product(range(1, n + 1), repeat=k)
-              for d in StarPattern.all_patterns(k)}
-
-    def given(w):
-        moment = oracle.moment(*source[w])
-        return complex(moment) if dim == 1 else np.asarray(moment, dtype=complex)
-
-    mul = operator.mul if dim == 1 else operator.matmul
-    values = _first_block_recursion(list(source), given, False, True, _product_term(mul),
-                                    lambda k: zero_element(dim), tuple)
+    a = 2 * n
+    known = np.zeros((_flat_index([a - 1] * K, a) + 1,) + ((dim, dim) if dim > 1 else ()),
+                     dtype=complex)
+    where = {}
+    for k in range(1, K + 1):
+        for word in itertools.product(range(1, n + 1), repeat=k):
+            for d in StarPattern.all_patterns(k):
+                i = where[word, d.letters] = _flat_index(
+                    [2 * (t - 1) + (ch == STAR) for t, ch in zip(word, d.letters)], a)
+                known[i] = oracle.moment(word, d)
+    values = _gathered_recursion(known, K, a, True, False,
+                                 np.multiply if dim == 1 else np.matmul)
+    _require_finite(values)
+    entries = values.tolist() if dim == 1 else values
     out = MultiCumulantTable(order=K, n=n, dim=dim)
-    for w, (word, d) in source.items():
-        out.set(word, d, values[w])
+    out.data = {key: entries[i] for key, i in where.items()}
     return out
 
 

@@ -459,19 +459,6 @@ def sample_spec(tag: FreeClassTag, seed: int = 0) -> CumulantSpecSingle:
     raise InputMismatchError(f"no sample recipe for {tag!r}")
 
 
-ALL_FREE_TAGS = (
-    FreeClassTag("SYMMETRIC"),
-    FreeClassTag("ORTHOGONAL"),
-    FreeClassTag("SEMICIRCULAR"),
-    FreeClassTag("SHIFTED_ORTHOGONAL"),
-    FreeClassTag("M_UNITARY", 3),
-    FreeClassTag("FREE_UNITARY"),
-    FreeClassTag("R_DIAGONAL"),
-    FreeClassTag("CIRCULAR"),
-    FreeClassTag("SHIFTED_CIRCULAR"),
-)
-
-
 def spec_from_cumulant_table(table: CumulantTable, selfadjoint: bool = False) -> CumulantSpecSingle:
     """Wrap a computed cumulant table as a sparse spec (zeros dropped)."""
     entries = {

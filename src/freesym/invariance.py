@@ -14,7 +14,12 @@ from itertools import product
 
 import numpy as np
 
-from .cumulants import CumulantTable, _joint_moment_tensor, pattern_sort_key
+from .cumulants import (
+    CumulantTable,
+    _joint_moment_tensor,
+    _times_coeff_product,
+    pattern_sort_key,
+)
 from .distributions import CumulantSpecSingle, FreeClassTag, sample_spec
 from .errors import InputMismatchError, OrderBoundError
 from .fixtures import witness_for_family
@@ -95,15 +100,7 @@ class TableJoint:
         out = np.zeros((self.n,) * k, dtype=complex)
         for word in product(range(1, self.n + 1), repeat=k):
             out[tuple(i - 1 for i in word)] = self.data.get((word, letters), 0.0)
-        if coeffs is not None:
-            scale = np.asarray(coeffs[0], dtype=complex)
-            for c in coeffs[1:]:
-                scale = scale @ np.asarray(c, dtype=complex) if scale.ndim else scale * c
-            if np.asarray(scale).ndim:
-                out = out[..., None, None] * scale
-            else:
-                out = out * complex(scale)
-        return out
+        return out if coeffs is None else _times_coeff_product(out, coeffs)
 
 
 def matrix_b_coeffs(k: int, seed: int = 0) -> list:

@@ -10,8 +10,6 @@ from freesym.cumulants import (
     MomentTable,
     classical_cumulants_to_moments,
     core_shape,
-    eval_partitioned_classical,
-    eval_partitioned_free,
     free_cumulants_to_moments,
     joint_moment_tensor,
     joint_moments_free_family,
@@ -21,6 +19,7 @@ from freesym.cumulants import (
     random_cumulant_table,
 )
 from freesym.errors import (
+    BudgetError,
     CrossingPartitionError,
     IncompleteTableError,
     OrderBoundError,
@@ -32,6 +31,12 @@ from freesym.partitions import (
     StarPattern,
     enumerate_all_partitions,
     enumerate_noncrossing,
+)
+from reference import (
+    eval_partitioned_classical,
+    eval_partitioned_free,
+    joint_moment_partition_sum,
+    scalar_partition_sum,
 )
 
 
@@ -268,7 +273,7 @@ def test_joint_moment_tensor_matches_pointwise():
         tensor = joint_moment_tensor(spec, n, k, d)
         for word in itertools.product(range(1, n + 1), repeat=k):
             idx = tuple(i - 1 for i in word)
-            want = joint_moments_free_family(spec, n, word, d)
+            want = joint_moment_partition_sum(spec, n, word, d)
             assert abs(tensor[idx] - want) < 1e-12
 
 
@@ -280,7 +285,7 @@ def test_joint_moment_tensor_with_matrix_coefficients():
     tensor = joint_moment_tensor(spec, 2, 3, "1*1", coeffs)
     for word in itertools.product((1, 2), repeat=3):
         idx = tuple(i - 1 for i in word)
-        want = joint_moments_free_family(spec, 2, word, "1*1", coeffs)
+        want = joint_moment_partition_sum(spec, 2, word, "1*1", coeffs)
         assert np.allclose(tensor[idx], want, atol=1e-12)
 
 
@@ -291,7 +296,7 @@ class _FreeFamilyOracle:
         self.dim = table.dim
 
     def moment(self, word, pattern):
-        return joint_moments_free_family(self.table, self.n, word, pattern)
+        return joint_moment_partition_sum(self.table, self.n, word, pattern)
 
 
 class _IndependentGaussians:
@@ -520,7 +525,7 @@ def _random_coeffs(kind, k, rng):
 @pytest.mark.parametrize("coeff_kind", ["none", "scalar", "matrix"])
 @pytest.mark.parametrize("table_kind", ["dense", "semicircle", "dim2"])
 def test_joint_tensors_match_pointwise_moments(table_kind, coeff_kind):
-    """Recursion tensors against joint_moments_free_family on every word.
+    """Recursion tensors against the partition-sum joint moments on every word.
 
     n in {2, 3}, k <= 5, every pattern.  The pointwise definition depends on
     a word only through its kernel, so it is evaluated once per kernel, at
@@ -542,7 +547,90 @@ def test_joint_tensors_match_pointwise_moments(table_kind, coeff_kind):
                 for word in itertools.product(range(1, n + 1), repeat=k):
                     key = _first_occurrence_labels(word)
                     if key not in pointwise:
-                        pointwise[key] = joint_moments_free_family(table, n, key, d, coeffs)
+                        pointwise[key] = joint_moment_partition_sum(table, n, key, d, coeffs)
                     want[tuple(i - 1 for i in word)] = pointwise[key]
                 err = np.max(np.abs(tensor - want))
                 assert err <= 1e-12 * np.max(np.abs(want)), (n, d.letters, err)
+
+
+# ---------------------------------------------------------------------------
+# the array-plan recursion at the top scalar orders, and pointwise joint moments
+
+
+@pytest.mark.parametrize("free", [True, False])
+@pytest.mark.parametrize("K", [7, 8])
+def test_top_order_scalar_conversions_match_partition_sums(K, free):
+    kappa = random_cumulant_table(K, seed=60 + K)
+    want = scalar_partition_sum(kappa, K, free)
+    # the vectorised sum is the eval_partitioned_* sum, spot-checked on three words
+    evaluate = eval_partitioned_free if free else eval_partitioned_classical
+    parts = enumerate_noncrossing(K) if free else enumerate_all_partitions(K)
+    for letters in ("1" * K, ("1*" * K)[:K], "*" * (K - 1) + "1"):
+        direct = sum(evaluate(kappa, part, letters) for part in parts)
+        assert abs(direct - want.get(letters)) < 1e-12 * abs(direct)
+    to_moments = free_cumulants_to_moments if free else classical_cumulants_to_moments
+    to_cumulants = moments_to_free_cumulants if free else moments_to_classical_cumulants
+    assert relative_error(to_moments(kappa, K), want) < 1e-12
+    back = to_cumulants(want, K)
+    assert relative_error(scalar_partition_sum(back, K, free), want) < 1e-12
+
+
+@pytest.mark.parametrize("free", [True, False])
+def test_sparse_semicircle_odd_entries_are_exact_zeros(free):
+    to_moments = free_cumulants_to_moments if free else classical_cumulants_to_moments
+    to_cumulants = moments_to_free_cumulants if free else moments_to_classical_cumulants
+    moments = to_moments(selfadjoint_cumulants([0, 1, 0, 0, 0, 0, 0, 0], 8), 8)
+    back = to_cumulants(moments, 8)
+    for k in range(1, 9, 2):
+        for d in StarPattern.all_patterns(k):
+            assert moments.get(d) == 0, (d.letters, moments.get(d))
+            assert back.get(d) == 0, (d.letters, back.get(d))
+
+
+@pytest.mark.parametrize("coeff_kind", ["none", "scalar", "matrix"])
+def test_joint_moment_of_eight_distinct_indices(coeff_kind):
+    table = random_cumulant_table(8, seed=64, scale=0.6)
+    coeffs = _random_coeffs(coeff_kind, 8, np.random.default_rng(65))
+    with pytest.raises(BudgetError):
+        joint_moment_tensor(table, 8, 8, "1*1*1*1*")
+    for word in ((1, 2, 3, 4, 5, 6, 7, 8), (1, 2, 1, 3, 3, 2, 1, 8)):
+        got = joint_moments_free_family(table, 8, word, "1*1*1*1*", coeffs)
+        want = joint_moment_partition_sum(table, 8, word, "1*1*1*1*", coeffs)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), word
+
+
+@pytest.mark.parametrize("coeff_kind", ["none", "scalar", "matrix"])
+@pytest.mark.parametrize("table_kind", ["dense", "semicircle", "dim2"])
+def test_pointwise_joint_moments_match_partition_sums(table_kind, coeff_kind):
+    """joint_moments_free_family against the partition sum on every kernel, k <= 4."""
+    table = {
+        "dense": lambda: random_cumulant_table(4, seed=66, scale=0.6),
+        "semicircle": lambda: semicircular_spec(4),
+        "dim2": lambda: random_cumulant_table(4, dim=2, seed=67),
+    }[table_kind]()
+    rng = np.random.default_rng(68)
+    for k in range(1, 5):
+        words = {_first_occurrence_labels(w) for w in itertools.product(range(1, 5), repeat=k)}
+        for word in sorted(words):
+            for d in StarPattern.all_patterns(k):
+                coeffs = _random_coeffs(coeff_kind, k, rng)
+                got = joint_moments_free_family(table, 4, word, d, coeffs)
+                want = joint_moment_partition_sum(table, 4, word, d, coeffs)
+                err = np.max(np.abs(got - want))
+                assert err <= 1e-12 * np.max(np.abs(want)), (word, d.letters, err)
+
+
+class _PointwiseFamily(_FreeFamilyOracle):
+    """The same free family, its moments by joint_moments_free_family."""
+
+    def moment(self, word, pattern):
+        return joint_moments_free_family(self.table, self.n, word, pattern)
+
+
+def test_multivariate_inverter_on_three_free_copies():
+    spec = random_cumulant_table(4, seed=69, scale=0.5)
+    multi = multivariate_cumulants_from_joint_moments(_PointwiseFamily(spec, 3), 4)
+    assert len(multi.data) == sum(6 ** k for k in range(1, 5))
+    for (word, letters), value in multi.data.items():
+        want = spec.get(letters) if len(set(word)) == 1 else 0
+        assert abs(value - want) < 1e-12, (word, letters, value)

@@ -170,6 +170,15 @@ def test_two_exchangeability():
     assert check_2_exchangeable(bucketed).holds
 
 
+def test_tabulated_joint_takes_mixed_coefficients():
+    data = {((i, j), "11"): 3.0 if i == j else 5.0 for i in (1, 2) for j in (1, 2)}
+    joint = TableJoint(n=2, order=2, data=data)
+    b = matrix_b_coeffs(2)[1]
+    tensor = joint.moment_tensor(2, "11", [1.0, b, 1.0])
+    assert np.array_equal(tensor, joint.moment_tensor(2, "11")[..., None, None] * b)
+    assert check_2_exchangeable(joint, coeffs=b).holds
+
+
 def test_extractor_predicts_and_agrees():
     report = cumulant_identity_extractor(spec_of("SEMICIRCULAR"), unit_i_diag_rep(2))
     assert not report["predicted_invariant"]

@@ -32,7 +32,7 @@ from .errors import (
 from .fixtures import write_fixtures
 from .invariance import check_invariance, theorem1_probe
 from .partitions import enumerate_all_partitions, enumerate_noncrossing
-from .qgroups import FamilyTag, all_family_tags, check_family, lattice_position
+from .qgroups import FamilyTag, check_family, lattice_position
 
 _INPUT_ERRORS = (
     SchemaError,
@@ -140,17 +140,11 @@ def _cmd_check_rep(args) -> int:
             state = "holds" if chk.holds else "fails"
             print(f"{tag.label()} {state} (residual {chk.residual:.3g})")
         return 0 if chk.holds else 1
-    satisfied = [
-        tag.label()
-        for tag in all_family_tags(args.mmax)
-        if check_family(rep, tag).holds
-    ]
+    satisfied = lattice_position(rep, args.mmax)["satisfied"]
     if args.json:
-        sys.stdout.write(
-            serialize.dumps({"satisfied": sorted(satisfied), "m_scan": args.mmax})
-        )
+        sys.stdout.write(serialize.dumps({"satisfied": satisfied, "m_scan": args.mmax}))
     else:
-        print("satisfied:", " ".join(sorted(satisfied)) or "(none)")
+        print("satisfied:", " ".join(satisfied) or "(none)")
     return 0
 
 

@@ -62,6 +62,8 @@ MAX_MATRIX_ORDER = 6
 MAX_MULTI_ORDER = 6
 MAX_ALPHABET = 3
 TUPLE_BUDGET = 10**6
+# a word letter standing for both 1 and *, in the joint tensors of n free copies
+EITHER = "?"
 
 
 def identity_element(dim: int):
@@ -533,16 +535,6 @@ def joint_moment_tensor(table: CumulantTable, n: int, k: int, pattern, coeffs=No
     first-block recursion on whole index tensors; joint_moments_free_family
     computes one entry.
     """
-    return _joint_moment_tensor(table, n, k, pattern, coeffs, {})
-
-
-def _joint_moment_tensor(table, n: int, k: int, pattern, coeffs, memo: dict):
-    """joint_moment_tensor with a caller-owned memo of segment tensors.
-
-    The memo is keyed by segment letters and coefficients only, so it may be
-    shared by every call on the same (table, n).  The result is always a
-    fresh array.
-    """
     d = StarPattern.coerce(pattern)
     if len(d) != k:
         raise InputMismatchError("pattern length must equal k")
@@ -555,20 +547,21 @@ def _joint_moment_tensor(table, n: int, k: int, pattern, coeffs, memo: dict):
         raise InputMismatchError(f"need {k + 1} interleaved coefficients")
     p = table.dim
     if p == 1:
-        tensor = _free_family_tensor(table, n, d.letters, None, memo)
-        return tensor.copy() if coeffs is None else _times_coeff_product(tensor, coeffs)
+        tensor = _free_family_tensor(table, n, d.letters, None, {})
+        return tensor if coeffs is None else _times_coeff_product(tensor, coeffs)
     if coeffs is None:
         coeffs = [identity_element(p)] * (k + 1)
     cs = [_coerce_coeff(c, p) for c in coeffs]
-    return np.matmul(cs[0], _free_family_tensor(table, n, d.letters, cs[1:], memo))
+    return np.matmul(cs[0], _free_family_tensor(table, n, d.letters, cs[1:], {}))
 
 
-def _diagonal(acc: np.ndarray, block) -> np.ndarray:
+def _diagonal(acc: np.ndarray, block, front=()) -> np.ndarray:
     """Writable view of acc whose leading axis runs along the block's common index.
 
-    The block's axes merge into that one axis; the other axes follow in order.
+    The block's axes merge into that one axis; the axes in front follow it,
+    then the other axes in order.
     """
-    rest = [ax for ax in range(acc.ndim) if ax not in block]
+    rest = list(front) + [ax for ax in range(acc.ndim) if ax not in block and ax not in front]
     shape = (acc.shape[block[0]],) + tuple(acc.shape[ax] for ax in rest)
     strides = (sum(acc.strides[ax] for ax in block),) + tuple(acc.strides[ax] for ax in rest)
     return np.ndarray(shape, acc.dtype, buffer=acc, strides=strides)
@@ -580,48 +573,58 @@ def _free_family_tensor(table, n: int, letters: str, cs, memo: dict) -> np.ndarr
     M[w] = sum_{V containing 1} kappa(w|V) delta_V (x) [segment tensors]:
     mixed free cumulants vanish, so kappa(w|V) is the table's value where
     the indices on V agree (delta_V) and zero elsewhere, and the segments
-    after each element of V are independent words.  cs is None for scalar
-    tables (identity coefficients); for matrix tables cs[i] is the
-    coefficient after letter i, each segment value ends with its last
-    coefficient, and the cores are spliced as in _splice_cores: slot t of
-    kappa takes b M(segment t), the trailing segment multiplies through b
-    from the right.  Index axes come first, in word order.
+    after each element of V are independent words; absent or zero kappa is
+    skipped.  Each slot has an index axis, after a letter axis (0 for 1, 1
+    for *) where its letter is EITHER: EITHER * k gives all of order k.
+    Scalar tables take cs None and a memo of segments by letters, which
+    calls on one (table, n) may share.  Matrix tables take plain letters and
+    a fresh memo; cs[i] is the coefficient after letter i, each segment ends
+    with its last coefficient, and the cores are spliced as in _splice_cores:
+    slot t of kappa takes b M(segment t), the trailing segment multiplies
+    through b from the right; the (p, p) axes come last.
     """
     matrix = cs is not None
     p = table.dim
-    coeff_keys = [c.tobytes() for c in cs] if matrix else []
 
     def segment(a: int, e: int) -> np.ndarray:
-        key = (letters[a:e], tuple(coeff_keys[a:e]))
-        value = memo.get(key)
-        if value is None:
-            value = memo[key] = build(a, e)
-        return value
+        # matrix segments differ by their coefficients, scalar ones by letters only
+        key = (a, e) if matrix else letters[a:e]
+        if key not in memo:
+            memo[key] = build(a, e)
+        return memo[key]
 
     def build(a: int, e: int) -> np.ndarray:
         word = letters[a:e]
-        acc = np.zeros((n,) * len(word) + ((p, p) if matrix else ()), dtype=complex)
+        options = [(ONE, STAR) if ch == EITHER else ch for ch in word]
+        at = [t + word[:t + 1].count(EITHER) for t in range(len(word))]  # index axes
+        shape = [size for ch in word for size in ((2, n) if ch == EITHER else (n,))]
+        acc = np.zeros(tuple(shape) + ((p, p) if matrix else ()), dtype=complex)
         for block, pieces in _first_blocks(len(word), True):
-            kappa = table.data.get("".join([word[i] for i in block]))
-            if kappa is None:
-                continue
-            segs = [segment(a + piece[0], a + piece[-1] + 1) if piece else None
-                    for piece in pieces]
-            if not matrix:
-                term = kappa
-                for s in segs:
-                    if s is not None:
-                        term = np.multiply.outer(term, s)
-            else:
-                sides = [cs[a + v] if s is None else np.matmul(cs[a + v], s)
-                         for v, s in zip(block, segs)]
-                term = kappa
-                for side in sides[:-1]:
-                    term = np.tensordot(term, side.reshape(side.shape[:-2] + (p * p,)),
-                                        axes=([0], [-1]))
-                term = np.moveaxis(np.tensordot(term, sides[-1], axes=([1], [-2])), 0, -2)
-            view = _diagonal(acc, block)
-            view += term
+            segs = None
+            for combo in itertools.product(*[options[v] for v in block]):
+                kappa = table.data.get("".join(combo))
+                if kappa is None or not (kappa.any() if matrix else kappa):
+                    continue
+                if segs is None:  # the block's segments, once its first kappa is found
+                    segs = [segment(a + piece[0], a + piece[-1] + 1) if piece else None
+                            for piece in pieces]
+                    free = [j for j, v in enumerate(block) if word[v] == EITHER]
+                    view = _diagonal(acc, [at[v] for v in block], [at[block[j]] - 1 for j in free])
+                    if not matrix:
+                        filled = [s for s in segs if s is not None]
+                        outer = reduce(np.multiply.outer, filled) if filled else 1.0
+                if not matrix:
+                    term = kappa * outer
+                else:
+                    sides = [cs[a + v] if s is None else np.matmul(cs[a + v], s)
+                             for v, s in zip(block, segs)]
+                    term = kappa
+                    for side in sides[:-1]:
+                        term = np.tensordot(term, side.reshape(side.shape[:-2] + (p * p,)),
+                                            axes=([0], [-1]))
+                    term = np.moveaxis(np.tensordot(term, sides[-1], axes=([1], [-2])), 0, -2)
+                sub = view[(slice(None),) + tuple(int(combo[j] == STAR) for j in free)] if free else view
+                sub += term
         return acc
 
     return segment(0, len(letters))

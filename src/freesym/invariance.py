@@ -4,7 +4,12 @@ A model u acts on an n-tuple of variables by y_j = sum_i u_{ij} (x) x_i.
 The tuple is distributionally invariant when every mixed moment of the
 y's, with optional interleaved coefficients, reproduces the corresponding
 moment of the x's tensored with the identity of the model's block algebra.
-The checks here compare both sides order by order, entirely numerically.
+The scan compares both sides an order at a time: the letter (1 or *) of
+each word slot is an index, so order k is one tensor with axes (c_1, i_1,
+..., c_k, i_k), and the model acts on it slot by slot with u and u* stacked.
+It holds one (2n)^k tensor per order; the action and residuals run in
+chunks that fix leading letters, within _CHUNK_CELLS cells where one
+pattern fits.
 """
 
 from __future__ import annotations
@@ -15,15 +20,20 @@ from itertools import product
 import numpy as np
 
 from .cumulants import (
+    EITHER,
+    TUPLE_BUDGET,
     CumulantTable,
-    _joint_moment_tensor,
+    _diagonal,
+    _free_family_tensor,
+    _ordered_coeff_product,
     _times_coeff_product,
+    joint_moment_tensor,
     pattern_sort_key,
 )
 from .distributions import CumulantSpecSingle, FreeClassTag, sample_spec
-from .errors import InputMismatchError, OrderBoundError
+from .errors import BudgetError, InputMismatchError, OrderBoundError
 from .fixtures import witness_for_family
-from .partitions import StarPattern
+from .partitions import ONE, STAR, StarPattern
 from .qgroups import (
     Check,
     FamilyTag,
@@ -36,23 +46,24 @@ from .qgroups import (
 )
 
 
+# cells of one chunk of an invariance scan: the action's arrays stay this size
+_CHUNK_CELLS = 2 ** 18
+
+
 @dataclass
 class FreeIIDJoint:
     """n free copies of one variable, described by its cumulant table.
 
-    Moment tensors come from the free first-block recursion
-    (cumulants.joint_moment_tensor).  The joint keeps that recursion's memo
-    of segment tensors, keyed by letters and coefficients, so every order
-    and pattern of a scan reuses the shorter words' tensors.  With a
-    cache_key the finished tensor is cached per (order, pattern, cache_key),
-    since the same tensors get contracted against many different models;
-    without one each call returns a fresh array.
+    The scan reads a scalar table's moments as one tensor per order over
+    the words of (letter, index) pairs (order_tensor), built by the free
+    first-block recursion and memoised: a word's segments are shorter
+    words, so the orders below are all it reuses.  moment_tensor runs the
+    per-pattern recursion (cumulants.joint_moment_tensor), for any table.
     """
 
     table: CumulantTable
     n: int
-    _cache: dict = field(default_factory=dict, repr=False)
-    _memo: dict = field(default_factory=dict, repr=False)
+    _orders: dict = field(default_factory=dict, repr=False)
 
     @property
     def order(self) -> int:
@@ -62,14 +73,15 @@ class FreeIIDJoint:
     def dim(self) -> int:
         return self.table.dim
 
-    def moment_tensor(self, k: int, pattern, coeffs=None, cache_key=None):
-        letters = StarPattern.coerce(pattern).letters
-        if cache_key is not None:
-            key = (k, letters, cache_key)
-            if key not in self._cache:
-                self._cache[key] = self.moment_tensor(k, letters, coeffs)
-            return self._cache[key]
-        return _joint_moment_tensor(self.table, self.n, k, letters, coeffs, self._memo)
+    def order_tensor(self, k: int) -> np.ndarray:
+        """Order-k moments of a scalar table, axes (c_1, i_1, ..., c_k, i_k), c 0 for 1 and 1 for *."""
+        if self.n ** k > TUPLE_BUDGET:
+            raise BudgetError(f"{self.n}^{k} index words exceed the tuple budget")
+        self.table.require_order(k)
+        return _free_family_tensor(self.table, self.n, EITHER * k, None, self._orders)
+
+    def moment_tensor(self, k: int, pattern, coeffs=None):
+        return joint_moment_tensor(self.table, self.n, k, pattern, coeffs)
 
 
 @dataclass
@@ -93,7 +105,7 @@ class TableJoint:
             for (word, p), v in self.data.items()
         }
 
-    def moment_tensor(self, k: int, pattern, coeffs=None, cache_key=None):
+    def moment_tensor(self, k: int, pattern, coeffs=None):
         letters = StarPattern.coerce(pattern).letters
         if k > self.order:
             raise OrderBoundError(f"order {k} exceeds the tabulated order {self.order}")
@@ -130,38 +142,61 @@ def _as_joint(joint, rep: MatrixRep):
     return joint
 
 
-def _action_lhs(E: np.ndarray, rep: MatrixRep, letters: str) -> np.ndarray:
-    """Contract a moment tensor with the model's entry chains.
+def _order_moments(joint, k: int, coeffs) -> tuple[np.ndarray, float]:
+    """Order-k moments with letter axes, (c_1, i_1, ..., c_k, i_k)[, p, q], and a norm factor.
 
-    Output axes: k word indices, then the coefficient pair when E carries
-    one, then the block pair of the chained entries.  The word slots are
-    contracted one at a time, left to right, each as one matrix product:
-    slot t sums E's index i_t and the chain's open block index against
-    u_{i_t j_t}, seen as an (i, A) x (j, B) matrix.
+    A scalar free joint's moments carry the coefficient product B outside,
+    so each residual is kron(B, D) for the plain one D, of norm |B| |D|.
+    Other joints stack moment_tensor over the patterns.
     """
-    n, d, k = rep.n, rep.d, len(letters)
-    mats = {ch: rep.letter_array(ch).transpose(0, 2, 1, 3).reshape(n * d, n * d)
-            for ch in set(letters)}
-    # rows (i_2..i_k, [Y, Z]), columns (j_1, A_0, A_1)
-    T = E.reshape(n, -1).T @ rep.letter_array(letters[0]).reshape(n, -1)
-    for ch in letters[1:]:
-        # rows lose i_t; columns gain j_t and swap A_{t-1} for A_t
-        T = T.reshape(n, -1, d).transpose(1, 0, 2).reshape(-1, n * d) @ mats[ch]
-    # ([Y, Z], j_1, A_0, j_2..j_k, A_k) -> (j_1..j_k, [Y, Z], A_0, A_k)
-    pre = E.ndim - k
-    T = T.reshape(E.shape[k:] + (n, d) + (n,) * (k - 1) + (d,))
-    return T.transpose(pre, *range(pre + 2, pre + k + 1), *range(pre), pre + 1, pre + k + 1)
+    if isinstance(joint, FreeIIDJoint) and joint.dim == 1:
+        E = joint.order_tensor(k)
+        return E, 1.0 if coeffs is None else operator_norm(_ordered_coeff_product(coeffs))
+    stack = np.stack([np.asarray(joint.moment_tensor(k, d.letters, coeffs), dtype=complex)
+                      for d in StarPattern.all_patterns(k)])
+    stack = stack.reshape((2,) * k + stack.shape[1:])
+    return stack.transpose(*[ax for t in range(k) for ax in (t, k + t)], *range(2 * k, stack.ndim)), 1.0
 
 
-def _residual_tensor(lhs: np.ndarray, E: np.ndarray, k: int, d: int) -> np.ndarray:
-    rhs = np.multiply.outer(E, np.eye(d))
-    diff = lhs - rhs
-    if diff.ndim == k + 4:
-        # (..., p, q, a, b) -> (..., p, a, q, b), then flatten the pairs
-        diff = np.moveaxis(diff, -3, -2)
-        p = diff.shape[-4]
-        diff = diff.reshape(diff.shape[:k] + (p * d, p * d))
-    return spectral_norms(diff)
+def _acted(X: np.ndarray, mats: list) -> np.ndarray:
+    """The model's action on a chunk X of an order tensor.
+
+    X has axes (c_1, i_1, ..., c_k, i_k)[, p, q]; mats[t] stacks the
+    (i, A) x (j, B) matrices of the letters that c_t runs over (u for 1, the
+    entrywise adjoint for *).  The word slots are contracted one at a time,
+    left to right, each as one matmul batched over the slot's letter axis:
+    slot t sums i_t and the chain's open block index against u_{i_t j_t}.
+    Output axes: the k letters, the coefficient pair flattened, A_0, the k
+    word indices j, A_k.
+    """
+    k, n = len(mats), X.shape[1]
+    sizes, d = X.shape[:2 * k:2], mats[0].shape[-1] // n
+    # rows (the rest of the word, the pair), columns (A_0, j_1, A_1)
+    Y = np.matmul(X.reshape(sizes[0], n, -1).swapaxes(1, 2), mats[0].reshape(sizes[0], n, -1))
+    for t in range(1, k):
+        # i_t leaves the rows to meet A_{t-1}; the product puts (j_t, A_t) in its place
+        lp, r, c = Y.shape
+        r //= sizes[t] * n
+        Y = Y.reshape(lp, sizes[t], n, r, c // d, d).transpose(0, 1, 3, 4, 2, 5)
+        Y = (Y.reshape(lp, sizes[t], -1, n * d) @ mats[t]).reshape(lp * sizes[t], r, c * n)
+    return Y.reshape(sizes + (-1, d) + (n,) * k + (d,))
+
+
+def _residual_norms(X: np.ndarray, mats: list) -> np.ndarray:
+    """Norm of the action minus X (x) I in each cell of the chunk X, axes (c_1..c_k, j_1..j_k).
+
+    X (x) I is subtracted in place on the A_0 = A_k diagonal; a cell's
+    residual is the (p d) x (q d) matrix with rows (p, A_0), columns (q, A_k).
+    """
+    k, n = len(mats), X.shape[1]
+    p, q = X.shape[2 * k:] or (1, 1)
+    Y = _acted(X, mats)
+    sizes, d = Y.shape[:k], Y.shape[-1]
+    Y = Y.reshape(-1, p * q, d, n ** k, d)
+    E = X.transpose(*range(0, 2 * k, 2), *range(2 * k, X.ndim), *range(1, 2 * k, 2))
+    _diagonal(Y, (2, 4))[...] -= E.reshape(-1, p * q, n ** k)
+    Y = Y.reshape(-1, p, q, d, n ** k, d).transpose(0, 4, 1, 3, 2, 5)
+    return spectral_norms(Y.reshape(-1, n ** k, p * d, q * d)).reshape(sizes + (n,) * k)
 
 
 def check_invariance(
@@ -174,9 +209,11 @@ def check_invariance(
 ) -> InvarianceVerdict:
     """Compare the acted tuple's moments against the original ones.
 
-    Scans orders 1..max_order and every pattern, recording the worst
-    residual and the lexicographically first violating cell: orders
-    ascending, plain letters before stars, words in 1-based lex order.
+    Scans orders 1..max_order, each as one tensor over letters and indices,
+    recording the worst residual and the lexicographically first violating
+    cell: orders ascending, plain letters before stars, words in 1-based
+    lex order.  A chunk fixes as few leading letters as keep it within
+    _CHUNK_CELLS cells, or all of them; chunks of zero moments are skipped.
     """
     joint = _as_joint(joint, rep)
     if joint.n != rep.n:
@@ -192,21 +229,27 @@ def check_invariance(
     if tol is None:
         tol = rep.tol
 
+    nd = rep.n * rep.d
+    U = np.stack([rep.letter_array(ch).transpose(0, 2, 1, 3).reshape(nd, nd) for ch in (ONE, STAR)])
     worst = 0.0
     first: tuple | None = None
+    all_coeffs = matrix_b_coeffs(max_order, seed) if matrix_coeffs else None
     for k in range(1, max_order + 1):
-        coeffs = matrix_b_coeffs(k, seed) if matrix_coeffs else None
-        ckey = ("mb", seed) if matrix_coeffs else "plain"
-        for pat in StarPattern.all_patterns(k):
-            E = joint.moment_tensor(k, pat.letters, coeffs, cache_key=ckey)
-            lhs = _action_lhs(np.asarray(E, dtype=complex), rep, pat.letters)
-            res = _residual_tensor(lhs, np.asarray(E, dtype=complex), k, rep.d)
+        E, factor = _order_moments(joint, k, None if all_coeffs is None else all_coeffs[:k + 1])
+        cells = rep.n ** k * rep.d ** 2 * int(np.prod(E.shape[2 * k:]))
+        fixed = next(m for m in range(k + 1) if m == k or cells << (k - m) <= _CHUNK_CELLS)
+        for head in product((0, 1), repeat=fixed):
+            lead = [slice(c, c + 1) for c in head] + [slice(None)] * (k - fixed)
+            X = E[tuple(x for s in lead for x in (s, slice(None)))]
+            if not X.any():
+                continue
+            res = _residual_norms(X, [U[s] for s in lead]) * factor
             peak = float(res.max())
             worst = max(worst, peak)
             if first is None and peak > tol:
                 bad = np.argwhere(res > tol)[0]
-                word = tuple(int(j) + 1 for j in bad)
-                first = (k, pat.letters, word, float(res[tuple(bad)]))
+                letters = "".join(STAR if c else ONE for c in np.add(head + (0,) * (k - fixed), bad[:k]))
+                first = (k, letters, tuple(int(j) + 1 for j in bad[k:]), float(res[tuple(bad)]))
     return InvarianceVerdict(
         invariant=first is None,
         worst_residual=worst,

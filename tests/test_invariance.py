@@ -1,9 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from freesym import invariance
+from freesym.cumulants import random_cumulant_table
 from freesym.distributions import FreeClassTag, sample_spec
 from freesym.errors import InputMismatchError, OrderBoundError
 from freesym.fixtures import (
+    bistochastic_orthogonal_rep,
     fixture_set,
     irrational_phase_rep,
     nilpotent_pair_rep,
@@ -17,7 +22,7 @@ from freesym.invariance import (
     _PROBE_CLASSES,
     FreeIIDJoint,
     TableJoint,
-    _action_lhs,
+    _acted,
     check_2_exchangeable,
     check_invariance,
     cumulant_identity_extractor,
@@ -26,7 +31,7 @@ from freesym.invariance import (
     theorem1_probe,
 )
 from freesym.partitions import StarPattern
-from freesym.qgroups import FamilyTag, MatrixRep, coproduct_lift, operator_norm
+from freesym.qgroups import FamilyTag, MatrixRep, coproduct_lift, operator_norm, spectral_norms
 
 
 def spec_of(kind, m=None, seed=0):
@@ -112,13 +117,14 @@ def test_matrix_coefficients_ride_along():
     assert verdict.first_violation[:2] == (2, "11")
 
 
-def test_moment_tensor_cache_is_reused():
+def test_order_tensor_is_memoised():
     joint = FreeIIDJoint(spec_of("SEMICIRCULAR").to_table(), 2)
-    a = joint.moment_tensor(2, "11", cache_key="plain")
-    b = joint.moment_tensor(2, "11", cache_key="plain")
-    assert a is b
-    c = joint.moment_tensor(2, "11")
-    assert c is not a and np.allclose(a, c)
+    a = joint.order_tensor(2)
+    assert joint.order_tensor(2) is a
+    assert joint.order_tensor(1) is joint.order_tensor(1)
+    assert sorted(joint._orders) == ["?", "??"]  # one tensor per order
+    c = joint.moment_tensor(2, "1*")
+    assert np.array_equal(c, a[0, :, 1, :]) and not np.shares_memory(c, a)
 
 
 def test_order_and_size_guards():
@@ -248,7 +254,7 @@ def test_probe_grid_has_no_mismatches():
 
 
 def _einsum_action(E, rep, letters):
-    """The one-einsum contraction _action_lhs replaced, kept as its reference."""
+    """The one-einsum contraction of one pattern's moments, kept as the reference."""
     i_pool, j_pool, a_pool = "abcdefgh", "nopqrstu", "ABCDEFGHJ"
     k = len(letters)
     pair = "YZ" if E.ndim == k + 2 else ""
@@ -260,20 +266,32 @@ def _einsum_action(E, rep, letters):
     return np.einsum(",".join(subs) + "->" + out, *operands, optimize=True)
 
 
+def _letter_mats(rep):
+    nd = rep.n * rep.d
+    return np.stack([rep.letter_array(ch).transpose(0, 2, 1, 3).reshape(nd, nd) for ch in "1*"])
+
+
 def test_slot_by_slot_action_matches_einsum():
     rng = np.random.default_rng(80)
     reps = [rep for rep, _ in fixture_set().reps.values()]
     reps.append(coproduct_lift(nilpotent_pair_rep(2), nilpotent_pair_rep(2)))
     reps.append(MatrixRep(rng.standard_normal((3, 3, 2, 2)) + 1j * rng.standard_normal((3, 3, 2, 2))))
     for rep in reps:
+        U = _letter_mats(rep)
         for k in range(1, 5):
-            for d in StarPattern.all_patterns(k):
-                for pair in ((), (2, 2)):
-                    shape = (rep.n,) * k + pair
-                    E = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-                    got, want = _action_lhs(E, rep, d.letters), _einsum_action(E, rep, d.letters)
-                    assert got.shape == want.shape
-                    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+            for pair in ((), (2, 2)):
+                shape = (2, rep.n) * k + pair
+                E = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                got = _acted(E, [U] * k)
+                # (c_1..c_k, pair, A_0, j_1..j_k, A_k) -> per pattern (j_1..j_k, pair, A_0, A_k)
+                got = got.reshape(got.shape[:k] + pair + got.shape[k + 1:])
+                got = np.moveaxis(got, k + len(pair), 2 * k + len(pair))
+                for d in StarPattern.all_patterns(k):
+                    at = tuple(int(ch == "*") for ch in d.letters)
+                    want = _einsum_action(E[tuple(x for c in at for x in (c, slice(None)))], rep, d.letters)
+                    cell = np.moveaxis(got[at], list(range(len(pair))), list(range(k, k + len(pair))))
+                    assert cell.shape == want.shape
+                    assert np.max(np.abs(cell - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_relabelling_the_model_keeps_every_verdict():
@@ -298,3 +316,146 @@ def test_invariance_survives_the_coproduct_lift():
             verdict = check_invariance(spec, lifted, 4)
             assert verdict.invariant, (ctag.label(), name, verdict.first_violation)
     assert invariant_cells > 0
+
+
+def _residual_tensor(lhs, E, k, d):
+    """One pattern's residual norms, word axes first: the per-pattern scan's residuals."""
+    rhs = np.multiply.outer(E, np.eye(d))
+    diff = lhs - rhs
+    if diff.ndim == k + 4:
+        # (..., p, q, a, b) -> (..., p, a, q, b), then flatten the pairs
+        diff = np.moveaxis(diff, -3, -2)
+        p = diff.shape[-4]
+        diff = diff.reshape(diff.shape[:k] + (p * d, p * d))
+    return spectral_norms(diff)
+
+
+def _reference_scans(joint, rep, max_order, matrix_coeffs):
+    """The per-pattern scan: (worst, first violation) up to each order, from one pass.
+
+    Each pattern's moment tensor (for free joints the per-pattern
+    recursion, cumulants.joint_moment_tensor), its einsum action and its
+    residuals, in pattern order.
+    """
+    out, worst, first = {}, 0.0, None
+    for k in range(1, max_order + 1):
+        coeffs = matrix_b_coeffs(k, 0) if matrix_coeffs else None
+        for d in StarPattern.all_patterns(k):
+            E = np.asarray(joint.moment_tensor(k, d.letters, coeffs), dtype=complex)
+            res = _residual_tensor(_einsum_action(E, rep, d.letters), E, k, rep.d)
+            worst = max(worst, float(res.max()))
+            if first is None and res.max() > rep.tol:
+                bad = tuple(np.argwhere(res > rep.tol)[0])
+                first = (k, d.letters, tuple(int(j) + 1 for j in bad), float(res[bad]))
+        out[k] = (worst, first)
+    return out
+
+
+def _same_scan(verdict, worst, first, label):
+    """Verdicts equal, residuals to 1e-12 relative to themselves or to the unit-scale moments."""
+    assert verdict.invariant == (first is None), label
+    assert abs(verdict.worst_residual - worst) <= 1e-12 * max(1.0, worst), label
+    if first is not None:
+        assert verdict.first_violation[:3] == first[:3], label
+        assert abs(verdict.first_violation[3] - first[3]) <= 1e-12 * max(1.0, first[3]), label
+
+
+_DIFFERENTIAL_REPS = dict(
+    [(name, rep) for name, (rep, _) in fixture_set().reps.items()]
+    + [("lift_d4", coproduct_lift(nilpotent_pair_rep(2), nilpotent_pair_rep(2))),
+       ("permutation_4", permutation_rep(4))]
+)
+
+
+@pytest.mark.parametrize("name", sorted(_DIFFERENTIAL_REPS))
+def test_order_scan_matches_per_pattern_scan(name):
+    rep = _DIFFERENTIAL_REPS[name]
+    for ctag in _PROBE_CLASSES:
+        joint = FreeIIDJoint(sample_spec(ctag, seed=0).to_table(), rep.n)
+        for matrix_coeffs in (False, True):
+            want = _reference_scans(joint, rep, 5, matrix_coeffs)
+            for order in (4, 5):
+                verdict = check_invariance(joint, rep, order, matrix_coeffs=matrix_coeffs)
+                _same_scan(verdict, *want[order], (name, ctag.label(), matrix_coeffs, order))
+
+
+def _other_joints():
+    rng = np.random.default_rng(7)
+    words = [(w, d.letters) for k in range(1, 5) for d in StarPattern.all_patterns(k)
+             for w in np.ndindex(*(2,) * k)]
+    table = TableJoint(n=2, order=4, data={(tuple(i + 1 for i in w), p): complex(*rng.standard_normal(2))
+                                           for w, p in words})
+    matrix = FreeIIDJoint(random_cumulant_table(4, dim=2, seed=3), 2)
+    return {"table": table, "matrix_dim2": matrix}
+
+
+def test_order_scan_matches_per_pattern_scan_on_other_joints():
+    rng = np.random.default_rng(5)
+    # a generic d=2 model tells the residual's (p, A_0) x (q, A_k) layout from its partial transposes
+    generic = MatrixRep(rng.standard_normal((2, 2, 2, 2)) + 1j * rng.standard_normal((2, 2, 2, 2)))
+    reps = [rotation_rep(2), permutation_rep(2), nilpotent_pair_rep(2), unit_i_diag_rep(2),
+            coproduct_lift(nilpotent_pair_rep(2), rotation_rep(2)), generic]
+    for label, joint in _other_joints().items():
+        for rep in reps:
+            for matrix_coeffs in (False, True):
+                want = _reference_scans(joint, rep, 4, matrix_coeffs)
+                verdict = check_invariance(joint, rep, 4, matrix_coeffs=matrix_coeffs)
+                _same_scan(verdict, *want[4], (label, rep.entries.shape, matrix_coeffs))
+
+
+def test_order_scan_across_many_chunks(monkeypatch):
+    # 8 cells per chunk fixes every leading letter the cell count allows
+    monkeypatch.setattr(invariance, "_CHUNK_CELLS", 8)
+    cases = [(FreeIIDJoint(spec_of(kind).to_table(), rep.n), rep)
+             for kind in ("SEMICIRCULAR", "R_DIAGONAL", "SHIFTED_CIRCULAR")
+             for rep in (rotation_rep(2), nilpotent_pair_rep(2), bistochastic_orthogonal_rep(3),
+                         coproduct_lift(nilpotent_pair_rep(2), nilpotent_pair_rep(2)))]
+    cases += [(joint, nilpotent_pair_rep(2)) for joint in _other_joints().values()]
+    for joint, rep in cases:
+        for matrix_coeffs in (False, True):
+            want = _reference_scans(joint, rep, 4, matrix_coeffs)
+            verdict = check_invariance(joint, rep, 4, matrix_coeffs=matrix_coeffs)
+            _same_scan(verdict, *want[4], (rep.entries.shape, matrix_coeffs))
+
+
+def _random_unitary(d, seed):
+    rng = np.random.default_rng(seed)
+    q, r = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def test_conjugating_the_block_algebra_keeps_every_verdict():
+    nil = nilpotent_pair_rep(2)
+    models = {"nilpotent_pair": nil}
+    for name, (rep, _) in fixture_set().reps.items():
+        if rep.n == 2:
+            models[f"lift_nil_{name}"] = coproduct_lift(nil, rep)
+            models[f"lift_{name}_nil"] = coproduct_lift(rep, nil)
+    for seed, (name, rep) in enumerate(models.items()):
+        W = _random_unitary(rep.d, seed)
+        moved = MatrixRep(W @ rep.entries @ W.conj().T, tol=rep.tol)
+        for ctag in _PROBE_CLASSES:
+            spec = sample_spec(ctag, seed=0)
+            for matrix_coeffs in (False, True):
+                want = check_invariance(spec, rep, 5, matrix_coeffs=matrix_coeffs)
+                got = check_invariance(spec, moved, 5, matrix_coeffs=matrix_coeffs)
+                first = want.first_violation
+                _same_scan(got, want.worst_residual, first, (name, ctag.label(), matrix_coeffs))
+
+
+def test_scan_memory_is_its_order_tensors_plus_chunks():
+    n, k = 4, 7
+    joint = FreeIIDJoint(random_cumulant_table(k, seed=1), n)
+    complex_bytes = np.dtype(complex).itemsize
+    tensors = sum((2 * n) ** m for m in range(1, k + 1)) * complex_bytes
+    # the recursion's largest transient is one term over an order-(k-1) tensor;
+    # the action and residuals hold at most four chunk-sized arrays at a time
+    bound = tensors + (2 * n) ** (k - 1) * complex_bytes + 4 * invariance._CHUNK_CELLS * complex_bytes
+    tracemalloc.start()
+    try:
+        verdict = check_invariance(joint, permutation_rep(n), k, matrix_coeffs=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict.invariant
+    assert peak < bound, (peak / 2**20, bound / 2**20)

@@ -38,8 +38,9 @@ from .qgroups import (
     Check,
     FamilyTag,
     MatrixRep,
+    _check_family,
     block_identity_holds,
-    check_family,
+    check_biunitary,
     family_below,
     operator_norm,
     spectral_norms,
@@ -395,6 +396,8 @@ def theorem1_probe(n: int = 2, max_order: int = 5, seed: int = 0) -> dict:
     land in more families than their own) are noted, not special-cased.
     """
     witnesses = {fam: witness_for_family(fam, n) for fam in _PROBE_FAMILIES}
+    # each witness's biunitarity is checked once for all its family checks
+    bases = {fam: check_biunitary(rep) for fam, rep in witnesses.items()}
     grid: dict = {}
     mismatches = []
     for ctag in _PROBE_CLASSES:
@@ -409,7 +412,7 @@ def theorem1_probe(n: int = 2, max_order: int = 5, seed: int = 0) -> dict:
         for fam, rep in witnesses.items():
             if joint is None or joint.n != rep.n:
                 joint = FreeIIDJoint(spec.to_table(), rep.n)
-            expected = check_family(rep, governing).holds
+            expected = _check_family(rep, governing, bases[fam]).holds
             actual = check_invariance(joint, rep, max_order).invariant
             row[fam.label()] = {"expected": expected, "actual": actual}
             if expected != actual:
@@ -419,7 +422,9 @@ def theorem1_probe(n: int = 2, max_order: int = 5, seed: int = 0) -> dict:
     profiles = {}
     notes = []
     for fam, rep in witnesses.items():
-        satisfied = [g.label() for g in _PROBE_FAMILIES if check_family(rep, g).holds]
+        satisfied = [
+            g.label() for g in _PROBE_FAMILIES if _check_family(rep, g, bases[fam]).holds
+        ]
         profiles[fam.label()] = satisfied
         expected_cone = {
             g.label()

@@ -5,10 +5,22 @@ decided by residuals of the universal relations: delta-type summation
 identities per star pattern, sum conditions, projection conditions, and
 biunitarity.  Everything is tolerance-based; the default scale is 1e-9 on
 unit-norm matrices.
+
+A delta identity for a pattern of length k has one d x d entry per index
+tuple (i_1, ..., i_k).  For d > 1 all n^k entries are formed by one einsum
+chain, so n^k counts against TUPLE_BUDGET.  For d = 1 the entries commute,
+so an entry depends only on the multiset of indices in the pattern's
+1-slots and the multiset in its *-slots: the check runs over nondecreasing
+tuples of each letter class, C(n+p-1, p) * C(n+q-1, q) of them for p 1-slots
+and q *-slots, and that count is what meets the budget.  Each side's
+products over the summed row index form an (n, M) array, one matmul gives
+the whole residual table, and the work runs in chunks of at most
+_CHUNK_CELLS cells.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -21,6 +33,17 @@ from .partitions import ONE, STAR, StarPattern
 DEFAULT_TOL = 1e-9
 MAX_FLAT_DIM = 64
 M_MAX_DEFAULT = 12
+
+# cells of one chunk of a commuting (d = 1) delta check: every array stays
+# this size
+_CHUNK_CELLS = 2 ** 18
+# plans whose sorted-tuple tables hold up to this many cells are kept
+# between calls (at most 128 plans, 2 MB)
+_CACHED_TUPLE_CELLS = 2 ** 14
+# a witness is the first index tuple (in lexicographic order) whose residual
+# is within this fraction of max(1, worst) of the worst one, so rounding-level
+# ties do not decide it
+_WITNESS_TIE = 1e-12
 
 FAMILY_KINDS = (
     "S_PLUS",
@@ -210,6 +233,9 @@ def full_delta_identity_holds(rep: MatrixRep, pattern) -> Check:
     k = len(d)
     if k < 2:
         raise InputMismatchError("delta identity needs pattern length >= 2")
+    if rep.d == 1:
+        residual, witness = _commuting_delta(rep, d.letters)
+        return Check(holds=residual <= rep.tol, residual=residual, witness=witness)
     if rep.n**k > TUPLE_BUDGET:
         raise BudgetError(f"{rep.n}^{k} index tuples exceed the budget")
     # the last link also sums the shared row index, so the (n,)*(k+1) chain
@@ -221,13 +247,153 @@ def full_delta_identity_holds(rep: MatrixRep, pattern) -> Check:
     for i in range(rep.n):
         diff[(i,) * k] -= np.eye(rep.d)
     svals = spectral_norms(diff.reshape(-1, rep.d, rep.d))
-    worst = int(np.argmax(svals))
-    residual = float(svals[worst])
-    return Check(
-        holds=residual <= rep.tol,
-        residual=residual,
-        witness=tuple(np.unravel_index(worst, (rep.n,) * k)),
+    residual = float(svals.max())
+    first = int(np.argmax(svals >= _tie_floor(residual)))
+    witness = tuple(int(i) for i in np.unravel_index(first, (rep.n,) * k))
+    return Check(holds=residual <= rep.tol, residual=residual, witness=witness)
+
+
+def _tie_floor(worst: float) -> float:
+    return worst - _WITNESS_TIE * max(1.0, worst)
+
+
+def _sorted_tuples(n: int, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nondecreasing p-tuples over range(n) as a (p, M) uint8 array, in
+    lexicographic order, and the column of each constant tuple (i, ..., i).
+
+    The tuples that start with v are v followed by the (p-1)-tuples over
+    range(v, n), which are the last C(n-v+p-2, p-1) columns of the shorter
+    table.
+    """
+    tab = np.zeros((0, 1), dtype=np.uint8)
+    for t in range(1, p + 1):
+        prev = tab
+        sizes = [math.comb(n - v + t - 2, t - 1) for v in range(n)]
+        tab = np.empty((t, sum(sizes)), dtype=np.uint8)
+        col = 0
+        for v, size in enumerate(sizes):
+            tab[0, col : col + size] = v
+            tab[1:, col : col + size] = prev[:, prev.shape[1] - size :]
+            col += size
+    const = np.flatnonzero(tab[0] == tab[-1]) if p else np.zeros(n, dtype=np.intp)
+    return tab, const
+
+
+@dataclass(frozen=True)
+class _DeltaPlan:
+    """Sorted tuples of each letter class of a pattern at size n, cut into
+    blocks of at most _CHUNK_CELLS cells, with the delta cells of each block."""
+
+    # (p, M1) and (q, M2) tables of the 1-slots' and the *-slots' tuples
+    tabs: tuple
+    steps: tuple
+    # (first column of each side, rows and columns of the constant tuples)
+    blocks: tuple
+    # each slot's letter class (0 for 1, 1 for *) and its place in the class
+    slots: tuple
+
+
+def _build_delta_plan(n: int, letters: str) -> _DeltaPlan:
+    p = letters.count(ONE)
+    (tab1, const1), (tab2, const2) = _sorted_tuples(n, p), _sorted_tuples(n, len(letters) - p)
+    m1, m2 = tab1.shape[1], tab2.shape[1]
+    step1 = min(m1, max(1, _CHUNK_CELLS // n))
+    step2 = min(m2, max(1, _CHUNK_CELLS // n), max(1, _CHUNK_CELLS // step1))
+    blocks = []
+    for lo1 in range(0, m1, step1):
+        for lo2 in range(0, m2, step2):
+            r, c = const1 - lo1, const2 - lo2
+            inside = (r >= 0) & (r < step1) & (c >= 0) & (c < step2)
+            blocks.append((lo1, lo2, r[inside], c[inside]))
+    for arr in (tab1, tab2):
+        arr.flags.writeable = False
+    slots = tuple(
+        (int(letter != ONE), letters.count(letter, 0, t)) for t, letter in enumerate(letters)
     )
+    return _DeltaPlan((tab1, tab2), (step1, step2), tuple(blocks), slots)
+
+
+_cached_delta_plan = functools.lru_cache(maxsize=128)(_build_delta_plan)
+
+
+def _delta_plan(n: int, letters: str) -> _DeltaPlan:
+    p = letters.count(ONE)
+    q = len(letters) - p
+    m1, m2 = math.comb(n + p - 1, p), math.comb(n + q - 1, q)
+    if m1 * m2 > TUPLE_BUDGET:
+        raise BudgetError(
+            f"{m1 * m2} sorted index tuples of {letters!r} at n={n} exceed the budget"
+        )
+    if p * m1 + q * m2 <= _CACHED_TUPLE_CELLS:
+        return _cached_delta_plan(n, letters)
+    return _build_delta_plan(n, letters)
+
+
+def _commuting_delta(rep: MatrixRep, letters: str) -> tuple[float, tuple]:
+    """Worst residual and witness of a delta identity on a d = 1 model.
+
+    The entry at a tuple is sum_a prod_(1-slots) u_ai * prod_(*-slots)
+    conj(u_ai), so it is the (I, J) cell of P1.T @ P2, where I and J are the
+    sorted indices of the two letter classes and P1[a, I], P2[a, J] are the
+    products over each side.  Every tuple of one (I, J) orbit has the same
+    residual; the lexicographically first one puts the sorted values of each
+    class into that class's slots in order.
+    """
+    plan = _delta_plan(rep.n, letters)
+    u = rep.entries[:, :, 0, 0]
+    ubar = u.conj()
+    (tab1, tab2), (step1, step2) = plan.tabs, plan.steps
+
+    def residuals(lo1: int, lo2: int, rows, cols) -> np.ndarray:
+        p1 = _side_products(u, tab1[:, lo1 : lo1 + step1])
+        table = p1.T @ _side_products(ubar, tab2[:, lo2 : lo2 + step2])
+        table[rows, cols] -= 1.0
+        return np.abs(table)
+
+    # a lone block is kept; otherwise each block is formed once for its
+    # maximum and again, for the witness, only if it reaches the tie floor
+    kept = residuals(*plan.blocks[0]) if len(plan.blocks) == 1 else None
+    if kept is not None:
+        maxima = [float(kept.max())]
+    else:
+        maxima = [float(residuals(*b).max()) for b in plan.blocks]
+    worst = max(maxima)
+    floor = _tie_floor(worst)
+    witness = None
+    for block, top in zip(plan.blocks, maxima):
+        if top < floor:
+            continue
+        res = kept if kept is not None else residuals(*block)
+        lo1, lo2 = block[:2]
+        if lo1 == lo2 == 0 and res[0, 0] >= floor:
+            return worst, (0,) * len(plan.slots)  # the first tuple of all
+        rows, cols = np.nonzero(res >= floor)
+        found = _lex_first(plan, rows + lo1, cols + lo2)
+        if witness is None or found < witness:
+            witness = found
+    return worst, witness
+
+
+def _side_products(base: np.ndarray, part: np.ndarray) -> np.ndarray:
+    """(n, M) products base[:, i_1] * ... * base[:, i_p] over the columns of part."""
+    if not len(part):
+        return np.ones((base.shape[0], part.shape[1]), dtype=complex)
+    out = np.take(base, part[0], axis=1)
+    for row in part[1:]:
+        out *= np.take(base, row, axis=1)
+    return out
+
+
+def _lex_first(plan: _DeltaPlan, rows, cols) -> tuple:
+    """The lexicographically first full tuple among the (I, J) orbits given."""
+    picks = [rows, cols]
+    for side, s in plan.slots:
+        if len(picks[0]) == 1:
+            break
+        vals = plan.tabs[side][s, picks[side]]
+        keep = vals == vals.min()
+        picks = [picks[0][keep], picks[1][keep]]
+    return tuple(int(plan.tabs[side][s, picks[side][0]]) for side, s in plan.slots)
 
 
 def _sum_condition_residual(rep: MatrixRep) -> float:

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from freesym import invariance
+from freesym import invariance, qgroups
 from freesym.cumulants import random_cumulant_table
 from freesym.distributions import FreeClassTag, sample_spec
 from freesym.errors import InputMismatchError, OrderBoundError
@@ -251,6 +251,21 @@ def test_probe_grid_has_no_mismatches():
     assert any("B_S_PLUS" in note for note in probe["notes"])
     row = probe["grid"]["CIRCULAR"]
     assert all(cell["expected"] and cell["actual"] for cell in row.values())
+
+
+def test_probe_checks_each_witness_biunitarity_once(monkeypatch):
+    calls = []
+    original = qgroups.check_biunitary
+
+    def counted(rep):
+        calls.append(rep)
+        return original(rep)
+
+    monkeypatch.setattr(qgroups, "check_biunitary", counted)
+    monkeypatch.setattr(invariance, "check_biunitary", counted)
+    probe = theorem1_probe(n=2, max_order=4, seed=0)
+    assert probe["mismatches"] == []
+    assert len(calls) == len(probe["witness_profiles"]) == 9
 
 
 def _einsum_action(E, rep, letters):

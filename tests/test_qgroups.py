@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -79,8 +82,12 @@ def test_full_delta_identities():
     assert bad.residual == pytest.approx(1.0, abs=1e-12)  # squares vanish
     assert bad.witness is not None and len(set(bad.witness)) == 1
 
+    # a commuting model counts sorted tuples: C(37, 6) = 2,324,784 here
     with pytest.raises(BudgetError):
-        full_delta_identity_holds(permutation_rep(3), "1" * 13)
+        full_delta_identity_holds(permutation_rep(32), "1" * 6)
+    # a d = 2 model counts every index tuple: 4^10
+    with pytest.raises(BudgetError):
+        full_delta_identity_holds(nilpotent_pair_rep(4), "1" * 10)
     with pytest.raises(InputMismatchError):
         full_delta_identity_holds(permutation_rep(3), "1")
 
@@ -362,3 +369,124 @@ def test_lattice_position_checks_biunitarity_once(monkeypatch):
     pos = lattice_position(rotation_rep(2))
     assert pos["minimal"] == ["O_PLUS"]
     assert len(calls) == 1
+
+
+def _haar_rep(n: int, seed: int) -> MatrixRep:
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    q, r = np.linalg.qr(g)
+    return MatrixRep(q * (np.diag(r) / np.abs(np.diag(r))))
+
+
+def _signed_permutation_rep(n: int) -> MatrixRep:
+    mat = permutation_rep(n).entries[:, :, 0, 0].copy()
+    mat[:, 0] *= -1
+    return MatrixRep(mat)
+
+
+def _commuting_models() -> dict:
+    models = {
+        name: rep for name, (rep, _) in fixture_set().reps.items() if rep.d == 1
+    }
+    for n in (2, 3, 4):
+        models[f"haar_{n}"] = _haar_rep(n, 40 + n)
+        models[f"phase3_{n}"] = phase_diag_rep(3, n)
+    models["signed_permutation_4"] = _signed_permutation_rep(4)
+    return models
+
+
+COMMUTING_MODELS = _commuting_models()
+SCAN_PATTERNS = [d.letters for k in range(2, 7) for d in StarPattern.all_patterns(k)] + [
+    c * m for m in range(7, 13) for c in "1*"
+]
+# the blow-up runs the n^k einsum path, whose cost grows as n^k d^3; past
+# this many tuples (1.4 s and ~100 MB at 3^12) only the d = 1 side runs
+BLOW_UP_TUPLES = 3**10
+
+
+def _delta_entry(rep: MatrixRep, letters: str, idx) -> complex:
+    u = rep.entries[:, :, 0, 0]
+    terms = np.ones(rep.n, dtype=complex)
+    for letter, i in zip(letters, idx):
+        terms *= u[:, i] if letter == "1" else np.conj(u[:, i])
+    return terms.sum() - (1.0 if len(set(idx)) == 1 else 0.0)
+
+
+@pytest.mark.parametrize("name", sorted(COMMUTING_MODELS))
+def test_commuting_delta_matches_blow_up(name):
+    """A d = 1 model and its lift A (x) I_2 (the n^k einsum path) agree."""
+    rep = COMMUTING_MODELS[name]
+    blown = MatrixRep(rep.entries[:, :, 0, 0][:, :, None, None] * np.eye(2))
+    for letters in SCAN_PATTERNS:
+        chk = full_delta_identity_holds(rep, letters)
+        scale = 1e-12 * max(1.0, chk.residual)
+        assert len(chk.witness) == len(letters)
+        assert abs(_delta_entry(rep, letters, chk.witness)) >= chk.residual - scale
+        if rep.n ** len(letters) > BLOW_UP_TUPLES:
+            continue
+        ref = full_delta_identity_holds(blown, letters)
+        assert chk.holds == ref.holds, (name, letters)
+        assert abs(chk.residual - ref.residual) <= scale, (name, letters)
+        assert chk.witness == ref.witness, (name, letters)
+
+
+def test_commuting_delta_survives_relabelling():
+    perm = np.array([2, 0, 3, 1])
+    for name, rep in COMMUTING_MODELS.items():
+        if rep.n != 4:
+            continue
+        u = rep.entries[:, :, 0, 0]
+        relabelled = MatrixRep(u[np.ix_(perm, perm)])
+        for letters in SCAN_PATTERNS:
+            a = full_delta_identity_holds(rep, letters)
+            b = full_delta_identity_holds(relabelled, letters)
+            assert a.holds == b.holds, (name, letters)
+            assert b.residual == pytest.approx(a.residual, abs=1e-12 * max(1.0, a.residual))
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+def test_lattice_position_of_larger_commuting_models(n):
+    every = all_family_tags()
+    assert len(lattice_position(permutation_rep(n))["satisfied"]) == len(every) == 18
+    pos = lattice_position(_signed_permutation_rep(n))
+    assert pos["minimal"] == ["H_S_PLUS"]
+    assert pos["upward_consistent"] and pos["closure"]["consistent"]
+    pos = lattice_position(phase_diag_rep(3, n))
+    assert pos["minimal"] == ["H_M_PLUS(3)"]
+    assert pos["upward_consistent"] and pos["closure"]["consistent"]
+
+
+def test_h0_relation_on_a_32_cycle():
+    # C(33, 2)^2 = 278,784 sorted tuples, two chunks; 32^4 full tuples
+    chk = check_family(permutation_rep(32), F("H_0_PLUS"))
+    assert chk.holds
+    assert chk.residual == 0.0
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_commuting_delta_memory_is_bounded():
+    # an n^k tensor of H_M(12) at n=3 alone would take 8.5 MB
+    assert _traced_peak(lambda: lattice_position(permutation_rep(3))) < 2**20
+
+    # 646,646 sorted tuples: the (12, M) uint8 table and the (11, M') table
+    # it is built from, plus at most three complex chunk arrays
+    n, p = 11, 12
+    index_bytes = p * math.comb(n + p - 1, p) + (p - 1) * math.comb(n + p - 2, p - 1)
+    bound = index_bytes + 3 * 16 * qgroups._CHUNK_CELLS
+    rep = permutation_rep(n)
+    chk = None
+
+    def run():
+        nonlocal chk
+        chk = full_delta_identity_holds(rep, "1" * p)
+
+    assert _traced_peak(run) < bound
+    assert chk.holds and chk.witness == (0,) * p

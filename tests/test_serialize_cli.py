@@ -9,8 +9,8 @@ from freesym import serialize
 from freesym.cli import main
 from freesym.distributions import CumulantSpecSingle
 from freesym.errors import SchemaError
-from freesym.fixtures import fixture_set, uncorrected_bistochastic_unitary_rep
-from freesym.qgroups import check_biunitary
+from freesym.fixtures import fixture_set, permutation_rep, uncorrected_bistochastic_unitary_rep
+from freesym.qgroups import all_family_tags, check_biunitary
 
 
 @pytest.fixture(scope="module")
@@ -237,6 +237,17 @@ def test_lattice_command(fx, capsys):
     assert report["minimal"] == ["S_PLUS"]
     assert report["closure"]["implied"] == "S_PLUS"
     assert report["upward_consistent"]
+
+
+def test_lattice_commands_on_a_4x4_permutation(tmp_path, capsys):
+    path = tmp_path / "permutation_4.json"
+    serialize.save_rep(permutation_rep(4), path)
+    every = sorted(tag.label() for tag in all_family_tags())
+    assert len(every) == 18
+    assert main(["lattice-position", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["satisfied"] == every
+    assert main(["check-rep", str(path)]) == 0
+    assert capsys.readouterr().out.split()[1:] == every
 
 
 def test_uncorrected_model_is_input_error(fx, tmp_path, capsys):

@@ -11,15 +11,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import serialize
-from .cumulants import (
-    MomentTable,
-    classical_cumulants_to_moments,
-    free_cumulants_to_moments,
-    moments_to_classical_cumulants,
-    moments_to_free_cumulants,
-)
-from .distributions import classify_classical_report, classify_free_report
 from .errors import (
     BudgetError,
     IncompleteTableError,
@@ -29,10 +20,9 @@ from .errors import (
     SizeLimitError,
     UnsupportedAlgebraError,
 )
-from .fixtures import write_fixtures
-from .invariance import check_invariance, theorem1_probe
-from .partitions import enumerate_all_partitions, enumerate_noncrossing
-from .qgroups import FamilyTag, check_family, lattice_position
+
+# Each command imports the modules it needs, so that `enumerate` and
+# `--help` start without numpy.
 
 _INPUT_ERRORS = (
     SchemaError,
@@ -51,6 +41,8 @@ def _format_blocks(partition) -> str:
 
 
 def _cmd_enumerate(args) -> int:
+    from .partitions import enumerate_all_partitions, enumerate_noncrossing
+
     if (args.nc is None) == (args.all is None):
         print("error: choose exactly one of --nc/--all", file=sys.stderr)
         return 2
@@ -64,6 +56,15 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_convert(args) -> int:
+    from . import serialize
+    from .cumulants import (
+        MomentTable,
+        classical_cumulants_to_moments,
+        free_cumulants_to_moments,
+        moments_to_classical_cumulants,
+        moments_to_free_cumulants,
+    )
+
     spec = serialize.load_spec(args.file)
     if spec.dim != 1:
         print("error: conversion handles scalar tables only", file=sys.stderr)
@@ -103,6 +104,9 @@ def _cmd_convert(args) -> int:
 
 
 def _cmd_classify_dist(args) -> int:
+    from . import serialize
+    from .distributions import classify_classical_report, classify_free_report
+
     spec = serialize.load_spec(args.file)
     order = args.order if args.order is not None else spec.order
     report = (
@@ -121,6 +125,9 @@ def _cmd_classify_dist(args) -> int:
 
 
 def _cmd_check_rep(args) -> int:
+    from . import serialize
+    from .qgroups import FamilyTag, check_family, lattice_position
+
     rep = serialize.load_rep(args.file)
     if args.family is not None:
         tag = FamilyTag.parse(args.family)
@@ -149,6 +156,9 @@ def _cmd_check_rep(args) -> int:
 
 
 def _cmd_lattice_position(args) -> int:
+    from . import serialize
+    from .qgroups import lattice_position
+
     rep = serialize.load_rep(args.file)
     pos = lattice_position(rep, args.mmax)
     payload = {key: pos[key] for key in ("satisfied", "minimal", "upward_consistent", "closure", "m_scan")}
@@ -157,6 +167,9 @@ def _cmd_lattice_position(args) -> int:
 
 
 def _cmd_check_invariance(args) -> int:
+    from . import serialize
+    from .invariance import check_invariance
+
     spec = serialize.load_spec(args.dist)
     rep = serialize.load_rep(args.rep)
     order = args.order if args.order is not None else spec.order
@@ -197,6 +210,9 @@ def _cmd_check_invariance(args) -> int:
 
 
 def _cmd_theorem1_probe(args) -> int:
+    from . import serialize
+    from .invariance import theorem1_probe
+
     probe = theorem1_probe(n=args.n, max_order=args.order, seed=args.seed)
     if args.json:
         payload = dict(probe)
@@ -212,6 +228,8 @@ def _cmd_theorem1_probe(args) -> int:
 
 
 def _cmd_fixtures(args) -> int:
+    from .fixtures import write_fixtures
+
     manifest = write_fixtures(args.out, seed=args.seed)
     names = sorted(manifest["reps"]) + sorted(manifest["specs"])
     print(f"wrote {len(names)} fixtures and manifest.json to {args.out}")

@@ -23,8 +23,10 @@ every first block V and every word at once, where kappa(w|V) and the piece
 moments sit.  Scalar tables in both calculi, and the multivariate inverter
 on words of (index, letter) pairs, evaluate a whole order as numpy gathers,
 products and one sum over V (_gathered_recursion); absent entries are exact
-zeros.  Matrix cores read their operands through the same plan and splice
-them word by word (_spliced_recursion).
+zeros.  Matrix cores read their operands through the same plan: every word
+of an order has the same splice geometry for a first block V, so each V is
+spliced once for a chunk of words (_spliced_recursion), each chunk at most
+_SPLICE_CELLS cells of cores or a single word.
 
 Joint moments of n free copies run the free recursion too: on whole index
 tensors (joint_moment_tensor) or on one word's segments
@@ -57,7 +59,7 @@ from .partitions import ONE, STAR, StarPattern
 MAX_DIM = 3
 MAX_SCALAR_ORDER = 8
 # Dense cores hold p^(2k) entries at order k: at dim 3 each order-6 table is
-# about 0.55 GB, and a dim-3, K=6 conversion peaks at about 1.14 GB RSS.
+# about 0.55 GB, and a dim-3, K=6 conversion peaks at about 1145 MB RSS.
 MAX_MATRIX_ORDER = 6
 MAX_MULTI_ORDER = 6
 MAX_ALPHABET = 3
@@ -72,11 +74,10 @@ def identity_element(dim: int):
     return np.eye(dim, dtype=complex)
 
 
-def zero_element(dim: int, k: int = 1):
-    """Zero scalar, or the zero core tensor of order k."""
+def zero_element(dim: int):
     if dim == 1:
         return 0.0 + 0.0j
-    return np.zeros(core_shape(dim, k), dtype=complex)
+    return np.zeros((dim, dim), dtype=complex)
 
 
 def pattern_sort_key(letters: str) -> tuple:
@@ -344,12 +345,14 @@ def _gathered_recursion(known: np.ndarray, K: int, a: int, free: bool, to_moment
 
 
 def _splice_cores(kappa: np.ndarray, moments: list) -> np.ndarray:
-    """Core of kappa(w|V) with the segment moment cores M in its slots.
+    """Cores of kappa(w|V) with the segment moment cores M in its slots, for a stack of words.
 
-    A slot (x, y) of kappa takes b M b': it splits into (x, i) for b and
-    (j, y) for b', with M's own slots between.  The trailing M multiplies
-    through b from the right, so the value's pair takes X from kappa and Y
-    from M.  No axis is summed: the term is a broadcast product.
+    Axis 0 of kappa and of each M runs over the words.  A slot (x, y) of
+    kappa takes b M b': it splits into (x, i) for b and (j, y) for b', with
+    M's own slots between.  The trailing M multiplies through b from the
+    right, so the value's pair takes X from kappa and Y from M.  No axis is
+    summed: the terms are one broadcast product, kappa first, then the M in
+    slot order.
     """
     p = kappa.shape[-1]
     ids = itertools.count()
@@ -360,7 +363,7 @@ def _splice_cores(kappa: np.ndarray, moments: list) -> np.ndarray:
         if m is None:
             out += [x, y]
             continue
-        tail = [next(ids) for _ in range(2 * m.ndim - 2)]
+        tail = [next(ids) for _ in range(2 * m.ndim - 4)]
         factors.append((m, tail))
         *inner, i, jj = tail
         out += [x, i, *inner, jj, y] if j < len(moments) - 1 else [y, i, *inner, x, jj]
@@ -368,38 +371,85 @@ def _splice_cores(kappa: np.ndarray, moments: list) -> np.ndarray:
     val = None
     for factor, axes in factors:
         spots = [place[a] for a in axes]
-        view = factor.reshape((p,) * len(axes)).transpose(np.argsort(spots))
-        view = np.expand_dims(view, tuple(n for n in range(len(out)) if n not in spots))
+        view = factor.reshape((len(factor),) + (p,) * len(axes))
+        view = view.transpose([0, *(1 + np.argsort(spots))])
+        view = np.expand_dims(view, tuple(1 + n for n in range(len(out)) if n not in spots))
         val = view if val is None else np.multiply(val, view, order="C")
-    return val.reshape(core_shape(p, len(out) // 2))
+    return val.reshape((len(val),) + core_shape(p, len(out) // 2))
 
 
-def _spliced_recursion(known: list, K: int, to_moments: bool, p: int) -> list:
-    """The free recursion word by word for dim-p cores, operands read through the plan.
+# cells of one chunk of an order's cores, in the matrix recursion
+_SPLICE_CELLS = 2 ** 15
 
-    known is the given side at every _flat_index over the star letters, None
-    where absent.  Returns the other side.
+
+def _spliced_recursion(data: dict, K: int, to_moments: bool, p: int) -> list:
+    """The free recursion for dim-p cores, a chunk of words of one order at a time.
+
+    data is the given side keyed by letters, absent entries exact zeros.
+    Returns the other side as one (2^k,) + core array per order k (index 0
+    unused), words in code order.  Every word of an order has the same
+    splice geometry for a first block V, so each V is spliced once per
+    chunk of at most _SPLICE_CELLS cells (at least one word).  A chunk of
+    several words gathers its operands through the plan from per-order
+    stacks: the solved arrays, and copies of the given side's orders that
+    such chunks read.  A one-word chunk reads its operands as views.  A
+    block whose kappa operands are all zero adds nothing and is skipped.
     """
-    solved = [None] * len(known)
-    kappa, moment = (known, solved) if to_moments else (solved, list(known))
+    words = [None] + [[d.letters for d in StarPattern.all_patterns(k)] for k in range(1, K + 1)]
+    steps = [max(1, _SPLICE_CELLS // p ** (2 * k)) for k in range(K + 1)]
+
+    def stack(k: int) -> np.ndarray:
+        arr = np.zeros((2 ** k,) + core_shape(p, k), dtype=complex)
+        for code, w in enumerate(words[k]):
+            value = data.get(w)
+            if value is not None:
+                arr[code] = value
+        return arr
+
+    # the given side's order j is gathered only by orders above it, and only
+    # in chunks of several words; the top order is never an operand
+    given = [None] + [stack(j) if steps[j + 1] > 1 else None for j in range(1, K)]
+    solved = [None] * (K + 1)
+    kappa, moment = (given, solved) if to_moments else (solved, given)
+
+    def operand(stacks, order: int, at):
+        """Cores of one order at the flat indices at; an int is one word, read as a view."""
+        code = at - (2 ** order - 1)
+        if not isinstance(at, int):
+            return stacks[order][code]
+        if stacks[order] is not None:
+            return stacks[order][code:code + 1]
+        value = data.get(words[order][code])
+        if value is None:
+            return np.zeros((1,) + core_shape(p, order), dtype=complex)
+        return value[None]
+
     for k in range(1, K + 1):
         kappa_at, moment_at = _star_plan(k, True)
         blocks = _first_blocks(k, True)[:-1]
-        for code in range(2 ** k):
-            w = 2 ** k - 1 + code
-            lower = zero_element(p, k)
-            for (_, pieces), kv, at in zip(blocks, kappa_at[:, code].tolist(),
-                                           moment_at[:, :, code].tolist()):
-                if kappa[kv] is not None:
-                    filled = iter(at)
-                    lower += _splice_cores(kappa[kv], [moment[next(filled)] if piece else None
-                                                       for piece in pieces])
-            if to_moments:
-                moment[w] = lower if kappa[w] is None else lower + kappa[w]
+        solved[k] = np.zeros((2 ** k,) + core_shape(p, k), dtype=complex)
+        for lo in range(0, 2 ** k, steps[k]):
+            hi = min(lo + steps[k], 2 ** k)
+            if hi - lo == 1:
+                chunk = zip(blocks, kappa_at[:, lo].tolist(), moment_at[:, :, lo].tolist())
             else:
-                if moment[w] is None:
-                    moment[w] = zero_element(p, k)
-                kappa[w] = moment[w] - lower
+                chunk = zip(blocks, kappa_at[:, lo:hi], moment_at[:, :, lo:hi])
+            lower = solved[k][lo:hi]
+            for (block, pieces), kv, at in chunk:
+                kap = operand(kappa, len(block), kv)
+                if not kap.any():
+                    continue
+                filled = iter(at)
+                lower += _splice_cores(kap, [operand(moment, len(piece), next(filled))
+                                             if piece else None for piece in pieces])
+            for i, w in enumerate(words[k][lo:hi]):
+                value = data.get(w)
+                if to_moments:
+                    if value is not None:
+                        lower[i] += value
+                else:
+                    np.subtract(0j if value is None else value, lower[i], out=lower[i])
+            _require_finite(lower)
     return solved
 
 
@@ -422,9 +472,9 @@ def _convert(table: _PatternTable, K: int, free: bool, to_moments: bool) -> _Pat
         _require_finite(values)
         out.data = dict(zip(words, values.tolist()))
         return out
-    values = _spliced_recursion([None] + [table.data.get(w) for w in words], K, to_moments, p)
-    for w, value in zip(words, values[1:]):
-        out.set(w, value)
+    # the cores are views into one array per order
+    for k, cores in enumerate(_spliced_recursion(table.data, K, to_moments, p)[1:], 1):
+        out.data.update(zip(words[2 ** k - 2:2 ** (k + 1) - 2], cores))
     return out
 
 
@@ -489,37 +539,65 @@ def _free_family_word(table, idx: tuple, letters: str, cs):
     A first block V of a segment counts only where the indices on V agree,
     so V runs over the subsets of the segment's positions that carry its
     first index.  Segment values are memoised for this word only; cs is as
-    in _free_family_tensor.
+    in _free_family_tensor.  Scalar values take one lookup per block and
+    multiply kappa(w|V) by the segments in place, left to right.
     """
     memo = {}
+    get = table.data.get
+
+    def build(a: int, e: int) -> complex:
+        # the block {a} first, then the larger blocks in the order of
+        # itertools.combinations, as the matrix branch sums them
+        total = 0j
+        term = get(letters[a])
+        if term is not None:
+            if a + 1 < e:
+                s = memo.get((a + 1, e))
+                if s is None:
+                    s = memo[a + 1, e] = build(a + 1, e)
+                term *= s
+            total += term
+        same = [j for j in range(a + 1, e) if idx[j] == idx[a]]
+        for size in range(1, len(same) + 1):
+            for rest in itertools.combinations(same, size):
+                term = get(letters[a] + "".join([letters[j] for j in rest]))
+                if term is None:
+                    continue
+                v = a + 1
+                for end in rest + (e,):
+                    if v < end:
+                        s = memo.get((v, end))
+                        if s is None:
+                            s = memo[v, end] = build(v, end)
+                        term *= s
+                    v = end + 1
+                total += term
+        return total
+
+    if cs is None:
+        return build(0, len(idx))
 
     def segment(a: int, e: int):
         if (a, e) not in memo:
-            memo[a, e] = build(a, e)
+            memo[a, e] = build_matrix(a, e)
         return memo[a, e]
 
-    def build(a: int, e: int):
+    def build_matrix(a: int, e: int):
         same = [j for j in range(a + 1, e) if idx[j] == idx[a]]
         total = zero_element(table.dim)
         for size in range(len(same) + 1):
             for rest in itertools.combinations(same, size):
                 block = (a,) + rest
-                kappa = table.data.get("".join([letters[j] for j in block]))
+                kappa = get("".join([letters[j] for j in block]))
                 if kappa is None:
                     continue
                 segs = [segment(v + 1, end) if v + 1 < end else None
                         for v, end in zip(block, rest + (e,))]
-                if cs is None:
-                    term = kappa
-                    for s in segs:
-                        if s is not None:
-                            term = term * s
-                else:
-                    sides = [cs[v] if s is None else cs[v] @ s for v, s in zip(block, segs)]
-                    term = kappa
-                    for side in sides[:-1]:
-                        term = np.tensordot(side.reshape(-1), term, axes=(0, 0))
-                    term = term @ sides[-1]
+                sides = [cs[v] if s is None else cs[v] @ s for v, s in zip(block, segs)]
+                term = kappa
+                for side in sides[:-1]:
+                    term = np.tensordot(side.reshape(-1), term, axes=(0, 0))
+                term = term @ sides[-1]
                 total = total + term
         return total
 

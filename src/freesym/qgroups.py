@@ -531,7 +531,8 @@ def structural_consequences(rep: MatrixRep, patterns=None) -> dict:
         patterns = _standard_scan_patterns()
     else:
         patterns = [StarPattern.coerce(p) for p in patterns]
-    satisfied = [d for d in patterns if full_delta_identity_holds(rep, d).holds]
+    found = {d.letters: full_delta_identity_holds(rep, d) for d in patterns}
+    satisfied = [d for d in patterns if found[d.letters].holds]
     sat_letters = {d.letters for d in satisfied}
     checks: dict[str, Check] = {}
 
@@ -547,6 +548,10 @@ def structural_consequences(rep: MatrixRep, patterns=None) -> dict:
                 inv_worst = max(
                     inv_worst, operator_norm(tail - head.conj().T)
                 )
+        if rep.d == 1:
+            # a rotation keeps the letter counts, hence the sorted-tuple residual
+            rot_worst = max(rot_worst, found[d.letters].residual)
+            continue
         for r in range(1, len(d)):
             rotated = d.letters[r:] + d.letters[:r]
             rot_worst = max(

@@ -116,6 +116,8 @@ def eval_partitioned_free(table, part: Partition, pattern, coeffs=None, rightmos
 
     Argument j is the variable's pattern[j] power followed by coefficient
     coeffs[j]; a missing coeffs list means identity coefficients throughout.
+    For a matrix table a coefficient may also be a stack of p x p matrices;
+    the stacks' leading axes broadcast against each other.
     Raises CrossingPartitionError when the partition admits no peel order.
     """
     d = StarPattern.coerce(pattern)
@@ -147,7 +149,7 @@ def eval_partitioned_free(table, part: Partition, pattern, coeffs=None, rightmos
         return 0.0 + 0.0j if val is None else val
     if p == 1:
         raise InputMismatchError("matrix coefficients need a matrix-valued table")
-    cs = [_coerce_coeff(c, p) for c in coeffs]
+    cs = [c if np.ndim(c) > 2 else _coerce_coeff(c, p) for c in coeffs]
     block_index = {b: i for i, b in enumerate(part.blocks)}
 
     def block_value(block, inners):

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from freesym import cumulants
 from freesym.cumulants import (
     CumulantTable,
     MomentTable,
@@ -364,7 +365,8 @@ def partition_sum(table, K, free):
     """Moments by the defining sum of eval_partitioned_* over (noncrossing) partitions.
 
     For a matrix table the core entry at slots (e_1, ..., e_{k-1}) is the sum
-    with the unit coefficients E_{e_t} in slot t.
+    with the unit coefficients E_{e_t} in slot t, evaluated for every slot
+    tuple at once: slot t's coefficient is the stack of units along axis t.
     """
     evaluate = eval_partitioned_free if free else eval_partitioned_classical
     parts = enumerate_noncrossing if free else enumerate_all_partitions
@@ -372,14 +374,15 @@ def partition_sum(table, K, free):
     units = _coefficient_units(p)
     out = MomentTable(order=K, dim=p)
     for k in range(1, K + 1):
+        stacks = [units.reshape((1,) * t + (p * p,) + (1,) * (k - 2 - t) + (p, p))
+                  for t in range(k - 1)] + [np.eye(p, dtype=complex)]
         for d in StarPattern.all_patterns(k):
             if p == 1:
                 out.set(d, sum(evaluate(table, part, d) for part in parts(k)))
                 continue
             core = np.zeros(core_shape(p, k), dtype=complex)
-            for slots in itertools.product(range(p * p), repeat=k - 1):
-                coeffs = [units[e] for e in slots] + [np.eye(p, dtype=complex)]
-                core[slots] = sum(evaluate(table, part, d, coeffs) for part in parts(k))
+            for part in parts(k):
+                core += evaluate(table, part, d, stacks)
             out.set(d, core)
     return out
 
@@ -409,7 +412,8 @@ def test_scalar_conversions_match_partition_sums(K, free):
     assert_matches_definition(random_cumulant_table(K, seed=60 + K), K, free)
 
 
-@pytest.mark.parametrize("dim,K", [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3)])
+@pytest.mark.parametrize("dim,K", [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5),
+                                   (3, 1), (3, 2), (3, 3), (3, 4)])
 def test_matrix_conversions_match_partition_sums(dim, K):
     assert_matches_definition(random_cumulant_table(K, dim=dim, seed=70 + K), K, True)
 
@@ -634,3 +638,154 @@ def test_multivariate_inverter_on_three_free_copies():
     for (word, letters), value in multi.data.items():
         want = spec.get(letters) if len(set(word)) == 1 else 0
         assert abs(value - want) < 1e-12, (word, letters, value)
+
+
+# ---------------------------------------------------------------------------
+# the matrix recursion a chunk of words at a time, and one word's recursion
+
+
+def _without_orders(table, orders):
+    kept = {w: v for w, v in table.data.items() if len(w) not in orders}
+    return type(table)(order=table.order, dim=table.dim, data=kept)
+
+
+def test_sparse_matrix_table_keeps_absent_orders_exact_zeros():
+    # only orders 2 and 4: every noncrossing partition of an odd word has an
+    # odd block, so odd moments vanish, and so do the odd cumulants of them
+    kappa = _without_orders(random_cumulant_table(5, dim=2, seed=74), (1, 3, 5))
+    assert_matches_definition(kappa, 5, True)
+    moments = free_cumulants_to_moments(kappa, 5)
+    back = moments_to_free_cumulants(moments, 5)
+    assert kappa.max_abs_difference(back) < 1e-12
+    for k in (1, 3, 5):
+        for d in StarPattern.all_patterns(k):
+            assert not np.any(moments.get(d)), d.letters
+            assert not np.any(back.get(d)), d.letters
+    # the inversion of an even moment table whose top order is absent
+    even = _without_orders(moments, (1, 3, 5))
+    cumulants_back = moments_to_free_cumulants(even, 5)
+    assert relative_error(partition_sum(cumulants_back, 5, True), even) < 1e-12
+    for d in StarPattern.all_patterns(5):
+        assert not np.any(cumulants_back.get(d)), d.letters
+
+
+def _probe_partition_sum(table, K, probes):
+    """Each pattern's moment at R coefficient tuples, by the defining partition sum.
+
+    probes[t] is an (R, p, p) stack of slot t's coefficients; the value of a
+    pattern of order k is the (R, p, p) stack with probes[:k-1] in its slots.
+    """
+    p = table.dim
+    return {d.letters: sum(eval_partitioned_free(table, part, d, probes[:k - 1] + [np.eye(p)])
+                           for part in enumerate_noncrossing(k))
+            for k in range(1, K + 1) for d in StarPattern.all_patterns(k)}
+
+
+def _probe_cores(table, probes):
+    """Each core with the probes contracted into its slots: (R, p, p) per pattern."""
+    out = {}
+    for letters, core in table.data.items():
+        value = np.broadcast_to(core, (len(probes[0]),) + core.shape)
+        for c in probes[:len(letters) - 1]:
+            value = np.einsum("ra,ra...->r...", c.reshape(len(c), -1), value)
+        out[letters] = value
+    return out
+
+
+def test_dim2_order6_conversions_match_partition_sums_at_random_coefficients():
+    """dim 2, K=6 both ways against the partition sum, at 3 random coefficient tuples.
+
+    A core is multilinear in its slots, so agreeing at random coefficients
+    checks it entry by entry with probability one; the unit-coefficient sum
+    of assert_matches_definition is too slow at this order.
+    """
+    rng = np.random.default_rng(81)
+    probes = [rng.standard_normal((3, 2, 2)) + 1j * rng.standard_normal((3, 2, 2)) for _ in range(5)]
+
+    def relative(got, want):
+        scale = max(float(np.max(np.abs(v))) for v in want.values())
+        return max(float(np.max(np.abs(got[w] - want[w]))) for w in want) / scale
+
+    kappa = random_cumulant_table(6, dim=2, seed=76)
+    moments = free_cumulants_to_moments(kappa, 6)
+    assert relative(_probe_cores(moments, probes), _probe_partition_sum(kappa, 6, probes)) < 1e-12
+    back = moments_to_free_cumulants(moments, 6)
+    assert relative(_probe_partition_sum(back, 6, probes), _probe_cores(moments, probes)) < 1e-12
+
+
+@pytest.mark.parametrize("cells", [1, 3 * 4 ** 3, 3 * 4 ** 4])
+def test_matrix_recursion_across_many_chunks(monkeypatch, cells):
+    """Chunks of one word (operands read as views) and ragged multi-word chunks.
+
+    Each cell receives the same products in the same block order whatever
+    the chunking, so the cores agree bit for bit with the default bound.
+    """
+    kappa = random_cumulant_table(5, dim=2, seed=75)
+    # absent orders too, read as exact zeros in every chunking
+    tables = [kappa, _without_orders(kappa, (1, 3)), _without_orders(kappa, (2, 4))]
+    want = [(free_cumulants_to_moments(t, 5), moments_to_free_cumulants(t, 5)) for t in tables]
+    monkeypatch.setattr(cumulants, "_SPLICE_CELLS", cells)
+    for t, pair in zip(tables, want):
+        got = (free_cumulants_to_moments(t, 5), moments_to_free_cumulants(t, 5))
+        for g, w in zip(got, pair):
+            assert g.data.keys() == w.data.keys()
+            for letters in w.data:
+                assert np.array_equal(g.data[letters], w.data[letters]), letters
+    assert relative_error(free_cumulants_to_moments(kappa, 5), partition_sum(kappa, 5, True)) < 1e-12
+    lift = random_cumulant_table(3, dim=3, seed=76)
+    monkeypatch.setattr(cumulants, "_SPLICE_CELLS", 2 ** 15)
+    want = free_cumulants_to_moments(lift, 3)
+    monkeypatch.setattr(cumulants, "_SPLICE_CELLS", cells)
+    got = free_cumulants_to_moments(lift, 3)
+    for letters in want.data:
+        assert np.array_equal(got.data[letters], want.data[letters]), letters
+
+
+def test_matrix_conversion_memory_bound():
+    """Peak allocation of each dim-2, K=5 conversion under tracemalloc.
+
+    Bound: the output cores (16 bytes times sum_k 8^k, 0.60 MB), the given
+    side's stacks below K (0.07 MB) and three chunk arrays of _SPLICE_CELLS
+    complex cells (1.57 MB): 2.24 MB in all.
+    """
+    kappa = random_cumulant_table(5, dim=2, seed=77)
+    moments = free_cumulants_to_moments(kappa, 5)
+    output = 16 * sum(8 ** k for k in range(1, 6))
+    stacks = 16 * sum(8 ** k for k in range(1, 5))
+    bound = output + stacks + 3 * 16 * cumulants._SPLICE_CELLS
+    for convert, table in ((free_cumulants_to_moments, kappa), (moments_to_free_cumulants, moments)):
+        tracemalloc.start()
+        try:
+            convert(table, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, (convert.__name__, peak, bound)
+
+
+@pytest.mark.parametrize("coeff_kind", ["none", "scalar", "matrix"])
+@pytest.mark.parametrize("table_kind", ["dense", "semicircle", "sparse"])
+def test_word_recursion_matches_partition_sums_at_order_five(table_kind, coeff_kind):
+    """joint_moments_free_family on every kernel of k <= 5 letters at n = 2 and 3.
+
+    The reference depends on a word only through its kernel, so it is
+    evaluated once per kernel and pattern, at the first-occurrence labels.
+    """
+    table = {
+        "dense": lambda: random_cumulant_table(5, seed=78, scale=0.6),
+        "semicircle": lambda: semicircular_spec(5),
+        "sparse": lambda: _without_orders(random_cumulant_table(5, seed=79, scale=0.6), (1, 4)),
+    }[table_kind]()
+    rng = np.random.default_rng(80)
+    for k in range(1, 6):
+        kernels = sorted({_first_occurrence_labels(w) for w in itertools.product(range(1, 4), repeat=k)})
+        for d in StarPattern.all_patterns(k):
+            coeffs = _random_coeffs(coeff_kind, k, rng)
+            for word in kernels:
+                want = joint_moment_partition_sum(table, 3, word, d, coeffs)
+                for n in (2, 3):
+                    if max(word) > n:
+                        continue
+                    got = joint_moments_free_family(table, n, word, d, coeffs)
+                    err = np.max(np.abs(got - want))
+                    assert err <= 1e-12 * np.max(np.abs(want)), (n, word, d.letters, err)

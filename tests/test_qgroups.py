@@ -259,6 +259,29 @@ def test_structural_consequences_phase_and_rotation():
     assert report["holds"]
 
 
+def test_cyclic_rotations_on_commuting_models_equal_every_rotation(monkeypatch):
+    """On d=1 models the rotation check reuses each pattern's own residual.
+
+    A rotation keeps a pattern's letter counts, so its sorted-tuple residual
+    is the same number; the reused maximum equals the one over every
+    rotation, and no rotation is recomputed.
+    """
+    for name, (rep, _) in fixture_set().reps.items():
+        if rep.d != 1:
+            continue
+        report = structural_consequences(rep)
+        want = max((full_delta_identity_holds(rep, d[r:] + d[:r]).residual
+                    for d in report["satisfied_patterns"] for r in range(1, len(d))),
+                   default=0.0)
+        assert report["checks"]["cyclic_rotations"].residual == want, name
+        calls = []
+        monkeypatch.setattr(qgroups, "full_delta_identity_holds",
+                            lambda rep, d: calls.append(d) or full_delta_identity_holds(rep, d))
+        structural_consequences(rep)
+        monkeypatch.undo()
+        assert len(calls) == len(qgroups._standard_scan_patterns()), name
+
+
 def test_lattice_positions():
     pos = lattice_position(unit_i_diag_rep(3))
     assert pos["minimal"] == ["H_M_PLUS(4)"]

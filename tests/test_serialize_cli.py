@@ -299,3 +299,19 @@ def test_console_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "14"
+
+
+def test_enumerate_and_help_start_without_numpy():
+    # each command imports the modules it needs; partitions need no numpy
+    code = (
+        "import sys\n"
+        "from freesym.cli import main\n"
+        "assert main(['enumerate', '--nc', '3']) == 0\n"
+        "assert main(['--help']) == 0\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.split("\n")
+    assert lines[0] == "5"
+    assert lines[-2] == "False"

@@ -17,68 +17,22 @@ from .cumulants import (
     moments_to_classical_cumulants,
     moments_to_free_cumulants,
 )
+from .easy import (  # the tag types and implies are also this module's API
+    M_MAX_DEFAULT,
+    TABLE,
+    ClassicalClassTag,
+    ClassTag,
+    FamilyTag,
+    FreeClassTag,
+    class_tags,
+    governing_family,
+    implies,
+)
 from .errors import IncompleteTableError, InputMismatchError, SchemaError
 from .partitions import ONE, STAR, StarPattern
 
 SNAP_TOL = 1e-12
 SELFADJOINT_TOL = 1e-9
-
-FREE_KINDS = (
-    "SYMMETRIC",
-    "ORTHOGONAL",
-    "SEMICIRCULAR",
-    "SHIFTED_ORTHOGONAL",
-    "M_UNITARY",
-    "FREE_UNITARY",
-    "R_DIAGONAL",
-    "CIRCULAR",
-    "SHIFTED_CIRCULAR",
-)
-
-CLASSICAL_KINDS = (
-    "SYMMETRIC",
-    "ORTHOGONAL",
-    "GAUSSIAN",
-    "SHIFTED_ORTHOGONAL",
-    "M_UNITARY",
-    "UNITARY",
-    "COMPLEX_GAUSSIAN",
-    "SHIFTED_COMPLEX_GAUSSIAN",
-)
-
-
-def _validate_kind(kind: str, m, kinds) -> None:
-    if kind not in kinds:
-        raise InputMismatchError(f"unknown class kind {kind!r}")
-    if kind == "M_UNITARY":
-        if m is None or m < 3:
-            raise InputMismatchError("M_UNITARY needs a modulus m >= 3")
-    elif m is not None:
-        raise InputMismatchError(f"{kind} takes no modulus")
-
-
-@dataclass(frozen=True, order=True)
-class FreeClassTag:
-    kind: str
-    m: int | None = None
-
-    def __post_init__(self) -> None:
-        _validate_kind(self.kind, self.m, FREE_KINDS)
-
-    def label(self) -> str:
-        return f"M_UNITARY({self.m})" if self.kind == "M_UNITARY" else self.kind
-
-
-@dataclass(frozen=True, order=True)
-class ClassicalClassTag:
-    kind: str
-    m: int | None = None
-
-    def __post_init__(self) -> None:
-        _validate_kind(self.kind, self.m, CLASSICAL_KINDS)
-
-    def label(self) -> str:
-        return f"M_UNITARY({self.m})" if self.kind == "M_UNITARY" else self.kind
 
 
 def _snap(value):
@@ -218,66 +172,37 @@ def _nonzero_patterns(table: CumulantTable) -> list[StarPattern]:
     return sorted(out, key=lambda d: (len(d), d.letters))
 
 
-def _base_conditions(patterns: list[StarPattern], m_scan: int) -> dict:
-    return {
-        "even": all(len(d) % 2 == 0 for d in patterns),
-        "pairs": all(len(d) == 2 for d in patterns),
-        "balanced": all(d.imbalance == 0 for d in patterns),
-        "alternating": all(
-            d.imbalance == 0 and d.is_strictly_alternating() for d in patterns
-        ),
-        "two_alternating": all(d.letters in ("1*", "*1") for d in patterns),
-        "moduli": [
-            m
-            for m in range(3, m_scan + 1)
-            if all(d.imbalance % m == 0 for d in patterns)
-        ],
-    }
-
-
 def _classify(spec: CumulantSpecSingle, K: int, free: bool, m_scan: int):
+    """The classes whose family admits every nonzero cumulant pattern up to K
+    (easy.TABLE), and the shifted classes the table does not name."""
     if spec.dim != 1:
         raise InputMismatchError("classification handles scalar specs")
     if K > spec.order:
         raise IncompleteTableError(
             f"spec declares order {spec.order}, classification needs {K}"
         )
-    Tag = FreeClassTag if free else ClassicalClassTag
-    table = spec.to_table(include_shift=True)
-    patterns = [d for d in _nonzero_patterns(table) if len(d) <= K]
-    cond = _base_conditions(patterns, m_scan)
-    tags = set()
-    if cond["even"]:
-        tags.add(Tag("SYMMETRIC"))
-    if cond["pairs"]:
-        tags.add(Tag("ORTHOGONAL"))
-        if spec.selfadjoint:
-            tags.add(Tag("SEMICIRCULAR" if free else "GAUSSIAN"))
-    for m in cond["moduli"]:
-        tags.add(Tag("M_UNITARY", m))
-    if cond["balanced"]:
-        tags.add(Tag("FREE_UNITARY" if free else "UNITARY"))
-    if free and cond["alternating"]:
-        tags.add(Tag("R_DIAGONAL"))
-    if cond["two_alternating"]:
-        tags.add(Tag("CIRCULAR" if free else "COMPLEX_GAUSSIAN"))
-
+    patterns = [d for d in _nonzero_patterns(spec.to_table(include_shift=True)) if len(d) <= K]
+    shifted = abs(spec.first_cumulant()) > SNAP_TOL
+    tags = {
+        t
+        for t in class_tags(m_scan, classical=not free)
+        if (shifted or not t.shifted)
+        and (spec.selfadjoint or not t.selfadjoint)
+        and all(governing_family(t).admits(d) for d in patterns)
+    }
     noncanonical = []
-    if abs(spec.first_cumulant()) > SNAP_TOL:
-        ctable = spec.centered().to_table()
-        cpatterns = [d for d in _nonzero_patterns(ctable) if len(d) <= K]
-        ccond = _base_conditions(cpatterns, m_scan)
-        if ccond["pairs"]:
-            tags.add(Tag("SHIFTED_ORTHOGONAL"))
-        if ccond["two_alternating"]:
-            tags.add(Tag("SHIFTED_CIRCULAR" if free else "SHIFTED_COMPLEX_GAUSSIAN"))
-        # the remaining centered classes have no shifted counterpart
-        if free and ccond["alternating"] and not ccond["two_alternating"]:
-            noncanonical.append("SHIFTED_R_DIAGONAL")
-        if ccond["balanced"] and not ccond["alternating"]:
-            noncanonical.append("SHIFTED_FREE_UNITARY" if free else "SHIFTED_UNITARY")
-        if ccond["even"] and not ccond["pairs"]:
-            noncanonical.append("SHIFTED_SYMMETRIC")
+    if shifted:
+        centered = [d for d in patterns if len(d) > 1]
+
+        def admitted(kind: str) -> bool:
+            return all(FamilyTag(kind).admits(d) for d in centered)
+
+        # centered cumulants in a family's class but not in the class just
+        # inside it make a shifted law that no class of the table names
+        for kind, below in (("H_PRIME_PLUS", "U_PLUS"), ("H_0_PLUS", "H_PRIME_PLUS"), ("H_S_PLUS", "O_PLUS")):
+            names = TABLE[kind].classes(not free)
+            if names and admitted(kind) and not admitted(below):
+                noncanonical.append("SHIFTED_" + names[0])
     return tags, noncanonical
 
 
@@ -310,92 +235,15 @@ def classify_classical_report(spec: CumulantSpecSingle, K: int, m_scan: int | No
     return _report(spec, K, m_scan, False)
 
 
-def implies(a, b) -> bool:
-    """Whether membership in class a forces membership in class b.
-
-    The relation is the inclusion of the admissible pattern sets, written
-    out by hand: bounded pattern enumeration cannot certify divisibility
-    facts like M(12) vs M(5).
-    """
-    if type(a) is not type(b):
-        raise InputMismatchError("cannot compare free and classical tags")
-    if a == b:
-        return True
-    free = isinstance(a, FreeClassTag)
-    unitary = "FREE_UNITARY" if free else "UNITARY"
-    pair_alt = "CIRCULAR" if free else "COMPLEX_GAUSSIAN"
-    quadratic = "SEMICIRCULAR" if free else "GAUSSIAN"
-    shifted_pair_alt = "SHIFTED_CIRCULAR" if free else "SHIFTED_COMPLEX_GAUSSIAN"
-    ka, kb = a.kind, b.kind
-    if ka == pair_alt and kb in (
-        "ORTHOGONAL",
-        "SYMMETRIC",
-        "R_DIAGONAL",
-        unitary,
-        "M_UNITARY",
-    ):
-        return True
-    if ka == "R_DIAGONAL" and kb in (unitary, "M_UNITARY", "SYMMETRIC"):
-        return True
-    if ka == unitary and kb in ("M_UNITARY", "SYMMETRIC"):
-        return True
-    if ka == "M_UNITARY":
-        if kb == "M_UNITARY":
-            return a.m % b.m == 0
-        if kb == "SYMMETRIC":
-            return a.m % 2 == 0
-    if ka == quadratic and kb in ("ORTHOGONAL", "SYMMETRIC"):
-        return True
-    if ka == "ORTHOGONAL" and kb == "SYMMETRIC":
-        return True
-    if ka == shifted_pair_alt and kb == "SHIFTED_ORTHOGONAL":
-        return True
-    return False
-
-
 def class_implications(m_scan: int = 6, free: bool = True) -> set:
     """All (a, b) pairs with a => b over the tag universe scanned to m_scan."""
-    Tag = FreeClassTag if free else ClassicalClassTag
-    kinds = FREE_KINDS if free else CLASSICAL_KINDS
-    universe = []
-    for kind in kinds:
-        if kind == "M_UNITARY":
-            universe.extend(Tag(kind, m) for m in range(3, m_scan + 1))
-        else:
-            universe.append(Tag(kind))
-    return {
-        (a, b)
-        for a in universe
-        for b in universe
-        if a != b and implies(a, b)
-    }
+    universe = class_tags(m_scan, classical=not free)
+    return {(a, b) for a in universe for b in universe if a != b and implies(a, b)}
 
 
 def upward_closure(tags) -> set:
     tags = set(tags)
-    out = set(tags)
-    for a in tags:
-        for b in _closure_targets(a):
-            out.add(b)
-    return out
-
-
-def _closure_targets(a):
-    Tag = type(a)
-    out = set()
-    kinds = FREE_KINDS if isinstance(a, FreeClassTag) else CLASSICAL_KINDS
-    for kind in kinds:
-        if kind == "M_UNITARY":
-            ms = range(3, (a.m or 12) + 1) if a.kind == "M_UNITARY" else range(3, 13)
-            for m in ms:
-                b = Tag(kind, m)
-                if implies(a, b):
-                    out.add(b)
-        else:
-            b = Tag(kind)
-            if implies(a, b):
-                out.add(b)
-    return out
+    return tags | {b for a in tags for b in class_tags(a.m or M_MAX_DEFAULT, a.classical) if implies(a, b)}
 
 
 def minimal_tags(tags) -> set:
@@ -407,7 +255,7 @@ def minimal_tags(tags) -> set:
     }
 
 
-def sample_spec(tag: FreeClassTag, seed: int = 0) -> CumulantSpecSingle:
+def sample_spec(tag: ClassTag, seed: int = 0) -> CumulantSpecSingle:
     """A witness spec whose classification is minimal exactly at the tag.
 
     Seed 0 gives exact unit weights; other seeds jitter the magnitudes

@@ -19,10 +19,10 @@ import numpy as np
 from .cumulants import MomentTable, moments_to_free_cumulants
 from .distributions import (
     CumulantSpecSingle,
-    FreeClassTag,
     sample_spec,
     spec_from_cumulant_table,
 )
+from .easy import ClassTag, class_tags
 from .errors import InputMismatchError
 from .partitions import StarPattern
 from .qgroups import FamilyTag, MatrixRep, check_family
@@ -161,40 +161,21 @@ def haar_unitary_spec(order: int = 6) -> CumulantSpecSingle:
     return spec_from_cumulant_table(table)
 
 
+# name, family and size of each fixture model
 _REP_RECIPES = (
-    ("permutation", FamilyTag("S_PLUS"), lambda: permutation_rep(3)),
-    ("rotation", FamilyTag("O_PLUS"), lambda: rotation_rep(2)),
-    (
-        "bistochastic_orthogonal",
-        FamilyTag("B_S_PLUS"),
-        lambda: bistochastic_orthogonal_rep(3),
-    ),
-    ("sign_diag", FamilyTag("H_S_PLUS"), lambda: sign_diag_rep(2)),
-    (
-        "bistochastic_unitary",
-        FamilyTag("B_PLUS"),
-        lambda: bistochastic_unitary_rep(3),
-    ),
-    ("phase_diag_3", FamilyTag("H_M_PLUS", 3), lambda: phase_diag_rep(3, 3)),
-    ("irrational_phase", FamilyTag("H_0_PLUS"), lambda: irrational_phase_rep(3)),
-    ("nilpotent_pair", FamilyTag("H_PRIME_PLUS"), lambda: nilpotent_pair_rep(2)),
-    ("unit_i_diag", FamilyTag("U_PLUS"), lambda: unit_i_diag_rep(3)),
-)
-
-_SPEC_TAGS = (
-    FreeClassTag("SYMMETRIC"),
-    FreeClassTag("ORTHOGONAL"),
-    FreeClassTag("SEMICIRCULAR"),
-    FreeClassTag("SHIFTED_ORTHOGONAL"),
-    FreeClassTag("M_UNITARY", 3),
-    FreeClassTag("FREE_UNITARY"),
-    FreeClassTag("R_DIAGONAL"),
-    FreeClassTag("CIRCULAR"),
-    FreeClassTag("SHIFTED_CIRCULAR"),
+    ("permutation", FamilyTag("S_PLUS"), 3),
+    ("rotation", FamilyTag("O_PLUS"), 2),
+    ("bistochastic_orthogonal", FamilyTag("B_S_PLUS"), 3),
+    ("sign_diag", FamilyTag("H_S_PLUS"), 2),
+    ("bistochastic_unitary", FamilyTag("B_PLUS"), 3),
+    ("phase_diag_3", FamilyTag("H_M_PLUS", 3), 3),
+    ("irrational_phase", FamilyTag("H_0_PLUS"), 3),
+    ("nilpotent_pair", FamilyTag("H_PRIME_PLUS"), 2),
+    ("unit_i_diag", FamilyTag("U_PLUS"), 3),
 )
 
 
-def _spec_name(tag: FreeClassTag) -> str:
+def _spec_name(tag: ClassTag) -> str:
     if tag.kind == "M_UNITARY":
         return f"spec_m_unitary_{tag.m}"
     return "spec_" + tag.kind.lower()
@@ -216,8 +197,8 @@ class FixtureSet:
 
 
 def fixture_set(seed: int = 0) -> FixtureSet:
-    reps = {name: (build(), tag) for name, tag, build in _REP_RECIPES}
-    specs = {_spec_name(tag): sample_spec(tag, seed=seed) for tag in _SPEC_TAGS}
+    reps = {name: (witness_for_family(tag, n), tag) for name, tag, n in _REP_RECIPES}
+    specs = {_spec_name(tag): sample_spec(tag, seed=seed) for tag in class_tags(3)}
     specs["haar_unitary"] = haar_unitary_spec()
     out = FixtureSet(reps=reps, specs=specs)
     out.validate()

@@ -30,18 +30,17 @@ from .cumulants import (
     joint_moment_tensor,
     pattern_sort_key,
 )
-from .distributions import CumulantSpecSingle, FreeClassTag, sample_spec
+from .distributions import CumulantSpecSingle, sample_spec
+from .easy import all_family_tags, class_tags, family_below, governing_family
 from .errors import BudgetError, InputMismatchError, OrderBoundError
 from .fixtures import witness_for_family
 from .partitions import ONE, STAR, StarPattern
 from .qgroups import (
     Check,
-    FamilyTag,
     MatrixRep,
     _check_family,
     block_identity_holds,
     check_biunitary,
-    family_below,
     operator_norm,
     spectral_norms,
 )
@@ -340,51 +339,9 @@ def cumulant_identity_extractor(
     return out
 
 
-# which relation family governs each distribution class
-CLASS_TO_FAMILY = {
-    "SYMMETRIC": FamilyTag("H_S_PLUS"),
-    "ORTHOGONAL": FamilyTag("O_PLUS"),
-    "SEMICIRCULAR": FamilyTag("O_PLUS"),
-    "SHIFTED_ORTHOGONAL": FamilyTag("B_S_PLUS"),
-    "M_UNITARY": None,  # modulus-dependent, resolved per tag
-    "FREE_UNITARY": FamilyTag("H_0_PLUS"),
-    "R_DIAGONAL": FamilyTag("H_PRIME_PLUS"),
-    "CIRCULAR": FamilyTag("U_PLUS"),
-    "SHIFTED_CIRCULAR": FamilyTag("B_PLUS"),
-}
-
-_PROBE_CLASSES = (
-    FreeClassTag("SYMMETRIC"),
-    FreeClassTag("ORTHOGONAL"),
-    FreeClassTag("SEMICIRCULAR"),
-    FreeClassTag("SHIFTED_ORTHOGONAL"),
-    FreeClassTag("M_UNITARY", 3),
-    FreeClassTag("FREE_UNITARY"),
-    FreeClassTag("R_DIAGONAL"),
-    FreeClassTag("CIRCULAR"),
-    FreeClassTag("SHIFTED_CIRCULAR"),
-)
-
-_PROBE_FAMILIES = (
-    FamilyTag("S_PLUS"),
-    FamilyTag("B_S_PLUS"),
-    FamilyTag("H_S_PLUS"),
-    FamilyTag("B_PLUS"),
-    FamilyTag("O_PLUS"),
-    FamilyTag("H_M_PLUS", 3),
-    FamilyTag("H_0_PLUS"),
-    FamilyTag("H_PRIME_PLUS"),
-    FamilyTag("U_PLUS"),
-)
-
-
-def governing_family(tag: FreeClassTag) -> FamilyTag:
-    if tag.kind == "M_UNITARY":
-        return FamilyTag("H_M_PLUS", tag.m)
-    fam = CLASS_TO_FAMILY.get(tag.kind)
-    if fam is None:
-        raise InputMismatchError(f"no governing family for {tag!r}")
-    return fam
+# the probe grid: every free class and every family, with the modulus 3
+_PROBE_CLASSES = tuple(class_tags(3))
+_PROBE_FAMILIES = tuple(all_family_tags(3))
 
 
 def theorem1_probe(n: int = 2, max_order: int = 5, seed: int = 0) -> dict:
@@ -396,8 +353,19 @@ def theorem1_probe(n: int = 2, max_order: int = 5, seed: int = 0) -> dict:
     land in more families than their own) are noted, not special-cased.
     """
     witnesses = {fam: witness_for_family(fam, n) for fam in _PROBE_FAMILIES}
-    # each witness's biunitarity is checked once for all its family checks
-    bases = {fam: check_biunitary(rep) for fam, rep in witnesses.items()}
+    # each witness's family checks run once, on one biunitarity check; every
+    # cell reads its expected verdict from the witness's profile
+    satisfied, profiles, notes = {}, {}, []
+    for fam, rep in witnesses.items():
+        base = check_biunitary(rep)
+        satisfied[fam] = [g for g in _PROBE_FAMILIES if _check_family(rep, g, base).holds]
+        profiles[fam.label()] = [g.label() for g in satisfied[fam]]
+        extra = [g.label() for g in satisfied[fam] if not family_below(fam, g)]
+        if extra:
+            notes.append(
+                f"witness for {fam.label()} at n={n} also satisfies "
+                + ", ".join(extra)
+            )
     grid: dict = {}
     mismatches = []
     for ctag in _PROBE_CLASSES:
@@ -407,36 +375,15 @@ def theorem1_probe(n: int = 2, max_order: int = 5, seed: int = 0) -> dict:
                 f"max_order {max_order} exceeds sample order {spec.order}"
             )
         governing = governing_family(ctag)
-        joint = None
+        joint = FreeIIDJoint(spec.to_table(), n)
         row: dict = {}
         for fam, rep in witnesses.items():
-            if joint is None or joint.n != rep.n:
-                joint = FreeIIDJoint(spec.to_table(), rep.n)
-            expected = _check_family(rep, governing, bases[fam]).holds
+            expected = governing in satisfied[fam]
             actual = check_invariance(joint, rep, max_order).invariant
             row[fam.label()] = {"expected": expected, "actual": actual}
             if expected != actual:
                 mismatches.append((ctag.label(), fam.label()))
         grid[ctag.label()] = row
-
-    profiles = {}
-    notes = []
-    for fam, rep in witnesses.items():
-        satisfied = [
-            g.label() for g in _PROBE_FAMILIES if _check_family(rep, g, bases[fam]).holds
-        ]
-        profiles[fam.label()] = satisfied
-        expected_cone = {
-            g.label()
-            for g in _PROBE_FAMILIES
-            if _below_or_equal(fam, g)
-        }
-        extra = [s for s in satisfied if s not in expected_cone]
-        if extra:
-            notes.append(
-                f"witness for {fam.label()} at n={n} also satisfies "
-                + ", ".join(extra)
-            )
     return {
         "n": n,
         "max_order": max_order,
@@ -447,7 +394,3 @@ def theorem1_probe(n: int = 2, max_order: int = 5, seed: int = 0) -> dict:
         "witness_profiles": profiles,
         "notes": notes,
     }
-
-
-def _below_or_equal(a: FamilyTag, b: FamilyTag) -> bool:
-    return a == b or family_below(a, b)

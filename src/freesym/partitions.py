@@ -168,37 +168,6 @@ class IndexWord:
         return iter(self.indices)
 
 
-@dataclass(frozen=True)
-class DecorationClass:
-    """Blockwise admissibility rule for star patterns."""
-
-    kind: str
-    m: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in {"m_divisible", "inf_divisible", "alternating", "alternating_pair"}:
-            raise InputMismatchError(f"unknown decoration kind {self.kind!r}")
-        if self.kind == "m_divisible":
-            if self.m is None or self.m < 1:
-                raise InputMismatchError("m_divisible needs a modulus m >= 1")
-        elif self.m is not None:
-            raise InputMismatchError(f"{self.kind} takes no modulus")
-
-    def label(self) -> str:
-        if self.kind == "m_divisible":
-            return f"M_DIVISIBLE({self.m})"
-        return self.kind.upper()
-
-
-def m_divisible(m: int) -> DecorationClass:
-    return DecorationClass("m_divisible", m)
-
-
-INF_DIVISIBLE = DecorationClass("inf_divisible")
-ALTERNATING = DecorationClass("alternating")
-ALTERNATING_PAIR = DecorationClass("alternating_pair")
-
-
 def _word_indices(word) -> tuple[int, ...]:
     if isinstance(word, IndexWord):
         return word.indices
@@ -321,39 +290,20 @@ def block_restriction(p: Partition, pattern, block_index: int) -> StarPattern:
     return d.restrict(p.blocks[block_index])
 
 
-def satisfies_decoration(restricted, cls: DecorationClass) -> bool:
-    """Check one block's restricted pattern against a decoration class.
-
-    The empty restriction is vacuously admissible except for the pair rule,
-    which demands length exactly two.
-    """
-    d = StarPattern.coerce(restricted)
-    if cls.kind == "m_divisible":
-        return d.imbalance % cls.m == 0
-    if cls.kind == "inf_divisible":
-        return d.imbalance == 0
-    if cls.kind == "alternating":
-        return d.imbalance == 0 and d.is_strictly_alternating()
-    # alternating_pair
-    return len(d) == 2 and d.imbalance == 0
+def satisfies_decoration(restricted, family) -> bool:
+    """Whether a family's category (an easy.FamilyTag) admits one block with
+    the restricted pattern.  The empty restriction is a pattern of length
+    zero: balanced, say, but no pair."""
+    return family.admits(restricted)
 
 
-def filter_decorated(parts: Iterable[Partition], pattern, cls: DecorationClass) -> list[Partition]:
-    """Partitions all of whose blocks are admissible for the given pattern.
-
-    For the pair rule the partition must in addition be a pair partition;
-    with length-2 blocks forced this is automatic, but it is checked anyway.
-    """
+def filter_decorated(parts: Iterable[Partition], pattern, family) -> list[Partition]:
+    """Partitions all of whose blocks the family admits for the given pattern."""
     d = StarPattern.coerce(pattern)
     out = []
     for p in parts:
         if p.k != len(d):
             raise InputMismatchError("pattern length must equal the partition size")
-        ok = all(
-            satisfies_decoration(d.restrict(b), cls) for b in p.blocks
-        )
-        if ok and cls.kind == "alternating_pair":
-            ok = all(len(b) == 2 for b in p.blocks)
-        if ok:
+        if all(family.admits(d.restrict(b)) for b in p.blocks):
             out.append(p)
     return out

@@ -27,12 +27,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cumulants import TUPLE_BUDGET
+from .easy import (  # FamilyTag, family_below and all_family_tags are also this module's API
+    M_MAX_DEFAULT,
+    FamilyTag,
+    all_family_tags,
+    family_below,
+    relations,
+)
 from .errors import BudgetError, InputMismatchError, SizeLimitError
 from .partitions import ONE, STAR, StarPattern
 
 DEFAULT_TOL = 1e-9
 MAX_FLAT_DIM = 64
-M_MAX_DEFAULT = 12
 
 # cells of one chunk of a commuting (d = 1) delta check: every array stays
 # this size
@@ -44,63 +50,6 @@ _CACHED_TUPLE_CELLS = 2 ** 14
 # is within this fraction of max(1, worst) of the worst one, so rounding-level
 # ties do not decide it
 _WITNESS_TIE = 1e-12
-
-FAMILY_KINDS = (
-    "S_PLUS",
-    "B_S_PLUS",
-    "H_S_PLUS",
-    "B_PLUS",
-    "O_PLUS",
-    "H_M_PLUS",
-    "H_0_PLUS",
-    "H_PRIME_PLUS",
-    "U_PLUS",
-)
-
-
-@dataclass(frozen=True, order=True)
-class FamilyTag:
-    kind: str
-    m: int | None = None
-    classical: bool = False
-
-    def __post_init__(self) -> None:
-        if self.kind not in FAMILY_KINDS:
-            raise InputMismatchError(f"unknown family kind {self.kind!r}")
-        if self.kind == "H_M_PLUS":
-            if self.m is None or self.m < 3:
-                raise InputMismatchError("H_M_PLUS needs a modulus m >= 3")
-        elif self.m is not None:
-            raise InputMismatchError(f"{self.kind} takes no modulus")
-
-    def label(self) -> str:
-        base = f"H_M_PLUS({self.m})" if self.kind == "H_M_PLUS" else self.kind
-        return base + (" classical" if self.classical else "")
-
-    def spell(self) -> str:
-        base = f"H_M_PLUS:{self.m}" if self.kind == "H_M_PLUS" else self.kind
-        return base + (":classical" if self.classical else "")
-
-    @staticmethod
-    def parse(text: str) -> "FamilyTag":
-        parts = text.strip().split(":")
-        classical = False
-        if parts and parts[-1].lower() == "classical":
-            classical = True
-            parts = parts[:-1]
-        if not parts or not parts[0]:
-            raise InputMismatchError(f"cannot parse family tag {text!r}")
-        kind = parts[0].upper()
-        m = None
-        if len(parts) == 2:
-            try:
-                m = int(parts[1])
-            except ValueError:
-                raise InputMismatchError(f"bad modulus in family tag {text!r}")
-        elif len(parts) > 2:
-            raise InputMismatchError(f"cannot parse family tag {text!r}")
-        return FamilyTag(kind, m, classical)
-
 
 @dataclass
 class Check:
@@ -405,23 +354,12 @@ def _sum_condition_residual(rep: MatrixRep) -> float:
     return worst
 
 
-def _projection_entries_residual(rep: MatrixRep) -> float:
+def _projection_residual(rep: MatrixRep, power: int) -> float:
+    """How far the power-th power of each entry is from a projection."""
     worst = 0.0
-    for i in range(rep.n):
-        for j in range(rep.n):
-            a = rep.entries[i, j]
-            worst = max(worst, operator_norm(a @ a - a))
-            worst = max(worst, operator_norm(a - a.conj().T))
-    return worst
-
-
-def _projection_squares_residual(rep: MatrixRep) -> float:
-    worst = 0.0
-    for i in range(rep.n):
-        for j in range(rep.n):
-            p = rep.entries[i, j] @ rep.entries[i, j]
-            worst = max(worst, operator_norm(p @ p - p))
-            worst = max(worst, operator_norm(p - p.conj().T))
+    for a in rep.entries.reshape(-1, rep.d, rep.d):
+        p = np.linalg.matrix_power(a, power)
+        worst = max(worst, operator_norm(p @ p - p), operator_norm(p - p.conj().T))
     return worst
 
 
@@ -442,40 +380,25 @@ def check_family(rep: MatrixRep, tag: FamilyTag) -> Check:
     return _check_family(rep, tag, check_biunitary(rep))
 
 
+_NAMED_RELATIONS = {
+    "sums": _sum_condition_residual,
+    "projections": lambda rep: _projection_residual(rep, 1),
+    "square_projections": lambda rep: _projection_residual(rep, 2),
+}
+
+
 def _check_family(rep: MatrixRep, tag: FamilyTag, base: Check) -> Check:
     """check_family with the model's biunitarity check already made."""
     residuals = {"biunitary": base.residual}
     witness = None
-    kind = tag.kind
-
-    def add_delta(name: str, pattern: str) -> None:
-        nonlocal witness
+    for key, pattern in relations(tag):
+        if pattern is None:
+            residuals[key] = _NAMED_RELATIONS[key](rep)
+            continue
         chk = full_delta_identity_holds(rep, pattern)
-        residuals[name] = chk.residual
+        residuals[key] = chk.residual
         if not chk.holds and witness is None:
             witness = chk.witness
-
-    if kind == "U_PLUS":
-        pass
-    elif kind == "O_PLUS":
-        add_delta("delta_11", "11")
-    elif kind == "B_S_PLUS":
-        add_delta("delta_11", "11")
-        residuals["sums"] = _sum_condition_residual(rep)
-    elif kind == "H_S_PLUS":
-        add_delta("delta_11", "11")
-        residuals["square_projections"] = _projection_squares_residual(rep)
-    elif kind == "B_PLUS":
-        residuals["sums"] = _sum_condition_residual(rep)
-    elif kind == "H_M_PLUS":
-        add_delta(f"delta_ones_{tag.m}", ONE * tag.m)
-    elif kind == "H_0_PLUS":
-        add_delta("delta_11ss", "11**")
-    elif kind == "H_PRIME_PLUS":
-        add_delta("delta_1s1s", "1*1*")
-    elif kind == "S_PLUS":
-        residuals["projections"] = _projection_entries_residual(rep)
-        residuals["sums"] = _sum_condition_residual(rep)
     if tag.classical:
         residuals["commutativity"] = _commutativity_residual(rep)
     residual = max(residuals.values())
@@ -620,42 +543,6 @@ def structural_consequences(rep: MatrixRep, patterns=None) -> dict:
         "checks": checks,
         "holds": all(c.holds for c in checks.values()),
     }
-
-
-def family_below(a: FamilyTag, b: FamilyTag) -> bool:
-    """Whether family a sits inside family b in the symmetry lattice."""
-    if a.classical != b.classical:
-        return False
-    if a.kind == b.kind:
-        if a.kind == "H_M_PLUS":
-            return b.m % a.m == 0
-        return True
-    if b.kind == "U_PLUS" or a.kind == "S_PLUS":
-        return True
-    above = {
-        "B_S_PLUS": lambda t: t.kind in ("B_PLUS", "O_PLUS"),
-        "H_S_PLUS": lambda t: t.kind in ("O_PLUS", "H_0_PLUS", "H_PRIME_PLUS")
-        or (t.kind == "H_M_PLUS" and t.m % 2 == 0),
-        "H_M_PLUS": lambda t: t.kind in ("H_0_PLUS", "H_PRIME_PLUS"),
-        "H_0_PLUS": lambda t: t.kind == "H_PRIME_PLUS",
-        "O_PLUS": lambda t: False,
-        "B_PLUS": lambda t: False,
-        "H_PRIME_PLUS": lambda t: False,
-        "U_PLUS": lambda t: False,
-    }
-    return above[a.kind](b)
-
-
-def all_family_tags(m_max: int = M_MAX_DEFAULT, classical: bool = False):
-    tags = [
-        FamilyTag(kind, classical=classical)
-        for kind in FAMILY_KINDS
-        if kind != "H_M_PLUS"
-    ]
-    tags.extend(
-        FamilyTag("H_M_PLUS", m, classical=classical) for m in range(3, m_max + 1)
-    )
-    return tags
 
 
 def lattice_position(rep: MatrixRep, m_max: int = M_MAX_DEFAULT) -> dict:

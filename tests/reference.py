@@ -1,4 +1,4 @@
-"""Partition-sum reference for the cumulant calculus, used only by the tests.
+"""References used only by the tests: partition sums and hand-written lattices.
 
 eval_partitioned_free evaluates one partitioned functional by removing
 interval blocks one at a time, folding each value into the neighboring
@@ -7,6 +7,11 @@ is why the classical (all-partition) calculus is kept to commuting scalars.
 Summed over partitions it is the definition that the first-block recursion
 of freesym.cumulants computes: the conversions' values, and the joint
 moments of free copies (joint_moment_partition_sum).
+
+reference_family_below, reference_implies and reference_classify write the
+family lattice, the class lattice and the class conditions out by hand, as
+the package did before it derived them from the easy-category table
+(freesym.easy); the derived code must agree with them.
 """
 
 from __future__ import annotations
@@ -22,7 +27,8 @@ from freesym.cumulants import (
     identity_element,
     zero_element,
 )
-from freesym.errors import CrossingPartitionError, InputMismatchError
+from freesym.distributions import SNAP_TOL, ClassTag, _nonzero_patterns
+from freesym.errors import CrossingPartitionError, IncompleteTableError, InputMismatchError
 from freesym.partitions import (
     STAR,
     Partition,
@@ -279,3 +285,126 @@ def scalar_partition_sum(table, K: int, free: bool) -> MomentTable:
         for d, value in zip(ds, total):
             out.set(d, value)
     return out
+
+
+def reference_family_below(a, b) -> bool:
+    """Whether family a sits inside family b, by hand."""
+    if a.classical != b.classical:
+        return False
+    if a.kind == b.kind:
+        if a.kind == "H_M_PLUS":
+            return b.m % a.m == 0
+        return True
+    if b.kind == "U_PLUS" or a.kind == "S_PLUS":
+        return True
+    above = {
+        "B_S_PLUS": lambda t: t.kind in ("B_PLUS", "O_PLUS"),
+        "H_S_PLUS": lambda t: t.kind in ("O_PLUS", "H_0_PLUS", "H_PRIME_PLUS")
+        or (t.kind == "H_M_PLUS" and t.m % 2 == 0),
+        "H_M_PLUS": lambda t: t.kind in ("H_0_PLUS", "H_PRIME_PLUS"),
+        "H_0_PLUS": lambda t: t.kind == "H_PRIME_PLUS",
+        "O_PLUS": lambda t: False,
+        "B_PLUS": lambda t: False,
+        "H_PRIME_PLUS": lambda t: False,
+        "U_PLUS": lambda t: False,
+    }
+    return above[a.kind](b)
+
+
+def reference_implies(a, b) -> bool:
+    """Whether class a forces class b, by hand: inclusion of the admissible pattern sets."""
+    if a.classical != b.classical:
+        raise InputMismatchError("cannot compare free and classical tags")
+    if a == b:
+        return True
+    free = not a.classical
+    unitary = "FREE_UNITARY" if free else "UNITARY"
+    pair_alt = "CIRCULAR" if free else "COMPLEX_GAUSSIAN"
+    quadratic = "SEMICIRCULAR" if free else "GAUSSIAN"
+    shifted_pair_alt = "SHIFTED_CIRCULAR" if free else "SHIFTED_COMPLEX_GAUSSIAN"
+    ka, kb = a.kind, b.kind
+    if ka == pair_alt and kb in ("ORTHOGONAL", "SYMMETRIC", "R_DIAGONAL", unitary, "M_UNITARY"):
+        return True
+    if ka == "R_DIAGONAL" and kb in (unitary, "M_UNITARY", "SYMMETRIC"):
+        return True
+    if ka == unitary and kb in ("M_UNITARY", "SYMMETRIC"):
+        return True
+    if ka == "M_UNITARY":
+        if kb == "M_UNITARY":
+            return a.m % b.m == 0
+        if kb == "SYMMETRIC":
+            return a.m % 2 == 0
+    if ka == quadratic and kb in ("ORTHOGONAL", "SYMMETRIC"):
+        return True
+    if ka == "ORTHOGONAL" and kb == "SYMMETRIC":
+        return True
+    if ka == shifted_pair_alt and kb == "SHIFTED_ORTHOGONAL":
+        return True
+    return False
+
+
+def _conditions(patterns, m_scan: int) -> dict:
+    return {
+        "even": all(len(d) % 2 == 0 for d in patterns),
+        "pairs": all(len(d) == 2 for d in patterns),
+        "balanced": all(d.imbalance == 0 for d in patterns),
+        "alternating": all(d.imbalance == 0 and d.is_strictly_alternating() for d in patterns),
+        "two_alternating": all(d.letters in ("1*", "*1") for d in patterns),
+        "moduli": [m for m in range(3, m_scan + 1) if all(d.imbalance % m == 0 for d in patterns)],
+    }
+
+
+def reference_classify(spec, K: int, free: bool, m_scan: int):
+    """(tags, noncanonical shifted names) of a scalar spec, by hand-written conditions."""
+    if K > spec.order:
+        raise IncompleteTableError(f"spec declares order {spec.order}, classification needs {K}")
+
+    def Tag(kind, m=None):
+        return ClassTag(kind, m, not free)
+
+    patterns = [d for d in _nonzero_patterns(spec.to_table(include_shift=True)) if len(d) <= K]
+    cond = _conditions(patterns, m_scan)
+    tags = set()
+    if cond["even"]:
+        tags.add(Tag("SYMMETRIC"))
+    if cond["pairs"]:
+        tags.add(Tag("ORTHOGONAL"))
+        if spec.selfadjoint:
+            tags.add(Tag("SEMICIRCULAR" if free else "GAUSSIAN"))
+    for m in cond["moduli"]:
+        tags.add(Tag("M_UNITARY", m))
+    if cond["balanced"]:
+        tags.add(Tag("FREE_UNITARY" if free else "UNITARY"))
+    if free and cond["alternating"]:
+        tags.add(Tag("R_DIAGONAL"))
+    if cond["two_alternating"]:
+        tags.add(Tag("CIRCULAR" if free else "COMPLEX_GAUSSIAN"))
+
+    noncanonical = []
+    if abs(spec.first_cumulant()) > SNAP_TOL:
+        cpatterns = [d for d in _nonzero_patterns(spec.centered().to_table()) if len(d) <= K]
+        ccond = _conditions(cpatterns, m_scan)
+        if ccond["pairs"]:
+            tags.add(Tag("SHIFTED_ORTHOGONAL"))
+        if ccond["two_alternating"]:
+            tags.add(Tag("SHIFTED_CIRCULAR" if free else "SHIFTED_COMPLEX_GAUSSIAN"))
+        if free and ccond["alternating"] and not ccond["two_alternating"]:
+            noncanonical.append("SHIFTED_R_DIAGONAL")
+        if ccond["balanced"] and not ccond["alternating"]:
+            noncanonical.append("SHIFTED_FREE_UNITARY" if free else "SHIFTED_UNITARY")
+        if ccond["even"] and not ccond["pairs"]:
+            noncanonical.append("SHIFTED_SYMMETRIC")
+    return tags, noncanonical
+
+
+def reference_report(spec, K: int, free: bool) -> dict:
+    """classify_*_report built on reference_classify and reference_implies."""
+    m_scan = max(3, K)
+    tags, noncanonical = reference_classify(spec, K, free, m_scan)
+    minimal = {t for t in tags if not any(s != t and reference_implies(s, t) for s in tags)}
+    return {
+        "tags": sorted(t.label() for t in tags),
+        "minimal": sorted(t.label() for t in minimal),
+        "noncanonical_shifted": noncanonical,
+        "m_scan": m_scan,
+    }

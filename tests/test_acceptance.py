@@ -26,8 +26,6 @@ from freesym.fixtures import (
 from freesym.invariance import cumulant_identity_extractor
 from freesym.invariance import theorem1_probe
 from freesym.partitions import (
-    ALTERNATING,
-    ALTERNATING_PAIR,
     enumerate_all_partitions,
     enumerate_noncrossing,
     filter_decorated,
@@ -79,8 +77,9 @@ def test_01_partition_counts_match_recurrences():
 
 def test_02_decorated_counts_by_brute_force():
     nc4 = enumerate_noncrossing(4)
-    blockwise = filter_decorated(nc4, "1*1*", ALTERNATING)
-    paired = filter_decorated(nc4, "1*1*", ALTERNATING_PAIR)
+    # blockwise alternating (H') and alternating pairs (U+)
+    blockwise = filter_decorated(nc4, "1*1*", FamilyTag("H_PRIME_PLUS"))
+    paired = filter_decorated(nc4, "1*1*", FamilyTag("U_PLUS"))
     assert len(blockwise) == 3
     assert len(paired) == 2
     assert {p.blocks for p in paired} <= {p.blocks for p in blockwise}

@@ -4,11 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from freesym.easy import FamilyTag
 from freesym.errors import InputMismatchError, SizeLimitError
 from freesym.partitions import (
-    ALTERNATING,
-    ALTERNATING_PAIR,
-    INF_DIVISIBLE,
     IndexWord,
     Partition,
     StarPattern,
@@ -18,7 +16,6 @@ from freesym.partitions import (
     filter_decorated,
     is_noncrossing,
     kernel,
-    m_divisible,
     refines,
     satisfies_decoration,
 )
@@ -149,41 +146,47 @@ def test_block_restriction_uses_increasing_positions():
         block_restriction(p, "1*", 0)
 
 
+def F(kind, m=None):
+    return FamilyTag(kind, m)
+
+
 def test_decoration_rules_on_single_blocks():
-    assert satisfies_decoration("1*", INF_DIVISIBLE)
-    assert not satisfies_decoration("11", INF_DIVISIBLE)
-    assert satisfies_decoration("11", m_divisible(2))
-    assert not satisfies_decoration("11", m_divisible(3))
-    assert satisfies_decoration("111", m_divisible(3))
-    assert satisfies_decoration("1*1*", ALTERNATING)
-    assert not satisfies_decoration("11**", ALTERNATING)
-    assert satisfies_decoration("*1", ALTERNATING_PAIR)
-    assert not satisfies_decoration("1*1*", ALTERNATING_PAIR)
+    # balanced blocks (H_0), imbalance divisible by m (H_S for 2, H_M(m)),
+    # balanced alternating blocks (H'), balanced pairs (U)
+    assert satisfies_decoration("1*", F("H_0_PLUS"))
+    assert not satisfies_decoration("11", F("H_0_PLUS"))
+    assert satisfies_decoration("11", F("H_S_PLUS"))
+    assert not satisfies_decoration("11", F("H_M_PLUS", 3))
+    assert satisfies_decoration("111", F("H_M_PLUS", 3))
+    assert satisfies_decoration("1*1*", F("H_PRIME_PLUS"))
+    assert not satisfies_decoration("11**", F("H_PRIME_PLUS"))
+    assert satisfies_decoration("*1", F("U_PLUS"))
+    assert not satisfies_decoration("1*1*", F("U_PLUS"))
     # empty restriction: vacuous except for the pair rule
-    assert satisfies_decoration("", INF_DIVISIBLE)
-    assert satisfies_decoration("", ALTERNATING)
-    assert satisfies_decoration("", m_divisible(5))
-    assert not satisfies_decoration("", ALTERNATING_PAIR)
+    assert satisfies_decoration("", F("H_0_PLUS"))
+    assert satisfies_decoration("", F("H_PRIME_PLUS"))
+    assert satisfies_decoration("", F("H_M_PLUS", 5))
+    assert not satisfies_decoration("", F("U_PLUS"))
 
 
 def test_decorated_counts_frozen_examples():
     # counted by hand over the 14 noncrossing partitions of 4 points
     nc4 = enumerate_noncrossing(4)
-    balanced = filter_decorated(nc4, "1*1*", INF_DIVISIBLE)
+    balanced = filter_decorated(nc4, "1*1*", F("H_0_PLUS"))
     assert len(balanced) == 3
     assert {p.blocks for p in balanced} == {
         ((1, 2, 3, 4),),
         ((1, 2), (3, 4)),
         ((1, 4), (2, 3)),
     }
-    pairs = filter_decorated(nc4, "1*1*", ALTERNATING_PAIR)
+    pairs = filter_decorated(nc4, "1*1*", F("U_PLUS"))
     assert len(pairs) == 2
     assert {p.blocks for p in pairs} == {((1, 2), (3, 4)), ((1, 4), (2, 3))}
-    alt = filter_decorated(nc4, "1*1*", ALTERNATING)
+    alt = filter_decorated(nc4, "1*1*", F("H_PRIME_PLUS"))
     assert len(alt) == 3
-    even = filter_decorated(nc4, "1111", m_divisible(2))
+    even = filter_decorated(nc4, "1111", F("H_S_PLUS"))
     assert len(even) == 3
-    assert len(filter_decorated(nc4, "1111", m_divisible(1))) == 14
+    assert len(filter_decorated(nc4, "1111", F("S_PLUS"))) == 14
 
 
 def test_index_word_bounds():

@@ -705,7 +705,9 @@ def _free_family_tensor(table, n: int, letters: str, cs, memo: dict) -> np.ndarr
                 sub += term
         return acc
 
-    return segment(0, len(letters))
+    out = segment(0, len(letters))
+    del build  # segment and build refer to each other: free the memo with the call, not at gc
+    return out
 
 
 def multivariate_cumulants_from_joint_moments(oracle, K: int) -> MultiCumulantTable:

@@ -15,6 +15,7 @@ pattern fits.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -56,8 +57,9 @@ class FreeIIDJoint:
 
     The scan reads a scalar table's moments as one tensor per order over
     the words of (letter, index) pairs (order_tensor), built by the free
-    first-block recursion and memoised: a word's segments are shorter
-    words, so the orders below are all it reuses.  moment_tensor runs the
+    first-block recursion and memoised read-only: a word's segments are
+    shorter words, so the orders below are all it reuses.  Joints of the
+    same law and n may share that memo (_as_joint).  moment_tensor runs the
     per-pattern recursion (cumulants.joint_moment_tensor), for any table.
     """
 
@@ -78,7 +80,10 @@ class FreeIIDJoint:
         if self.n ** k > TUPLE_BUDGET:
             raise BudgetError(f"{self.n}^{k} index words exceed the tuple budget")
         self.table.require_order(k)
-        return _free_family_tensor(self.table, self.n, EITHER * k, None, self._orders)
+        tensor = _free_family_tensor(self.table, self.n, EITHER * k, None, self._orders)
+        for built in self._orders.values():
+            built.setflags(write=False)
+        return tensor
 
     def moment_tensor(self, k: int, pattern, coeffs=None):
         return joint_moment_tensor(self.table, self.n, k, pattern, coeffs)
@@ -115,15 +120,23 @@ class TableJoint:
         return out if coeffs is None else _times_coeff_product(out, coeffs)
 
 
-def matrix_b_coeffs(k: int, seed: int = 0) -> list:
-    """k+1 interleaved 2x2 coefficients cycling a non-commuting pair."""
+@lru_cache(maxsize=16)
+def _coeff_pair(seed: int) -> tuple:
+    """The seed's non-commuting 2x2 pair, drawn once and read-only."""
     rng = np.random.default_rng(seed)
     while True:
         a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         b = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         if operator_norm(a @ b - b @ a) > 1e-3:
             break
-    pair = (a, b)
+    a.setflags(write=False)
+    b.setflags(write=False)
+    return a, b
+
+
+def matrix_b_coeffs(k: int, seed: int = 0) -> list:
+    """k+1 interleaved 2x2 coefficients cycling the seed's non-commuting pair."""
+    pair = _coeff_pair(seed)
     return [pair[t % 2] for t in range(k + 1)]
 
 
@@ -136,10 +149,31 @@ class InvarianceVerdict:
     tol: float
 
 
-def _as_joint(joint, rep: MatrixRep):
-    if isinstance(joint, CumulantSpecSingle):
-        return FreeIIDJoint(joint.to_table(), rep.n)
-    return joint
+# the last scalar law a spec was scanned as: (its table's content, {n: segment memo})
+_last_law: tuple = (None, {})
+
+
+def _as_joint(joint, n: int):
+    """A spec's free i.i.d. joint of n copies; any other joint as it is.
+
+    A scalar law shares the segment memo (its order tensors) of the last
+    law scanned, keyed on the table's content, so a spec changed between
+    calls gets a fresh one.  Only that law is kept, at every n it was
+    scanned: no more than one scan of it already held.  The pair is read
+    and replaced whole, so a joint never gets another law's memo.  Matrix
+    tables, whose array values make no key, get a memo of their own.
+    """
+    global _last_law
+    if not isinstance(joint, CumulantSpecSingle):
+        return joint
+    table = joint.to_table()
+    if table.dim != 1:
+        return FreeIIDJoint(table, n)
+    key = tuple(sorted(table.data.items()))
+    law = _last_law
+    if law[0] != key:
+        law = _last_law = (key, {})
+    return FreeIIDJoint(table, n, law[1].setdefault(n, {}))
 
 
 def _order_moments(joint, k: int, coeffs) -> tuple[np.ndarray, float]:
@@ -215,7 +249,7 @@ def check_invariance(
     lex order.  A chunk fixes as few leading letters as keep it within
     _CHUNK_CELLS cells, or all of them; chunks of zero moments are skipped.
     """
-    joint = _as_joint(joint, rep)
+    joint = _as_joint(joint, rep.n)
     if joint.n != rep.n:
         raise InputMismatchError(
             f"joint distribution has n={joint.n} but the model has n={rep.n}"
@@ -375,7 +409,7 @@ def theorem1_probe(n: int = 2, max_order: int = 5, seed: int = 0) -> dict:
                 f"max_order {max_order} exceeds sample order {spec.order}"
             )
         governing = governing_family(ctag)
-        joint = FreeIIDJoint(spec.to_table(), n)
+        joint = _as_joint(spec, n)
         row: dict = {}
         for fam, rep in witnesses.items():
             expected = governing in satisfied[fam]

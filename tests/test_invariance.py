@@ -1,11 +1,13 @@
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
 from freesym import invariance, qgroups
 from freesym.cumulants import random_cumulant_table
-from freesym.distributions import FreeClassTag, sample_spec
+from freesym.distributions import CumulantSpecSingle, FreeClassTag, sample_spec
 from freesym.errors import InputMismatchError, OrderBoundError
 from freesym.fixtures import (
     bistochastic_orthogonal_rep,
@@ -474,3 +476,106 @@ def test_scan_memory_is_its_order_tensors_plus_chunks():
         tracemalloc.stop()
     assert verdict.invariant
     assert peak < bound, (peak / 2**20, bound / 2**20)
+
+
+def _verdict_fields(verdict):
+    return verdict.invariant, verdict.worst_residual, verdict.first_violation
+
+
+def test_shared_order_tensors_give_the_cold_verdicts_bit_for_bit():
+    # laws and n interleave (A n=2, B n=3, A n=3, A n=2), so the last-law memo
+    # is replaced, rebuilt and reused; each scan equals one on a joint of its own
+    reps = {n: [(name, rep) for name, (rep, _) in fixture_set().reps.items() if rep.n == n]
+            for n in (2, 3)}
+    cold = {}
+    cases = 0
+    for a, ctag in enumerate(_PROBE_CLASSES):
+        other = _PROBE_CLASSES[(a + 1) % len(_PROBE_CLASSES)]
+        for tag, n in ((ctag, 2), (other, 3), (ctag, 3), (ctag, 2)):
+            spec = sample_spec(tag, seed=0)
+            for name, rep in reps[n]:
+                for matrix_coeffs in (False, True):
+                    key = (tag.label(), name, matrix_coeffs)
+                    if key not in cold:
+                        joint = FreeIIDJoint(spec.to_table(), n)
+                        cold[key] = _verdict_fields(check_invariance(joint, rep, 5, matrix_coeffs=matrix_coeffs))
+                    warm = check_invariance(spec, rep, 5, matrix_coeffs=matrix_coeffs)
+                    assert _verdict_fields(warm) == cold[key], key
+                    cases += 1
+        assert sorted(invariance._last_law[1]) == [2, 3]  # the last law, at both n
+    assert cases == len(_PROBE_CLASSES) * 2 * 2 * sum(len(r) for r in reps.values())
+
+
+def test_a_spec_changed_between_scans_gets_its_own_verdict():
+    spec = spec_of("CIRCULAR")
+    rep = unit_i_diag_rep(2)
+    before = check_invariance(spec, rep, 4)
+    assert before.invariant
+    spec.entries["11"] = 0.5  # the same object, now with a pattern the phases break
+    after = check_invariance(spec, rep, 4)
+    cold = check_invariance(FreeIIDJoint(spec.to_table(), 2), rep, 4)
+    assert not after.invariant
+    assert _verdict_fields(after) == _verdict_fields(cold)
+    del spec.entries["11"]
+    assert _verdict_fields(check_invariance(spec, rep, 4)) == _verdict_fields(before)
+
+
+def test_a_matrix_spec_scans_outside_the_shared_memo():
+    rng = np.random.default_rng(2)
+    block = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    spec = CumulantSpecSingle(order=4, dim=2, entries={"1*": block @ block.conj().T, "*1": np.eye(2)})
+    check_invariance(spec_of("SEMICIRCULAR"), rotation_rep(2), 3)
+    law = invariance._last_law
+    for rep in (rotation_rep(2), unit_i_diag_rep(2), nilpotent_pair_rep(2)):
+        want = check_invariance(FreeIIDJoint(spec.to_table(), 2), rep, 4)
+        assert _verdict_fields(check_invariance(spec, rep, 4)) == _verdict_fields(want)
+    assert invariance._last_law is law
+
+
+def test_shared_tensors_and_coefficients_are_read_only():
+    spec = spec_of("R_DIAGONAL")
+    check_invariance(spec, rotation_rep(2), 3)
+    joint = invariance._as_joint(spec, 2)
+    tensor = joint.order_tensor(3)
+    assert tensor is invariance._last_law[1][2]["???"]
+    with pytest.raises(ValueError):
+        tensor[0, 0, 0, 0, 0, 0] = 1.0
+    with pytest.raises(ValueError):
+        joint.order_tensor(2)[...] = 0.0
+    coeffs = matrix_b_coeffs(2, seed=4)
+    assert coeffs is not matrix_b_coeffs(2, seed=4)
+    with pytest.raises(ValueError):
+        coeffs[0][0, 0] = 0.0
+
+
+def test_the_memo_keeps_only_the_last_law():
+    reps = (rotation_rep(2), permutation_rep(3))
+    laws = [sample_spec(_PROBE_CLASSES[i % len(_PROBE_CLASSES)], seed=i + 1) for i in range(12)]
+    assert len({tuple(sorted(law.to_table().data.items())) for law in laws}) == 12
+    one_law = sum((2 * rep.n) ** k for rep in reps for k in range(1, 7)) * np.dtype(complex).itemsize
+    for rep in reps:
+        check_invariance(spec_of("SEMICIRCULAR"), rep, 6)  # warm the first-block tables
+    tracemalloc.start()
+    try:
+        for law in laws:
+            for rep in reps:
+                check_invariance(law, rep, 6)
+        gc.collect()  # empties the interpreter's free lists
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    held = sum(t.nbytes for memo in invariance._last_law[1].values() for t in memo.values())
+    assert held == one_law
+    assert retained < one_law + 2 ** 16, (retained, one_law)
+
+
+def test_a_replaced_law_frees_its_tensors_without_a_gc_pass():
+    check_invariance(spec_of("SEMICIRCULAR"), rotation_rep(2), 4)
+    replaced = weakref.ref(invariance._last_law[1][2]["????"])
+    gc.disable()
+    try:
+        check_invariance(spec_of("CIRCULAR"), rotation_rep(2), 4)
+        assert replaced() is None
+    finally:
+        gc.enable()
+

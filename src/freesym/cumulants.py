@@ -39,6 +39,7 @@ the test suite's reference (tests/reference.py).
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import operator
 from dataclasses import dataclass, field
@@ -89,9 +90,16 @@ def core_shape(dim: int, k: int) -> tuple[int, ...]:
     return (dim * dim,) * (k - 1) + (dim, dim)
 
 
-def _require_finite(value) -> None:
+def _finite(value) -> bool:
+    """Whether every real and imaginary part is finite; a plain number skips numpy."""
+    if isinstance(value, (int, float, complex)):
+        return cmath.isfinite(value)
     arr = np.asarray(value)
-    if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
+    return bool(np.all(np.isfinite(arr.real)) and np.all(np.isfinite(arr.imag)))
+
+
+def _require_finite(value) -> None:
+    if not _finite(value):
         raise InputMismatchError("non-finite table value")
 
 
@@ -282,6 +290,16 @@ def _flat_index(digits, a: int) -> int:
     return i
 
 
+@lru_cache(maxsize=MAX_SCALAR_ORDER + 1)
+def _pattern_words(K: int) -> tuple[str, ...]:
+    """Letters of every star pattern of orders 1..K, each order in code order.
+
+    words[i] has flat index i + 1 over {1, *} (_flat_index), so the 2^k
+    words of order k are _pattern_words(k)[-2 ** k:].
+    """
+    return tuple(d.letters for k in range(1, K + 1) for d in StarPattern.all_patterns(k))
+
+
 def _order_plan(k: int, a: int, free: bool) -> tuple[np.ndarray, np.ndarray]:
     """Flat indices of kappa(w|V) and of w's nonempty pieces, for every word w of order k.
 
@@ -395,7 +413,7 @@ def _spliced_recursion(data: dict, K: int, to_moments: bool, p: int) -> list:
     such chunks read.  A one-word chunk reads its operands as views.  A
     block whose kappa operands are all zero adds nothing and is skipped.
     """
-    words = [None] + [[d.letters for d in StarPattern.all_patterns(k)] for k in range(1, K + 1)]
+    words = [None] + [_pattern_words(k)[-2 ** k:] for k in range(1, K + 1)]
     steps = [max(1, _SPLICE_CELLS // p ** (2 * k)) for k in range(K + 1)]
 
     def stack(k: int) -> np.ndarray:
@@ -463,8 +481,7 @@ def _convert(table: _PatternTable, K: int, free: bool, to_moments: bool) -> _Pat
     if K < 0:
         raise OrderBoundError("order must be nonnegative")
     table.require_order(K)
-    # each order's patterns come in code order, so words[i] has flat index i + 1
-    words = [d.letters for k in range(1, K + 1) for d in StarPattern.all_patterns(k)]
+    words = _pattern_words(K)
     out = (MomentTable if to_moments else CumulantTable)(order=K, dim=p)
     if p == 1:
         known = np.array([0j] + [table.data.get(w, 0j) for w in words])
@@ -533,51 +550,81 @@ def joint_moments_free_family(table: CumulantTable, n: int, word, pattern, coeff
     return cs[0] @ _free_family_word(table, idx, d.letters, cs[1:])
 
 
+# segment values of the last scalar law _free_family_word evaluated:
+# (a snapshot of its table's data, {(letters, index kernel): value})
+_last_segments: tuple = (None, {})
+# entries of that memo, about 250 bytes each (16 MB when full); a full memo starts over
+_SEGMENT_CAP = 2 ** 16
+
+
 def _free_family_word(table, idx: tuple, letters: str, cs):
     """One entry of _free_family_tensor: its recursion on one word's segments.
 
     A first block V of a segment counts only where the indices on V agree,
     so V runs over the subsets of the segment's positions that carry its
-    first index.  Segment values are memoised for this word only; cs is as
-    in _free_family_tensor.  Scalar values take one lookup per block and
-    multiply kappa(w|V) by the segments in place, left to right.
+    first index.  cs is as in _free_family_tensor.  A segment's value
+    depends on its letters and its index kernel (which of its positions
+    carry equal indices), not on the indices themselves or on n.  Scalar
+    segments are memoised by (letters, kernel) for the last scalar law
+    evaluated, keyed on its table's content, with the word's own memo by
+    position in front, so a segment is relabelled at most once per word;
+    the shared memo starts over at _SEGMENT_CAP entries.  Scalar values
+    take one lookup per block and multiply kappa(w|V) by the segments in
+    place, left to right.  Matrix segments, which carry this word's
+    coefficients, are memoised for this word only.
     """
+    global _last_segments
     memo = {}
     get = table.data.get
 
-    def build(a: int, e: int) -> complex:
-        # the block {a} first, then the larger blocks in the order of
-        # itertools.combinations, as the matrix branch sums them
-        total = 0j
-        term = get(letters[a])
-        if term is not None:
-            if a + 1 < e:
-                s = memo.get((a + 1, e))
-                if s is None:
-                    s = memo[a + 1, e] = build(a + 1, e)
-                term *= s
-            total += term
-        same = [j for j in range(a + 1, e) if idx[j] == idx[a]]
-        for size in range(1, len(same) + 1):
-            for rest in itertools.combinations(same, size):
-                term = get(letters[a] + "".join([letters[j] for j in rest]))
-                if term is None:
-                    continue
-                v = a + 1
-                for end in rest + (e,):
-                    if v < end:
-                        s = memo.get((v, end))
-                        if s is None:
-                            s = memo[v, end] = build(v, end)
-                        term *= s
-                    v = end + 1
-                total += term
-        return total
-
     if cs is None:
-        return build(0, len(idx))
+        law = _last_segments
+        if law[0] != table.data:
+            law = _last_segments = (dict(table.data), {})
+        shared = law[1]
 
-    def segment(a: int, e: int):
+        def segment(a: int, e: int) -> complex:
+            s = memo.get((a, e))
+            if s is None:
+                labels = {}
+                key = (letters[a:e], tuple([labels.setdefault(i, len(labels)) for i in idx[a:e]]))
+                s = shared.get(key)
+                if s is None:
+                    s = build(a, e)
+                    if len(shared) >= _SEGMENT_CAP:
+                        shared.clear()
+                    shared[key] = s
+                memo[a, e] = s
+            return s
+
+        def build(a: int, e: int) -> complex:
+            # the block {a} first, then the larger blocks in the order of
+            # itertools.combinations, as the matrix branch sums them
+            total = 0j
+            term = get(letters[a])
+            if term is not None:
+                if a + 1 < e:
+                    term *= segment(a + 1, e)
+                total += term
+            same = [j for j in range(a + 1, e) if idx[j] == idx[a]]
+            for size in range(1, len(same) + 1):
+                for rest in itertools.combinations(same, size):
+                    term = get(letters[a] + "".join([letters[j] for j in rest]))
+                    if term is None:
+                        continue
+                    v = a + 1
+                    for end in rest + (e,):
+                        if v < end:
+                            term *= segment(v, end)
+                        v = end + 1
+                    total += term
+            return total
+
+        out = segment(0, len(idx))
+        del build  # segment and build refer to each other: free the word's memo with the call
+        return out
+
+    def segment_matrix(a: int, e: int):
         if (a, e) not in memo:
             memo[a, e] = build_matrix(a, e)
         return memo[a, e]
@@ -591,7 +638,7 @@ def _free_family_word(table, idx: tuple, letters: str, cs):
                 kappa = get("".join([letters[j] for j in block]))
                 if kappa is None:
                     continue
-                segs = [segment(v + 1, end) if v + 1 < end else None
+                segs = [segment_matrix(v + 1, end) if v + 1 < end else None
                         for v, end in zip(block, rest + (e,))]
                 sides = [cs[v] if s is None else cs[v] @ s for v, s in zip(block, segs)]
                 term = kappa
@@ -601,7 +648,9 @@ def _free_family_word(table, idx: tuple, letters: str, cs):
                 total = total + term
         return total
 
-    return segment(0, len(idx))
+    out = segment_matrix(0, len(idx))
+    del build_matrix  # as above
+    return out
 
 
 def joint_moment_tensor(table: CumulantTable, n: int, k: int, pattern, coeffs=None):
@@ -729,8 +778,9 @@ def multivariate_cumulants_from_joint_moments(oracle, K: int) -> MultiCumulantTa
                      dtype=complex)
     where = {}
     for k in range(1, K + 1):
+        patterns = list(StarPattern.all_patterns(k))
         for word in itertools.product(range(1, n + 1), repeat=k):
-            for d in StarPattern.all_patterns(k):
+            for d in patterns:
                 i = where[word, d.letters] = _flat_index(
                     [2 * (t - 1) + (ch == STAR) for t, ch in zip(word, d.letters)], a)
                 known[i] = oracle.moment(word, d)

@@ -14,6 +14,8 @@ import numpy as np
 
 from .cumulants import (
     CumulantTable,
+    _finite,
+    _pattern_words,
     moments_to_classical_cumulants,
     moments_to_free_cumulants,
 )
@@ -36,12 +38,13 @@ SELFADJOINT_TOL = 1e-9
 
 
 def _snap(value):
-    arr = np.asarray(value, dtype=complex)
-    out = arr.copy()
+    """A complex number or block with parts of magnitude at most SNAP_TOL set to 0."""
+    if isinstance(value, complex):
+        return complex(0.0 if abs(value.real) <= SNAP_TOL else value.real,
+                       0.0 if abs(value.imag) <= SNAP_TOL else value.imag)
+    out = np.array(value, dtype=complex)
     out.real[np.abs(out.real) <= SNAP_TOL] = 0.0
     out.imag[np.abs(out.imag) <= SNAP_TOL] = 0.0
-    if out.ndim == 0:
-        return complex(out)
     return out
 
 
@@ -69,15 +72,18 @@ class CumulantSpecSingle:
                 raise SchemaError(
                     f"entry pattern {d.letters!r} outside order bound {self.order}"
                 )
-            arr = np.asarray(value, dtype=complex)
-            if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
+            if self.dim == 1 and isinstance(value, (int, float, complex)):
+                arr = complex(value)  # a number needs no array
+            else:
+                arr = np.asarray(value, dtype=complex)
+            if not _finite(arr):
                 raise SchemaError("non-finite cumulant entry")
             if self.dim > 1 and arr.shape not in ((self.dim, self.dim),):
                 raise SchemaError(
                     f"matrix spec entries must be {self.dim}x{self.dim} blocks"
                 )
             snapped = _snap(arr if self.dim > 1 else complex(arr))
-            if np.any(np.asarray(snapped) != 0):
+            if snapped.any() if self.dim > 1 else snapped != 0:
                 clean[d.letters] = snapped
         self.entries = clean
         self.shift = complex(self.shift)
@@ -164,10 +170,15 @@ def _matrix_entry_core(value: np.ndarray, k: int, p: int) -> np.ndarray:
     return core
 
 
+def _magnitude(value, dim: int) -> float:
+    """Largest entry modulus of a table value: abs for scalars, numpy for blocks."""
+    return abs(value) if dim == 1 else float(np.max(np.abs(np.asarray(value))))
+
+
 def _nonzero_patterns(table: CumulantTable) -> list[StarPattern]:
     out = []
     for letters, value in table.data.items():
-        if float(np.max(np.abs(np.asarray(value)))) > SNAP_TOL:
+        if _magnitude(value, table.dim) > SNAP_TOL:
             out.append(StarPattern(letters))
     return sorted(out, key=lambda d: (len(d), d.letters))
 
@@ -312,7 +323,7 @@ def spec_from_cumulant_table(table: CumulantTable, selfadjoint: bool = False) ->
     entries = {
         letters: value
         for letters, value in table.data.items()
-        if float(np.max(np.abs(np.asarray(value)))) > SNAP_TOL
+        if _magnitude(value, table.dim) > SNAP_TOL
     }
     return CumulantSpecSingle(
         order=table.order, entries=entries, selfadjoint=selfadjoint, dim=table.dim
@@ -325,8 +336,7 @@ def _selfadjoint_spec(moments, cumulants: CumulantTable, K: int):
     if moments.dim != 1:
         return None
     for k in range(1, K + 1):
-        values = np.array([complex(moments.data.get(d.letters, 0j))
-                           for d in StarPattern.all_patterns(k)])
+        values = np.array([complex(moments.data.get(w, 0j)) for w in _pattern_words(k)[-2 ** k:]])
         if np.max(np.abs(values - values[0].real)) > SELFADJOINT_TOL * np.max(np.abs(values)):
             return None
     entries = {ONE * k: cumulants.data[ONE * k].real for k in range(1, K + 1)}

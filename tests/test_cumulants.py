@@ -789,3 +789,146 @@ def test_word_recursion_matches_partition_sums_at_order_five(table_kind, coeff_k
                     got = joint_moments_free_family(table, n, word, d, coeffs)
                     err = np.max(np.abs(got - want))
                     assert err <= 1e-12 * np.max(np.abs(want)), (n, word, d.letters, err)
+
+
+# ---------------------------------------------------------------------------
+# the word recursion's segment memo, shared across calls on one scalar law
+
+
+def _bits(value):
+    """A complex value's exact bits, telling 0.0 from -0.0."""
+    return value.real.hex(), value.imag.hex()
+
+
+def _cold(table, n, word, pattern, coeffs=None):
+    """joint_moments_free_family from an empty memo, leaving the memo empty."""
+    cumulants._last_segments = (None, {})
+    try:
+        return joint_moments_free_family(table, n, word, pattern, coeffs)
+    finally:
+        cumulants._last_segments = (None, {})
+
+
+@pytest.fixture
+def empty_segment_memo(monkeypatch):
+    monkeypatch.setattr(cumulants, "_last_segments", (None, {}))
+
+
+def test_shared_segments_are_bit_identical_across_interleaved_laws(empty_segment_memo):
+    """Warm values equal cold ones bit for bit: laws A, B, A and n = 2, 3 interleaved."""
+    a = random_cumulant_table(5, seed=82, scale=0.6)
+    b = _without_orders(random_cumulant_table(5, seed=83, scale=0.6), (3,))
+    runs = ((a, 2, 5), (b, 3, 4), (a, 3, 4), (a, 2, 5))
+    warm = []
+    for table, n, K in runs:
+        warm.append({})
+        for k in range(1, K + 1):
+            for word in itertools.product(range(1, n + 1), repeat=k):
+                for d in StarPattern.all_patterns(k):
+                    warm[-1][word, d.letters] = joint_moments_free_family(table, n, word, d)
+        assert cumulants._last_segments[0] == table.data
+    # the last run read the memo its n = 3 predecessor filled
+    assert len(cumulants._last_segments[1]) > 682
+    for (table, n, _), values in zip(runs, warm):
+        for (word, letters), value in values.items():
+            assert _bits(value) == _bits(_cold(table, n, word, letters)), (n, word, letters)
+
+
+def test_table_mutated_in_place_is_a_new_law(empty_segment_memo):
+    table = random_cumulant_table(5, seed=84, scale=0.6)
+    word, letters = (1, 2, 1, 1, 2), "1*1**"
+    first = joint_moments_free_family(table, 2, word, letters)
+    kept = table.data["1*"]
+    table.data["1*"] = 0.25 + 0.5j
+    changed = joint_moments_free_family(table, 2, word, letters)
+    assert _bits(changed) == _bits(_cold(table, 2, word, letters))
+    assert changed != first
+    table.data["1*"] = kept
+    assert _bits(joint_moments_free_family(table, 2, word, letters)) == _bits(first)
+
+
+def test_matrix_tables_and_coefficients_leave_the_shared_memo_alone(empty_segment_memo):
+    scalar = random_cumulant_table(5, seed=85, scale=0.6)
+    word, letters = (1, 2, 1, 1, 2), "1*1**"
+    plain = joint_moments_free_family(scalar, 2, word, letters)
+    law = cumulants._last_segments
+    held = dict(law[1])
+    rng = np.random.default_rng(86)
+    matrix = random_cumulant_table(5, dim=2, seed=87)
+    joint_moments_free_family(matrix, 2, word, letters)
+    joint_moments_free_family(matrix, 2, word, letters, _random_coeffs("matrix", 5, rng))
+    assert cumulants._last_segments is law and law[1] == held
+    # coefficients of a scalar table multiply outside the coefficient-free
+    # value: that value is memoised, and nothing else is
+    for kind in ("scalar", "matrix"):
+        coeffs = _random_coeffs(kind, 5, rng)
+        got = joint_moments_free_family(scalar, 2, word, letters, coeffs)
+        want = cumulants._times_coeff_product(plain, coeffs)
+        assert np.array_equal(got, want), kind
+        assert cumulants._last_segments is law and law[1] == held
+
+
+def test_multivariate_inverter_builds_each_segment_once(empty_segment_memo):
+    """n = 2, K = 5 asks for 1,364 joint moments; 682 (letters, kernel) pairs are distinct."""
+    table = random_cumulant_table(5, seed=88, scale=0.6)
+    multivariate_cumulants_from_joint_moments(_PointwiseFamily(table, 2), 5)
+    assert len(cumulants._last_segments[1]) == sum(2 ** k * 2 ** (k - 1) for k in range(1, 6)) == 682
+
+
+@pytest.mark.parametrize("matrix", [False, True])
+def test_word_recursion_leaves_no_cyclic_garbage(matrix):
+    table = random_cumulant_table(5, dim=2 if matrix else 1, seed=89)
+    joint_moments_free_family(table, 2, (1, 2, 1, 1, 2), "1*1**")
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(100):
+            joint_moments_free_family(table, 2, (1, 2, 1, 1, 2), "1*1**")
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def _restricted_growth_words(k):
+    """Every kernel of k letters, as its first-occurrence labels 1, 2, ..."""
+    words = [()]
+    for _ in range(k):
+        words = [w + (i,) for w in words for i in range(1, max(w, default=0) + 2)]
+    return words
+
+
+def test_shared_memo_stays_within_its_cap(monkeypatch, empty_segment_memo):
+    """K = 8, n = 8: segments past the cap start the memo over, and memory stays bounded.
+
+    An entry (key tuple, letters, kernel tuple, complex value, dict slot)
+    takes 250 to 300 bytes, so the bound is 320 bytes an entry; a full
+    memo at the real cap of 2^16 entries held 15.8 MiB.  That cap takes
+    some 12 s to fill under tracemalloc, so the test lowers it to 2^11 and
+    stores one and a half times that many segments: uncapped, they would
+    outgrow the bound.
+    """
+    table = random_cumulant_table(8, seed=90)
+    joint_moments_free_family(table, 8, (1,) * 8, "1" * 8)
+    cap = 2 ** 11
+    monkeypatch.setattr(cumulants, "_SEGMENT_CAP", cap)
+    patterns = [d.letters for d in StarPattern.all_patterns(8)]
+    stored = size = 0
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for rest in _restricted_growth_words(7):
+            for letters in patterns:
+                # an index of its own in front: every call reaches its 7-letter suffix
+                joint_moments_free_family(table, 8, (8,) + rest, letters)
+                now = len(cumulants._last_segments[1])
+                assert now <= cap
+                stored += now - size if now >= size else now
+                size = now
+            if stored > 1.5 * cap:
+                break
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert stored > 1.5 * cap
+    assert retained < 320 * cap, retained

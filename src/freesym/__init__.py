@@ -3,8 +3,8 @@
 Subpackage map:
 
 - ``partitions``: set/noncrossing partitions, star patterns, decorated filters
-- ``easy``: the easy-category table of the nine families, their classes and
-  both lattices
+- ``easy``: the easy-category table of the nine families, their classes,
+  both lattices and the meet that closes a satisfied set
 - ``cumulants``: moment/cumulant tables and conversions, scalar and matrix
 - ``distributions``: distribution classification from cumulant data
 - ``qgroups``: matrix models of easy-style quantum groups and their relations

@@ -105,15 +105,11 @@ def _cmd_convert(args) -> int:
 
 def _cmd_classify_dist(args) -> int:
     from . import serialize
-    from .distributions import classify_classical_report, classify_free_report
+    from .distributions import classify_report
 
     spec = serialize.load_spec(args.file)
     order = args.order if args.order is not None else spec.order
-    report = (
-        classify_free_report(spec, order)
-        if args.free
-        else classify_classical_report(spec, order)
-    )
+    report = classify_report(spec, order, args.free)
     if args.json:
         sys.stdout.write(serialize.dumps(report))
     else:

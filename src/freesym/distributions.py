@@ -217,18 +217,23 @@ def _classify(spec: CumulantSpecSingle, K: int, free: bool, m_scan: int):
     return tags, noncanonical
 
 
+def _scan_bound(K: int, m_scan: int | None) -> int:
+    """The moduli a classification scans: m_scan, or 3..K capped at M_MAX_DEFAULT."""
+    return m_scan or min(max(3, K), M_MAX_DEFAULT)
+
+
 def classify_free(spec: CumulantSpecSingle, K: int, m_scan: int | None = None):
-    tags, _ = _classify(spec, K, True, m_scan or max(3, K))
+    tags, _ = _classify(spec, K, True, _scan_bound(K, m_scan))
     return tags
 
 
 def classify_classical(spec: CumulantSpecSingle, K: int, m_scan: int | None = None):
-    tags, _ = _classify(spec, K, False, m_scan or max(3, K))
+    tags, _ = _classify(spec, K, False, _scan_bound(K, m_scan))
     return tags
 
 
-def _report(spec: CumulantSpecSingle, K: int, m_scan: int | None, free: bool) -> dict:
-    bound = m_scan or max(3, K)
+def classify_report(spec: CumulantSpecSingle, K: int, free: bool, m_scan: int | None = None) -> dict:
+    bound = _scan_bound(K, m_scan)
     tags, noncanonical = _classify(spec, K, free, bound)
     return {
         "tags": sorted(t.label() for t in tags),
@@ -236,25 +241,6 @@ def _report(spec: CumulantSpecSingle, K: int, m_scan: int | None, free: bool) ->
         "noncanonical_shifted": noncanonical,
         "m_scan": bound,
     }
-
-
-def classify_free_report(spec: CumulantSpecSingle, K: int, m_scan: int | None = None) -> dict:
-    return _report(spec, K, m_scan, True)
-
-
-def classify_classical_report(spec: CumulantSpecSingle, K: int, m_scan: int | None = None) -> dict:
-    return _report(spec, K, m_scan, False)
-
-
-def class_implications(m_scan: int = 6, free: bool = True) -> set:
-    """All (a, b) pairs with a => b over the tag universe scanned to m_scan."""
-    universe = class_tags(m_scan, classical=not free)
-    return {(a, b) for a in universe for b in universe if a != b and implies(a, b)}
-
-
-def upward_closure(tags) -> set:
-    tags = set(tags)
-    return tags | {b for a in tags for b in class_tags(a.m or M_MAX_DEFAULT, a.classical) if implies(a, b)}
 
 
 def minimal_tags(tags) -> set:
@@ -266,56 +252,36 @@ def minimal_tags(tags) -> set:
     }
 
 
+# class kind -> the spec's keyword arguments, given the weight draw w and the
+# modulus m; w is called in the order the arguments are written
+_SAMPLE_RECIPES = {
+    "SYMMETRIC": lambda w, m: dict(entries={"11": w(), "**": w(), "1111": w(), "****": w()}),
+    "ORTHOGONAL": lambda w, m: dict(entries=dict.fromkeys(("11", "1*", "*1", "**"), w())),
+    "SEMICIRCULAR": lambda w, m: dict(entries={"11": w()}, selfadjoint=True),
+    "SHIFTED_ORTHOGONAL": lambda w, m: dict(entries={"11": w()}, selfadjoint=True, shift=w()),
+    "M_UNITARY": lambda w, m: dict(entries={"1*": w(), "*1": w(), ONE * m: w(), STAR * m: w()}),
+    "FREE_UNITARY": lambda w, m: dict(entries={"1*": w(), "*1": w(), "11**": w()}),
+    "R_DIAGONAL": lambda w, m: dict(entries={"1*": w(), "*1": w(), "1*1*": -w(), "*1*1": -w()}),
+    "CIRCULAR": lambda w, m: dict(entries={"1*": w(), "*1": w()}),
+    "SHIFTED_CIRCULAR": lambda w, m: dict(entries={"1*": w(), "*1": w()}, shift=w()),
+}
+
+
 def sample_spec(tag: ClassTag, seed: int = 0) -> CumulantSpecSingle:
     """A witness spec whose classification is minimal exactly at the tag.
 
     Seed 0 gives exact unit weights; other seeds jitter the magnitudes
     without disturbing which patterns are populated.
     """
+    recipe = _SAMPLE_RECIPES.get(tag.kind)
+    if recipe is None:
+        raise InputMismatchError(f"no sample recipe for {tag!r}")
     rng = np.random.default_rng(seed)
 
     def w() -> float:
         return 1.0 if seed == 0 else float(1.0 + 0.5 * rng.uniform())
 
-    kind = tag.kind
-    if kind == "SYMMETRIC":
-        return CumulantSpecSingle(
-            order=6,
-            entries={"11": w(), "**": w(), "1111": w(), "****": w()},
-        )
-    if kind == "ORTHOGONAL":
-        v = w()
-        return CumulantSpecSingle(
-            order=6, entries={"11": v, "1*": v, "*1": v, "**": v}
-        )
-    if kind == "SEMICIRCULAR":
-        return CumulantSpecSingle(order=6, entries={"11": w()}, selfadjoint=True)
-    if kind == "SHIFTED_ORTHOGONAL":
-        return CumulantSpecSingle(
-            order=6, entries={"11": w()}, selfadjoint=True, shift=w()
-        )
-    if kind == "M_UNITARY":
-        m = tag.m
-        return CumulantSpecSingle(
-            order=max(6, m),
-            entries={"1*": w(), "*1": w(), ONE * m: w(), STAR * m: w()},
-        )
-    if kind == "FREE_UNITARY":
-        return CumulantSpecSingle(
-            order=6, entries={"1*": w(), "*1": w(), "11**": w()}
-        )
-    if kind == "R_DIAGONAL":
-        return CumulantSpecSingle(
-            order=6,
-            entries={"1*": w(), "*1": w(), "1*1*": -w(), "*1*1": -w()},
-        )
-    if kind == "CIRCULAR":
-        return CumulantSpecSingle(order=6, entries={"1*": w(), "*1": w()})
-    if kind == "SHIFTED_CIRCULAR":
-        return CumulantSpecSingle(
-            order=6, entries={"1*": w(), "*1": w()}, shift=w()
-        )
-    raise InputMismatchError(f"no sample recipe for {tag!r}")
+    return CumulantSpecSingle(order=max(6, tag.m or 0), **recipe(w, tag.m))
 
 
 def spec_from_cumulant_table(table: CumulantTable, selfadjoint: bool = False) -> CumulantSpecSingle:

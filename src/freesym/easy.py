@@ -11,6 +11,10 @@ detail keys) and the classes it governs in each calculus.  The rest is
 derived:
 
 - family_below(a, b): a admits every pattern b admits;
+- family_meet(families): the largest family below all of them.  The
+  intersection of two easy quantum groups has the category generated by
+  both (Banica & Speicher 2009), so this is the closure of a set of
+  families a model satisfies;
 - implies(a, b): family_below(governing(b), governing(a)), except that only
   a self-adjoint class implies a self-adjoint one (SEMICIRCULAR, GAUSSIAN)
   and only a shifted class implies a shifted one (SHIFTED_*);
@@ -230,3 +234,13 @@ def implies(a: ClassTag, b: ClassTag) -> bool:
     if (b.selfadjoint and not a.selfadjoint) or (b.shifted and not a.shifted):
         return False
     return family_below(governing_family(b), governing_family(a))
+
+
+def family_meet(families, m_max: int = M_MAX_DEFAULT) -> FamilyTag | None:
+    """The largest family of all_family_tags(m_max) below every given one,
+    or None when none is given."""
+    families = list(families)
+    if not families:
+        return None
+    below = [t for t in all_family_tags(m_max, families[0].classical) if all(family_below(t, f) for f in families)]
+    return next((t for t in below if all(family_below(s, t) for s in below)), None)

@@ -123,27 +123,22 @@ def nilpotent_pair_rep(n: int = 2) -> MatrixRep:
     return MatrixRep(entries)
 
 
+# family kind -> witness constructor, given the modulus m and the size n
+_WITNESSES = {
+    "S_PLUS": lambda m, n: permutation_rep(n),
+    "O_PLUS": lambda m, n: rotation_rep(n),
+    "B_S_PLUS": lambda m, n: bistochastic_orthogonal_rep(n),
+    "H_S_PLUS": lambda m, n: sign_diag_rep(n),
+    "B_PLUS": lambda m, n: bistochastic_unitary_rep(n),
+    "H_M_PLUS": phase_diag_rep,
+    "H_0_PLUS": lambda m, n: irrational_phase_rep(n),
+    "H_PRIME_PLUS": lambda m, n: nilpotent_pair_rep(n),
+    "U_PLUS": lambda m, n: unit_i_diag_rep(n),
+}
+
+
 def witness_for_family(tag: FamilyTag, n: int = 2) -> MatrixRep:
-    kind = tag.kind
-    if kind == "S_PLUS":
-        return permutation_rep(n)
-    if kind == "O_PLUS":
-        return rotation_rep(n)
-    if kind == "B_S_PLUS":
-        return bistochastic_orthogonal_rep(n)
-    if kind == "H_S_PLUS":
-        return sign_diag_rep(n)
-    if kind == "B_PLUS":
-        return bistochastic_unitary_rep(n)
-    if kind == "H_M_PLUS":
-        return phase_diag_rep(tag.m, n)
-    if kind == "H_0_PLUS":
-        return irrational_phase_rep(n)
-    if kind == "H_PRIME_PLUS":
-        return nilpotent_pair_rep(n)
-    if kind == "U_PLUS":
-        return unit_i_diag_rep(n)
-    raise InputMismatchError(f"no witness recipe for {tag!r}")
+    return _WITNESSES[tag.kind](tag.m, n)
 
 
 def haar_unitary_spec(order: int = 6) -> CumulantSpecSingle:

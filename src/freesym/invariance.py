@@ -37,7 +37,6 @@ from .errors import BudgetError, InputMismatchError, OrderBoundError
 from .fixtures import witness_for_family
 from .partitions import ONE, STAR, StarPattern
 from .qgroups import (
-    Check,
     MatrixRep,
     _check_family,
     block_identity_holds,
@@ -293,34 +292,6 @@ def check_invariance(
     )
 
 
-def check_2_exchangeable(joint, tol: float = 1e-9, coeffs=None) -> Check:
-    """First and second joint moments depend only on the equality pattern.
-
-    Singles must agree across positions; pairs must agree within the
-    diagonal bucket and within the off-diagonal bucket, which compares
-    the two orders of every pair as well.
-    """
-    details = {}
-    worst = 0.0
-    for letter in ("1", "*"):
-        T = np.asarray(joint.moment_tensor(1, letter), dtype=complex)
-        spread = float(np.abs(T - T[0]).max())
-        details[f"singles_{letter}"] = spread
-        worst = max(worst, spread)
-    n = joint.n
-    for letters in ("11", "1*", "*1", "**"):
-        pair_coeffs = None if coeffs is None else [1.0, coeffs, 1.0]
-        T = np.asarray(joint.moment_tensor(2, letters, pair_coeffs), dtype=complex)
-        diag = np.array([T[i, i] for i in range(n)])
-        off = np.array([T[i, j] for i in range(n) for j in range(n) if i != j])
-        spread = float(np.abs(diag - diag[0]).max())
-        if off.size:
-            spread = max(spread, float(np.abs(off - off[0]).max()))
-        details[f"pairs_{letters}"] = spread
-        worst = max(worst, spread)
-    return Check(holds=worst <= tol, residual=worst, details=details)
-
-
 def cumulant_identity_extractor(
     spec: CumulantSpecSingle,
     rep: MatrixRep,
@@ -348,7 +319,7 @@ def cumulant_identity_extractor(
             for letters, value in table.data.items()
             if len(letters) <= max_order and np.any(np.abs(value) > 0)
         },
-        key=lambda s: (len(s), pattern_sort_key(s)),
+        key=pattern_sort_key,
     )
     failed = []
     for letters in patterns:

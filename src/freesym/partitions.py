@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .errors import InputMismatchError, SizeLimitError
 
@@ -63,12 +63,6 @@ class Partition:
     def num_blocks(self) -> int:
         return len(self.blocks)
 
-    def block_of(self, position: int) -> tuple[int, ...]:
-        for b in self.blocks:
-            if position in b:
-                return b
-        raise InputMismatchError(f"position {position} not in 1..{self.k}")
-
     def block_index_map(self) -> dict[int, int]:
         """Position -> index of its block in canonical order."""
         out: dict[int, int] = {}
@@ -76,13 +70,6 @@ class Partition:
             for pos in b:
                 out[pos] = i
         return out
-
-    def to_lists(self) -> list[list[int]]:
-        return [list(b) for b in self.blocks]
-
-    @classmethod
-    def from_lists(cls, data: Sequence[Sequence[int]], k: int | None = None) -> "Partition":
-        return cls.of(data, k)
 
 
 @dataclass(frozen=True)
@@ -145,33 +132,6 @@ class StarPattern:
         """All 2^k patterns of length k, '1' sorted before '*'."""
         for combo in itertools.product((ONE, STAR), repeat=k):
             yield StarPattern("".join(combo))
-
-
-@dataclass(frozen=True)
-class IndexWord:
-    """A word of variable indices, optionally checked against a bound n."""
-
-    indices: tuple[int, ...]
-    n: int | None = None
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "indices", tuple(int(i) for i in self.indices))
-        if any(i < 1 for i in self.indices):
-            raise InputMismatchError("index word entries must be >= 1")
-        if self.n is not None and any(i > self.n for i in self.indices):
-            raise InputMismatchError(f"index word entries must be <= {self.n}")
-
-    def __len__(self) -> int:
-        return len(self.indices)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.indices)
-
-
-def _word_indices(word) -> tuple[int, ...]:
-    if isinstance(word, IndexWord):
-        return word.indices
-    return tuple(int(i) for i in word)
 
 
 def enumerate_all_partitions(k: int) -> list[Partition]:
@@ -258,8 +218,8 @@ def is_noncrossing(p: Partition) -> bool:
 
 
 def kernel(word) -> Partition:
-    """Partition of positions grouping equal letters of the word."""
-    idx = _word_indices(word)
+    """Partition of positions grouping equal letters of a word of ints."""
+    idx = tuple(int(i) for i in word)
     if not idx:
         raise InputMismatchError("kernel of the empty word is undefined")
     groups: dict[int, list[int]] = {}
@@ -288,13 +248,6 @@ def block_restriction(p: Partition, pattern, block_index: int) -> StarPattern:
     if not 0 <= block_index < p.num_blocks:
         raise IndexError(f"block index {block_index} out of range")
     return d.restrict(p.blocks[block_index])
-
-
-def satisfies_decoration(restricted, family) -> bool:
-    """Whether a family's category (an easy.FamilyTag) admits one block with
-    the restricted pattern.  The empty restriction is a pattern of length
-    zero: balanced, say, but no pair."""
-    return family.admits(restricted)
 
 
 def filter_decorated(parts: Iterable[Partition], pattern, family) -> list[Partition]:

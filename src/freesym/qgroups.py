@@ -16,6 +16,11 @@ and q *-slots, and that count is what meets the budget.  Each side's
 products over the summed row index form an (n, M) array, one matmul gives
 the whole residual table, and the work runs in chunks of at most
 _CHUNK_CELLS cells.
+
+lattice_position checks a model against every family and closes the
+satisfied set with the easy table's meet (easy.family_meet): the largest
+family below every satisfied one, which is the intersection of those
+groups.
 """
 
 from __future__ import annotations
@@ -26,12 +31,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cumulants import TUPLE_BUDGET
+from .cumulants import TUPLE_BUDGET, pattern_sort_key
 from .easy import (  # FamilyTag, family_below and all_family_tags are also this module's API
     M_MAX_DEFAULT,
     FamilyTag,
     all_family_tags,
     family_below,
+    family_meet,
     relations,
 )
 from .errors import BudgetError, InputMismatchError, SizeLimitError
@@ -410,19 +416,6 @@ def _check_family(rep: MatrixRep, tag: FamilyTag, base: Check) -> Check:
     )
 
 
-def hadamard(u, v):
-    if isinstance(u, MatrixRep) and isinstance(v, MatrixRep):
-        if u.entries.shape != v.entries.shape:
-            raise InputMismatchError("shape mismatch in entrywise product")
-        prod = np.einsum("ijxy,ijyz->ijxz", u.entries, v.entries)
-        return MatrixRep(prod, tol=max(u.tol, v.tol))
-    a = np.asarray(u, dtype=complex)
-    b = np.asarray(v, dtype=complex)
-    if a.shape != b.shape or a.ndim != 2:
-        raise InputMismatchError("entrywise product needs equal square shapes")
-    return a * b
-
-
 def coproduct_lift(a: MatrixRep, b: MatrixRep) -> MatrixRep:
     if a.n != b.n:
         raise InputMismatchError("coproduct lift needs matching sizes")
@@ -537,15 +530,23 @@ def structural_consequences(rep: MatrixRep, patterns=None) -> dict:
         checks["power_sums"] = Check(power_worst <= rep.tol, power_worst)
 
     return {
-        "satisfied_patterns": sorted(
-            sat_letters, key=lambda s: (len(s), tuple(0 if c == ONE else 1 for c in s))
-        ),
+        "satisfied_patterns": sorted(sat_letters, key=pattern_sort_key),
         "checks": checks,
         "holds": all(c.holds for c in checks.values()),
     }
 
 
 def lattice_position(rep: MatrixRep, m_max: int = M_MAX_DEFAULT) -> dict:
+    """Every family of all_family_tags(m_max) the model satisfies, the minimal
+    ones, and their closure.
+
+    A model that satisfies the relations of several families satisfies those
+    of the category they generate, which is the category of the groups'
+    intersection.  The closure is therefore the table meet of the minimal
+    families (easy.family_meet), None only when nothing is satisfied, and
+    `consistent` says whether the model satisfies it.  Its indices are the
+    moduli m of the satisfied H_M_PLUS(m), with 2 for O_PLUS or H_S_PLUS.
+    """
     tags = all_family_tags(m_max)
     base = check_biunitary(rep)
     results = {tag: _check_family(rep, tag, base) for tag in tags}
@@ -561,32 +562,10 @@ def lattice_position(rep: MatrixRep, m_max: int = M_MAX_DEFAULT) -> dict:
         for t in tags
         if family_below(s, t)
     )
-
-    kinds = {t.kind for t in satisfied}
-    reflection = bool(
-        kinds & {"H_S_PLUS", "H_M_PLUS", "H_0_PLUS", "H_PRIME_PLUS"}
-    )
-    bside = bool(kinds & {"B_PLUS", "B_S_PLUS", "S_PLUS"})
     indices = {t.m for t in satisfied if t.kind == "H_M_PLUS"}
-    if kinds & {"O_PLUS", "H_S_PLUS"}:
+    if any(t.kind in ("O_PLUS", "H_S_PLUS") for t in satisfied):
         indices.add(2)
-
-    implied = None
-    if bside and reflection:
-        implied = FamilyTag("S_PLUS")
-    elif indices:
-        g = math.gcd(*indices)
-        if g >= 3:
-            implied = FamilyTag("H_M_PLUS", g)
-        elif g == 2:
-            if kinds & {"H_S_PLUS", "H_M_PLUS"}:
-                implied = FamilyTag("H_S_PLUS")
-            else:
-                implied = FamilyTag("O_PLUS")
-        else:
-            implied = FamilyTag("S_PLUS")
-    consistent = implied is None or (implied in results and results[implied].holds)
-
+    implied = family_meet(minimal, m_max)
     return {
         "satisfied": sorted(t.label() for t in satisfied),
         "minimal": sorted(t.label() for t in minimal),
@@ -594,7 +573,7 @@ def lattice_position(rep: MatrixRep, m_max: int = M_MAX_DEFAULT) -> dict:
         "closure": {
             "indices": sorted(indices),
             "implied": implied.label() if implied is not None else None,
-            "consistent": consistent,
+            "consistent": implied is None or implied in satisfied,
         },
         "m_scan": m_max,
         "results": results,

@@ -11,10 +11,11 @@ import json
 
 import numpy as np
 
+from .cumulants import pattern_sort_key
 from .distributions import CumulantSpecSingle
-from .errors import SchemaError
+from .errors import SchemaError, SizeLimitError
 from .partitions import StarPattern
-from .qgroups import DEFAULT_TOL, MatrixRep, check_biunitary
+from .qgroups import DEFAULT_TOL, MAX_FLAT_DIM, MatrixRep, check_biunitary
 
 
 def complex_to_pair(z) -> list:
@@ -86,6 +87,9 @@ def json_to_rep(obj, require_biunitary: bool = True) -> MatrixRep:
         raise SchemaError("bad type for key 'tol'")
     if n < 1 or d < 1:
         raise SchemaError("n and d must be positive")
+    # before the (n, n, d, d) array is allocated
+    if n * d > MAX_FLAT_DIM:
+        raise SizeLimitError(f"flattened dimension {n * d} exceeds {MAX_FLAT_DIM}")
     rows = _require(obj, "entries", list)
     if len(rows) != n:
         raise SchemaError(f"expected {n} entry rows")
@@ -110,10 +114,7 @@ def json_to_rep(obj, require_biunitary: bool = True) -> MatrixRep:
 
 def spec_to_json(spec: CumulantSpecSingle) -> dict:
     records = []
-    for letters in sorted(
-        spec.entries,
-        key=lambda s: (len(s), tuple(0 if c == "1" else 1 for c in s)),
-    ):
+    for letters in sorted(spec.entries, key=pattern_sort_key):
         value = spec.entries[letters]
         if spec.dim == 1:
             rec_value = complex_to_pair(value)
@@ -173,9 +174,7 @@ def json_to_spec(obj) -> CumulantSpecSingle:
 
 def table_records(data: dict, dim: int = 1) -> list:
     records = []
-    for letters in sorted(
-        data, key=lambda s: (len(s), tuple(0 if c == "1" else 1 for c in s))
-    ):
+    for letters in sorted(data, key=pattern_sort_key):
         value = data[letters]
         if dim == 1:
             rec_value = complex_to_pair(value)

@@ -11,11 +11,16 @@ moments of free copies (joint_moment_partition_sum).
 reference_family_below, reference_implies and reference_classify write the
 family lattice, the class lattice and the class conditions out by hand, as
 the package did before it derived them from the easy-category table
-(freesym.easy); the derived code must agree with them.
+(freesym.easy); the derived code must agree with them.  reference_closure is
+the hand rule lattice_position used before it took the table's meet; the
+meet agrees with it except on a named list of satisfied sets.
+
+hadamard is the entrywise product the acceptance gate contracts with.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -28,6 +33,7 @@ from freesym.cumulants import (
     zero_element,
 )
 from freesym.distributions import SNAP_TOL, ClassTag, _nonzero_patterns
+from freesym.easy import M_MAX_DEFAULT, FamilyTag
 from freesym.errors import CrossingPartitionError, IncompleteTableError, InputMismatchError
 from freesym.partitions import (
     STAR,
@@ -39,6 +45,7 @@ from freesym.partitions import (
     noncrossing_cached,
     refines,
 )
+from freesym.qgroups import MatrixRep
 
 
 @lru_cache(maxsize=None)
@@ -398,8 +405,8 @@ def reference_classify(spec, K: int, free: bool, m_scan: int):
 
 
 def reference_report(spec, K: int, free: bool) -> dict:
-    """classify_*_report built on reference_classify and reference_implies."""
-    m_scan = max(3, K)
+    """classify_report built on reference_classify and reference_implies."""
+    m_scan = min(max(3, K), M_MAX_DEFAULT)
     tags, noncanonical = reference_classify(spec, K, free, m_scan)
     minimal = {t for t in tags if not any(s != t and reference_implies(s, t) for s in tags)}
     return {
@@ -408,3 +415,40 @@ def reference_report(spec, K: int, free: bool) -> dict:
         "noncanonical_shifted": noncanonical,
         "m_scan": m_scan,
     }
+
+
+def reference_closure(satisfied):
+    """The family a set of satisfied families implies, by hand: S_PLUS when
+    a B-side and a reflection family both hold, otherwise from the gcd of
+    the H_M_PLUS moduli (2 for O_PLUS and H_S_PLUS); None when no modulus
+    is satisfied."""
+    kinds = {t.kind for t in satisfied}
+    reflection = bool(kinds & {"H_S_PLUS", "H_M_PLUS", "H_0_PLUS", "H_PRIME_PLUS"})
+    bside = bool(kinds & {"B_PLUS", "B_S_PLUS", "S_PLUS"})
+    indices = {t.m for t in satisfied if t.kind == "H_M_PLUS"}
+    if kinds & {"O_PLUS", "H_S_PLUS"}:
+        indices.add(2)
+    if bside and reflection:
+        return FamilyTag("S_PLUS")
+    if not indices:
+        return None
+    g = math.gcd(*indices)
+    if g >= 3:
+        return FamilyTag("H_M_PLUS", g)
+    if g == 2:
+        return FamilyTag("H_S_PLUS") if kinds & {"H_S_PLUS", "H_M_PLUS"} else FamilyTag("O_PLUS")
+    return FamilyTag("S_PLUS")
+
+
+def hadamard(u, v):
+    """Entrywise product of two models (blockwise for d > 1) or of two square arrays."""
+    if isinstance(u, MatrixRep) and isinstance(v, MatrixRep):
+        if u.entries.shape != v.entries.shape:
+            raise InputMismatchError("shape mismatch in entrywise product")
+        prod = np.einsum("ijxy,ijyz->ijxz", u.entries, v.entries)
+        return MatrixRep(prod, tol=max(u.tol, v.tol))
+    a = np.asarray(u, dtype=complex)
+    b = np.asarray(v, dtype=complex)
+    if a.shape != b.shape or a.ndim != 2:
+        raise InputMismatchError("entrywise product needs equal square shapes")
+    return a * b

@@ -36,10 +36,10 @@ from freesym.qgroups import (
     check_family,
     coproduct_lift,
     full_delta_identity_holds,
-    hadamard,
     operator_norm,
     structural_consequences,
 )
+from reference import hadamard
 
 
 def _catalan_numbers(upto: int) -> list[int]:

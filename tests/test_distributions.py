@@ -10,18 +10,17 @@ from freesym.distributions import (
     ClassicalClassTag,
     CumulantSpecSingle,
     FreeClassTag,
-    class_implications,
     classify_classical,
     classify_classical_moments,
     classify_free,
     classify_free_moments,
-    classify_free_report,
+    classify_report,
     implies,
     minimal_tags,
     sample_spec,
     spec_from_cumulant_table,
-    upward_closure,
 )
+from freesym.easy import M_MAX_DEFAULT, class_tags
 from freesym.errors import (
     IncompleteTableError,
     InputMismatchError,
@@ -116,23 +115,23 @@ def test_noncanonical_shifted_flags():
     shifted = CumulantSpecSingle(
         order=6, entries=dict(base.entries), shift=1.0
     )
-    report = classify_free_report(shifted, K=6)
+    report = classify_report(shifted, 6, True)
     assert "SHIFTED_R_DIAGONAL" in report["noncanonical_shifted"]
     assert report["tags"] == []
 
     base = sample_spec(F("FREE_UNITARY"))
     shifted = CumulantSpecSingle(order=6, entries=dict(base.entries), shift=1.0)
-    report = classify_free_report(shifted, K=6)
+    report = classify_report(shifted, 6, True)
     assert "SHIFTED_FREE_UNITARY" in report["noncanonical_shifted"]
 
     base = sample_spec(F("SYMMETRIC"))
     shifted = CumulantSpecSingle(order=6, entries=dict(base.entries), shift=1.0)
-    report = classify_free_report(shifted, K=6)
+    report = classify_report(shifted, 6, True)
     assert report["noncanonical_shifted"] == ["SHIFTED_SYMMETRIC"]
 
 
 def test_report_shape():
-    report = classify_free_report(sample_spec(F("CIRCULAR")), K=4)
+    report = classify_report(sample_spec(F("CIRCULAR")), 4, True)
     assert report["minimal"] == ["CIRCULAR"]
     assert "CIRCULAR" in report["tags"]
     assert report["m_scan"] == 4
@@ -164,16 +163,21 @@ def test_classifications_are_upward_closed():
         for seed in (0, 3):
             spec = sample_spec(tag, seed=seed)
             tags = classify_free(spec, K=spec.order, m_scan=6)
-            closure = {
-                t
-                for t in upward_closure(tags)
-                if t.kind != "M_UNITARY" or t.m <= 6
+            closure = tags | {
+                b for a in tags for b in class_tags(a.m or M_MAX_DEFAULT) if implies(a, b)
             }
+            closure = {t for t in closure if t.kind != "M_UNITARY" or t.m <= 6}
             assert closure == tags, tag
 
 
+def _implications(m_scan: int) -> set:
+    """All (a, b) pairs with a => b over the free tags scanned to m_scan."""
+    universe = class_tags(m_scan)
+    return {(a, b) for a in universe for b in universe if a != b and implies(a, b)}
+
+
 def test_implications_agree_with_sample_classification():
-    for a, b in class_implications(m_scan=6):
+    for a, b in _implications(6):
         if a.kind == "M_UNITARY" and a.m > 6:
             continue
         spec = sample_spec(a)
@@ -183,7 +187,7 @@ def test_implications_agree_with_sample_classification():
 
 
 def test_transitivity_of_implications():
-    pairs = class_implications(m_scan=6)
+    pairs = _implications(6)
     tags = {a for a, _ in pairs} | {b for _, b in pairs}
     for a in tags:
         for b in tags:

@@ -11,8 +11,7 @@ from freesym import invariance
 from freesym.distributions import (
     CumulantSpecSingle,
     _classify,
-    classify_classical_report,
-    classify_free_report,
+    classify_report,
     sample_spec,
 )
 from freesym.easy import (
@@ -130,8 +129,8 @@ def test_check_family_detail_keys():
 
 def _same_as_reference(spec, K=None):
     K = spec.order if K is None else K
-    assert classify_free_report(spec, K) == reference_report(spec, K, True)
-    assert classify_classical_report(spec, K) == reference_report(spec, K, False)
+    assert classify_report(spec, K, True) == reference_report(spec, K, True)
+    assert classify_report(spec, K, False) == reference_report(spec, K, False)
 
 
 def test_classification_matches_the_reference_on_fixture_specs():
@@ -149,7 +148,7 @@ def test_classification_matches_the_reference_on_samples(seed):
         # shifted, several noncanonical names can hold at once, in a fixed order
         _same_as_reference(CumulantSpecSingle(spec.order, dict(spec.entries), 1.0, spec.selfadjoint))
     spec = CumulantSpecSingle(6, {"1*": 1.0, "*1": 1.0, "11**": 1.0}, shift=1.0)
-    report = classify_free_report(spec, 6)
+    report = classify_report(spec, 6, True)
     assert report["noncanonical_shifted"] == ["SHIFTED_FREE_UNITARY", "SHIFTED_SYMMETRIC"]
 
 

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from freesym.easy import FamilyTag
 from freesym.errors import InputMismatchError, SizeLimitError
 from freesym.partitions import (
-    IndexWord,
     Partition,
     StarPattern,
     block_restriction,
@@ -17,7 +16,6 @@ from freesym.partitions import (
     is_noncrossing,
     kernel,
     refines,
-    satisfies_decoration,
 )
 
 
@@ -91,7 +89,7 @@ def test_crossing_detection_examples():
 
 
 def test_kernel_groups_by_value():
-    assert kernel(IndexWord((2, 1, 2, 3))) == Partition.of([[1, 3], [2], [4]])
+    assert kernel((2, 1, 2, 3)) == Partition.of([[1, 3], [2], [4]])
     assert kernel((1, 1, 1)) == Partition.whole(3)
     with pytest.raises(InputMismatchError):
         kernel(())
@@ -111,8 +109,7 @@ def test_refines_basic():
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=6))
 def test_kernel_refinement_characterizes_constant_words(idx):
-    word = IndexWord(tuple(idx))
-    ker = kernel(word)
+    ker = kernel(idx)
     for p in enumerate_all_partitions(len(idx)):
         constant = all(
             len({idx[x - 1] for x in b}) == 1 for b in p.blocks
@@ -153,20 +150,20 @@ def F(kind, m=None):
 def test_decoration_rules_on_single_blocks():
     # balanced blocks (H_0), imbalance divisible by m (H_S for 2, H_M(m)),
     # balanced alternating blocks (H'), balanced pairs (U)
-    assert satisfies_decoration("1*", F("H_0_PLUS"))
-    assert not satisfies_decoration("11", F("H_0_PLUS"))
-    assert satisfies_decoration("11", F("H_S_PLUS"))
-    assert not satisfies_decoration("11", F("H_M_PLUS", 3))
-    assert satisfies_decoration("111", F("H_M_PLUS", 3))
-    assert satisfies_decoration("1*1*", F("H_PRIME_PLUS"))
-    assert not satisfies_decoration("11**", F("H_PRIME_PLUS"))
-    assert satisfies_decoration("*1", F("U_PLUS"))
-    assert not satisfies_decoration("1*1*", F("U_PLUS"))
+    assert F("H_0_PLUS").admits("1*")
+    assert not F("H_0_PLUS").admits("11")
+    assert F("H_S_PLUS").admits("11")
+    assert not F("H_M_PLUS", 3).admits("11")
+    assert F("H_M_PLUS", 3).admits("111")
+    assert F("H_PRIME_PLUS").admits("1*1*")
+    assert not F("H_PRIME_PLUS").admits("11**")
+    assert F("U_PLUS").admits("*1")
+    assert not F("U_PLUS").admits("1*1*")
     # empty restriction: vacuous except for the pair rule
-    assert satisfies_decoration("", F("H_0_PLUS"))
-    assert satisfies_decoration("", F("H_PRIME_PLUS"))
-    assert satisfies_decoration("", F("H_M_PLUS", 5))
-    assert not satisfies_decoration("", F("U_PLUS"))
+    assert F("H_0_PLUS").admits("")
+    assert F("H_PRIME_PLUS").admits("")
+    assert F("H_M_PLUS", 5).admits("")
+    assert not F("U_PLUS").admits("")
 
 
 def test_decorated_counts_frozen_examples():
@@ -187,14 +184,6 @@ def test_decorated_counts_frozen_examples():
     even = filter_decorated(nc4, "1111", F("H_S_PLUS"))
     assert len(even) == 3
     assert len(filter_decorated(nc4, "1111", F("S_PLUS"))) == 14
-
-
-def test_index_word_bounds():
-    IndexWord((1, 2, 3), n=3)
-    with pytest.raises(InputMismatchError):
-        IndexWord((0, 1))
-    with pytest.raises(InputMismatchError):
-        IndexWord((1, 4), n=3)
 
 
 def test_enumeration_is_deterministic():

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -30,14 +31,15 @@ from freesym.qgroups import (
     check_family,
     coproduct_lift,
     family_below,
+    family_meet,
     full_delta_identity_holds,
-    hadamard,
     lattice_position,
     operator_norm,
     spectral_norms,
     structural_consequences,
 )
 from freesym import qgroups
+from reference import hadamard, reference_closure
 
 F = FamilyTag
 
@@ -301,11 +303,64 @@ def test_lattice_positions():
 
     pos = lattice_position(bistochastic_unitary_rep(3))
     assert pos["minimal"] == ["B_PLUS"]
-    assert pos["closure"]["implied"] is None
+    assert pos["closure"]["implied"] == "B_PLUS"
 
     pos = lattice_position(bistochastic_orthogonal_rep(3))
     assert pos["minimal"] == ["B_S_PLUS"]
     assert pos["closure"]["consistent"]
+
+
+# the upward closures, named by their minimal families, on which the table
+# meet and the hand rule differ: (meet, hand rule)
+_MEET_BELOW_HAND = {
+    ("B_PLUS",): ("B_PLUS", None),
+    ("B_PLUS", "O_PLUS"): ("B_S_PLUS", "O_PLUS"),
+    ("B_S_PLUS",): ("B_S_PLUS", "O_PLUS"),
+    ("H_0_PLUS",): ("H_0_PLUS", None),
+    ("H_0_PLUS", "O_PLUS"): ("H_S_PLUS", "O_PLUS"),
+    ("H_PRIME_PLUS",): ("H_PRIME_PLUS", None),
+    ("H_PRIME_PLUS", "O_PLUS"): ("H_S_PLUS", "O_PLUS"),
+    ("U_PLUS",): ("U_PLUS", None),
+}
+
+
+def test_closure_is_the_table_meet_of_every_small_generating_set():
+    tags = all_family_tags(12)
+    counts = {"equal": 0, "below": 0, "hand_none": 0}
+    differing = {}
+    for r in (1, 2, 3):
+        for gens in itertools.combinations(tags, r):
+            up = {t for t in tags if any(family_below(g, t) for g in gens)}
+            minimal = {t for t in up if not any(s != t and family_below(s, t) for s in up)}
+            meet, hand = family_meet(minimal), reference_closure(up)
+            # the meet is below every satisfied family and the largest such
+            assert all(family_below(meet, t) for t in up)
+            assert all(family_below(t, meet) for t in tags if all(family_below(t, u) for u in up))
+            if meet == hand:
+                counts["equal"] += 1
+                continue
+            if hand is None:
+                counts["hand_none"] += 1
+            else:
+                assert family_below(meet, hand)
+                counts["below"] += 1
+            name = tuple(sorted(t.label() for t in minimal))
+            differing[name] = (meet.label(), hand and hand.label())
+    assert counts == {"equal": 964, "below": 14, "hand_none": 9}
+    assert differing == _MEET_BELOW_HAND
+    assert family_meet([]) is None
+
+
+def test_fixture_closures_name_their_declared_family():
+    # diag(i, 1, 1) has entries of order 4, so the U_PLUS witness sits in H_M_PLUS(4)
+    inside = {"unit_i_diag": "H_M_PLUS(4)"}
+    for name, (rep, tag) in fixture_set().reps.items():
+        pos = lattice_position(rep)
+        implied = pos["closure"]["implied"]
+        assert pos["minimal"] == [implied], name
+        assert implied == inside.get(name, tag.label()), name
+        assert pos["closure"]["consistent"], name
+    assert family_below(F("H_M_PLUS", 4), F("U_PLUS"))
 
 
 def test_rep_validation_and_tags():

@@ -250,6 +250,32 @@ def test_lattice_commands_on_a_4x4_permutation(tmp_path, capsys):
     assert capsys.readouterr().out.split()[1:] == every
 
 
+def test_oversized_model_file_is_input_error(tmp_path):
+    # n = d = 1000 would be a 14.6 TiB (n, n, d, d) array; the size bound
+    # must reject it before anything is allocated
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"n": 1000, "d": 1000, "entries": [[] for _ in range(1000)]}))
+    proc = subprocess.run(
+        [sys.executable, "-m", "freesym.cli", "check-rep", str(path)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "flattened dimension 1000000 exceeds 64" in proc.stderr
+
+
+def test_classification_scans_at_most_the_default_moduli(tmp_path, capsys):
+    # one M_UNITARY tag per modulus up to the declared order would make this
+    # spec's minimal-tag comparison quadratic in 1000
+    path = tmp_path / "long.json"
+    serialize.save_spec(CumulantSpecSingle(order=1000, entries={"1*": 1.0, "*1": 1.0}), path)
+    assert main(["classify-dist", str(path), "--free", "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["m_scan"] == 12
+    assert report["minimal"] == ["CIRCULAR"]
+
+
 def test_uncorrected_model_is_input_error(fx, tmp_path, capsys):
     bad = tmp_path / "uncorrected.json"
     serialize.save_rep(uncorrected_bistochastic_unitary_rep(3), bad)

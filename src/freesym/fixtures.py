@@ -1,11 +1,13 @@
 """Built-in witness models and class sample specs.
 
-Every named model here satisfies a declared family and fails the families
-strictly below it, which is what makes the set useful for separating the
-lattice nodes.  The 2x2 bistochastic orthogonal case degenerates to the
-swap, so at n=2 that witness cannot separate B_S_PLUS from S_PLUS; callers
-compare against each model's own relation profile rather than assuming
-separation.
+Every named model here satisfies a declared family, and all but one fail
+the families strictly below it, which is what makes the set useful for
+separating the lattice nodes.  The exception is unit_i_diag: diag(i, 1, 1)
+has entries of order 4, so it satisfies H_M_PLUS(4), which lies below its
+declared U_PLUS, and its minimal family is H_M_PLUS(4).  The 2x2
+bistochastic orthogonal case degenerates to the swap, so at n=2 that
+witness cannot separate B_S_PLUS from S_PLUS; callers compare against each
+model's own relation profile rather than assuming separation.
 """
 
 from __future__ import annotations

@@ -39,7 +39,7 @@ from .partitions import ONE, STAR, StarPattern
 from .qgroups import (
     MatrixRep,
     _check_family,
-    block_identity_holds,
+    _column_residuals,
     check_biunitary,
     operator_norm,
     spectral_norms,
@@ -321,16 +321,14 @@ def cumulant_identity_extractor(
         },
         key=pattern_sort_key,
     )
+    limit = rep.tol if tol is None else tol
     failed = []
     for letters in patterns:
-        for j in range(rep.n):
-            chk = block_identity_holds(rep, letters, j)
-            if tol is not None:
-                chk.holds = chk.residual <= tol
-            if not chk.holds:
-                failed.append(
-                    {"pattern": letters, "column": j, "residual": chk.residual}
-                )
+        residuals = _column_residuals(rep, letters)
+        failed.extend(
+            {"pattern": letters, "column": int(j), "residual": float(residuals[j])}
+            for j in np.flatnonzero(residuals > limit)
+        )
     out = {
         "predicted_invariant": not failed,
         "failed_identities": failed,

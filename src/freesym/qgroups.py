@@ -17,6 +17,14 @@ products over the summed row index form an (n, M) array, one matmul gives
 the whole residual table, and the work runs in chunks of at most
 _CHUNK_CELLS cells.
 
+Every other relation is entrywise: its residual is the largest spectral
+norm over one stack of d x d matrices (_worst), an (n, n, d, d) stack for
+sum, projection and block identities and for the entrywise facts of
+structural_consequences, save cross-orthogonality's (n, n, n, d, d) one.
+Commutativity (classical tags, d > 1) takes one entry at a time against all
+entries, then all adjoints, n^2 d^2 cells a step, never n^4.  coproduct_lift
+forms an n^3 (d_a d_b)^2 product only if n d_a d_b is within MAX_FLAT_DIM.
+
 lattice_position checks a model against every family and closes the
 satisfied set with the easy table's meet (easy.family_meet): the largest
 family below every satisfied one, which is the intersection of those
@@ -107,6 +115,17 @@ class MatrixRep:
         return self.entries.transpose(0, 2, 1, 3).reshape(nd, nd)
 
 
+def _adj(stack: np.ndarray) -> np.ndarray:
+    """The adjoint of each trailing matrix of a stack."""
+    return stack.conj().swapaxes(-1, -2)
+
+
+def _sum_second(arr: np.ndarray) -> np.ndarray:
+    """Sum over axis 1 of an (m, n, d, d) array, laid out contiguously so each
+    cell's n terms add in the order of a sum over one (n, d, d) slice."""
+    return np.ascontiguousarray(arr).sum(axis=1)
+
+
 def spectral_norms(batch) -> np.ndarray:
     """Largest singular value of each trailing matrix in a batch (..., r, c).
 
@@ -138,35 +157,26 @@ def operator_norm(x) -> float:
     return float(spectral_norms(mat))
 
 
-def _unitarity_residuals(mat: np.ndarray) -> tuple[float, float]:
-    eye = np.eye(mat.shape[0])
-    left = operator_norm(mat.conj().T @ mat - eye)
-    right = operator_norm(mat @ mat.conj().T - eye)
-    return left, right
+def _worst(stack: np.ndarray) -> float:
+    """Largest spectral norm over a stack (..., r, c), 0 for an empty one."""
+    return float(spectral_norms(stack).max()) if stack.size else 0.0
 
 
 def check_biunitary(rep: MatrixRep) -> Check:
     u = rep.flatten()
-    ubar = MatrixRep(rep.adjoint_entries(), rep.tol).flatten()
-    u_left, u_right = _unitarity_residuals(u)
-    ubar_left, ubar_right = _unitarity_residuals(ubar)
-    residual = max(u_left, u_right, ubar_left, ubar_right)
+    ubar = rep.adjoint_entries().transpose(0, 2, 1, 3).reshape(u.shape)
+    eye = np.eye(len(u))
+    sides = {}
+    for name, mat in (("u", u), ("ubar", ubar)):
+        sides[name + "_left"] = operator_norm(mat.conj().T @ mat - eye)
+        sides[name + "_right"] = operator_norm(mat @ mat.conj().T - eye)
+    residual = max(sides.values())
+    ok = {key: value <= rep.tol for key, value in sides.items()}
     # square matrices admit no one-sided inverses, so the two sides must
     # agree; a disagreement would flag numerical trouble, not mathematics
-    consistent = (u_left <= rep.tol) == (u_right <= rep.tol) and (
-        ubar_left <= rep.tol
-    ) == (ubar_right <= rep.tol)
-    return Check(
-        holds=residual <= rep.tol,
-        residual=residual,
-        details={
-            "u_left": u_left,
-            "u_right": u_right,
-            "ubar_left": ubar_left,
-            "ubar_right": ubar_right,
-            "square_consistency": consistent,
-        },
-    )
+    consistent = ok["u_left"] == ok["u_right"] and ok["ubar_left"] == ok["ubar_right"]
+    return Check(holds=residual <= rep.tol, residual=residual,
+                 details={**sides, "square_consistency": consistent})
 
 
 def block_identity_holds(rep: MatrixRep, pattern, j: int) -> Check:
@@ -175,12 +185,17 @@ def block_identity_holds(rep: MatrixRep, pattern, j: int) -> Check:
         raise InputMismatchError("block identity needs a nonempty pattern")
     if not 0 <= j < rep.n:
         raise InputMismatchError(f"column index {j} out of range for n={rep.n}")
-    chain = rep.letter_array(d.letters[0])[:, j]
-    for letter in d.letters[1:]:
-        chain = chain @ rep.letter_array(letter)[:, j]
-    total = chain.sum(axis=0)
-    residual = operator_norm(total - np.eye(rep.d))
+    residual = float(_column_residuals(rep, d.letters)[j])
     return Check(holds=residual <= rep.tol, residual=residual, witness=(j,))
+
+
+def _column_residuals(rep: MatrixRep, letters: str) -> np.ndarray:
+    """Residual of the block identity sum_a u^(c_1)_aj ... u^(c_k)_aj = 1 at
+    every column j, from one (n, n, d, d) chain indexed (j, a)."""
+    chain = rep.letter_array(letters[0]).swapaxes(0, 1)
+    for letter in letters[1:]:
+        chain = chain @ rep.letter_array(letter).swapaxes(0, 1)
+    return spectral_norms(_sum_second(chain) - np.eye(rep.d))
 
 
 def full_delta_identity_holds(rep: MatrixRep, pattern) -> Check:
@@ -352,34 +367,23 @@ def _lex_first(plan: _DeltaPlan, rows, cols) -> tuple:
 
 
 def _sum_condition_residual(rep: MatrixRep) -> float:
-    eye = np.eye(rep.d)
-    worst = 0.0
-    for i in range(rep.n):
-        worst = max(worst, operator_norm(rep.entries[i].sum(axis=0) - eye))
-        worst = max(worst, operator_norm(rep.entries[:, i].sum(axis=0) - eye))
-    return worst
+    sums = np.concatenate([_sum_second(rep.entries), _sum_second(rep.entries.swapaxes(0, 1))])
+    return _worst(sums - np.eye(rep.d))
 
 
 def _projection_residual(rep: MatrixRep, power: int) -> float:
     """How far the power-th power of each entry is from a projection."""
-    worst = 0.0
-    for a in rep.entries.reshape(-1, rep.d, rep.d):
-        p = np.linalg.matrix_power(a, power)
-        worst = max(worst, operator_norm(p @ p - p), operator_norm(p - p.conj().T))
-    return worst
+    p = np.linalg.matrix_power(rep.entries, power)
+    return max(_worst(p @ p - p), _worst(p - _adj(p)))
 
 
 def _commutativity_residual(rep: MatrixRep) -> float:
     if rep.d == 1:
         return 0.0
     flat = rep.entries.reshape(-1, rep.d, rep.d)
-    worst = 0.0
-    for a in flat:
-        for b in flat:
-            worst = max(worst, operator_norm(a @ b - b @ a))
-            bs = b.conj().T
-            worst = max(worst, operator_norm(a @ bs - bs @ a))
-    return worst
+    flat_adj = _adj(flat)
+    # one entry against every entry, then every adjoint: n^2 d^2 cells a step
+    return max(_worst(a @ b - b @ a) for a in flat for b in (flat, flat_adj))
 
 
 def check_family(rep: MatrixRep, tag: FamilyTag) -> Check:
@@ -421,14 +425,12 @@ def coproduct_lift(a: MatrixRep, b: MatrixRep) -> MatrixRep:
         raise InputMismatchError("coproduct lift needs matching sizes")
     n = a.n
     d = a.d * b.d
-    out = np.zeros((n, n, d, d), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            acc = np.zeros((d, d), dtype=complex)
-            for k in range(n):
-                acc += np.kron(a.entries[i, k], b.entries[k, j])
-            out[i, j] = acc
-    return MatrixRep(out, tol=max(a.tol, b.tol))
+    if n * d > MAX_FLAT_DIM:
+        raise SizeLimitError(f"flattened dimension {n * d} exceeds {MAX_FLAT_DIM}")
+    # out[i, j] = sum_k a_ik (x) b_kj; the product's axes are (i, k, j, row of
+    # a, row of b, column of a, column of b), n^3 d^2 cells
+    prod = a.entries[:, :, None, :, None, :, None] * b.entries[None, :, :, None, :, None, :]
+    return MatrixRep(prod.sum(axis=1).reshape(n, n, d, d), tol=max(a.tol, b.tol))
 
 
 def _standard_scan_patterns(max_len: int = 4, power_max: int = 6):
@@ -450,20 +452,13 @@ def structural_consequences(rep: MatrixRep, patterns=None) -> dict:
     found = {d.letters: full_delta_identity_holds(rep, d) for d in patterns}
     satisfied = [d for d in patterns if found[d.letters].holds]
     sat_letters = {d.letters for d in satisfied}
-    checks: dict[str, Check] = {}
 
-    inv_worst = 0.0
-    rot_worst = 0.0
+    inv_worst = rot_worst = 0.0
     for d in satisfied:
-        for i in range(rep.n):
-            for j in range(rep.n):
-                tail = np.eye(rep.d, dtype=complex)
-                for letter in d.letters[1:]:
-                    tail = tail @ rep.letter_array(letter)[i, j]
-                head = rep.letter_array(d.letters[0])[i, j]
-                inv_worst = max(
-                    inv_worst, operator_norm(tail - head.conj().T)
-                )
+        tail = np.broadcast_to(np.eye(rep.d, dtype=complex), rep.entries.shape)
+        for letter in d.letters[1:]:
+            tail = tail @ rep.letter_array(letter)
+        inv_worst = max(inv_worst, _worst(tail - _adj(rep.letter_array(d.letters[0]))))
         if rep.d == 1:
             # a rotation keeps the letter counts, hence the sorted-tuple residual
             rot_worst = max(rot_worst, found[d.letters].residual)
@@ -473,62 +468,29 @@ def structural_consequences(rep: MatrixRep, patterns=None) -> dict:
             rot_worst = max(
                 rot_worst, full_delta_identity_holds(rep, rotated).residual
             )
-    checks["entrywise_inverse"] = Check(inv_worst <= rep.tol, inv_worst)
-    checks["cyclic_rotations"] = Check(rot_worst <= rep.tol, rot_worst)
+    worsts = {"entrywise_inverse": inv_worst, "cyclic_rotations": rot_worst}
 
+    u = rep.entries
     if "1*1*" in sat_letters:
-        pi_worst = 0.0
-        cross_worst = 0.0
-        for i in range(rep.n):
-            for j in range(rep.n):
-                a = rep.entries[i, j]
-                pi_worst = max(
-                    pi_worst, operator_norm(a @ a.conj().T @ a - a)
-                )
-        for k in range(rep.n):
-            for i in range(rep.n):
-                for j in range(rep.n):
-                    if i == j:
-                        continue
-                    a, b = rep.entries[i, k], rep.entries[j, k]
-                    cross_worst = max(
-                        cross_worst, operator_norm(a.conj().T @ b)
-                    )
-                    cross_worst = max(
-                        cross_worst, operator_norm(a @ b.conj().T)
-                    )
-        checks["partial_isometries"] = Check(pi_worst <= rep.tol, pi_worst)
-        checks["cross_orthogonality"] = Check(
-            cross_worst <= rep.tol, cross_worst
+        worsts["partial_isometries"] = _worst(u @ _adj(u) @ u - u)
+        # (k, i, j) products of the entries i != j of column k, n^3 d^2 cells
+        cols = u.swapaxes(0, 1)
+        off = ~np.eye(rep.n, dtype=bool)
+        worsts["cross_orthogonality"] = max(
+            _worst((_adj(cols)[:, :, None] @ cols[:, None, :])[:, off]),
+            _worst((cols[:, :, None] @ _adj(cols)[:, None, :])[:, off]),
         )
-
     if "11**" in sat_letters:
-        normal_worst = 0.0
-        for i in range(rep.n):
-            for j in range(rep.n):
-                a = rep.entries[i, j]
-                normal_worst = max(
-                    normal_worst,
-                    operator_norm(a @ a.conj().T - a.conj().T @ a),
-                )
-        checks["normal_entries"] = Check(normal_worst <= rep.tol, normal_worst)
-
-    power_worst = 0.0
-    power_seen = False
-    for d in satisfied:
-        m = abs(d.imbalance)
-        if m < 1:
-            continue
-        power_seen = True
-        base = rep.entries if d.imbalance < 0 else rep.adjoint_entries()
-        for j in range(rep.n):
-            total = np.zeros((rep.d, rep.d), dtype=complex)
-            for alpha in range(rep.n):
-                total += np.linalg.matrix_power(base[alpha, j], m)
-            power_worst = max(power_worst, operator_norm(total - np.eye(rep.d)))
-    if power_seen:
-        checks["power_sums"] = Check(power_worst <= rep.tol, power_worst)
-
+        worsts["normal_entries"] = _worst(u @ _adj(u) - _adj(u) @ u)
+    powered = [d for d in satisfied if d.imbalance]
+    if powered:
+        # sum_a (u_aj)^m = 1 at each column j, m = |imbalance|, adjoints if stars dominate
+        worsts["power_sums"] = max(
+            _worst(np.linalg.matrix_power(u if d.imbalance < 0 else rep.adjoint_entries(),
+                                          abs(d.imbalance)).sum(axis=0) - np.eye(rep.d))
+            for d in powered
+        )
+    checks = {name: Check(worst <= rep.tol, worst) for name, worst in worsts.items()}
     return {
         "satisfied_patterns": sorted(sat_letters, key=pattern_sort_key),
         "checks": checks,

@@ -15,6 +15,13 @@ the package did before it derived them from the easy-category table
 the hand rule lattice_position used before it took the table's meet; the
 meet agrees with it except on a named list of satisfied sets.
 
+The reference_* relation residuals, reference_check_biunitary,
+reference_block_identity_holds, reference_identity_failures,
+reference_structural_consequences and reference_coproduct_lift compute
+every entrywise relation one entry, pair or triple at a time, one operator
+norm each, as freesym.qgroups did before it reduced whole stacks
+(qgroups._worst); the stacked code must agree with them bit for bit.
+
 hadamard is the entrywise product the acceptance gate contracts with.
 """
 
@@ -30,6 +37,7 @@ from freesym.cumulants import (
     _coerce_coeff,
     _ordered_coeff_product,
     identity_element,
+    pattern_sort_key,
     zero_element,
 )
 from freesym.distributions import SNAP_TOL, ClassTag, _nonzero_patterns
@@ -45,7 +53,13 @@ from freesym.partitions import (
     noncrossing_cached,
     refines,
 )
-from freesym.qgroups import MatrixRep
+from freesym.qgroups import (
+    Check,
+    MatrixRep,
+    _standard_scan_patterns,
+    full_delta_identity_holds,
+    operator_norm,
+)
 
 
 @lru_cache(maxsize=None)
@@ -452,3 +466,204 @@ def hadamard(u, v):
     if a.shape != b.shape or a.ndim != 2:
         raise InputMismatchError("entrywise product needs equal square shapes")
     return a * b
+
+
+def reference_sum_condition_residual(rep: MatrixRep) -> float:
+    eye = np.eye(rep.d)
+    worst = 0.0
+    for i in range(rep.n):
+        worst = max(worst, operator_norm(rep.entries[i].sum(axis=0) - eye))
+        worst = max(worst, operator_norm(rep.entries[:, i].sum(axis=0) - eye))
+    return worst
+
+
+def reference_projection_residual(rep: MatrixRep, power: int) -> float:
+    """How far the power-th power of each entry is from a projection."""
+    worst = 0.0
+    for a in rep.entries.reshape(-1, rep.d, rep.d):
+        p = np.linalg.matrix_power(a, power)
+        worst = max(worst, operator_norm(p @ p - p), operator_norm(p - p.conj().T))
+    return worst
+
+
+def reference_commutativity_residual(rep: MatrixRep) -> float:
+    if rep.d == 1:
+        return 0.0
+    flat = rep.entries.reshape(-1, rep.d, rep.d)
+    worst = 0.0
+    for a in flat:
+        for b in flat:
+            worst = max(worst, operator_norm(a @ b - b @ a))
+            bs = b.conj().T
+            worst = max(worst, operator_norm(a @ bs - bs @ a))
+    return worst
+
+
+def _unitarity_residuals(mat: np.ndarray) -> tuple[float, float]:
+    eye = np.eye(mat.shape[0])
+    left = operator_norm(mat.conj().T @ mat - eye)
+    right = operator_norm(mat @ mat.conj().T - eye)
+    return left, right
+
+
+def reference_check_biunitary(rep: MatrixRep) -> Check:
+    u = rep.flatten()
+    ubar = MatrixRep(rep.adjoint_entries(), rep.tol).flatten()
+    u_left, u_right = _unitarity_residuals(u)
+    ubar_left, ubar_right = _unitarity_residuals(ubar)
+    residual = max(u_left, u_right, ubar_left, ubar_right)
+    # square matrices admit no one-sided inverses, so the two sides must
+    # agree; a disagreement would flag numerical trouble, not mathematics
+    consistent = (u_left <= rep.tol) == (u_right <= rep.tol) and (
+        ubar_left <= rep.tol
+    ) == (ubar_right <= rep.tol)
+    return Check(
+        holds=residual <= rep.tol,
+        residual=residual,
+        details={
+            "u_left": u_left,
+            "u_right": u_right,
+            "ubar_left": ubar_left,
+            "ubar_right": ubar_right,
+            "square_consistency": consistent,
+        },
+    )
+
+
+def reference_block_identity_holds(rep: MatrixRep, pattern, j: int) -> Check:
+    d = StarPattern.coerce(pattern)
+    if len(d) == 0:
+        raise InputMismatchError("block identity needs a nonempty pattern")
+    if not 0 <= j < rep.n:
+        raise InputMismatchError(f"column index {j} out of range for n={rep.n}")
+    chain = rep.letter_array(d.letters[0])[:, j]
+    for letter in d.letters[1:]:
+        chain = chain @ rep.letter_array(letter)[:, j]
+    total = chain.sum(axis=0)
+    residual = operator_norm(total - np.eye(rep.d))
+    return Check(holds=residual <= rep.tol, residual=residual, witness=(j,))
+
+
+def reference_identity_failures(rep: MatrixRep, patterns, tol=None) -> list:
+    """cumulant_identity_extractor's failed identities, one column at a time."""
+    failed = []
+    for letters in patterns:
+        for j in range(rep.n):
+            chk = reference_block_identity_holds(rep, letters, j)
+            if tol is not None:
+                chk.holds = chk.residual <= tol
+            if not chk.holds:
+                failed.append(
+                    {"pattern": letters, "column": j, "residual": chk.residual}
+                )
+    return failed
+
+
+def reference_structural_consequences(rep: MatrixRep, patterns=None) -> dict:
+    """Entrywise facts forced by which delta identities a model satisfies."""
+    if patterns is None:
+        patterns = _standard_scan_patterns()
+    else:
+        patterns = [StarPattern.coerce(p) for p in patterns]
+    found = {d.letters: full_delta_identity_holds(rep, d) for d in patterns}
+    satisfied = [d for d in patterns if found[d.letters].holds]
+    sat_letters = {d.letters for d in satisfied}
+    checks: dict[str, Check] = {}
+
+    inv_worst = 0.0
+    rot_worst = 0.0
+    for d in satisfied:
+        for i in range(rep.n):
+            for j in range(rep.n):
+                tail = np.eye(rep.d, dtype=complex)
+                for letter in d.letters[1:]:
+                    tail = tail @ rep.letter_array(letter)[i, j]
+                head = rep.letter_array(d.letters[0])[i, j]
+                inv_worst = max(
+                    inv_worst, operator_norm(tail - head.conj().T)
+                )
+        if rep.d == 1:
+            # a rotation keeps the letter counts, hence the sorted-tuple residual
+            rot_worst = max(rot_worst, found[d.letters].residual)
+            continue
+        for r in range(1, len(d)):
+            rotated = d.letters[r:] + d.letters[:r]
+            rot_worst = max(
+                rot_worst, full_delta_identity_holds(rep, rotated).residual
+            )
+    checks["entrywise_inverse"] = Check(inv_worst <= rep.tol, inv_worst)
+    checks["cyclic_rotations"] = Check(rot_worst <= rep.tol, rot_worst)
+
+    if "1*1*" in sat_letters:
+        pi_worst = 0.0
+        cross_worst = 0.0
+        for i in range(rep.n):
+            for j in range(rep.n):
+                a = rep.entries[i, j]
+                pi_worst = max(
+                    pi_worst, operator_norm(a @ a.conj().T @ a - a)
+                )
+        for k in range(rep.n):
+            for i in range(rep.n):
+                for j in range(rep.n):
+                    if i == j:
+                        continue
+                    a, b = rep.entries[i, k], rep.entries[j, k]
+                    cross_worst = max(
+                        cross_worst, operator_norm(a.conj().T @ b)
+                    )
+                    cross_worst = max(
+                        cross_worst, operator_norm(a @ b.conj().T)
+                    )
+        checks["partial_isometries"] = Check(pi_worst <= rep.tol, pi_worst)
+        checks["cross_orthogonality"] = Check(
+            cross_worst <= rep.tol, cross_worst
+        )
+
+    if "11**" in sat_letters:
+        normal_worst = 0.0
+        for i in range(rep.n):
+            for j in range(rep.n):
+                a = rep.entries[i, j]
+                normal_worst = max(
+                    normal_worst,
+                    operator_norm(a @ a.conj().T - a.conj().T @ a),
+                )
+        checks["normal_entries"] = Check(normal_worst <= rep.tol, normal_worst)
+
+    power_worst = 0.0
+    power_seen = False
+    for d in satisfied:
+        m = abs(d.imbalance)
+        if m < 1:
+            continue
+        power_seen = True
+        base = rep.entries if d.imbalance < 0 else rep.adjoint_entries()
+        for j in range(rep.n):
+            total = np.zeros((rep.d, rep.d), dtype=complex)
+            for alpha in range(rep.n):
+                total += np.linalg.matrix_power(base[alpha, j], m)
+            power_worst = max(power_worst, operator_norm(total - np.eye(rep.d)))
+    if power_seen:
+        checks["power_sums"] = Check(power_worst <= rep.tol, power_worst)
+
+    return {
+        "satisfied_patterns": sorted(sat_letters, key=pattern_sort_key),
+        "checks": checks,
+        "holds": all(c.holds for c in checks.values()),
+    }
+
+
+def reference_coproduct_lift(a: MatrixRep, b: MatrixRep) -> MatrixRep:
+    if a.n != b.n:
+        raise InputMismatchError("coproduct lift needs matching sizes")
+    n = a.n
+    d = a.d * b.d
+    out = np.zeros((n, n, d, d), dtype=complex)
+    for i in range(n):
+        for j in range(n):
+            acc = np.zeros((d, d), dtype=complex)
+            for k in range(n):
+                acc += np.kron(a.entries[i, k], b.entries[k, j])
+            out[i, j] = acc
+    return MatrixRep(out, tol=max(a.tol, b.tol))

@@ -568,3 +568,33 @@ def test_commuting_delta_memory_is_bounded():
 
     assert _traced_peak(run) < bound
     assert chk.holds and chk.witness == (0,) * p
+
+
+def test_coproduct_lift_rejects_an_oversized_lift_before_allocating():
+    # n d_a d_b = 2 * 32 * 32 = 2048 > MAX_FLAT_DIM: the lift alone would be
+    # 96 MiB, the broadcast product behind it n^3 d^2 cells
+    big = MatrixRep(np.zeros((2, 2, 32, 32)))
+
+    def run():
+        with pytest.raises(SizeLimitError):
+            coproduct_lift(big, big)
+
+    assert _traced_peak(run) < 2**20
+
+
+def test_commutativity_holds_one_entry_at_a_time():
+    """The classical commutativity residual on a d=2, n=16 model holds one
+    entry against every entry or every adjoint at a time; an n^4 array of
+    commutators would take 4 MiB, 128 times one entry's 2 n^2 d^2 cells."""
+    n, d = 16, 2
+    u = _haar_rep(n * d, 77).entries[:, :, 0, 0]
+    rep = MatrixRep(u.reshape(n, d, n, d).transpose(0, 2, 1, 3))
+    step_bytes = 2 * n * n * d * d * 16
+    chk = None
+
+    def run():
+        nonlocal chk
+        chk = check_family(rep, F("U_PLUS", classical=True))
+
+    assert _traced_peak(run) < 8 * step_bytes
+    assert not chk.holds and chk.details["commutativity"] > 1e-3

@@ -31,7 +31,9 @@ _SPLICE_CELLS cells of cores or a single word.
 Joint moments of n free copies run the free recursion too: on whole index
 tensors (joint_moment_tensor) or on one word's segments
 (joint_moments_free_family).  Mixed free cumulants vanish, so a first block V
-contributes kappa(w|V) only where the indices on V agree.
+contributes kappa(w|V) only where the indices on V agree.  The word segments
+and index tensors of a scalar law share one memo (_law_memo), kept for the
+last law evaluated only.
 
 The defining sums over partitions, which these recursions reproduce, are
 the test suite's reference (tests/reference.py).
@@ -544,17 +546,27 @@ def joint_moments_free_family(table: CumulantTable, n: int, word, pattern, coeff
     if p == 1:
         value = _free_family_word(table, idx, d.letters, None)
         return value if coeffs is None else _times_coeff_product(value, coeffs)
-    if coeffs is None:
-        coeffs = [identity_element(p)] * (k + 1)
-    cs = [_coerce_coeff(c, p) for c in coeffs]
+    cs = [_coerce_coeff(c, p) for c in coeffs or [identity_element(p)] * (k + 1)]
     return cs[0] @ _free_family_word(table, idx, d.letters, cs[1:])
 
 
-# segment values of the last scalar law _free_family_word evaluated:
-# (a snapshot of its table's data, {(letters, index kernel): value})
-_last_segments: tuple = (None, {})
-# entries of that memo, about 250 bytes each (16 MB when full); a full memo starts over
+# the last scalar law evaluated: (a snapshot of its table's data, its memo)
+_last_law: tuple = (None, {})
+# entries of the word-segment memo, about 250 bytes each (16 MB when full); a full memo starts over
 _SEGMENT_CAP = 2 ** 16
+
+
+def _law_memo(table) -> dict:
+    """The memo of a scalar table's law: word segments under "words", order tensors of n copies under n.
+
+    Only the last law evaluated is kept, keyed on its table's content, so a
+    table changed between calls is a new law, and another law replaces the
+    memo whole: a caller never gets another law's values.
+    """
+    global _last_law
+    if _last_law[0] != table.data:
+        _last_law = (dict(table.data), {})
+    return _last_law[1]
 
 
 def _free_family_word(table, idx: tuple, letters: str, cs):
@@ -562,30 +574,28 @@ def _free_family_word(table, idx: tuple, letters: str, cs):
 
     A first block V of a segment counts only where the indices on V agree,
     so V runs over the subsets of the segment's positions that carry its
-    first index.  cs is as in _free_family_tensor.  A segment's value
-    depends on its letters and its index kernel (which of its positions
-    carry equal indices), not on the indices themselves or on n.  Scalar
-    segments are memoised by (letters, kernel) for the last scalar law
-    evaluated, keyed on its table's content, with the word's own memo by
-    position in front, so a segment is relabelled at most once per word;
-    the shared memo starts over at _SEGMENT_CAP entries.  Scalar values
-    take one lookup per block and multiply kappa(w|V) by the segments in
-    place, left to right.  Matrix segments, which carry this word's
-    coefficients, are memoised for this word only.
+    first index, in the order of itertools.combinations.  cs is as in
+    _free_family_tensor.  A segment's value depends on its letters and its
+    index kernel (which of its positions carry equal indices), not on the
+    indices themselves or on n.  Scalar segments are memoised by (letters,
+    kernel) in the law memo, with the word's own memo by position in front,
+    so a segment is relabelled at most once per word; the law's memo starts
+    over at _SEGMENT_CAP entries.  A scalar term multiplies kappa(w|V) by the
+    segments in place, left to right; a matrix term splices them with the
+    coefficients.  Matrix segments, which carry this word's coefficients,
+    are memoised for this word only.
     """
-    global _last_segments
     memo = {}
     get = table.data.get
+    zero = zero_element(table.dim)
+    shared = None if cs is not None else _law_memo(table).setdefault("words", {})
 
-    if cs is None:
-        law = _last_segments
-        if law[0] != table.data:
-            law = _last_segments = (dict(table.data), {})
-        shared = law[1]
-
-        def segment(a: int, e: int) -> complex:
-            s = memo.get((a, e))
-            if s is None:
+    def segment(a: int, e: int):
+        s = memo.get((a, e))
+        if s is None:
+            if shared is None:
+                s = build(a, e)
+            else:
                 labels = {}
                 key = (letters[a:e], tuple([labels.setdefault(i, len(labels)) for i in idx[a:e]]))
                 s = shared.get(key)
@@ -594,62 +604,34 @@ def _free_family_word(table, idx: tuple, letters: str, cs):
                     if len(shared) >= _SEGMENT_CAP:
                         shared.clear()
                     shared[key] = s
-                memo[a, e] = s
-            return s
+            memo[a, e] = s
+        return s
 
-        def build(a: int, e: int) -> complex:
-            # the block {a} first, then the larger blocks in the order of
-            # itertools.combinations, as the matrix branch sums them
-            total = 0j
-            term = get(letters[a])
-            if term is not None:
-                if a + 1 < e:
-                    term *= segment(a + 1, e)
-                total += term
-            same = [j for j in range(a + 1, e) if idx[j] == idx[a]]
-            for size in range(1, len(same) + 1):
-                for rest in itertools.combinations(same, size):
-                    term = get(letters[a] + "".join([letters[j] for j in rest]))
-                    if term is None:
-                        continue
+    def build(a: int, e: int):
+        same = [j for j in range(a + 1, e) if idx[j] == idx[a]]
+        total = zero
+        for size in range(len(same) + 1):
+            for rest in itertools.combinations(same, size):
+                term = get(letters[a] + "".join([letters[j] for j in rest]))
+                if term is None:
+                    continue
+                if cs is None:
                     v = a + 1
                     for end in rest + (e,):
                         if v < end:
                             term *= segment(v, end)
                         v = end + 1
-                    total += term
-            return total
-
-        out = segment(0, len(idx))
-        del build  # segment and build refer to each other: free the word's memo with the call
-        return out
-
-    def segment_matrix(a: int, e: int):
-        if (a, e) not in memo:
-            memo[a, e] = build_matrix(a, e)
-        return memo[a, e]
-
-    def build_matrix(a: int, e: int):
-        same = [j for j in range(a + 1, e) if idx[j] == idx[a]]
-        total = zero_element(table.dim)
-        for size in range(len(same) + 1):
-            for rest in itertools.combinations(same, size):
-                block = (a,) + rest
-                kappa = get("".join([letters[j] for j in block]))
-                if kappa is None:
-                    continue
-                segs = [segment_matrix(v + 1, end) if v + 1 < end else None
-                        for v, end in zip(block, rest + (e,))]
-                sides = [cs[v] if s is None else cs[v] @ s for v, s in zip(block, segs)]
-                term = kappa
-                for side in sides[:-1]:
-                    term = np.tensordot(side.reshape(-1), term, axes=(0, 0))
-                term = term @ sides[-1]
+                else:
+                    sides = [cs[v] if v + 1 == end else cs[v] @ segment(v + 1, end)
+                             for v, end in zip((a,) + rest, rest + (e,))]
+                    for side in sides[:-1]:
+                        term = np.tensordot(side.reshape(-1), term, axes=(0, 0))
+                    term = term @ sides[-1]
                 total = total + term
         return total
 
-    out = segment_matrix(0, len(idx))
-    del build_matrix  # as above
+    out = segment(0, len(idx))
+    del build  # segment and build refer to each other: free the word's memo with the call, not at gc
     return out
 
 
@@ -665,6 +647,16 @@ def joint_moment_tensor(table: CumulantTable, n: int, k: int, pattern, coeffs=No
     d = StarPattern.coerce(pattern)
     if len(d) != k:
         raise InputMismatchError("pattern length must equal k")
+    return _family_tensor(table, n, d.letters, coeffs, {})
+
+
+def _family_tensor(table, n: int, letters: str, coeffs, memo: dict) -> np.ndarray:
+    """_free_family_tensor with the interleaved coefficients b_0..b_k, identity when None.
+
+    A scalar table's tensor reads and fills memo, and its coefficients
+    multiply outside; a matrix table's are spliced in, b_0 on the left.
+    """
+    k = len(letters)
     if n ** k > TUPLE_BUDGET:
         raise BudgetError(f"{n}^{k} index words exceed the tuple budget")
     if k == 0:
@@ -674,12 +666,10 @@ def joint_moment_tensor(table: CumulantTable, n: int, k: int, pattern, coeffs=No
         raise InputMismatchError(f"need {k + 1} interleaved coefficients")
     p = table.dim
     if p == 1:
-        tensor = _free_family_tensor(table, n, d.letters, None, {})
+        tensor = _free_family_tensor(table, n, letters, None, memo)
         return tensor if coeffs is None else _times_coeff_product(tensor, coeffs)
-    if coeffs is None:
-        coeffs = [identity_element(p)] * (k + 1)
-    cs = [_coerce_coeff(c, p) for c in coeffs]
-    return np.matmul(cs[0], _free_family_tensor(table, n, d.letters, cs[1:], {}))
+    cs = [_coerce_coeff(c, p) for c in coeffs or [identity_element(p)] * (k + 1)]
+    return np.matmul(cs[0], _free_family_tensor(table, n, letters, cs[1:], {}))
 
 
 def _diagonal(acc: np.ndarray, block, front=()) -> np.ndarray:
@@ -704,8 +694,8 @@ def _free_family_tensor(table, n: int, letters: str, cs, memo: dict) -> np.ndarr
     skipped.  Each slot has an index axis, after a letter axis (0 for 1, 1
     for *) where its letter is EITHER: EITHER * k gives all of order k.
     Scalar tables take cs None and a memo of segments by letters, which
-    calls on one (table, n) may share.  Matrix tables take plain letters and
-    a fresh memo; cs[i] is the coefficient after letter i, each segment ends
+    calls on one (table, n) may share (the law memo).  Matrix tables take a
+    fresh memo; cs[i] is the coefficient after letter i, each segment ends
     with its last coefficient, and the cores are spliced as in _splice_cores:
     slot t of kappa takes b M(segment t), the trailing segment multiplies
     through b from the right; the (p, p) axes come last.

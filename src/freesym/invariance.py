@@ -10,6 +10,11 @@ each word slot is an index, so order k is one tensor with axes (c_1, i_1,
 It holds one (2n)^k tensor per order; the action and residuals run in
 chunks that fix leading letters, within _CHUNK_CELLS cells where one
 pattern fits.
+
+That tensor (order_tensor) is all a joint gives the scan.  A scalar law's
+tensors are memoised in its law memo (cumulants._law_memo), and interleaved
+coefficients only scale its residual norms.  A matrix-valued table's tensor
+carries the coefficients, (2n)^k p^2 entries built afresh per order.
 """
 
 from __future__ import annotations
@@ -22,18 +27,17 @@ import numpy as np
 
 from .cumulants import (
     EITHER,
-    TUPLE_BUDGET,
     CumulantTable,
     _diagonal,
-    _free_family_tensor,
+    _family_tensor,
+    _law_memo,
     _ordered_coeff_product,
     _times_coeff_product,
-    joint_moment_tensor,
     pattern_sort_key,
 )
 from .distributions import CumulantSpecSingle, sample_spec
 from .easy import all_family_tags, class_tags, family_below, governing_family
-from .errors import BudgetError, InputMismatchError, OrderBoundError
+from .errors import InputMismatchError, OrderBoundError
 from .fixtures import witness_for_family
 from .partitions import ONE, STAR, StarPattern
 from .qgroups import (
@@ -54,17 +58,15 @@ _CHUNK_CELLS = 2 ** 18
 class FreeIIDJoint:
     """n free copies of one variable, described by its cumulant table.
 
-    The scan reads a scalar table's moments as one tensor per order over
-    the words of (letter, index) pairs (order_tensor), built by the free
-    first-block recursion and memoised read-only: a word's segments are
-    shorter words, so the orders below are all it reuses.  Joints of the
-    same law and n may share that memo (_as_joint).  moment_tensor runs the
-    per-pattern recursion (cumulants.joint_moment_tensor), for any table.
+    The scan reads its moments as one tensor per order over the words of
+    (letter, index) pairs (order_tensor), built by the free first-block
+    recursion.  A scalar table's tensors are memoised read-only in its law
+    memo (cumulants._law_memo), shared by every joint of that law and n: a
+    word's segments are shorter words, so the orders below are all it reuses.
     """
 
     table: CumulantTable
     n: int
-    _orders: dict = field(default_factory=dict, repr=False)
 
     @property
     def order(self) -> int:
@@ -74,18 +76,16 @@ class FreeIIDJoint:
     def dim(self) -> int:
         return self.table.dim
 
-    def order_tensor(self, k: int) -> np.ndarray:
-        """Order-k moments of a scalar table, axes (c_1, i_1, ..., c_k, i_k), c 0 for 1 and 1 for *."""
-        if self.n ** k > TUPLE_BUDGET:
-            raise BudgetError(f"{self.n}^{k} index words exceed the tuple budget")
-        self.table.require_order(k)
-        tensor = _free_family_tensor(self.table, self.n, EITHER * k, None, self._orders)
-        for built in self._orders.values():
+    def order_tensor(self, k: int, coeffs=None) -> np.ndarray:
+        """Order-k moments, axes (c_1, i_1, ..., c_k, i_k)[, p, q], c 0 for 1 and 1 for *.
+
+        coeffs is the interleaved list b_0..b_k, identity when omitted.
+        """
+        memo = _law_memo(self.table).setdefault(self.n, {}) if self.dim == 1 else {}
+        tensor = _family_tensor(self.table, self.n, EITHER * k, coeffs, memo)
+        for built in memo.values():
             built.setflags(write=False)
         return tensor
-
-    def moment_tensor(self, k: int, pattern, coeffs=None):
-        return joint_moment_tensor(self.table, self.n, k, pattern, coeffs)
 
 
 @dataclass
@@ -93,7 +93,7 @@ class TableJoint:
     """Explicitly tabulated joint moments for an n-tuple, scalar-valued.
 
     data maps (word, letters) to a complex moment, with 1-based index
-    words; missing pairs count as zero.
+    words of length 1..order; missing pairs count as zero.
     """
 
     n: int
@@ -104,18 +104,23 @@ class TableJoint:
     def __post_init__(self) -> None:
         if self.dim != 1:
             raise InputMismatchError("tabulated joints are scalar-valued only")
-        self.data = {
-            (tuple(int(i) for i in word), StarPattern.coerce(p).letters): complex(v)
-            for (word, p), v in self.data.items()
-        }
+        data = {}
+        for (word, p), v in self.data.items():
+            word, letters = tuple(int(i) for i in word), StarPattern.coerce(p).letters
+            if len(word) != len(letters) or not 1 <= len(word) <= self.order or not all(1 <= i <= self.n for i in word):
+                raise InputMismatchError(f"entry {word}, {letters!r} needs one index in 1..{self.n} "
+                                         f"per letter and 1..{self.order} letters")
+            data[word, letters] = complex(v)
+        self.data = data
 
-    def moment_tensor(self, k: int, pattern, coeffs=None):
-        letters = StarPattern.coerce(pattern).letters
+    def order_tensor(self, k: int, coeffs=None) -> np.ndarray:
+        """Order-k moments laid out as FreeIIDJoint.order_tensor's."""
         if k > self.order:
             raise OrderBoundError(f"order {k} exceeds the tabulated order {self.order}")
-        out = np.zeros((self.n,) * k, dtype=complex)
-        for word in product(range(1, self.n + 1), repeat=k):
-            out[tuple(i - 1 for i in word)] = self.data.get((word, letters), 0.0)
+        out = np.zeros((2, self.n) * k, dtype=complex)
+        for (word, letters), v in self.data.items():
+            if len(word) == k:
+                out[tuple(x for ch, i in zip(letters, word) for x in (int(ch == STAR), i - 1))] = v
         return out if coeffs is None else _times_coeff_product(out, coeffs)
 
 
@@ -148,47 +153,15 @@ class InvarianceVerdict:
     tol: float
 
 
-# the last scalar law a spec was scanned as: (its table's content, {n: segment memo})
-_last_law: tuple = (None, {})
-
-
-def _as_joint(joint, n: int):
-    """A spec's free i.i.d. joint of n copies; any other joint as it is.
-
-    A scalar law shares the segment memo (its order tensors) of the last
-    law scanned, keyed on the table's content, so a spec changed between
-    calls gets a fresh one.  Only that law is kept, at every n it was
-    scanned: no more than one scan of it already held.  The pair is read
-    and replaced whole, so a joint never gets another law's memo.  Matrix
-    tables, whose array values make no key, get a memo of their own.
-    """
-    global _last_law
-    if not isinstance(joint, CumulantSpecSingle):
-        return joint
-    table = joint.to_table()
-    if table.dim != 1:
-        return FreeIIDJoint(table, n)
-    key = tuple(sorted(table.data.items()))
-    law = _last_law
-    if law[0] != key:
-        law = _last_law = (key, {})
-    return FreeIIDJoint(table, n, law[1].setdefault(n, {}))
-
-
 def _order_moments(joint, k: int, coeffs) -> tuple[np.ndarray, float]:
     """Order-k moments with letter axes, (c_1, i_1, ..., c_k, i_k)[, p, q], and a norm factor.
 
-    A scalar free joint's moments carry the coefficient product B outside,
-    so each residual is kron(B, D) for the plain one D, of norm |B| |D|.
-    Other joints stack moment_tensor over the patterns.
+    A scalar joint's moments carry the coefficient product B outside, so
+    each residual is kron(B, D) for the plain one D, of norm |B| |D|.
     """
-    if isinstance(joint, FreeIIDJoint) and joint.dim == 1:
-        E = joint.order_tensor(k)
-        return E, 1.0 if coeffs is None else operator_norm(_ordered_coeff_product(coeffs))
-    stack = np.stack([np.asarray(joint.moment_tensor(k, d.letters, coeffs), dtype=complex)
-                      for d in StarPattern.all_patterns(k)])
-    stack = stack.reshape((2,) * k + stack.shape[1:])
-    return stack.transpose(*[ax for t in range(k) for ax in (t, k + t)], *range(2 * k, stack.ndim)), 1.0
+    if joint.dim == 1:
+        return joint.order_tensor(k), 1.0 if coeffs is None else operator_norm(_ordered_coeff_product(coeffs))
+    return joint.order_tensor(k, coeffs), 1.0
 
 
 def _acted(X: np.ndarray, mats: list) -> np.ndarray:
@@ -248,7 +221,8 @@ def check_invariance(
     lex order.  A chunk fixes as few leading letters as keep it within
     _CHUNK_CELLS cells, or all of them; chunks of zero moments are skipped.
     """
-    joint = _as_joint(joint, rep.n)
+    if isinstance(joint, CumulantSpecSingle):
+        joint = FreeIIDJoint(joint.to_table(), rep.n)
     if joint.n != rep.n:
         raise InputMismatchError(
             f"joint distribution has n={joint.n} but the model has n={rep.n}"
@@ -378,7 +352,7 @@ def theorem1_probe(n: int = 2, max_order: int = 5, seed: int = 0) -> dict:
                 f"max_order {max_order} exceeds sample order {spec.order}"
             )
         governing = governing_family(ctag)
-        joint = _as_joint(spec, n)
+        joint = FreeIIDJoint(spec.to_table(), n)
         row: dict = {}
         for fam, rep in witnesses.items():
             expected = governing in satisfied[fam]

@@ -792,7 +792,7 @@ def test_word_recursion_matches_partition_sums_at_order_five(table_kind, coeff_k
 
 
 # ---------------------------------------------------------------------------
-# the word recursion's segment memo, shared across calls on one scalar law
+# the word recursion's segments in the law memo, shared across calls on one scalar law
 
 
 def _bits(value):
@@ -801,20 +801,20 @@ def _bits(value):
 
 
 def _cold(table, n, word, pattern, coeffs=None):
-    """joint_moments_free_family from an empty memo, leaving the memo empty."""
-    cumulants._last_segments = (None, {})
+    """joint_moments_free_family from an empty law memo, leaving the memo empty."""
+    cumulants._last_law = (None, {})
     try:
         return joint_moments_free_family(table, n, word, pattern, coeffs)
     finally:
-        cumulants._last_segments = (None, {})
+        cumulants._last_law = (None, {})
 
 
 @pytest.fixture
-def empty_segment_memo(monkeypatch):
-    monkeypatch.setattr(cumulants, "_last_segments", (None, {}))
+def empty_law_memo(monkeypatch):
+    monkeypatch.setattr(cumulants, "_last_law", (None, {}))
 
 
-def test_shared_segments_are_bit_identical_across_interleaved_laws(empty_segment_memo):
+def test_shared_segments_are_bit_identical_across_interleaved_laws(empty_law_memo):
     """Warm values equal cold ones bit for bit: laws A, B, A and n = 2, 3 interleaved."""
     a = random_cumulant_table(5, seed=82, scale=0.6)
     b = _without_orders(random_cumulant_table(5, seed=83, scale=0.6), (3,))
@@ -826,15 +826,15 @@ def test_shared_segments_are_bit_identical_across_interleaved_laws(empty_segment
             for word in itertools.product(range(1, n + 1), repeat=k):
                 for d in StarPattern.all_patterns(k):
                     warm[-1][word, d.letters] = joint_moments_free_family(table, n, word, d)
-        assert cumulants._last_segments[0] == table.data
+        assert cumulants._last_law[0] == table.data
     # the last run read the memo its n = 3 predecessor filled
-    assert len(cumulants._last_segments[1]) > 682
+    assert len(cumulants._last_law[1]["words"]) > 682
     for (table, n, _), values in zip(runs, warm):
         for (word, letters), value in values.items():
             assert _bits(value) == _bits(_cold(table, n, word, letters)), (n, word, letters)
 
 
-def test_table_mutated_in_place_is_a_new_law(empty_segment_memo):
+def test_table_mutated_in_place_is_a_new_law(empty_law_memo):
     table = random_cumulant_table(5, seed=84, scale=0.6)
     word, letters = (1, 2, 1, 1, 2), "1*1**"
     first = joint_moments_free_family(table, 2, word, letters)
@@ -847,17 +847,17 @@ def test_table_mutated_in_place_is_a_new_law(empty_segment_memo):
     assert _bits(joint_moments_free_family(table, 2, word, letters)) == _bits(first)
 
 
-def test_matrix_tables_and_coefficients_leave_the_shared_memo_alone(empty_segment_memo):
+def test_matrix_tables_and_coefficients_leave_the_shared_memo_alone(empty_law_memo):
     scalar = random_cumulant_table(5, seed=85, scale=0.6)
     word, letters = (1, 2, 1, 1, 2), "1*1**"
     plain = joint_moments_free_family(scalar, 2, word, letters)
-    law = cumulants._last_segments
-    held = dict(law[1])
+    law = cumulants._last_law
+    held = dict(law[1]["words"])
     rng = np.random.default_rng(86)
     matrix = random_cumulant_table(5, dim=2, seed=87)
     joint_moments_free_family(matrix, 2, word, letters)
     joint_moments_free_family(matrix, 2, word, letters, _random_coeffs("matrix", 5, rng))
-    assert cumulants._last_segments is law and law[1] == held
+    assert cumulants._last_law is law and law[1]["words"] == held
     # coefficients of a scalar table multiply outside the coefficient-free
     # value: that value is memoised, and nothing else is
     for kind in ("scalar", "matrix"):
@@ -865,14 +865,14 @@ def test_matrix_tables_and_coefficients_leave_the_shared_memo_alone(empty_segmen
         got = joint_moments_free_family(scalar, 2, word, letters, coeffs)
         want = cumulants._times_coeff_product(plain, coeffs)
         assert np.array_equal(got, want), kind
-        assert cumulants._last_segments is law and law[1] == held
+        assert cumulants._last_law is law and law[1]["words"] == held
 
 
-def test_multivariate_inverter_builds_each_segment_once(empty_segment_memo):
+def test_multivariate_inverter_builds_each_segment_once(empty_law_memo):
     """n = 2, K = 5 asks for 1,364 joint moments; 682 (letters, kernel) pairs are distinct."""
     table = random_cumulant_table(5, seed=88, scale=0.6)
     multivariate_cumulants_from_joint_moments(_PointwiseFamily(table, 2), 5)
-    assert len(cumulants._last_segments[1]) == sum(2 ** k * 2 ** (k - 1) for k in range(1, 6)) == 682
+    assert len(cumulants._last_law[1]["words"]) == sum(2 ** k * 2 ** (k - 1) for k in range(1, 6)) == 682
 
 
 @pytest.mark.parametrize("matrix", [False, True])
@@ -897,7 +897,7 @@ def _restricted_growth_words(k):
     return words
 
 
-def test_shared_memo_stays_within_its_cap(monkeypatch, empty_segment_memo):
+def test_shared_memo_stays_within_its_cap(monkeypatch, empty_law_memo):
     """K = 8, n = 8: segments past the cap start the memo over, and memory stays bounded.
 
     An entry (key tuple, letters, kernel tuple, complex value, dict slot)
@@ -920,7 +920,7 @@ def test_shared_memo_stays_within_its_cap(monkeypatch, empty_segment_memo):
             for letters in patterns:
                 # an index of its own in front: every call reaches its 7-letter suffix
                 joint_moments_free_family(table, 8, (8,) + rest, letters)
-                now = len(cumulants._last_segments[1])
+                now = len(cumulants._last_law[1]["words"])
                 assert now <= cap
                 stored += now - size if now >= size else now
                 size = now

@@ -30,7 +30,7 @@ from .easy import (  # the tag types and implies are also this module's API
     governing_family,
     implies,
 )
-from .errors import IncompleteTableError, InputMismatchError, SchemaError
+from .errors import IncompleteTableError, InputMismatchError, SchemaError, UnsupportedAlgebraError
 from .partitions import ONE, STAR, StarPattern
 
 SNAP_TOL = 1e-12
@@ -310,6 +310,8 @@ def _selfadjoint_spec(moments, cumulants: CumulantTable, K: int):
 
 
 def _classify_moments(moments, K: int, free: bool):
+    if moments.dim != 1:
+        raise UnsupportedAlgebraError(f"classification handles scalar moment tables, not dim {moments.dim}")
     table = (moments_to_free_cumulants if free else moments_to_classical_cumulants)(moments, K)
     spec = _selfadjoint_spec(moments, table, K) or spec_from_cumulant_table(table)
     return (classify_free if free else classify_classical)(spec, K)

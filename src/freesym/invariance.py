@@ -6,10 +6,12 @@ y's, with optional interleaved coefficients, reproduces the corresponding
 moment of the x's tensored with the identity of the model's block algebra.
 The scan compares both sides an order at a time: the letter (1 or *) of
 each word slot is an index, so order k is one tensor with axes (c_1, i_1,
-..., c_k, i_k), and the model acts on it slot by slot with u and u* stacked.
-It holds one (2n)^k tensor per order; the action and residuals run in
-chunks that fix leading letters, within _CHUNK_CELLS cells where one
-pattern fits.
+..., c_k, i_k), and the model acts on it one matmul per word slot.  It
+holds one (2n)^k tensor per order.  A chunk fixes as few leading letters
+as keep it within _CHUNK_CELLS cells (all of them where one pattern is
+larger): a fixed slot acts with its letter's u or u*, an open one with
+diag(u, u*) on (letter, index).  2x2 residuals take their norm in closed
+form.
 
 That tensor (order_tensor) is all a joint gives the scan.  A scalar law's
 tensors are memoised in its law memo (cumulants._law_memo), and interleaved
@@ -25,29 +27,14 @@ from itertools import product
 
 import numpy as np
 
-from .cumulants import (
-    EITHER,
-    CumulantTable,
-    _diagonal,
-    _family_tensor,
-    _law_memo,
-    _ordered_coeff_product,
-    _times_coeff_product,
-    pattern_sort_key,
-)
+from .cumulants import (EITHER, CumulantTable, _family_tensor, _law_memo, _ordered_coeff_product,
+                        _times_coeff_product, pattern_sort_key)
 from .distributions import CumulantSpecSingle, sample_spec
 from .easy import all_family_tags, class_tags, family_below, governing_family
 from .errors import InputMismatchError, OrderBoundError
 from .fixtures import witness_for_family
 from .partitions import ONE, STAR, StarPattern
-from .qgroups import (
-    MatrixRep,
-    _check_family,
-    _column_residuals,
-    check_biunitary,
-    operator_norm,
-    spectral_norms,
-)
+from .qgroups import MatrixRep, _check_family, _column_residuals, check_biunitary, operator_norm, spectral_norms
 
 
 # cells of one chunk of an invariance scan: the action's arrays stay this size
@@ -125,12 +112,12 @@ class TableJoint:
 
 
 @lru_cache(maxsize=16)
-def _coeff_pair(seed: int) -> tuple:
-    """The seed's non-commuting 2x2 pair, drawn once and read-only."""
+def _coeff_pair(seed: int, dim: int) -> tuple:
+    """The seed's non-commuting dim x dim pair, drawn once and read-only."""
     rng = np.random.default_rng(seed)
     while True:
-        a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        b = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        b = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         if operator_norm(a @ b - b @ a) > 1e-3:
             break
     a.setflags(write=False)
@@ -138,10 +125,19 @@ def _coeff_pair(seed: int) -> tuple:
     return a, b
 
 
-def matrix_b_coeffs(k: int, seed: int = 0) -> list:
-    """k+1 interleaved 2x2 coefficients cycling the seed's non-commuting pair."""
-    pair = _coeff_pair(seed)
+def matrix_b_coeffs(k: int, seed: int = 0, dim: int = 2) -> list:
+    """k+1 interleaved dim x dim coefficients cycling the seed's non-commuting pair.
+
+    A scan takes dim from a matrix-valued table, 2 for a scalar one.
+    """
+    pair = _coeff_pair(seed, dim)
     return [pair[t % 2] for t in range(k + 1)]
+
+
+@lru_cache(maxsize=64)
+def _coeff_norm(seed: int, k: int, dim: int) -> float:
+    """Norm of the ordered product of matrix_b_coeffs(k, seed, dim)."""
+    return operator_norm(_ordered_coeff_product(matrix_b_coeffs(k, seed, dim)))
 
 
 @dataclass
@@ -153,56 +149,54 @@ class InvarianceVerdict:
     tol: float
 
 
-def _order_moments(joint, k: int, coeffs) -> tuple[np.ndarray, float]:
+def _order_moments(joint, k: int, matrix_coeffs: bool, seed: int) -> tuple[np.ndarray, float]:
     """Order-k moments with letter axes, (c_1, i_1, ..., c_k, i_k)[, p, q], and a norm factor.
 
     A scalar joint's moments carry the coefficient product B outside, so
     each residual is kron(B, D) for the plain one D, of norm |B| |D|.
     """
     if joint.dim == 1:
-        return joint.order_tensor(k), 1.0 if coeffs is None else operator_norm(_ordered_coeff_product(coeffs))
-    return joint.order_tensor(k, coeffs), 1.0
+        return joint.order_tensor(k), _coeff_norm(seed, k, 2) if matrix_coeffs else 1.0
+    return joint.order_tensor(k, matrix_b_coeffs(k, seed, joint.dim) if matrix_coeffs else None), 1.0
 
 
 def _acted(X: np.ndarray, mats: list) -> np.ndarray:
-    """The model's action on a chunk X of an order tensor.
+    """The model's action on a chunk X of an order tensor, one matmul per word slot.
 
-    X has axes (c_1, i_1, ..., c_k, i_k)[, p, q]; mats[t] stacks the
-    (i, A) x (j, B) matrices of the letters that c_t runs over (u for 1, the
-    entrywise adjoint for *).  The word slots are contracted one at a time,
-    left to right, each as one matmul batched over the slot's letter axis:
-    slot t sums i_t and the chain's open block index against u_{i_t j_t}.
-    Output axes: the k letters, the coefficient pair flattened, A_0, the k
-    word indices j, A_k.
+    X has axes (i_1, ..., i_k)[, p, q].  mats[t] is the (i, A) x (j, B)
+    matrix of slot t: u for the letter 1, its entrywise adjoint for *, or
+    diag(u, entrywise adjoint) when the slot's letter is left open, i_t
+    then running over (letter, index).  The slots are contracted in turn:
+    slot t takes i_t off the front of the rows to sit by the chain's open
+    block index A_{t-1} at their end (a transposed view for d = 1, one copy
+    for d > 1), and its product puts (j_t, A_t) on the end, so after k
+    slots the word is back in order.  Output axes: the pair, A_0, j_1, ...,
+    j_k, A_k.
     """
-    k, n = len(mats), X.shape[1]
-    sizes, d = X.shape[:2 * k:2], mats[0].shape[-1] // n
-    # rows (the rest of the word, the pair), columns (A_0, j_1, A_1)
-    Y = np.matmul(X.reshape(sizes[0], n, -1).swapaxes(1, 2), mats[0].reshape(sizes[0], n, -1))
+    k, m = len(mats), X.shape[0]
+    d = mats[0].shape[0] // m
+    Y = X.reshape(m, -1).T @ mats[0].reshape(m, -1)
     for t in range(1, k):
-        # i_t leaves the rows to meet A_{t-1}; the product puts (j_t, A_t) in its place
-        lp, r, c = Y.shape
-        r //= sizes[t] * n
-        Y = Y.reshape(lp, sizes[t], n, r, c // d, d).transpose(0, 1, 3, 4, 2, 5)
-        Y = (Y.reshape(lp, sizes[t], -1, n * d) @ mats[t]).reshape(lp * sizes[t], r, c * n)
-    return Y.reshape(sizes + (-1, d) + (n,) * k + (d,))
+        m = X.shape[t]
+        Y = Y.reshape(m, -1, d).swapaxes(0, 1).reshape(-1, m * d) @ mats[t]
+    return Y.reshape(X.shape[k:] + (d,) + X.shape[:k] + (d,))
 
 
 def _residual_norms(X: np.ndarray, mats: list) -> np.ndarray:
-    """Norm of the action minus X (x) I in each cell of the chunk X, axes (c_1..c_k, j_1..j_k).
+    """Norm of the action minus X (x) I in each cell of the chunk X, axes (i_1..i_k).
 
     X (x) I is subtracted in place on the A_0 = A_k diagonal; a cell's
     residual is the (p d) x (q d) matrix with rows (p, A_0), columns (q, A_k).
     """
-    k, n = len(mats), X.shape[1]
-    p, q = X.shape[2 * k:] or (1, 1)
+    k = len(mats)
+    p, q = X.shape[k:] or (1, 1)
     Y = _acted(X, mats)
-    sizes, d = Y.shape[:k], Y.shape[-1]
-    Y = Y.reshape(-1, p * q, d, n ** k, d)
-    E = X.transpose(*range(0, 2 * k, 2), *range(2 * k, X.ndim), *range(1, 2 * k, 2))
-    _diagonal(Y, (2, 4))[...] -= E.reshape(-1, p * q, n ** k)
-    Y = Y.reshape(-1, p, q, d, n ** k, d).transpose(0, 4, 1, 3, 2, 5)
-    return spectral_norms(Y.reshape(-1, n ** k, p * d, q * d)).reshape(sizes + (n,) * k)
+    d = Y.shape[-1]
+    Y = Y.reshape(p, q, d, -1, d)
+    E = X.reshape(-1, p, q).transpose(1, 2, 0)
+    for a in range(d):
+        Y[:, :, a, :, a] -= E
+    return spectral_norms(Y.transpose(3, 0, 2, 1, 4).reshape(-1, p * d, q * d)).reshape(X.shape[:k])
 
 
 def check_invariance(
@@ -215,55 +209,52 @@ def check_invariance(
 ) -> InvarianceVerdict:
     """Compare the acted tuple's moments against the original ones.
 
-    Scans orders 1..max_order, each as one tensor over letters and indices,
-    recording the worst residual and the lexicographically first violating
-    cell: orders ascending, plain letters before stars, words in 1-based
-    lex order.  A chunk fixes as few leading letters as keep it within
-    _CHUNK_CELLS cells, or all of them; chunks of zero moments are skipped.
+    Scans orders 1..max_order, recording the worst residual and the
+    lexicographically first violating cell: orders ascending, plain
+    letters before stars, words in 1-based lex order.  A chunk fixes as
+    few leading letters as keep it within _CHUNK_CELLS cells, or all of
+    them; its open slots run over (letter, index) with diag(u, entrywise
+    adjoint).  Chunks of zero moments are skipped.
     """
     if isinstance(joint, CumulantSpecSingle):
         joint = FreeIIDJoint(joint.to_table(), rep.n)
     if joint.n != rep.n:
-        raise InputMismatchError(
-            f"joint distribution has n={joint.n} but the model has n={rep.n}"
-        )
+        raise InputMismatchError(f"joint distribution has n={joint.n} but the model has n={rep.n}")
     if max_order < 1:
         raise InputMismatchError("max_order must be at least 1")
     if max_order > joint.order:
-        raise OrderBoundError(
-            f"max_order {max_order} exceeds the joint's order {joint.order}"
-        )
+        raise OrderBoundError(f"max_order {max_order} exceeds the joint's order {joint.order}")
     if tol is None:
         tol = rep.tol
 
-    nd = rep.n * rep.d
-    U = np.stack([rep.letter_array(ch).transpose(0, 2, 1, 3).reshape(nd, nd) for ch in (ONE, STAR)])
+    n, nd = rep.n, rep.n * rep.d
+    U = [rep.letter_array(ch).transpose(0, 2, 1, 3).reshape(nd, nd) for ch in (ONE, STAR)]
+    both = np.zeros((2, nd, 2, nd), dtype=complex)
+    both[0, :, 0], both[1, :, 1] = U
+    both = both.reshape(2 * nd, 2 * nd)
     worst = 0.0
     first: tuple | None = None
-    all_coeffs = matrix_b_coeffs(max_order, seed) if matrix_coeffs else None
     for k in range(1, max_order + 1):
-        E, factor = _order_moments(joint, k, None if all_coeffs is None else all_coeffs[:k + 1])
-        cells = rep.n ** k * rep.d ** 2 * int(np.prod(E.shape[2 * k:]))
-        fixed = next(m for m in range(k + 1) if m == k or cells << (k - m) <= _CHUNK_CELLS)
+        E, factor = _order_moments(joint, k, matrix_coeffs, seed)
+        cells = E.size * rep.d ** 2
+        fixed = next(m for m in range(k + 1) if m == k or cells >> m <= _CHUNK_CELLS)
         for head in product((0, 1), repeat=fixed):
-            lead = [slice(c, c + 1) for c in head] + [slice(None)] * (k - fixed)
-            X = E[tuple(x for s in lead for x in (s, slice(None)))]
+            X = E[tuple(x for c in head for x in (c, slice(None)))]
+            X = X.reshape((n,) * fixed + (2 * n,) * (k - fixed) + E.shape[2 * k:])
             if not X.any():
                 continue
-            res = _residual_norms(X, [U[s] for s in lead]) * factor
+            res = _residual_norms(X, [U[c] for c in head] + [both] * (k - fixed)) * factor
             peak = float(res.max())
             worst = max(worst, peak)
             if first is None and peak > tol:
+                # cells (c_1, j_1, ..., c_k, j_k) with the letters put first
+                res = res.reshape([x for m in res.shape for x in (m // n, n)])
+                res = res.transpose(*range(0, 2 * k, 2), *range(1, 2 * k, 2))
                 bad = np.argwhere(res > tol)[0]
                 letters = "".join(STAR if c else ONE for c in np.add(head + (0,) * (k - fixed), bad[:k]))
                 first = (k, letters, tuple(int(j) + 1 for j in bad[k:]), float(res[tuple(bad)]))
-    return InvarianceVerdict(
-        invariant=first is None,
-        worst_residual=worst,
-        first_violation=first,
-        orders_checked=max_order,
-        tol=tol,
-    )
+    return InvarianceVerdict(invariant=first is None, worst_residual=worst, first_violation=first,
+                             orders_checked=max_order, tol=tol)
 
 
 def cumulant_identity_extractor(
@@ -283,18 +274,9 @@ def cumulant_identity_extractor(
     if max_order is None:
         max_order = spec.order
     if max_order > spec.order:
-        raise OrderBoundError(
-            f"max_order {max_order} exceeds the input order {spec.order}"
-        )
-    table = spec.to_table()
-    patterns = sorted(
-        {
-            letters
-            for letters, value in table.data.items()
-            if len(letters) <= max_order and np.any(np.abs(value) > 0)
-        },
-        key=pattern_sort_key,
-    )
+        raise OrderBoundError(f"max_order {max_order} exceeds the input order {spec.order}")
+    patterns = sorted({letters for letters, value in spec.to_table().data.items()
+                       if len(letters) <= max_order and np.any(np.abs(value) > 0)}, key=pattern_sort_key)
     limit = rep.tol if tol is None else tol
     failed = []
     for letters in patterns:
@@ -303,11 +285,7 @@ def cumulant_identity_extractor(
             {"pattern": letters, "column": int(j), "residual": float(residuals[j])}
             for j in np.flatnonzero(residuals > limit)
         )
-    out = {
-        "predicted_invariant": not failed,
-        "failed_identities": failed,
-        "patterns_checked": patterns,
-    }
+    out = {"predicted_invariant": not failed, "failed_identities": failed, "patterns_checked": patterns}
     if cross_validate:
         verdict = check_invariance(spec, rep, max_order, tol=tol)
         out["invariant"] = verdict.invariant
@@ -339,18 +317,13 @@ def theorem1_probe(n: int = 2, max_order: int = 5, seed: int = 0) -> dict:
         profiles[fam.label()] = [g.label() for g in satisfied[fam]]
         extra = [g.label() for g in satisfied[fam] if not family_below(fam, g)]
         if extra:
-            notes.append(
-                f"witness for {fam.label()} at n={n} also satisfies "
-                + ", ".join(extra)
-            )
+            notes.append(f"witness for {fam.label()} at n={n} also satisfies " + ", ".join(extra))
     grid: dict = {}
     mismatches = []
     for ctag in _PROBE_CLASSES:
         spec = sample_spec(ctag, seed=seed)
         if max_order > spec.order:
-            raise OrderBoundError(
-                f"max_order {max_order} exceeds sample order {spec.order}"
-            )
+            raise OrderBoundError(f"max_order {max_order} exceeds sample order {spec.order}")
         governing = governing_family(ctag)
         joint = FreeIIDJoint(spec.to_table(), n)
         row: dict = {}
@@ -361,13 +334,5 @@ def theorem1_probe(n: int = 2, max_order: int = 5, seed: int = 0) -> dict:
             if expected != actual:
                 mismatches.append((ctag.label(), fam.label()))
         grid[ctag.label()] = row
-    return {
-        "n": n,
-        "max_order": max_order,
-        "seed": seed,
-        "grid": grid,
-        "mismatches": mismatches,
-        "cells": sum(len(row) for row in grid.values()),
-        "witness_profiles": profiles,
-        "notes": notes,
-    }
+    return {"n": n, "max_order": max_order, "seed": seed, "grid": grid, "mismatches": mismatches,
+            "cells": sum(len(row) for row in grid.values()), "witness_profiles": profiles, "notes": notes}

@@ -126,15 +126,43 @@ def _sum_second(arr: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(arr).sum(axis=1)
 
 
+def _gram_top(g, sqrt):
+    """Largest singular value of [[x0, x1], [x2, x3]] from g = (re x0, im x0, ..., im x3).
+
+    The square root of the Gram matrix's top eigenvalue, (a+c)/2 +
+    sqrt(((a-c)/2)^2 + |b|^2).  g's largest part lies in [1/2, 1), so no
+    square overflows and (a+c)/2 >= 1/8 bounds the relative error.  Only
+    +, -, * and sqrt, so floats and arrays give the same bits.
+    """
+    r0, i0, r1, i1, r2, i2, r3, i3 = g
+    a = r0 * r0 + i0 * i0 + r2 * r2 + i2 * i2
+    c = r1 * r1 + i1 * i1 + r3 * r3 + i3 * i3
+    br = r0 * r1 + i0 * i1 + r2 * r3 + i2 * i3
+    bi = r0 * i1 - i0 * r1 + r2 * i3 - i2 * r3
+    h = (a - c) * 0.5
+    return sqrt((a + c) * 0.5 + sqrt(h * h + br * br + bi * bi))
+
+
 def spectral_norms(batch) -> np.ndarray:
     """Largest singular value of each trailing matrix in a batch (..., r, c).
 
-    A 1x1 matrix's singular value is its modulus, so those skip the SVD.
+    A 1x1 matrix's singular value is its modulus.  A 2x2 one's comes in
+    closed form (_gram_top) after an exact power-of-two scaling: in plain
+    floats for one matrix, one array operation per step for a stack.
+    Other shapes take LAPACK's SVD.
     """
     batch = np.asarray(batch)
     if batch.shape[-2:] == (1, 1):
         return np.abs(batch[..., 0, 0])
-    return np.linalg.svd(batch, compute_uv=False)[..., 0]
+    if batch.shape[-2:] != (2, 2):
+        return np.linalg.svd(batch, compute_uv=False)[..., 0]
+    if batch.ndim == 2:
+        g = [v for z in batch.ravel().tolist() for v in (z.real, z.imag)]
+        e = math.frexp(max(map(abs, g)))[1]
+        return np.float64(math.ldexp(_gram_top([math.ldexp(v, -e) for v in g], math.sqrt), e))
+    g = np.ascontiguousarray(batch, complex).reshape(-1, 4).view(float).T
+    e = np.frexp(np.abs(g).max(axis=0, initial=0.0))[1]
+    return np.ldexp(_gram_top(np.ldexp(g, -e, order="C"), np.sqrt), e).reshape(batch.shape[:-2])
 
 
 def operator_norm(x) -> float:

@@ -5,6 +5,7 @@ from freesym.cumulants import (
     MomentTable,
     classical_cumulants_to_moments,
     free_cumulants_to_moments,
+    random_cumulant_table,
 )
 from freesym.distributions import (
     ClassicalClassTag,
@@ -25,6 +26,7 @@ from freesym.errors import (
     IncompleteTableError,
     InputMismatchError,
     SchemaError,
+    UnsupportedAlgebraError,
 )
 from freesym.partitions import StarPattern
 
@@ -341,3 +343,11 @@ def test_shifted_semicircle_moments_stay_shifted_orthogonal():
     tags = classify_free_moments(moments, K=6)
     assert F("SHIFTED_ORTHOGONAL") in tags
     assert F("SEMICIRCULAR") not in tags
+
+
+def test_matrix_valued_moments_are_rejected_as_unsupported():
+    moments = free_cumulants_to_moments(random_cumulant_table(4, 2, seed=1), 4)
+    with pytest.raises(UnsupportedAlgebraError, match="dim 2"):
+        classify_free_moments(moments, 4)
+    with pytest.raises(UnsupportedAlgebraError, match="dim 2"):
+        classify_classical_moments(moments, 4)

@@ -1,6 +1,7 @@
 import gc
 import tracemalloc
 import weakref
+from itertools import product
 
 import numpy as np
 import pytest
@@ -275,8 +276,12 @@ def _einsum_action(E, rep, letters):
 
 
 def _letter_mats(rep):
+    """u and its entrywise adjoint as (i, A) x (j, B) matrices, and diag(u, adjoint) over (letter, i)."""
     nd = rep.n * rep.d
-    return np.stack([rep.letter_array(ch).transpose(0, 2, 1, 3).reshape(nd, nd) for ch in "1*"])
+    U = [rep.letter_array(ch).transpose(0, 2, 1, 3).reshape(nd, nd) for ch in "1*"]
+    both = np.zeros((2, nd, 2, nd), dtype=complex)
+    both[0, :, 0], both[1, :, 1] = U
+    return U, both.reshape(2 * nd, 2 * nd)
 
 
 def test_slot_by_slot_action_matches_einsum():
@@ -285,21 +290,32 @@ def test_slot_by_slot_action_matches_einsum():
     reps.append(coproduct_lift(nilpotent_pair_rep(2), nilpotent_pair_rep(2)))
     reps.append(MatrixRep(rng.standard_normal((3, 3, 2, 2)) + 1j * rng.standard_normal((3, 3, 2, 2))))
     for rep in reps:
-        U = _letter_mats(rep)
+        U, both = _letter_mats(rep)
+        n, d = rep.n, rep.d
         for k in range(1, 5):
             for pair in ((), (2, 2)):
-                shape = (2, rep.n) * k + pair
+                shape = (2, n) * k + pair
                 E = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-                got = _acted(E, [U] * k)
-                # (c_1..c_k, pair, A_0, j_1..j_k, A_k) -> per pattern (j_1..j_k, pair, A_0, A_k)
-                got = got.reshape(got.shape[:k] + pair + got.shape[k + 1:])
-                got = np.moveaxis(got, k + len(pair), 2 * k + len(pair))
-                for d in StarPattern.all_patterns(k):
-                    at = tuple(int(ch == "*") for ch in d.letters)
-                    want = _einsum_action(E[tuple(x for c in at for x in (c, slice(None)))], rep, d.letters)
-                    cell = np.moveaxis(got[at], list(range(len(pair))), list(range(k, k + len(pair))))
-                    assert cell.shape == want.shape
-                    assert np.max(np.abs(cell - want)) <= 1e-12 * np.max(np.abs(want))
+                want = {}
+                for pattern in StarPattern.all_patterns(k):
+                    at = tuple(int(ch == "*") for ch in pattern.letters)
+                    want[at] = _einsum_action(E[tuple(x for c in at for x in (c, slice(None)))], rep, pattern.letters)
+                # chunks fixing the first m letters; the open slots run over (letter, index)
+                for m in range(k + 1):
+                    for head in product((0, 1), repeat=m):
+                        X = E[tuple(x for c in head for x in (c, slice(None)))]
+                        got = _acted(X.reshape((n,) * m + (2 * n,) * (k - m) + pair), [U[c] for c in head] + [both] * (k - m))
+                        # axes (pair, A_0, j_1..j_k, A_k), an open j_t over (letter, index)
+                        got = got.reshape(pair + (d,) + (1, n) * m + (2, n) * (k - m) + (d,))
+                        for at, cell in want.items():
+                            if at[:m] != head:
+                                continue
+                            lead = tuple(x for t, c in enumerate(at) for x in (0 if t < m else c, slice(None)))
+                            # -> per pattern (j_1..j_k, pair, A_0, A_k)
+                            mine = np.moveaxis(got[(slice(None),) * (len(pair) + 1) + lead],
+                                               list(range(len(pair) + 1)), list(range(k, k + len(pair) + 1)))
+                            assert mine.shape == cell.shape
+                            assert np.max(np.abs(mine - cell)) <= 1e-12 * np.max(np.abs(cell))
 
 
 def test_relabelling_the_model_keeps_every_verdict():
@@ -360,7 +376,7 @@ def _reference_scans(joint, rep, max_order, matrix_coeffs):
     """
     out, worst, first = {}, 0.0, None
     for k in range(1, max_order + 1):
-        coeffs = matrix_b_coeffs(k, 0) if matrix_coeffs else None
+        coeffs = matrix_b_coeffs(k, 0, max(joint.dim, 2)) if matrix_coeffs else None
         for d in StarPattern.all_patterns(k):
             E = np.asarray(_pattern_moments(joint, k, d.letters, coeffs), dtype=complex)
             res = _residual_tensor(_einsum_action(E, rep, d.letters), E, k, rep.d)
@@ -437,6 +453,28 @@ def test_order_scan_across_many_chunks(monkeypatch):
             want = _reference_scans(joint, rep, 4, matrix_coeffs)
             verdict = check_invariance(joint, rep, 4, matrix_coeffs=matrix_coeffs)
             _same_scan(verdict, *want[4], (rep.entries.shape, matrix_coeffs))
+
+
+def test_matrix_b_scans_a_dim_3_spec():
+    rng = np.random.default_rng(43)
+    entries = {d.letters: (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))) * 0.5 ** k
+               for k in range(1, 5) for d in StarPattern.all_patterns(k)}
+    table = CumulantSpecSingle(order=4, entries=entries, dim=3).to_table()
+    assert all(c.shape == (3, 3) for c in matrix_b_coeffs(4, 0, 3))
+    for rep in (permutation_rep(3), bistochastic_orthogonal_rep(3), rotation_rep(2), nilpotent_pair_rep(2)):
+        joint = FreeIIDJoint(table, rep.n)
+        want = _reference_scans(joint, rep, 4, True)
+        verdict = check_invariance(joint, rep, 4, matrix_coeffs=True)
+        _same_scan(verdict, *want[4], (rep.n, rep.d))
+
+
+def test_matrix_b_draws_at_dim_2_are_the_seed_stream():
+    for seed in (0, 4):
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        b = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        coeffs = matrix_b_coeffs(2, seed)
+        assert np.array_equal(coeffs[0], a) and np.array_equal(coeffs[1], b) and coeffs[2] is coeffs[0]
 
 
 def _random_unitary(d, seed):
@@ -596,21 +634,13 @@ def test_scans_and_word_moments_share_one_law_memo():
     assert scanned() is None
 
 
-def _cycled_coeffs(k, dim, seed):
-    """k+1 interleaved dim x dim coefficients cycling a seeded pair (matrix_b_coeffs at dim 2)."""
-    if dim == 2:
-        return matrix_b_coeffs(k, seed)
-    rng = np.random.default_rng(seed)
-    pair = rng.standard_normal((2, dim, dim)) + 1j * rng.standard_normal((2, dim, dim))
-    return [pair[t % 2] for t in range(k + 1)]
-
-
 @pytest.mark.parametrize("dim,K", [(2, 5), (3, 4)])
 def test_matrix_order_tensor_equals_per_pattern_slices(dim, K):
     """Within 1e-15 of the order's largest moment: the two recursions contract in other batches.
 
-    Measured below 5e-16 at n = 2 and 3; against a pattern's own largest
-    moment the gap reached 1.6e-15 (dim 2, n = 3, order 5, with coefficients).
+    Measured at most 5.1e-16 at n = 2 and 3; against a pattern's own
+    largest moment the gap reached 1.6e-15 (dim 2, n = 3, order 5, with
+    coefficients).
     """
     rng = np.random.default_rng(40 + dim)
     entries = {d.letters: (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) * 0.5 ** k
@@ -619,7 +649,7 @@ def test_matrix_order_tensor_equals_per_pattern_slices(dim, K):
     for n in (2, 3):
         joint = FreeIIDJoint(table, n)
         for k in range(1, K + 1):
-            for coeffs in (None, _cycled_coeffs(k, dim, seed=k)):
+            for coeffs in (None, matrix_b_coeffs(k, seed=k, dim=dim)):
                 tensor = joint.order_tensor(k, coeffs)
                 assert tensor.shape == (2, n) * k + (dim, dim)
                 for d in StarPattern.all_patterns(k):

@@ -440,6 +440,49 @@ def test_spectral_norms_match_svd(d):
     assert np.allclose(got, want, rtol=1e-12, atol=0)
 
 
+def _two_by_two_stacks(rng, scale):
+    """(3, 40, 2, 2) stacks: generic, equal singular values, rank one, real, and half zero blocks."""
+    shape = (3, 40, 2, 2)
+    generic = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    q, _ = np.linalg.qr(generic)
+    cols = rng.standard_normal(shape[:-1]) + 1j * rng.standard_normal(shape[:-1])
+    rows = rng.standard_normal(shape[:-1]) + 1j * rng.standard_normal(shape[:-1])
+    zeros = generic.copy()
+    zeros[:, ::2] = 0.0
+    stacks = {
+        "generic": generic,
+        "equal": q * rng.uniform(0.5, 2.0, shape[:2] + (1, 1)),
+        "rank_one": cols[..., :, None] * rows[..., None, :],
+        "real": generic.real.copy(),
+        "zeros": zeros,
+    }
+    return {kind: batch * scale for kind, batch in stacks.items()}
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-150, 1e-20, 1.0, 1e20, 1e150, 1e300])
+def test_two_by_two_norms_are_within_8_ulp_of_svd(scale):
+    rng = np.random.default_rng(71)
+    for kind, batch in _two_by_two_stacks(rng, scale).items():
+        want = np.linalg.svd(batch, compute_uv=False)[..., 0]
+        got = spectral_norms(batch)
+        assert got.shape == want.shape == (3, 40)
+        assert np.all(np.abs(got - want) <= 8 * np.spacing(want)), (kind, scale)
+        assert np.array_equal(got == 0, want == 0), (kind, scale)
+        # one matrix in plain floats gives the stack's bits
+        for i, j in ((0, 0), (1, 7), (2, 39)):
+            single = spectral_norms(batch[i, j])
+            assert single.shape == () and single == got[i, j], (kind, scale, i, j)
+
+
+def test_other_shapes_keep_modulus_and_svd():
+    rng = np.random.default_rng(72)
+    ones = rng.standard_normal((4, 6, 1, 1)) + 1j * rng.standard_normal((4, 6, 1, 1))
+    assert np.array_equal(spectral_norms(ones), np.abs(ones[..., 0, 0]))
+    threes = rng.standard_normal((4, 6, 3, 3)) + 1j * rng.standard_normal((4, 6, 3, 3))
+    assert np.array_equal(spectral_norms(threes), np.linalg.svd(threes, compute_uv=False)[..., 0])
+    assert spectral_norms(np.zeros((0, 2, 2))).shape == (0,)
+
+
 def test_lattice_position_checks_biunitarity_once(monkeypatch):
     calls = []
     original = qgroups.check_biunitary

@@ -33,7 +33,7 @@ tensors (joint_moment_tensor) or on one word's segments
 (joint_moments_free_family).  Mixed free cumulants vanish, so a first block V
 contributes kappa(w|V) only where the indices on V agree.  The word segments
 and index tensors of a scalar law share one memo (_law_memo), kept for the
-last law evaluated only.
+last law evaluated only, until release_law_memo drops it.
 
 The defining sums over partitions, which these recursions reproduce, are
 the test suite's reference (tests/reference.py).
@@ -569,6 +569,12 @@ def _law_memo(table) -> dict:
     return _last_law[1]
 
 
+def release_law_memo() -> None:
+    """Free the last law's memo: its order tensors take 268 MB after one n=4, order-8 scan."""
+    global _last_law
+    _last_law = (None, {})
+
+
 def _free_family_word(table, idx: tuple, letters: str, cs):
     """One entry of _free_family_tensor: its recursion on one word's segments.
 
@@ -647,14 +653,14 @@ def joint_moment_tensor(table: CumulantTable, n: int, k: int, pattern, coeffs=No
     d = StarPattern.coerce(pattern)
     if len(d) != k:
         raise InputMismatchError("pattern length must equal k")
-    return _family_tensor(table, n, d.letters, coeffs, {})
+    return _family_tensor(table, n, d.letters, coeffs)
 
 
-def _family_tensor(table, n: int, letters: str, coeffs, memo: dict) -> np.ndarray:
+def _family_tensor(table, n: int, letters: str, coeffs, memo: dict | None = None) -> np.ndarray:
     """_free_family_tensor with the interleaved coefficients b_0..b_k, identity when None.
 
-    A scalar table's tensor reads and fills memo, and its coefficients
-    multiply outside; a matrix table's are spliced in, b_0 on the left.
+    A scalar table's tensor reads and fills memo, if given, and its
+    coefficients multiply outside; a matrix table's are spliced in, b_0 first.
     """
     k = len(letters)
     if n ** k > TUPLE_BUDGET:
@@ -669,7 +675,7 @@ def _family_tensor(table, n: int, letters: str, coeffs, memo: dict) -> np.ndarra
         tensor = _free_family_tensor(table, n, letters, None, memo)
         return tensor if coeffs is None else _times_coeff_product(tensor, coeffs)
     cs = [_coerce_coeff(c, p) for c in coeffs or [identity_element(p)] * (k + 1)]
-    return np.matmul(cs[0], _free_family_tensor(table, n, letters, cs[1:], {}))
+    return np.matmul(cs[0], _free_family_tensor(table, n, letters, cs[1:]))
 
 
 def _diagonal(acc: np.ndarray, block, front=()) -> np.ndarray:
@@ -684,7 +690,7 @@ def _diagonal(acc: np.ndarray, block, front=()) -> np.ndarray:
     return np.ndarray(shape, acc.dtype, buffer=acc, strides=strides)
 
 
-def _free_family_tensor(table, n: int, letters: str, cs, memo: dict) -> np.ndarray:
+def _free_family_tensor(table, n: int, letters: str, cs, memo: dict | None = None) -> np.ndarray:
     """Moments of n free copies on every index word, by the first-block recursion.
 
     M[w] = sum_{V containing 1} kappa(w|V) delta_V (x) [segment tensors]:
@@ -693,21 +699,24 @@ def _free_family_tensor(table, n: int, letters: str, cs, memo: dict) -> np.ndarr
     after each element of V are independent words; absent or zero kappa is
     skipped.  Each slot has an index axis, after a letter axis (0 for 1, 1
     for *) where its letter is EITHER: EITHER * k gives all of order k.
-    Scalar tables take cs None and a memo of segments by letters, which
-    calls on one (table, n) may share (the law memo).  Matrix tables take a
-    fresh memo; cs[i] is the coefficient after letter i, each segment ends
-    with its last coefficient, and the cores are spliced as in _splice_cores:
-    slot t of kappa takes b M(segment t), the trailing segment multiplies
-    through b from the right; the (p, p) axes come last.
+    Scalar tables take cs None and may pass a memo of segments by letters,
+    which calls on one (table, n) share (the law memo), read-only.  Matrix
+    tables keep their own; cs[i] is the coefficient after letter i, each
+    segment ends with its last coefficient, and the cores are spliced as in
+    _splice_cores: slot t of kappa takes b M(segment t), the trailing segment
+    multiplies through b from the right; the (p, p) axes come last.
     """
     matrix = cs is not None
     p = table.dim
+    shared = memo is not None
+    memo = memo if shared else {}
 
     def segment(a: int, e: int) -> np.ndarray:
         # matrix segments differ by their coefficients, scalar ones by letters only
         key = (a, e) if matrix else letters[a:e]
         if key not in memo:
-            memo[key] = build(a, e)
+            memo[key] = built = build(a, e)
+            built.flags.writeable = not shared
         return memo[key]
 
     def build(a: int, e: int) -> np.ndarray:

@@ -68,11 +68,8 @@ class FreeIIDJoint:
 
         coeffs is the interleaved list b_0..b_k, identity when omitted.
         """
-        memo = _law_memo(self.table).setdefault(self.n, {}) if self.dim == 1 else {}
-        tensor = _family_tensor(self.table, self.n, EITHER * k, coeffs, memo)
-        for built in memo.values():
-            built.setflags(write=False)
-        return tensor
+        memo = _law_memo(self.table).setdefault(self.n, {}) if self.dim == 1 else None
+        return _family_tensor(self.table, self.n, EITHER * k, coeffs, memo)
 
 
 @dataclass

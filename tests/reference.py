@@ -15,6 +15,9 @@ the package did before it derived them from the easy-category table
 the hand rule lattice_position used before it took the table's meet; the
 meet agrees with it except on a named list of satisfied sets.
 
+reference_delta_identity forms a d > 1 delta identity one index tuple at a
+time, for the streamed kernel of freesym.qgroups to agree with.
+
 The reference_* relation residuals, reference_check_biunitary,
 reference_block_identity_holds, reference_identity_failures,
 reference_structural_consequences and reference_coproduct_lift compute
@@ -54,6 +57,7 @@ from freesym.partitions import (
     refines,
 )
 from freesym.qgroups import (
+    _WITNESS_TIE,
     Check,
     MatrixRep,
     _standard_scan_patterns,
@@ -542,6 +546,42 @@ def reference_block_identity_holds(rep: MatrixRep, pattern, j: int) -> Check:
     total = chain.sum(axis=0)
     residual = operator_norm(total - np.eye(rep.d))
     return Check(holds=residual <= rep.tol, residual=residual, witness=(j,))
+
+
+def reference_delta_identity(rep: MatrixRep, pattern) -> Check:
+    """A delta identity one index tuple at a time, in lexicographic order.
+
+    Each tuple extends its prefix's products u^(c_1)_(a i_1) ... u^(c_t)_(a i_t),
+    one per summed row a, by slot t's entry on the right, so every product
+    is taken in slot order.  A full tuple's entry is their sum over a, minus
+    I on the constant tuples; its residual is LAPACK's largest singular
+    value, and the witness is the first tuple within the tie floor of the
+    worst (qgroups._WITNESS_TIE of max(1, worst)).
+    """
+    letters = StarPattern.coerce(pattern).letters
+    n, d, k = rep.n, rep.d, len(letters)
+    slots = [rep.letter_array(c) for c in letters]
+    entries = np.empty((n**k, d, d), dtype=complex)
+    tuples = []
+
+    def extend(prefix: tuple, prods) -> None:
+        t = len(prefix)
+        if t == k:
+            entry = prods.sum(axis=0)
+            if len(set(prefix)) == 1:
+                entry -= np.eye(d)
+            entries[len(tuples)] = entry
+            tuples.append(prefix)
+            return
+        for i in range(n):
+            extend(prefix + (i,), slots[0][:, i] if t == 0 else prods @ slots[t][:, i])
+
+    extend((), None)
+    norms = np.linalg.svd(entries, compute_uv=False)[:, 0]
+    worst = float(norms.max())
+    floor = worst - _WITNESS_TIE * max(1.0, worst)
+    witness = tuples[int(np.argmax(norms >= floor))]
+    return Check(holds=worst <= rep.tol, residual=worst, witness=witness)
 
 
 def reference_identity_failures(rep: MatrixRep, patterns, tol=None) -> list:

@@ -622,6 +622,22 @@ def test_a_replaced_law_frees_its_tensors_without_a_gc_pass():
         gc.enable()
 
 
+def test_released_law_memo_frees_its_tensors_and_scans_as_cold():
+    spec = spec_of("R_DIAGONAL")
+    reps = (rotation_rep(2), unit_i_diag_rep(2), nilpotent_pair_rep(2))
+    warm = [_verdict_fields(check_invariance(spec, rep, 5, matrix_coeffs=b)) for rep in reps for b in (False, True)]
+    held = weakref.ref(cumulants._last_law[1][2]["?????"])
+    gc.disable()
+    try:
+        cumulants.release_law_memo()
+        assert held() is None
+    finally:
+        gc.enable()
+    after = [_verdict_fields(check_invariance(spec, rep, 5, matrix_coeffs=b)) for rep in reps for b in (False, True)]
+    cold = [_verdict_fields(_cold(check_invariance, FreeIIDJoint(spec.to_table(), 2), rep, 5, matrix_coeffs=b))
+            for rep in reps for b in (False, True)]
+    assert after == cold == warm
+
 
 def test_scans_and_word_moments_share_one_law_memo():
     check_invariance(spec_of("SEMICIRCULAR"), rotation_rep(2), 4)

@@ -520,8 +520,9 @@ COMMUTING_MODELS = _commuting_models()
 SCAN_PATTERNS = [d.letters for k in range(2, 7) for d in StarPattern.all_patterns(k)] + [
     c * m for m in range(7, 13) for c in "1*"
 ]
-# the blow-up runs the n^k einsum path, whose cost grows as n^k d^3; past
-# this many tuples (1.4 s and ~100 MB at 3^12) only the d = 1 side runs
+# the blow-up runs the d > 1 block kernel over all n^k tuples, about
+# n^(k+1) d^3 multiply-adds; past this many tuples (0.15 s at 3^12) only the
+# d = 1 side runs
 BLOW_UP_TUPLES = 3**10
 
 
@@ -535,7 +536,7 @@ def _delta_entry(rep: MatrixRep, letters: str, idx) -> complex:
 
 @pytest.mark.parametrize("name", sorted(COMMUTING_MODELS))
 def test_commuting_delta_matches_blow_up(name):
-    """A d = 1 model and its lift A (x) I_2 (the n^k einsum path) agree."""
+    """A d = 1 model and its lift A (x) I_2 (the n^k block kernel) agree."""
     rep = COMMUTING_MODELS[name]
     blown = MatrixRep(rep.entries[:, :, 0, 0][:, :, None, None] * np.eye(2))
     for letters in SCAN_PATTERNS:

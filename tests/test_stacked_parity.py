@@ -34,8 +34,8 @@ from freesym.qgroups import (
     structural_consequences,
 )
 
-# family scan depth; at lattice_position's default 12 the d>1 einsum on the
-# 3x2 Haar model alone would hold 3^12 * 4 cells per array
+# family scan depth; at lattice_position's default 12 the d>1 block kernel
+# would form 3^12 tuples of 1^12 and *^12 on the 3x2 Haar model alone
 M_SCAN = 5
 TAGS = all_family_tags(M_SCAN) + all_family_tags(M_SCAN, classical=True)
 HAAR_SIZES = ((2, 2), (3, 2), (2, 3), (5, 1), (9, 1), (12, 1))

@@ -32,8 +32,10 @@ Joint moments of n free copies run the free recursion too: on whole index
 tensors (joint_moment_tensor) or on one word's segments
 (joint_moments_free_family).  Mixed free cumulants vanish, so a first block V
 contributes kappa(w|V) only where the indices on V agree.  The word segments
-and index tensors of a scalar law share one memo (_law_memo), kept for the
-last law evaluated only, until release_law_memo drops it.
+and index tensors of a scalar law share one memo (_law_memo).  The memos of
+recent laws are kept too, least recently used first, and trimmed to
+_LAW_BYTES (16 MB) on each change of law, so the process holds the law in
+use plus at most 16 MB, until release_law_memo drops them all.
 
 The defining sums over partitions, which these recursions reproduce, are
 the test suite's reference (tests/reference.py).
@@ -550,29 +552,55 @@ def joint_moments_free_family(table: CumulantTable, n: int, word, pattern, coeff
     return cs[0] @ _free_family_word(table, idx, d.letters, cs[1:])
 
 
-# the last scalar law evaluated: (a snapshot of its table's data, its memo)
-_last_law: tuple = (None, {})
-# entries of the word-segment memo, about 250 bytes each (16 MB when full); a full memo starts over
+# the scalar law in use: (a snapshot of its table's data, the snapshot's content key, its memo)
+_last_law: tuple = (None, None, {})
+# the laws not in use, least recently used first: content key -> (memo, its bytes by _law_bytes)
+_idle_laws: dict = {}
+# bytes the laws not in use may hold (16 MB); past it the oldest go first
+_LAW_BYTES = 2 ** 24
+# bytes counted per entry of a law's table (its content key) or of its word-segment memo
+_ENTRY_BYTES = 250
+# entries of the word-segment memo, about _ENTRY_BYTES each (16 MB when full); a full memo starts over
 _SEGMENT_CAP = 2 ** 16
 
 
-def _law_memo(table) -> dict:
-    """The memo of a scalar table's law: word segments under "words", order tensors of n copies under n.
+def _law_bytes(key: frozenset, memo: dict) -> int:
+    """What a law holds: its tensors' bytes, and _ENTRY_BYTES per table entry and word segment."""
+    entries = len(key) + len(memo.get("words", ()))
+    return _ENTRY_BYTES * entries + sum(t.nbytes for n, tensors in memo.items() if n != "words"
+                                        for t in tensors.values())
 
-    Only the last law evaluated is kept, keyed on its table's content, so a
-    table changed between calls is a new law, and another law replaces the
-    memo whole: a caller never gets another law's values.
+
+def _law_memo(table) -> dict:
+    """The memo of a scalar table's law: word segments under "words", tensors of n copies by letters under n.
+
+    A law is keyed on its table's content (frozenset of its items), so a
+    table changed between calls is a new law and a caller never gets another
+    law's values.  The law in use is recognised by dict equality alone.  On a
+    change of law the one put out of use is kept, and the laws not in use are
+    dropped, least recently used first, until their bytes fit _LAW_BYTES.
+    The law in use is never dropped, so the memo holds at most that law plus
+    16 MB.
     """
     global _last_law
     if _last_law[0] != table.data:
-        _last_law = (dict(table.data), {})
-    return _last_law[1]
+        snapshot = dict(table.data)
+        key = frozenset(snapshot.items())
+        memo = _idle_laws.pop(key, ({},))[0]
+        if _last_law[0] is not None:
+            _idle_laws[_last_law[1]] = (_last_law[2], _law_bytes(*_last_law[1:]))
+        _last_law = (snapshot, key, memo)
+        held = sum(size for _, size in _idle_laws.values())
+        while held > _LAW_BYTES:
+            held -= _idle_laws.pop(next(iter(_idle_laws)))[1]
+    return _last_law[2]
 
 
 def release_law_memo() -> None:
-    """Free the last law's memo: its order tensors take 268 MB after one n=4, order-8 scan."""
+    """Free every law's memo: the one in use may be large (268 MB after one n=4, order-8 scan)."""
     global _last_law
-    _last_law = (None, {})
+    _last_law = (None, None, {})
+    _idle_laws.clear()
 
 
 def _free_family_word(table, idx: tuple, letters: str, cs):
@@ -648,12 +676,15 @@ def joint_moment_tensor(table: CumulantTable, n: int, k: int, pattern, coeffs=No
     (and for scalar tables with matrix coefficients).  coeffs is the
     interleaved list b_0..b_k, identity when omitted.  Computed by the free
     first-block recursion on whole index tensors; joint_moments_free_family
-    computes one entry.
+    computes one entry.  A scalar table's coefficient-free tensors are read
+    from and kept in its law memo at n; the caller gets its own copy.
     """
     d = StarPattern.coerce(pattern)
     if len(d) != k:
         raise InputMismatchError("pattern length must equal k")
-    return _family_tensor(table, n, d.letters, coeffs)
+    memo = _law_memo(table).setdefault(n, {}) if table.dim == 1 else None
+    out = _family_tensor(table, n, d.letters, coeffs, memo)
+    return out if out.flags.writeable else out.copy()
 
 
 def _family_tensor(table, n: int, letters: str, coeffs, memo: dict | None = None) -> np.ndarray:

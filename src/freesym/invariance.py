@@ -247,9 +247,9 @@ def check_invariance(
                 # cells (c_1, j_1, ..., c_k, j_k) with the letters put first
                 res = res.reshape([x for m in res.shape for x in (m // n, n)])
                 res = res.transpose(*range(0, 2 * k, 2), *range(1, 2 * k, 2))
-                bad = np.argwhere(res > tol)[0]
+                bad = np.unravel_index(np.argmax(res > tol), res.shape)
                 letters = "".join(STAR if c else ONE for c in np.add(head + (0,) * (k - fixed), bad[:k]))
-                first = (k, letters, tuple(int(j) + 1 for j in bad[k:]), float(res[tuple(bad)]))
+                first = (k, letters, tuple(int(j) + 1 for j in bad[k:]), float(res[bad]))
     return InvarianceVerdict(invariant=first is None, worst_residual=worst, first_violation=first,
                              orders_checked=max_order, tol=tol)
 
@@ -272,7 +272,8 @@ def cumulant_identity_extractor(
         max_order = spec.order
     if max_order > spec.order:
         raise OrderBoundError(f"max_order {max_order} exceeds the input order {spec.order}")
-    patterns = sorted({letters for letters, value in spec.to_table().data.items()
+    table = spec.to_table()
+    patterns = sorted({letters for letters, value in table.data.items()
                        if len(letters) <= max_order and np.any(np.abs(value) > 0)}, key=pattern_sort_key)
     limit = rep.tol if tol is None else tol
     failed = []
@@ -284,7 +285,7 @@ def cumulant_identity_extractor(
         )
     out = {"predicted_invariant": not failed, "failed_identities": failed, "patterns_checked": patterns}
     if cross_validate:
-        verdict = check_invariance(spec, rep, max_order, tol=tol)
+        verdict = check_invariance(FreeIIDJoint(table, rep.n), rep, max_order, tol=tol)
         out["invariant"] = verdict.invariant
         out["agree"] = verdict.invariant == out["predicted_invariant"]
         out["verdict"] = verdict

@@ -26,6 +26,11 @@ norm each, as freesym.qgroups did before it reduced whole stacks
 (qgroups._worst); the stacked code must agree with them bit for bit.
 
 hadamard is the entrywise product the acceptance gate contracts with.
+
+reference_first_violation finds an invariance scan's first violating cell
+with np.argwhere over each whole order, as freesym.invariance did before it
+took the first True cell by argmax; on orders the scan takes in one chunk the
+two must agree bit for bit.
 """
 
 from __future__ import annotations
@@ -46,7 +51,9 @@ from freesym.cumulants import (
 from freesym.distributions import SNAP_TOL, ClassTag, _nonzero_patterns
 from freesym.easy import M_MAX_DEFAULT, FamilyTag
 from freesym.errors import CrossingPartitionError, IncompleteTableError, InputMismatchError
+from freesym.invariance import _order_moments, _residual_norms
 from freesym.partitions import (
+    ONE,
     STAR,
     Partition,
     StarPattern,
@@ -707,3 +714,29 @@ def reference_coproduct_lift(a: MatrixRep, b: MatrixRep) -> MatrixRep:
                 acc += np.kron(a.entries[i, k], b.entries[k, j])
             out[i, j] = acc
     return MatrixRep(out, tol=max(a.tol, b.tol))
+
+
+def reference_first_violation(joint, rep: MatrixRep, max_order: int, matrix_coeffs: bool = False,
+                              seed: int = 0, tol: float | None = None):
+    """check_invariance's first_violation, from np.argwhere on each order's residuals in one piece.
+
+    Every word slot is left open (diag(u, entrywise adjoint) on (letter,
+    index)), the residuals are put letters first, and the first cell over tol
+    in C order is the first violation: (order, letters, 1-based word, residual).
+    """
+    tol = rep.tol if tol is None else tol
+    n, nd = rep.n, rep.n * rep.d
+    both = np.zeros((2, nd, 2, nd), dtype=complex)
+    for c, ch in enumerate((ONE, STAR)):
+        both[c, :, c] = rep.letter_array(ch).transpose(0, 2, 1, 3).reshape(nd, nd)
+    both = both.reshape(2 * nd, 2 * nd)
+    for k in range(1, max_order + 1):
+        E, factor = _order_moments(joint, k, matrix_coeffs, seed)
+        res = _residual_norms(E.reshape((2 * n,) * k + E.shape[2 * k:]), [both] * k) * factor
+        res = res.reshape((2, n) * k).transpose(*range(0, 2 * k, 2), *range(1, 2 * k, 2))
+        hits = np.argwhere(res > tol)
+        if len(hits):
+            bad = tuple(hits[0])
+            letters = "".join(STAR if c else ONE for c in bad[:k])
+            return k, letters, tuple(int(j) + 1 for j in bad[k:]), float(res[bad])
+    return None

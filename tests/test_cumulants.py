@@ -802,16 +802,18 @@ def _bits(value):
 
 def _cold(table, n, word, pattern, coeffs=None):
     """joint_moments_free_family from an empty law memo, leaving the memo empty."""
-    cumulants._last_law = (None, {})
+    cumulants.release_law_memo()
     try:
         return joint_moments_free_family(table, n, word, pattern, coeffs)
     finally:
-        cumulants._last_law = (None, {})
+        cumulants.release_law_memo()
 
 
 @pytest.fixture
-def empty_law_memo(monkeypatch):
-    monkeypatch.setattr(cumulants, "_last_law", (None, {}))
+def empty_law_memo():
+    cumulants.release_law_memo()
+    yield
+    cumulants.release_law_memo()
 
 
 def test_shared_segments_are_bit_identical_across_interleaved_laws(empty_law_memo):
@@ -827,8 +829,8 @@ def test_shared_segments_are_bit_identical_across_interleaved_laws(empty_law_mem
                 for d in StarPattern.all_patterns(k):
                     warm[-1][word, d.letters] = joint_moments_free_family(table, n, word, d)
         assert cumulants._last_law[0] == table.data
-    # the last run read the memo its n = 3 predecessor filled
-    assert len(cumulants._last_law[1]["words"]) > 682
+    # the last run read the memo that law a's first two runs filled, kept while b was in use
+    assert len(cumulants._last_law[2]["words"]) > 682
     for (table, n, _), values in zip(runs, warm):
         for (word, letters), value in values.items():
             assert _bits(value) == _bits(_cold(table, n, word, letters)), (n, word, letters)
@@ -838,13 +840,18 @@ def test_table_mutated_in_place_is_a_new_law(empty_law_memo):
     table = random_cumulant_table(5, seed=84, scale=0.6)
     word, letters = (1, 2, 1, 1, 2), "1*1**"
     first = joint_moments_free_family(table, 2, word, letters)
+    law = cumulants._last_law[2]
     kept = table.data["1*"]
     table.data["1*"] = 0.25 + 0.5j
     changed = joint_moments_free_family(table, 2, word, letters)
+    assert cumulants._last_law[2] is not law
+    table.data["1*"] = kept
+    # the first content again is the first law again, kept while the other was in use
+    assert _bits(joint_moments_free_family(table, 2, word, letters)) == _bits(first)
+    assert cumulants._last_law[2] is law
+    table.data["1*"] = 0.25 + 0.5j
     assert _bits(changed) == _bits(_cold(table, 2, word, letters))
     assert changed != first
-    table.data["1*"] = kept
-    assert _bits(joint_moments_free_family(table, 2, word, letters)) == _bits(first)
 
 
 def test_matrix_tables_and_coefficients_leave_the_shared_memo_alone(empty_law_memo):
@@ -852,12 +859,13 @@ def test_matrix_tables_and_coefficients_leave_the_shared_memo_alone(empty_law_me
     word, letters = (1, 2, 1, 1, 2), "1*1**"
     plain = joint_moments_free_family(scalar, 2, word, letters)
     law = cumulants._last_law
-    held = dict(law[1]["words"])
+    held = dict(law[2]["words"])
     rng = np.random.default_rng(86)
     matrix = random_cumulant_table(5, dim=2, seed=87)
     joint_moments_free_family(matrix, 2, word, letters)
     joint_moments_free_family(matrix, 2, word, letters, _random_coeffs("matrix", 5, rng))
-    assert cumulants._last_law is law and law[1]["words"] == held
+    joint_moment_tensor(matrix, 2, 3, "1*1")
+    assert cumulants._last_law is law and law[2]["words"] == held and not cumulants._idle_laws
     # coefficients of a scalar table multiply outside the coefficient-free
     # value: that value is memoised, and nothing else is
     for kind in ("scalar", "matrix"):
@@ -865,14 +873,36 @@ def test_matrix_tables_and_coefficients_leave_the_shared_memo_alone(empty_law_me
         got = joint_moments_free_family(scalar, 2, word, letters, coeffs)
         want = cumulants._times_coeff_product(plain, coeffs)
         assert np.array_equal(got, want), kind
-        assert cumulants._last_law is law and law[1]["words"] == held
+        assert cumulants._last_law is law and law[2]["words"] == held
 
 
 def test_multivariate_inverter_builds_each_segment_once(empty_law_memo):
     """n = 2, K = 5 asks for 1,364 joint moments; 682 (letters, kernel) pairs are distinct."""
     table = random_cumulant_table(5, seed=88, scale=0.6)
     multivariate_cumulants_from_joint_moments(_PointwiseFamily(table, 2), 5)
-    assert len(cumulants._last_law[1]["words"]) == sum(2 ** k * 2 ** (k - 1) for k in range(1, 6)) == 682
+    assert len(cumulants._last_law[2]["words"]) == sum(2 ** k * 2 ** (k - 1) for k in range(1, 6)) == 682
+
+
+def test_joint_moment_tensor_reads_and_fills_the_law_memo(empty_law_memo, monkeypatch):
+    table = random_cumulant_table(5, seed=91, scale=0.6)
+    cold = joint_moment_tensor(table, 3, 4, "1*1*")
+    held = cumulants._law_memo(table)[3]["1*1*"]
+    assert not held.flags.writeable and np.array_equal(cold, held) and not np.shares_memory(cold, held)
+    builds = []
+    real = cumulants._first_blocks
+    monkeypatch.setattr(cumulants, "_first_blocks", lambda *args: builds.append(args) or real(*args))
+    warm = joint_moment_tensor(table, 3, 4, "1*1*")
+    # its trailing segments were kept too
+    assert np.array_equal(joint_moment_tensor(table, 3, 3, "*1*"), cumulants._law_memo(table)[3]["*1*"])
+    assert builds == []
+    assert warm.flags.writeable and not np.shares_memory(warm, held) and np.array_equal(warm, cold)
+    warm[...] = 0
+    assert np.array_equal(joint_moment_tensor(table, 3, 4, "1*1*"), cold)
+    # coefficients multiply the kept tensor outside
+    coeffs = [2.0, 1j, 0.5, 1.0, -1.0]
+    assert np.array_equal(joint_moment_tensor(table, 3, 4, "1*1*", coeffs),
+                          cumulants._times_coeff_product(held, coeffs))
+    assert builds == []
 
 
 @pytest.mark.parametrize("matrix", [False, True])
@@ -920,7 +950,7 @@ def test_shared_memo_stays_within_its_cap(monkeypatch, empty_law_memo):
             for letters in patterns:
                 # an index of its own in front: every call reaches its 7-letter suffix
                 joint_moments_free_family(table, 8, (8,) + rest, letters)
-                now = len(cumulants._last_law[1]["words"])
+                now = len(cumulants._last_law[2]["words"])
                 assert now <= cap
                 stored += now - size if now >= size else now
                 size = now

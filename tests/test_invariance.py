@@ -34,6 +34,7 @@ from freesym.invariance import (
 )
 from freesym.partitions import StarPattern
 from freesym.qgroups import FamilyTag, MatrixRep, coproduct_lift, operator_norm, spectral_norms
+from reference import reference_first_violation
 
 
 def spec_of(kind, m=None, seed=0):
@@ -41,18 +42,30 @@ def spec_of(kind, m=None, seed=0):
 
 
 @pytest.fixture
-def empty_law_memo(monkeypatch):
-    monkeypatch.setattr(cumulants, "_last_law", (None, {}))
+def empty_law_memo():
+    cumulants.release_law_memo()
+    yield
+    cumulants.release_law_memo()
 
 
 def _cold(fn, *args, **kwargs):
     """fn from an empty law memo, leaving the memo as it was."""
-    held = cumulants._last_law
-    cumulants._last_law = (None, {})
+    held, idle = cumulants._last_law, dict(cumulants._idle_laws)
+    cumulants.release_law_memo()
     try:
         return fn(*args, **kwargs)
     finally:
         cumulants._last_law = held
+        cumulants._idle_laws.clear()
+        cumulants._idle_laws.update(idle)
+
+
+def _counting_builds(monkeypatch) -> list:
+    """Record every tensor build of the free recursion from here on (one _first_blocks call each)."""
+    calls = []
+    real = cumulants._first_blocks
+    monkeypatch.setattr(cumulants, "_first_blocks", lambda *args: calls.append(args) or real(*args))
+    return calls
 
 
 def test_free_iid_under_permutation_is_exact():
@@ -142,6 +155,9 @@ def test_order_tensor_is_memoised(empty_law_memo):
     assert sorted(cumulants._law_memo(joint.table)[2]) == ["?", "??"]  # one tensor per order
     c = joint_moment_tensor(joint.table, 2, 2, "1*")
     assert np.array_equal(c, a[0, :, 1, :]) and not np.shares_memory(c, a)
+    # a pattern's tensor is kept beside the order tensors, and its caller gets a writable copy
+    held = cumulants._law_memo(joint.table)[2]["1*"]
+    assert c.flags.writeable and not held.flags.writeable and not np.shares_memory(c, held)
 
 
 def test_order_and_size_guards():
@@ -524,9 +540,10 @@ def _verdict_fields(verdict):
     return verdict.invariant, verdict.worst_residual, verdict.first_violation
 
 
-def test_shared_order_tensors_give_the_cold_verdicts_bit_for_bit():
-    # laws and n interleave (A n=2, B n=3, A n=3, A n=2), so the last-law memo
-    # is replaced, rebuilt and reused; each scan equals one on a joint of its own
+def test_shared_order_tensors_give_the_cold_verdicts_bit_for_bit(empty_law_memo):
+    # laws and n interleave (A n=2, B n=3, A n=3, A n=2), so the law in use
+    # changes and comes back from the laws kept; each scan equals one on a
+    # joint of its own, from an empty memo
     reps = {n: [(name, rep) for name, (rep, _) in fixture_set().reps.items() if rep.n == n]
             for n in (2, 3)}
     cold = {}
@@ -544,7 +561,9 @@ def test_shared_order_tensors_give_the_cold_verdicts_bit_for_bit():
                     warm = check_invariance(spec, rep, 5, matrix_coeffs=matrix_coeffs)
                     assert _verdict_fields(warm) == cold[key], key
                     cases += 1
-        assert sorted(cumulants._last_law[1]) == [2, 3]  # the last law, at both n
+        assert sorted(cumulants._last_law[2]) == [2, 3]  # the law in use, at both n
+        kept = frozenset(sample_spec(other, seed=0).to_table().data.items())
+        assert kept in cumulants._idle_laws or kept == cumulants._last_law[1]  # ORTHOGONAL's law is SEMICIRCULAR's
     assert cases == len(_PROBE_CLASSES) * 2 * 2 * sum(len(r) for r in reps.values())
 
 
@@ -579,7 +598,7 @@ def test_shared_tensors_and_coefficients_are_read_only():
     check_invariance(spec, rotation_rep(2), 3)
     joint = FreeIIDJoint(spec.to_table(), 2)
     tensor = joint.order_tensor(3)
-    assert tensor is cumulants._last_law[1][2]["???"]
+    assert tensor is cumulants._last_law[2][2]["???"]
     with pytest.raises(ValueError):
         tensor[0, 0, 0, 0, 0, 0] = 1.0
     with pytest.raises(ValueError):
@@ -590,7 +609,9 @@ def test_shared_tensors_and_coefficients_are_read_only():
         coeffs[0][0, 0] = 0.0
 
 
-def test_the_memo_keeps_only_the_last_law():
+def test_the_memo_keeps_only_the_last_law(monkeypatch):
+    """With no bytes for the laws not in use, each change of law frees the last one."""
+    monkeypatch.setattr(cumulants, "_LAW_BYTES", 0)
     reps = (rotation_rep(2), permutation_rep(3))
     laws = [sample_spec(_PROBE_CLASSES[i % len(_PROBE_CLASSES)], seed=i + 1) for i in range(12)]
     assert len({tuple(sorted(law.to_table().data.items())) for law in laws}) == 12
@@ -606,14 +627,15 @@ def test_the_memo_keeps_only_the_last_law():
         retained = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    held = sum(t.nbytes for memo in cumulants._last_law[1].values() for t in memo.values())
-    assert held == one_law
+    held = sum(t.nbytes for memo in cumulants._last_law[2].values() for t in memo.values())
+    assert held == one_law and not cumulants._idle_laws
     assert retained < one_law + 2 ** 16, (retained, one_law)
 
 
-def test_a_replaced_law_frees_its_tensors_without_a_gc_pass():
+def test_a_replaced_law_frees_its_tensors_without_a_gc_pass(monkeypatch):
+    monkeypatch.setattr(cumulants, "_LAW_BYTES", 0)
     check_invariance(spec_of("SEMICIRCULAR"), rotation_rep(2), 4)
-    replaced = weakref.ref(cumulants._last_law[1][2]["????"])
+    replaced = weakref.ref(cumulants._last_law[2][2]["????"])
     gc.disable()
     try:
         check_invariance(spec_of("CIRCULAR"), rotation_rep(2), 4)
@@ -622,15 +644,18 @@ def test_a_replaced_law_frees_its_tensors_without_a_gc_pass():
         gc.enable()
 
 
-def test_released_law_memo_frees_its_tensors_and_scans_as_cold():
+def test_released_law_memo_frees_its_tensors_and_scans_as_cold(empty_law_memo):
     spec = spec_of("R_DIAGONAL")
     reps = (rotation_rep(2), unit_i_diag_rep(2), nilpotent_pair_rep(2))
+    check_invariance(spec_of("SEMICIRCULAR"), reps[0], 5)
+    idle = weakref.ref(cumulants._last_law[2][2]["?????"])
     warm = [_verdict_fields(check_invariance(spec, rep, 5, matrix_coeffs=b)) for rep in reps for b in (False, True)]
-    held = weakref.ref(cumulants._last_law[1][2]["?????"])
+    held = weakref.ref(cumulants._last_law[2][2]["?????"])
+    assert idle() is not None and len(cumulants._idle_laws) == 1
     gc.disable()
     try:
         cumulants.release_law_memo()
-        assert held() is None
+        assert held() is None and idle() is None and not cumulants._idle_laws
     finally:
         gc.enable()
     after = [_verdict_fields(check_invariance(spec, rep, 5, matrix_coeffs=b)) for rep in reps for b in (False, True)]
@@ -639,15 +664,107 @@ def test_released_law_memo_frees_its_tensors_and_scans_as_cold():
     assert after == cold == warm
 
 
-def test_scans_and_word_moments_share_one_law_memo():
-    check_invariance(spec_of("SEMICIRCULAR"), rotation_rep(2), 4)
-    scanned = weakref.ref(cumulants._last_law[1][2]["????"])
+def test_scans_and_word_moments_share_one_law_memo(empty_law_memo):
+    spec = spec_of("SEMICIRCULAR")
+    check_invariance(spec, rotation_rep(2), 4)
+    scanned = cumulants._last_law[2][2]["????"]
     other = random_cumulant_table(4, seed=5)
     joint_moments_free_family(other, 2, (1, 2, 1), "1*1")
-    # the word moment of another law replaced the scanned law's tensors
     assert cumulants._last_law[0] == other.data
-    assert list(cumulants._last_law[1]) == ["words"]
-    assert scanned() is None
+    assert list(cumulants._last_law[2]) == ["words"]
+    # back on the scanned law, its word segments join the tensors it kept
+    joint_moments_free_family(spec.to_table(), 2, (1, 2, 1), "1*1")
+    assert set(cumulants._last_law[2]) == {2, "words"}
+    assert cumulants._last_law[2][2]["????"] is scanned
+
+
+def test_interleaved_laws_get_their_own_tensors_back(empty_law_memo, monkeypatch):
+    """A, B, A: the second pass of A reads the tensors its first pass built, and builds none."""
+    a, b = (FreeIIDJoint(spec_of(kind).to_table(), 2) for kind in ("SEMICIRCULAR", "R_DIAGONAL"))
+    first = [a.order_tensor(k) for k in range(1, 6)]
+    other = [b.order_tensor(k) for k in range(1, 6)]
+    builds = _counting_builds(monkeypatch)
+    assert all(a.order_tensor(k) is t for k, t in enumerate(first, 1))
+    assert all(b.order_tensor(k) is t for k, t in enumerate(other, 1))
+    # a joint on another table of equal content is the same law
+    assert FreeIIDJoint(spec_of("SEMICIRCULAR").to_table(), 2).order_tensor(5) is first[4]
+    assert builds == []
+
+
+def test_idle_laws_stay_within_the_byte_budget(empty_law_memo, monkeypatch):
+    """After every change of law the laws not in use fit _LAW_BYTES, the least recently used going first."""
+    joints = [FreeIIDJoint(sample_spec(tag, seed=i + 1).to_table(), 2) for i, tag in enumerate(_PROBE_CLASSES)]
+    keys = [frozenset(joint.table.data.items()) for joint in joints]
+    assert len(set(keys)) == len(joints)
+    sizes = []
+    for joint, key in zip(joints, keys):
+        for k in range(1, 5):
+            joint.order_tensor(k)
+        sizes.append(cumulants._law_bytes(key, cumulants._law_memo(joint.table)))
+    cumulants.release_law_memo()
+    budget = 3 * min(sizes) + max(sizes) // 2
+    monkeypatch.setattr(cumulants, "_LAW_BYTES", budget)
+    order = [0, 1, 2, 3, 1, 4, 5, 0, 6, 7, 3, 8, 2, 1]
+    model, current, refs = [], None, {}
+    for i in order:
+        for k in range(1, 5):
+            refs[i] = weakref.ref(joints[i].order_tensor(k))
+        if current is not None:  # the least recently used law first, as _law_memo keeps them
+            model = [j for j in model if j != i] + [current]
+            while sum(sizes[j] for j in model) > budget:
+                model.pop(0)
+        current = i
+        assert list(cumulants._idle_laws) == [keys[j] for j in model], i
+        idle = [cumulants._law_bytes(key, memo) for key, (memo, _) in cumulants._idle_laws.items()]
+        assert idle == [size for _, size in cumulants._idle_laws.values()]
+        assert sum(idle) <= budget
+        # a dropped law's tensors are freed at once
+        assert all((ref() is None) == (j not in model + [i]) for j, ref in refs.items()), i
+    assert 0 < len(model) < len(set(order)) - 1  # some laws were kept and some dropped
+
+
+def test_a_law_over_the_budget_goes_when_it_goes_out_of_use(empty_law_memo, monkeypatch):
+    # 8^5 cells at n = 4: the order-5 tensor alone holds 512 KiB
+    monkeypatch.setattr(cumulants, "_LAW_BYTES", 2 ** 19)
+    big = FreeIIDJoint(random_cumulant_table(5, seed=6), 4)
+    check_invariance(big, permutation_rep(4), 5)
+    held = weakref.ref(big.order_tensor(5))
+    check_invariance(spec_of("SEMICIRCULAR"), rotation_rep(2), 3)
+    assert held() is None and not cumulants._idle_laws
+
+
+def test_first_violation_is_the_first_argwhere_cell():
+    """Every violating scan of the fixture grid, at orders 4 to 6, with and without coefficients."""
+    violations = 0
+    for name, (rep, _) in fixture_set().reps.items():
+        for ctag in _PROBE_CLASSES:
+            joint = FreeIIDJoint(sample_spec(ctag, seed=0).to_table(), rep.n)
+            for matrix_coeffs in (False, True):
+                want = reference_first_violation(joint, rep, 6, matrix_coeffs)
+                for order in (4, 5, 6):
+                    got = check_invariance(joint, rep, order, matrix_coeffs=matrix_coeffs).first_violation
+                    assert got == (want if want is not None and want[0] <= order else None), (name, ctag, order)
+                    violations += got is not None
+    assert violations > 100
+
+
+def test_first_violation_search_keeps_the_scan_small():
+    """The variance-1000 semicircle under the orthogonal 3x3 model violates at 46,656 order-6 cells.
+
+    Listing them all took 8.7 MB at the scan's peak; the first one alone
+    leaves the scan near its 1.4 MB of residuals and chunks.
+    """
+    spec = CumulantSpecSingle(order=6, entries={"11": 1000.0}, selfadjoint=True)
+    rep = bistochastic_orthogonal_rep(3)
+    check_invariance(spec, rep, 6)  # warm the law memo and the first-block tables
+    tracemalloc.start()
+    try:
+        verdict = check_invariance(spec, rep, 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not verdict.invariant and verdict.first_violation[0] == 6
+    assert peak < 3 * 2 ** 20, peak / 2 ** 20
 
 
 @pytest.mark.parametrize("dim,K", [(2, 5), (3, 4)])

@@ -30,7 +30,7 @@ from .easy import (  # the tag types and implies are also this module's API
     governing_family,
     implies,
 )
-from .errors import IncompleteTableError, InputMismatchError, SchemaError, UnsupportedAlgebraError
+from .errors import IncompleteTableError, InputMismatchError, OrderBoundError, SchemaError, UnsupportedAlgebraError
 from .partitions import ONE, STAR, StarPattern
 
 SNAP_TOL = 1e-12
@@ -188,18 +188,19 @@ def _classify(spec: CumulantSpecSingle, K: int, free: bool, m_scan: int):
     (easy.TABLE), and the shifted classes the table does not name."""
     if spec.dim != 1:
         raise InputMismatchError("classification handles scalar specs")
+    if K < 1:
+        raise OrderBoundError(f"classification needs an order of at least 1, got {K}")
     if K > spec.order:
-        raise IncompleteTableError(
-            f"spec declares order {spec.order}, classification needs {K}"
-        )
+        raise IncompleteTableError(f"spec declares order {spec.order}, classification needs {K}")
     patterns = [d for d in _nonzero_patterns(spec.to_table(include_shift=True)) if len(d) <= K]
     shifted = abs(spec.first_cumulant()) > SNAP_TOL
+    families = {t: governing_family(t) for t in class_tags(m_scan, classical=not free)}
     tags = {
         t
-        for t in class_tags(m_scan, classical=not free)
+        for t, family in families.items()
         if (shifted or not t.shifted)
         and (spec.selfadjoint or not t.selfadjoint)
-        and all(governing_family(t).admits(d) for d in patterns)
+        and all(family.admits(d) for d in patterns)
     }
     noncanonical = []
     if shifted:
@@ -208,11 +209,10 @@ def _classify(spec: CumulantSpecSingle, K: int, free: bool, m_scan: int):
         def admitted(kind: str) -> bool:
             return all(FamilyTag(kind).admits(d) for d in centered)
 
-        # centered cumulants in a family's class but not in the class just
-        # inside it make a shifted law that no class of the table names
-        for kind, below in (("H_PRIME_PLUS", "U_PLUS"), ("H_0_PLUS", "H_PRIME_PLUS"), ("H_S_PLUS", "O_PLUS")):
-            names = TABLE[kind].classes(not free)
-            if names and admitted(kind) and not admitted(below):
+        # shifted laws that no class names (easy.Row.inside), from the larger group down
+        for kind, row in reversed(TABLE.items()):
+            names = row.classes(not free)
+            if row.inside and names and admitted(kind) and not admitted(row.inside):
                 noncanonical.append("SHIFTED_" + names[0])
     return tags, noncanonical
 
@@ -245,11 +245,7 @@ def classify_report(spec: CumulantSpecSingle, K: int, free: bool, m_scan: int | 
 
 def minimal_tags(tags) -> set:
     tags = set(tags)
-    return {
-        t
-        for t in tags
-        if not any(s != t and implies(s, t) for s in tags)
-    }
+    return {t for t in tags if not any(s != t and implies(s, t) for s in tags)}
 
 
 # class kind -> the spec's keyword arguments, given the weight draw w and the

@@ -8,13 +8,15 @@ each family with the distribution classes whose cumulants it preserves
 2012).  A row of TABLE gives the one-block star patterns the family's
 category admits, the relations a matrix model is checked against (by their
 detail keys) and the classes it governs in each calculus.  The rest is
-derived:
+derived, the order from one admits table per scan size (family_order(m_max):
+all_family_tags(m_max) against the patterns of length <= 4 and 1^m for each
+modulus, as int bitsets, built once and read by every consumer):
 
-- family_below(a, b): a admits every pattern b admits;
-- family_meet(families): the largest family below all of them.  The
-  intersection of two easy quantum groups has the category generated by
-  both (Banica & Speicher 2009), so this is the closure of a set of
-  families a model satisfies;
+- family_below(a, b): a admits every pattern b admits, one bit of the order;
+- family_meet(families): the largest family below all of them, the AND of
+  their rows.  The intersection of two easy quantum groups has the category
+  generated by both (Banica & Speicher 2009), so this is the closure of a
+  set of families a model satisfies;
 - implies(a, b): family_below(governing(b), governing(a)), except that only
   a self-adjoint class implies a self-adjoint one (SEMICIRCULAR, GAUSSIAN)
   and only a shifted class implies a shifted one (SHIFTED_*);
@@ -26,7 +28,8 @@ derived:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import and_
 from typing import Callable
 
 from .errors import InputMismatchError
@@ -45,6 +48,8 @@ class Row:
     relations: tuple[str, ...]
     free: tuple[str, ...] = ()
     classical: tuple[str, ...] = ()
+    # a shifted law whose centered cumulants fit this row's class but not inside's has no class
+    inside: str | None = None
 
     def classes(self, classical: bool) -> tuple[str, ...]:
         return self.classical if classical else self.free
@@ -60,7 +65,8 @@ TABLE = {
         lambda d, m: len(d) <= 2, ("delta_11", "sums"), ("SHIFTED_ORTHOGONAL",), ("SHIFTED_ORTHOGONAL",)
     ),
     "H_S_PLUS": Row(
-        lambda d, m: d.imbalance % 2 == 0, ("delta_11", "square_projections"), ("SYMMETRIC",), ("SYMMETRIC",)
+        lambda d, m: d.imbalance % 2 == 0, ("delta_11", "square_projections"), ("SYMMETRIC",), ("SYMMETRIC",),
+        inside="O_PLUS",
     ),
     "B_PLUS": Row(
         lambda d, m: len(d) == 1 or _balanced_pair(d), ("sums",), ("SHIFTED_CIRCULAR",), ("SHIFTED_COMPLEX_GAUSSIAN",)
@@ -69,9 +75,12 @@ TABLE = {
         lambda d, m: len(d) == 2, ("delta_11",), ("ORTHOGONAL", "SEMICIRCULAR"), ("ORTHOGONAL", "GAUSSIAN")
     ),
     "H_M_PLUS": Row(lambda d, m: d.imbalance % m == 0, ("delta_ones",), ("M_UNITARY",), ("M_UNITARY",)),
-    "H_0_PLUS": Row(lambda d, m: d.imbalance == 0, ("delta_11ss",), ("FREE_UNITARY",), ("UNITARY",)),
+    "H_0_PLUS": Row(
+        lambda d, m: d.imbalance == 0, ("delta_11ss",), ("FREE_UNITARY",), ("UNITARY",), inside="H_PRIME_PLUS"
+    ),
     "H_PRIME_PLUS": Row(
-        lambda d, m: d.imbalance == 0 and d.is_strictly_alternating(), ("delta_1s1s",), ("R_DIAGONAL",)
+        lambda d, m: d.imbalance == 0 and d.is_strictly_alternating(), ("delta_1s1s",), ("R_DIAGONAL",),
+        inside="U_PLUS",
     ),
     "U_PLUS": Row(_balanced_pair, (), ("CIRCULAR",), ("COMPLEX_GAUSSIAN",)),
 }
@@ -202,31 +211,34 @@ def class_tags(m_max: int = M_MAX_DEFAULT, classical: bool = False) -> list[Clas
     ]
 
 
-@lru_cache(maxsize=1024)
 def governing_family(tag: ClassTag) -> FamilyTag:
     return FamilyTag(_GOVERNING[tag.classical][tag.kind], tag.m, tag.classical)
 
 
 # Every pattern of length <= 4 tells the rows apart, except moduli: adding
-# 1^m for each modulus of a pair settles that pair.
+# 1^m for each modulus settles those.
 _SHORT_PATTERNS = tuple(d for k in range(1, 5) for d in StarPattern.all_patterns(k))
 
 
-@lru_cache(maxsize=1024)
-def _short_admitted(tag: FamilyTag) -> frozenset:
-    return frozenset(d.letters for d in _SHORT_PATTERNS if tag.admits(d))
+@lru_cache(maxsize=16)
+def family_order(m_max: int, classical: bool = False):
+    """(all_family_tags(m_max, classical), each tag's position in it, and per
+    tag the bitset of the positions of the tags below it)."""
+    tags = tuple(all_family_tags(m_max, classical))
+    patterns = _SHORT_PATTERNS + tuple(StarPattern(ONE * m) for m in range(3, m_max + 1))
+    admitted = [sum(1 << p for p, d in enumerate(patterns) if t.admits(d)) for t in tags]
+    below = tuple(sum(1 << i for i, a in enumerate(admitted) if b & ~a == 0) for b in admitted)
+    return tags, {t: i for i, t in enumerate(tags)}, below
 
 
-@lru_cache(maxsize=4096)
 def family_below(a: FamilyTag, b: FamilyTag) -> bool:
     """Whether family a sits inside family b: a admits every pattern b admits."""
     if a.classical != b.classical:
         return False
-    powers = [ONE * t.m for t in (a, b) if t.m is not None]
-    return _short_admitted(b) <= _short_admitted(a) and all(a.admits(d) for d in powers if b.admits(d))
+    _, index, below = family_order(max(M_MAX_DEFAULT, a.m or 0, b.m or 0), a.classical)
+    return bool(below[index[b]] >> index[a] & 1)
 
 
-@lru_cache(maxsize=4096)
 def implies(a: ClassTag, b: ClassTag) -> bool:
     """Whether membership in class a forces membership in class b."""
     if a.classical != b.classical:
@@ -242,5 +254,9 @@ def family_meet(families, m_max: int = M_MAX_DEFAULT) -> FamilyTag | None:
     families = list(families)
     if not families:
         return None
-    below = [t for t in all_family_tags(m_max, families[0].classical) if all(family_below(t, f) for f in families)]
-    return next((t for t in below if all(family_below(s, t) for s in below)), None)
+    tags, index, below = family_order(max(m_max, *(f.m or 0 for f in families)), families[0].classical)
+    # a family of the other calculus is in no row, and nothing is below it
+    common = reduce(and_, (below[index[f]] if f in index else 0 for f in families))
+    scan = [i for i, t in enumerate(tags) if common >> i & 1 and (t.m or 0) <= m_max]
+    mask = sum(1 << i for i in scan)
+    return next((tags[i] for i in scan if below[i] & mask == mask), None)

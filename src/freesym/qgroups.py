@@ -30,10 +30,11 @@ Commutativity (classical tags, d > 1) takes one entry at a time against all
 entries, then all adjoints, n^2 d^2 cells a step, never n^4.  coproduct_lift
 forms an n^3 (d_a d_b)^2 product only if n d_a d_b is within MAX_FLAT_DIM.
 
-lattice_position checks a model against every family and closes the
-satisfied set with the easy table's meet (easy.family_meet): the largest
-family below every satisfied one, which is the intersection of those
-groups.
+lattice_position checks a model against every family and reads the rest
+from the scan's one family order (easy.family_order, built once per m_max):
+the satisfied set is a bitset, its minimal families and upward consistency
+are reductions over the order's rows, and its closure is the table meet
+(easy.family_meet), the intersection of the satisfied groups.
 """
 
 from __future__ import annotations
@@ -46,14 +47,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cumulants import TUPLE_BUDGET, pattern_sort_key
-from .easy import (  # FamilyTag, family_below and all_family_tags are also this module's API
-    M_MAX_DEFAULT,
-    FamilyTag,
-    all_family_tags,
-    family_below,
-    family_meet,
-    relations,
-)
+# FamilyTag, family_below and all_family_tags are also this module's API
+from .easy import M_MAX_DEFAULT, FamilyTag, all_family_tags, family_below, family_meet, family_order, relations
 from .errors import BudgetError, InputMismatchError, SizeLimitError
 from .partitions import ONE, STAR, StarPattern
 
@@ -102,9 +97,6 @@ class MatrixRep:
         if tol < 0:
             raise InputMismatchError("tolerance must be nonnegative")
         self.tol = float(tol)
-
-    def entry(self, i: int, j: int) -> np.ndarray:
-        return self.entries[i, j]
 
     def adjoint_entries(self) -> np.ndarray:
         return np.conj(self.entries).swapaxes(2, 3)
@@ -561,30 +553,26 @@ def structural_consequences(rep: MatrixRep, patterns=None) -> dict:
 
 def lattice_position(rep: MatrixRep, m_max: int = M_MAX_DEFAULT) -> dict:
     """Every family of all_family_tags(m_max) the model satisfies, the minimal
-    ones, and their closure.
+    ones, and their closure, all read from easy.family_order(m_max).
 
     A model that satisfies the relations of several families satisfies those
-    of the category they generate, which is the category of the groups'
-    intersection.  The closure is therefore the table meet of the minimal
-    families (easy.family_meet), None only when nothing is satisfied, and
-    `consistent` says whether the model satisfies it.  Its indices are the
-    moduli m of the satisfied H_M_PLUS(m), with 2 for O_PLUS or H_S_PLUS.
+    of the category they generate, the category of the groups' intersection,
+    so the closure is the table meet of the minimal families: None only when
+    nothing is satisfied, and `consistent` says whether the model satisfies
+    it.  Its indices are the moduli m of the satisfied H_M_PLUS(m), with 2
+    for O_PLUS or H_S_PLUS.
     """
-    tags = all_family_tags(m_max)
+    if m_max < 3:
+        raise InputMismatchError(f"the modulus scan needs m_max >= 3, got {m_max}")
+    tags, _, below = family_order(m_max)
     base = check_biunitary(rep)
     results = {tag: _check_family(rep, tag, base) for tag in tags}
-    satisfied = {tag for tag, chk in results.items() if chk.holds}
-    minimal = {
-        t
-        for t in satisfied
-        if not any(s != t and family_below(s, t) for s in satisfied)
-    }
-    upward_consistent = all(
-        t in satisfied
-        for s in satisfied
-        for t in tags
-        if family_below(s, t)
-    )
+    held = sum(1 << i for i, t in enumerate(tags) if results[t].holds)
+    satisfied = [t for i, t in enumerate(tags) if held >> i & 1]
+    # t is minimal when the only satisfied family below it is itself, and the
+    # scan is upward consistent when nothing below an unsatisfied t holds
+    minimal = [t for i, t in enumerate(tags) if below[i] & held == 1 << i]
+    upward_consistent = all(b & held == 0 for i, b in enumerate(below) if not held >> i & 1)
     indices = {t.m for t in satisfied if t.kind == "H_M_PLUS"}
     if any(t.kind in ("O_PLUS", "H_S_PLUS") for t in satisfied):
         indices.add(2)

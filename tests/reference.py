@@ -14,6 +14,9 @@ the package did before it derived them from the easy-category table
 (freesym.easy); the derived code must agree with them.  reference_closure is
 the hand rule lattice_position used before it took the table's meet; the
 meet agrees with it except on a named list of satisfied sets.
+reference_lattice_position is lattice_position as it was before it reduced
+over the family order's bitsets: every reduction a loop over pairs of
+families on reference_family_below.
 
 reference_delta_identity forms a d > 1 delta identity one index tuple at a
 time, for the streamed kernel of freesym.qgroups to agree with.
@@ -49,7 +52,7 @@ from freesym.cumulants import (
     zero_element,
 )
 from freesym.distributions import SNAP_TOL, ClassTag, _nonzero_patterns
-from freesym.easy import M_MAX_DEFAULT, FamilyTag
+from freesym.easy import M_MAX_DEFAULT, FamilyTag, all_family_tags
 from freesym.errors import CrossingPartitionError, IncompleteTableError, InputMismatchError
 from freesym.invariance import _order_moments, _residual_norms
 from freesym.partitions import (
@@ -68,6 +71,7 @@ from freesym.qgroups import (
     Check,
     MatrixRep,
     _standard_scan_patterns,
+    check_family,
     full_delta_identity_holds,
     operator_norm,
 )
@@ -463,6 +467,30 @@ def reference_closure(satisfied):
     if g == 2:
         return FamilyTag("H_S_PLUS") if kinds & {"H_S_PLUS", "H_M_PLUS"} else FamilyTag("O_PLUS")
     return FamilyTag("S_PLUS")
+
+
+def reference_lattice_position(rep, m_max: int) -> dict:
+    """satisfied, minimal, upward_consistent and closure of a model, each
+    family checked on its own and every order question asked pair by pair."""
+    tags = all_family_tags(m_max)
+    satisfied = {t for t in tags if check_family(rep, t).holds}
+    minimal = {t for t in satisfied if not any(s != t and reference_family_below(s, t) for s in satisfied)}
+    upward = all(t in satisfied for s in satisfied for t in tags if reference_family_below(s, t))
+    lower = [t for t in tags if minimal and all(reference_family_below(t, f) for f in minimal)]
+    implied = next((t for t in lower if all(reference_family_below(s, t) for s in lower)), None)
+    indices = {t.m for t in satisfied if t.kind == "H_M_PLUS"}
+    if any(t.kind in ("O_PLUS", "H_S_PLUS") for t in satisfied):
+        indices.add(2)
+    return {
+        "satisfied": sorted(t.label() for t in satisfied),
+        "minimal": sorted(t.label() for t in minimal),
+        "upward_consistent": upward,
+        "closure": {
+            "indices": sorted(indices),
+            "implied": implied.label() if implied is not None else None,
+            "consistent": implied is None or implied in satisfied,
+        },
+    }
 
 
 def hadamard(u, v):

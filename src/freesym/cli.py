@@ -11,29 +11,10 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import (
-    BudgetError,
-    IncompleteTableError,
-    InputMismatchError,
-    OrderBoundError,
-    SchemaError,
-    SizeLimitError,
-    UnsupportedAlgebraError,
-)
-
 # Each command imports the modules it needs, so that `enumerate` and
-# `--help` start without numpy.
-
-_INPUT_ERRORS = (
-    SchemaError,
-    InputMismatchError,
-    OrderBoundError,
-    SizeLimitError,
-    BudgetError,
-    IncompleteTableError,
-    UnsupportedAlgebraError,
-    OSError,
-)
+# `--help` start without numpy.  Every error of freesym's (errors.py) is a
+# ValueError, as are numpy's on unusable arguments, so main needs no list
+# of them: a ValueError or an OSError is unusable input.
 
 
 def _format_blocks(partition) -> str:
@@ -43,9 +24,6 @@ def _format_blocks(partition) -> str:
 def _cmd_enumerate(args) -> int:
     from .partitions import enumerate_all_partitions, enumerate_noncrossing
 
-    if (args.nc is None) == (args.all is None):
-        print("error: choose exactly one of --nc/--all", file=sys.stderr)
-        return 2
     k = args.nc if args.nc is not None else args.all
     parts = enumerate_noncrossing(k) if args.nc is not None else enumerate_all_partitions(k)
     if args.list:
@@ -241,8 +219,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("enumerate", help="count set partitions")
-    p.add_argument("--nc", type=int, metavar="K", help="noncrossing partitions of K points")
-    p.add_argument("--all", type=int, metavar="K", help="all partitions of K points")
+    kind = p.add_mutually_exclusive_group(required=True)
+    kind.add_argument("--nc", type=int, metavar="K", help="noncrossing partitions of K points")
+    kind.add_argument("--all", type=int, metavar="K", help="all partitions of K points")
     p.add_argument("--list", action="store_true", help="print the partitions too")
     p.set_defaults(func=_cmd_enumerate)
 
@@ -313,7 +292,7 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         return args.func(args)
-    except _INPUT_ERRORS as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

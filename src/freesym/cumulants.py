@@ -527,7 +527,8 @@ def joint_moments_free_family(table: CumulantTable, n: int, word, pattern, coeff
 
     One entry of joint_moment_tensor, by the same free first-block recursion
     run on this word's contiguous segments (_free_family_word).  coeffs is
-    the interleaved list b_0..b_k (length k+1); identity when omitted.
+    the interleaved list b_0..b_k (length k+1); identity when omitted.  The
+    empty word gives b_0 times the table's identity, complex.
     """
     d = StarPattern.coerce(pattern)
     idx = tuple(int(i) for i in word)
@@ -538,18 +539,13 @@ def joint_moments_free_family(table: CumulantTable, n: int, word, pattern, coeff
         raise InputMismatchError(f"index word entries must lie in 1..{n}")
     if coeffs is not None and len(coeffs) != k + 1:
         raise InputMismatchError(f"need {k + 1} interleaved coefficients")
-    if k == 0:
-        out = identity_element(table.dim)
-        if coeffs is not None:
-            out = coeffs[0] if np.asarray(coeffs[0]).ndim else complex(coeffs[0])
-        return out
     table.require_order(k)
     p = table.dim
     if p == 1:
-        value = _free_family_word(table, idx, d.letters, None)
+        value = _free_family_word(table, idx, d.letters, None) if k else identity_element(1)
         return value if coeffs is None else _times_coeff_product(value, coeffs)
     cs = [_coerce_coeff(c, p) for c in coeffs or [identity_element(p)] * (k + 1)]
-    return cs[0] @ _free_family_word(table, idx, d.letters, cs[1:])
+    return cs[0] @ _free_family_word(table, idx, d.letters, cs[1:]) if k else np.array(cs[0])
 
 
 # the scalar law in use: (a snapshot of its table's data, the snapshot's content key, its memo)
@@ -682,15 +678,14 @@ def joint_moment_tensor(table: CumulantTable, n: int, k: int, pattern, coeffs=No
     d = StarPattern.coerce(pattern)
     if len(d) != k:
         raise InputMismatchError("pattern length must equal k")
-    memo = _law_memo(table).setdefault(n, {}) if table.dim == 1 else None
-    out = _family_tensor(table, n, d.letters, coeffs, memo)
+    out = _family_tensor(table, n, d.letters, coeffs)
     return out if out.flags.writeable else out.copy()
 
 
-def _family_tensor(table, n: int, letters: str, coeffs, memo: dict | None = None) -> np.ndarray:
+def _family_tensor(table, n: int, letters: str, coeffs) -> np.ndarray:
     """_free_family_tensor with the interleaved coefficients b_0..b_k, identity when None.
 
-    A scalar table's tensor reads and fills memo, if given, and its
+    A scalar table's tensor comes from its law memo, read-only, and its
     coefficients multiply outside; a matrix table's are spliced in, b_0 first.
     """
     k = len(letters)
@@ -703,7 +698,7 @@ def _family_tensor(table, n: int, letters: str, coeffs, memo: dict | None = None
         raise InputMismatchError(f"need {k + 1} interleaved coefficients")
     p = table.dim
     if p == 1:
-        tensor = _free_family_tensor(table, n, letters, None, memo)
+        tensor = _free_family_tensor(table, n, letters, None)
         return tensor if coeffs is None else _times_coeff_product(tensor, coeffs)
     cs = [_coerce_coeff(c, p) for c in coeffs or [identity_element(p)] * (k + 1)]
     return np.matmul(cs[0], _free_family_tensor(table, n, letters, cs[1:]))
@@ -721,7 +716,7 @@ def _diagonal(acc: np.ndarray, block, front=()) -> np.ndarray:
     return np.ndarray(shape, acc.dtype, buffer=acc, strides=strides)
 
 
-def _free_family_tensor(table, n: int, letters: str, cs, memo: dict | None = None) -> np.ndarray:
+def _free_family_tensor(table, n: int, letters: str, cs) -> np.ndarray:
     """Moments of n free copies on every index word, by the first-block recursion.
 
     M[w] = sum_{V containing 1} kappa(w|V) delta_V (x) [segment tensors]:
@@ -730,24 +725,25 @@ def _free_family_tensor(table, n: int, letters: str, cs, memo: dict | None = Non
     after each element of V are independent words; absent or zero kappa is
     skipped.  Each slot has an index axis, after a letter axis (0 for 1, 1
     for *) where its letter is EITHER: EITHER * k gives all of order k.
-    Scalar tables take cs None and may pass a memo of segments by letters,
-    which calls on one (table, n) share (the law memo), read-only.  Matrix
-    tables keep their own; cs[i] is the coefficient after letter i, each
-    segment ends with its last coefficient, and the cores are spliced as in
-    _splice_cores: slot t of kappa takes b M(segment t), the trailing segment
-    multiplies through b from the right; the (p, p) axes come last.
+    Scalar tables take cs None; their segments, keyed by letters, are the
+    law memo's tensors at n (_law_memo(table)[n]), which this function alone
+    reads and fills and every call on one law and n shares, read-only.
+    Matrix tables keep their own per call; cs[i] is the coefficient after
+    letter i, each segment ends with its last coefficient, and the cores are
+    spliced as in _splice_cores: slot t of kappa takes b M(segment t), the
+    trailing segment multiplies through b from the right; the (p, p) axes
+    come last.
     """
     matrix = cs is not None
     p = table.dim
-    shared = memo is not None
-    memo = memo if shared else {}
+    memo = {} if matrix else _law_memo(table).setdefault(n, {})
 
     def segment(a: int, e: int) -> np.ndarray:
         # matrix segments differ by their coefficients, scalar ones by letters only
         key = (a, e) if matrix else letters[a:e]
         if key not in memo:
             memo[key] = built = build(a, e)
-            built.flags.writeable = not shared
+            built.flags.writeable = matrix
         return memo[key]
 
     def build(a: int, e: int) -> np.ndarray:

@@ -272,6 +272,8 @@ def sample_spec(tag: ClassTag, seed: int = 0) -> CumulantSpecSingle:
     recipe = _SAMPLE_RECIPES.get(tag.kind)
     if recipe is None:
         raise InputMismatchError(f"no sample recipe for {tag!r}")
+    if seed < 0:
+        raise InputMismatchError(f"seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(seed)
 
     def w() -> float:

@@ -31,14 +31,14 @@ from .qgroups import FamilyTag, MatrixRep, check_family
 from . import serialize
 
 
-def _scalar_rep(matrix, tol: float = 1e-9) -> MatrixRep:
-    return MatrixRep(np.asarray(matrix, dtype=complex), tol=tol)
+def _scalar_rep(matrix) -> MatrixRep:
+    return MatrixRep(np.asarray(matrix, dtype=complex))
 
 
-def _diag_rep(first: complex, n: int, tol: float = 1e-9) -> MatrixRep:
+def _diag_rep(first: complex, n: int) -> MatrixRep:
     mat = np.eye(n, dtype=complex)
     mat[0, 0] = first
-    return _scalar_rep(mat, tol)
+    return _scalar_rep(mat)
 
 
 def permutation_rep(n: int = 3) -> MatrixRep:

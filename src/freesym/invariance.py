@@ -14,9 +14,10 @@ diag(u, u*) on (letter, index).  2x2 residuals take their norm in closed
 form.
 
 That tensor (order_tensor) is all a joint gives the scan.  A scalar law's
-tensors are memoised in its law memo (cumulants._law_memo), and interleaved
-coefficients only scale its residual norms.  A matrix-valued table's tensor
-carries the coefficients, (2n)^k p^2 entries built afresh per order.
+tensors are memoised in its law memo (cumulants._free_family_tensor keeps
+it), and interleaved coefficients only scale its residual norms.  A
+matrix-valued table's tensor carries the coefficients, (2n)^k p^2 entries
+built afresh per order.  The chunk size is qgroups' _CHUNK_CELLS.
 """
 
 from __future__ import annotations
@@ -27,18 +28,14 @@ from itertools import product
 
 import numpy as np
 
-from .cumulants import (EITHER, CumulantTable, _family_tensor, _law_memo, _ordered_coeff_product,
-                        _times_coeff_product, pattern_sort_key)
+from .cumulants import (EITHER, CumulantTable, _family_tensor, _ordered_coeff_product, _times_coeff_product,
+                        pattern_sort_key)
 from .distributions import CumulantSpecSingle, sample_spec
 from .easy import all_family_tags, class_tags, family_below, governing_family
 from .errors import InputMismatchError, OrderBoundError
 from .fixtures import witness_for_family
 from .partitions import ONE, STAR, StarPattern
-from .qgroups import MatrixRep, _check_family, _column_residuals, check_biunitary, operator_norm, spectral_norms
-
-
-# cells of one chunk of an invariance scan: the action's arrays stay this size
-_CHUNK_CELLS = 2 ** 18
+from .qgroups import _CHUNK_CELLS, MatrixRep, _column_residuals, lattice_position, operator_norm, spectral_norms
 
 
 @dataclass
@@ -47,9 +44,9 @@ class FreeIIDJoint:
 
     The scan reads its moments as one tensor per order over the words of
     (letter, index) pairs (order_tensor), built by the free first-block
-    recursion.  A scalar table's tensors are memoised read-only in its law
-    memo (cumulants._law_memo), shared by every joint of that law and n: a
-    word's segments are shorter words, so the orders below are all it reuses.
+    recursion.  A scalar law's tensors are memoised read-only by
+    cumulants._free_family_tensor, shared by every joint of that law and n:
+    a word's segments are shorter words, so the orders below are all it reuses.
     """
 
     table: CumulantTable
@@ -68,8 +65,7 @@ class FreeIIDJoint:
 
         coeffs is the interleaved list b_0..b_k, identity when omitted.
         """
-        memo = _law_memo(self.table).setdefault(self.n, {}) if self.dim == 1 else None
-        return _family_tensor(self.table, self.n, EITHER * k, coeffs, memo)
+        return _family_tensor(self.table, self.n, EITHER * k, coeffs)
 
 
 @dataclass
@@ -125,8 +121,11 @@ def _coeff_pair(seed: int, dim: int) -> tuple:
 def matrix_b_coeffs(k: int, seed: int = 0, dim: int = 2) -> list:
     """k+1 interleaved dim x dim coefficients cycling the seed's non-commuting pair.
 
-    A scan takes dim from a matrix-valued table, 2 for a scalar one.
+    A scan takes dim from a matrix-valued table, 2 for a scalar one.  The
+    seed is a nonnegative int.
     """
+    if seed < 0:
+        raise InputMismatchError(f"seed must be nonnegative, got {seed}")
     pair = _coeff_pair(seed, dim)
     return [pair[t % 2] for t in range(k + 1)]
 
@@ -298,20 +297,24 @@ _PROBE_FAMILIES = tuple(all_family_tags(3))
 
 
 def theorem1_probe(n: int = 2, max_order: int = 5, seed: int = 0) -> dict:
-    """Cross every input class with every family's witness model.
+    """Cross every input class with every family's witness model, n 2 or 3.
 
     Expected behaviour per cell: the class distribution stays invariant
     under a witness exactly when the witness satisfies the class's
-    governing family relations.  Degenerate small-n witnesses (ones that
-    land in more families than their own) are noted, not special-cased.
+    governing family relations.  A witness's profile is its scan by
+    qgroups.lattice_position(rep, 3), whose families are _PROBE_FAMILIES in
+    order.  Degenerate small-n witnesses (ones that land in more families
+    than their own) are noted, not special-cased.
     """
+    if n not in (2, 3):
+        raise InputMismatchError(f"n must be 2 or 3, the sizes with a bistochastic orthogonal witness, got {n}")
     witnesses = {fam: witness_for_family(fam, n) for fam in _PROBE_FAMILIES}
-    # each witness's family checks run once, on one biunitarity check; every
-    # cell reads its expected verdict from the witness's profile
+    # each witness is scanned once; every cell reads its expected verdict
+    # from the witness's profile
     satisfied, profiles, notes = {}, {}, []
     for fam, rep in witnesses.items():
-        base = check_biunitary(rep)
-        satisfied[fam] = [g for g in _PROBE_FAMILIES if _check_family(rep, g, base).holds]
+        results = lattice_position(rep, 3)["results"]
+        satisfied[fam] = [g for g, chk in results.items() if chk.holds]
         profiles[fam.label()] = [g.label() for g in satisfied[fam]]
         extra = [g.label() for g in satisfied[fam] if not family_below(fam, g)]
         if extra:

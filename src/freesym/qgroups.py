@@ -497,7 +497,11 @@ def _standard_scan_patterns(max_len: int = 4, power_max: int = 6):
 
 
 def structural_consequences(rep: MatrixRep, patterns=None) -> dict:
-    """Entrywise facts forced by which delta identities a model satisfies."""
+    """Entrywise facts forced by which delta identities a model satisfies.
+
+    Each distinct pattern, given or a rotation of a satisfied one, has its
+    delta identity checked once.
+    """
     if patterns is None:
         patterns = _standard_scan_patterns()
     else:
@@ -512,15 +516,11 @@ def structural_consequences(rep: MatrixRep, patterns=None) -> dict:
         for letter in d.letters[1:]:
             tail = tail @ rep.letter_array(letter)
         inv_worst = max(inv_worst, _worst(tail - _adj(rep.letter_array(d.letters[0]))))
-        if rep.d == 1:
-            # a rotation keeps the letter counts, hence the sorted-tuple residual
-            rot_worst = max(rot_worst, found[d.letters].residual)
-            continue
         for r in range(1, len(d)):
             rotated = d.letters[r:] + d.letters[:r]
-            rot_worst = max(
-                rot_worst, full_delta_identity_holds(rep, rotated).residual
-            )
+            if rotated not in found:
+                found[rotated] = full_delta_identity_holds(rep, rotated)
+            rot_worst = max(rot_worst, found[rotated].residual)
     worsts = {"entrywise_inverse": inv_worst, "cyclic_rotations": rot_worst}
 
     u = rep.entries

@@ -23,6 +23,7 @@ from freesym.errors import (
     BudgetError,
     CrossingPartitionError,
     IncompleteTableError,
+    InputMismatchError,
     OrderBoundError,
     SizeLimitError,
     UnsupportedAlgebraError,
@@ -814,6 +815,24 @@ def empty_law_memo():
     cumulants.release_law_memo()
     yield
     cumulants.release_law_memo()
+
+
+def test_empty_word_is_b0_times_the_tables_identity():
+    b = np.array([[1.0, 2.0], [3.0, 4.0]])
+    scalar = random_cumulant_table(3, 1, seed=0)
+    matrix = random_cumulant_table(3, 2, seed=0)
+    cases = [
+        (scalar, None, 1.0), (scalar, [2.0], 2.0), (scalar, [b], b),
+        (matrix, None, np.eye(2)), (matrix, [2.0], 2 * np.eye(2)), (matrix, [b], b),
+    ]
+    for table, coeffs, want in cases:
+        got = joint_moments_free_family(table, 2, (), "", coeffs)
+        assert np.shape(got) == np.shape(want)
+        assert np.iscomplexobj(got)
+        assert np.array_equal(got, want)
+    assert joint_moments_free_family(matrix, 2, (), "", [b]) is not b
+    with pytest.raises(InputMismatchError):
+        joint_moments_free_family(matrix, 2, (), "", [np.eye(3)])
 
 
 def test_shared_segments_are_bit_identical_across_interleaved_laws(empty_law_memo):

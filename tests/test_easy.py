@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freesym import invariance
+from freesym import qgroups
 from freesym.distributions import (
     CumulantSpecSingle,
     _classify,
@@ -176,13 +176,13 @@ def test_classification_matches_the_reference_on_sparse_specs(spec, K, m_scan, f
 
 def test_probe_runs_each_family_check_once(monkeypatch):
     calls = []
-    original = invariance._check_family
+    original = qgroups._check_family
 
     def counted(rep, tag, base):
         calls.append(tag)
         return original(rep, tag, base)
 
-    monkeypatch.setattr(invariance, "_check_family", counted)
+    monkeypatch.setattr(qgroups, "_check_family", counted)
     probe = theorem1_probe(n=2, max_order=4, seed=0)
     assert probe["cells"] == 81
     assert len(calls) == 81

@@ -272,10 +272,21 @@ def test_probe_checks_each_witness_biunitarity_once(monkeypatch):
         return original(rep)
 
     monkeypatch.setattr(qgroups, "check_biunitary", counted)
-    monkeypatch.setattr(invariance, "check_biunitary", counted)
     probe = theorem1_probe(n=2, max_order=4, seed=0)
     assert probe["mismatches"] == []
     assert len(calls) == len(probe["witness_profiles"]) == 9
+
+
+def test_negative_seeds_and_probe_sizes_are_rejected_by_name(monkeypatch):
+    with pytest.raises(InputMismatchError, match="seed must be nonnegative"):
+        matrix_b_coeffs(2, seed=-1)
+    with pytest.raises(InputMismatchError, match="seed must be nonnegative"):
+        spec_of("CIRCULAR", seed=-1)
+    # the probe's size is checked before any witness is built
+    monkeypatch.setattr(invariance, "witness_for_family", None)
+    for n in (-2, 0, 1, 4):
+        with pytest.raises(InputMismatchError, match="n must be 2 or 3"):
+            theorem1_probe(n=n)
 
 
 def _einsum_action(E, rep, letters):

@@ -284,6 +284,23 @@ def test_cyclic_rotations_on_commuting_models_equal_every_rotation(monkeypatch):
         assert len(calls) == len(qgroups._standard_scan_patterns()), name
 
 
+def test_structural_consequences_checks_each_pattern_once(monkeypatch):
+    """Rotations of the satisfied patterns are read from the patterns already
+    checked; a rotation outside the list is checked once, then reused."""
+    calls = []
+    original = qgroups.full_delta_identity_holds
+    monkeypatch.setattr(qgroups, "full_delta_identity_holds",
+                        lambda rep, d: calls.append(StarPattern.coerce(d).letters) or original(rep, d))
+    lift = coproduct_lift(nilpotent_pair_rep(2), nilpotent_pair_rep(2))
+    structural_consequences(lift)
+    assert sorted(calls) == sorted(d.letters for d in qgroups._standard_scan_patterns())
+    calls.clear()
+    # 1*1* rotates to *1*1 twice and to itself once
+    report = structural_consequences(lift, ["1*1*"])
+    assert report["satisfied_patterns"] == ["1*1*"]
+    assert sorted(calls) == ["*1*1", "1*1*"]
+
+
 def test_lattice_positions():
     pos = lattice_position(unit_i_diag_rep(3))
     assert pos["minimal"] == ["H_M_PLUS(4)"]

@@ -293,6 +293,42 @@ def test_uncorrected_model_is_input_error(fx, tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("args, message", [
+    (["theorem1-probe", "--seed", "-1"], "seed must be nonnegative, got -1"),
+    (["theorem1-probe", "--n", "-2"], "n must be 2 or 3"),
+    (["theorem1-probe", "--n", "4"], "n must be 2 or 3"),
+    (["check-invariance", "--dist", "{fx}/spec_semicircular.json", "--rep", "{fx}/unit_i_diag.json",
+      "--order", "3", "--matrix-b", "--seed", "-1"], "seed must be nonnegative, got -1"),
+])
+def test_unusable_seeds_and_sizes_exit_two(fx, capsys, args, message):
+    assert main([a.format(fx=fx) for a in args]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_negative_fixture_seed_exits_two_and_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "fx"
+    assert main(["fixtures", "--out", str(out), "--seed", "-1"]) == 2
+    assert "seed must be nonnegative, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_numpy_value_errors_exit_two_without_a_traceback(monkeypatch, capsys):
+    # any ValueError is unusable input, numpy's included, not a failed check
+    from freesym import invariance
+
+    def raising(**kwargs):
+        raise ValueError("negative dimensions are not allowed")
+
+    monkeypatch.setattr(invariance, "theorem1_probe", raising)
+    assert main(["theorem1-probe"]) == 2
+    assert capsys.readouterr().err == "error: negative dimensions are not allowed\n"
+    proc = subprocess.run([sys.executable, "-m", "freesym.cli", "theorem1-probe", "--seed", "-1"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == "error: seed must be nonnegative, got -1\n"
+
+
 def test_byte_identical_reports(fx, capsys):
     args = ["classify-dist", str(fx / "haar_unitary.json"), "--free", "--json"]
     assert main(args) == 0

@@ -18,24 +18,30 @@ matrix tables this is Speicher's operator-valued relation (Mem. AMS 132,
 1998, no. 627).  The inversions solve the same relation for kappa(w).
 
 Every word up to the conversion order has a place in one flat array
-(_flat_index), and for each order an integer plan (_order_plan) lists, for
+(_order_start), and for each order an integer plan (_order_plan) lists, for
 every first block V and every word at once, where kappa(w|V) and the piece
 moments sit.  Scalar tables in both calculi, and the multivariate inverter
 on words of (index, letter) pairs, evaluate a whole order as numpy gathers,
 products and one sum over V (_gathered_recursion); absent entries are exact
-zeros.  Matrix cores read their operands through the same plan: every word
-of an order has the same splice geometry for a first block V, so each V is
-spliced once for a chunk of words (_spliced_recursion), each chunk at most
-_SPLICE_CELLS cells of cores or a single word.
+zeros.  The inverter places all (word, pattern) pairs of an order at once,
+from their digit arrays (_digits).  Matrix cores read their operands
+through the same plan: every word of an order has the same splice geometry
+for a first block V, so each V is spliced once for a chunk of words
+(_spliced_recursion), each chunk at most _SPLICE_CELLS cells of cores or a
+single word.  That geometry depends only on the dim and the orders of V's
+pieces, so it is worked out once per shape (_splice_recipe, as _star_plan
+is for scalar words), and a splice is a few views and one multiply per
+segment.
 
 Joint moments of n free copies run the free recursion too: on whole index
 tensors (joint_moment_tensor) or on one word's segments
 (joint_moments_free_family).  Mixed free cumulants vanish, so a first block V
 contributes kappa(w|V) only where the indices on V agree.  The word segments
-and index tensors of a scalar law share one memo (_law_memo).  The memos of
-recent laws are kept too, least recently used first, and trimmed to
-_LAW_BYTES (16 MB) on each change of law, so the process holds the law in
-use plus at most 16 MB, until release_law_memo drops them all.
+and index tensors of a scalar law share one memo (_law_memo); a word whose
+value is there is read after its checks, before any recursion is set up.
+The memos of recent laws are kept too, least recently used first, and
+trimmed to _LAW_BYTES (16 MB) on each change of law, so the process holds
+the law in use plus at most 16 MB, until release_law_memo drops them all.
 
 The defining sums over partitions, which these recursions reproduce, are
 the test suite's reference (tests/reference.py).
@@ -281,24 +287,27 @@ def _first_blocks(k: int, free: bool) -> tuple:
     return tuple(out)
 
 
-def _flat_index(digits, a: int) -> int:
-    """Position of a word, given by its digits 0..a-1, among all words of every order.
+def _order_start(k: int, a: int) -> int:
+    """Flat index of the first word of order k over a letters.
 
-    Horner's rule in bijective base a (digit d counts d + 1): the empty word
-    is 0, and the a^k words of order k fill positions (a^k - 1)/(a - 1)
-    onward in the order of their digit tuples.
+    Every word up to a conversion order has a place in one flat array: the
+    empty word is 0, and the a^k words of order k fill positions
+    (a^k - 1)/(a - 1) onward in the order of their digit tuples (_digits),
+    so the word with digits d_1..d_k sits at sum_t (d_t + 1) a^(k - t).
     """
-    i = 0
-    for d in digits:
-        i = i * a + d + 1
-    return i
+    return (a ** k - 1) // (a - 1)
+
+
+def _digits(a: int, k: int) -> np.ndarray:
+    """Digit tuples 0..a-1 of the a^k words of order k, one row per word, first digit most significant."""
+    return np.arange(a ** k)[:, None] // a ** np.arange(k - 1, -1, -1) % a
 
 
 @lru_cache(maxsize=MAX_SCALAR_ORDER + 1)
 def _pattern_words(K: int) -> tuple[str, ...]:
     """Letters of every star pattern of orders 1..K, each order in code order.
 
-    words[i] has flat index i + 1 over {1, *} (_flat_index), so the 2^k
+    words[i] has flat index i + 1 over {1, *} (_order_start), so the 2^k
     words of order k are _pattern_words(k)[-2 ** k:].
     """
     return tuple(d.letters for k in range(1, K + 1) for d in StarPattern.all_patterns(k))
@@ -309,17 +318,17 @@ def _order_plan(k: int, a: int, free: bool) -> tuple[np.ndarray, np.ndarray]:
 
     Row r is the block _first_blocks(k, free)[r] (the whole word left out),
     column c the word whose digit tuple has code c.  kappa_at[r, c] and
-    moment_at[r, j, c] are _flat_index positions; rows with fewer nonempty
+    moment_at[r, j, c] are flat indices (_order_start); rows with fewer nonempty
     pieces than the widest are padded with 0, the empty word.
     """
     rows = _first_blocks(k, free)[:-1]
     filled = [[piece for piece in pieces if piece] for _, pieces in rows]
-    shifted = np.arange(a ** k)[:, None] // a ** np.arange(k - 1, -1, -1) % a + 1
+    shifted = _digits(a, k) + 1
 
     def at(positions) -> np.ndarray:
         return shifted[:, list(positions)] @ a ** np.arange(len(positions) - 1, -1, -1)
 
-    size = (a ** (k + 1) - 1) // (a - 1)
+    size = _order_start(k + 1, a)
     dtype = np.int16 if size <= np.iinfo(np.int16).max else np.int32
     kappa_at = np.zeros((len(rows), a ** k), dtype)
     moment_at = np.zeros((len(rows), max(map(len, filled), default=0), a ** k), dtype)
@@ -341,7 +350,7 @@ def _gathered_recursion(known: np.ndarray, K: int, a: int, free: bool, to_moment
                         mul=np.multiply) -> np.ndarray:
     """m(w) = kappa(w) + sum over V of kappa(w|V) times the piece moments, an order at a time.
 
-    known holds the given side at every _flat_index of words up to order K,
+    known holds the given side at the flat index of every word up to order K,
     absent entries as exact zeros (slot 0, the empty word, is ignored).
     Values are scalars, or p x p matrices multiplied by mul=np.matmul.
     Every term of an order is gathered through its plan at once and
@@ -357,7 +366,7 @@ def _gathered_recursion(known: np.ndarray, K: int, a: int, free: bool, to_moment
         term = kappa[kappa_at]
         for j in range(moment_at.shape[1]):
             mul(term, moment[moment_at[:, j]], out=term)
-        start = (a ** k - 1) // (a - 1)
+        start = _order_start(k, a)
         run = slice(start, start + a ** k)
         if to_moments:
             moment[run] = kappa[run] + term.sum(axis=0)
@@ -366,38 +375,59 @@ def _gathered_recursion(known: np.ndarray, K: int, a: int, free: bool, to_moment
     return solved
 
 
+@lru_cache(maxsize=None)
+def _splice_recipe(p: int, orders: tuple) -> tuple:
+    """The splice geometry of _splice_cores, for dim p and the orders of its pieces (0 for empty).
+
+    A slot (x, y) of kappa takes b M b': it splits into (x, i) for b and
+    (j, y) for b', with M's own slots between.  The trailing M multiplies
+    through b from the right, so the value's pair takes X from kappa and Y
+    from M.  Returns, per factor (kappa, then each M in slot order), the
+    view of its cores that splits every axis into its p-sized halves, the
+    axis order that puts those in the value's order, and the value's shape
+    with 1 on the axes the factor lacks; then the value's core shape.  The
+    orders determine the first block, so the cache holds one entry per
+    first block and dim: 57 per dim up to MAX_MATRIX_ORDER.
+    """
+    ids = itertools.count()
+    head = [next(ids) for _ in range(2 * len(orders))]
+    factors, out = [head], []
+    for j, order in enumerate(orders):
+        x, y = head[2 * j:2 * j + 2]
+        if not order:
+            out += [x, y]
+            continue
+        tail = [next(ids) for _ in range(2 * order)]
+        factors.append(tail)
+        *inner, i, jj = tail
+        out += [x, i, *inner, jj, y] if j < len(orders) - 1 else [y, i, *inner, x, jj]
+    place = {a: n for n, a in enumerate(out)}
+    steps = []
+    for axes in factors:
+        spots = {place[a] for a in axes}
+        perm = sorted(range(len(axes)), key=lambda t: place[axes[t]])
+        steps.append(((p,) * len(axes), (0, *(1 + t for t in perm)),
+                      tuple(p if n in spots else 1 for n in range(len(out)))))
+    return tuple(steps), core_shape(p, len(out) // 2)
+
+
 def _splice_cores(kappa: np.ndarray, moments: list) -> np.ndarray:
     """Cores of kappa(w|V) with the segment moment cores M in its slots, for a stack of words.
 
-    Axis 0 of kappa and of each M runs over the words.  A slot (x, y) of
-    kappa takes b M b': it splits into (x, i) for b and (j, y) for b', with
-    M's own slots between.  The trailing M multiplies through b from the
-    right, so the value's pair takes X from kappa and Y from M.  No axis is
-    summed: the terms are one broadcast product, kappa first, then the M in
-    slot order.
+    Axis 0 of kappa and of each M runs over the words; an empty segment's M
+    is None.  The geometry comes from _splice_recipe, one cached entry per
+    first block: each factor is viewed with its axes split, transposed and
+    reshaped to its broadcast shape, all views.  No axis is summed: the
+    terms are one broadcast product, kappa first, then the M in slot order.
     """
-    p = kappa.shape[-1]
-    ids = itertools.count()
-    head = [next(ids) for _ in range(2 * len(moments))]
-    factors, out = [(kappa, head)], []
-    for j, m in enumerate(moments):
-        x, y = head[2 * j:2 * j + 2]
-        if m is None:
-            out += [x, y]
-            continue
-        tail = [next(ids) for _ in range(2 * m.ndim - 4)]
-        factors.append((m, tail))
-        *inner, i, jj = tail
-        out += [x, i, *inner, jj, y] if j < len(moments) - 1 else [y, i, *inner, x, jj]
-    place = [out.index(a) for a in range(len(out))]
+    steps, shape = _splice_recipe(kappa.shape[-1], tuple(0 if m is None else m.ndim - 2
+                                                         for m in moments))
     val = None
-    for factor, axes in factors:
-        spots = [place[a] for a in axes]
-        view = factor.reshape((len(factor),) + (p,) * len(axes))
-        view = view.transpose([0, *(1 + np.argsort(spots))])
-        view = np.expand_dims(view, tuple(1 + n for n in range(len(out)) if n not in spots))
+    for factor, (split, axes, spread) in zip([kappa] + [m for m in moments if m is not None], steps):
+        w = len(factor)
+        view = factor.reshape((w,) + split).transpose(axes).reshape((w,) + spread)
         val = view if val is None else np.multiply(val, view, order="C")
-    return val.reshape((len(val),) + core_shape(p, len(out) // 2))
+    return val.reshape((len(val),) + shape)
 
 
 # cells of one chunk of an order's cores, in the matrix recursion
@@ -528,24 +558,31 @@ def joint_moments_free_family(table: CumulantTable, n: int, word, pattern, coeff
     One entry of joint_moment_tensor, by the same free first-block recursion
     run on this word's contiguous segments (_free_family_word).  coeffs is
     the interleaved list b_0..b_k (length k+1); identity when omitted.  The
-    empty word gives b_0 times the table's identity, complex.
+    empty word gives b_0 times the table's identity, complex.  The word is
+    checked first; a scalar table's value is then read from its law memo
+    when a call on the same law stored it, and built only when absent.
     """
-    d = StarPattern.coerce(pattern)
-    idx = tuple(int(i) for i in word)
+    letters = StarPattern.coerce(pattern).letters
+    idx = tuple(map(int, word))
     k = len(idx)
-    if len(d) != k:
+    if len(letters) != k:
         raise InputMismatchError("index word and pattern lengths differ")
-    if any(not 1 <= i <= n for i in idx):
+    if k and (min(idx) < 1 or max(idx) > n):
         raise InputMismatchError(f"index word entries must lie in 1..{n}")
     if coeffs is not None and len(coeffs) != k + 1:
         raise InputMismatchError(f"need {k + 1} interleaved coefficients")
     table.require_order(k)
     p = table.dim
     if p == 1:
-        value = _free_family_word(table, idx, d.letters, None) if k else identity_element(1)
+        value = identity_element(1)
+        if k:
+            shared = _law_memo(table).setdefault("words", {})
+            value = shared.get(_segment_key(letters, idx))
+            if value is None:
+                value = _free_family_word(table, idx, letters, None, shared)
         return value if coeffs is None else _times_coeff_product(value, coeffs)
     cs = [_coerce_coeff(c, p) for c in coeffs or [identity_element(p)] * (k + 1)]
-    return cs[0] @ _free_family_word(table, idx, d.letters, cs[1:]) if k else np.array(cs[0])
+    return cs[0] @ _free_family_word(table, idx, letters, cs[1:]) if k else np.array(cs[0])
 
 
 # the scalar law in use: (a snapshot of its table's data, the snapshot's content key, its memo)
@@ -599,7 +636,16 @@ def release_law_memo() -> None:
     _idle_laws.clear()
 
 
-def _free_family_word(table, idx: tuple, letters: str, cs):
+def _segment_key(letters: str, idx: tuple) -> tuple:
+    """A word segment's key in the law memo: its letters and its index kernel.
+
+    The kernel gives each position the first position carrying its index,
+    so two segments share it exactly when the same positions agree.
+    """
+    return letters, tuple(map(idx.index, idx))
+
+
+def _free_family_word(table, idx: tuple, letters: str, cs, shared=None):
     """One entry of _free_family_tensor: its recursion on one word's segments.
 
     A first block V of a segment counts only where the indices on V agree,
@@ -607,18 +653,17 @@ def _free_family_word(table, idx: tuple, letters: str, cs):
     first index, in the order of itertools.combinations.  cs is as in
     _free_family_tensor.  A segment's value depends on its letters and its
     index kernel (which of its positions carry equal indices), not on the
-    indices themselves or on n.  Scalar segments are memoised by (letters,
-    kernel) in the law memo, with the word's own memo by position in front,
-    so a segment is relabelled at most once per word; the law's memo starts
-    over at _SEGMENT_CAP entries.  A scalar term multiplies kappa(w|V) by the
-    segments in place, left to right; a matrix term splices them with the
-    coefficients.  Matrix segments, which carry this word's coefficients,
-    are memoised for this word only.
+    indices themselves or on n.  Scalar segments are memoised in shared,
+    the law memo's "words" entry, by _segment_key, with the word's own memo
+    by position in front, so a segment is relabelled at most once per word;
+    shared starts over at _SEGMENT_CAP entries.  A scalar term multiplies
+    kappa(w|V) by the segments in place, left to right; a matrix term
+    splices them with the coefficients.  Matrix segments, which carry this
+    word's coefficients, are memoised for this word only (shared is None).
     """
     memo = {}
     get = table.data.get
     zero = zero_element(table.dim)
-    shared = None if cs is not None else _law_memo(table).setdefault("words", {})
 
     def segment(a: int, e: int):
         s = memo.get((a, e))
@@ -626,8 +671,7 @@ def _free_family_word(table, idx: tuple, letters: str, cs):
             if shared is None:
                 s = build(a, e)
             else:
-                labels = {}
-                key = (letters[a:e], tuple([labels.setdefault(i, len(labels)) for i in idx[a:e]]))
+                key = _segment_key(letters[a:e], idx[a:e])
                 s = shared.get(key)
                 if s is None:
                     s = build(a, e)
@@ -791,7 +835,10 @@ def multivariate_cumulants_from_joint_moments(oracle, K: int) -> MultiCumulantTa
     The oracle exposes .n, .dim and .moment(word, pattern); mixed entries of
     the result are the freeness certificate (zero iff the family is free).
     The free first-block recursion runs on words over the 2n letters
-    (index, 1 or *), letter 2(i - 1) + [*] in _flat_index.
+    (index, 1 or *), letter 2(i - 1) + [*].  The flat indices of an order's
+    (word, pattern) pairs come at once from their digit arrays, in the
+    order the oracle is asked and the result keeps: orders ascending, index
+    words in itertools.product order, then patterns in all_patterns order.
     """
     n = int(oracle.n)
     dim = int(getattr(oracle, "dim", 1))
@@ -800,22 +847,25 @@ def multivariate_cumulants_from_joint_moments(oracle, K: int) -> MultiCumulantTa
     if n > MAX_ALPHABET:
         raise OrderBoundError(f"multivariate alphabet bound is {MAX_ALPHABET}")
     a = 2 * n
-    known = np.zeros((_flat_index([a - 1] * K, a) + 1,) + ((dim, dim) if dim > 1 else ()),
+    known = np.zeros((_order_start(max(K, 0) + 1, a),) + ((dim, dim) if dim > 1 else ()),
                      dtype=complex)
-    where = {}
+    keys, at = [], []
     for k in range(1, K + 1):
         patterns = list(StarPattern.all_patterns(k))
-        for word in itertools.product(range(1, n + 1), repeat=k):
-            for d in patterns:
-                i = where[word, d.letters] = _flat_index(
-                    [2 * (t - 1) + (ch == STAR) for t, ch in zip(word, d.letters)], a)
-                known[i] = oracle.moment(word, d)
+        place = a ** np.arange(k - 1, -1, -1)
+        order_at = (_order_start(k, a) + (2 * _digits(n, k) @ place)[:, None]
+                    + _digits(2, k) @ place).ravel().tolist()
+        pairs = ((word, d) for word in itertools.product(range(1, n + 1), repeat=k) for d in patterns)
+        for i, (word, d) in zip(order_at, pairs):
+            known[i] = oracle.moment(word, d)
+            keys.append((word, d.letters))
+        at += order_at
     values = _gathered_recursion(known, K, a, True, False,
                                  np.multiply if dim == 1 else np.matmul)
     _require_finite(values)
-    entries = values.tolist() if dim == 1 else values
+    entries = values[at]
     out = MultiCumulantTable(order=K, n=n, dim=dim)
-    out.data = {key: entries[i] for key, i in where.items()}
+    out.data = dict(zip(keys, entries.tolist() if dim == 1 else entries))
     return out
 
 

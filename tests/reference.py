@@ -30,6 +30,12 @@ norm each, as freesym.qgroups did before it reduced whole stacks
 
 hadamard is the entrywise product the acceptance gate contracts with.
 
+reference_splice splices one matrix block's cores one output cell at a time,
+kappa's entry times each segment moment's entry in slot order, from the
+operator-valued relation itself; freesym.cumulants._splice_cores, which
+takes its geometry from a cached recipe and multiplies whole views, must
+agree with it bit for bit.
+
 reference_first_violation finds an invariance scan's first violating cell
 with np.argwhere over each whole order, as freesym.invariance did before it
 took the first True cell by argmax; on orders the scan takes in one chunk the
@@ -38,6 +44,7 @@ two must agree bit for bit.
 
 from __future__ import annotations
 
+import itertools
 import math
 from functools import lru_cache
 
@@ -47,6 +54,7 @@ from freesym.cumulants import (
     MomentTable,
     _coerce_coeff,
     _ordered_coeff_product,
+    core_shape,
     identity_element,
     pattern_sort_key,
     zero_element,
@@ -294,6 +302,51 @@ def joint_moment_partition_sum(table, n: int, word, pattern, coeffs=None):
         else:
             acc = _coerce_coeff(b0, table.dim) @ acc
     return acc
+
+
+def reference_splice(kappa: np.ndarray, moments: list) -> np.ndarray:
+    """The cores of kappa(w|V) with the segment moments in its slots, one output cell at a time.
+
+    Axis 0 of kappa and of each segment's cores M runs over the words; an
+    empty segment is None.  V's elements sit at positions v_0 = 0 < v_1 <
+    ...; segment j runs from v_j + 1 to the next element (the last one to
+    the end), and output slot t, the coefficient b_t = E(r_t, c_t) between
+    letters t and t + 1, ends in the pair (X, Y).  Slot j of kappa takes
+    b_{v_j} M_j b'_{e_j}, e_j the slot before V's next element, so kappa
+    reads (r at v_j, c at e_j) and M_j ends in (c at v_j, r at e_j); the
+    trailing segment multiplies through b_{v_last} from the right, so kappa
+    ends in (X, r at v_last) and M in (c at v_last, Y).  A segment's inner
+    slots are the output slots between its letters.  Each cell multiplies
+    kappa's entry by each M's entry, in slot order.
+    """
+    p = kappa.shape[-1]
+    orders = [0 if m is None else m.ndim - 2 for m in moments]
+    starts = list(itertools.accumulate([1 + o for o in orders[:-1]], initial=0))
+    k = len(orders) + sum(orders)
+    out = np.zeros((len(kappa),) + (p,) * (2 * k), dtype=complex)
+    factors = [f.reshape((len(f),) + (p,) * (2 * f.ndim - 4)) for f in [kappa] + moments if f is not None]
+    for cell in itertools.product(range(p), repeat=2 * k):
+        slots = [cell[2 * t:2 * t + 2] for t in range(k - 1)]
+        X, Y = cell[-2:]
+        at_kappa, at_moments = [], []
+        for j, (v, o) in enumerate(zip(starts, orders)):
+            last = j == len(orders) - 1
+            if not o:
+                at_kappa += (X, Y) if last else slots[v]
+                continue
+            inner = [i for t in range(v + 1, v + o) for i in slots[t]]
+            if last:
+                at_kappa += (X, slots[v][0])
+                at_moments.append(inner + [slots[v][1], Y])
+            else:
+                e = v + o
+                at_kappa += (slots[v][0], slots[e][1])
+                at_moments.append(inner + [slots[v][1], slots[e][0]])
+        value = factors[0][(slice(None), *at_kappa)]
+        for factor, at in zip(factors[1:], at_moments):
+            value = value * factor[(slice(None), *at)]
+        out[(slice(None), *cell)] = value
+    return out.reshape((len(kappa),) + core_shape(p, k))
 
 
 def scalar_partition_sum(table, K: int, free: bool) -> MomentTable:

@@ -38,6 +38,7 @@ from reference import (
     eval_partitioned_classical,
     eval_partitioned_free,
     joint_moment_partition_sum,
+    reference_splice,
     scalar_partition_sum,
 )
 
@@ -641,6 +642,86 @@ def test_multivariate_inverter_on_three_free_copies():
         assert abs(value - want) < 1e-12, (word, letters, value)
 
 
+def _per_word_inverter(oracle, K):
+    """The multivariate inverter's entries as it built them a word at a time: a flat index per call."""
+    n, dim = oracle.n, oracle.dim
+    a = 2 * n
+
+    def flat_index(digits):
+        i = 0
+        for d in digits:
+            i = i * a + d + 1
+        return i
+
+    known = np.zeros((flat_index([a - 1] * K) + 1,) + ((dim, dim) if dim > 1 else ()), dtype=complex)
+    where = {}
+    for k in range(1, K + 1):
+        for word in itertools.product(range(1, n + 1), repeat=k):
+            for d in StarPattern.all_patterns(k):
+                i = where[word, d.letters] = flat_index(
+                    [2 * (t - 1) + (ch == "*") for t, ch in zip(word, d.letters)])
+                known[i] = oracle.moment(word, d)
+    values = cumulants._gathered_recursion(known, K, a, True, False,
+                                           np.multiply if dim == 1 else np.matmul)
+    return {key: values[i] for key, i in where.items()}
+
+
+class _TabulatedMatrixFamily:
+    """Seeded 2x2 joint moments on every (word, pattern)."""
+
+    n, dim = 2, 2
+
+    def __init__(self, K, seed):
+        rng = np.random.default_rng(seed)
+        self.values = {
+            (word, d.letters): (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))) * 0.5 ** k
+            for k in range(1, K + 1)
+            for word in itertools.product((1, 2), repeat=k)
+            for d in StarPattern.all_patterns(k)
+        }
+
+    def moment(self, word, pattern):
+        return self.values[(tuple(word), pattern.letters)]
+
+
+@pytest.mark.parametrize("family", ["free n=2 K=5", "free n=3 K=4", "tabulated n=2 K=4",
+                                    "dim-2 n=2 K=4"])
+def test_multivariate_inverter_matches_the_per_word_construction(family, empty_law_memo):
+    """Values bit for bit and keys in the same order: word-major, then all_patterns order."""
+    oracle, K = {
+        "free n=2 K=5": lambda: (_PointwiseFamily(random_cumulant_table(5, seed=92, scale=0.6), 2), 5),
+        "free n=3 K=4": lambda: (_PointwiseFamily(random_cumulant_table(4, seed=93, scale=0.6), 3), 4),
+        "tabulated n=2 K=4": lambda: (_TabulatedFamily(2, 4, seed=94), 4),
+        "dim-2 n=2 K=4": lambda: (_TabulatedMatrixFamily(4, seed=95), 4),
+    }[family]()
+    want = _per_word_inverter(oracle, K)
+    got = multivariate_cumulants_from_joint_moments(oracle, K).data
+    assert list(got) == list(want)
+    for key, value in want.items():
+        if oracle.dim == 1:
+            assert _bits(got[key]) == _bits(complex(value)), key
+        else:
+            assert np.array_equal(got[key], value) and got[key].dtype == value.dtype, key
+
+
+class _TiedMoments:
+    """Two free-looking letters whose only nonzero moments are three mixed ones of modulus 1."""
+
+    n, dim = 2, 1
+    values = {((1, 2), "*1"): 1.0, ((1, 2), "1*"): 1j, ((2, 1), "11"): -1.0}
+
+    def moment(self, word, pattern):
+        return self.values.get((tuple(word), pattern.letters), 0.0)
+
+
+def test_largest_mixed_breaks_ties_by_key_order():
+    """At order 2 the cumulants are these moments: the first tied key, word-major then pattern, wins."""
+    multi = multivariate_cumulants_from_joint_moments(_TiedMoments(), 2)
+    tied = [key for key, value in multi.data.items() if abs(value) == 1]
+    assert tied == [((1, 2), "1*"), ((1, 2), "*1"), ((2, 1), "11")]
+    assert multi.largest_mixed() == ((1, 2), "1*", 1.0)
+
+
 # ---------------------------------------------------------------------------
 # the matrix recursion a chunk of words at a time, and one word's recursion
 
@@ -668,6 +749,24 @@ def test_sparse_matrix_table_keeps_absent_orders_exact_zeros():
     assert relative_error(partition_sum(cumulants_back, 5, True), even) < 1e-12
     for d in StarPattern.all_patterns(5):
         assert not np.any(cumulants_back.get(d)), d.letters
+
+
+@pytest.mark.parametrize("p,K", [(2, 5), (3, 4)])
+def test_splice_recipe_matches_the_per_cell_splice(p, K):
+    """_splice_cores bit for bit against reference_splice, on every first block up to order K."""
+    rng = np.random.default_rng(90 + p)
+
+    def cores(words, order):
+        shape = (words,) + core_shape(p, order)
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    for k in range(2, K + 1):
+        for block, pieces in cumulants._first_blocks(k, True)[:-1]:
+            for words in (1, 3):
+                kappa = cores(words, len(block))
+                moments = [cores(words, len(piece)) if piece else None for piece in pieces]
+                got = cumulants._splice_cores(kappa, moments)
+                assert np.array_equal(got, reference_splice(kappa, moments)), (k, block, words)
 
 
 def _probe_partition_sum(table, K, probes):
@@ -893,6 +992,33 @@ def test_matrix_tables_and_coefficients_leave_the_shared_memo_alone(empty_law_me
         want = cumulants._times_coeff_product(plain, coeffs)
         assert np.array_equal(got, want), kind
         assert cumulants._last_law is law and law[2]["words"] == held
+
+
+def test_word_checks_run_on_a_warm_law_memo(empty_law_memo):
+    """Each bad call raises as from a cold memo although the memo holds its word's value."""
+    table = random_cumulant_table(5, seed=96, scale=0.6)
+    word, letters = (1, 2, 3, 1, 2), "1*1**"
+    value = joint_moments_free_family(table, 3, word, letters)
+    words = cumulants._law_memo(table)["words"]
+    assert words[cumulants._segment_key(letters, word)] is value
+    assert cumulants._segment_key(letters[1:], word[1:]) in words
+    with pytest.raises(InputMismatchError, match=r"must lie in 1\.\.2"):
+        joint_moments_free_family(table, 2, word, letters)
+    with pytest.raises(InputMismatchError, match=r"must lie in 1\.\.3"):
+        joint_moments_free_family(table, 3, (0,) + word[1:], letters)
+    with pytest.raises(InputMismatchError, match="lengths differ"):
+        joint_moments_free_family(table, 3, word, letters[:-1])
+    with pytest.raises(InputMismatchError, match="need 6 interleaved coefficients"):
+        joint_moments_free_family(table, 3, word, letters, [1.0] * 5)
+    # a table of the same content is the same law; declared at order 4 it lacks the word
+    lower = CumulantTable(order=4, data={w: v for w, v in table.data.items() if len(w) <= 4})
+    lower.data = table.data
+    assert cumulants._law_memo(lower) is cumulants._law_memo(table)
+    with pytest.raises(IncompleteTableError, match="declares order 4, need 5"):
+        joint_moments_free_family(lower, 3, word, letters)
+    assert joint_moments_free_family(lower, 3, word[1:], letters[1:]) is words[
+        cumulants._segment_key(letters[1:], word[1:])]
+    assert joint_moments_free_family(table, 3, (), "") == 1 and joint_moments_free_family(table, 3, (), "", [2j]) == 2j
 
 
 def test_multivariate_inverter_builds_each_segment_once(empty_law_memo):

@@ -10,7 +10,8 @@ coefficients are never stored; callers multiply them in.
 
 Conversions use the first-block recursion (Nica & Speicher, Lectures on the
 Combinatorics of Free Probability, Lect. 10-11): a partition of a word w is
-the block V holding its first letter plus a partition of the rest.
+the block V holding its first letter plus a partition of the rest.  The
+split itself is partitions.first_blocks, which the enumerations share.
 Classically m(w) = sum_V kappa(w|V) m(w|V^c).  Freely the rest splits into
 the segments after each element of V, and m(w) = sum_V kappa(w|V)[segment
 moments in its slots] b m(trailing segment), b the coefficient after V; for
@@ -24,14 +25,14 @@ moments sit.  Scalar tables in both calculi, and the multivariate inverter
 on words of (index, letter) pairs, evaluate a whole order as numpy gathers,
 products and one sum over V (_gathered_recursion); absent entries are exact
 zeros.  The inverter places all (word, pattern) pairs of an order at once,
-from their digit arrays (_digits).  Matrix cores read their operands
-through the same plan: every word of an order has the same splice geometry
-for a first block V, so each V is spliced once for a chunk of words
-(_spliced_recursion), each chunk at most _SPLICE_CELLS cells of cores or a
-single word.  That geometry depends only on the dim and the orders of V's
-pieces, so it is worked out once per shape (_splice_recipe, as _star_plan
-is for scalar words), and a splice is a few views and one multiply per
-segment.
+from their digit arrays (_digits).  Matrix cores gather every operand
+through the same plan from per-order stacks: every word of an order has the
+same splice geometry for a first block V, so each V is spliced once for a
+chunk of words (_spliced_recursion), each chunk at most _SPLICE_CELLS cells
+of cores or a single word.  That geometry depends only on the dim and the
+orders of V's pieces, so it is worked out once per shape (_splice_recipe,
+as _star_plan is for scalar words), and a splice is a few views and one
+multiply per segment.
 
 Joint moments of n free copies run the free recursion too: on whole index
 tensors (joint_moment_tensor) or on one word's segments
@@ -65,12 +66,12 @@ from .errors import (
     SizeLimitError,
     UnsupportedAlgebraError,
 )
-from .partitions import ONE, STAR, StarPattern
+from .partitions import ONE, STAR, StarPattern, first_blocks as _first_blocks
 
 MAX_DIM = 3
 MAX_SCALAR_ORDER = 8
 # Dense cores hold p^(2k) entries at order k: at dim 3 each order-6 table is
-# about 0.55 GB, and a dim-3, K=6 conversion peaks at about 1145 MB RSS.
+# about 0.55 GB, and a dim-3, K=6 conversion peaks at about 1175 MB RSS.
 MAX_MATRIX_ORDER = 6
 MAX_MULTI_ORDER = 6
 MAX_ALPHABET = 3
@@ -158,9 +159,6 @@ class _PatternTable:
                 f"table declares order {self.order}, need {k}"
             )
 
-    def patterns(self) -> list[str]:
-        return sorted(self.data, key=pattern_sort_key)
-
     def max_abs_difference(self, other: "_PatternTable") -> float:
         keys = set(self.data) | set(other.data)
         worst = 0.0
@@ -193,16 +191,6 @@ class MultiCumulantTable:
     n: int
     dim: int = 1
     data: dict = field(default_factory=dict)
-
-    def set(self, word, pattern, value) -> None:
-        w = tuple(int(i) for i in word)
-        d = StarPattern.coerce(pattern)
-        if len(w) != len(d):
-            raise InputMismatchError("index word and pattern lengths differ")
-        _require_finite(value)
-        self.data[(w, d.letters)] = (
-            complex(value) if self.dim == 1 else np.asarray(value, dtype=complex)
-        )
 
     def get(self, word, pattern):
         key = (tuple(int(i) for i in word), StarPattern.coerce(pattern).letters)
@@ -264,27 +252,6 @@ def _times_coeff_product(value, coeffs):
 
 # ---------------------------------------------------------------------------
 # moment <-> cumulant conversions
-
-
-@lru_cache(maxsize=None)
-def _first_blocks(k: int, free: bool) -> tuple:
-    """Every block V of a k-letter word that holds position 0, the whole word last.
-
-    Each V comes with the position tuples whose moments multiply kappa(w|V).
-    Free: one segment after each element of V, running to the next element or
-    to the end (empty segments are ()).  Classical: the complement of V.
-    The cache holds one entry per (k, free), k at most MAX_SCALAR_ORDER.
-    """
-    out = []
-    for mask in range(2 ** (k - 1)):
-        block = (0,) + tuple(i for i in range(1, k) if mask >> (i - 1) & 1)
-        if free:
-            ends = block[1:] + (k,)
-            pieces = tuple(tuple(range(v + 1, e)) for v, e in zip(block, ends))
-        else:
-            pieces = (tuple(i for i in range(k) if i not in block),)
-        out.append((block, pieces))
-    return tuple(out)
 
 
 def _order_start(k: int, a: int) -> int:
@@ -441,11 +408,10 @@ def _spliced_recursion(data: dict, K: int, to_moments: bool, p: int) -> list:
     Returns the other side as one (2^k,) + core array per order k (index 0
     unused), words in code order.  Every word of an order has the same
     splice geometry for a first block V, so each V is spliced once per
-    chunk of at most _SPLICE_CELLS cells (at least one word).  A chunk of
-    several words gathers its operands through the plan from per-order
-    stacks: the solved arrays, and copies of the given side's orders that
-    such chunks read.  A one-word chunk reads its operands as views.  A
-    block whose kappa operands are all zero adds nothing and is skipped.
+    chunk of at most _SPLICE_CELLS cells (at least one word).  A chunk
+    gathers its operands through the plan from per-order stacks: the
+    solved arrays, and copies of the given side's orders below K.  A block
+    whose kappa operands are all zero adds nothing and is skipped.
     """
     words = [None] + [_pattern_words(k)[-2 ** k:] for k in range(1, K + 1)]
     steps = [max(1, _SPLICE_CELLS // p ** (2 * k)) for k in range(K + 1)]
@@ -458,23 +424,14 @@ def _spliced_recursion(data: dict, K: int, to_moments: bool, p: int) -> list:
                 arr[code] = value
         return arr
 
-    # the given side's order j is gathered only by orders above it, and only
-    # in chunks of several words; the top order is never an operand
-    given = [None] + [stack(j) if steps[j + 1] > 1 else None for j in range(1, K)]
+    # the top order is never an operand
+    given = [None] + [stack(j) for j in range(1, K)]
     solved = [None] * (K + 1)
     kappa, moment = (given, solved) if to_moments else (solved, given)
 
-    def operand(stacks, order: int, at):
-        """Cores of one order at the flat indices at; an int is one word, read as a view."""
-        code = at - (2 ** order - 1)
-        if not isinstance(at, int):
-            return stacks[order][code]
-        if stacks[order] is not None:
-            return stacks[order][code:code + 1]
-        value = data.get(words[order][code])
-        if value is None:
-            return np.zeros((1,) + core_shape(p, order), dtype=complex)
-        return value[None]
+    def operand(stacks, order: int, at: np.ndarray) -> np.ndarray:
+        """Cores of one order at the flat indices at."""
+        return stacks[order][at - (2 ** order - 1)]
 
     for k in range(1, K + 1):
         kappa_at, moment_at = _star_plan(k, True)
@@ -482,12 +439,8 @@ def _spliced_recursion(data: dict, K: int, to_moments: bool, p: int) -> list:
         solved[k] = np.zeros((2 ** k,) + core_shape(p, k), dtype=complex)
         for lo in range(0, 2 ** k, steps[k]):
             hi = min(lo + steps[k], 2 ** k)
-            if hi - lo == 1:
-                chunk = zip(blocks, kappa_at[:, lo].tolist(), moment_at[:, :, lo].tolist())
-            else:
-                chunk = zip(blocks, kappa_at[:, lo:hi], moment_at[:, :, lo:hi])
             lower = solved[k][lo:hi]
-            for (block, pieces), kv, at in chunk:
+            for (block, pieces), kv, at in zip(blocks, kappa_at[:, lo:hi], moment_at[:, :, lo:hi]):
                 kap = operand(kappa, len(block), kv)
                 if not kap.any():
                     continue
@@ -593,8 +546,6 @@ _idle_laws: dict = {}
 _LAW_BYTES = 2 ** 24
 # bytes counted per entry of a law's table (its content key) or of its word-segment memo
 _ENTRY_BYTES = 250
-# entries of the word-segment memo, about _ENTRY_BYTES each (16 MB when full); a full memo starts over
-_SEGMENT_CAP = 2 ** 16
 
 
 def _law_bytes(key: frozenset, memo: dict) -> int:
@@ -656,10 +607,11 @@ def _free_family_word(table, idx: tuple, letters: str, cs, shared=None):
     indices themselves or on n.  Scalar segments are memoised in shared,
     the law memo's "words" entry, by _segment_key, with the word's own memo
     by position in front, so a segment is relabelled at most once per word;
-    shared starts over at _SEGMENT_CAP entries.  A scalar term multiplies
-    kappa(w|V) by the segments in place, left to right; a matrix term
-    splices them with the coefficients.  Matrix segments, which carry this
-    word's coefficients, are memoised for this word only (shared is None).
+    shared starts over when full, at the law budget's _LAW_BYTES //
+    _ENTRY_BYTES entries (16 MB).  A scalar term multiplies kappa(w|V) by
+    the segments in place, left to right; a matrix term splices them with
+    the coefficients.  Matrix segments, which carry this word's
+    coefficients, are memoised for this word only (shared is None).
     """
     memo = {}
     get = table.data.get
@@ -675,7 +627,7 @@ def _free_family_word(table, idx: tuple, letters: str, cs, shared=None):
                 s = shared.get(key)
                 if s is None:
                     s = build(a, e)
-                    if len(shared) >= _SEGMENT_CAP:
+                    if len(shared) >= _LAW_BYTES // _ENTRY_BYTES:
                         shared.clear()
                     shared[key] = s
             memo[a, e] = s

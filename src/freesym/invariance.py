@@ -35,7 +35,8 @@ from .easy import all_family_tags, class_tags, family_below, governing_family
 from .errors import InputMismatchError, OrderBoundError
 from .fixtures import witness_for_family
 from .partitions import ONE, STAR, StarPattern
-from .qgroups import _CHUNK_CELLS, MatrixRep, _column_residuals, lattice_position, operator_norm, spectral_norms
+from .qgroups import (_CHUNK_CELLS, MatrixRep, _column_residuals, _flat, lattice_position, operator_norm,
+                      spectral_norms)
 
 
 @dataclass
@@ -224,7 +225,7 @@ def check_invariance(
         tol = rep.tol
 
     n, nd = rep.n, rep.n * rep.d
-    U = [rep.letter_array(ch).transpose(0, 2, 1, 3).reshape(nd, nd) for ch in (ONE, STAR)]
+    U = [_flat(rep.letter_array(ch)) for ch in (ONE, STAR)]
     both = np.zeros((2, nd, 2, nd), dtype=complex)
     both[0, :, 0], both[1, :, 1] = U
     both = both.reshape(2 * nd, 2 * nd)

@@ -109,8 +109,13 @@ class MatrixRep:
         raise InputMismatchError(f"bad pattern letter {letter!r}")
 
     def flatten(self) -> np.ndarray:
-        nd = self.n * self.d
-        return self.entries.transpose(0, 2, 1, 3).reshape(nd, nd)
+        return _flat(self.entries)
+
+
+def _flat(entries: np.ndarray) -> np.ndarray:
+    """An (n, n, d, d) stack u_ij as the nd x nd matrix with rows (i, A) and columns (j, B)."""
+    n, _, d, _ = entries.shape
+    return entries.transpose(0, 2, 1, 3).reshape(n * d, n * d)
 
 
 def _adj(stack: np.ndarray) -> np.ndarray:
@@ -164,22 +169,10 @@ def spectral_norms(batch) -> np.ndarray:
 
 
 def operator_norm(x) -> float:
-    if isinstance(x, MatrixRep):
-        mat = x.flatten()
-    else:
-        arr = np.asarray(x, dtype=complex)
-        if arr.ndim == 4:
-            mat = arr.transpose(0, 2, 1, 3).reshape(
-                arr.shape[0] * arr.shape[2], arr.shape[1] * arr.shape[3]
-            )
-        elif arr.ndim == 2:
-            mat = arr
-        elif arr.ndim == 0:
-            return float(abs(arr))
-        else:
-            raise InputMismatchError(f"cannot take operator norm of shape {arr.shape}")
-    if mat.size == 0:
-        return 0.0
+    """Largest singular value of a matrix, or of a model's flattened matrix."""
+    mat = x.flatten() if isinstance(x, MatrixRep) else np.asarray(x, dtype=complex)
+    if mat.ndim != 2:
+        raise InputMismatchError(f"cannot take operator norm of shape {mat.shape}")
     return float(spectral_norms(mat))
 
 
@@ -190,7 +183,7 @@ def _worst(stack: np.ndarray) -> float:
 
 def check_biunitary(rep: MatrixRep) -> Check:
     u = rep.flatten()
-    ubar = rep.adjoint_entries().transpose(0, 2, 1, 3).reshape(u.shape)
+    ubar = _flat(rep.adjoint_entries())
     eye = np.eye(len(u))
     sides = {}
     for name, mat in (("u", u), ("ubar", ubar)):
@@ -251,7 +244,7 @@ def _block_delta(rep: MatrixRep, letters: str) -> tuple[float, tuple]:
     n, d, k = rep.n, rep.d, len(letters)
     arrs = {c: rep.letter_array(c) for c in set(letters)}
     # u^(c) as the (a, y) x (j, z) matrix: row block a is slot t's factor on row a
-    mats = {c: u.transpose(0, 2, 1, 3).reshape(n * d, n * d) for c, u in arrs.items()}
+    mats = {c: _flat(u) for c, u in arrs.items()}
     fixed = next(s for s in range(k) if s == k - 1 or n ** (k - s) * d * d <= _CHUNK_CELLS)
     step = sum(n**e for e in range(k - fixed))  # between constant open tuples (i, ..., i)
 

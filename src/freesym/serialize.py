@@ -172,16 +172,10 @@ def json_to_spec(obj) -> CumulantSpecSingle:
         raise SchemaError(str(exc)) from exc
 
 
-def table_records(data: dict, dim: int = 1) -> list:
-    records = []
-    for letters in sorted(data, key=pattern_sort_key):
-        value = data[letters]
-        if dim == 1:
-            rec_value = complex_to_pair(value)
-        else:
-            rec_value = [matrix_to_rows(m) for m in np.asarray(value).reshape(-1, dim, dim)]
-        records.append({"pattern": letters, "value": rec_value})
-    return records
+def table_records(data: dict) -> list:
+    """A scalar table's entries as pattern-sorted {"pattern", "value"} records."""
+    return [{"pattern": letters, "value": complex_to_pair(data[letters])}
+            for letters in sorted(data, key=pattern_sort_key)]
 
 
 def save_rep(rep: MatrixRep, path) -> None:
@@ -189,13 +183,16 @@ def save_rep(rep: MatrixRep, path) -> None:
         fh.write(dumps(rep_to_json(rep)))
 
 
-def load_rep(path, require_biunitary: bool = True) -> MatrixRep:
+def _read_json(path):
     try:
         with open(path) as fh:
-            obj = json.load(fh)
+            return json.load(fh)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid JSON: {exc}") from exc
-    return json_to_rep(obj, require_biunitary=require_biunitary)
+
+
+def load_rep(path, require_biunitary: bool = True) -> MatrixRep:
+    return json_to_rep(_read_json(path), require_biunitary=require_biunitary)
 
 
 def save_spec(spec: CumulantSpecSingle, path) -> None:
@@ -204,9 +201,4 @@ def save_spec(spec: CumulantSpecSingle, path) -> None:
 
 
 def load_spec(path) -> CumulantSpecSingle:
-    try:
-        with open(path) as fh:
-            obj = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"invalid JSON: {exc}") from exc
-    return json_to_spec(obj)
+    return json_to_spec(_read_json(path))

@@ -1077,15 +1077,16 @@ def test_shared_memo_stays_within_its_cap(monkeypatch, empty_law_memo):
 
     An entry (key tuple, letters, kernel tuple, complex value, dict slot)
     takes 250 to 300 bytes, so the bound is 320 bytes an entry; a full
-    memo at the real cap of 2^16 entries held 15.8 MiB.  That cap takes
-    some 12 s to fill under tracemalloc, so the test lowers it to 2^11 and
-    stores one and a half times that many segments: uncapped, they would
-    outgrow the bound.
+    memo of 2^16 entries, near the real cap of _LAW_BYTES // _ENTRY_BYTES
+    = 67,108, held 15.8 MiB.  That cap takes some 12 s to fill under
+    tracemalloc, so the test lowers the budget to 2^11 entries and stores
+    one and a half times that many segments: uncapped, they would outgrow
+    the bound.
     """
     table = random_cumulant_table(8, seed=90)
     joint_moments_free_family(table, 8, (1,) * 8, "1" * 8)
     cap = 2 ** 11
-    monkeypatch.setattr(cumulants, "_SEGMENT_CAP", cap)
+    monkeypatch.setattr(cumulants, "_LAW_BYTES", cap * cumulants._ENTRY_BYTES)
     patterns = [d.letters for d in StarPattern.all_patterns(8)]
     stored = size = 0
     tracemalloc.start()

@@ -195,6 +195,13 @@ def test_tabulated_joint_rejects_malformed_entries():
     assert np.count_nonzero(joint.order_tensor(2)) == 1
 
 
+def test_tabulated_joint_is_scalar_and_stops_at_its_order():
+    with pytest.raises(InputMismatchError, match="scalar-valued only"):
+        TableJoint(n=2, order=2, dim=2)
+    with pytest.raises(OrderBoundError, match="order 3 exceeds the tabulated order 2"):
+        TableJoint(n=2, order=2, data={((1,), "1"): 1.0}).order_tensor(3)
+
+
 def test_extractor_predicts_and_agrees():
     report = cumulant_identity_extractor(spec_of("SEMICIRCULAR"), unit_i_diag_rep(2))
     assert not report["predicted_invariant"]

@@ -4,15 +4,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from freesym import partitions
 from freesym.easy import FamilyTag
 from freesym.errors import InputMismatchError, SizeLimitError
 from freesym.partitions import (
+    MAX_NONCROSSING_SIZE,
+    MAX_PARTITION_SIZE,
     Partition,
     StarPattern,
     block_restriction,
     enumerate_all_partitions,
     enumerate_noncrossing,
     filter_decorated,
+    first_blocks,
     is_noncrossing,
     kernel,
     refines,
@@ -72,11 +76,35 @@ def test_invalid_partitions_rejected():
         Partition(2, ((1,), ()))
 
 
-def test_size_guards():
-    with pytest.raises(SizeLimitError):
-        enumerate_all_partitions(13)
-    with pytest.raises(SizeLimitError):
-        enumerate_noncrossing(17)
+def test_size_guards(monkeypatch):
+    """One above each bound raises before any partition is built; far above and below zero too."""
+
+    def build(k):
+        raise AssertionError(f"built partitions of {k}")
+
+    monkeypatch.setattr(partitions, "all_partitions_cached", build)
+    monkeypatch.setattr(partitions, "noncrossing_cached", build)
+    for k in (MAX_PARTITION_SIZE + 1, 13, -1):
+        with pytest.raises(SizeLimitError):
+            enumerate_all_partitions(k)
+    for k in (MAX_NONCROSSING_SIZE + 1, 17, -1):
+        with pytest.raises(SizeLimitError):
+            enumerate_noncrossing(k)
+
+
+@pytest.mark.parametrize("free", [True, False])
+def test_first_blocks_split_each_word_once(free):
+    """Each block holds position 0, its pieces and it cover the word once; the whole word comes last."""
+    for k in range(1, 8):
+        split = first_blocks(k, free)
+        assert len(split) == 2 ** (k - 1) and split[-1][0] == tuple(range(k))
+        assert len({block for block, _ in split}) == len(split)
+        for block, pieces in split:
+            assert block[0] == 0 and sorted(block + sum(pieces, ())) == list(range(k))
+            if free:  # one segment after each element of the block, up to the next one
+                assert len(pieces) == len(block)
+                assert all(piece == tuple(range(v + 1, v + 1 + len(piece)))
+                           for v, piece in zip(block, pieces))
 
 
 def test_crossing_detection_examples():

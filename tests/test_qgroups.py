@@ -73,6 +73,20 @@ def test_block_identity_on_rotation():
         assert block_identity_holds(phase_diag_rep(3, 3), "111", j).holds
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: FamilyTag.parse(":classical"), "cannot parse family tag"),
+    (lambda: FamilyTag.parse("H_M_PLUS:three"), "bad modulus in family tag"),
+    (lambda: FamilyTag.parse("H_M_PLUS:3:4"), "cannot parse family tag"),
+    (lambda: block_identity_holds(rotation_rep(2), "", 0), "needs a nonempty pattern"),
+    (lambda: block_identity_holds(rotation_rep(2), "11", 2), "column index 2 out of range"),
+    (lambda: block_identity_holds(rotation_rep(2), "11", -1), "column index -1 out of range"),
+    (lambda: MatrixRep(np.eye(2), tol=-1e-9), "tolerance must be nonnegative"),
+])
+def test_unusable_tags_columns_and_tolerances(call, message):
+    with pytest.raises(InputMismatchError, match=message):
+        call()
+
+
 def test_full_delta_identities():
     for rep in (rotation_rep(2), bistochastic_unitary_rep(3), unit_i_diag_rep(2)):
         assert full_delta_identity_holds(rep, "*1").holds

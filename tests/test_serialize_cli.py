@@ -10,6 +10,7 @@ from freesym.cli import main
 from freesym.distributions import CumulantSpecSingle
 from freesym.errors import SchemaError
 from freesym.fixtures import fixture_set, permutation_rep, uncorrected_bistochastic_unitary_rep
+from freesym.partitions import MAX_NONCROSSING_SIZE, MAX_PARTITION_SIZE
 from freesym.qgroups import all_family_tags, check_biunitary
 
 
@@ -88,6 +89,52 @@ def test_schema_rejections(tmp_path):
         serialize.load_spec(garbled)
 
 
+_ONE = [[[[[1.0, 0.0]]]]]  # the entries of a 1x1 identity model
+
+# (model or spec, file content, error message): the schema checks of a file
+# that test_schema_rejections leaves out
+_SCHEMA_CASES = [
+    ("model", [1, 2], "representation file must hold a JSON object"),
+    ("model", {"n": "1", "d": 1, "entries": _ONE}, "bad type for key 'n'"),
+    ("model", {"n": True, "d": 1, "entries": _ONE}, "bad type for key 'n'"),
+    ("model", {"n": 1, "d": 1, "entries": {}}, "bad type for key 'entries'"),
+    ("model", {"n": 1, "d": 1, "tol": "1e-9", "entries": _ONE}, "bad type for key 'tol'"),
+    ("model", {"n": 1, "d": 1, "tol": False, "entries": _ONE}, "bad type for key 'tol'"),
+    ("model", {"n": 0, "d": 1, "entries": []}, "n and d must be positive"),
+    ("model", {"n": 1, "d": -1, "entries": _ONE}, "n and d must be positive"),
+    ("model", {"n": 1, "d": 1, "entries": [[]]}, "expected 1 entries in row 0"),
+    ("model", {"n": 1, "d": 1, "entries": [[[]]]}, "expected 1 matrix rows"),
+    ("model", {"n": 1, "d": 1, "entries": [[[[]]]]}, "expected 1 entries per matrix row"),
+    ("model", {"n": 1, "d": 1, "tol": -1.0, "entries": _ONE}, "tolerance must be nonnegative"),
+    ("model", "{not json", "invalid JSON"),
+    ("spec", [], "spec file must hold a JSON object"),
+    ("spec", {"order": 2.0, "entries": []}, "bad type for key 'order'"),
+    ("spec", {"order": 2, "dim": "2", "entries": []}, "bad type for key 'dim'"),
+    ("spec", {"order": 2, "selfadjoint": 1, "entries": []}, "bad type for key 'selfadjoint'"),
+    ("spec", {"order": 2, "entries": [["1", [1.0, 0.0]]]}, "each entry must be an object"),
+    ("spec", {"order": 2, "entries": [{"pattern": 1, "value": [1.0, 0.0]}]}, "bad type for key 'pattern'"),
+    ("spec", {"order": 2, "entries": [{"pattern": "1"}]}, "missing key 'value'"),
+    ("spec", {"order": 2, "dim": 2, "entries": [{"pattern": "1", "value": [[1.0, 0.0]]}]},
+     "expected 2 matrix rows"),
+    ("spec", {"order": 2, "entries": [{"pattern": "111", "value": [1.0, 0.0]}]}, "outside order bound 2"),
+]
+
+
+@pytest.mark.parametrize("kind, content, message", _SCHEMA_CASES)
+def test_every_schema_check_of_a_file(tmp_path, capsys, kind, content, message):
+    """Each check raises its SchemaError, and the CLI exits 2 with one error line and no traceback."""
+    path = tmp_path / "input.json"
+    path.write_text(content if isinstance(content, str) else json.dumps(content))
+    load, args = ((serialize.load_rep, ["check-rep", str(path)]) if kind == "model"
+                  else (serialize.load_spec, ["classify-dist", str(path), "--free"]))
+    with pytest.raises(SchemaError, match=message):
+        load(path)
+    assert main(args) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and message in err, err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_nan_spec_is_rejected(tmp_path):
     path = tmp_path / "nan.json"
     path.write_text(
@@ -110,6 +157,10 @@ def test_enumerate_command(capsys):
     capsys.readouterr()
     assert main(["enumerate", "--nc", "3", "--all", "3"]) == 2
     capsys.readouterr()
+    for flag, bound in (("--nc", MAX_NONCROSSING_SIZE), ("--all", MAX_PARTITION_SIZE)):
+        assert main(["enumerate", flag, str(bound + 1)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def test_unknown_flags_exit_two(capsys):
@@ -327,6 +378,18 @@ def test_numpy_value_errors_exit_two_without_a_traceback(monkeypatch, capsys):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stderr == "error: seed must be nonnegative, got -1\n"
+
+
+def test_theorem1_probe_command(capsys):
+    """The JSON form is theorem1_probe(2, 5) with its mismatches as lists; the text form counts them."""
+    from freesym.invariance import theorem1_probe
+
+    assert main(["theorem1-probe", "--n", "2", "--order", "5", "--json"]) == 0
+    probe = theorem1_probe(2, 5)
+    want = dict(probe, mismatches=[list(pair) for pair in probe["mismatches"]])
+    assert capsys.readouterr().out == serialize.dumps(want)
+    assert main(["theorem1-probe", "--n", "2", "--order", "5"]) == 0
+    assert capsys.readouterr().out.startswith("81 cells, 0 mismatches\n")
 
 
 def test_byte_identical_reports(fx, capsys):

@@ -36,6 +36,8 @@ from .errors import InputMismatchError
 from .partitions import ONE, STAR, StarPattern
 
 M_MAX_DEFAULT = 12
+# the largest modulus a scan takes: its 1^m checks grow like m^(n-1)
+M_MAX = 300
 SELFADJOINT_CLASSES = ("SEMICIRCULAR", "GAUSSIAN")
 
 

@@ -14,13 +14,17 @@ each array within _CHUNK_CELLS cells, two arrays at a time: lattice_position
 on the n=3, d=4 nilpotent lift peaks at 3.2 MiB at any m_max up to 12, and
 on nilpotent_pair_rep(3) it takes about 0.2 s (one core of a shared Xeon).
 
-For d = 1 the entries commute, so an entry depends only on the multiset of
-indices in the pattern's 1-slots and the multiset in its *-slots: the check
-runs over nondecreasing tuples of each letter class, C(n+p-1, p) *
-C(n+q-1, q) of them for p 1-slots and q *-slots, and that count is what
-meets the budget.  Each side's products over the summed row index form an
-(n, M) array, one matmul gives the whole residual table, and the work runs
-in chunks of at most _CHUNK_CELLS cells.
+For d = 1 the entries commute, so an entry depends only on how often each
+index occurs in the pattern's 1-slots and in its *-slots, its exponent
+vectors.  The check runs over each letter class's (n, M) table of them
+(_exponents), C(n+p-1, p) * C(n+q-1, q) pairs for p 1-slots and q *-slots,
+and that count meets the budget.  Each side's products over the summed row
+index, n power factors a cell, form an (n, M) array; one matmul gives the
+residual table, in chunks of at most _CHUNK_CELLS cells.  A plan depends
+only on (n, p, q), and up to 128 that fit in one chunk are kept.
+lattice_position scans moduli up to easy.M_MAX = 300: on permutation_rep(3)
+it takes 0.04 s at m_max 100, 0.2 s at 200 and 0.55 s at 300 (a fresh
+process, one core of a shared Xeon).
 
 Every other relation is entrywise: its residual is the largest spectral
 norm over one stack of d x d matrices (_worst), an (n, n, d, d) stack for
@@ -48,7 +52,7 @@ import numpy as np
 
 from .cumulants import TUPLE_BUDGET, pattern_sort_key
 # FamilyTag, family_below and all_family_tags are also this module's API
-from .easy import M_MAX_DEFAULT, FamilyTag, all_family_tags, family_below, family_meet, family_order, relations
+from .easy import M_MAX, M_MAX_DEFAULT, FamilyTag, all_family_tags, family_below, family_meet, family_order, relations
 from .errors import BudgetError, InputMismatchError, SizeLimitError
 from .partitions import ONE, STAR, StarPattern
 
@@ -58,9 +62,6 @@ MAX_FLAT_DIM = 64
 # cells of one chunk of a delta check: every array of the commuting (d = 1)
 # and the block (d > 1) kernel stays this size
 _CHUNK_CELLS = 2 ** 18
-# plans whose sorted-tuple tables hold up to this many cells are kept
-# between calls (at most 128 plans, 2 MB)
-_CACHED_TUPLE_CELLS = 2 ** 14
 # a witness is the first index tuple (in lexicographic order) whose residual
 # is within this fraction of max(1, worst) of the worst one, so rounding-level
 # ties do not decide it
@@ -284,132 +285,125 @@ def _worst_blocks(blocks: list, residuals):
     return worst, floor, hits
 
 
-def _sorted_tuples(n: int, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nondecreasing p-tuples over range(n) as a (p, M) uint8 array, in
-    lexicographic order, and the column of each constant tuple (i, ..., i).
+def _exponents(n: int, p: int) -> np.ndarray:
+    """Exponent vectors of the nondecreasing p-tuples over range(n) as an
+    (n, M) array, column I counting each index in the I-th tuple in
+    lexicographic order (the reverse lexicographic order of the vectors).
 
-    The tuples that start with v are v followed by the (p-1)-tuples over
-    range(v, n), which are the last C(n-v+p-2, p-1) columns of the shorter
-    table.
+    Below its first part, a vector is one of n-1 parts summing to at most p;
+    those run by sum, each sum in reverse lexicographic order.  The k-part
+    ones are, for s = 0..p, the (k-1)-part ones with sum at most s under a
+    first part s minus their sum: one gather of the rows built so far per k.
     """
-    tab = np.zeros((0, 1), dtype=np.uint8)
-    for t in range(1, p + 1):
-        prev = tab
-        sizes = [math.comb(n - v + t - 2, t - 1) for v in range(n)]
-        tab = np.empty((t, sum(sizes)), dtype=np.uint8)
-        col = 0
-        for v, size in enumerate(sizes):
-            tab[0, col : col + size] = v
-            tab[1:, col : col + size] = prev[:, prev.shape[1] - size :]
-            col += size
-    const = np.flatnonzero(tab[0] == tab[-1]) if p else np.zeros(n, dtype=np.intp)
-    return tab, const
+    dtype = np.min_scalar_type(p)
+    out = np.empty((n, math.comb(n + p - 1, p)), dtype)
+    sums = np.zeros(1, dtype)  # sum of each vector in out[n-k:], k parts, k = 0 first
+    for k in range(1, n):
+        upto = np.cumsum(np.bincount(sums, minlength=p + 1))  # vectors with sum at most s
+        idx = np.arange(upto.sum())  # each vector's column among those of k-1 parts
+        idx -= np.repeat(np.cumsum(upto) - upto, upto)
+        out[n - k + 1 :, : len(idx)] = out[n - k + 1 :, idx]
+        s = np.repeat(np.arange(p + 1, dtype=dtype), upto)
+        out[n - k, : len(s)] = s - sums[idx]
+        sums = s
+    out[0] = p - sums
+    return out
 
 
-@dataclass(frozen=True)
-class _DeltaPlan:
-    """Sorted tuples of each letter class of a pattern at size n, cut into
-    blocks of at most _CHUNK_CELLS cells, with the delta cells of each block."""
-
-    # (p, M1) and (q, M2) tables of the 1-slots' and the *-slots' tuples
-    tabs: tuple
-    steps: tuple
-    # (first column of each side, rows and columns of the constant tuples)
-    blocks: tuple
-    # each slot's letter class (0 for 1, 1 for *) and its place in the class
-    slots: tuple
-
-
-def _build_delta_plan(n: int, letters: str) -> _DeltaPlan:
-    p = letters.count(ONE)
-    (tab1, const1), (tab2, const2) = _sorted_tuples(n, p), _sorted_tuples(n, len(letters) - p)
-    m1, m2 = tab1.shape[1], tab2.shape[1]
+def _exponent_plan(n: int, p: int, q: int) -> tuple:
+    """The exponent tables of p 1-slots and q *-slots at size n, their chunk
+    steps, and blocks of at most _CHUNK_CELLS cells: each block's first
+    columns and the rows and columns of the constant tuples inside it."""
+    tabs = _exponents(n, p), _exponents(n, q)
+    for tab in tabs:
+        tab.flags.writeable = False
+    m1, m2 = tabs[0].shape[1], tabs[1].shape[1]
+    # (i, ..., i) heads the last C(n-i+e-1, e) vectors, those zero before part i
+    consts = [np.array([m - math.comb(n - i + e - 1, e) for i in range(n)]) for m, e in ((m1, p), (m2, q))]
     step1 = min(m1, max(1, _CHUNK_CELLS // n))
     step2 = min(m2, max(1, _CHUNK_CELLS // n), max(1, _CHUNK_CELLS // step1))
     blocks = []
     for lo1 in range(0, m1, step1):
         for lo2 in range(0, m2, step2):
-            r, c = const1 - lo1, const2 - lo2
+            r, c = consts[0] - lo1, consts[1] - lo2
             inside = (r >= 0) & (r < step1) & (c >= 0) & (c < step2)
             blocks.append((lo1, lo2, r[inside], c[inside]))
-    for arr in (tab1, tab2):
-        arr.flags.writeable = False
-    slots = tuple(
-        (int(letter != ONE), letters.count(letter, 0, t)) for t, letter in enumerate(letters)
-    )
-    return _DeltaPlan((tab1, tab2), (step1, step2), tuple(blocks), slots)
+    return tabs, (step1, step2), tuple(blocks)
 
 
-_cached_delta_plan = functools.lru_cache(maxsize=128)(_build_delta_plan)
-
-
-def _delta_plan(n: int, letters: str) -> _DeltaPlan:
-    p = letters.count(ONE)
-    q = len(letters) - p
-    m1, m2 = math.comb(n + p - 1, p), math.comb(n + q - 1, q)
-    if m1 * m2 > TUPLE_BUDGET:
-        raise BudgetError(
-            f"{m1 * m2} sorted index tuples of {letters!r} at n={n} exceed the budget"
-        )
-    if p * m1 + q * m2 <= _CACHED_TUPLE_CELLS:
-        return _cached_delta_plan(n, letters)
-    return _build_delta_plan(n, letters)
+_cached_plan = functools.lru_cache(maxsize=128)(_exponent_plan)
 
 
 def _commuting_delta(rep: MatrixRep, letters: str) -> tuple[float, tuple]:
     """Worst residual and witness of a delta identity on a d = 1 model.
 
     The entry at a tuple is sum_a prod_(1-slots) u_ai * prod_(*-slots)
-    conj(u_ai), so it is the (I, J) cell of P1.T @ P2, where I and J are the
-    sorted indices of the two letter classes and P1[a, I], P2[a, J] are the
-    products over each side.  Every tuple of one (I, J) orbit has the same
-    residual; the lexicographically first one puts the sorted values of each
-    class into that class's slots in order.
+    conj(u_ai), so it depends only on the exponent vectors e and f counting
+    each index in the two letter classes: it is the (I, J) cell of P1.T @ P2,
+    where P1[a, I] = prod_j u_aj^e_j over column I of the 1-slots' table and
+    P2[a, J] likewise with conj(u) over the *-slots'.  Every tuple of one
+    (I, J) orbit has the same residual; the lexicographically first one puts
+    the sorted indices of each class into that class's slots in order.
     """
-    plan = _delta_plan(rep.n, letters)
-    u = rep.entries[:, :, 0, 0]
-    ubar = u.conj()
-    (tab1, tab2), (step1, step2) = plan.tabs, plan.steps
+    n, p = rep.n, letters.count(ONE)
+    q = len(letters) - p
+    m1, m2 = math.comb(n + p - 1, p), math.comb(n + q - 1, q)
+    if m1 * m2 > TUPLE_BUDGET:
+        raise BudgetError(f"{m1 * m2} sorted index tuples of {letters!r} at n={n} exceed the budget")
+    # a plan that fits in one chunk is kept between calls
+    one_chunk = n * max(m1, m2) <= _CHUNK_CELLS and m1 * m2 <= _CHUNK_CELLS
+    (tab1, tab2), (step1, step2), blocks = (_cached_plan if one_chunk else _exponent_plan)(n, p, q)
+    # u_aj^t at [j, a, t], t factors multiplied in turn; conjugation is exact,
+    # so the *-slots' products are the conjugates of the same products
+    pows = rep.entries[:, :, 0, 0].T[:, :, None].repeat(max(p, q) + 1, axis=2)
+    pows[:, :, 0] = 1.0
+    np.cumprod(pows, axis=2, out=pows)
 
     def residuals(lo1: int, lo2: int, rows, cols) -> np.ndarray:
-        p1 = _side_products(u, tab1[:, lo1 : lo1 + step1])
-        table = p1.T @ _side_products(ubar, tab2[:, lo2 : lo2 + step2])
+        p1 = _power_products(pows, tab1[:, lo1 : lo1 + step1])
+        table = p1.T @ _power_products(pows, tab2[:, lo2 : lo2 + step2]).conj()
         table[rows, cols] -= 1.0
         return np.abs(table)
 
-    worst, floor, hits = _worst_blocks(plan.blocks, lambda block: residuals(*block))
+    worst, floor, hits = _worst_blocks(blocks, lambda block: residuals(*block))
     witness = None
     for block, res in hits:
         lo1, lo2 = block[:2]
         if lo1 == lo2 == 0 and res[0, 0] >= floor:
-            return worst, (0,) * len(plan.slots)  # the first tuple of all
+            return worst, (0,) * len(letters)  # the first tuple of all
         rows, cols = np.nonzero(res >= floor)
-        found = _lex_first(plan, rows + lo1, cols + lo2)
+        found = _lex_first((tab1, tab2), letters, rows + lo1, cols + lo2)
         if witness is None or found < witness:
             witness = found
     return worst, witness
 
 
-def _side_products(base: np.ndarray, part: np.ndarray) -> np.ndarray:
-    """(n, M) products base[:, i_1] * ... * base[:, i_p] over the columns of part."""
-    if not len(part):
-        return np.ones((base.shape[0], part.shape[1]), dtype=complex)
-    out = np.take(base, part[0], axis=1)
-    for row in part[1:]:
-        out *= np.take(base, row, axis=1)
+def _power_products(pows: np.ndarray, part: np.ndarray) -> np.ndarray:
+    """(n, M) products prod_j pows[j, a, part[j, I]] over the columns I of part."""
+    out = pows[0].take(part[0], axis=1)
+    for j in range(1, len(part)):
+        out *= pows[j].take(part[j], axis=1)
     return out
 
 
-def _lex_first(plan: _DeltaPlan, rows, cols) -> tuple:
-    """The lexicographically first full tuple among the (I, J) orbits given."""
-    picks = [rows, cols]
-    for side, s in plan.slots:
-        if len(picks[0]) == 1:
+def _lex_first(tabs: tuple, letters: str, rows, cols) -> tuple:
+    """The lexicographically first full tuple among the (I, J) orbits given.
+
+    Slot by slot, while orbits tie, keep those that put the least index
+    there: the r-th smallest index of a class is the number of cumulative
+    sums of its exponent vector that are at most r.
+    """
+    sums = [np.cumsum(tab[:, pick], axis=0, dtype=tab.dtype) for tab, pick in zip(tabs, (rows, cols))]
+    ranks = [0, 0]
+    for letter in letters:
+        if sums[0].shape[1] == 1:
             break
-        vals = plan.tabs[side][s, picks[side]]
-        keep = vals == vals.min()
-        picks = [picks[0][keep], picks[1][keep]]
-    return tuple(int(plan.tabs[side][s, picks[side][0]]) for side, s in plan.slots)
+        side = int(letter != ONE)
+        vals = (sums[side] <= ranks[side]).sum(axis=0)
+        sums = [s[:, vals == vals.min()] for s in sums]
+        ranks[side] += 1
+    classes = [iter(np.searchsorted(s[:, 0], np.arange(s[-1, 0]), side="right").tolist()) for s in sums]
+    return tuple(next(classes[letter != ONE]) for letter in letters)
 
 
 def _sum_condition_residual(rep: MatrixRep) -> float:
@@ -545,8 +539,9 @@ def structural_consequences(rep: MatrixRep, patterns=None) -> dict:
 
 
 def lattice_position(rep: MatrixRep, m_max: int = M_MAX_DEFAULT) -> dict:
-    """Every family of all_family_tags(m_max) the model satisfies, the minimal
-    ones, and their closure, all read from easy.family_order(m_max).
+    """Every family of all_family_tags(m_max), 3 <= m_max <= M_MAX, that the
+    model satisfies, the minimal ones, and their closure, all read from
+    easy.family_order(m_max).
 
     A model that satisfies the relations of several families satisfies those
     of the category they generate, the category of the groups' intersection,
@@ -557,6 +552,8 @@ def lattice_position(rep: MatrixRep, m_max: int = M_MAX_DEFAULT) -> dict:
     """
     if m_max < 3:
         raise InputMismatchError(f"the modulus scan needs m_max >= 3, got {m_max}")
+    if m_max > M_MAX:
+        raise SizeLimitError(f"the modulus scan takes m_max <= {M_MAX}, got {m_max}")
     tags, _, below = family_order(m_max)
     base = check_biunitary(rep)
     results = {tag: _check_family(rep, tag, base) for tag in tags}

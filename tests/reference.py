@@ -20,6 +20,9 @@ families on reference_family_below.
 
 reference_delta_identity forms a d > 1 delta identity one index tuple at a
 time, for the streamed kernel of freesym.qgroups to agree with.
+reference_commuting_delta forms a d = 1 one over the sorted index tuples of
+each letter class, each class's product taken factor by factor, as
+freesym.qgroups did before it took powers over exponent vectors.
 
 The reference_* relation residuals, reference_check_biunitary,
 reference_block_identity_holds, reference_identity_failures,
@@ -669,6 +672,33 @@ def reference_delta_identity(rep: MatrixRep, pattern) -> Check:
     worst = float(norms.max())
     floor = worst - _WITNESS_TIE * max(1.0, worst)
     witness = tuples[int(np.argmax(norms >= floor))]
+    return Check(holds=worst <= rep.tol, residual=worst, witness=witness)
+
+
+def reference_commuting_delta(rep: MatrixRep, pattern) -> Check:
+    """A delta identity on a d = 1 model over the sorted tuples of each class.
+
+    An entry is sum_a of the direct products of u_ai over the sorted 1-slot
+    indices and of conj(u_ai) over the sorted *-slot ones, minus 1 on the
+    constant tuples.  The witness is the lexicographically first full tuple
+    (each class's sorted indices in its slots in order) within the tie floor.
+    """
+    letters = StarPattern.coerce(pattern).letters
+    u = rep.entries[:, :, 0, 0]
+    slots = [[t for t, c in enumerate(letters) if c == letter] for letter in (ONE, STAR)]
+    tuples, prods = [], []
+    for where, base in zip(slots, (u, u.conj())):
+        tuples.append(np.array(list(itertools.combinations_with_replacement(range(rep.n), len(where))),
+                               dtype=np.intp, ndmin=2))
+        prods.append(np.prod(base[:, tuples[-1]], axis=-1))
+    full = np.empty((len(tuples[0]), len(tuples[1]), len(letters)), dtype=np.intp)
+    full[:, :, slots[0]] = tuples[0][:, None, :]
+    full[:, :, slots[1]] = tuples[1][None, :, :]
+    full = full.reshape(-1, len(letters))
+    res = np.abs((prods[0].T @ prods[1]).ravel() - (full.min(axis=1) == full.max(axis=1)))
+    worst = float(res.max())
+    hits = full[res >= worst - _WITNESS_TIE * max(1.0, worst)]
+    witness = tuple(int(i) for i in hits[np.lexsort(hits.T[::-1])[0]])
     return Check(holds=worst <= rep.tol, residual=worst, witness=witness)
 
 

@@ -815,7 +815,7 @@ def test_dim2_order6_conversions_match_partition_sums_at_random_coefficients():
 
 @pytest.mark.parametrize("cells", [1, 3 * 4 ** 3, 3 * 4 ** 4])
 def test_matrix_recursion_across_many_chunks(monkeypatch, cells):
-    """Chunks of one word (operands read as views) and ragged multi-word chunks.
+    """Chunks of a single word (a one-cell bound) and ragged multi-word chunks.
 
     Each cell receives the same products in the same block order whatever
     the chunking, so the cores agree bit for bit with the default bound.

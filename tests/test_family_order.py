@@ -10,8 +10,8 @@ import pytest
 from freesym import easy, qgroups
 from freesym.cli import main
 from freesym.distributions import CumulantSpecSingle, _classify, classify_report
-from freesym.easy import FamilyTag, all_family_tags, family_order
-from freesym.errors import InputMismatchError, OrderBoundError
+from freesym.easy import M_MAX, FamilyTag, all_family_tags, family_order
+from freesym.errors import InputMismatchError, OrderBoundError, SizeLimitError
 from freesym.fixtures import fixture_set, permutation_rep, phase_diag_rep
 from freesym.qgroups import lattice_position
 from reference import reference_family_below, reference_lattice_position
@@ -86,9 +86,10 @@ def test_meet_of_a_family_beyond_the_scan_stays_in_the_scan():
     assert easy.family_meet([FamilyTag("O_PLUS"), FamilyTag("O_PLUS", classical=True)]) is None
 
 
-@pytest.mark.parametrize("m_max", [2, 0, -1])
+@pytest.mark.parametrize("m_max", [2, 0, -1, M_MAX + 1])
 def test_a_scan_below_the_least_modulus_is_rejected(m_max):
-    with pytest.raises(InputMismatchError):
+    """Scans below modulus 3, and past M_MAX, are rejected before any check."""
+    with pytest.raises(SizeLimitError if m_max > M_MAX else InputMismatchError):
         lattice_position(permutation_rep(3), m_max)
 
 
@@ -104,6 +105,9 @@ def test_commands_reject_a_scan_below_the_least_modulus(fx, capsys):
         for m_max in ("2", "-1"):
             assert main([command, str(fx / "permutation.json"), "--mmax", m_max]) == 2
             assert "m_max >= 3" in capsys.readouterr().err
+        assert main([command, str(fx / "permutation.json"), "--mmax", str(M_MAX + 1)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: the modulus scan takes m_max <= {M_MAX}, got {M_MAX + 1}\n"
     assert main(["lattice-position", str(fx / "permutation.json"), "--mmax", "3"]) == 0
     assert json.loads(capsys.readouterr().out)["minimal"] == ["S_PLUS"]
 

@@ -39,7 +39,7 @@ from freesym.qgroups import (
     structural_consequences,
 )
 from freesym import qgroups
-from reference import hadamard, reference_closure
+from reference import hadamard, reference_closure, reference_commuting_delta
 
 F = FamilyTag
 
@@ -597,6 +597,34 @@ def test_commuting_delta_survives_relabelling():
             assert b.residual == pytest.approx(a.residual, abs=1e-12 * max(1.0, a.residual))
 
 
+def test_exponent_table_counts_the_sorted_tuples_in_order():
+    cases = [(n, p) for n in range(1, 6) for p in range(7)] + [(2, 300)]
+    for n, p in cases:
+        counts = [np.bincount(t, minlength=n) for t in itertools.combinations_with_replacement(range(n), p)]
+        tab = qgroups._exponents(n, p)
+        assert tab.shape == (n, len(counts)), (n, p)
+        assert np.array_equal(tab, np.array(counts).T), (n, p)
+        assert tab.dtype == (np.uint8 if p < 256 else np.uint16)
+    # past 2^16 the counts take 32 bits; at n = 2 column I is (p - I, I)
+    p = 2**16 + 4
+    tab = qgroups._exponents(2, p)
+    assert tab.dtype == np.uint32
+    assert np.array_equal(tab, [p - np.arange(p + 1), np.arange(p + 1)])
+
+
+@pytest.mark.parametrize("name", ["haar_3", "phase5_3", "permutation_3"])
+def test_long_powers_match_the_direct_products(name):
+    """1^m and *^m past the blow-up's reach, against products over sorted tuples."""
+    rep = {"haar_3": COMMUTING_MODELS["haar_3"], "phase5_3": phase_diag_rep(5, 3),
+           "permutation_3": permutation_rep(3)}[name]
+    for letters in (c * m for m in range(13, 61) for c in "1*"):
+        chk = full_delta_identity_holds(rep, letters)
+        ref = reference_commuting_delta(rep, letters)
+        assert chk.holds == ref.holds, letters
+        assert abs(chk.residual - ref.residual) <= 1e-12 * max(1.0, ref.residual), letters
+        assert chk.witness == ref.witness, letters
+
+
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
 def test_lattice_position_of_larger_commuting_models(n):
     every = all_family_tags()
@@ -629,11 +657,12 @@ def test_commuting_delta_memory_is_bounded():
     # an n^k tensor of H_M(12) at n=3 alone would take 8.5 MB
     assert _traced_peak(lambda: lattice_position(permutation_rep(3))) < 2**20
 
-    # 646,646 sorted tuples: the (12, M) uint8 table and the (11, M') table
-    # it is built from, plus at most three complex chunk arrays
+    # 646,646 sorted tuples: the (11, M) uint8 table of their exponent
+    # vectors, plus at most three complex chunk arrays; while the table is
+    # built it has beside it an 8-byte index and a gathered copy of its lower
+    # rows, (n + 6) M bytes, less than the chunk arrays
     n, p = 11, 12
-    index_bytes = p * math.comb(n + p - 1, p) + (p - 1) * math.comb(n + p - 2, p - 1)
-    bound = index_bytes + 3 * 16 * qgroups._CHUNK_CELLS
+    bound = n * math.comb(n + p - 1, p) + 3 * 16 * qgroups._CHUNK_CELLS
     rep = permutation_rep(n)
     chk = None
 

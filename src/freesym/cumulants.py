@@ -78,6 +78,7 @@ MAX_ALPHABET = 3
 TUPLE_BUDGET = 10**6
 # a word letter standing for both 1 and *, in the joint tensors of n free copies
 EITHER = "?"
+_SORT_DIGITS = str.maketrans({ONE: "0", STAR: "1"})
 
 
 def identity_element(dim: int):
@@ -94,7 +95,7 @@ def zero_element(dim: int):
 
 def pattern_sort_key(letters: str) -> tuple:
     """Deterministic pattern order: by length, then plain before adjoined."""
-    return (len(letters), tuple(0 if ch == ONE else 1 for ch in letters))
+    return (len(letters), letters.translate(_SORT_DIGITS))
 
 
 def core_shape(dim: int, k: int) -> tuple[int, ...]:

@@ -4,6 +4,12 @@ A class here is a vanishing condition: a set of star patterns outside of
 which every cumulant must be zero.  Classification is reported up to a
 declared order; conditions quantifying over all orders are decided on the
 declared data only.
+
+A declared spec is exact: it keeps every entry and shift it is given, and
+only exact zeros are absent.  Computed cumulants become a spec in one place,
+spec_from_cumulant_table, which sets parts of magnitude at most SNAP_TOL to
+0 (classification from moments, fixtures.haar_unitary_spec); a table written
+by convert --to-cumulants and read back is a declared spec, judged exactly.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ from .cumulants import (
     _pattern_words,
     moments_to_classical_cumulants,
     moments_to_free_cumulants,
+    pattern_sort_key,
 )
 from .easy import (  # the tag types and implies are also this module's API
     M_MAX_DEFAULT,
@@ -35,17 +42,6 @@ from .partitions import ONE, STAR, StarPattern
 
 SNAP_TOL = 1e-12
 SELFADJOINT_TOL = 1e-9
-
-
-def _snap(value):
-    """A complex number or block with parts of magnitude at most SNAP_TOL set to 0."""
-    if isinstance(value, complex):
-        return complex(0.0 if abs(value.real) <= SNAP_TOL else value.real,
-                       0.0 if abs(value.imag) <= SNAP_TOL else value.imag)
-    out = np.array(value, dtype=complex)
-    out.real[np.abs(out.real) <= SNAP_TOL] = 0.0
-    out.imag[np.abs(out.imag) <= SNAP_TOL] = 0.0
-    return out
 
 
 @dataclass
@@ -75,20 +71,18 @@ class CumulantSpecSingle:
             if self.dim == 1 and isinstance(value, (int, float, complex)):
                 arr = complex(value)  # a number needs no array
             else:
-                arr = np.asarray(value, dtype=complex)
+                arr = np.array(value, dtype=complex)
             if not _finite(arr):
                 raise SchemaError("non-finite cumulant entry")
             if self.dim > 1 and arr.shape not in ((self.dim, self.dim),):
                 raise SchemaError(
                     f"matrix spec entries must be {self.dim}x{self.dim} blocks"
                 )
-            snapped = _snap(arr if self.dim > 1 else complex(arr))
-            if snapped.any() if self.dim > 1 else snapped != 0:
-                clean[d.letters] = snapped
+            value = arr if self.dim > 1 else complex(arr)
+            if value.any() if self.dim > 1 else value != 0:
+                clean[d.letters] = value
         self.entries = clean
         self.shift = complex(self.shift)
-        if abs(self.shift) <= SNAP_TOL:
-            self.shift = 0j
         if not np.isfinite(self.shift.real) or not np.isfinite(self.shift.imag):
             raise SchemaError("non-finite shift")
         if self.dim > 1 and self.shift != 0:
@@ -97,26 +91,23 @@ class CumulantSpecSingle:
             self._validate_selfadjoint()
 
     def _validate_selfadjoint(self) -> None:
-        if abs(self.shift.imag) > SNAP_TOL:
+        if self.shift.imag != 0:
             raise SchemaError("self-adjoint spec needs a real shift")
         by_len: dict[int, complex] = {}
         for letters, value in self.entries.items():
             if self.dim > 1:
                 raise SchemaError("self-adjoint expansion handles scalar specs only")
-            if abs(value.imag) > SNAP_TOL:
+            if value.imag != 0:
                 raise SchemaError("self-adjoint cumulants must be real")
-            k = len(letters)
-            if k in by_len and abs(by_len[k] - value) > SNAP_TOL:
+            if by_len.setdefault(len(letters), value) != value:
                 raise SchemaError(
                     "self-adjoint entries of one order must agree across patterns"
                 )
-            by_len.setdefault(k, value)
 
     def first_cumulant(self) -> complex:
-        base = self.entries.get(ONE, 0j)
         if self.dim > 1:
             raise InputMismatchError("first_cumulant is for scalar specs")
-        return complex(base) + self.shift
+        return self.entries.get(ONE, 0j) + self.shift
 
     def to_table(self, include_shift: bool = True) -> CumulantTable:
         table = CumulantTable(order=self.order, dim=self.dim)
@@ -134,16 +125,10 @@ class CumulantSpecSingle:
                 else:
                     table.set(letters, _matrix_entry_core(value, len(letters), self.dim))
         if include_shift and self.shift != 0:
-            one = table.data.get(ONE, 0j) + self.shift
-            star = table.data.get(STAR, 0j) + self.shift.conjugate()
-            if one != 0:
-                table.data[ONE] = one
-            else:
-                table.data.pop(ONE, None)
-            if star != 0:
-                table.data[STAR] = star
-            else:
-                table.data.pop(STAR, None)
+            for letters, shift in ((ONE, self.shift), (STAR, self.shift.conjugate())):
+                table.data[letters] = table.data.get(letters, 0j) + shift
+                if table.data[letters] == 0:
+                    del table.data[letters]
         return table
 
     def centered(self) -> "CumulantSpecSingle":
@@ -170,17 +155,10 @@ def _matrix_entry_core(value: np.ndarray, k: int, p: int) -> np.ndarray:
     return core
 
 
-def _magnitude(value, dim: int) -> float:
-    """Largest entry modulus of a table value: abs for scalars, numpy for blocks."""
-    return abs(value) if dim == 1 else float(np.max(np.abs(np.asarray(value))))
-
-
 def _nonzero_patterns(table: CumulantTable) -> list[StarPattern]:
-    out = []
-    for letters, value in table.data.items():
-        if _magnitude(value, table.dim) > SNAP_TOL:
-            out.append(StarPattern(letters))
-    return sorted(out, key=lambda d: (len(d), d.letters))
+    """The patterns of the table's nonzero entries, in pattern_sort_key order."""
+    nonzero = [letters for letters, value in table.data.items() if (value != 0 if table.dim == 1 else value.any())]
+    return [StarPattern(letters) for letters in sorted(nonzero, key=pattern_sort_key)]
 
 
 def _classify(spec: CumulantSpecSingle, K: int, free: bool, m_scan: int):
@@ -193,7 +171,7 @@ def _classify(spec: CumulantSpecSingle, K: int, free: bool, m_scan: int):
     if K > spec.order:
         raise IncompleteTableError(f"spec declares order {spec.order}, classification needs {K}")
     patterns = [d for d in _nonzero_patterns(spec.to_table(include_shift=True)) if len(d) <= K]
-    shifted = abs(spec.first_cumulant()) > SNAP_TOL
+    shifted = spec.first_cumulant() != 0
     families = {t: governing_family(t) for t in class_tags(m_scan, classical=not free)}
     tags = {
         t
@@ -283,15 +261,18 @@ def sample_spec(tag: ClassTag, seed: int = 0) -> CumulantSpecSingle:
 
 
 def spec_from_cumulant_table(table: CumulantTable, selfadjoint: bool = False) -> CumulantSpecSingle:
-    """Wrap a computed cumulant table as a sparse spec (zeros dropped)."""
-    entries = {
-        letters: value
-        for letters, value in table.data.items()
-        if _magnitude(value, table.dim) > SNAP_TOL
-    }
-    return CumulantSpecSingle(
-        order=table.order, entries=entries, selfadjoint=selfadjoint, dim=table.dim
-    )
+    """Wrap a computed scalar cumulant table as a sparse spec, with parts of
+    magnitude at most SNAP_TOL set to 0 and the zeros dropped first."""
+    if table.dim != 1:
+        raise UnsupportedAlgebraError(f"a spec is built from a scalar cumulant table, not dim {table.dim}")
+    entries = {}
+    for letters, value in table.data.items():
+        if abs(value) > SNAP_TOL:  # else both parts are at most SNAP_TOL
+            value = complex(0.0 if abs(value.real) <= SNAP_TOL else value.real,
+                            0.0 if abs(value.imag) <= SNAP_TOL else value.imag)
+            if value != 0:
+                entries[letters] = value
+    return CumulantSpecSingle(order=table.order, entries=entries, selfadjoint=selfadjoint)
 
 
 def _selfadjoint_spec(moments, cumulants: CumulantTable, K: int):
@@ -303,8 +284,8 @@ def _selfadjoint_spec(moments, cumulants: CumulantTable, K: int):
         values = np.array([complex(moments.data.get(w, 0j)) for w in _pattern_words(k)[-2 ** k:]])
         if np.max(np.abs(values - values[0].real)) > SELFADJOINT_TOL * np.max(np.abs(values)):
             return None
-    entries = {ONE * k: cumulants.data[ONE * k].real for k in range(1, K + 1)}
-    return CumulantSpecSingle(order=cumulants.order, entries=entries, selfadjoint=True)
+    data = {ONE * k: cumulants.data[ONE * k].real for k in range(1, K + 1)}
+    return spec_from_cumulant_table(CumulantTable(order=cumulants.order, data=data), selfadjoint=True)
 
 
 def _classify_moments(moments, K: int, free: bool):

@@ -28,9 +28,8 @@ from itertools import product
 
 import numpy as np
 
-from .cumulants import (EITHER, CumulantTable, _family_tensor, _ordered_coeff_product, _times_coeff_product,
-                        pattern_sort_key)
-from .distributions import CumulantSpecSingle, sample_spec
+from .cumulants import EITHER, CumulantTable, _family_tensor, _ordered_coeff_product, _times_coeff_product
+from .distributions import CumulantSpecSingle, _nonzero_patterns, sample_spec
 from .easy import all_family_tags, class_tags, family_below, governing_family
 from .errors import InputMismatchError, OrderBoundError
 from .fixtures import witness_for_family
@@ -273,8 +272,7 @@ def cumulant_identity_extractor(
     if max_order > spec.order:
         raise OrderBoundError(f"max_order {max_order} exceeds the input order {spec.order}")
     table = spec.to_table()
-    patterns = sorted({letters for letters, value in table.data.items()
-                       if len(letters) <= max_order and np.any(np.abs(value) > 0)}, key=pattern_sort_key)
+    patterns = [d.letters for d in _nonzero_patterns(table) if len(d) <= max_order]
     limit = rep.tol if tol is None else tol
     failed = []
     for letters in patterns:

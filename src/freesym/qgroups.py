@@ -223,13 +223,20 @@ def full_delta_identity_holds(rep: MatrixRep, pattern) -> Check:
     k = len(d)
     if k < 2:
         raise InputMismatchError("delta identity needs pattern length >= 2")
-    if rep.d == 1:
-        residual, witness = _commuting_delta(rep, d.letters)
-        return Check(holds=residual <= rep.tol, residual=residual, witness=witness)
-    if rep.n**k > TUPLE_BUDGET:
-        raise BudgetError(f"{rep.n}^{k} index tuples exceed the budget")
-    residual, witness = _block_delta(rep, d.letters)
+    count = _tuple_count(rep, d.letters)
+    if count > TUPLE_BUDGET:
+        raise BudgetError(f"{count} index tuples of a length-{k} pattern at n={rep.n} exceed the budget")
+    residual, witness = (_commuting_delta if rep.d == 1 else _block_delta)(rep, d.letters)
     return Check(holds=residual <= rep.tol, residual=residual, witness=witness)
+
+
+def _tuple_count(rep: MatrixRep, letters: str) -> int:
+    """What a delta identity counts against TUPLE_BUDGET: n^k index tuples
+    for d > 1, C(n+p-1, p) * C(n+q-1, q) exponent pairs for d = 1."""
+    if rep.d > 1:
+        return rep.n ** len(letters)
+    p, q = letters.count(ONE), letters.count(STAR)
+    return math.comb(rep.n + p - 1, p) * math.comb(rep.n + q - 1, q)
 
 
 def _block_delta(rep: MatrixRep, letters: str) -> tuple[float, tuple]:
@@ -348,8 +355,6 @@ def _commuting_delta(rep: MatrixRep, letters: str) -> tuple[float, tuple]:
     n, p = rep.n, letters.count(ONE)
     q = len(letters) - p
     m1, m2 = math.comb(n + p - 1, p), math.comb(n + q - 1, q)
-    if m1 * m2 > TUPLE_BUDGET:
-        raise BudgetError(f"{m1 * m2} sorted index tuples of {letters!r} at n={n} exceed the budget")
     # a plan that fits in one chunk is kept between calls
     one_chunk = n * max(m1, m2) <= _CHUNK_CELLS and m1 * m2 <= _CHUNK_CELLS
     (tab1, tab2), (step1, step2), blocks = (_cached_plan if one_chunk else _exponent_plan)(n, p, q)
@@ -548,12 +553,17 @@ def lattice_position(rep: MatrixRep, m_max: int = M_MAX_DEFAULT) -> dict:
     so the closure is the table meet of the minimal families: None only when
     nothing is satisfied, and `consistent` says whether the model satisfies
     it.  Its indices are the moduli m of the satisfied H_M_PLUS(m), with 2
-    for O_PLUS or H_S_PLUS.
+    for O_PLUS or H_S_PLUS.  A scan whose largest delta identity counts
+    more than TUPLE_BUDGET (_tuple_count) raises before it checks anything.
     """
     if m_max < 3:
         raise InputMismatchError(f"the modulus scan needs m_max >= 3, got {m_max}")
     if m_max > M_MAX:
         raise SizeLimitError(f"the modulus scan takes m_max <= {M_MAX}, got {m_max}")
+    count = max(_tuple_count(rep, pattern) for tag in all_family_tags(m_max) for _, pattern in relations(tag) if pattern)
+    if count > TUPLE_BUDGET:
+        shown = count if count < 10**12 else f"about 10^{len(str(count)) - 1}"
+        raise BudgetError(f"the modulus scan to m_max={m_max} needs {shown} index tuples at n={rep.n}, over the budget")
     tags, _, below = family_order(m_max)
     base = check_biunitary(rep)
     results = {tag: _check_family(rep, tag, base) for tag in tags}

@@ -62,7 +62,7 @@ from freesym.cumulants import (
     pattern_sort_key,
     zero_element,
 )
-from freesym.distributions import SNAP_TOL, ClassTag, _nonzero_patterns
+from freesym.distributions import ClassTag
 from freesym.easy import M_MAX_DEFAULT, FamilyTag, all_family_tags
 from freesym.errors import CrossingPartitionError, IncompleteTableError, InputMismatchError
 from freesym.invariance import _order_moments, _residual_norms
@@ -454,7 +454,10 @@ def reference_classify(spec, K: int, free: bool, m_scan: int):
     def Tag(kind, m=None):
         return ClassTag(kind, m, not free)
 
-    patterns = [d for d in _nonzero_patterns(spec.to_table(include_shift=True)) if len(d) <= K]
+    def nonzero(table):
+        return [StarPattern(letters) for letters, value in table.data.items() if len(letters) <= K and value != 0]
+
+    patterns = nonzero(spec.to_table(include_shift=True))
     cond = _conditions(patterns, m_scan)
     tags = set()
     if cond["even"]:
@@ -473,8 +476,8 @@ def reference_classify(spec, K: int, free: bool, m_scan: int):
         tags.add(Tag("CIRCULAR" if free else "COMPLEX_GAUSSIAN"))
 
     noncanonical = []
-    if abs(spec.first_cumulant()) > SNAP_TOL:
-        cpatterns = [d for d in _nonzero_patterns(spec.centered().to_table()) if len(d) <= K]
+    if spec.first_cumulant() != 0:
+        cpatterns = nonzero(spec.centered().to_table())
         ccond = _conditions(cpatterns, m_scan)
         if ccond["pairs"]:
             tags.add(Tag("SHIFTED_ORTHOGONAL"))

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from freesym import serialize
 from freesym.cumulants import (
     MomentTable,
     classical_cumulants_to_moments,
     free_cumulants_to_moments,
+    moments_to_free_cumulants,
     random_cumulant_table,
 )
 from freesym.distributions import (
@@ -28,6 +30,7 @@ from freesym.errors import (
     SchemaError,
     UnsupportedAlgebraError,
 )
+from freesym.fixtures import haar_unitary_spec
 from freesym.partitions import StarPattern
 
 
@@ -301,12 +304,59 @@ def test_spec_from_cumulant_table_round_trip():
     assert classify_free(back, K=6) == classify_free(spec, K=6)
 
 
-def test_tiny_entries_snap_to_zero():
+def test_tiny_declared_entries_are_kept():
     spec = CumulantSpecSingle(
         order=4, entries={"1*": 1.0, "*1": 1.0, "11": 1e-13}
     )
-    assert "11" not in spec.entries
-    assert F("CIRCULAR") in classify_free(spec, K=4)
+    assert spec.entries["11"] == 1e-13
+    back = serialize.json_to_spec(serialize.spec_to_json(spec))
+    assert back.entries == spec.entries
+    assert F("CIRCULAR") not in classify_free(spec, K=4)
+    assert F("CIRCULAR") not in classify_free(back, K=4)
+
+
+def test_tiny_symmetric_spec_stays_symmetric():
+    spec = CumulantSpecSingle(order=4, entries={"11": 1e-12, "**": 1e-12, "1111": 1e-24, "****": 1e-24})
+    assert classify_report(spec, 4, free=True)["minimal"] == ["SYMMETRIC"]
+    assert classify_report(spec, 4, free=False)["minimal"] == ["SYMMETRIC"]
+
+
+def _rescaled(spec, lam):
+    """The law of lam * x: each kappa_w times lam^|w|, the shift times lam."""
+    entries = {letters: lam ** len(letters) * value for letters, value in spec.entries.items()}
+    return CumulantSpecSingle(spec.order, entries, lam * spec.shift, spec.selfadjoint)
+
+
+@pytest.mark.parametrize("free", [True, False])
+def test_declared_rescaling_keeps_the_minimal_classes(free):
+    for tag in class_tags(6):
+        for seed in (1, 2, 3):
+            spec = sample_spec(tag, seed=seed)
+            want = classify_report(spec, spec.order, free)["minimal"]
+            for lam in (1e-4, 1e-2, 1e2, 1e4):
+                got = classify_report(_rescaled(spec, lam), spec.order, free)["minimal"]
+                assert got == want, (tag, seed, lam)
+
+
+def test_haar_unitary_spec_keeps_its_entries():
+    spec = haar_unitary_spec()
+    # kappa of (1*)^j and (*1)^j is (-1)^(j-1) Catalan(j-1), and nothing else
+    want = {word * j: value for j, value in ((1, 1), (2, -1), (3, 2)) for word in ("1*", "*1")}
+    assert spec.entries.keys() == want.keys()
+    assert all(abs(spec.entries[letters] - value) <= 1e-12 for letters, value in want.items())
+
+
+def test_rounding_level_odd_cumulants_are_dropped_from_moments():
+    moments = _moments_of({"11": 1.7}, free=True)
+    # odd moments at rounding level, equal on every pattern of their order
+    for k in (1, 3, 5):
+        for d in StarPattern.all_patterns(k):
+            moments.set(d, 3e-16)
+    cumulants = moments_to_free_cumulants(moments, 6)
+    odd = [abs(cumulants.data["1" * k]) for k in (1, 3, 5)]
+    assert all(0 < value <= 1e-12 for value in odd), odd
+    tags = classify_free_moments(moments, K=6)
+    assert minimal_tags(tags) == {F("SEMICIRCULAR")}
 
 
 def _moments_of(entries, free, selfadjoint=True, order=6):
@@ -351,3 +401,8 @@ def test_matrix_valued_moments_are_rejected_as_unsupported():
         classify_free_moments(moments, 4)
     with pytest.raises(UnsupportedAlgebraError, match="dim 2"):
         classify_classical_moments(moments, 4)
+
+
+def test_a_matrix_cumulant_table_is_not_a_spec():
+    with pytest.raises(UnsupportedAlgebraError, match="dim 2"):
+        spec_from_cumulant_table(random_cumulant_table(4, 2, seed=1))

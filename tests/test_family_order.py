@@ -3,6 +3,7 @@ order's bitsets against pairwise references, and the bounds on a scan's
 order and modulus."""
 
 import json
+import math
 import random
 
 import pytest
@@ -11,8 +12,9 @@ from freesym import easy, qgroups
 from freesym.cli import main
 from freesym.distributions import CumulantSpecSingle, _classify, classify_report
 from freesym.easy import M_MAX, FamilyTag, all_family_tags, family_order
-from freesym.errors import InputMismatchError, OrderBoundError, SizeLimitError
-from freesym.fixtures import fixture_set, permutation_rep, phase_diag_rep
+from freesym.cumulants import TUPLE_BUDGET
+from freesym.errors import BudgetError, InputMismatchError, OrderBoundError, SizeLimitError
+from freesym.fixtures import fixture_set, nilpotent_pair_rep, permutation_rep, phase_diag_rep
 from freesym.qgroups import lattice_position
 from reference import reference_family_below, reference_lattice_position
 
@@ -91,6 +93,24 @@ def test_a_scan_below_the_least_modulus_is_rejected(m_max):
     """Scans below modulus 3, and past M_MAX, are rejected before any check."""
     with pytest.raises(SizeLimitError if m_max > M_MAX else InputMismatchError):
         lattice_position(permutation_rep(3), m_max)
+
+
+@pytest.mark.parametrize("n, m_max, count", [(4, 200, 1373701), (5, 100, 4598126)])
+def test_a_scan_past_the_tuple_budget_is_rejected_before_any_check(n, m_max, count, monkeypatch):
+    """The largest count over the scan's relations (its 1^m_max identity
+    here, C(n+m_max-1, m_max) exponent vectors) meets the budget first."""
+    assert count == math.comb(n + m_max - 1, m_max) > TUPLE_BUDGET
+    monkeypatch.setattr(qgroups, "check_biunitary", lambda rep: pytest.fail("checked a relation"))
+    with pytest.raises(BudgetError) as info:
+        lattice_position(permutation_rep(n), m_max)
+    assert str(info.value) == f"the modulus scan to m_max={m_max} needs {count} index tuples at n={n}, over the budget"
+    assert len(str(info.value)) < 120
+
+
+def test_a_huge_scan_count_is_named_by_its_power_of_ten():
+    # a d = 2 model counts 3^300 index tuples for 1^300
+    with pytest.raises(BudgetError, match=r"^the modulus scan to m_max=300 needs about 10\^143 index tuples at n=3,"):
+        lattice_position(nilpotent_pair_rep(3), 300)
 
 
 @pytest.fixture(scope="module")

@@ -597,6 +597,16 @@ def _segment_key(letters: str, idx: tuple) -> tuple:
     return letters, tuple(map(idx.index, idx))
 
 
+def _spliced_term(kappa: np.ndarray, sides: list) -> np.ndarray:
+    """kappa(w|V) with side t = b_t M(segment t) in core slot t, the last side multiplied from the right.
+
+    A side's index axes (none on one word) come before its (p, p) axes, in the result too.
+    """
+    for side in sides[:-1]:
+        kappa = np.tensordot(kappa, side.reshape(side.shape[:-2] + (-1,)), axes=([0], [-1]))
+    return np.moveaxis(np.tensordot(kappa, sides[-1], axes=([1], [-2])), 0, -2)
+
+
 def _free_family_word(table, idx: tuple, letters: str, cs, shared=None):
     """One entry of _free_family_tensor: its recursion on one word's segments.
 
@@ -610,9 +620,9 @@ def _free_family_word(table, idx: tuple, letters: str, cs, shared=None):
     by position in front, so a segment is relabelled at most once per word;
     shared starts over when full, at the law budget's _LAW_BYTES //
     _ENTRY_BYTES entries (16 MB).  A scalar term multiplies kappa(w|V) by
-    the segments in place, left to right; a matrix term splices them with
-    the coefficients.  Matrix segments, which carry this word's
-    coefficients, are memoised for this word only (shared is None).
+    the segments in place, left to right; a matrix term is _spliced_term.
+    Matrix segments, which carry this word's coefficients, are memoised for
+    this word only (shared is None).
     """
     memo = {}
     get = table.data.get
@@ -649,11 +659,8 @@ def _free_family_word(table, idx: tuple, letters: str, cs, shared=None):
                             term *= segment(v, end)
                         v = end + 1
                 else:
-                    sides = [cs[v] if v + 1 == end else cs[v] @ segment(v + 1, end)
-                             for v, end in zip((a,) + rest, rest + (e,))]
-                    for side in sides[:-1]:
-                        term = np.tensordot(side.reshape(-1), term, axes=(0, 0))
-                    term = term @ sides[-1]
+                    term = _spliced_term(term, [cs[v] if v + 1 == end else cs[v] @ segment(v + 1, end)
+                                                for v, end in zip((a,) + rest, rest + (e,))])
                 total = total + term
         return total
 
@@ -726,10 +733,8 @@ def _free_family_tensor(table, n: int, letters: str, cs) -> np.ndarray:
     law memo's tensors at n (_law_memo(table)[n]), which this function alone
     reads and fills and every call on one law and n shares, read-only.
     Matrix tables keep their own per call; cs[i] is the coefficient after
-    letter i, each segment ends with its last coefficient, and the cores are
-    spliced as in _splice_cores: slot t of kappa takes b M(segment t), the
-    trailing segment multiplies through b from the right; the (p, p) axes
-    come last.
+    letter i, each segment ends with its last coefficient, and a term is
+    _spliced_term, the (p, p) axes last.
     """
     matrix = cs is not None
     p = table.dim
@@ -766,13 +771,8 @@ def _free_family_tensor(table, n: int, letters: str, cs) -> np.ndarray:
                 if not matrix:
                     term = kappa * outer
                 else:
-                    sides = [cs[a + v] if s is None else np.matmul(cs[a + v], s)
-                             for v, s in zip(block, segs)]
-                    term = kappa
-                    for side in sides[:-1]:
-                        term = np.tensordot(term, side.reshape(side.shape[:-2] + (p * p,)),
-                                            axes=([0], [-1]))
-                    term = np.moveaxis(np.tensordot(term, sides[-1], axes=([1], [-2])), 0, -2)
+                    term = _spliced_term(kappa, [cs[a + v] if s is None else np.matmul(cs[a + v], s)
+                                                 for v, s in zip(block, segs)])
                 sub = view[(slice(None),) + tuple(int(combo[j] == STAR) for j in free)] if free else view
                 sub += term
         return acc

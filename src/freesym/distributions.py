@@ -107,7 +107,7 @@ class CumulantSpecSingle:
     def first_cumulant(self) -> complex:
         if self.dim > 1:
             raise InputMismatchError("first_cumulant is for scalar specs")
-        return self.entries.get(ONE, 0j) + self.shift
+        return self.entries.get(ONE, self.entries.get(STAR, 0j) if self.selfadjoint else 0j) + self.shift
 
     def to_table(self, include_shift: bool = True) -> CumulantTable:
         table = CumulantTable(order=self.order, dim=self.dim)

@@ -11,7 +11,7 @@ holds one (2n)^k tensor per order.  A chunk fixes as few leading letters
 as keep it within _CHUNK_CELLS cells (all of them where one pattern is
 larger): a fixed slot acts with its letter's u or u*, an open one with
 diag(u, u*) on (letter, index).  2x2 residuals take their norm in closed
-form.
+form.  A residual is judged relative to its order's moments, not the law's units.
 
 That tensor (order_tensor) is all a joint gives the scan.  A scalar law's
 tensors are memoised in its law memo (cumulants._free_family_tensor keeps
@@ -205,12 +205,12 @@ def check_invariance(
 ) -> InvarianceVerdict:
     """Compare the acted tuple's moments against the original ones.
 
-    Scans orders 1..max_order, recording the worst residual and the
-    lexicographically first violating cell: orders ascending, plain
-    letters before stars, words in 1-based lex order.  A chunk fixes as
-    few leading letters as keep it within _CHUNK_CELLS cells, or all of
-    them; its open slots run over (letter, index) with diag(u, entrywise
-    adjoint).  Chunks of zero moments are skipped.
+    Scans orders 1..max_order in chunks (module docstring), recording the
+    worst residual and the lexicographically first violating cell: orders
+    ascending, plain letters before stars, words in 1-based lex order.
+    Orders and chunks of zero moments are skipped.  A cell violates above
+    tol times its order's scale: the largest real or imaginary part of its
+    moments, times the coefficient norm a scalar joint's residuals carry.
     """
     if isinstance(joint, CumulantSpecSingle):
         joint = FreeIIDJoint(joint.to_table(), rep.n)
@@ -232,21 +232,26 @@ def check_invariance(
     first: tuple | None = None
     for k in range(1, max_order + 1):
         E, factor = _order_moments(joint, k, matrix_coeffs, seed)
+        reim = E.view(float)  # the order's scale, without a complex abs
+        scale = max(reim.max(), -reim.min())
+        if not scale:  # an order of exact zeros
+            continue
+        limit = tol * factor * scale
         cells = E.size * rep.d ** 2
         fixed = next(m for m in range(k + 1) if m == k or cells >> m <= _CHUNK_CELLS)
         for head in product((0, 1), repeat=fixed):
             X = E[tuple(x for c in head for x in (c, slice(None)))]
             X = X.reshape((n,) * fixed + (2 * n,) * (k - fixed) + E.shape[2 * k:])
-            if not X.any():
+            if fixed and not X.any():  # a chunk of exact zeros
                 continue
             res = _residual_norms(X, [U[c] for c in head] + [both] * (k - fixed)) * factor
             peak = float(res.max())
             worst = max(worst, peak)
-            if first is None and peak > tol:
+            if first is None and peak > limit:
                 # cells (c_1, j_1, ..., c_k, j_k) with the letters put first
                 res = res.reshape([x for m in res.shape for x in (m // n, n)])
                 res = res.transpose(*range(0, 2 * k, 2), *range(1, 2 * k, 2))
-                bad = np.unravel_index(np.argmax(res > tol), res.shape)
+                bad = np.unravel_index(np.argmax(res > limit), res.shape)
                 letters = "".join(STAR if c else ONE for c in np.add(head + (0,) * (k - fixed), bad[:k]))
                 first = (k, letters, tuple(int(j) + 1 for j in bad[k:]), float(res[bad]))
     return InvarianceVerdict(invariant=first is None, worst_residual=worst, first_violation=first,

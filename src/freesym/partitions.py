@@ -6,7 +6,8 @@ convention, equality of partition lists is plain list equality and no
 set-of-frozensets juggling is needed anywhere downstream.
 
 first_blocks, the first-block split of a word, is shared by the noncrossing
-enumeration and the moment <-> cumulant recursions of the cumulants module.
+enumeration (over its own cache of smaller sizes) and the moment <->
+cumulant recursions of the cumulants module.
 """
 
 from __future__ import annotations
@@ -65,14 +66,6 @@ class Partition:
     @property
     def num_blocks(self) -> int:
         return len(self.blocks)
-
-    def block_index_map(self) -> dict[int, int]:
-        """Position -> index of its block in canonical order."""
-        out: dict[int, int] = {}
-        for i, b in enumerate(self.blocks):
-            for pos in b:
-                out[pos] = i
-        return out
 
 
 @dataclass(frozen=True)
@@ -170,10 +163,16 @@ def _all_blocks(k: int) -> Iterator[tuple[tuple[int, ...], ...]]:
 
 @lru_cache(maxsize=None)
 def noncrossing_cached(k: int) -> tuple[Partition, ...]:
-    parts = [
-        Partition(k, tuple(tuple(x + 1 for x in blk) for blk in shape))
-        for shape in _nc_shapes(k)
-    ]
+    """NC(k) by the first-block split: each free segment's partitions come from this cache, shifted."""
+    if k == 0:
+        return (Partition(0, ()),)
+    parts = []
+    for block, pieces in first_blocks(k, True):
+        # the segment after element v of the block starts at 1-based position v + 2
+        gaps = [[tuple(tuple(x + v + 1 for x in blk) for blk in q.blocks) for q in noncrossing_cached(len(piece))]
+                for v, piece in zip(block, pieces)]
+        head = (tuple(v + 1 for v in block),)
+        parts += [Partition(k, head + sum(combo, ())) for combo in itertools.product(*gaps)]
     parts.sort(key=lambda p: p.blocks)
     return tuple(parts)
 
@@ -197,22 +196,6 @@ def first_blocks(k: int, free: bool) -> tuple:
         else:
             pieces = (tuple(i for i in range(k) if i not in block),)
         out.append((block, pieces))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _nc_shapes(length: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """Noncrossing blockings of range(length): a first block, then each free segment's own."""
-    if length == 0:
-        return ((),)
-    out = []
-    for block, pieces in first_blocks(length, True):
-        # the segment after element v of the block starts at v + 1
-        gap_shapes = [[tuple(tuple(x + v + 1 for x in blk) for blk in shape)
-                       for shape in _nc_shapes(len(piece))]
-                      for v, piece in zip(block, pieces)]
-        for combo in itertools.product(*gap_shapes):
-            out.append((block,) + tuple(blk for shape in combo for blk in shape))
     return tuple(out)
 
 
@@ -241,7 +224,7 @@ def refines(p: Partition, q: Partition) -> bool:
     """True iff every block of p sits inside a single block of q."""
     if p.k != q.k:
         raise InputMismatchError("refinement requires equal ground sets")
-    owner = q.block_index_map()
+    owner = {pos: i for i, b in enumerate(q.blocks) for pos in b}
     for b in p.blocks:
         first = owner[b[0]]
         if any(owner[x] != first for x in b[1:]):

@@ -321,6 +321,14 @@ def test_tiny_symmetric_spec_stays_symmetric():
     assert classify_report(spec, 4, free=False)["minimal"] == ["SYMMETRIC"]
 
 
+@pytest.mark.parametrize("free", [True, False])
+@pytest.mark.parametrize("letter", ["1", "*"])
+def test_selfadjoint_shift_declared_on_either_letter(letter, free):
+    spec = CumulantSpecSingle(order=4, entries={letter: 1.0, "11": 1.0}, selfadjoint=True)
+    assert spec.first_cumulant() == 1
+    assert classify_report(spec, 4, free)["minimal"] == ["SHIFTED_ORTHOGONAL"]
+
+
 def _rescaled(spec, lam):
     """The law of lam * x: each kappa_w times lam^|w|, the shift times lam."""
     entries = {letters: lam ** len(letters) * value for letters, value in spec.entries.items()}

@@ -20,9 +20,11 @@ from freesym.fixtures import (
     rotation_rep,
     sign_diag_rep,
     unit_i_diag_rep,
+    witness_for_family,
 )
 from freesym.invariance import (
     _PROBE_CLASSES,
+    _PROBE_FAMILIES,
     FreeIIDJoint,
     TableJoint,
     _acted,
@@ -767,12 +769,14 @@ def test_first_violation_is_the_first_argwhere_cell():
 
 
 def test_first_violation_search_keeps_the_scan_small():
-    """The variance-1000 semicircle under the orthogonal 3x3 model violates at 46,656 order-6 cells.
+    """A dense order-6 law violates at all 46,656 order-6 cells of the orthogonal 3x3 model.
 
-    Listing them all took 8.7 MB at the scan's peak; the first one alone
-    leaves the scan near its 1.4 MB of residuals and chunks.
+    The law is a circular pair plus 0.5 on every order-6 pattern.  Listing
+    the cells took 8.7 MB at the scan's peak; the first one alone leaves
+    the scan near its 1.4 MB of residuals and chunks.
     """
-    spec = CumulantSpecSingle(order=6, entries={"11": 1000.0}, selfadjoint=True)
+    entries = {"1*": 1.0, "*1": 1.0} | {d.letters: 0.5 for d in StarPattern.all_patterns(6)}
+    spec = CumulantSpecSingle(order=6, entries=entries)
     rep = bistochastic_orthogonal_rep(3)
     check_invariance(spec, rep, 6)  # warm the law memo and the first-block tables
     tracemalloc.start()
@@ -783,6 +787,27 @@ def test_first_violation_search_keeps_the_scan_small():
         tracemalloc.stop()
     assert not verdict.invariant and verdict.first_violation[0] == 6
     assert peak < 3 * 2 ** 20, peak / 2 ** 20
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_rescaling_the_law_keeps_every_probe_verdict(n):
+    """The law of lam * x (kappa_w times lam^|w|, the shift times lam) is invariant exactly when x's is."""
+    witnesses = [witness_for_family(fam, n) for fam in _PROBE_FAMILIES]
+    for ctag in _PROBE_CLASSES:
+        spec = sample_spec(ctag, seed=1)
+        want = [check_invariance(spec, rep, 4).invariant for rep in witnesses]
+        for lam2 in (1e-12, 1e-8, 1e-4, 1e2, 1e4, 1e6):
+            lam = lam2 ** 0.5
+            entries = {w: lam ** len(w) * value for w, value in spec.entries.items()}
+            scaled = CumulantSpecSingle(spec.order, entries, lam * spec.shift, spec.selfadjoint)
+            assert [check_invariance(scaled, rep, 4).invariant for rep in witnesses] == want, (ctag, lam2)
+
+
+def test_a_large_semicircle_is_judged_against_its_moments():
+    """Variance 1000: rounding in the order-6 moments (5e9) is no violation, a non-invariant model still is."""
+    spec = CumulantSpecSingle(order=6, entries={"11": 1000.0}, selfadjoint=True)
+    assert check_invariance(spec, rotation_rep(2), 6).invariant
+    assert not check_invariance(spec, unit_i_diag_rep(2), 6).invariant
 
 
 @pytest.mark.parametrize("dim,K", [(2, 5), (3, 4)])

@@ -61,6 +61,11 @@ def test_noncrossing_agrees_with_filtered_all_partitions():
         assert brute == set(enumerate_noncrossing(k))
 
 
+def test_noncrossing_is_the_ordered_filter_of_all_partitions():
+    for k in range(10):
+        assert enumerate_noncrossing(k) == [p for p in enumerate_all_partitions(k) if is_noncrossing(p)], k
+
+
 def test_canonical_form_is_stable():
     p = Partition.of([[3, 1], [4, 2, 5]])
     assert p.blocks == ((1, 3), (2, 4, 5))

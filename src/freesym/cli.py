@@ -47,15 +47,12 @@ def _cmd_convert(args) -> int:
     if spec.dim != 1:
         print("error: conversion handles scalar tables only", file=sys.stderr)
         return 2
+    if args.to_cumulants and spec.shift != 0:
+        print("error: a shift only makes sense for cumulant input", file=sys.stderr)
+        return 2
     order = args.order if args.order is not None else spec.order
+    table = spec.to_table()
     if args.to_cumulants:
-        if spec.shift != 0:
-            print(
-                "error: a shift only makes sense for cumulant input",
-                file=sys.stderr,
-            )
-            return 2
-        table = spec.to_table(include_shift=False)
         moments = MomentTable(order=table.order, data=dict(table.data))
         out = (
             moments_to_free_cumulants(moments, order)
@@ -64,7 +61,6 @@ def _cmd_convert(args) -> int:
         )
         kind = "cumulants"
     else:
-        table = spec.to_table()
         out = (
             free_cumulants_to_moments(table, order)
             if args.free

@@ -6,7 +6,9 @@ declared order; conditions quantifying over all orders are decided on the
 declared data only.
 
 A declared spec is exact: it keeps every entry and shift it is given, and
-only exact zeros are absent.  Computed cumulants become a spec in one place,
+only exact zeros are absent.  CumulantSpecSingle.to_table is the one place a
+spec becomes cumulants; every reader, classification included, reads that
+table.  Computed cumulants become a spec in one place,
 spec_from_cumulant_table, which sets parts of magnitude at most SNAP_TOL to
 0 (classification from moments, fixtures.haar_unitary_spec); a table written
 by convert --to-cumulants and read back is a declared spec, judged exactly.
@@ -48,7 +50,9 @@ SELFADJOINT_TOL = 1e-9
 class CumulantSpecSingle:
     """Sparse cumulant data for one variable, plus an additive constant.
 
-    entries map star patterns to values; absent patterns are exact zeros.
+    entries map star patterns to values; absent patterns are exact zeros,
+    except that a scalar entry on w also sets the conjugate pattern w*
+    (StarPattern.conjugate) to its conjugate value when w* is not declared.
     For a self-adjoint variable the pattern is irrelevant, so entries may be
     given on any representative and are expanded per order; declared entries
     of equal length must then agree and be real.
@@ -91,12 +95,12 @@ class CumulantSpecSingle:
             self._validate_selfadjoint()
 
     def _validate_selfadjoint(self) -> None:
+        if self.dim > 1:
+            raise SchemaError("self-adjoint expansion handles scalar specs only")
         if self.shift.imag != 0:
             raise SchemaError("self-adjoint spec needs a real shift")
         by_len: dict[int, complex] = {}
         for letters, value in self.entries.items():
-            if self.dim > 1:
-                raise SchemaError("self-adjoint expansion handles scalar specs only")
             if value.imag != 0:
                 raise SchemaError("self-adjoint cumulants must be real")
             if by_len.setdefault(len(letters), value) != value:
@@ -104,12 +108,9 @@ class CumulantSpecSingle:
                     "self-adjoint entries of one order must agree across patterns"
                 )
 
-    def first_cumulant(self) -> complex:
-        if self.dim > 1:
-            raise InputMismatchError("first_cumulant is for scalar specs")
-        return self.entries.get(ONE, self.entries.get(STAR, 0j) if self.selfadjoint else 0j) + self.shift
-
-    def to_table(self, include_shift: bool = True) -> CumulantTable:
+    def to_table(self) -> CumulantTable:
+        """The cumulants: shift, self-adjoint orders, matrix blocks and the
+        undeclared conjugates of scalar entries, expanded here only."""
         table = CumulantTable(order=self.order, dim=self.dim)
         if self.selfadjoint:
             by_len = {}
@@ -118,32 +119,20 @@ class CumulantSpecSingle:
             for k, value in by_len.items():
                 for d in StarPattern.all_patterns(k):
                     table.set(d, value)
+        elif self.dim > 1:
+            for letters, value in self.entries.items():
+                table.set(letters, _matrix_entry_core(value, len(letters), self.dim))
         else:
             for letters, value in self.entries.items():
-                if self.dim == 1:
-                    table.set(letters, value)
-                else:
-                    table.set(letters, _matrix_entry_core(value, len(letters), self.dim))
-        if include_shift and self.shift != 0:
+                table.set(letters, value)
+            for letters, value in self.entries.items():
+                table.data.setdefault(StarPattern(letters).conjugate().letters, value.conjugate())
+        if self.shift != 0:
             for letters, shift in ((ONE, self.shift), (STAR, self.shift.conjugate())):
                 table.data[letters] = table.data.get(letters, 0j) + shift
                 if table.data[letters] == 0:
                     del table.data[letters]
         return table
-
-    def centered(self) -> "CumulantSpecSingle":
-        entries = {
-            letters: value
-            for letters, value in self.entries.items()
-            if len(letters) > 1
-        }
-        return CumulantSpecSingle(
-            order=self.order,
-            entries=entries,
-            shift=0j,
-            selfadjoint=self.selfadjoint,
-            dim=self.dim,
-        )
 
 
 def _matrix_entry_core(value: np.ndarray, k: int, p: int) -> np.ndarray:
@@ -170,8 +159,9 @@ def _classify(spec: CumulantSpecSingle, K: int, free: bool, m_scan: int):
         raise OrderBoundError(f"classification needs an order of at least 1, got {K}")
     if K > spec.order:
         raise IncompleteTableError(f"spec declares order {spec.order}, classification needs {K}")
-    patterns = [d for d in _nonzero_patterns(spec.to_table(include_shift=True)) if len(d) <= K]
-    shifted = spec.first_cumulant() != 0
+    table = spec.to_table()
+    patterns = [d for d in _nonzero_patterns(table) if len(d) <= K]
+    shifted = table.data.get(ONE, 0) != 0
     families = {t: governing_family(t) for t in class_tags(m_scan, classical=not free)}
     tags = {
         t
@@ -182,10 +172,10 @@ def _classify(spec: CumulantSpecSingle, K: int, free: bool, m_scan: int):
     }
     noncanonical = []
     if shifted:
-        centered = [d for d in patterns if len(d) > 1]
+        higher = [d for d in patterns if len(d) > 1]
 
         def admitted(kind: str) -> bool:
-            return all(FamilyTag(kind).admits(d) for d in centered)
+            return all(FamilyTag(kind).admits(d) for d in higher)
 
         # shifted laws that no class names (easy.Row.inside), from the larger group down
         for kind, row in reversed(TABLE.items()):

@@ -50,7 +50,7 @@ class Row:
     relations: tuple[str, ...]
     free: tuple[str, ...] = ()
     classical: tuple[str, ...] = ()
-    # a shifted law whose centered cumulants fit this row's class but not inside's has no class
+    # a shifted law whose cumulants past order 1 fit this row's class but not inside's has no class
     inside: str | None = None
 
     def classes(self, classical: bool) -> tuple[str, ...]:

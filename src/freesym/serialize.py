@@ -113,22 +113,13 @@ def json_to_rep(obj, require_biunitary: bool = True) -> MatrixRep:
 
 
 def spec_to_json(spec: CumulantSpecSingle) -> dict:
-    records = []
-    for letters in sorted(spec.entries, key=pattern_sort_key):
-        value = spec.entries[letters]
-        if spec.dim == 1:
-            rec_value = complex_to_pair(value)
-        else:
-            rec_value = matrix_to_rows(value)
-        records.append({"pattern": letters, "value": rec_value})
-    out = {
+    return {
         "order": spec.order,
         "dim": spec.dim,
         "selfadjoint": spec.selfadjoint,
         "shift": complex_to_pair(spec.shift),
-        "entries": records,
+        "entries": table_records(spec.entries),
     }
-    return out
 
 
 def json_to_spec(obj) -> CumulantSpecSingle:
@@ -173,8 +164,9 @@ def json_to_spec(obj) -> CumulantSpecSingle:
 
 
 def table_records(data: dict) -> list:
-    """A scalar table's entries as pattern-sorted {"pattern", "value"} records."""
-    return [{"pattern": letters, "value": complex_to_pair(data[letters])}
+    """Entries as pattern-sorted {"pattern", "value"} records: a number as a
+    [re, im] pair, a matrix block as rows of pairs."""
+    return [{"pattern": letters, "value": (matrix_to_rows if np.ndim(data[letters]) else complex_to_pair)(data[letters])}
             for letters in sorted(data, key=pattern_sort_key)]
 
 

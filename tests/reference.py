@@ -457,7 +457,8 @@ def reference_classify(spec, K: int, free: bool, m_scan: int):
     def nonzero(table):
         return [StarPattern(letters) for letters, value in table.data.items() if len(letters) <= K and value != 0]
 
-    patterns = nonzero(spec.to_table(include_shift=True))
+    table = spec.to_table()
+    patterns = nonzero(table)
     cond = _conditions(patterns, m_scan)
     tags = set()
     if cond["even"]:
@@ -476,8 +477,8 @@ def reference_classify(spec, K: int, free: bool, m_scan: int):
         tags.add(Tag("CIRCULAR" if free else "COMPLEX_GAUSSIAN"))
 
     noncanonical = []
-    if spec.first_cumulant() != 0:
-        cpatterns = nonzero(spec.centered().to_table())
+    if table.data.get("1", 0) != 0:
+        cpatterns = [d for d in patterns if len(d) > 1]
         ccond = _conditions(cpatterns, m_scan)
         if ccond["pairs"]:
             tags.add(Tag("SHIFTED_ORTHOGONAL"))

@@ -254,10 +254,6 @@ def test_to_table_merges_shift():
     table = spec.to_table()
     assert table.get("1") == 1 + 2j
     assert table.get("*") == 1 - 2j
-    assert spec.first_cumulant() == 1 + 2j
-
-    bare = spec.to_table(include_shift=False)
-    assert bare.get("1") is None
 
 
 def test_spec_validation_errors():
@@ -325,7 +321,7 @@ def test_tiny_symmetric_spec_stays_symmetric():
 @pytest.mark.parametrize("letter", ["1", "*"])
 def test_selfadjoint_shift_declared_on_either_letter(letter, free):
     spec = CumulantSpecSingle(order=4, entries={letter: 1.0, "11": 1.0}, selfadjoint=True)
-    assert spec.first_cumulant() == 1
+    assert spec.to_table().get("1") == 1
     assert classify_report(spec, 4, free)["minimal"] == ["SHIFTED_ORTHOGONAL"]
 
 
@@ -414,3 +410,69 @@ def test_matrix_valued_moments_are_rejected_as_unsupported():
 def test_a_matrix_cumulant_table_is_not_a_spec():
     with pytest.raises(UnsupportedAlgebraError, match="dim 2"):
         spec_from_cumulant_table(random_cumulant_table(4, 2, seed=1))
+
+
+@pytest.mark.parametrize("free", [True, False])
+@pytest.mark.parametrize("first", ["*", "1"])
+def test_an_undeclared_conjugate_takes_the_conjugate_value(first, free):
+    spec = CumulantSpecSingle(order=4, entries={first: 1.0, "1*": 1.0, "*1": 1.0})
+    table = spec.to_table()
+    assert table.get("1") == table.get("*") == 1
+    want = "SHIFTED_CIRCULAR" if free else "SHIFTED_COMPLEX_GAUSSIAN"
+    assert classify_report(spec, 4, free)["minimal"] == [want]
+
+
+def _starred(spec):
+    """The spec with every entry (w, v) declared as (w*, conj v) instead."""
+    entries = {StarPattern(letters).conjugate().letters: value.conjugate() for letters, value in spec.entries.items()}
+    return CumulantSpecSingle(spec.order, entries, spec.shift, spec.selfadjoint)
+
+
+def _one_sided_spec(seed, order=6):
+    """A seeded non-self-adjoint scalar spec that declares at most one
+    pattern of each conjugate pair (a self-conjugate one with a real value)."""
+    rng = np.random.default_rng(seed)
+    entries = {}
+    for k in range(1, order + 1):
+        for d in StarPattern.all_patterns(k):
+            star = d.conjugate().letters
+            if star in entries or rng.uniform() < 0.6:
+                continue
+            entries[d.letters] = complex(rng.normal(), 0.0 if star == d.letters else rng.normal())
+    shift = complex(rng.normal(), rng.normal()) if seed % 2 else 0j
+    return CumulantSpecSingle(order=order, entries=entries, shift=shift)
+
+
+def _star_defect(moments) -> float:
+    """The largest |m(w*) - conj m(w)| over the table, relative to its largest |m|."""
+    scale = max(abs(value) for value in moments.data.values())
+    worst = max(abs(moments.data.get(StarPattern(letters).conjugate().letters, 0j) - np.conj(value))
+                for letters, value in moments.data.items())
+    return worst / scale
+
+
+@pytest.mark.parametrize("convert", [free_cumulants_to_moments, classical_cumulants_to_moments])
+def test_moments_of_a_one_sided_spec_are_a_star_distribution(convert):
+    spec = CumulantSpecSingle(order=4, entries={"11": 1 + 1j, "1*1": 2j})
+    assert _star_defect(convert(spec.to_table(), 4)) == 0.0
+    for seed in range(8):
+        spec = _one_sided_spec(seed)
+        assert _star_defect(convert(spec.to_table(), spec.order)) <= 1e-12, seed
+
+
+@pytest.mark.parametrize("free", [True, False])
+def test_declaring_the_starred_entries_keeps_every_report(free):
+    specs = [sample_spec(tag, seed) for tag in class_tags(6) for seed in (0, 3)]
+    specs += [_one_sided_spec(seed, order=4) for seed in range(8)]
+    s = 0.5 - 2j
+    specs += [CumulantSpecSingle(4, {"1": s, "1*": 1.0, "*1": 1.0}),
+              CumulantSpecSingle(4, {"1": s, "11": 1.0, "**": 1.0}),
+              CumulantSpecSingle(4, {"1": s, "1*": 1.0, "*1": 1.0, "11**": 2.0}, shift=-s)]
+    for spec in specs:
+        assert classify_report(_starred(spec), spec.order, free) == classify_report(spec, spec.order, free), spec
+
+
+def test_a_selfadjoint_matrix_spec_is_refused_without_entries():
+    for entries in ({}, {"11": np.zeros((2, 2))}):
+        with pytest.raises(SchemaError, match="scalar specs only"):
+            CumulantSpecSingle(order=2, entries=entries, dim=2, selfadjoint=True)

@@ -38,7 +38,8 @@ Joint moments of n free copies run the free recursion too: on whole index
 tensors (joint_moment_tensor) or on one word's segments
 (joint_moments_free_family).  Mixed free cumulants vanish, so a first block V
 contributes kappa(w|V) only where the indices on V agree.  The word segments
-and index tensors of a scalar law share one memo (_law_memo); a word whose
+and index tensors of a scalar law share one memo (_law_memo), which also
+keeps each order tensor's scale once a scan has asked for it; a word whose
 value is there is read after its checks, before any recursion is set up.
 The memos of recent laws are kept too, least recently used first, and
 trimmed to _LAW_BYTES (16 MB) on each change of law, so the process holds
@@ -686,6 +687,34 @@ def joint_moment_tensor(table: CumulantTable, n: int, k: int, pattern, coeffs=No
     return out if out.flags.writeable else out.copy()
 
 
+class _LawTensors(dict):
+    """A scalar law's tensors at one n, by letters (_free_family_tensor), and
+    beside them, by the same letters, the scales read so far (_scaled_family_tensor)."""
+
+    __slots__ = ("scales",)
+
+    def __init__(self):
+        super().__init__()
+        self.scales = {}
+
+
+def _tensor_scale(tensor: np.ndarray) -> float:
+    """The largest real or imaginary part of a complex tensor's entries, in magnitude."""
+    reim = tensor.view(float)  # without a complex abs
+    return max(reim.max(), -reim.min())
+
+
+def _scaled_family_tensor(table, n: int, letters: str) -> tuple[np.ndarray, float]:
+    """A scalar law's coefficient-free tensor (_family_tensor) and its
+    _tensor_scale, worked out once per tensor and kept beside it in the law memo."""
+    tensor = _family_tensor(table, n, letters, None)
+    scales = _law_memo(table)[n].scales
+    scale = scales.get(letters)
+    if scale is None:
+        scale = scales[letters] = _tensor_scale(tensor)
+    return tensor, scale
+
+
 def _family_tensor(table, n: int, letters: str, coeffs) -> np.ndarray:
     """_free_family_tensor with the interleaved coefficients b_0..b_k, identity when None.
 
@@ -738,7 +767,9 @@ def _free_family_tensor(table, n: int, letters: str, cs) -> np.ndarray:
     """
     matrix = cs is not None
     p = table.dim
-    memo = {} if matrix else _law_memo(table).setdefault(n, {})
+    memo = {} if matrix else _law_memo(table).get(n)
+    if memo is None:
+        memo = _law_memo(table)[n] = _LawTensors()
 
     def segment(a: int, e: int) -> np.ndarray:
         # matrix segments differ by their coefficients, scalar ones by letters only

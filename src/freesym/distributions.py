@@ -40,7 +40,7 @@ from .easy import (  # the tag types and implies are also this module's API
     implies,
 )
 from .errors import IncompleteTableError, InputMismatchError, OrderBoundError, SchemaError, UnsupportedAlgebraError
-from .partitions import ONE, STAR, StarPattern
+from .partitions import ONE, STAR, StarPattern, conjugate_letters
 
 SNAP_TOL = 1e-12
 SELFADJOINT_TOL = 1e-9
@@ -117,8 +117,8 @@ class CumulantSpecSingle:
             for letters, value in self.entries.items():
                 by_len[len(letters)] = value
             for k, value in by_len.items():
-                for d in StarPattern.all_patterns(k):
-                    table.set(d, value)
+                table.set(ONE * k, value)  # the order's first pattern, checked once for all of them
+                table.data.update(dict.fromkeys(_pattern_words(k)[-2 ** k:], table.data[ONE * k]))
         elif self.dim > 1:
             for letters, value in self.entries.items():
                 table.set(letters, _matrix_entry_core(value, len(letters), self.dim))
@@ -126,7 +126,7 @@ class CumulantSpecSingle:
             for letters, value in self.entries.items():
                 table.set(letters, value)
             for letters, value in self.entries.items():
-                table.data.setdefault(StarPattern(letters).conjugate().letters, value.conjugate())
+                table.data.setdefault(conjugate_letters(letters), value.conjugate())
         if self.shift != 0:
             for letters, shift in ((ONE, self.shift), (STAR, self.shift.conjugate())):
                 table.data[letters] = table.data.get(letters, 0j) + shift

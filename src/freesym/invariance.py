@@ -15,7 +15,8 @@ form.  A residual is judged relative to its order's moments, not the law's units
 
 That tensor (order_tensor) is all a joint gives the scan.  A scalar law's
 tensors are memoised in its law memo (cumulants._free_family_tensor keeps
-it), and interleaved coefficients only scale its residual norms.  A
+it), each beside its scale once a scan has read it, and interleaved
+coefficients only scale its residual norms.  A
 matrix-valued table's tensor carries the coefficients, (2n)^k p^2 entries
 built afresh per order.  The chunk size is qgroups' _CHUNK_CELLS.
 """
@@ -28,7 +29,8 @@ from itertools import product
 
 import numpy as np
 
-from .cumulants import EITHER, CumulantTable, _family_tensor, _ordered_coeff_product, _times_coeff_product
+from .cumulants import (EITHER, CumulantTable, _family_tensor, _ordered_coeff_product, _scaled_family_tensor,
+                        _tensor_scale, _times_coeff_product)
 from .distributions import CumulantSpecSingle, _nonzero_patterns, sample_spec
 from .easy import all_family_tags, class_tags, family_below, governing_family
 from .errors import InputMismatchError, OrderBoundError
@@ -145,15 +147,22 @@ class InvarianceVerdict:
     tol: float
 
 
-def _order_moments(joint, k: int, matrix_coeffs: bool, seed: int) -> tuple[np.ndarray, float]:
-    """Order-k moments with letter axes, (c_1, i_1, ..., c_k, i_k)[, p, q], and a norm factor.
+def _order_moments(joint, k: int, matrix_coeffs: bool, seed: int) -> tuple[np.ndarray, float, float]:
+    """Order-k moments with letter axes, (c_1, i_1, ..., c_k, i_k)[, p, q],
+    their _tensor_scale and a norm factor.
 
     A scalar joint's moments carry the coefficient product B outside, so
-    each residual is kron(B, D) for the plain one D, of norm |B| |D|.
+    each residual is kron(B, D) for the plain one D, of norm |B| |D|.  A
+    scalar law's scale is read from its law memo, beside its tensor.
     """
-    if joint.dim == 1:
-        return joint.order_tensor(k), _coeff_norm(seed, k, 2) if matrix_coeffs else 1.0
-    return joint.order_tensor(k, matrix_b_coeffs(k, seed, joint.dim) if matrix_coeffs else None), 1.0
+    if joint.dim > 1:
+        E = joint.order_tensor(k, matrix_b_coeffs(k, seed, joint.dim) if matrix_coeffs else None)
+        return E, _tensor_scale(E), 1.0
+    factor = _coeff_norm(seed, k, 2) if matrix_coeffs else 1.0
+    if isinstance(joint, FreeIIDJoint):
+        return *_scaled_family_tensor(joint.table, joint.n, EITHER * k), factor
+    E = joint.order_tensor(k)
+    return E, _tensor_scale(E), factor
 
 
 def _acted(X: np.ndarray, mats: list) -> np.ndarray:
@@ -231,9 +240,7 @@ def check_invariance(
     worst = 0.0
     first: tuple | None = None
     for k in range(1, max_order + 1):
-        E, factor = _order_moments(joint, k, matrix_coeffs, seed)
-        reim = E.view(float)  # the order's scale, without a complex abs
-        scale = max(reim.max(), -reim.min())
+        E, scale, factor = _order_moments(joint, k, matrix_coeffs, seed)
         if not scale:  # an order of exact zeros
             continue
         limit = tol * factor * scale

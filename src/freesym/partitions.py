@@ -117,8 +117,7 @@ class StarPattern:
         return StarPattern("".join(self.letters[p - 1] for p in pos))
 
     def conjugate(self) -> "StarPattern":
-        flip = {ONE: STAR, STAR: ONE}
-        return StarPattern("".join(flip[c] for c in reversed(self.letters)))
+        return StarPattern(conjugate_letters(self.letters))
 
     def is_strictly_alternating(self) -> bool:
         return all(a != b for a, b in zip(self.letters, self.letters[1:]))
@@ -128,6 +127,14 @@ class StarPattern:
         """All 2^k patterns of length k, '1' sorted before '*'."""
         for combo in itertools.product((ONE, STAR), repeat=k):
             yield StarPattern("".join(combo))
+
+
+_FLIP = str.maketrans({ONE: STAR, STAR: ONE})
+
+
+def conjugate_letters(letters: str) -> str:
+    """The letters of the conjugate pattern w*: w reversed, 1 and * swapped."""
+    return letters[::-1].translate(_FLIP)
 
 
 def enumerate_all_partitions(k: int) -> list[Partition]:

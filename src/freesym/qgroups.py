@@ -26,6 +26,15 @@ lattice_position scans moduli up to easy.M_MAX = 300: on permutation_rep(3)
 it takes 0.04 s at m_max 100, 0.2 s at 200 and 0.55 s at 300 (a fresh
 process, one core of a shared Xeon).
 
+The residual table too depends only on (n, p, q), not on where the letters
+sit, so a model memoises per (p, q) the worst residual and the tied worst
+orbits that can hold a first tuple (_commuting_orbits); each pattern reads
+its own witness from them (_lex_first).  With biunitarity's four norms,
+that is all a model keeps.  Its entries are a read-only copy, the memo
+lives and dies with the model, and it holds floats and index strings,
+never a plan or a table: about 83 KiB after lattice_position(rep, 300) at
+n = 3.  A d > 1 model's patterns share nothing, so none of theirs is kept.
+
 Every other relation is entrywise: its residual is the largest spectral
 norm over one stack of d x d matrices (_worst), an (n, n, d, d) stack for
 sum, projection and block identities and for the entrywise facts of
@@ -79,7 +88,7 @@ class MatrixRep:
     """Generator matrices u_{ij}, stored as an (n, n, d, d) complex array."""
 
     def __init__(self, entries, tol: float = DEFAULT_TOL):
-        arr = np.asarray(entries, dtype=complex)
+        arr = np.array(entries, dtype=complex)  # a copy: the memo below trusts it never changes
         if arr.ndim == 2:
             arr = arr[:, :, None, None]
         if arr.ndim != 4 or arr.shape[0] != arr.shape[1] or arr.shape[2] != arr.shape[3]:
@@ -88,6 +97,7 @@ class MatrixRep:
             )
         if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
             raise InputMismatchError("non-finite entry in representation")
+        arr.setflags(write=False)
         self.entries = arr
         self.n = arr.shape[0]
         self.d = arr.shape[2]
@@ -98,6 +108,10 @@ class MatrixRep:
         if tol < 0:
             raise InputMismatchError("tolerance must be nonnegative")
         self.tol = float(tol)
+        # what relation checks derive from the entries alone, never tol:
+        # biunitarity's sides, and each d = 1 delta identity's worst residual
+        # and tied orbits by letter count (_commuting_orbits)
+        self._relations: dict = {}
 
     def adjoint_entries(self) -> np.ndarray:
         return np.conj(self.entries).swapaxes(2, 3)
@@ -183,13 +197,18 @@ def _worst(stack: np.ndarray) -> float:
 
 
 def check_biunitary(rep: MatrixRep) -> Check:
-    u = rep.flatten()
-    ubar = _flat(rep.adjoint_entries())
-    eye = np.eye(len(u))
-    sides = {}
-    for name, mat in (("u", u), ("ubar", ubar)):
-        sides[name + "_left"] = operator_norm(mat.conj().T @ mat - eye)
-        sides[name + "_right"] = operator_norm(mat @ mat.conj().T - eye)
+    """How far u and its entrywise conjugate are from unitary, each side of
+    each; the four norms are worked out once per model (its memo)."""
+    sides = rep._relations.get("biunitary")
+    if sides is None:
+        u = rep.flatten()
+        ubar = _flat(rep.adjoint_entries())
+        eye = np.eye(len(u))
+        sides = {}
+        for name, mat in (("u", u), ("ubar", ubar)):
+            sides[name + "_left"] = operator_norm(mat.conj().T @ mat - eye)
+            sides[name + "_right"] = operator_norm(mat @ mat.conj().T - eye)
+        rep._relations["biunitary"] = sides
     residual = max(sides.values())
     ok = {key: value <= rep.tol for key, value in sides.items()}
     # square matrices admit no one-sided inverses, so the two sides must
@@ -342,18 +361,34 @@ _cached_plan = functools.lru_cache(maxsize=128)(_exponent_plan)
 
 
 def _commuting_delta(rep: MatrixRep, letters: str) -> tuple[float, tuple]:
-    """Worst residual and witness of a delta identity on a d = 1 model.
+    """Worst residual and witness of a delta identity on a d = 1 model: the
+    model's memo keeps _commuting_orbits by letter counts (p, q), and
+    _lex_first reads this arrangement's witness from its tied orbits."""
+    p = letters.count(ONE)
+    key = p, len(letters) - p
+    found = rep._relations.get(key)
+    if found is None:
+        found = rep._relations[key] = _commuting_orbits(rep, *key)
+    worst, orbits = found
+    return worst, _lex_first(orbits, letters)
+
+
+def _commuting_orbits(rep: MatrixRep, p: int, q: int) -> tuple[float, tuple]:
+    """The worst residual of the delta identities with p 1-slots and q
+    *-slots on a d = 1 model, and the tied orbits that can give a witness,
+    each as the sorted indices of its two classes (bytes).
 
     The entry at a tuple is sum_a prod_(1-slots) u_ai * prod_(*-slots)
     conj(u_ai), so it depends only on the exponent vectors e and f counting
     each index in the two letter classes: it is the (I, J) cell of P1.T @ P2,
     where P1[a, I] = prod_j u_aj^e_j over column I of the 1-slots' table and
     P2[a, J] likewise with conj(u) over the *-slots'.  Every tuple of one
-    (I, J) orbit has the same residual; the lexicographically first one puts
-    the sorted indices of each class into that class's slots in order.
+    (I, J) orbit has the same residual.  Columns run in the lexicographic
+    order of the sorted tuples, so an orbit whose I and J are both at or
+    past another tied orbit's never holds the first tuple of any pattern
+    and is dropped; what is left is at most one orbit per tied I.
     """
-    n, p = rep.n, letters.count(ONE)
-    q = len(letters) - p
+    n = rep.n
     m1, m2 = math.comb(n + p - 1, p), math.comb(n + q - 1, q)
     # a plan that fits in one chunk is kept between calls
     one_chunk = n * max(m1, m2) <= _CHUNK_CELLS and m1 * m2 <= _CHUNK_CELLS
@@ -371,16 +406,22 @@ def _commuting_delta(rep: MatrixRep, letters: str) -> tuple[float, tuple]:
         return np.abs(table)
 
     worst, floor, hits = _worst_blocks(blocks, lambda block: residuals(*block))
-    witness = None
-    for block, res in hits:
-        lo1, lo2 = block[:2]
+    rows, cols = [], []
+    for (lo1, lo2, *_), res in hits:
         if lo1 == lo2 == 0 and res[0, 0] >= floor:
-            return worst, (0,) * len(letters)  # the first tuple of all
-        rows, cols = np.nonzero(res >= floor)
-        found = _lex_first((tab1, tab2), letters, rows + lo1, cols + lo2)
-        if witness is None or found < witness:
-            witness = found
-    return worst, witness
+            rows, cols = [np.zeros(1, int)], [np.zeros(1, int)]  # the first orbit of all
+            break
+        r, c = np.nonzero(res >= floor)
+        rows.append(r + lo1)
+        cols.append(c + lo2)
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    order = np.lexsort((cols, rows))
+    rows, cols = rows[order], cols[order]
+    # keep an orbit when its J is below every J of a smaller or equal I
+    keep = cols < np.minimum.accumulate(np.concatenate(([m2], cols[:-1])))
+    digits = np.arange(n, dtype=np.uint8)  # n <= MAX_FLAT_DIM
+    return worst, tuple((np.repeat(digits, tab1[:, i]).tobytes(), np.repeat(digits, tab2[:, j]).tobytes())
+                        for i, j in zip(rows[keep].tolist(), cols[keep].tolist()))
 
 
 def _power_products(pows: np.ndarray, part: np.ndarray) -> np.ndarray:
@@ -391,24 +432,15 @@ def _power_products(pows: np.ndarray, part: np.ndarray) -> np.ndarray:
     return out
 
 
-def _lex_first(tabs: tuple, letters: str, rows, cols) -> tuple:
-    """The lexicographically first full tuple among the (I, J) orbits given.
+def _lex_first(orbits: tuple, letters: str) -> tuple:
+    """The lexicographically first full tuple among the (I, J) orbits given,
+    each by the sorted indices of its 1-slots and of its *-slots: an orbit's
+    first tuple puts each class's indices into that class's slots in order."""
+    def first(ones: bytes, stars: bytes) -> tuple:
+        classes = iter(ones), iter(stars)
+        return tuple(next(classes[letter != ONE]) for letter in letters)
 
-    Slot by slot, while orbits tie, keep those that put the least index
-    there: the r-th smallest index of a class is the number of cumulative
-    sums of its exponent vector that are at most r.
-    """
-    sums = [np.cumsum(tab[:, pick], axis=0, dtype=tab.dtype) for tab, pick in zip(tabs, (rows, cols))]
-    ranks = [0, 0]
-    for letter in letters:
-        if sums[0].shape[1] == 1:
-            break
-        side = int(letter != ONE)
-        vals = (sums[side] <= ranks[side]).sum(axis=0)
-        sums = [s[:, vals == vals.min()] for s in sums]
-        ranks[side] += 1
-    classes = [iter(np.searchsorted(s[:, 0], np.arange(s[-1, 0]), side="right").tolist()) for s in sums]
-    return tuple(next(classes[letter != ONE]) for letter in letters)
+    return min(first(*orbit) for orbit in orbits)
 
 
 def _sum_condition_residual(rep: MatrixRep) -> float:
@@ -431,10 +463,6 @@ def _commutativity_residual(rep: MatrixRep) -> float:
     return max(_worst(a @ b - b @ a) for a in flat for b in (flat, flat_adj))
 
 
-def check_family(rep: MatrixRep, tag: FamilyTag) -> Check:
-    return _check_family(rep, tag, check_biunitary(rep))
-
-
 _NAMED_RELATIONS = {
     "sums": _sum_condition_residual,
     "projections": lambda rep: _projection_residual(rep, 1),
@@ -442,9 +470,11 @@ _NAMED_RELATIONS = {
 }
 
 
-def _check_family(rep: MatrixRep, tag: FamilyTag, base: Check) -> Check:
-    """check_family with the model's biunitarity check already made."""
-    residuals = {"biunitary": base.residual}
+def check_family(rep: MatrixRep, tag: FamilyTag) -> Check:
+    """The family's relations on the model: biunitarity, then its row's
+    relations in order, the first failed delta identity's witness kept."""
+    sides = rep._relations.get("biunitary")
+    residuals = {"biunitary": check_biunitary(rep).residual if sides is None else max(sides.values())}
     witness = None
     for key, pattern in relations(tag):
         if pattern is None:
@@ -565,8 +595,7 @@ def lattice_position(rep: MatrixRep, m_max: int = M_MAX_DEFAULT) -> dict:
         shown = count if count < 10**12 else f"about 10^{len(str(count)) - 1}"
         raise BudgetError(f"the modulus scan to m_max={m_max} needs {shown} index tuples at n={rep.n}, over the budget")
     tags, _, below = family_order(m_max)
-    base = check_biunitary(rep)
-    results = {tag: _check_family(rep, tag, base) for tag in tags}
+    results = {tag: check_family(rep, tag) for tag in tags}
     held = sum(1 << i for i, t in enumerate(tags) if results[t].holds)
     satisfied = [t for i, t in enumerate(tags) if held >> i & 1]
     # t is minimal when the only satisfied family below it is itself, and the

@@ -846,7 +846,7 @@ def reference_first_violation(joint, rep: MatrixRep, max_order: int, matrix_coef
         both[c, :, c] = rep.letter_array(ch).transpose(0, 2, 1, 3).reshape(nd, nd)
     both = both.reshape(2 * nd, 2 * nd)
     for k in range(1, max_order + 1):
-        E, factor = _order_moments(joint, k, matrix_coeffs, seed)
+        E, _, factor = _order_moments(joint, k, matrix_coeffs, seed)
         res = _residual_norms(E.reshape((2 * n,) * k + E.shape[2 * k:]), [both] * k) * factor
         res = res.reshape((2, n) * k).transpose(*range(0, 2 * k, 2), *range(1, 2 * k, 2))
         hits = np.argwhere(res > tol)

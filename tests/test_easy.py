@@ -176,13 +176,13 @@ def test_classification_matches_the_reference_on_sparse_specs(spec, K, m_scan, f
 
 def test_probe_runs_each_family_check_once(monkeypatch):
     calls = []
-    original = qgroups._check_family
+    original = qgroups.check_family
 
-    def counted(rep, tag, base):
+    def counted(rep, tag):
         calls.append(tag)
-        return original(rep, tag, base)
+        return original(rep, tag)
 
-    monkeypatch.setattr(qgroups, "_check_family", counted)
+    monkeypatch.setattr(qgroups, "check_family", counted)
     probe = theorem1_probe(n=2, max_order=4, seed=0)
     assert probe["cells"] == 81
     assert len(calls) == 81

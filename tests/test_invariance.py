@@ -753,6 +753,24 @@ def test_a_law_over_the_budget_goes_when_it_goes_out_of_use(empty_law_memo, monk
     assert held() is None and not cumulants._idle_laws
 
 
+def test_a_scalar_laws_order_scales_are_worked_out_once(empty_law_memo, monkeypatch):
+    """Each order tensor's scale is reduced once and kept beside it; every
+    later scan of the law at that n, under any model, reads it."""
+    calls = []
+    real = cumulants._tensor_scale
+    monkeypatch.setattr(cumulants, "_tensor_scale", lambda tensor: calls.append(tensor.shape) or real(tensor))
+    spec = spec_of("R_DIAGONAL")
+    for rep in (rotation_rep(2), unit_i_diag_rep(2), nilpotent_pair_rep(2)):
+        for matrix_coeffs in (False, True):
+            check_invariance(spec, rep, 5, matrix_coeffs=matrix_coeffs)
+    assert calls == [(2, 2) * k for k in range(1, 6)]
+    tensors = cumulants._law_memo(spec.to_table())[2]
+    assert sorted(tensors.scales) == sorted(tensors) == ["?" * k for k in range(1, 6)]
+    for letters, scale in tensors.scales.items():
+        reim = tensors[letters].view(float)
+        assert scale == max(reim.max(), -reim.min())
+
+
 def test_first_violation_is_the_first_argwhere_cell():
     """Every violating scan of the fixture grid, at orders 4 to 6, with and without coefficients."""
     violations = 0

@@ -1,5 +1,7 @@
+import gc
 import itertools
 import math
+import random
 import tracemalloc
 
 import numpy as np
@@ -702,3 +704,105 @@ def test_commutativity_holds_one_entry_at_a_time():
 
     assert _traced_peak(run) < 8 * step_bytes
     assert not chk.holds and chk.details["commutativity"] > 1e-3
+
+
+def _checks_key(rep: MatrixRep) -> tuple:
+    """Every relation check of a model, residuals by float.hex."""
+    def key(chk):
+        return chk.holds, chk.witness, chk.residual.hex(), repr(chk.details)
+
+    families = [key(check_family(rep, tag)) for tag in all_family_tags() + all_family_tags(classical=True)]
+    pos = lattice_position(rep)
+    structural = structural_consequences(rep)
+    return (key(check_biunitary(rep)), families, {k: v for k, v in pos.items() if k != "results"},
+            structural["satisfied_patterns"], {name: key(chk) for name, chk in structural["checks"].items()})
+
+
+@pytest.mark.parametrize("shape", [(2, 2, 1, 1), (2, 2)])
+def test_a_model_keeps_its_own_read_only_entries(shape):
+    source = np.eye(2, dtype=complex).reshape(shape)
+    rep = MatrixRep(source)
+    before = _checks_key(rep)
+    source[(0,) * len(shape)] = 5.0
+    assert rep.entries[0, 0, 0, 0] == 1.0
+    assert _checks_key(rep) == before == _checks_key(MatrixRep(np.eye(2)))
+    with pytest.raises(ValueError):
+        rep.entries[0, 0, 0, 0] = 5.0
+
+
+def test_biunitarity_is_worked_out_once_and_judged_at_each_call(monkeypatch):
+    rep = uncorrected_bistochastic_unitary_rep(3)
+    norms = []
+    real = qgroups.operator_norm
+    monkeypatch.setattr(qgroups, "operator_norm", lambda x: norms.append(x) or real(x))
+    first = check_biunitary(rep)
+    lattice_position(rep)
+    check_family(rep, F("S_PLUS"))
+    assert len(norms) == 4  # the four sides, once
+    assert not first.holds and first.residual == pytest.approx(3.0, abs=1e-12)
+    rep.tol = 4.0
+    again = check_biunitary(rep)
+    assert again.holds and again.residual == first.residual and again.details == first.details
+    assert check_family(rep, F("S_PLUS")).details["biunitary"] == first.residual
+    assert len(norms) == 4
+
+
+def _memo_models() -> dict:
+    models = {name: rep for name, (rep, _) in fixture_set().reps.items() if rep.d == 1}
+    for n in (3, 4):
+        models[f"haar_{n}"] = _haar_rep(n, 60 + n)
+    for m, n in ((3, 2), (5, 3), (4, 3)):
+        models[f"phase{m}_{n}"] = phase_diag_rep(m, n)
+    return models
+
+
+MEMO_MODELS = _memo_models()
+MEMO_PATTERNS = [d.letters for k in range(2, 7) for d in StarPattern.all_patterns(k)] + [
+    c * m for m in range(7, 61) for c in "1*"
+]
+
+
+@pytest.mark.parametrize("name", sorted(MEMO_MODELS))
+def test_one_model_answers_every_arrangement_of_its_letter_counts(name):
+    """A d = 1 model keeps each delta identity's residual and tied orbits by
+    letter count.  Asked in sorted, reversed and shuffled order, one model
+    gives every pattern the reference's verdict and witness, and the
+    residual bits of a model of its own, one per pattern, with nothing kept."""
+    rep = MEMO_MODELS[name]
+    want = {}
+    for letters in MEMO_PATTERNS:
+        ref = reference_commuting_delta(rep, letters)
+        cold = full_delta_identity_holds(MatrixRep(rep.entries, tol=rep.tol), letters)
+        assert (cold.holds, cold.witness) == (ref.holds, ref.witness), letters
+        assert abs(cold.residual - ref.residual) <= 1e-12 * max(1.0, ref.residual), letters
+        want[letters] = cold.holds, cold.witness, cold.residual.hex()
+    shuffled = list(MEMO_PATTERNS)
+    random.Random(11).shuffle(shuffled)
+    for order in (sorted(MEMO_PATTERNS), MEMO_PATTERNS[::-1], shuffled):
+        model = MatrixRep(rep.entries, tol=rep.tol)
+        for letters in order:
+            chk = full_delta_identity_holds(model, letters)
+            assert (chk.holds, chk.witness, chk.residual.hex()) == want[letters], letters
+
+
+@pytest.mark.parametrize("make", [lambda: permutation_rep(3), lambda: _haar_rep(3, 71)],
+                         ids=["permutation_3", "haar_3"])
+def test_a_model_memo_stays_small_and_goes_with_the_model(make):
+    """After a scan to M_MAX, what a model keeps beyond the scan's shared
+    plans is floats and each tied orbit's sorted indices, under 1 MiB,
+    freed with it."""
+    lattice_position(make(), 300)  # the plans and the family order, shared by every model
+    tracemalloc.start()
+    try:
+        rep = make()
+        lattice_position(rep, 300)
+        gc.collect()
+        alive = tracemalloc.get_traced_memory()[0]
+        orbits = [orbit for value in rep._relations.values() if isinstance(value, tuple) for orbit in value[1]]
+        assert orbits and all(isinstance(c, bytes) and len(c) <= 300 for orbit in orbits for c in orbit)
+        del rep, orbits
+        gc.collect()
+        gone = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert 0 < alive - gone < 2**20, (alive - gone)

@@ -36,7 +36,7 @@ from .easy import all_family_tags, class_tags, family_below, governing_family
 from .errors import InputMismatchError, OrderBoundError
 from .fixtures import witness_for_family
 from .partitions import ONE, STAR, StarPattern
-from .qgroups import (_CHUNK_CELLS, MatrixRep, _column_residuals, _flat, lattice_position, operator_norm,
+from .qgroups import (_CHUNK_CELLS, MatrixRep, _checked_tol, _column_residuals, _flat, lattice_position, operator_norm,
                       spectral_norms)
 
 
@@ -229,8 +229,7 @@ def check_invariance(
         raise InputMismatchError("max_order must be at least 1")
     if max_order > joint.order:
         raise OrderBoundError(f"max_order {max_order} exceeds the joint's order {joint.order}")
-    if tol is None:
-        tol = rep.tol
+    tol = rep.tol if tol is None else _checked_tol(tol)
 
     n, nd = rep.n, rep.n * rep.d
     U = [_flat(rep.letter_array(ch)) for ch in (ONE, STAR)]
@@ -285,7 +284,7 @@ def cumulant_identity_extractor(
         raise OrderBoundError(f"max_order {max_order} exceeds the input order {spec.order}")
     table = spec.to_table()
     patterns = [d.letters for d in _nonzero_patterns(table) if len(d) <= max_order]
-    limit = rep.tol if tol is None else tol
+    limit = rep.tol if tol is None else _checked_tol(tol)
     failed = []
     for letters in patterns:
         residuals = _column_residuals(rep, letters)

@@ -20,20 +20,26 @@ vectors.  The check runs over each letter class's (n, M) table of them
 (_exponents), C(n+p-1, p) * C(n+q-1, q) pairs for p 1-slots and q *-slots,
 and that count meets the budget.  Each side's products over the summed row
 index, n power factors a cell, form an (n, M) array; one matmul gives the
-residual table, in chunks of at most _CHUNK_CELLS cells.  A plan depends
-only on (n, p, q), and up to 128 that fit in one chunk are kept.
+residual table, in chunks of at most _CHUNK_CELLS cells.  Its plan depends
+only on (n, p, q) and is built for the one check that reads it.
 lattice_position scans moduli up to easy.M_MAX = 300: on permutation_rep(3)
 it takes 0.04 s at m_max 100, 0.2 s at 200 and 0.55 s at 300 (a fresh
 process, one core of a shared Xeon).
 
 The residual table too depends only on (n, p, q), not on where the letters
-sit, so a model memoises per (p, q) the worst residual and the tied worst
+sit, so a d = 1 model keeps per (p, q) the worst residual and the tied worst
 orbits that can hold a first tuple (_commuting_orbits); each pattern reads
-its own witness from them (_lex_first).  With biunitarity's four norms,
-that is all a model keeps.  Its entries are a read-only copy, the memo
-lives and dies with the model, and it holds floats and index strings,
-never a plan or a table: about 83 KiB after lattice_position(rep, 300) at
-n = 3.  A d > 1 model's patterns share nothing, so none of theirs is kept.
+its own witness from them (_lex_first).  A model has one cache, its memo,
+filled only through _derived: every residual a relation check reads is
+derived there once per model from the entries alone and judged against
+rep.tol at each call.  It holds biunitarity's four norms, the sum,
+projection and commutativity residuals, the d = 1 orbits above, each d > 1
+delta identity's worst residual and witness, and each block identity's
+column residuals (read-only).  The entries are a read-only copy, and the
+memo dies with the model and holds no plan or table: about 83 KiB after
+lattice_position(rep, 300) at n = 3, and 5.4 KiB after lattice_position and
+structural_consequences on the n = 3, d = 4 nilpotent lift.  Nothing is
+kept between models.
 
 Every other relation is entrywise: its residual is the largest spectral
 norm over one stack of d x d matrices (_worst), an (n, n, d, d) stack for
@@ -52,9 +58,9 @@ are reductions over the order's rows, and its closure is the table meet
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -91,10 +97,8 @@ class MatrixRep:
         arr = np.array(entries, dtype=complex)  # a copy: the memo below trusts it never changes
         if arr.ndim == 2:
             arr = arr[:, :, None, None]
-        if arr.ndim != 4 or arr.shape[0] != arr.shape[1] or arr.shape[2] != arr.shape[3]:
-            raise InputMismatchError(
-                f"entries must form an (n, n, d, d) array, got shape {arr.shape}"
-            )
+        if arr.ndim != 4 or arr.shape[0] != arr.shape[1] or arr.shape[2] != arr.shape[3] or 0 in arr.shape:
+            raise InputMismatchError(f"entries must form an (n, n, d, d) array, n, d >= 1, got shape {arr.shape}")
         if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
             raise InputMismatchError("non-finite entry in representation")
         arr.setflags(write=False)
@@ -105,12 +109,8 @@ class MatrixRep:
             raise SizeLimitError(
                 f"flattened dimension {self.n * self.d} exceeds {MAX_FLAT_DIM}"
             )
-        if tol < 0:
-            raise InputMismatchError("tolerance must be nonnegative")
-        self.tol = float(tol)
-        # what relation checks derive from the entries alone, never tol:
-        # biunitarity's sides, and each d = 1 delta identity's worst residual
-        # and tied orbits by letter count (_commuting_orbits)
+        self.tol = _checked_tol(tol)
+        # what relation checks derive from the entries alone, never tol (_derived)
         self._relations: dict = {}
 
     def adjoint_entries(self) -> np.ndarray:
@@ -125,6 +125,23 @@ class MatrixRep:
 
     def flatten(self) -> np.ndarray:
         return _flat(self.entries)
+
+
+def _checked_tol(tol) -> float:
+    """A tolerance as a float, refused unless finite and nonnegative."""
+    if not 0 <= tol <= sys.float_info.max:  # so do NaN and an int past the floats
+        raise InputMismatchError(f"tolerance must be nonnegative and finite, got {tol}")
+    return float(tol)
+
+
+def _derived(rep: MatrixRep, key, compute, *args):
+    """compute(rep, *args), worked out once per model and kept read-only in its
+    memo under key: what a relation check derives from the entries, never tol."""
+    if key not in rep._relations:
+        value = rep._relations[key] = compute(rep, *args)
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+    return rep._relations[key]
 
 
 def _flat(entries: np.ndarray) -> np.ndarray:
@@ -196,19 +213,19 @@ def _worst(stack: np.ndarray) -> float:
     return float(spectral_norms(stack).max()) if stack.size else 0.0
 
 
+def _biunitary_sides(rep: MatrixRep) -> dict:
+    """How far u and its entrywise conjugate are from unitary, each side of each."""
+    eye = np.eye(rep.n * rep.d)
+    sides = {}
+    for name, mat in (("u", rep.flatten()), ("ubar", _flat(rep.adjoint_entries()))):
+        sides[name + "_left"] = operator_norm(mat.conj().T @ mat - eye)
+        sides[name + "_right"] = operator_norm(mat @ mat.conj().T - eye)
+    return sides
+
+
 def check_biunitary(rep: MatrixRep) -> Check:
-    """How far u and its entrywise conjugate are from unitary, each side of
-    each; the four norms are worked out once per model (its memo)."""
-    sides = rep._relations.get("biunitary")
-    if sides is None:
-        u = rep.flatten()
-        ubar = _flat(rep.adjoint_entries())
-        eye = np.eye(len(u))
-        sides = {}
-        for name, mat in (("u", u), ("ubar", ubar)):
-            sides[name + "_left"] = operator_norm(mat.conj().T @ mat - eye)
-            sides[name + "_right"] = operator_norm(mat @ mat.conj().T - eye)
-        rep._relations["biunitary"] = sides
+    """Biunitarity judged against rep.tol; its four norms are worked out once per model."""
+    sides = _derived(rep, "biunitary", _biunitary_sides)
     residual = max(sides.values())
     ok = {key: value <= rep.tol for key, value in sides.items()}
     # square matrices admit no one-sided inverses, so the two sides must
@@ -230,11 +247,14 @@ def block_identity_holds(rep: MatrixRep, pattern, j: int) -> Check:
 
 def _column_residuals(rep: MatrixRep, letters: str) -> np.ndarray:
     """Residual of the block identity sum_a u^(c_1)_aj ... u^(c_k)_aj = 1 at
-    every column j, from one (n, n, d, d) chain indexed (j, a)."""
-    chain = rep.letter_array(letters[0]).swapaxes(0, 1)
-    for letter in letters[1:]:
-        chain = chain @ rep.letter_array(letter).swapaxes(0, 1)
-    return spectral_norms(_sum_second(chain) - np.eye(rep.d))
+    every column j, from one (n, n, d, d) chain indexed (j, a), once per model."""
+    def columns(rep: MatrixRep) -> np.ndarray:
+        chain = rep.letter_array(letters[0]).swapaxes(0, 1)
+        for letter in letters[1:]:
+            chain = chain @ rep.letter_array(letter).swapaxes(0, 1)
+        return spectral_norms(_sum_second(chain) - np.eye(rep.d))
+
+    return _derived(rep, ("columns", letters), columns)
 
 
 def full_delta_identity_holds(rep: MatrixRep, pattern) -> Check:
@@ -245,7 +265,13 @@ def full_delta_identity_holds(rep: MatrixRep, pattern) -> Check:
     count = _tuple_count(rep, d.letters)
     if count > TUPLE_BUDGET:
         raise BudgetError(f"{count} index tuples of a length-{k} pattern at n={rep.n} exceed the budget")
-    residual, witness = (_commuting_delta if rep.d == 1 else _block_delta)(rep, d.letters)
+    if rep.d > 1:
+        residual, witness = _derived(rep, d.letters, _block_delta, d.letters)
+    else:
+        # every arrangement of p 1-slots and q *-slots shares its (p, q) orbits
+        p = d.letters.count(ONE)
+        residual, orbits = _derived(rep, (p, k - p), _commuting_orbits, p, k - p)
+        witness = _lex_first(orbits, d.letters)
     return Check(holds=residual <= rep.tol, residual=residual, witness=witness)
 
 
@@ -341,8 +367,6 @@ def _exponent_plan(n: int, p: int, q: int) -> tuple:
     steps, and blocks of at most _CHUNK_CELLS cells: each block's first
     columns and the rows and columns of the constant tuples inside it."""
     tabs = _exponents(n, p), _exponents(n, q)
-    for tab in tabs:
-        tab.flags.writeable = False
     m1, m2 = tabs[0].shape[1], tabs[1].shape[1]
     # (i, ..., i) heads the last C(n-i+e-1, e) vectors, those zero before part i
     consts = [np.array([m - math.comb(n - i + e - 1, e) for i in range(n)]) for m, e in ((m1, p), (m2, q))]
@@ -355,22 +379,6 @@ def _exponent_plan(n: int, p: int, q: int) -> tuple:
             inside = (r >= 0) & (r < step1) & (c >= 0) & (c < step2)
             blocks.append((lo1, lo2, r[inside], c[inside]))
     return tabs, (step1, step2), tuple(blocks)
-
-
-_cached_plan = functools.lru_cache(maxsize=128)(_exponent_plan)
-
-
-def _commuting_delta(rep: MatrixRep, letters: str) -> tuple[float, tuple]:
-    """Worst residual and witness of a delta identity on a d = 1 model: the
-    model's memo keeps _commuting_orbits by letter counts (p, q), and
-    _lex_first reads this arrangement's witness from its tied orbits."""
-    p = letters.count(ONE)
-    key = p, len(letters) - p
-    found = rep._relations.get(key)
-    if found is None:
-        found = rep._relations[key] = _commuting_orbits(rep, *key)
-    worst, orbits = found
-    return worst, _lex_first(orbits, letters)
 
 
 def _commuting_orbits(rep: MatrixRep, p: int, q: int) -> tuple[float, tuple]:
@@ -389,10 +397,7 @@ def _commuting_orbits(rep: MatrixRep, p: int, q: int) -> tuple[float, tuple]:
     and is dropped; what is left is at most one orbit per tied I.
     """
     n = rep.n
-    m1, m2 = math.comb(n + p - 1, p), math.comb(n + q - 1, q)
-    # a plan that fits in one chunk is kept between calls
-    one_chunk = n * max(m1, m2) <= _CHUNK_CELLS and m1 * m2 <= _CHUNK_CELLS
-    (tab1, tab2), (step1, step2), blocks = (_cached_plan if one_chunk else _exponent_plan)(n, p, q)
+    (tab1, tab2), (step1, step2), blocks = _exponent_plan(n, p, q)
     # u_aj^t at [j, a, t], t factors multiplied in turn; conjugation is exact,
     # so the *-slots' products are the conjugates of the same products
     pows = rep.entries[:, :, 0, 0].T[:, :, None].repeat(max(p, q) + 1, axis=2)
@@ -418,7 +423,7 @@ def _commuting_orbits(rep: MatrixRep, p: int, q: int) -> tuple[float, tuple]:
     order = np.lexsort((cols, rows))
     rows, cols = rows[order], cols[order]
     # keep an orbit when its J is below every J of a smaller or equal I
-    keep = cols < np.minimum.accumulate(np.concatenate(([m2], cols[:-1])))
+    keep = cols < np.minimum.accumulate(np.concatenate(([tab2.shape[1]], cols[:-1])))
     digits = np.arange(n, dtype=np.uint8)  # n <= MAX_FLAT_DIM
     return worst, tuple((np.repeat(digits, tab1[:, i]).tobytes(), np.repeat(digits, tab2[:, j]).tobytes())
                         for i, j in zip(rows[keep].tolist(), cols[keep].tolist()))
@@ -473,19 +478,18 @@ _NAMED_RELATIONS = {
 def check_family(rep: MatrixRep, tag: FamilyTag) -> Check:
     """The family's relations on the model: biunitarity, then its row's
     relations in order, the first failed delta identity's witness kept."""
-    sides = rep._relations.get("biunitary")
-    residuals = {"biunitary": check_biunitary(rep).residual if sides is None else max(sides.values())}
+    residuals = {"biunitary": check_biunitary(rep).residual}
     witness = None
     for key, pattern in relations(tag):
         if pattern is None:
-            residuals[key] = _NAMED_RELATIONS[key](rep)
+            residuals[key] = _derived(rep, key, _NAMED_RELATIONS[key])
             continue
         chk = full_delta_identity_holds(rep, pattern)
         residuals[key] = chk.residual
         if not chk.holds and witness is None:
             witness = chk.witness
     if tag.classical:
-        residuals["commutativity"] = _commutativity_residual(rep)
+        residuals["commutativity"] = _derived(rep, "commutativity", _commutativity_residual)
     residual = max(residuals.values())
     return Check(
         holds=residual <= rep.tol,
@@ -522,14 +526,13 @@ def structural_consequences(rep: MatrixRep, patterns=None) -> dict:
     """Entrywise facts forced by which delta identities a model satisfies.
 
     Each distinct pattern, given or a rotation of a satisfied one, has its
-    delta identity checked once.
+    delta identity worked out once per model.
     """
     if patterns is None:
         patterns = _standard_scan_patterns()
     else:
         patterns = [StarPattern.coerce(p) for p in patterns]
-    found = {d.letters: full_delta_identity_holds(rep, d) for d in patterns}
-    satisfied = [d for d in patterns if found[d.letters].holds]
+    satisfied = [d for d in patterns if full_delta_identity_holds(rep, d).holds]
     sat_letters = {d.letters for d in satisfied}
 
     inv_worst = rot_worst = 0.0
@@ -539,10 +542,7 @@ def structural_consequences(rep: MatrixRep, patterns=None) -> dict:
             tail = tail @ rep.letter_array(letter)
         inv_worst = max(inv_worst, _worst(tail - _adj(rep.letter_array(d.letters[0]))))
         for r in range(1, len(d)):
-            rotated = d.letters[r:] + d.letters[:r]
-            if rotated not in found:
-                found[rotated] = full_delta_identity_holds(rep, rotated)
-            rot_worst = max(rot_worst, found[rotated].residual)
+            rot_worst = max(rot_worst, full_delta_identity_holds(rep, d.letters[r:] + d.letters[:r]).residual)
     worsts = {"entrywise_inverse": inv_worst, "cyclic_rotations": rot_worst}
 
     u = rep.entries

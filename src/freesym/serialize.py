@@ -100,7 +100,7 @@ def json_to_rep(obj, require_biunitary: bool = True) -> MatrixRep:
         for j, block in enumerate(row):
             entries[i, j] = rows_to_matrix(block, (d, d))
     try:
-        rep = MatrixRep(entries, tol=float(tol))
+        rep = MatrixRep(entries, tol=tol)
     except ValueError as exc:
         raise SchemaError(str(exc)) from exc
     if require_biunitary:

@@ -79,11 +79,19 @@ def test_block_delta_matches_the_tuple_loop(name):
 @pytest.mark.parametrize("cells", [16, 256])
 def test_chunked_block_delta_matches_the_tuple_loop(cells, monkeypatch):
     """Small chunks fix up to k - 1 leading indices: prefix products, constant
-    prefixes, and witnesses found in a later chunk's second pass."""
+    prefixes, and witnesses found in a later chunk's second pass.  Each model
+    is a fresh copy, so its memo holds nothing from the unchunked test and
+    the kernel runs for every pattern."""
     monkeypatch.setattr(qgroups, "_CHUNK_CELLS", cells)
+    calls = []
+    original = qgroups._block_delta
+    monkeypatch.setattr(qgroups, "_block_delta", lambda rep, letters: calls.append(letters) or original(rep, letters))
     for name, rep in MODELS.items():
+        fresh = MatrixRep(rep.entries, tol=rep.tol)
+        calls.clear()
         for letters in _patterns(rep.n):
-            _assert_same(full_delta_identity_holds(rep, letters), _reference(name, letters), (name, letters))
+            _assert_same(full_delta_identity_holds(fresh, letters), _reference(name, letters), (name, letters))
+        assert calls == _patterns(rep.n), name
 
 
 def _cell(rep: MatrixRep, letters: str, idx: tuple) -> float:

@@ -223,6 +223,19 @@ def test_extractor_predicts_and_agrees():
     assert report["agree"]
 
 
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-9])
+def test_scans_and_the_extractor_refuse_an_unusable_tolerance(tol):
+    """A NaN tolerance made every comparison false, so a violated law read
+    invariant (the default tolerance reads it violated); an infinite one
+    passes everything and a negative one nothing.  Each is refused by name."""
+    spec, rep = spec_of("SYMMETRIC"), rotation_rep(2)
+    assert not check_invariance(spec, rep, 4).invariant
+    with pytest.raises(InputMismatchError, match="tolerance must be nonnegative and finite"):
+        check_invariance(spec, rep, 4, tol=tol)
+    with pytest.raises(InputMismatchError, match="tolerance must be nonnegative and finite"):
+        cumulant_identity_extractor(spec, rep, tol=tol)
+
+
 def test_extractor_agreement_on_selected_pairs():
     specs = [
         spec_of("SYMMETRIC"),
@@ -273,17 +286,14 @@ def test_probe_grid_has_no_mismatches():
 
 
 def test_probe_checks_each_witness_biunitarity_once(monkeypatch):
-    calls = []
-    original = qgroups.check_biunitary
-
-    def counted(rep):
-        calls.append(rep)
-        return original(rep)
-
-    monkeypatch.setattr(qgroups, "check_biunitary", counted)
+    """Each witness's four biunitarity norms are worked out once, however
+    many family checks read them."""
+    norms = []
+    original = qgroups.operator_norm
+    monkeypatch.setattr(qgroups, "operator_norm", lambda x: norms.append(x) or original(x))
     probe = theorem1_probe(n=2, max_order=4, seed=0)
     assert probe["mismatches"] == []
-    assert len(calls) == len(probe["witness_profiles"]) == 9
+    assert len(norms) == 4 * len(probe["witness_profiles"]) == 4 * 9
 
 
 def test_negative_seeds_and_probe_sizes_are_rejected_by_name(monkeypatch):

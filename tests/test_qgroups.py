@@ -89,6 +89,20 @@ def test_unusable_tags_columns_and_tolerances(call, message):
         call()
 
 
+@pytest.mark.parametrize("entries", [np.zeros((0, 0)), np.zeros((0, 0, 1, 1)), np.zeros((1, 1, 0, 0))],
+                         ids=["n0", "n0_d1", "n1_d0"])
+def test_an_empty_model_is_refused_on_construction(entries):
+    """An n = 0 model used to be built, and check_biunitary then raised IndexError."""
+    with pytest.raises(InputMismatchError, match="n, d >= 1"):
+        MatrixRep(entries)
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -float("inf")])
+def test_a_model_refuses_a_non_finite_tolerance(tol):
+    with pytest.raises(InputMismatchError, match="tolerance must be nonnegative and finite"):
+        MatrixRep(np.eye(2), tol=tol)
+
+
 def test_full_delta_identities():
     for rep in (rotation_rep(2), bistochastic_unitary_rep(3), unit_i_diag_rep(2)):
         assert full_delta_identity_holds(rep, "*1").holds
@@ -282,7 +296,7 @@ def test_cyclic_rotations_on_commuting_models_equal_every_rotation(monkeypatch):
 
     A rotation keeps a pattern's letter counts, so its sorted-tuple residual
     is the same number; the reused maximum equals the one over every
-    rotation, and no rotation is recomputed.
+    rotation, and a fresh model works out each letter count (p, q) once.
     """
     for name, (rep, _) in fixture_set().reps.items():
         if rep.d != 1:
@@ -293,25 +307,29 @@ def test_cyclic_rotations_on_commuting_models_equal_every_rotation(monkeypatch):
                    default=0.0)
         assert report["checks"]["cyclic_rotations"].residual == want, name
         calls = []
-        monkeypatch.setattr(qgroups, "full_delta_identity_holds",
-                            lambda rep, d: calls.append(d) or full_delta_identity_holds(rep, d))
-        structural_consequences(rep)
+        original = qgroups._commuting_orbits
+        monkeypatch.setattr(qgroups, "_commuting_orbits", lambda rep, p, q: calls.append((p, q)) or original(rep, p, q))
+        structural_consequences(MatrixRep(rep.entries, tol=rep.tol))
         monkeypatch.undo()
-        assert len(calls) == len(qgroups._standard_scan_patterns()), name
+        counts = {(d.letters.count("1"), d.letters.count("*")) for d in qgroups._standard_scan_patterns()}
+        assert sorted(calls) == sorted(counts), name
 
 
 def test_structural_consequences_checks_each_pattern_once(monkeypatch):
     """Rotations of the satisfied patterns are read from the patterns already
-    checked; a rotation outside the list is checked once, then reused."""
+    checked; a rotation outside the list is checked once, then reused.  The
+    work counted is the d > 1 kernel's, once per pattern and model."""
     calls = []
-    original = qgroups.full_delta_identity_holds
-    monkeypatch.setattr(qgroups, "full_delta_identity_holds",
-                        lambda rep, d: calls.append(StarPattern.coerce(d).letters) or original(rep, d))
+    original = qgroups._block_delta
+    monkeypatch.setattr(qgroups, "_block_delta", lambda rep, letters: calls.append(letters) or original(rep, letters))
     lift = coproduct_lift(nilpotent_pair_rep(2), nilpotent_pair_rep(2))
     structural_consequences(lift)
     assert sorted(calls) == sorted(d.letters for d in qgroups._standard_scan_patterns())
     calls.clear()
+    structural_consequences(lift)
+    assert calls == []
     # 1*1* rotates to *1*1 twice and to itself once
+    lift = coproduct_lift(nilpotent_pair_rep(2), nilpotent_pair_rep(2))
     report = structural_consequences(lift, ["1*1*"])
     assert report["satisfied_patterns"] == ["1*1*"]
     assert sorted(calls) == ["*1*1", "1*1*"]
@@ -517,12 +535,12 @@ def test_other_shapes_keep_modulus_and_svd():
 
 
 def test_lattice_position_checks_biunitarity_once(monkeypatch):
-    calls = []
-    original = qgroups.check_biunitary
-    monkeypatch.setattr(qgroups, "check_biunitary", lambda rep: calls.append(rep) or original(rep))
+    norms = []
+    original = qgroups.operator_norm
+    monkeypatch.setattr(qgroups, "operator_norm", lambda x: norms.append(x) or original(x))
     pos = lattice_position(rotation_rep(2))
     assert pos["minimal"] == ["O_PLUS"]
-    assert len(calls) == 1
+    assert len(norms) == 4  # the four sides, once
 
 
 def _haar_rep(n: int, seed: int) -> MatrixRep:
@@ -806,3 +824,115 @@ def test_a_model_memo_stays_small_and_goes_with_the_model(make):
     finally:
         tracemalloc.stop()
     assert 0 < alive - gone < 2**20, (alive - gone)
+
+
+def _warm_models() -> dict:
+    models = {name: rep for name, (rep, _) in fixture_set().reps.items()}
+    for name, rep in list(models.items()):
+        models[f"lift_{name}"] = coproduct_lift(rep, rep)  # d = 4 for the nilpotent pair
+    for n in (3, 4):
+        models[f"haar_{n}"] = _haar_rep(n, 80 + n)
+    for m, n in ((3, 2), (5, 3)):
+        models[f"phase{m}_{n}"] = phase_diag_rep(m, n)
+    return models
+
+
+WARM_MODELS = _warm_models()
+
+
+def _answer(chk) -> tuple:
+    details = {k: v.hex() if isinstance(v, float) else v for k, v in chk.details.items()}
+    return chk.holds, chk.residual.hex(), chk.witness, details
+
+
+@pytest.mark.parametrize("name", sorted(WARM_MODELS))
+def test_a_warm_model_answers_as_a_cold_one(name):
+    """After a scan, the structural facts and every block identity have
+    filled a model's memo, each family check (free and classical), delta
+    identity and block identity reads what a fresh model works out."""
+    rep = WARM_MODELS[name]
+    warm = MatrixRep(rep.entries, tol=rep.tol)
+    patterns = qgroups._standard_scan_patterns()
+    lattice_position(warm, 12)
+    structural_consequences(warm)
+    for d in patterns:
+        for j in range(warm.n):
+            block_identity_holds(warm, d, j)
+
+    def cold():
+        return MatrixRep(rep.entries, tol=rep.tol)
+
+    for tag in all_family_tags(12) + all_family_tags(12, classical=True):
+        assert _answer(check_family(warm, tag)) == _answer(check_family(cold(), tag)), (name, tag)
+    for d in patterns:
+        assert _answer(full_delta_identity_holds(warm, d)) == _answer(full_delta_identity_holds(cold(), d)), (name, d)
+        for j in range(warm.n):
+            assert _answer(block_identity_holds(warm, d, j)) == _answer(block_identity_holds(cold(), d, j)), (name, d, j)
+
+
+def _kept_values(value) -> list:
+    """Every leaf of a memo value, after checking the containers it may use."""
+    if isinstance(value, tuple):
+        return [leaf for item in value for leaf in _kept_values(item)]
+    if isinstance(value, dict):
+        assert all(type(v) is float for v in value.values()), value
+        return []
+    return [value]
+
+
+def test_the_memo_keeps_only_floats_witnesses_and_read_only_arrays():
+    """What a model keeps: floats, tuples of index strings (bytes) or indices,
+    dicts of floats and read-only column arrays; the n = 3, d = 4 lift's memo
+    stays within 64 KiB after a scan and its structural facts."""
+    for rep in (permutation_rep(3), _haar_rep(3, 90), coproduct_lift(nilpotent_pair_rep(3), nilpotent_pair_rep(3))):
+        lattice_position(rep, 12)
+        structural_consequences(rep)
+        check_family(rep, F("U_PLUS", classical=True))
+        for d in qgroups._standard_scan_patterns():
+            block_identity_holds(rep, d, 0)
+        arrays = 0
+        for value in rep._relations.values():
+            for leaf in _kept_values(value):
+                if isinstance(leaf, np.ndarray):
+                    arrays += 1
+                    assert leaf.dtype == float and not leaf.flags.writeable
+                    with pytest.raises(ValueError):
+                        leaf[0] = 0.0
+                else:
+                    assert type(leaf) in (float, int, bytes), type(leaf)
+        assert arrays == len(qgroups._standard_scan_patterns())
+
+    def scan(model):
+        lattice_position(model, 12)
+        structural_consequences(model)
+
+    lift = coproduct_lift(nilpotent_pair_rep(3), nilpotent_pair_rep(3))
+    scan(MatrixRep(lift.entries, tol=lift.tol))  # whatever is shared between models, built once
+    model = MatrixRep(lift.entries, tol=lift.tol)
+    tracemalloc.start()
+    try:
+        scan(model)
+        gc.collect()
+        alive = tracemalloc.get_traced_memory()[0]
+        del model
+        gc.collect()
+        gone = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert 0 < alive - gone < 64 * 2**10, (alive - gone)
+
+
+def test_no_process_wide_cache_outlives_a_model():
+    """A modulus scan to M_MAX on a model that is then dropped leaves nothing
+    behind in qgroups: no plan is kept between models."""
+    from freesym.easy import family_order
+
+    family_order(300)  # the scan's family order is easy's, shared by every scan
+    tracemalloc.start()
+    try:
+        lattice_position(permutation_rep(3), 300)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert retained < 2**20, retained

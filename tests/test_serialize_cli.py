@@ -135,6 +135,40 @@ def test_every_schema_check_of_a_file(tmp_path, capsys, kind, content, message):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+def _rotation_with_tol(fx, tmp_path, text: str):
+    """fx/rotation.json with its "tol" written as text (Infinity, NaN, ...)."""
+    obj = json.loads((fx / "rotation.json").read_text())
+    obj["tol"] = "TOL"
+    path = tmp_path / "rotation_tol.json"
+    path.write_text(json.dumps(obj).replace('"TOL"', text))
+    return path
+
+
+@pytest.mark.parametrize("text", ["Infinity", "1e400", "1" + "0" * 400], ids=["Infinity", "1e400", "10^400"])
+def test_an_infinite_tolerance_is_a_schema_error(fx, tmp_path, capsys, text):
+    """Python's json reads Infinity, and 1e400 as infinity; with it every
+    family would hold and the O_PLUS rotation witness would read as minimal
+    S_PLUS.  An integer past the floats raised OverflowError."""
+    path = _rotation_with_tol(fx, tmp_path, text)
+    with pytest.raises(SchemaError, match="tolerance must be nonnegative and finite, got"):
+        serialize.load_rep(path)
+    for command in ("lattice-position", "check-rep"):
+        assert main([command, str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "tolerance must be nonnegative and finite" in err and "Traceback" not in err
+
+
+def test_a_nan_tolerance_is_a_schema_error_with_or_without_the_biunitarity_gate(fx, tmp_path, capsys):
+    """NaN was refused only because the gate's comparison failed, and loading
+    without the gate accepted it."""
+    path = _rotation_with_tol(fx, tmp_path, "NaN")
+    for gate in (True, False):
+        with pytest.raises(SchemaError, match="tolerance must be nonnegative and finite, got nan"):
+            serialize.load_rep(path, require_biunitary=gate)
+    assert main(["lattice-position", str(path)]) == 2
+    assert "not biunitary" not in capsys.readouterr().err
+
+
 def test_nan_spec_is_rejected(tmp_path):
     path = tmp_path / "nan.json"
     path.write_text(

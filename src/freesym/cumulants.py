@@ -34,16 +34,19 @@ orders of V's pieces, so it is worked out once per shape (_splice_recipe,
 as _star_plan is for scalar words), and a splice is a few views and one
 multiply per segment.
 
-Joint moments of n free copies run the free recursion too: on whole index
-tensors (joint_moment_tensor) or on one word's segments
-(joint_moments_free_family).  Mixed free cumulants vanish, so a first block V
-contributes kappa(w|V) only where the indices on V agree.  The word segments
-and index tensors of a scalar law share one memo (_law_memo), which also
-keeps each order tensor's scale once a scan has asked for it; a word whose
-value is there is read after its checks, before any recursion is set up.
-The memos of recent laws are kept too, least recently used first, and
-trimmed to _LAW_BYTES (16 MB) on each change of law, so the process holds
-the law in use plus at most 16 MB, until release_law_memo drops them all.
+Joint moments of n free copies run the free recursion too, on whole index
+tensors (joint_moment_tensor); a matrix table's joint word is an entry of
+one, a scalar table's runs on its own segments (joint_moments_free_family).
+Mixed free cumulants vanish, so a first block V contributes kappa(w|V) only
+where the indices on V agree.  Every recursion holds its order to one rule,
+_PatternTable.require_order: at most MAX_SCALAR_ORDER (8) for scalar tables
+and MAX_MATRIX_ORDER (6) for matrix ones, then the declared order.  The
+word segments and index tensors of a scalar law share one memo (_law_memo),
+which also keeps each order tensor's scale once a scan has asked for it; a
+word whose value is there is read after its checks, before any recursion is
+set up.  The memos of recent laws are kept too, least recently used first,
+and trimmed to _LAW_BYTES (16 MB) on each change of law, so the process
+holds the law in use plus at most 16 MB, until release_law_memo drops them.
 
 The defining sums over partitions, which these recursions reproduce, are
 the test suite's reference (tests/reference.py).
@@ -86,12 +89,6 @@ def identity_element(dim: int):
     if dim == 1:
         return 1.0 + 0.0j
     return np.eye(dim, dtype=complex)
-
-
-def zero_element(dim: int):
-    if dim == 1:
-        return 0.0 + 0.0j
-    return np.zeros((dim, dim), dtype=complex)
 
 
 def pattern_sort_key(letters: str) -> tuple:
@@ -156,6 +153,10 @@ class _PatternTable:
         return self.data.get(StarPattern.coerce(pattern).letters)
 
     def require_order(self, k: int) -> None:
+        """Refuse a recursion to order k past the bound of this table's dim, then past its declared order."""
+        limit = MAX_SCALAR_ORDER if self.dim == 1 else MAX_MATRIX_ORDER
+        if k > limit:
+            raise OrderBoundError(f"order {k} exceeds the dim-{self.dim} bound {limit}")
         if k > self.order:
             raise IncompleteTableError(
                 f"table declares order {self.order}, need {k}"
@@ -464,9 +465,6 @@ def _convert(table: _PatternTable, K: int, free: bool, to_moments: bool) -> _Pat
     p = table.dim
     if not free and p != 1:
         raise UnsupportedAlgebraError("classical conversions take scalar tables")
-    limit = MAX_SCALAR_ORDER if p == 1 else MAX_MATRIX_ORDER
-    if K > limit:
-        raise OrderBoundError(f"conversion order {K} exceeds the dim-{p} bound {limit}")
     if K < 0:
         raise OrderBoundError("order must be nonnegative")
     table.require_order(K)
@@ -510,12 +508,14 @@ def moments_to_classical_cumulants(table: MomentTable, K: int) -> CumulantTable:
 def joint_moments_free_family(table: CumulantTable, n: int, word, pattern, coeffs=None):
     """Joint moment of n free copies with one shared cumulant table.
 
-    One entry of joint_moment_tensor, by the same free first-block recursion
-    run on this word's contiguous segments (_free_family_word).  coeffs is
-    the interleaved list b_0..b_k (length k+1); identity when omitted.  The
-    empty word gives b_0 times the table's identity, complex.  The word is
-    checked first; a scalar table's value is then read from its law memo
-    when a call on the same law stored it, and built only when absent.
+    One entry of joint_moment_tensor.  coeffs is the interleaved list
+    b_0..b_k (length k+1), identity when omitted; the empty word gives b_0
+    times the table's identity, complex.  The word and its order are checked
+    first.  A scalar table's value is read from its law memo, or built by the
+    recursion on the word's segments (_free_family_word), since a word of
+    many distinct indices has no tensor within TUPLE_BUDGET.  A matrix
+    table's is a copy of an entry of the tensor at m copies (at most 6^6
+    index words): the word's m distinct indices relabelled by first occurrence.
     """
     letters = StarPattern.coerce(pattern).letters
     idx = tuple(map(int, word))
@@ -534,10 +534,12 @@ def joint_moments_free_family(table: CumulantTable, n: int, word, pattern, coeff
             shared = _law_memo(table).setdefault("words", {})
             value = shared.get(_segment_key(letters, idx))
             if value is None:
-                value = _free_family_word(table, idx, letters, None, shared)
+                value = _free_family_word(table, idx, letters, shared)
         return value if coeffs is None else _times_coeff_product(value, coeffs)
-    cs = [_coerce_coeff(c, p) for c in coeffs or [identity_element(p)] * (k + 1)]
-    return cs[0] @ _free_family_word(table, idx, letters, cs[1:]) if k else np.array(cs[0])
+    if not k:
+        return np.array(_coerce_coeff(identity_element(p) if coeffs is None else coeffs[0], p))
+    labels = list(dict.fromkeys(idx))
+    return _family_tensor(table, len(labels), letters, coeffs)[tuple(map(labels.index, idx))].copy()
 
 
 # the scalar law in use: (a snapshot of its table's data, the snapshot's content key, its memo)
@@ -598,71 +600,50 @@ def _segment_key(letters: str, idx: tuple) -> tuple:
     return letters, tuple(map(idx.index, idx))
 
 
-def _spliced_term(kappa: np.ndarray, sides: list) -> np.ndarray:
-    """kappa(w|V) with side t = b_t M(segment t) in core slot t, the last side multiplied from the right.
-
-    A side's index axes (none on one word) come before its (p, p) axes, in the result too.
-    """
-    for side in sides[:-1]:
-        kappa = np.tensordot(kappa, side.reshape(side.shape[:-2] + (-1,)), axes=([0], [-1]))
-    return np.moveaxis(np.tensordot(kappa, sides[-1], axes=([1], [-2])), 0, -2)
-
-
-def _free_family_word(table, idx: tuple, letters: str, cs, shared=None):
-    """One entry of _free_family_tensor: its recursion on one word's segments.
+def _free_family_word(table, idx: tuple, letters: str, shared: dict) -> complex:
+    """One entry of a scalar law's _free_family_tensor: its recursion on one word's segments.
 
     A first block V of a segment counts only where the indices on V agree,
     so V runs over the subsets of the segment's positions that carry its
-    first index, in the order of itertools.combinations.  cs is as in
-    _free_family_tensor.  A segment's value depends on its letters and its
-    index kernel (which of its positions carry equal indices), not on the
-    indices themselves or on n.  Scalar segments are memoised in shared,
-    the law memo's "words" entry, by _segment_key, with the word's own memo
-    by position in front, so a segment is relabelled at most once per word;
-    shared starts over when full, at the law budget's _LAW_BYTES //
-    _ENTRY_BYTES entries (16 MB).  A scalar term multiplies kappa(w|V) by
-    the segments in place, left to right; a matrix term is _spliced_term.
-    Matrix segments, which carry this word's coefficients, are memoised for
-    this word only (shared is None).
+    first index, in the order of itertools.combinations.  A segment's value
+    depends on its letters and its index kernel (which of its positions
+    carry equal indices), not on the indices themselves or on n.  Segments
+    are memoised in shared, the law memo's "words" entry, by _segment_key,
+    with the word's own memo by position in front, so a segment is
+    relabelled at most once per word; shared starts over when full, at the
+    law budget's _LAW_BYTES // _ENTRY_BYTES entries (16 MB).  A term
+    multiplies kappa(w|V) by the segments in place, left to right.
     """
     memo = {}
     get = table.data.get
-    zero = zero_element(table.dim)
 
-    def segment(a: int, e: int):
+    def segment(a: int, e: int) -> complex:
         s = memo.get((a, e))
         if s is None:
-            if shared is None:
+            key = _segment_key(letters[a:e], idx[a:e])
+            s = shared.get(key)
+            if s is None:
                 s = build(a, e)
-            else:
-                key = _segment_key(letters[a:e], idx[a:e])
-                s = shared.get(key)
-                if s is None:
-                    s = build(a, e)
-                    if len(shared) >= _LAW_BYTES // _ENTRY_BYTES:
-                        shared.clear()
-                    shared[key] = s
+                if len(shared) >= _LAW_BYTES // _ENTRY_BYTES:
+                    shared.clear()
+                shared[key] = s
             memo[a, e] = s
         return s
 
-    def build(a: int, e: int):
+    def build(a: int, e: int) -> complex:
         same = [j for j in range(a + 1, e) if idx[j] == idx[a]]
-        total = zero
+        total = 0j
         for size in range(len(same) + 1):
             for rest in itertools.combinations(same, size):
                 term = get(letters[a] + "".join([letters[j] for j in rest]))
                 if term is None:
                     continue
-                if cs is None:
-                    v = a + 1
-                    for end in rest + (e,):
-                        if v < end:
-                            term *= segment(v, end)
-                        v = end + 1
-                else:
-                    term = _spliced_term(term, [cs[v] if v + 1 == end else cs[v] @ segment(v + 1, end)
-                                                for v, end in zip((a,) + rest, rest + (e,))])
-                total = total + term
+                v = a + 1
+                for end in rest + (e,):
+                    if v < end:
+                        term *= segment(v, end)
+                    v = end + 1
+                total += term
         return total
 
     out = segment(0, len(idx))
@@ -747,6 +728,16 @@ def _diagonal(acc: np.ndarray, block, front=()) -> np.ndarray:
     shape = (acc.shape[block[0]],) + tuple(acc.shape[ax] for ax in rest)
     strides = (sum(acc.strides[ax] for ax in block),) + tuple(acc.strides[ax] for ax in rest)
     return np.ndarray(shape, acc.dtype, buffer=acc, strides=strides)
+
+
+def _spliced_term(kappa: np.ndarray, sides: list) -> np.ndarray:
+    """kappa(w|V) with side t = b_t M(segment t) in core slot t, the last side multiplied from the right.
+
+    A side's index axes come before its (p, p) axes, in the result too.
+    """
+    for side in sides[:-1]:
+        kappa = np.tensordot(kappa, side.reshape(side.shape[:-2] + (-1,)), axes=([0], [-1]))
+    return np.moveaxis(np.tensordot(kappa, sides[-1], axes=([1], [-2])), 0, -2)
 
 
 def _free_family_tensor(table, n: int, letters: str, cs) -> np.ndarray:

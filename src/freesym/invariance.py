@@ -124,10 +124,12 @@ def matrix_b_coeffs(k: int, seed: int = 0, dim: int = 2) -> list:
     """k+1 interleaved dim x dim coefficients cycling the seed's non-commuting pair.
 
     A scan takes dim from a matrix-valued table, 2 for a scalar one.  The
-    seed is a nonnegative int.
+    seed is a nonnegative int, and dim at least 2: 1 x 1 matrices commute.
     """
     if seed < 0:
         raise InputMismatchError(f"seed must be nonnegative, got {seed}")
+    if dim < 2:
+        raise InputMismatchError(f"coefficient dim must be at least 2 for a non-commuting pair, got {dim}")
     pair = _coeff_pair(seed, dim)
     return [pair[t % 2] for t in range(k + 1)]
 
@@ -229,6 +231,8 @@ def check_invariance(
         raise InputMismatchError("max_order must be at least 1")
     if max_order > joint.order:
         raise OrderBoundError(f"max_order {max_order} exceeds the joint's order {joint.order}")
+    if isinstance(joint, FreeIIDJoint):
+        joint.table.require_order(max_order)  # before any order tensor is built
     tol = rep.tol if tol is None else _checked_tol(tol)
 
     n, nd = rep.n, rep.n * rep.d

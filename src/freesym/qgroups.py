@@ -366,7 +366,8 @@ def _exponent_plan(n: int, p: int, q: int) -> tuple:
     """The exponent tables of p 1-slots and q *-slots at size n, their chunk
     steps, and blocks of at most _CHUNK_CELLS cells: each block's first
     columns and the rows and columns of the constant tuples inside it."""
-    tabs = _exponents(n, p), _exponents(n, q)
+    ones = _exponents(n, p)
+    tabs = ones, (ones if q == p else _exponents(n, q))
     m1, m2 = tabs[0].shape[1], tabs[1].shape[1]
     # (i, ..., i) heads the last C(n-i+e-1, e) vectors, those zero before part i
     consts = [np.array([m - math.comb(n - i + e - 1, e) for i in range(n)]) for m, e in ((m1, p), (m2, q))]
@@ -557,14 +558,11 @@ def structural_consequences(rep: MatrixRep, patterns=None) -> dict:
         )
     if "11**" in sat_letters:
         worsts["normal_entries"] = _worst(u @ _adj(u) - _adj(u) @ u)
-    powered = [d for d in satisfied if d.imbalance]
-    if powered:
-        # sum_a (u_aj)^m = 1 at each column j, m = |imbalance|, adjoints if stars dominate
-        worsts["power_sums"] = max(
-            _worst(np.linalg.matrix_power(u if d.imbalance < 0 else rep.adjoint_entries(),
-                                          abs(d.imbalance)).sum(axis=0) - np.eye(rep.d))
-            for d in powered
-        )
+    # sum_a (u_aj)^m = 1 at each column j, m = |imbalance|, adjoints if stars
+    # dominate: the block identity of 1^m or *^m
+    powers = {(ONE if d.imbalance < 0 else STAR) * abs(d.imbalance) for d in satisfied if d.imbalance}
+    if powers:
+        worsts["power_sums"] = max(float(_column_residuals(rep, letters).max()) for letters in powers)
     checks = {name: Check(worst <= rep.tol, worst) for name, worst in worsts.items()}
     return {
         "satisfied_patterns": sorted(sat_letters, key=pattern_sort_key),

@@ -60,7 +60,6 @@ from freesym.cumulants import (
     core_shape,
     identity_element,
     pattern_sort_key,
-    zero_element,
 )
 from freesym.distributions import ClassTag
 from freesym.easy import M_MAX_DEFAULT, FamilyTag, all_family_tags
@@ -292,7 +291,7 @@ def joint_moment_partition_sum(table, n: int, word, pattern, coeffs=None):
     inner = None
     if coeffs is not None:
         inner = list(coeffs[1:])
-    acc = zero_element(table.dim)
+    acc = 0j  # the finest partition refines every kernel, so a matrix table's sum is a matrix
     for part in noncrossing_cached(k):
         if not refines(part, ker):
             continue
@@ -793,6 +792,8 @@ def reference_structural_consequences(rep: MatrixRep, patterns=None) -> dict:
                 )
         checks["normal_entries"] = Check(normal_worst <= rep.tol, normal_worst)
 
+    # sum_a (u_aj)^m = 1 at each column j is the block identity of 1^m (*^m
+    # when stars dominate), m = |imbalance|
     power_worst = 0.0
     power_seen = False
     for d in satisfied:
@@ -800,12 +801,9 @@ def reference_structural_consequences(rep: MatrixRep, patterns=None) -> dict:
         if m < 1:
             continue
         power_seen = True
-        base = rep.entries if d.imbalance < 0 else rep.adjoint_entries()
+        letters = (ONE if d.imbalance < 0 else STAR) * m
         for j in range(rep.n):
-            total = np.zeros((rep.d, rep.d), dtype=complex)
-            for alpha in range(rep.n):
-                total += np.linalg.matrix_power(base[alpha, j], m)
-            power_worst = max(power_worst, operator_norm(total - np.eye(rep.d)))
+            power_worst = max(power_worst, reference_block_identity_holds(rep, letters, j).residual)
     if power_seen:
         checks["power_sums"] = Check(power_worst <= rep.tol, power_worst)
 

@@ -1108,3 +1108,73 @@ def test_shared_memo_stays_within_its_cap(monkeypatch, empty_law_memo):
         tracemalloc.stop()
     assert stored > 1.5 * cap
     assert retained < 320 * cap, retained
+
+
+# ---------------------------------------------------------------------------
+# one order rule for every first-block recursion, and matrix words as tensor entries
+
+
+def _no_tensor(*args):
+    raise AssertionError("an index tensor was built")
+
+
+def test_words_and_tensors_past_the_bound_are_refused(monkeypatch):
+    """A 9-letter scalar word, a 7-letter matrix word and an order-9 tensor
+    raise OrderBoundError, the bound checked before the declared order."""
+    monkeypatch.setattr(cumulants, "_free_family_tensor", _no_tensor)
+    scalar = CumulantTable(order=9, data={"11": 1.0, "1" * 9: 0.5})
+    matrix = CumulantTable(order=7, dim=2, data={"11": np.ones(core_shape(2, 2))})
+    for table, k, bound in ((scalar, 9, 8), (matrix, 7, 6)):
+        with pytest.raises(OrderBoundError, match=f"order {k} exceeds the dim-{table.dim} bound {bound}"):
+            joint_moments_free_family(table, 2, (1,) * k, "1" * k)
+        with pytest.raises(OrderBoundError):
+            joint_moment_tensor(table, 1, k, "1" * k)
+    with pytest.raises(OrderBoundError):
+        joint_moments_free_family(CumulantTable(order=4), 2, (1, 2) * 5, "1" * 10)
+
+
+def _kernel_words(k: int, n: int) -> list:
+    """Every kernel of k letters over at most n indices, as first-occurrence labels."""
+    words = [()]
+    for _ in range(k):
+        words = [w + (i,) for w in words for i in range(1, min(max(w, default=0) + 1, n) + 1)]
+    return words
+
+
+def _sparse_matrix_table(dim: int, rng) -> CumulantTable:
+    """Every pattern of an order whose cores fit 2^16 cells, else two of them."""
+    table = CumulantTable(order=6, dim=dim)
+    for k in range(1, 7):
+        patterns = list(StarPattern.all_patterns(k))
+        if dim ** (2 * k) * len(patterns) > 2 ** 16:
+            patterns = [patterns[i] for i in rng.choice(len(patterns), 2, replace=False)]
+        shape = core_shape(dim, k)
+        for d in patterns:
+            table.set(d, (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * 0.4 ** k / dim)
+    return table
+
+
+def test_matrix_words_are_entries_of_their_kernels_tensor():
+    """Matrix words against the partition sum on every kernel of k <= 6 at
+    n = 4, the labels shuffled; kernel i takes dim (2, 3)[i % 2] and
+    coefficients (none, scalar, matrix)[i % 3], so each pair occurs.  Each
+    value owns its data."""
+    rng = np.random.default_rng(99)
+    tables = {dim: _sparse_matrix_table(dim, rng) for dim in (2, 3)}
+    for k in range(1, 7):
+        for i, kernel in enumerate(_kernel_words(k, 4)):
+            dim, kind = (2, 3)[i % 2], ("none", "scalar", "matrix")[i % 3]
+            coeffs = {
+                "none": None,
+                "scalar": list(rng.standard_normal(k + 1) + 1j * rng.standard_normal(k + 1)),
+                "matrix": [rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+                           for _ in range(k + 1)],
+            }[kind]
+            labels = rng.permutation(4) + 1
+            word = tuple(int(labels[j - 1]) for j in kernel)
+            letters = "".join(rng.choice(["1", "*"], k))
+            got = joint_moments_free_family(tables[dim], 4, word, letters, coeffs)
+            want = joint_moment_partition_sum(tables[dim], 4, word, letters, coeffs)
+            assert got.shape == (dim, dim) and got.flags.owndata and got.base is None, (word, letters)
+            err = np.max(np.abs(got - want))
+            assert err <= 1e-12 * np.max(np.abs(want)), (dim, kind, word, letters, err)

@@ -1,4 +1,6 @@
 import gc
+import hashlib
+import time
 import tracemalloc
 import weakref
 from itertools import product
@@ -521,6 +523,46 @@ def test_matrix_b_draws_at_dim_2_are_the_seed_stream():
         b = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         coeffs = matrix_b_coeffs(2, seed)
         assert np.array_equal(coeffs[0], a) and np.array_equal(coeffs[1], b) and coeffs[2] is coeffs[0]
+
+
+def test_matrix_b_coefficients_need_two_by_two_matrices(monkeypatch):
+    """1 x 1 matrices commute, so no pair is drawn below dim 2; dims 2 and 3
+    draw the pairs they drew before the check."""
+    pins = {(2, 0): "9bb04c53bc286c64", (2, 1): "e2606f861b19ed89", (2, 7): "2471f447d53cf398",
+            (3, 0): "e67b958cf4db7449", (3, 1): "9b5f0f1ae962ca60", (3, 7): "a8409c8e1bfddc06"}
+    for (dim, seed), pin in pins.items():
+        a, b = matrix_b_coeffs(1, seed, dim)
+        assert hashlib.sha256(a.tobytes() + b.tobytes()).hexdigest()[:16] == pin, (dim, seed)
+    monkeypatch.setattr(invariance, "_coeff_pair", _no_draw)
+    for dim in (-1, 0, 1):
+        with pytest.raises(InputMismatchError, match=f"dim must be at least 2.*got {dim}"):
+            matrix_b_coeffs(3, 0, dim)
+
+
+def _no_draw(*args):
+    raise AssertionError("a coefficient pair was drawn")
+
+
+def _no_tensor(*args):
+    raise AssertionError("an index tensor was built")
+
+
+@pytest.mark.parametrize("order, rep", [(30, MatrixRep(np.ones((1, 1)))), (14, permutation_rep(2))],
+                         ids=["1x1_order_30", "n2_order_14"])
+def test_scans_past_the_bound_are_refused_before_any_tensor(monkeypatch, order, rep):
+    """A spec declared above MAX_SCALAR_ORDER is refused at its declared
+    order, as a spec or as a joint, in well under a second; below the bound
+    the same spec scans."""
+    spec = CumulantSpecSingle(order=order, entries={"11": 1.0}, selfadjoint=True)
+    assert check_invariance(spec, rep, 8).invariant
+    monkeypatch.setattr(cumulants, "_free_family_tensor", _no_tensor)
+    start = time.perf_counter()
+    for joint in (spec, FreeIIDJoint(spec.to_table(), rep.n)):
+        with pytest.raises(OrderBoundError, match=f"order {order} exceeds the dim-1 bound 8"):
+            check_invariance(joint, rep, order)
+        with pytest.raises(OrderBoundError, match="order 9 exceeds the dim-1 bound 8"):
+            check_invariance(joint, rep, 9, matrix_coeffs=True)
+    assert time.perf_counter() - start < 1
 
 
 def _random_unitary(d, seed):

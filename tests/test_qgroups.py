@@ -632,6 +632,43 @@ def test_exponent_table_counts_the_sorted_tuples_in_order():
     assert np.array_equal(tab, [p - np.arange(p + 1), np.arange(p + 1)])
 
 
+def test_an_exponent_plan_builds_one_table_when_both_letters_count_alike(monkeypatch):
+    calls = []
+    real = qgroups._exponents
+    monkeypatch.setattr(qgroups, "_exponents", lambda n, p: calls.append((n, p)) or real(n, p))
+    for n, p, q in ((3, 4, 4), (2, 0, 0), (4, 2, 3)):
+        calls.clear()
+        (ones, stars), *_ = qgroups._exponent_plan(n, p, q)
+        assert calls == ([(n, p)] if p == q else [(n, p), (n, q)])
+        assert np.array_equal(ones, real(n, p)) and np.array_equal(stars, real(n, q))
+
+
+def test_power_sums_are_the_block_identities_of_powers():
+    """The power sums sum_a (u_aj)^m = 1 read from the block identity of 1^m
+    (*^m when stars dominate) agree with powers of the entries taken by
+    matrix_power, on the fixtures, their lifts and phase_diag_rep(m, 3), and
+    every check holds as it did."""
+    models = {}
+    for name, (rep, _) in fixture_set().reps.items():
+        models[name], models[f"lift_{name}"] = rep, coproduct_lift(rep, rep)
+    models.update({f"phase_{m}": phase_diag_rep(m, 3) for m in range(3, 7)})
+    seen = 0
+    for name, rep in models.items():
+        report = structural_consequences(rep)
+        powered = [d for d in map(StarPattern, report["satisfied_patterns"]) if d.imbalance]
+        assert ("power_sums" in report["checks"]) == bool(powered), name
+        if not powered:
+            continue
+        seen += 1
+        want = max(float(spectral_norms(np.linalg.matrix_power(rep.entries if d.imbalance < 0 else rep.adjoint_entries(),
+                                                                abs(d.imbalance)).sum(axis=0) - np.eye(rep.d)).max())
+                   for d in powered)
+        got = report["checks"]["power_sums"]
+        assert abs(got.residual - want) <= 2 ** -52, (name, got.residual, want)
+        assert got.holds == (want <= rep.tol), name
+    assert seen == 18
+
+
 @pytest.mark.parametrize("name", ["haar_3", "phase5_3", "permutation_3"])
 def test_long_powers_match_the_direct_products(name):
     """1^m and *^m past the blow-up's reach, against products over sorted tuples."""
@@ -882,11 +919,14 @@ def _kept_values(value) -> list:
 
 def test_the_memo_keeps_only_floats_witnesses_and_read_only_arrays():
     """What a model keeps: floats, tuples of index strings (bytes) or indices,
-    dicts of floats and read-only column arrays; the n = 3, d = 4 lift's memo
-    stays within 64 KiB after a scan and its structural facts."""
+    dicts of floats and read-only column arrays, one per block identity read:
+    the standard patterns' and the powers 1^m, *^m of the power sums; the
+    n = 3, d = 4 lift's memo stays within 64 KiB after a scan and its
+    structural facts."""
     for rep in (permutation_rep(3), _haar_rep(3, 90), coproduct_lift(nilpotent_pair_rep(3), nilpotent_pair_rep(3))):
         lattice_position(rep, 12)
-        structural_consequences(rep)
+        satisfied = map(StarPattern, structural_consequences(rep)["satisfied_patterns"])
+        powers = {("1" if d.imbalance < 0 else "*") * abs(d.imbalance) for d in satisfied if d.imbalance}
         check_family(rep, F("U_PLUS", classical=True))
         for d in qgroups._standard_scan_patterns():
             block_identity_holds(rep, d, 0)
@@ -900,7 +940,7 @@ def test_the_memo_keeps_only_floats_witnesses_and_read_only_arrays():
                         leaf[0] = 0.0
                 else:
                     assert type(leaf) in (float, int, bytes), type(leaf)
-        assert arrays == len(qgroups._standard_scan_patterns())
+        assert arrays == len({d.letters for d in qgroups._standard_scan_patterns()} | powers)
 
     def scan(model):
         lattice_position(model, 12)

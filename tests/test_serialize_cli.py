@@ -1,11 +1,12 @@
 import json
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 
-from freesym import serialize
+from freesym import cumulants, serialize
 from freesym.cli import main
 from freesym.distributions import CumulantSpecSingle
 from freesym.errors import SchemaError
@@ -277,6 +278,30 @@ def test_convert_rejects_matrix_input(tmp_path, capsys):
     serialize.save_spec(spec, path)
     assert main(["convert", str(path), "--free", "--to-moments"]) == 2
     capsys.readouterr()
+
+
+def _no_tensor(*args):
+    raise AssertionError("an index tensor was built")
+
+
+def test_orders_past_the_bound_exit_two_before_any_tensor(fx, tmp_path, capsys, monkeypatch):
+    """A scan of a spec declared above order 8 needs --order, a conversion
+    past it is refused, and each exits 2 in well under a second."""
+    one = tmp_path / "one.json"
+    one.write_text('{"n": 1, "d": 1, "entries": [[[[[1.0, 0.0]]]]]}')
+    serialize.save_rep(permutation_rep(4), tmp_path / "perm4.json")
+    monkeypatch.setattr(cumulants, "_free_family_tensor", _no_tensor)
+    start = time.perf_counter()
+    for order, model in ((30, one), (10, tmp_path / "perm4.json")):
+        spec = tmp_path / f"spec{order}.json"
+        serialize.save_spec(CumulantSpecSingle(order=order, entries={"11": 1.0}, selfadjoint=True), spec)
+        assert main(["check-invariance", "--dist", str(spec), "--rep", str(model), "--json"]) == 2
+        assert capsys.readouterr() == ("", f"error: order {order} exceeds the dim-1 bound 8\n")
+    semicircle = str(fx / "spec_semicircular.json")
+    for calculus in ("--free", "--classical"):
+        assert main(["convert", semicircle, calculus, "--to-moments", "--order", "9"]) == 2
+        assert capsys.readouterr() == ("", "error: order 9 exceeds the dim-1 bound 8\n")
+    assert time.perf_counter() - start < 1
 
 
 def test_invariance_command(fx, capsys):

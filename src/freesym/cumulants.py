@@ -44,9 +44,11 @@ and MAX_MATRIX_ORDER (6) for matrix ones, then the declared order.  The
 word segments and index tensors of a scalar law share one memo (_law_memo),
 which also keeps each order tensor's scale once a scan has asked for it; a
 word whose value is there is read after its checks, before any recursion is
-set up.  The memos of recent laws are kept too, least recently used first,
-and trimmed to _LAW_BYTES (16 MB) on each change of law, so the process
-holds the law in use plus at most 16 MB, until release_law_memo drops them.
+set up.  The memo decides a law's field once: float64 tensors for a real
+table (_LawTensors).  The memos of recent laws are kept too, least recently
+used first, and trimmed to _LAW_BYTES (16 MB) on each change of law, so the
+process holds the law in use plus at most 16 MB, until release_law_memo
+drops them.
 
 The defining sums over partitions, which these recursions reproduce, are
 the test suite's reference (tests/reference.py).
@@ -585,7 +587,7 @@ def _law_memo(table) -> dict:
 
 
 def release_law_memo() -> None:
-    """Free every law's memo: the one in use may be large (268 MB after one n=4, order-8 scan)."""
+    """Free every law's memo: the one in use may be large (268 MB after one n=4, order-8 scan of a complex law)."""
     global _last_law
     _last_law = (None, None, {})
     _idle_laws.clear()
@@ -659,40 +661,54 @@ def joint_moment_tensor(table: CumulantTable, n: int, k: int, pattern, coeffs=No
     interleaved list b_0..b_k, identity when omitted.  Computed by the free
     first-block recursion on whole index tensors; joint_moments_free_family
     computes one entry.  A scalar table's coefficient-free tensors are read
-    from and kept in its law memo at n; the caller gets its own copy.
+    from and kept in its law memo at n, in the law's field; the caller gets
+    its own complex copy.
     """
     d = StarPattern.coerce(pattern)
     if len(d) != k:
         raise InputMismatchError("pattern length must equal k")
     out = _family_tensor(table, n, d.letters, coeffs)
-    return out if out.flags.writeable else out.copy()
+    return out if out.flags.writeable else out.astype(complex)
 
 
 class _LawTensors(dict):
     """A scalar law's tensors at one n, by letters (_free_family_tensor), and
-    beside them, by the same letters, the scales read so far (_scaled_family_tensor)."""
+    beside them, by the same letters, the scales read so far (_scaled_family_tensor).
 
-    __slots__ = ("scales",)
+    dtype is the law's field, decided here once: float64 when every value of
+    its table has a zero imaginary part, else complex128.  The tensors are
+    built in it, so a real law's take half the bytes.
+    """
 
-    def __init__(self):
+    __slots__ = ("dtype", "scales")
+
+    def __init__(self, table):
         super().__init__()
+        self.dtype = np.dtype(float if all(v.imag == 0 for v in table.data.values()) else complex)
         self.scales = {}
 
 
 def _tensor_scale(tensor: np.ndarray) -> float:
-    """The largest real or imaginary part of a complex tensor's entries, in magnitude."""
-    reim = tensor.view(float)  # without a complex abs
-    return max(reim.max(), -reim.min())
+    """The largest real or imaginary part of a tensor's entries, in magnitude; a real tensor is read directly."""
+    parts = tensor.view(float) if tensor.dtype.kind == "c" else tensor  # without a complex abs
+    return max(parts.max(), -parts.min())
 
 
 def _scaled_family_tensor(table, n: int, letters: str) -> tuple[np.ndarray, float]:
-    """A scalar law's coefficient-free tensor (_family_tensor) and its
-    _tensor_scale, worked out once per tensor and kept beside it in the law memo."""
-    tensor = _family_tensor(table, n, letters, None)
-    scales = _law_memo(table)[n].scales
-    scale = scales.get(letters)
+    """A scalar law's coefficient-free tensor and its _tensor_scale, kept side by side in the law memo.
+
+    Once kept, both come from one law-memo lookup; a tensor is first built by
+    _family_tensor, after its checks.  The caller checks the table's declared
+    order (check_invariance does).
+    """
+    tensors = _law_memo(table).get(n)
+    tensor = None if tensors is None else tensors.get(letters)
+    if tensor is None:
+        tensor = _family_tensor(table, n, letters, None)
+        tensors = _law_memo(table)[n]
+    scale = tensors.scales.get(letters)
     if scale is None:
-        scale = scales[letters] = _tensor_scale(tensor)
+        scale = tensors.scales[letters] = _tensor_scale(tensor)
     return tensor, scale
 
 
@@ -751,16 +767,20 @@ def _free_family_tensor(table, n: int, letters: str, cs) -> np.ndarray:
     for *) where its letter is EITHER: EITHER * k gives all of order k.
     Scalar tables take cs None; their segments, keyed by letters, are the
     law memo's tensors at n (_law_memo(table)[n]), which this function alone
-    reads and fills and every call on one law and n shares, read-only.
-    Matrix tables keep their own per call; cs[i] is the coefficient after
-    letter i, each segment ends with its last coefficient, and a term is
-    _spliced_term, the (p, p) axes last.
+    reads and fills and every call on one law and n shares, read-only.  They
+    are built in the law's field (_LawTensors.dtype): a real law's kappa
+    enter by their real parts.  Matrix tables stay complex and keep their
+    own segments per call; cs[i] is the coefficient after letter i, each
+    segment ends with its last coefficient, and a term is _spliced_term, the
+    (p, p) axes last.
     """
     matrix = cs is not None
     p = table.dim
     memo = {} if matrix else _law_memo(table).get(n)
     if memo is None:
-        memo = _law_memo(table)[n] = _LawTensors()
+        memo = _law_memo(table)[n] = _LawTensors(table)
+    dtype = np.dtype(complex) if matrix else memo.dtype
+    real = dtype.kind == "f"
 
     def segment(a: int, e: int) -> np.ndarray:
         # matrix segments differ by their coefficients, scalar ones by letters only
@@ -775,7 +795,7 @@ def _free_family_tensor(table, n: int, letters: str, cs) -> np.ndarray:
         options = [(ONE, STAR) if ch == EITHER else ch for ch in word]
         at = [t + word[:t + 1].count(EITHER) for t in range(len(word))]  # index axes
         shape = [size for ch in word for size in ((2, n) if ch == EITHER else (n,))]
-        acc = np.zeros(tuple(shape) + ((p, p) if matrix else ()), dtype=complex)
+        acc = np.zeros(tuple(shape) + ((p, p) if matrix else ()), dtype=dtype)
         for block, pieces in _first_blocks(len(word), True):
             segs = None
             for combo in itertools.product(*[options[v] for v in block]):
@@ -791,7 +811,7 @@ def _free_family_tensor(table, n: int, letters: str, cs) -> np.ndarray:
                         filled = [s for s in segs if s is not None]
                         outer = reduce(np.multiply.outer, filled) if filled else 1.0
                 if not matrix:
-                    term = kappa * outer
+                    term = (kappa.real if real else kappa) * outer
                 else:
                     term = _spliced_term(kappa, [cs[a + v] if s is None else np.matmul(cs[a + v], s)
                                                  for v, s in zip(block, segs)])

@@ -15,10 +15,15 @@ form.  A residual is judged relative to its order's moments, not the law's units
 
 That tensor (order_tensor) is all a joint gives the scan.  A scalar law's
 tensors are memoised in its law memo (cumulants._free_family_tensor keeps
-it), each beside its scale once a scan has read it, and interleaved
-coefficients only scale its residual norms.  A
-matrix-valued table's tensor carries the coefficients, (2n)^k p^2 entries
-built afresh per order.  The chunk size is qgroups' _CHUNK_CELLS.
+it) in the law's field, float64 when its table is real, each beside its
+scale once a scan has read it, and interleaved coefficients only scale its
+residual norms.  The model's letter matrices u, u* and diag(u, u*) are
+derived once per model (_scan_letters, through qgroups._derived), real
+when its entries are, so a real law under a real model is scanned in real
+matmuls.  A matrix-valued table's tensor carries the coefficients,
+(2n)^k p^2 complex entries built afresh per order.  A tabulated joint is
+held to the scalar order bound, and an order with no entry is skipped
+unbuilt.  The chunk size is qgroups' _CHUNK_CELLS.
 """
 
 from __future__ import annotations
@@ -29,15 +34,15 @@ from itertools import product
 
 import numpy as np
 
-from .cumulants import (EITHER, CumulantTable, _family_tensor, _ordered_coeff_product, _scaled_family_tensor,
-                        _tensor_scale, _times_coeff_product)
+from .cumulants import (EITHER, MAX_SCALAR_ORDER, CumulantTable, _family_tensor, _ordered_coeff_product,
+                        _scaled_family_tensor, _tensor_scale, _times_coeff_product)
 from .distributions import CumulantSpecSingle, _nonzero_patterns, sample_spec
 from .easy import all_family_tags, class_tags, family_below, governing_family
 from .errors import InputMismatchError, OrderBoundError
 from .fixtures import witness_for_family
 from .partitions import ONE, STAR, StarPattern
-from .qgroups import (_CHUNK_CELLS, MatrixRep, _checked_tol, _column_residuals, _flat, lattice_position, operator_norm,
-                      spectral_norms)
+from .qgroups import (_CHUNK_CELLS, MatrixRep, _checked_tol, _column_residuals, _derived, _flat, lattice_position,
+                      operator_norm, spectral_norms)
 
 
 @dataclass
@@ -48,7 +53,8 @@ class FreeIIDJoint:
     (letter, index) pairs (order_tensor), built by the free first-block
     recursion.  A scalar law's tensors are memoised read-only by
     cumulants._free_family_tensor, shared by every joint of that law and n:
-    a word's segments are shorter words, so the orders below are all it reuses.
+    a word's segments are shorter words, so the orders below are all it
+    reuses.  They are in the law's field, float64 for a real table.
     """
 
     table: CumulantTable
@@ -66,6 +72,8 @@ class FreeIIDJoint:
         """Order-k moments, axes (c_1, i_1, ..., c_k, i_k)[, p, q], c 0 for 1 and 1 for *.
 
         coeffs is the interleaved list b_0..b_k, identity when omitted.
+        Without them a scalar law's tensor is its law memo's own, read-only
+        and in the law's field; with them, and for a matrix table, it is complex.
         """
         return _family_tensor(self.table, self.n, EITHER * k, coeffs)
 
@@ -155,7 +163,8 @@ def _order_moments(joint, k: int, matrix_coeffs: bool, seed: int) -> tuple[np.nd
 
     A scalar joint's moments carry the coefficient product B outside, so
     each residual is kron(B, D) for the plain one D, of norm |B| |D|.  A
-    scalar law's scale is read from its law memo, beside its tensor.
+    scalar law's tensor and scale come from one law-memo lookup
+    (cumulants._scaled_family_tensor).
     """
     if joint.dim > 1:
         E = joint.order_tensor(k, matrix_b_coeffs(k, seed, joint.dim) if matrix_coeffs else None)
@@ -165,6 +174,43 @@ def _order_moments(joint, k: int, matrix_coeffs: bool, seed: int) -> tuple[np.nd
         return *_scaled_family_tensor(joint.table, joint.n, EITHER * k), factor
     E = joint.order_tensor(k)
     return E, _tensor_scale(E), factor
+
+
+# the last scalar spec whose table a scan read: (a snapshot of its content, its table)
+_last_spec: tuple = (None, None)
+
+
+def _spec_table(spec: CumulantSpecSingle) -> CumulantTable:
+    """spec.to_table(), kept for the last scalar spec and reused while one of equal content comes back.
+
+    The content (order, shift, selfadjoint, entries) is compared to a
+    snapshot, so a spec changed between calls gets a table of its own.  A
+    matrix spec's table is built on each call.
+    """
+    global _last_spec
+    if spec.dim > 1:
+        return spec.to_table()
+    if _last_spec[0] != (spec.order, spec.shift, spec.selfadjoint, spec.entries):
+        _last_spec = (spec.order, spec.shift, spec.selfadjoint, dict(spec.entries)), spec.to_table()
+    return _last_spec[1]
+
+
+def _scan_letters(rep: MatrixRep) -> tuple:
+    """The scan's letter matrices: u, its entrywise adjoint (as _flat) and diag(u, adjoint) on (letter, index).
+
+    Real when every entry of u is, so a real law's scan under the model runs
+    in real matmuls.  Kept read-only in the model's memo (qgroups._derived).
+    """
+    U = [_flat(rep.letter_array(ch)) for ch in (ONE, STAR)]
+    if not rep.entries.imag.any():
+        U = [np.ascontiguousarray(u.real) for u in U]
+    nd = len(U[0])
+    both = np.zeros((2, nd, 2, nd), dtype=U[0].dtype)
+    both[0, :, 0], both[1, :, 1] = U
+    mats = (*U, both.reshape(2 * nd, 2 * nd))
+    for mat in mats:
+        mat.flags.writeable = False
+    return mats
 
 
 def _acted(X: np.ndarray, mats: list) -> np.ndarray:
@@ -222,27 +268,34 @@ def check_invariance(
     Orders and chunks of zero moments are skipped.  A cell violates above
     tol times its order's scale: the largest real or imaginary part of its
     moments, times the coefficient norm a scalar joint's residuals carry.
+    A spec's table is reused while a spec of equal content comes back
+    (_spec_table).
     """
     if isinstance(joint, CumulantSpecSingle):
-        joint = FreeIIDJoint(joint.to_table(), rep.n)
+        joint = FreeIIDJoint(_spec_table(joint), rep.n)
     if joint.n != rep.n:
         raise InputMismatchError(f"joint distribution has n={joint.n} but the model has n={rep.n}")
     if max_order < 1:
         raise InputMismatchError("max_order must be at least 1")
     if max_order > joint.order:
         raise OrderBoundError(f"max_order {max_order} exceeds the joint's order {joint.order}")
+    # the order rule, before any order tensor is built
+    held = None  # the orders a tabulated joint has entries at
     if isinstance(joint, FreeIIDJoint):
-        joint.table.require_order(max_order)  # before any order tensor is built
+        joint.table.require_order(max_order)
+    elif isinstance(joint, TableJoint):
+        if max_order > MAX_SCALAR_ORDER:
+            raise OrderBoundError(f"order {max_order} exceeds the dim-1 bound {MAX_SCALAR_ORDER}")
+        held = {len(word) for word, _ in joint.data}
     tol = rep.tol if tol is None else _checked_tol(tol)
 
-    n, nd = rep.n, rep.n * rep.d
-    U = [_flat(rep.letter_array(ch)) for ch in (ONE, STAR)]
-    both = np.zeros((2, nd, 2, nd), dtype=complex)
-    both[0, :, 0], both[1, :, 1] = U
-    both = both.reshape(2 * nd, 2 * nd)
+    n = rep.n
+    *U, both = _derived(rep, "scan letters", _scan_letters)
     worst = 0.0
     first: tuple | None = None
     for k in range(1, max_order + 1):
+        if held is not None and k not in held:  # an order of exact zeros, its tensor never built
+            continue
         E, scale, factor = _order_moments(joint, k, matrix_coeffs, seed)
         if not scale:  # an order of exact zeros
             continue
@@ -254,7 +307,9 @@ def check_invariance(
             X = X.reshape((n,) * fixed + (2 * n,) * (k - fixed) + E.shape[2 * k:])
             if fixed and not X.any():  # a chunk of exact zeros
                 continue
-            res = _residual_norms(X, [U[c] for c in head] + [both] * (k - fixed)) * factor
+            res = _residual_norms(X, [U[c] for c in head] + [both] * (k - fixed))
+            if factor != 1:
+                res *= factor
             peak = float(res.max())
             worst = max(worst, peak)
             if first is None and peak > limit:
@@ -286,7 +341,7 @@ def cumulant_identity_extractor(
         max_order = spec.order
     if max_order > spec.order:
         raise OrderBoundError(f"max_order {max_order} exceeds the input order {spec.order}")
-    table = spec.to_table()
+    table = _spec_table(spec)
     patterns = [d.letters for d in _nonzero_patterns(table) if len(d) <= max_order]
     limit = rep.tol if tol is None else _checked_tol(tol)
     failed = []

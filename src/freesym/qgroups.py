@@ -34,12 +34,13 @@ filled only through _derived: every residual a relation check reads is
 derived there once per model from the entries alone and judged against
 rep.tol at each call.  It holds biunitarity's four norms, the sum,
 projection and commutativity residuals, the d = 1 orbits above, each d > 1
-delta identity's worst residual and witness, and each block identity's
-column residuals (read-only).  The entries are a read-only copy, and the
-memo dies with the model and holds no plan or table: about 83 KiB after
-lattice_position(rep, 300) at n = 3, and 5.4 KiB after lattice_position and
-structural_consequences on the n = 3, d = 4 nilpotent lift.  Nothing is
-kept between models.
+delta identity's worst residual and witness, each block identity's column
+residuals, and the invariance scan's letter matrices u, u* and diag(u, u*),
+real when the entries are (the arrays read-only).  The entries are a
+read-only copy, and the memo dies with the model and holds no plan or
+table: about 83 KiB after lattice_position(rep, 300) at n = 3, and 5.4 KiB
+after lattice_position and structural_consequences on the n = 3, d = 4
+nilpotent lift.  Nothing is kept between models.
 
 Every other relation is entrywise: its residual is the largest spectral
 norm over one stack of d x d matrices (_worst), an (n, n, d, d) stack for

@@ -687,7 +687,7 @@ def test_the_memo_keeps_only_the_last_law(monkeypatch):
     reps = (rotation_rep(2), permutation_rep(3))
     laws = [sample_spec(_PROBE_CLASSES[i % len(_PROBE_CLASSES)], seed=i + 1) for i in range(12)]
     assert len({tuple(sorted(law.to_table().data.items())) for law in laws}) == 12
-    one_law = sum((2 * rep.n) ** k for rep in reps for k in range(1, 7)) * np.dtype(complex).itemsize
+    one_law = sum((2 * rep.n) ** k for rep in reps for k in range(1, 7)) * np.dtype(float).itemsize  # real laws
     for rep in reps:
         check_invariance(spec_of("SEMICIRCULAR"), rep, 6)  # warm the first-block tables
     tracemalloc.start()
@@ -821,6 +821,107 @@ def test_a_scalar_laws_order_scales_are_worked_out_once(empty_law_memo, monkeypa
     for letters, scale in tensors.scales.items():
         reim = tensors[letters].view(float)
         assert scale == max(reim.max(), -reim.min())
+
+
+def _non_real_law():
+    """A circular pair with two non-real cumulants (their conjugates filled in by to_table)."""
+    return CumulantSpecSingle(order=5, entries={"1*": 1.0, "*1": 1.0, "11": 0.3j, "1*1": 0.2 + 0.1j}).to_table()
+
+
+def _word_tabulated(table, n, K):
+    """A TableJoint of the n-copy moments up to order K, each word by the segment recursion.
+
+    joint_moments_free_family's complex word values never read the law's
+    order tensors, so this is the complex path apart from the scan's.
+    """
+    data = {(tuple(i + 1 for i in w), d.letters): joint_moments_free_family(table, n, tuple(i + 1 for i in w), d.letters)
+            for k in range(1, K + 1) for d in StarPattern.all_patterns(k) for w in np.ndindex((n,) * k)}
+    return TableJoint(n=n, order=K, data={key: v for key, v in data.items() if v})
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_a_scan_in_its_laws_field_matches_the_complex_path(n):
+    """Every probe class's law (real) and a non-real one, under every fixture model at n, to each K <= 5."""
+    laws = {ctag.label(): sample_spec(ctag, seed=0).to_table() for ctag in _PROBE_CLASSES}
+    laws["non-real"] = _non_real_law()
+    reps = [(name, rep) for name, (rep, _) in fixture_set().reps.items() if rep.n == n]
+    for label, table in laws.items():
+        joint, reference = FreeIIDJoint(table, n), _word_tabulated(table, n, 5)
+        for name, rep in reps:
+            for matrix_coeffs in (False, True):
+                for K in range(1, 6):
+                    want = check_invariance(reference, rep, K, matrix_coeffs=matrix_coeffs)
+                    got = check_invariance(joint, rep, K, matrix_coeffs=matrix_coeffs)
+                    _same_scan(got, want.worst_residual, want.first_violation, (label, name, matrix_coeffs, K))
+
+
+def test_a_law_and_a_model_keep_the_field_of_their_data(empty_law_memo):
+    real = spec_of("R_DIAGONAL").to_table()
+    for table, field in ((real, np.float64), (_non_real_law(), np.complex128)):
+        check_invariance(FreeIIDJoint(table, 2), rotation_rep(2), 4)
+        tensors = cumulants._law_memo(table)[2]
+        assert tensors.dtype == field and {t.dtype for t in tensors.values()} == {np.dtype(field)}
+    # one non-real cumulant keeps the whole law complex
+    tilted = cumulants.CumulantTable(4, data={**real.data, "1111": 1e-3j})
+    check_invariance(FreeIIDJoint(tilted, 2), rotation_rep(2), 4)
+    assert {t.dtype for t in cumulants._law_memo(tilted)[2].values()} == {np.dtype(complex)}
+    # a matrix table's tensors are complex, real cores too
+    pair = CumulantSpecSingle(order=2, dim=2, entries={"1*": np.eye(2), "*1": np.eye(2)})
+    assert FreeIIDJoint(pair.to_table(), 2).order_tensor(2).dtype == np.complex128
+    # the public arrays are complex128; a free joint's own tensor is the memo's, read-only
+    assert joint_moment_tensor(real, 2, 3, "1*1").dtype == np.complex128
+    assert FreeIIDJoint(real, 2).order_tensor(3, [1.0, 2.0, 1.0, 1.0]).dtype == np.complex128
+    assert FreeIIDJoint(real, 2).order_tensor(3) is cumulants._law_memo(real)[2]["???"]
+    assert TableJoint(n=2, order=2, data={((1, 2), "1*"): 1.0}).order_tensor(2).dtype == np.complex128
+    # the scan's letter matrices are the model's, real for a real model
+    for rep, field in ((rotation_rep(2), np.float64), (nilpotent_pair_rep(2), np.float64),
+                       (unit_i_diag_rep(2), np.complex128)):
+        check_invariance(spec_of("SEMICIRCULAR"), rep, 2)
+        mats = rep._relations["scan letters"]
+        assert [m.dtype for m in mats] == [np.dtype(field)] * 3 and not any(m.flags.writeable for m in mats)
+        assert np.array_equal(mats[0], rep.flatten()) and np.array_equal(mats[1], qgroups._flat(rep.adjoint_entries()))
+
+
+def test_a_spec_scan_reuses_the_table_of_an_equal_spec(monkeypatch):
+    built = []
+    to_table = CumulantSpecSingle.to_table
+    monkeypatch.setattr(CumulantSpecSingle, "to_table", lambda spec: built.append(spec.dim) or to_table(spec))
+    monkeypatch.setattr(invariance, "_last_spec", (None, None))
+    rep = rotation_rep(2)
+    for spec in (spec_of("CIRCULAR"), spec_of("CIRCULAR"), spec_of("CIRCULAR")):
+        check_invariance(spec, rep, 4)
+        cumulant_identity_extractor(spec, rep, 4)
+    assert built == [1]
+    spec = spec_of("CIRCULAR")
+    spec.entries["11"] = 0.5  # a change of content is a new table
+    check_invariance(spec, rep, 4)
+    assert built == [1, 1]
+    # a matrix spec's table is built on each call
+    matrix = CumulantSpecSingle(order=2, dim=2, entries={"1*": np.eye(2), "*1": np.eye(2)})
+    check_invariance(matrix, rep, 2)
+    check_invariance(matrix, rep, 2)
+    assert built == [1, 1, 2, 2]
+
+
+def test_a_tabulated_joint_builds_only_the_orders_it_holds():
+    data = {((1, 2), "1*"): 1.0, ((2, 1), "*1"): 1.0, ((1, 1), "11"): 0.5}
+    rep = unit_i_diag_rep(2)
+    want = check_invariance(TableJoint(n=2, order=2, data=data), rep, 2)
+    assert not want.invariant
+    joint = TableJoint(n=2, order=11, data=data)
+    tracemalloc.start()
+    try:
+        got = check_invariance(joint, rep, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert _verdict_fields(got) == _verdict_fields(want) and got.orders_checked == 8
+    assert peak < 2 ** 20, peak / 2 ** 20  # a dense order-8 tensor alone holds 1 MiB
+    start = time.perf_counter()
+    for order in (11, 14):
+        with pytest.raises(OrderBoundError, match=f"order {order} exceeds the dim-1 bound 8"):
+            check_invariance(TableJoint(n=2, order=order, data=data), rep, order)
+    assert time.perf_counter() - start < 1
 
 
 def test_first_violation_is_the_first_argwhere_cell():

@@ -13,26 +13,39 @@ Combinatorics of Free Probability, Lect. 10-11): a partition of a word w is
 the block V holding its first letter plus a partition of the rest.  The
 split itself is partitions.first_blocks, which the enumerations share.
 Classically m(w) = sum_V kappa(w|V) m(w|V^c).  Freely the rest splits into
-the segments after each element of V, and m(w) = sum_V kappa(w|V)[segment
-moments in its slots] b m(trailing segment), b the coefficient after V; for
-matrix tables this is Speicher's operator-valued relation (Mem. AMS 132,
-1998, no. 627).  The inversions solve the same relation for kappa(w).
+the segments after each element of V, and the free conversions group the
+blocks by the Boolean split (Speicher & Woroudi, Boolean convolution, Fields
+Inst. Commun. 12, 1997).  The Boolean cumulant beta(w) sums the noncrossing
+partitions whose first block also holds the last letter (Arizmendi, Hasebe,
+Lehner & Vargas, Adv. Math. 282, 2015): beta(w) = kappa(w) + sum over the
+interior blocks V, whose last segment is empty, of kappa(w|V)[segment
+moments in its slots].  Then m(w) = sum_j beta(w_1..w_j) b_j m(w_j+1..w_k),
+the prefix cuts, with m of the empty word 1 and b_j the coefficient after
+letter j; for matrix tables this is Speicher's operator-valued relation (Mem.
+AMS 132, 1998, no. 627).  An order k takes 2^(k-2) - 1 interior blocks and
+k - 1 cuts instead of 2^(k-1) - 1 blocks, and a cut is one outer product
+over every (prefix, suffix) pair.  The inversions solve the same relation:
+kappa(w) is m(w) less the cuts and the interior blocks, summed as the
+forward direction sums them, and beta(w) is kappa(w) plus the blocks.
 
 Every word up to the conversion order has a place in one flat array
 (_order_start), and for each order an integer plan (_order_plan) lists, for
-every first block V and every word at once, where kappa(w|V) and the piece
-moments sit.  Scalar tables in both calculi, and the multivariate inverter
-on words of (index, letter) pairs, evaluate a whole order as numpy gathers,
-products and one sum over V (_gathered_recursion); absent entries are exact
-zeros.  The inverter places all (word, pattern) pairs of an order at once,
-from their digit arrays (_digits).  Matrix cores gather every operand
-through the same plan from per-order stacks: every word of an order has the
-same splice geometry for a first block V, so each V is spliced once for a
-chunk of words (_spliced_recursion), each chunk at most _SPLICE_CELLS cells
-of cores or a single word.  That geometry depends only on the dim and the
-orders of V's pieces, so it is worked out once per shape (_splice_recipe,
-as _star_plan is for scalar words), and a splice is a few views and one
-multiply per segment.
+every block V of the recursion (_plan_rows) and every word at once, where
+kappa(w|V) and the piece moments sit.  Scalar tables in both calculi, and
+the multivariate inverter on words of (index, letter) pairs, evaluate a
+whole order as numpy gathers, products and one sum over V (_block_sum),
+then the cuts (_prefix_cuts), in _gathered_recursion; absent entries are
+exact zeros.  The inverter places all (word, pattern) pairs of an order at
+once, from their digit arrays (_digits).  The plans of small alphabets are
+kept between calls (_plan).  Matrix cores are held row-first inside their
+recursion (_spliced_recursion): a core's value pair and slots read (X, r_1,
+c_1, ..., Y) along the word (_row_first), converted at its edges.  In that
+layout an interior block's term is kappa's row with each segment's moment
+row inserted contiguously in its gap (_splice_cores, its geometry worked out
+once per shape by _splice_recipe), and a cut is a plain outer product of two
+rows.  Every operand is gathered through the same plan from per-order
+stacks, a chunk of at most _SPLICE_CELLS cells of cores, or a single word,
+at a time.
 
 Joint moments of n free copies run the free recursion too, on whole index
 tensors (joint_moment_tensor); a matrix table's joint word is an entry of
@@ -58,6 +71,7 @@ from __future__ import annotations
 
 import cmath
 import itertools
+import math
 import operator
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
@@ -77,7 +91,7 @@ from .partitions import ONE, STAR, StarPattern, first_blocks as _first_blocks
 MAX_DIM = 3
 MAX_SCALAR_ORDER = 8
 # Dense cores hold p^(2k) entries at order k: at dim 3 each order-6 table is
-# about 0.55 GB, and a dim-3, K=6 conversion peaks at about 1175 MB RSS.
+# about 0.55 GB, and a dim-3, K=6 conversion peaks at about 1150 MiB RSS.
 MAX_MATRIX_ORDER = 6
 MAX_MULTI_ORDER = 6
 MAX_ALPHABET = 3
@@ -106,8 +120,7 @@ def _finite(value) -> bool:
     """Whether every real and imaginary part is finite; a plain number skips numpy."""
     if isinstance(value, (int, float, complex)):
         return cmath.isfinite(value)
-    arr = np.asarray(value)
-    return bool(np.all(np.isfinite(arr.real)) and np.all(np.isfinite(arr.imag)))
+    return bool(np.isfinite(value).all())
 
 
 def _require_finite(value) -> None:
@@ -285,182 +298,328 @@ def _pattern_words(K: int) -> tuple[str, ...]:
     return tuple(d.letters for k in range(1, K + 1) for d in StarPattern.all_patterns(k))
 
 
-def _order_plan(k: int, a: int, free: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Flat indices of kappa(w|V) and of w's nonempty pieces, for every word w of order k.
+def _plan_rows(k: int, free: bool) -> tuple:
+    """The first blocks an order-k recursion sums over, in _first_blocks order.
 
-    Row r is the block _first_blocks(k, free)[r] (the whole word left out),
-    column c the word whose digit tuple has code c.  kappa_at[r, c] and
-    moment_at[r, j, c] are flat indices (_order_start); rows with fewer nonempty
-    pieces than the widest are padded with 0, the empty word.
+    Classically every block but the whole word.  Freely only the interior
+    ones, whose last piece is empty (they hold the last letter too): with
+    kappa(w) they sum to the Boolean cumulant beta(w), and the prefix cuts
+    (_prefix_cuts) stand for every block that leaves a trailing piece.
     """
-    rows = _first_blocks(k, free)[:-1]
+    return tuple(row for row in _first_blocks(k, free)[:-1] if not free or not row[1][-1])
+
+
+def _order_plan(k: int, a: int, free: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flat indices of kappa(w|V) and of w's nonempty pieces, for every word w of order k, and of its cuts.
+
+    Row r is the block _plan_rows(k, free)[r], column c the word whose
+    digit tuple has code c.  kappa_at[r, c] and moment_at[r, j, c] are flat
+    indices (_order_start); rows with fewer nonempty pieces than the widest
+    are padded with 0, the empty word.  cut_at[0, j - 1, c] and
+    cut_at[1, j - 1, c] are those of w's prefix of j letters and of the
+    rest, for the free cuts j = 1..k-1 (none classically): row j - 1 over
+    every c is the outer product of the prefixes and suffixes, in code
+    order.
+    """
+    rows = _plan_rows(k, free)
     filled = [[piece for piece in pieces if piece] for _, pieces in rows]
     shifted = _digits(a, k) + 1
 
     def at(positions) -> np.ndarray:
         return shifted[:, list(positions)] @ a ** np.arange(len(positions) - 1, -1, -1)
 
-    size = _order_start(k + 1, a)
-    dtype = np.int16 if size <= np.iinfo(np.int16).max else np.int32
-    kappa_at = np.zeros((len(rows), a ** k), dtype)
-    moment_at = np.zeros((len(rows), max(map(len, filled), default=0), a ** k), dtype)
+    kappa_at = np.zeros((len(rows), a ** k), _plan_dtype(k, a))
+    moment_at = np.zeros((len(rows), max(map(len, filled), default=0), a ** k), kappa_at.dtype)
     for r, ((block, _), pieces) in enumerate(zip(rows, filled)):
         kappa_at[r] = at(block)
         for j, piece in enumerate(pieces):
             moment_at[r, j] = at(piece)
-    kappa_at.flags.writeable = moment_at.flags.writeable = False
-    return kappa_at, moment_at
+    cuts = range(1, k) if free else ()
+    cut_at = np.array([[at(range(j)) for j in cuts], [at(range(j, k)) for j in cuts]],
+                      kappa_at.dtype).reshape(2, len(cuts), a ** k)
+    for plan in (kappa_at, moment_at, cut_at):
+        plan.flags.writeable = False
+    return kappa_at, moment_at, cut_at
 
 
-@lru_cache(maxsize=2 * MAX_SCALAR_ORDER)
-def _star_plan(k: int, free: bool) -> tuple[np.ndarray, np.ndarray]:
-    """_order_plan over the star letters {1, *}: 0.55 MB of int16 for k <= 8, both calculi."""
-    return _order_plan(k, 2, free)
+def _plan_dtype(k: int, a: int) -> type:
+    """int16 while every flat index up to order k fits it, else int32."""
+    return np.int16 if _order_start(k + 1, a) <= np.iinfo(np.int16).max else np.int32
+
+
+# bytes the order plans of one alphabet may keep between calls (1 MB)
+_PLAN_BYTES = 2 ** 20
+
+
+@lru_cache(maxsize=None)
+def _keeps_plans(a: int) -> bool:
+    """Whether every plan over a letters, up to the alphabet's order bound, fits _PLAN_BYTES together.
+
+    The star letters {1, *} (a = 2) take both calculi up to
+    MAX_SCALAR_ORDER: 0.34 MB.  The multivariate inverter's a = 2n letters
+    take free plans up to MAX_MULTI_ORDER: 0.49 MB at n = 2, 10.3 MB at
+    n = 3, so n <= 2 keeps its plans and n = 3 rebuilds them on each call.
+    A plan's bytes follow from its rows, width and cuts, without building it.
+    """
+    top, calculi = (MAX_SCALAR_ORDER, (True, False)) if a == 2 else (MAX_MULTI_ORDER, (True,))
+    total = 0
+    for k in range(1, top + 1):
+        for free in calculi:
+            rows = _plan_rows(k, free)
+            width = max((sum(map(bool, pieces)) for _, pieces in rows), default=0)
+            cuts = 2 * (k - 1) if free else 0
+            total += (len(rows) * (1 + width) + cuts) * a ** k * np.dtype(_plan_dtype(k, a)).itemsize
+    return total <= _PLAN_BYTES
+
+
+@lru_cache(maxsize=None)
+def _kept_plan(k: int, a: int, free: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    return _order_plan(k, a, free)
+
+
+def _plan(k: int, a: int, free: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_order_plan, kept between calls for the alphabets that _keeps_plans."""
+    return (_kept_plan if _keeps_plans(a) else _order_plan)(k, a, free)
+
+
+def _block_sum(kappa: np.ndarray, moment: np.ndarray, plan: tuple, mul=np.multiply) -> np.ndarray:
+    """sum over the plan's blocks V of kappa(w|V) times w's piece moments, for every word w of its order.
+
+    kappa and moment hold values at flat indices (_order_start).  Every
+    term is gathered through the plan (_order_plan) at once and multiplied
+    in place by mul (np.matmul for p x p matrices); at k=8 two slabs of at
+    most 0.5 MB live at a time.
+    """
+    kappa_at, moment_at, _ = plan
+    term = kappa[kappa_at]
+    for j in range(moment_at.shape[1]):
+        mul(term, moment[moment_at[:, j]], out=term)
+    return term.sum(axis=0)
+
+
+def _prefix_cuts(boolean: np.ndarray, moment: np.ndarray, plan: tuple, mul=np.multiply) -> np.ndarray:
+    """sum over j < k of beta(w_1..w_j) m(w_j+1..w_k), for every word w of the free plan's order k.
+
+    Cut j is the outer product of beta_j and m_(k-j) over all (prefix,
+    suffix) pairs; the plan's cut_at lays every cut out in code order, so
+    the cuts are two gathers, one product and a sum over j.
+    """
+    prefix_at, suffix_at = plan[2]
+    term = boolean[prefix_at]
+    mul(term, moment[suffix_at], out=term)
+    return term.sum(axis=0)
 
 
 def _gathered_recursion(known: np.ndarray, K: int, a: int, free: bool, to_moments: bool,
                         mul=np.multiply) -> np.ndarray:
-    """m(w) = kappa(w) + sum over V of kappa(w|V) times the piece moments, an order at a time.
+    """The recursion on values at flat indices, an order at a time.
 
     known holds the given side at the flat index of every word up to order K,
     absent entries as exact zeros (slot 0, the empty word, is ignored).
     Values are scalars, or p x p matrices multiplied by mul=np.matmul.
-    Every term of an order is gathered through its plan at once and
-    multiplied in place (at k=8 two 0.5 MB slabs live at a time); a term
-    involves shorter words only, so the order's moments (or, inverting,
-    cumulants) follow from one sum over V.  Returns the other side.
+    Classically m(w) = kappa(w) + _block_sum over every block.  Freely the
+    blocks are the interior ones, m(w) = kappa(w) + (_block_sum +
+    _prefix_cuts), and beta(w) = kappa(w) + _block_sum is kept for the
+    orders below K.  A term involves shorter words only, so inverting
+    solves kappa(w) = m(w) - (_block_sum + _prefix_cuts); both ways form
+    the terms alike, so a zero kappa(w) comes back exactly zero when the
+    shorter words do.  Returns the other side.
     """
     solved = np.zeros_like(known)
     kappa, moment = (known, solved) if to_moments else (solved, known.copy())
     moment[0] = np.eye(known.shape[-1]) if known.ndim > 1 else 1
+    boolean = np.zeros_like(known[:_order_start(K, a)])
     for k in range(1, K + 1):
-        kappa_at, moment_at = _star_plan(k, free) if a == 2 else _order_plan(k, a, free)
-        term = kappa[kappa_at]
-        for j in range(moment_at.shape[1]):
-            mul(term, moment[moment_at[:, j]], out=term)
         start = _order_start(k, a)
         run = slice(start, start + a ** k)
+        plan = _plan(k, a, free)
+        terms = blocks = _block_sum(kappa, moment, plan, mul)
+        if free:
+            terms = _prefix_cuts(boolean, moment, plan, mul)
+            terms += blocks
         if to_moments:
-            moment[run] = kappa[run] + term.sum(axis=0)
+            np.add(kappa[run], terms, out=moment[run])
         else:
-            kappa[run] = moment[run] - term.sum(axis=0)
+            np.subtract(moment[run], terms, out=kappa[run])
+        if free and k < K:
+            np.add(kappa[run], blocks, out=boolean[run])
     return solved
+
+
+def _row_first(cores: np.ndarray) -> np.ndarray:
+    """A stack of cores (axis 0 the words) as flat rows in the layout (X, slots..., Y), a copy.
+
+    A core's axes are its slots, then the value's pair (X, Y); its row
+    puts X first, so the row of a product b_0 x_1 b_1 ... x_k reads X,
+    (r_1, c_1), ..., Y along the word, b_t = E(r_t, c_t).
+    """
+    w, p = len(cores), cores.shape[-1]
+    return cores.reshape(w, -1, p, p).transpose(0, 2, 1, 3).reshape(w, -1)
+
+
+def _slots_first(rows: np.ndarray, p: int) -> np.ndarray:
+    """A view of _row_first rows with the core's axis order: (words, slots, X, Y)."""
+    return rows.reshape(len(rows), p, -1, p).transpose(0, 2, 1, 3)
 
 
 @lru_cache(maxsize=None)
 def _splice_recipe(p: int, orders: tuple) -> tuple:
-    """The splice geometry of _splice_cores, for dim p and the orders of its pieces (0 for empty).
+    """The splice geometry of _splice_cores, for dim p and the orders of an interior block's pieces (0 for empty).
 
-    A slot (x, y) of kappa takes b M b': it splits into (x, i) for b and
-    (j, y) for b', with M's own slots between.  The trailing M multiplies
-    through b from the right, so the value's pair takes X from kappa and Y
-    from M.  Returns, per factor (kappa, then each M in slot order), the
-    view of its cores that splits every axis into its p-sized halves, the
-    axis order that puts those in the value's order, and the value's shape
-    with 1 on the axes the factor lacks; then the value's core shape.  The
-    orders determine the first block, so the cache holds one entry per
-    first block and dim: 57 per dim up to MAX_MATRIX_ORDER.
+    Slot j of kappa takes b M b': in rows, b's column and b''s row are M's
+    X and Y, so kappa's (r, c) of slot j close around M's whole row, and
+    the term's row is kappa's with each piece's row inserted contiguously
+    in its gap (the last piece is empty: kappa's Y is the term's).
+    Returns kappa's shape with 1 at every gap, each nonempty piece's shape
+    with 1 off its gap, and the term's shape, the words' axis left out.
+    The orders determine the block, so the cache holds one entry per
+    interior block and dim: 26 per dim up to MAX_MATRIX_ORDER.
     """
-    ids = itertools.count()
-    head = [next(ids) for _ in range(2 * len(orders))]
-    factors, out = [head], []
-    for j, order in enumerate(orders):
-        x, y = head[2 * j:2 * j + 2]
-        if not order:
-            out += [x, y]
-            continue
-        tail = [next(ids) for _ in range(2 * order)]
-        factors.append(tail)
-        *inner, i, jj = tail
-        out += [x, i, *inner, jj, y] if j < len(orders) - 1 else [y, i, *inner, x, jj]
-    place = {a: n for n, a in enumerate(out)}
-    steps = []
-    for axes in factors:
-        spots = {place[a] for a in axes}
-        perm = sorted(range(len(axes)), key=lambda t: place[axes[t]])
-        steps.append(((p,) * len(axes), (0, *(1 + t for t in perm)),
-                      tuple(p if n in spots else 1 for n in range(len(out)))))
-    return tuple(steps), core_shape(p, len(out) // 2)
+    shape, gaps, run = [], [], p  # kappa's X
+    for order in orders[:-1]:
+        run *= p  # the slot's r
+        if order:
+            gaps.append(len(shape) + 1)
+            shape += [run, p ** (2 * order)]
+            run = 1
+        run *= p  # the slot's c
+    shape.append(run * p)  # kappa's Y
+    kappa = tuple(1 if t in gaps else s for t, s in enumerate(shape))
+    pieces = tuple(tuple(s if t == g else 1 for t, s in enumerate(shape)) for g in gaps)
+    return kappa, pieces, tuple(shape)
 
 
-def _splice_cores(kappa: np.ndarray, moments: list) -> np.ndarray:
-    """Cores of kappa(w|V) with the segment moment cores M in its slots, for a stack of words.
+def _splice_cores(kappa: np.ndarray, moments: list, recipe: tuple, out: np.ndarray) -> np.ndarray:
+    """Rows of kappa(w|V) with the nonempty pieces' moment rows M in its slots, for a stack of words.
 
-    Axis 0 of kappa and of each M runs over the words; an empty segment's M
-    is None.  The geometry comes from _splice_recipe, one cached entry per
-    first block: each factor is viewed with its axes split, transposed and
-    reshaped to its broadcast shape, all views.  No axis is summed: the
-    terms are one broadcast product, kappa first, then the M in slot order.
+    V is an interior block and recipe its _splice_recipe; axis 0 of kappa
+    and of each M runs over the words, each row in the _row_first layout.
+    No axis is summed: the terms are one broadcast product, kappa first,
+    then the M in slot order, written into the flat buffer out (at least
+    the words times the term's cells).  Returns the (words, cells) rows.
     """
-    steps, shape = _splice_recipe(kappa.shape[-1], tuple(0 if m is None else m.ndim - 2
-                                                         for m in moments))
-    val = None
-    for factor, (split, axes, spread) in zip([kappa] + [m for m in moments if m is not None], steps):
-        w = len(factor)
-        view = factor.reshape((w,) + split).transpose(axes).reshape((w,) + spread)
-        val = view if val is None else np.multiply(val, view, order="C")
-    return val.reshape((len(val),) + shape)
+    kappa_shape, piece_shapes, shape = recipe
+    w = len(kappa)
+    val = out[:w * math.prod(shape)].reshape((w,) + shape)
+    first, *rest = zip(moments, piece_shapes)
+    np.multiply(kappa.reshape((w,) + kappa_shape), first[0].reshape((w,) + first[1]), out=val)
+    for m, piece in rest:
+        np.multiply(val, m.reshape((w,) + piece), out=val)
+    return val.reshape(w, -1)
 
 
 # cells of one chunk of an order's cores, in the matrix recursion
 _SPLICE_CELLS = 2 ** 15
 
 
-def _spliced_recursion(data: dict, K: int, to_moments: bool, p: int) -> list:
-    """The free recursion for dim-p cores, a chunk of words of one order at a time.
+def _spliced_recursion(data: dict, K: int, to_moments: bool, p: int) -> tuple[list, list]:
+    """The free recursion for dim-p cores by the Boolean split, a chunk of words of one order at a time.
 
     data is the given side keyed by letters, absent entries exact zeros.
     Returns the other side as one (2^k,) + core array per order k (index 0
-    unused), words in code order.  Every word of an order has the same
-    splice geometry for a first block V, so each V is spliced once per
-    chunk of at most _SPLICE_CELLS cells (at least one word).  A chunk
-    gathers its operands through the plan from per-order stacks: the
-    solved arrays, and copies of the given side's orders below K.  A block
-    whose kappa operands are all zero adds nothing and is skipped.
+    unused), words in code order, and beta of the orders below K - 1 as
+    (2^k, p^2k) _row_first rows.  Inside, every operand is a row, and
+    layouts move at the edges.  An order below K whose chunks hold several
+    words is stacked as rows, on both sides, and the solved stacks are
+    moved into core arrays at the end.  The top order, and any order whose
+    cores go a word at a time, have no stack: a chunk of them sums its
+    terms row-first in place in its output array, moves into the core
+    layout through the term buffer and meets the table there a word at a
+    time; their operand rows are gathered from the table or the output as
+    they are needed.  A chunk, at most _SPLICE_CELLS cells or one word,
+    sums its terms as _gathered_recursion does: each interior block's
+    splice (_splice_cores), then each prefix cut beta_j (x) m_(k-j), a
+    plain outer product of two rows; then adds the given kappa or
+    subtracts the sum from the given moments, and keeps kappa plus the
+    splices as beta.  The top order's last cut, beta_(K-1) (x) m_1, is
+    written into its output array while order K - 1 is solved, so
+    beta_(K-1) is kept only a chunk at a time.  Operands are gathered
+    through the plan; a term whose kappa or beta operand is all zero adds
+    nothing and is skipped.
     """
     words = [None] + [_pattern_words(k)[-2 ** k:] for k in range(1, K + 1)]
-    steps = [max(1, _SPLICE_CELLS // p ** (2 * k)) for k in range(K + 1)]
+    cells = [p ** (2 * k) for k in range(K + 1)]
+    steps = [max(1, _SPLICE_CELLS // c) for c in cells]
+    stacked = [0 < k < K and steps[k] > 1 for k in range(K + 1)]
 
-    def stack(k: int) -> np.ndarray:
-        arr = np.zeros((2 ** k,) + core_shape(p, k), dtype=complex)
-        for code, w in enumerate(words[k]):
-            value = data.get(w)
-            if value is not None:
-                arr[code] = value
-        return arr
+    def gather(cores, order: int, codes) -> np.ndarray:
+        """The cores of one order at codes as one (words,) + core array, None an exact zero; one word is a view."""
+        values = [np.zeros(core_shape(p, order), dtype=complex) if cores[c] is None else cores[c] for c in codes]
+        return values[0][None] if len(values) == 1 else np.stack(values)
 
-    # the top order is never an operand
-    given = [None] + [stack(j) for j in range(1, K)]
-    solved = [None] * (K + 1)
+    listed = [None] + [[data.get(w) for w in words[k]] for k in range(1, K + 1)]
+    out = [None] + [None if stacked[k] else np.zeros((2 ** k,) + core_shape(p, k), dtype=complex)
+                    for k in range(1, K + 1)]
+    given = [_row_first(gather(cores, k, range(2 ** k))) if stacked[k] else cores
+             for k, cores in enumerate(listed)]
+    solved = [np.zeros_like(given[k]) if stacked[k] else out[k] for k in range(K + 1)]
+    boolean = [None] + [np.empty((2 ** k, cells[k]), dtype=complex) for k in range(1, K - 1)]
     kappa, moment = (given, solved) if to_moments else (solved, given)
+    chunk = [min(steps[k], 2 ** k) * cells[k] for k in range(K + 1)]
+    buf = np.empty(max(chunk[1:], default=0), dtype=complex)  # one term
+    last = np.empty(chunk[K - 1] if K > 1 else 0, dtype=complex)  # beta_(K-1) of one chunk
 
-    def operand(stacks, order: int, at: np.ndarray) -> np.ndarray:
-        """Cores of one order at the flat indices at."""
-        return stacks[order][at - (2 ** order - 1)]
+    def operand(side, order: int, at: np.ndarray) -> np.ndarray:
+        """Rows of one order of a side at the flat indices at."""
+        codes = at - (2 ** order - 1)
+        return side[order][codes] if stacked[order] else _row_first(gather(side[order], order, codes))
 
+    def splices(k: int, lo: int, hi: int):
+        kappa_at, moment_at, _ = _plan(k, 2, True)
+        for (block, pieces), kv, at in zip(_plan_rows(k, True), kappa_at[:, lo:hi],
+                                           moment_at[:, :, lo:hi]):
+            kap = operand(kappa, len(block), kv)
+            if kap.any():
+                orders = tuple(map(len, pieces))
+                yield _splice_cores(kap, [operand(moment, o, i) for o, i in zip(filter(None, orders), at)],
+                                    _splice_recipe(p, orders), buf)
+
+    def cuts(k: int, lo: int, hi: int):
+        codes = np.arange(lo, hi)
+        for j in range(1, min(k, K - 1)):  # the top order holds its last cut already
+            head = boolean[j][codes >> (k - j)]
+            if head.any():
+                tail = operand(moment, k - j, (codes & (2 ** (k - j) - 1)) + 2 ** (k - j) - 1)
+                val = buf[:(hi - lo) * cells[k]].reshape(hi - lo, cells[j], cells[k - j])
+                yield np.multiply(head[:, :, None], tail[:, None, :], out=val).reshape(hi - lo, -1)
+
+    merge = np.add if to_moments else np.subtract  # the given side with the sum of the terms
     for k in range(1, K + 1):
-        kappa_at, moment_at = _star_plan(k, True)
-        blocks = _first_blocks(k, True)[:-1]
-        solved[k] = np.zeros((2 ** k,) + core_shape(p, k), dtype=complex)
         for lo in range(0, 2 ** k, steps[k]):
             hi = min(lo + steps[k], 2 ** k)
-            lower = solved[k][lo:hi]
-            for (block, pieces), kv, at in zip(blocks, kappa_at[:, lo:hi], moment_at[:, :, lo:hi]):
-                kap = operand(kappa, len(block), kv)
-                if not kap.any():
-                    continue
-                filled = iter(at)
-                lower += _splice_cores(kap, [operand(moment, len(piece), next(filled))
-                                             if piece else None for piece in pieces])
-            for i, w in enumerate(words[k][lo:hi]):
-                value = data.get(w)
-                if to_moments:
-                    if value is not None:
-                        lower[i] += value
-                else:
-                    np.subtract(0j if value is None else value, lower[i], out=lower[i])
-            _require_finite(lower)
-    return solved
+            # zero, or the top order's last cut; row-first in the output where unstacked
+            acc = solved[k][lo:hi] if stacked[k] else out[k].reshape(2 ** k, -1)[lo:hi]
+            for term in splices(k, lo, hi):
+                acc += term
+            if k < K:
+                blocks = boolean[k][lo:hi] if k < K - 1 else last[:acc.size].reshape(acc.shape)
+                blocks[...] = acc
+            for term in cuts(k, lo, hi):
+                acc += term
+            if stacked[k]:
+                merge(given[k][lo:hi], acc, out=acc)
+                kappa_rows = given[k][lo:hi] if to_moments else acc
+            else:  # moved into the core layout, then merged with the table a word at a time
+                rows = buf[:acc.size].reshape(acc.shape)
+                rows[...] = acc
+                acc = out[k][lo:hi]
+                acc.reshape(_slots_first(rows, p).shape)[...] = _slots_first(rows, p)
+                for core, value in zip(acc, listed[k][lo:hi]):
+                    merge(0j if value is None else value, core, out=core)
+                if k < K:
+                    kappa_rows = _row_first(gather(listed[k], k, range(lo, hi)) if to_moments else acc)
+            _require_finite(acc)
+            if k < K:  # beta = kappa + the blocks
+                np.add(kappa_rows, blocks, out=blocks)
+                if k == K - 1 and blocks.any():
+                    np.multiply(blocks[:, None, :, None], operand(moment, 1, np.arange(1, 3))[None, :, None, :],
+                                out=out[K].reshape(2 ** K, -1)[2 * lo:2 * hi].reshape(hi - lo, 2, cells[k], -1))
+    given.clear()  # before the solved stacks are moved, so that the two never add up
+    for k in range(1, K):
+        if stacked[k]:
+            out[k] = np.ascontiguousarray(_slots_first(solved[k], p)).reshape((2 ** k,) + core_shape(p, k))
+            solved[k] = None
+    return out, boolean
 
 
 def _convert(table: _PatternTable, K: int, free: bool, to_moments: bool) -> _PatternTable:
@@ -479,7 +638,7 @@ def _convert(table: _PatternTable, K: int, free: bool, to_moments: bool) -> _Pat
         out.data = dict(zip(words, values.tolist()))
         return out
     # the cores are views into one array per order
-    for k, cores in enumerate(_spliced_recursion(table.data, K, to_moments, p)[1:], 1):
+    for k, cores in enumerate(_spliced_recursion(table.data, K, to_moments, p)[0][1:], 1):
         out.data.update(zip(words[2 ** k - 2:2 ** (k + 1) - 2], cores))
     return out
 
@@ -834,6 +993,8 @@ def multivariate_cumulants_from_joint_moments(oracle, K: int) -> MultiCumulantTa
     (word, pattern) pairs come at once from their digit arrays, in the
     order the oracle is asked and the result keeps: orders ascending, index
     words in itertools.product order, then patterns in all_patterns order.
+    The order plans of n <= 2 are kept between calls (_plan); those of
+    n = 3 take 10.3 MB and are built on each call.
     """
     n = int(oracle.n)
     dim = int(getattr(oracle, "dim", 1))

@@ -33,6 +33,10 @@ norm each, as freesym.qgroups did before it reduced whole stacks
 
 hadamard is the entrywise product the acceptance gate contracts with.
 
+boolean_partition_sum is the Boolean cumulant by its definition, the sum
+over the noncrossing partitions whose block of the first letter holds the
+last one, that the free conversions of freesym.cumulants compute on the way.
+
 reference_splice splices one matrix block's cores one output cell at a time,
 kappa's entry times each segment moment's entry in slot order, from the
 operator-valued relation itself; freesym.cumulants._splice_cores, which
@@ -304,6 +308,17 @@ def joint_moment_partition_sum(table, n: int, word, pattern, coeffs=None):
         else:
             acc = _coerce_coeff(b0, table.dim) @ acc
     return acc
+
+
+def boolean_partition_sum(table, pattern, coeffs=None):
+    """The Boolean cumulant of one pattern: the sum over the noncrossing partitions with 1 and k in one block.
+
+    coeffs as for eval_partitioned_free; a stack of coefficients gives a
+    stack of values.
+    """
+    k = len(StarPattern.coerce(pattern))
+    return sum(eval_partitioned_free(table, part, pattern, coeffs) for part in noncrossing_cached(k)
+               if any(block[0] == 1 and block[-1] == k for block in part.blocks))
 
 
 def reference_splice(kappa: np.ndarray, moments: list) -> np.ndarray:

@@ -35,6 +35,7 @@ from freesym.partitions import (
     enumerate_noncrossing,
 )
 from reference import (
+    boolean_partition_sum,
     eval_partitioned_classical,
     eval_partitioned_free,
     joint_moment_partition_sum,
@@ -753,19 +754,27 @@ def test_sparse_matrix_table_keeps_absent_orders_exact_zeros():
 
 @pytest.mark.parametrize("p,K", [(2, 5), (3, 4)])
 def test_splice_recipe_matches_the_per_cell_splice(p, K):
-    """_splice_cores bit for bit against reference_splice, on every first block up to order K."""
+    """_splice_cores bit for bit against reference_splice, on every interior block up to order K.
+
+    The splice takes and gives rows (_row_first); its result is moved back
+    to the cores' axis order before the comparison.
+    """
     rng = np.random.default_rng(90 + p)
 
     def cores(words, order):
         shape = (words,) + core_shape(p, order)
         return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
-    for k in range(2, K + 1):
-        for block, pieces in cumulants._first_blocks(k, True)[:-1]:
+    for k in range(3, K + 1):
+        for block, pieces in cumulants._plan_rows(k, True):
+            recipe = cumulants._splice_recipe(p, tuple(map(len, pieces)))
             for words in (1, 3):
                 kappa = cores(words, len(block))
                 moments = [cores(words, len(piece)) if piece else None for piece in pieces]
-                got = cumulants._splice_cores(kappa, moments)
+                rows = cumulants._splice_cores(cumulants._row_first(kappa),
+                                               [cumulants._row_first(m) for m in moments if m is not None],
+                                               recipe, np.empty(words * p ** (2 * k), dtype=complex))
+                got = cumulants._slots_first(rows, p).reshape((words,) + core_shape(p, k))
                 assert np.array_equal(got, reference_splice(kappa, moments)), (k, block, words)
 
 
@@ -861,6 +870,139 @@ def test_matrix_conversion_memory_bound():
         finally:
             tracemalloc.stop()
         assert peak < bound, (convert.__name__, peak, bound)
+
+
+# ---------------------------------------------------------------------------
+# the Boolean split of the free conversions, against its definition
+
+
+def test_scalar_boolean_split_against_its_definition():
+    """m(w) = sum_j beta(w_1..w_j) m(w_j+1..w_k), and the recursion's two steps, on every word up to K=6.
+
+    beta is boolean_partition_sum, the sum over noncrossing partitions with
+    1 and k in one block.  Order by order, the interior step (_block_sum)
+    must give beta - kappa and the cuts (_prefix_cuts) m - beta.
+    """
+    K = 6
+    kappa = random_cumulant_table(K, seed=96, scale=0.6)
+    words = cumulants._pattern_words(K)
+    beta = {w: boolean_partition_sum(kappa, w) for w in words}
+    m = {"": 1.0, **scalar_partition_sum(kappa, K, True).data}
+    tol = 1e-13 * max(abs(v) for v in m.values())
+    for w in words:
+        split = sum(beta[w[:j]] * m[w[j:]] for j in range(1, len(w) + 1))
+        assert abs(split - m[w]) <= tol, w
+
+    def flat(values):
+        return np.array([1 + 0j] + [complex(values.get(w, 0)) for w in words])
+
+    flat_kappa, flat_m, flat_beta = flat(kappa.data), flat(m), flat(beta)
+    for k in range(1, K + 1):
+        run = slice(2 ** k - 1, 2 ** (k + 1) - 1)
+        plan = cumulants._plan(k, 2, True)
+        interior = cumulants._block_sum(flat_kappa, flat_m, plan)
+        assert np.max(np.abs(interior - (flat_beta[run] - flat_kappa[run]))) <= tol, k
+        cuts = cumulants._prefix_cuts(flat_beta, flat_m, plan)
+        assert np.max(np.abs(cuts - (flat_m[run] - flat_beta[run]))) <= tol, k
+
+
+def test_matrix_boolean_split_against_its_definition():
+    """dim 2, every word up to K=4 at 3 random coefficient tuples, as in _probe_partition_sum.
+
+    m(w)[b_1..b_k-1] = sum_j beta(w_1..w_j)[b_1..b_j-1] b_j m(w_j+1..w_k)[b_j+1..b_k-1],
+    with the j = k term beta(w) alone, on the partition sums; and the
+    Boolean cumulants that _spliced_recursion keeps, both ways, are the
+    definition's.  It keeps those of the orders below K - 1, so it runs at
+    K + 2.  The conversions at K, whose top order takes its last cut while
+    order K - 1 is solved, give the partition sums' moments and go back.
+    """
+    K, p = 4, 2
+    rng = np.random.default_rng(97)
+    probes = [rng.standard_normal((3, p, p)) + 1j * rng.standard_normal((3, p, p)) for _ in range(K - 1)]
+    eye = np.eye(p)
+    kappa = random_cumulant_table(K + 2, dim=p, seed=98)
+    words = cumulants._pattern_words(K)
+
+    def moment(letters, coeffs):
+        return sum(eval_partitioned_free(kappa, part, letters, coeffs + [eye])
+                   for part in enumerate_noncrossing(len(letters)))
+
+    beta = {w: boolean_partition_sum(kappa, w, probes[:len(w) - 1] + [eye]) for w in words}
+    scale = max(float(np.max(np.abs(v))) for v in beta.values())
+    for w in words:
+        k = len(w)
+        split = beta[w] + sum(beta[w[:j]] @ probes[j - 1] @ moment(w[j:], probes[j:k - 1])
+                              for j in range(1, k))
+        assert np.max(np.abs(split - moment(w, probes[:k - 1]))) <= 1e-12 * scale, w
+    moments = free_cumulants_to_moments(kappa, K + 2)
+    for given, to_moments in ((kappa, True), (moments, False)):
+        rows = cumulants._spliced_recursion(given.data, K + 2, to_moments, p)[1]
+        cores = {w: core for k in range(1, K + 1) for w, core in zip(
+            words[2 ** k - 2:2 ** (k + 1) - 2],
+            cumulants._slots_first(rows[k], p).reshape((2 ** k,) + core_shape(p, k)))}
+        got = _probe_cores(CumulantTable(order=K, dim=p, data=cores), probes)
+        for w in words:
+            assert np.max(np.abs(got[w] - beta[w])) <= 1e-12 * scale, (to_moments, w)
+    got = _probe_cores(free_cumulants_to_moments(kappa, K), probes)
+    back = moments_to_free_cumulants(moments, K)
+    for w in words:
+        assert np.max(np.abs(got[w] - moment(w, probes[:len(w) - 1]))) <= 1e-12 * scale, w
+        assert np.max(np.abs(back.data[w] - kappa.data[w])) <= 1e-12 * scale, w
+
+
+def test_free_round_trips_have_no_error_floor():
+    """Both free round trips stay within 20 u max|m|, u = 2^-52, at K=8 and at dim 2, K=5.
+
+    Seeds 0-4 of random_cumulant_table.  The worst is 15 u max|m|, seed 3
+    at K=8 (1.13e-13, max|m| = 33.4), going to moments and back; summing
+    every first block instead of the Boolean split reached 49 there.
+    """
+    u = np.finfo(float).eps
+    for K, dim in ((8, 1), (5, 2)):
+        for seed in range(5):
+            kappa = random_cumulant_table(K, dim, seed=seed)
+            moments = free_cumulants_to_moments(kappa, K)
+            bound = 20 * u * max(float(np.max(np.abs(v))) for v in moments.data.values())
+            cumulants_back = moments_to_free_cumulants(moments, K)
+            assert kappa.max_abs_difference(cumulants_back) <= bound, (K, dim, seed)
+            moments_back = free_cumulants_to_moments(cumulants_back, K)
+            assert moments.max_abs_difference(moments_back) <= bound, (K, dim, seed)
+
+
+@pytest.mark.parametrize("K,dim", [(8, 1), (5, 2)])
+def test_zero_cumulants_come_back_exactly_zero(K, dim):
+    """A table of order-2 entries only, at the scale 1e8, goes to moments and back exactly.
+
+    Both ways form the same terms from the same shorter words, so a zero
+    cumulant is m - (the terms) = 0 without rounding: classification from
+    moments reads vanishing cumulants at any scale of the input.
+    """
+    kappa = _without_orders(random_cumulant_table(K, dim, seed=101), set(range(1, K + 1)) - {2})
+    for letters in kappa.data:
+        kappa.data[letters] = kappa.data[letters] * 1e8
+    back = moments_to_free_cumulants(free_cumulants_to_moments(kappa, K), K)
+    for letters, value in back.data.items():
+        assert np.array_equal(value, kappa.data.get(letters, 0 * value)), letters
+
+
+def test_multivariate_plans_kept_for_two_letter_families_only(monkeypatch):
+    """A second identical n=2 inversion builds no plan; an n=3 inversion keeps none of its plans."""
+    built = []
+    order_plan = cumulants._order_plan
+    monkeypatch.setattr(cumulants, "_order_plan", lambda k, a, free: built.append(a) or order_plan(k, a, free))
+    two = _PointwiseFamily(random_cumulant_table(5, seed=99, scale=0.6), 2)
+    first = multivariate_cumulants_from_joint_moments(two, 5).data
+    built.clear()
+    second = multivariate_cumulants_from_joint_moments(two, 5).data
+    assert built == []
+    assert list(first) == list(second) and all(_bits(first[key]) == _bits(second[key]) for key in first)
+    kept = cumulants._kept_plan.cache_info().currsize
+    three = _PointwiseFamily(random_cumulant_table(4, seed=100, scale=0.6), 3)
+    for _ in range(2):
+        multivariate_cumulants_from_joint_moments(three, 4)
+        assert built == [6] * 4
+        assert cumulants._kept_plan.cache_info().currsize == kept
+        built.clear()
 
 
 @pytest.mark.parametrize("coeff_kind", ["none", "scalar", "matrix"])

@@ -54,18 +54,10 @@ def _cmd_convert(args) -> int:
     table = spec.to_table()
     if args.to_cumulants:
         moments = MomentTable(order=table.order, data=dict(table.data))
-        out = (
-            moments_to_free_cumulants(moments, order)
-            if args.free
-            else moments_to_classical_cumulants(moments, order)
-        )
+        out = (moments_to_free_cumulants if args.free else moments_to_classical_cumulants)(moments, order)
         kind = "cumulants"
     else:
-        out = (
-            free_cumulants_to_moments(table, order)
-            if args.free
-            else classical_cumulants_to_moments(table, order)
-        )
+        out = (free_cumulants_to_moments if args.free else classical_cumulants_to_moments)(table, order)
         kind = "moments"
     payload = {
         "calculus": "free" if args.free else "classical",
@@ -103,16 +95,8 @@ def _cmd_check_rep(args) -> int:
         tag = FamilyTag.parse(args.family)
         chk = check_family(rep, tag)
         if args.json:
-            sys.stdout.write(
-                serialize.dumps(
-                    {
-                        "family": tag.label(),
-                        "holds": chk.holds,
-                        "residual": chk.residual,
-                        "details": chk.details,
-                    }
-                )
-            )
+            payload = {"family": tag.label(), "holds": chk.holds, "residual": chk.residual, "details": chk.details}
+            sys.stdout.write(serialize.dumps(payload))
         else:
             state = "holds" if chk.holds else "fails"
             print(f"{tag.label()} {state} (residual {chk.residual:.3g})")
@@ -148,23 +132,11 @@ def _cmd_check_invariance(args) -> int:
     )
     if args.json:
         first = verdict.first_violation
-        sys.stdout.write(
-            serialize.dumps(
-                {
-                    "invariant": verdict.invariant,
-                    "worst_residual": verdict.worst_residual,
-                    "first_violation": None
-                    if first is None
-                    else {
-                        "order": first[0],
-                        "pattern": first[1],
-                        "word": list(first[2]),
-                        "residual": first[3],
-                    },
-                    "orders_checked": verdict.orders_checked,
-                }
-            )
-        )
+        if first is not None:
+            first = {"order": first[0], "pattern": first[1], "word": list(first[2]), "residual": first[3]}
+        payload = {"invariant": verdict.invariant, "worst_residual": verdict.worst_residual,
+                   "first_violation": first, "orders_checked": verdict.orders_checked}
+        sys.stdout.write(serialize.dumps(payload))
     elif verdict.invariant:
         print(
             f"invariant up to order {verdict.orders_checked} "

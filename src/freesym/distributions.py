@@ -12,6 +12,9 @@ table.  Computed cumulants become a spec in one place,
 spec_from_cumulant_table, which sets parts of magnitude at most SNAP_TOL to
 0 (classification from moments, fixtures.haar_unitary_spec); a table written
 by convert --to-cumulants and read back is a declared spec, judged exactly.
+Classification reads a shift from either order-1 entry, kappa(1) or kappa(*),
+so a declared pair that disagrees gets one answer on either side of x <-> x*.
+sample_spec draws a witness for every class of both calculi.
 """
 
 from __future__ import annotations
@@ -28,18 +31,20 @@ from .cumulants import (
     moments_to_free_cumulants,
     pattern_sort_key,
 )
-from .easy import (  # the tag types and implies are also this module's API
+from .easy import (  # the tag types, implies and minimal_tags are also this module's API
+    M_MAX,
     M_MAX_DEFAULT,
     TABLE,
     ClassicalClassTag,
     ClassTag,
-    FamilyTag,
     FreeClassTag,
-    class_tags,
+    family_order,
     governing_family,
     implies,
+    minimal_tags,
 )
-from .errors import IncompleteTableError, InputMismatchError, OrderBoundError, SchemaError, UnsupportedAlgebraError
+from .errors import (IncompleteTableError, InputMismatchError, OrderBoundError, SchemaError, SizeLimitError,
+                     UnsupportedAlgebraError)
 from .partitions import ONE, STAR, StarPattern, conjugate_letters
 
 SNAP_TOL = 1e-12
@@ -159,29 +164,27 @@ def _classify(spec: CumulantSpecSingle, K: int, free: bool, m_scan: int):
         raise OrderBoundError(f"classification needs an order of at least 1, got {K}")
     if K > spec.order:
         raise IncompleteTableError(f"spec declares order {spec.order}, classification needs {K}")
+    if m_scan > M_MAX:
+        raise SizeLimitError(f"the modulus scan takes m_scan <= {M_MAX}, got {m_scan}")
     table = spec.to_table()
     patterns = [d for d in _nonzero_patterns(table) if len(d) <= K]
-    shifted = table.data.get(ONE, 0) != 0
-    families = {t: governing_family(t) for t in class_tags(m_scan, classical=not free)}
+    shifted = any(len(d) == 1 for d in patterns)  # either order-1 entry carries the shift
+    order = family_order(m_scan, not free)
+    # the families that admit every pattern past order 1: a shifted class's
+    # family admits both order-1 patterns and an unshifted class's neither
+    held = [all(f.admits(d) for d in patterns if len(d) > 1) for f in order.tags]
     tags = {
         t
-        for t, family in families.items()
-        if (shifted or not t.shifted)
-        and (spec.selfadjoint or not t.selfadjoint)
-        and all(family.admits(d) for d in patterns)
+        for t, i in order.classes.items()
+        if held[i] and t.shifted == shifted and (spec.selfadjoint or not t.selfadjoint)
     }
-    noncanonical = []
-    if shifted:
-        higher = [d for d in patterns if len(d) > 1]
-
-        def admitted(kind: str) -> bool:
-            return all(FamilyTag(kind).admits(d) for d in higher)
-
-        # shifted laws that no class names (easy.Row.inside), from the larger group down
-        for kind, row in reversed(TABLE.items()):
-            names = row.classes(not free)
-            if row.inside and names and admitted(kind) and not admitted(row.inside):
-                noncanonical.append("SHIFTED_" + names[0])
+    # shifted laws that no class names (easy.Row.inside), from the larger group down
+    kinds = {f.kind for f, h in zip(order.tags, held) if h and shifted}
+    noncanonical = [
+        "SHIFTED_" + row.classes(not free)[0]
+        for kind, row in reversed(TABLE.items())
+        if row.inside and row.classes(not free) and kind in kinds and row.inside not in kinds
+    ]
     return tags, noncanonical
 
 
@@ -191,13 +194,11 @@ def _scan_bound(K: int, m_scan: int | None) -> int:
 
 
 def classify_free(spec: CumulantSpecSingle, K: int, m_scan: int | None = None):
-    tags, _ = _classify(spec, K, True, _scan_bound(K, m_scan))
-    return tags
+    return _classify(spec, K, True, _scan_bound(K, m_scan))[0]
 
 
 def classify_classical(spec: CumulantSpecSingle, K: int, m_scan: int | None = None):
-    tags, _ = _classify(spec, K, False, _scan_bound(K, m_scan))
-    return tags
+    return _classify(spec, K, False, _scan_bound(K, m_scan))[0]
 
 
 def classify_report(spec: CumulantSpecSingle, K: int, free: bool, m_scan: int | None = None) -> dict:
@@ -211,23 +212,19 @@ def classify_report(spec: CumulantSpecSingle, K: int, free: bool, m_scan: int | 
     }
 
 
-def minimal_tags(tags) -> set:
-    tags = set(tags)
-    return {t for t in tags if not any(s != t and implies(s, t) for s in tags)}
-
-
-# class kind -> the spec's keyword arguments, given the weight draw w and the
-# modulus m; w is called in the order the arguments are written
+# (governing family, self-adjoint class) -> the spec's keyword arguments in either
+# calculus, given the weight draw w and the modulus m; w is called in the order
+# the arguments are written
 _SAMPLE_RECIPES = {
-    "SYMMETRIC": lambda w, m: dict(entries={"11": w(), "**": w(), "1111": w(), "****": w()}),
-    "ORTHOGONAL": lambda w, m: dict(entries=dict.fromkeys(("11", "1*", "*1", "**"), w())),
-    "SEMICIRCULAR": lambda w, m: dict(entries={"11": w()}, selfadjoint=True),
-    "SHIFTED_ORTHOGONAL": lambda w, m: dict(entries={"11": w()}, selfadjoint=True, shift=w()),
-    "M_UNITARY": lambda w, m: dict(entries={"1*": w(), "*1": w(), ONE * m: w(), STAR * m: w()}),
-    "FREE_UNITARY": lambda w, m: dict(entries={"1*": w(), "*1": w(), "11**": w()}),
-    "R_DIAGONAL": lambda w, m: dict(entries={"1*": w(), "*1": w(), "1*1*": -w(), "*1*1": -w()}),
-    "CIRCULAR": lambda w, m: dict(entries={"1*": w(), "*1": w()}),
-    "SHIFTED_CIRCULAR": lambda w, m: dict(entries={"1*": w(), "*1": w()}, shift=w()),
+    ("H_S_PLUS", False): lambda w, m: dict(entries={"11": w(), "**": w(), "1111": w(), "****": w()}),
+    ("O_PLUS", False): lambda w, m: dict(entries=dict.fromkeys(("11", "1*", "*1", "**"), w())),
+    ("O_PLUS", True): lambda w, m: dict(entries={"11": w()}, selfadjoint=True),
+    ("B_S_PLUS", False): lambda w, m: dict(entries={"11": w()}, selfadjoint=True, shift=w()),
+    ("H_M_PLUS", False): lambda w, m: dict(entries={"1*": w(), "*1": w(), ONE * m: w(), STAR * m: w()}),
+    ("H_0_PLUS", False): lambda w, m: dict(entries={"1*": w(), "*1": w(), "11**": w()}),
+    ("H_PRIME_PLUS", False): lambda w, m: dict(entries={"1*": w(), "*1": w(), "1*1*": -w(), "*1*1": -w()}),
+    ("U_PLUS", False): lambda w, m: dict(entries={"1*": w(), "*1": w()}),
+    ("B_PLUS", False): lambda w, m: dict(entries={"1*": w(), "*1": w()}, shift=w()),
 }
 
 
@@ -237,11 +234,9 @@ def sample_spec(tag: ClassTag, seed: int = 0) -> CumulantSpecSingle:
     Seed 0 gives exact unit weights; other seeds jitter the magnitudes
     without disturbing which patterns are populated.
     """
-    recipe = _SAMPLE_RECIPES.get(tag.kind)
-    if recipe is None:
-        raise InputMismatchError(f"no sample recipe for {tag!r}")
     if seed < 0:
         raise InputMismatchError(f"seed must be nonnegative, got {seed}")
+    recipe = _SAMPLE_RECIPES[governing_family(tag).kind, tag.selfadjoint]
     rng = np.random.default_rng(seed)
 
     def w() -> float:

@@ -8,20 +8,22 @@ each family with the distribution classes whose cumulants it preserves
 2012).  A row of TABLE gives the one-block star patterns the family's
 category admits, the relations a matrix model is checked against (by their
 detail keys) and the classes it governs in each calculus.  The rest is
-derived, the order from one admits table per scan size (family_order(m_max):
-all_family_tags(m_max) against the patterns of length <= 4 and 1^m for each
-modulus, as int bitsets, built once and read by every consumer):
+derived from one cached record per scan size, family_order(m_max): one
+admits table (all_family_tags(m_max) against the patterns of length <= 4
+and 1^m for each modulus) gives per tag the int bitset of the tags below
+it, and each class (class_tags lists them) the position of its governing
+family.  Every reader of the order reads that record:
 
 - family_below(a, b): a admits every pattern b admits, one bit of the order;
 - family_meet(families): the largest family below all of them, the AND of
   their rows.  The intersection of two easy quantum groups has the category
   generated by both (Banica & Speicher 2009), so this is the closure of a
-  set of families a model satisfies;
-- implies(a, b): family_below(governing(b), governing(a)), except that only
-  a self-adjoint class implies a self-adjoint one (SEMICIRCULAR, GAUSSIAN)
-  and only a shifted class implies a shifted one (SHIFTED_*);
+  set of families a model satisfies (qgroups.lattice_position);
+- implies(a, b), minimal_tags: family_below(governing(b), governing(a)),
+  except that only a self-adjoint class implies a self-adjoint one
+  (SEMICIRCULAR, GAUSSIAN) and only a shifted class a shifted one (SHIFTED_*);
 - a class holds for a cumulant spec when its family admits every nonzero
-  cumulant pattern; a shifted class also needs a nonzero first cumulant,
+  cumulant pattern; a shifted class also needs a nonzero order-1 entry,
   a self-adjoint class a self-adjoint spec (distributions._classify).
 """
 
@@ -30,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from operator import and_
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import InputMismatchError
 from .partitions import ONE, STAR, StarPattern
@@ -205,12 +207,7 @@ def all_family_tags(m_max: int = M_MAX_DEFAULT, classical: bool = False) -> list
 
 def class_tags(m_max: int = M_MAX_DEFAULT, classical: bool = False) -> list[ClassTag]:
     """Every class of one calculus in table order, M_UNITARY for m = 3..m_max."""
-    return [
-        ClassTag(name, m, classical)
-        for kind, row in TABLE.items()
-        for name in row.classes(classical)
-        for m in _moduli(kind, m_max)
-    ]
+    return list(family_order(m_max, classical).classes)
 
 
 def governing_family(tag: ClassTag) -> FamilyTag:
@@ -222,32 +219,49 @@ def governing_family(tag: ClassTag) -> FamilyTag:
 _SHORT_PATTERNS = tuple(d for k in range(1, 5) for d in StarPattern.all_patterns(k))
 
 
+class FamilyOrder(NamedTuple):
+    tags: tuple[FamilyTag, ...]  # all_family_tags(m_max, classical)
+    index: dict[FamilyTag, int]  # each tag's position in tags
+    below: tuple[int, ...]  # per tag, the bitset of the positions of the tags below it
+    classes: dict[ClassTag, int]  # each class in table order -> its governing family's position
+
+
 @lru_cache(maxsize=16)
-def family_order(m_max: int, classical: bool = False):
-    """(all_family_tags(m_max, classical), each tag's position in it, and per
-    tag the bitset of the positions of the tags below it)."""
+def family_order(m_max: int, classical: bool = False) -> FamilyOrder:
     tags = tuple(all_family_tags(m_max, classical))
     patterns = _SHORT_PATTERNS + tuple(StarPattern(ONE * m) for m in range(3, m_max + 1))
     admitted = [sum(1 << p for p, d in enumerate(patterns) if t.admits(d)) for t in tags]
     below = tuple(sum(1 << i for i, a in enumerate(admitted) if b & ~a == 0) for b in admitted)
-    return tags, {t: i for i, t in enumerate(tags)}, below
+    classes = {ClassTag(c, t.m, classical): i for i, t in enumerate(tags) for c in TABLE[t.kind].classes(classical)}
+    return FamilyOrder(tags, {t: i for i, t in enumerate(tags)}, below, classes)
 
 
 def family_below(a: FamilyTag, b: FamilyTag) -> bool:
     """Whether family a sits inside family b: a admits every pattern b admits."""
     if a.classical != b.classical:
         return False
-    _, index, below = family_order(max(M_MAX_DEFAULT, a.m or 0, b.m or 0), a.classical)
-    return bool(below[index[b]] >> index[a] & 1)
+    order = family_order(max(M_MAX_DEFAULT, a.m or 0, b.m or 0), a.classical)
+    return bool(order.below[order.index[b]] >> order.index[a] & 1)
 
 
 def implies(a: ClassTag, b: ClassTag) -> bool:
     """Whether membership in class a forces membership in class b."""
-    if a.classical != b.classical:
+    return a == b or b not in minimal_tags((a, b))
+
+
+def minimal_tags(tags) -> set:
+    """The classes of a set, all of one calculus, that no other one implies."""
+    tags = set(tags)
+    if len({t.classical for t in tags}) > 1:
         raise InputMismatchError("cannot compare free and classical tags")
-    if (b.selfadjoint and not a.selfadjoint) or (b.shifted and not a.shifted):
-        return False
-    return family_below(governing_family(b), governing_family(a))
+    order = family_order(max([M_MAX_DEFAULT] + [t.m or 0 for t in tags]), any(t.classical for t in tags))
+    at, below = order.classes, order.below
+    # s implies t when t's family admits every pattern s's family admits, and
+    # t is self-adjoint or shifted only if s is
+    return tags - {
+        t for s in tags for t in tags
+        if s != t and below[at[s]] >> at[t] & 1 and s.selfadjoint >= t.selfadjoint and s.shifted >= t.shifted
+    }
 
 
 def family_meet(families, m_max: int = M_MAX_DEFAULT) -> FamilyTag | None:
@@ -256,7 +270,7 @@ def family_meet(families, m_max: int = M_MAX_DEFAULT) -> FamilyTag | None:
     families = list(families)
     if not families:
         return None
-    tags, index, below = family_order(max(m_max, *(f.m or 0 for f in families)), families[0].classical)
+    tags, index, below, _ = family_order(max(m_max, *(f.m or 0 for f in families)), families[0].classical)
     # a family of the other calculus is in no row, and nothing is below it
     common = reduce(and_, (below[index[f]] if f in index else 0 for f in families))
     scan = [i for i, t in enumerate(tags) if common >> i & 1 and (t.m or 0) <= m_max]

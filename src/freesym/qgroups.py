@@ -593,7 +593,7 @@ def lattice_position(rep: MatrixRep, m_max: int = M_MAX_DEFAULT) -> dict:
     if count > TUPLE_BUDGET:
         shown = count if count < 10**12 else f"about 10^{len(str(count)) - 1}"
         raise BudgetError(f"the modulus scan to m_max={m_max} needs {shown} index tuples at n={rep.n}, over the budget")
-    tags, _, below = family_order(m_max)
+    tags, _, below, _ = family_order(m_max)
     results = {tag: check_family(rep, tag) for tag in tags}
     held = sum(1 << i for i, t in enumerate(tags) if results[t].holds)
     satisfied = [t for i, t in enumerate(tags) if held >> i & 1]

@@ -491,7 +491,8 @@ def reference_classify(spec, K: int, free: bool, m_scan: int):
         tags.add(Tag("CIRCULAR" if free else "COMPLEX_GAUSSIAN"))
 
     noncanonical = []
-    if table.data.get("1", 0) != 0:
+    # either order-1 entry carries the shift: a declared pair may disagree
+    if table.data.get("1", 0) != 0 or table.data.get("*", 0) != 0:
         cpatterns = [d for d in patterns if len(d) > 1]
         ccond = _conditions(cpatterns, m_scan)
         if ccond["pairs"]:

@@ -66,6 +66,17 @@ def test_samples_classify_minimally(tag, seed):
     assert minimal_tags(tags) == {tag}
 
 
+@pytest.mark.parametrize("tag", class_tags(6, classical=True), ids=lambda t: t.label())
+@pytest.mark.parametrize("seed", [0, 7])
+def test_classical_samples_classify_minimally(tag, seed):
+    """Every classical class has a sample, drawn from its governing family's
+    recipe, and the classical calculus classifies it minimally at the tag."""
+    spec = sample_spec(tag, seed=seed)
+    tags = classify_classical(spec, K=spec.order, m_scan=max(6, tag.m or 3))
+    assert tag in tags
+    assert minimal_tags(tags) == {tag}
+
+
 def test_circular_tag_set_is_the_full_upper_cone():
     spec = sample_spec(F("CIRCULAR"))
     tags = classify_free(spec, K=6)

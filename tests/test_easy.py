@@ -12,6 +12,7 @@ from freesym.distributions import (
     CumulantSpecSingle,
     _classify,
     classify_report,
+    minimal_tags,
     sample_spec,
 )
 from freesym.easy import (
@@ -27,7 +28,7 @@ from freesym.easy import (
 from freesym.errors import InputMismatchError
 from freesym.fixtures import fixture_set, permutation_rep
 from freesym.invariance import _PROBE_CLASSES, theorem1_probe
-from freesym.partitions import StarPattern
+from freesym.partitions import StarPattern, conjugate_letters
 from freesym.qgroups import check_family
 from reference import reference_classify, reference_family_below, reference_implies, reference_report
 
@@ -105,6 +106,13 @@ def test_governing_families_follow_the_table():
         ClassTag("M_UNITARY")
 
 
+def test_a_class_is_shifted_exactly_when_its_family_admits_the_order_one_patterns():
+    """Classification reads a class's shift off its family's order-1 patterns."""
+    for tag in class_tags(12) + class_tags(12, classical=True):
+        family = governing_family(tag)
+        assert family.admits("1") == family.admits("*") == tag.shifted, tag
+
+
 def test_check_family_detail_keys():
     keys = {
         "S_PLUS": ["projections", "sums"],
@@ -172,6 +180,51 @@ def sparse_specs(draw):
 def test_classification_matches_the_reference_on_sparse_specs(spec, K, m_scan, free):
     assert _classify(spec, K, free, m_scan) == reference_classify(spec, K, free, m_scan)
     _same_as_reference(spec, K)
+
+
+def _conjugated(spec):
+    """The same law declared on the other side of x <-> x*: every declared
+    pattern replaced by its conjugate, the shift conjugated."""
+    entries = {conjugate_letters(letters): value for letters, value in spec.entries.items()}
+    return CumulantSpecSingle(spec.order, entries, spec.shift.conjugate(), spec.selfadjoint)
+
+
+def test_a_disagreeing_order_one_pair_is_classified_by_either_entry():
+    spec = CumulantSpecSingle(4, {"1": -1.0, "*": 5.0, "1*": 1.0, "*1": 1.0}, shift=1.0)
+    assert spec.to_table().data.get("1", 0) == 0
+    for free, minimal in ((True, ["SHIFTED_CIRCULAR"]), (False, ["SHIFTED_COMPLEX_GAUSSIAN"])):
+        report = classify_report(spec, 4, free)
+        assert report["minimal"] == minimal
+        assert classify_report(_conjugated(spec), 4, free) == report
+
+
+@settings(max_examples=300, deadline=None)
+@given(spec=sparse_specs(), first=st.dictionaries(st.sampled_from(["1", "*"]), _VALUES), K=st.integers(1, 6))
+def test_classification_does_not_depend_on_the_declared_side(spec, first, K):
+    if not spec.selfadjoint:  # an order-1 pair that the shift may leave disagreeing
+        spec = CumulantSpecSingle(spec.order, {**spec.entries, **first}, spec.shift)
+    for free in (True, False):
+        assert classify_report(_conjugated(spec), K, free) == classify_report(spec, K, free)
+
+
+_TAG_SETS = st.booleans().flatmap(lambda classical: st.sets(st.sampled_from(class_tags(12, classical))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(tags=_TAG_SETS)
+def test_minimal_tags_match_the_reference(tags):
+    want = {t for t in tags if not any(s != t and reference_implies(s, t) for s in tags)}
+    assert minimal_tags(tags) == want
+
+
+def test_minimal_tags_of_small_and_mixed_sets():
+    assert minimal_tags([]) == set()
+    for tag in class_tags(12) + class_tags(12, classical=True):
+        assert minimal_tags([tag]) == {tag}
+    with pytest.raises(InputMismatchError):
+        minimal_tags([ClassTag("CIRCULAR"), ClassTag("COMPLEX_GAUSSIAN", classical=True)])
+    with pytest.raises(InputMismatchError):
+        minimal_tags([ClassTag("ORTHOGONAL"), ClassTag("ORTHOGONAL", classical=True)])
 
 
 def test_probe_runs_each_family_check_once(monkeypatch):

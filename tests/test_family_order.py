@@ -8,10 +8,10 @@ import random
 
 import pytest
 
-from freesym import easy, qgroups
+from freesym import distributions, easy, qgroups
 from freesym.cli import main
 from freesym.distributions import CumulantSpecSingle, _classify, classify_report
-from freesym.easy import M_MAX, FamilyTag, all_family_tags, family_order
+from freesym.easy import M_MAX, FamilyTag, all_family_tags, family_order, governing_family
 from freesym.cumulants import TUPLE_BUDGET
 from freesym.errors import BudgetError, InputMismatchError, OrderBoundError, SizeLimitError
 from freesym.fixtures import fixture_set, nilpotent_pair_rep, permutation_rep, phase_diag_rep
@@ -57,9 +57,10 @@ def test_reductions_match_the_reference_on_arbitrary_satisfied_sets(monkeypatch)
 
 @pytest.mark.parametrize("classical", [False, True])
 def test_family_order_is_the_reference_order(classical):
-    tags, index, below = family_order(30, classical)
+    tags, index, below, classes = family_order(30, classical)
     assert list(tags) == all_family_tags(30, classical)
     assert all(index[t] == i for i, t in enumerate(tags))
+    assert all(tags[i] == governing_family(c) for c, i in classes.items())
     for a in tags:
         for b in tags:
             assert bool(below[index[b]] >> index[a] & 1) == reference_family_below(a, b), (a, b)
@@ -143,6 +144,22 @@ def test_classification_below_order_one_is_rejected(fx, capsys):
     assert json.loads(capsys.readouterr().out)["minimal"] == ["SYMMETRIC"]
     with pytest.raises(OrderBoundError):
         _classify(CumulantSpecSingle(order=4, entries={"11": 1.0}), 0, True, 3)
+
+
+def test_a_classification_past_m_max_is_refused_before_any_table(monkeypatch):
+    spec = CumulantSpecSingle(6, {"1*": 1.0, "*1": 1.0})
+    report = classify_report(spec, 6, True, M_MAX)
+    assert report["m_scan"] == M_MAX and f"M_UNITARY({M_MAX})" in report["tags"]
+    assert report["minimal"] == ["CIRCULAR"]
+
+    def refused(*args):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(CumulantSpecSingle, "to_table", refused)
+    monkeypatch.setattr(distributions, "family_order", refused)
+    for free in (True, False):
+        with pytest.raises(SizeLimitError, match=f"m_scan <= {M_MAX}, got {M_MAX + 1}"):
+            classify_report(spec, 6, free, M_MAX + 1)
 
 
 def test_noncanonical_shifted_names_follow_the_table_rows():

@@ -22,30 +22,32 @@ interior blocks V, whose last segment is empty, of kappa(w|V)[segment
 moments in its slots].  Then m(w) = sum_j beta(w_1..w_j) b_j m(w_j+1..w_k),
 the prefix cuts, with m of the empty word 1 and b_j the coefficient after
 letter j; for matrix tables this is Speicher's operator-valued relation (Mem.
-AMS 132, 1998, no. 627).  An order k takes 2^(k-2) - 1 interior blocks and
-k - 1 cuts instead of 2^(k-1) - 1 blocks, and a cut is one outer product
-over every (prefix, suffix) pair.  The inversions solve the same relation:
-kappa(w) is m(w) less the cuts and the interior blocks, summed as the
-forward direction sums them, and beta(w) is kappa(w) plus the blocks.
+AMS 132, 1998, no. 627).  A prefix cut is the first block {1..j} read
+through beta instead of kappa, so an order k sums one list of rows
+(_plan_rows): 2^(k-2) - 1 interior blocks through kappa and k - 1 prefix
+blocks through beta, instead of 2^(k-1) - 1 blocks.  The inversions solve
+the same relation, summed as the forward direction sums it.
 
 Every word up to the conversion order has a place in one flat array
 (_order_start), and for each order an integer plan (_order_plan) lists, for
-every block V of the recursion (_plan_rows) and every word at once, where
-kappa(w|V) and the piece moments sit.  Scalar tables in both calculi, and
-the multivariate inverter on words of (index, letter) pairs, evaluate a
-whole order as numpy gathers, products and one sum over V (_block_sum),
-then the cuts (_prefix_cuts), in _gathered_recursion; absent entries are
-exact zeros.  The inverter places all (word, pattern) pairs of an order at
-once, from their digit arrays (_digits).  The plans of small alphabets are
-kept between calls (_plan).  Matrix cores are held row-first inside their
-recursion (_spliced_recursion): a core's value pair and slots read (X, r_1,
-c_1, ..., Y) along the word (_row_first), converted at its edges.  In that
-layout an interior block's term is kappa's row with each segment's moment
-row inserted contiguously in its gap (_splice_cores, its geometry worked out
-once per shape by _splice_recipe), and a cut is a plain outer product of two
-rows.  Every operand is gathered through the same plan from per-order
-stacks, a chunk of at most _SPLICE_CELLS cells of cores, or a single word,
-at a time.
+every row of the recursion and every word at once, where its first operand,
+kappa(w|V) or beta(w|V), and the piece moments sit.  Scalar tables in both
+calculi, and the multivariate inverter on words of (index, letter) pairs,
+evaluate a whole order in _gathered_recursion as one numpy gather of the
+first operands from kappa and beta side by side, in-place products and two
+sums, over the kappa rows and over the beta rows; absent entries are exact
+zeros.  The inverter places all (word, pattern) pairs of an order at once,
+from their digit arrays (_digits).  The plans of alphabets of at most 4
+letters (the star letters, and n <= 2 free copies) are kept between calls
+(_plan).  Matrix cores are held row-first inside their recursion
+(_spliced_recursion): a core's value pair and slots read (X, r_1, c_1, ...,
+Y) along the word (_row_first), converted at its edges.  In that layout a
+row's term is its first operand's row with each segment's moment row
+inserted contiguously in its gap, a prefix block's trailing segment after
+the operand's Y, which makes it an outer product (_splice_cores, its
+geometry worked out once per shape by _splice_recipe).  Every operand is
+gathered through the same plan from per-order stacks, a chunk of at most
+_SPLICE_CELLS cells of cores, or a single word, at a time.
 
 Joint moments of n free copies run the free recursion too, on whole index
 tensors (joint_moment_tensor); a matrix table's joint word is an entry of
@@ -299,27 +301,27 @@ def _pattern_words(K: int) -> tuple[str, ...]:
 
 
 def _plan_rows(k: int, free: bool) -> tuple:
-    """The first blocks an order-k recursion sums over, in _first_blocks order.
+    """The first blocks, with their pieces, that an order-k recursion sums over.
 
-    Classically every block but the whole word.  Freely only the interior
-    ones, whose last piece is empty (they hold the last letter too): with
-    kappa(w) they sum to the Boolean cumulant beta(w), and the prefix cuts
-    (_prefix_cuts) stand for every block that leaves a trailing piece.
+    Classically every block but the whole word, read through kappa.  Freely
+    the interior blocks, whose last piece is empty, read through kappa (with
+    kappa(w) they sum to beta(w)), then the prefix blocks {0..j-1}, j =
+    1..k-1, read through beta: their one piece is the rest of the word.
     """
-    return tuple(row for row in _first_blocks(k, free)[:-1] if not free or not row[1][-1])
+    rows = _first_blocks(k, free)[:-1]
+    # row 2^(j-1) - 1 of _first_blocks is the block {0..j-1}
+    return (tuple(row for row in rows if not free or not row[1][-1])
+            + tuple(rows[2 ** (j - 1) - 1] for j in range(1, k) if free))
 
 
-def _order_plan(k: int, a: int, free: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Flat indices of kappa(w|V) and of w's nonempty pieces, for every word w of order k, and of its cuts.
+def _order_plan(k: int, a: int, free: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices of every row's first operand and of its nonempty pieces, for every word w of order k.
 
     Row r is the block _plan_rows(k, free)[r], column c the word whose
-    digit tuple has code c.  kappa_at[r, c] and moment_at[r, j, c] are flat
-    indices (_order_start); rows with fewer nonempty pieces than the widest
-    are padded with 0, the empty word.  cut_at[0, j - 1, c] and
-    cut_at[1, j - 1, c] are those of w's prefix of j letters and of the
-    rest, for the free cuts j = 1..k-1 (none classically): row j - 1 over
-    every c is the outer product of the prefixes and suffixes, in code
-    order.
+    digit tuple has code c.  first_at[r, c] is 2i for kappa(w|V) or 2i + 1
+    for beta(w|V), i its flat index (_order_start); moment_at[r, j, c] are
+    those of the pieces.  Rows with fewer nonempty pieces than the widest
+    are padded with 0, the empty word.
     """
     rows = _plan_rows(k, free)
     filled = [[piece for piece in pieces if piece] for _, pieces in rows]
@@ -328,86 +330,32 @@ def _order_plan(k: int, a: int, free: bool) -> tuple[np.ndarray, np.ndarray, np.
     def at(positions) -> np.ndarray:
         return shifted[:, list(positions)] @ a ** np.arange(len(positions) - 1, -1, -1)
 
-    kappa_at = np.zeros((len(rows), a ** k), _plan_dtype(k, a))
-    moment_at = np.zeros((len(rows), max(map(len, filled), default=0), a ** k), kappa_at.dtype)
-    for r, ((block, _), pieces) in enumerate(zip(rows, filled)):
-        kappa_at[r] = at(block)
-        for j, piece in enumerate(pieces):
+    first_at = np.zeros((len(rows), a ** k), _plan_dtype(k, a))
+    moment_at = np.zeros((len(rows), max(map(len, filled), default=0), a ** k), first_at.dtype)
+    for r, ((block, pieces), nonempty) in enumerate(zip(rows, filled)):
+        first_at[r] = 2 * at(block) + (free and bool(pieces[-1]))
+        for j, piece in enumerate(nonempty):
             moment_at[r, j] = at(piece)
-    cuts = range(1, k) if free else ()
-    cut_at = np.array([[at(range(j)) for j in cuts], [at(range(j, k)) for j in cuts]],
-                      kappa_at.dtype).reshape(2, len(cuts), a ** k)
-    for plan in (kappa_at, moment_at, cut_at):
+    for plan in (first_at, moment_at):
         plan.flags.writeable = False
-    return kappa_at, moment_at, cut_at
+    return first_at, moment_at
 
 
 def _plan_dtype(k: int, a: int) -> type:
-    """int16 while every flat index up to order k fits it, else int32."""
-    return np.int16 if _order_start(k + 1, a) <= np.iinfo(np.int16).max else np.int32
-
-
-# bytes the order plans of one alphabet may keep between calls (1 MB)
-_PLAN_BYTES = 2 ** 20
+    """int16 while every first-operand index up to order k fits it, else int32."""
+    return np.int16 if 2 * _order_start(k + 1, a) <= np.iinfo(np.int16).max else np.int32
 
 
 @lru_cache(maxsize=None)
-def _keeps_plans(a: int) -> bool:
-    """Whether every plan over a letters, up to the alphabet's order bound, fits _PLAN_BYTES together.
-
-    The star letters {1, *} (a = 2) take both calculi up to
-    MAX_SCALAR_ORDER: 0.34 MB.  The multivariate inverter's a = 2n letters
-    take free plans up to MAX_MULTI_ORDER: 0.49 MB at n = 2, 10.3 MB at
-    n = 3, so n <= 2 keeps its plans and n = 3 rebuilds them on each call.
-    A plan's bytes follow from its rows, width and cuts, without building it.
-    """
-    top, calculi = (MAX_SCALAR_ORDER, (True, False)) if a == 2 else (MAX_MULTI_ORDER, (True,))
-    total = 0
-    for k in range(1, top + 1):
-        for free in calculi:
-            rows = _plan_rows(k, free)
-            width = max((sum(map(bool, pieces)) for _, pieces in rows), default=0)
-            cuts = 2 * (k - 1) if free else 0
-            total += (len(rows) * (1 + width) + cuts) * a ** k * np.dtype(_plan_dtype(k, a)).itemsize
-    return total <= _PLAN_BYTES
-
-
-@lru_cache(maxsize=None)
-def _kept_plan(k: int, a: int, free: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _kept_plan(k: int, a: int, free: bool) -> tuple[np.ndarray, np.ndarray]:
     return _order_plan(k, a, free)
 
 
-def _plan(k: int, a: int, free: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """_order_plan, kept between calls for the alphabets that _keeps_plans."""
-    return (_kept_plan if _keeps_plans(a) else _order_plan)(k, a, free)
-
-
-def _block_sum(kappa: np.ndarray, moment: np.ndarray, plan: tuple, mul=np.multiply) -> np.ndarray:
-    """sum over the plan's blocks V of kappa(w|V) times w's piece moments, for every word w of its order.
-
-    kappa and moment hold values at flat indices (_order_start).  Every
-    term is gathered through the plan (_order_plan) at once and multiplied
-    in place by mul (np.matmul for p x p matrices); at k=8 two slabs of at
-    most 0.5 MB live at a time.
-    """
-    kappa_at, moment_at, _ = plan
-    term = kappa[kappa_at]
-    for j in range(moment_at.shape[1]):
-        mul(term, moment[moment_at[:, j]], out=term)
-    return term.sum(axis=0)
-
-
-def _prefix_cuts(boolean: np.ndarray, moment: np.ndarray, plan: tuple, mul=np.multiply) -> np.ndarray:
-    """sum over j < k of beta(w_1..w_j) m(w_j+1..w_k), for every word w of the free plan's order k.
-
-    Cut j is the outer product of beta_j and m_(k-j) over all (prefix,
-    suffix) pairs; the plan's cut_at lays every cut out in code order, so
-    the cuts are two gathers, one product and a sum over j.
-    """
-    prefix_at, suffix_at = plan[2]
-    term = boolean[prefix_at]
-    mul(term, moment[suffix_at], out=term)
-    return term.sum(axis=0)
+def _plan(k: int, a: int, free: bool) -> tuple[np.ndarray, np.ndarray]:
+    """_order_plan, kept between calls for at most 4 letters: the star letters up
+    to MAX_SCALAR_ORDER (0.36 MB) and n = 2 free copies up to MAX_MULTI_ORDER
+    (0.57 MB); n = 3 would keep 11.7 MB."""
+    return (_kept_plan if a <= 4 else _order_plan)(k, a, free)
 
 
 def _gathered_recursion(known: np.ndarray, K: int, a: int, free: bool, to_moments: bool,
@@ -417,25 +365,32 @@ def _gathered_recursion(known: np.ndarray, K: int, a: int, free: bool, to_moment
     known holds the given side at the flat index of every word up to order K,
     absent entries as exact zeros (slot 0, the empty word, is ignored).
     Values are scalars, or p x p matrices multiplied by mul=np.matmul.
-    Classically m(w) = kappa(w) + _block_sum over every block.  Freely the
-    blocks are the interior ones, m(w) = kappa(w) + (_block_sum +
-    _prefix_cuts), and beta(w) = kappa(w) + _block_sum is kept for the
-    orders below K.  A term involves shorter words only, so inverting
-    solves kappa(w) = m(w) - (_block_sum + _prefix_cuts); both ways form
-    the terms alike, so a zero kappa(w) comes back exactly zero when the
-    shorter words do.  Returns the other side.
+    kappa and beta sit side by side, at 2i and 2i + 1 for flat index i, so
+    an order's rows (_order_plan) are one gather of their first operands,
+    multiplied in place by the piece moments, and two sums.  Classically
+    every row reads kappa: m(w) = kappa(w) + their sum.  Freely the kappa
+    rows sum to beta(w) - kappa(w), and beta(w) is kept for the orders below
+    K; the beta rows, the prefix cuts, sum to m(w) - beta(w).  A term
+    involves shorter words only, so inverting solves kappa(w) = m(w) - the
+    terms; both ways form the terms alike, so a zero kappa(w) comes back
+    exactly zero when the shorter words do.  Returns the other side.
     """
-    solved = np.zeros_like(known)
-    kappa, moment = (known, solved) if to_moments else (solved, known.copy())
+    pair = np.zeros((len(known), 2) + known.shape[1:], dtype=known.dtype)
+    kappa, boolean, moment = pair[:, 0], pair[:, 1], np.zeros_like(known)
+    (kappa if to_moments else moment)[...] = known
     moment[0] = np.eye(known.shape[-1]) if known.ndim > 1 else 1
-    boolean = np.zeros_like(known[:_order_start(K, a)])
+    firsts = pair.reshape((-1,) + known.shape[1:])
     for k in range(1, K + 1):
         start = _order_start(k, a)
         run = slice(start, start + a ** k)
-        plan = _plan(k, a, free)
-        terms = blocks = _block_sum(kappa, moment, plan, mul)
+        first_at, moment_at = _plan(k, a, free)
+        term = firsts[first_at]
+        for j in range(moment_at.shape[1]):
+            mul(term, moment[moment_at[:, j]], out=term)
+        interior = len(term) - (k - 1 if free else 0)
+        terms = blocks = term[:interior].sum(axis=0)
         if free:
-            terms = _prefix_cuts(boolean, moment, plan, mul)
+            terms = term[interior:].sum(axis=0)
             terms += blocks
         if to_moments:
             np.add(kappa[run], terms, out=moment[run])
@@ -443,7 +398,7 @@ def _gathered_recursion(known: np.ndarray, K: int, a: int, free: bool, to_moment
             np.subtract(moment[run], terms, out=kappa[run])
         if free and k < K:
             np.add(kappa[run], blocks, out=boolean[run])
-    return solved
+    return moment if to_moments else kappa
 
 
 def _row_first(cores: np.ndarray) -> np.ndarray:
@@ -464,16 +419,18 @@ def _slots_first(rows: np.ndarray, p: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _splice_recipe(p: int, orders: tuple) -> tuple:
-    """The splice geometry of _splice_cores, for dim p and the orders of an interior block's pieces (0 for empty).
+    """The splice geometry of _splice_cores, for dim p and the orders of a plan row's pieces (0 for empty).
 
-    Slot j of kappa takes b M b': in rows, b's column and b''s row are M's
-    X and Y, so kappa's (r, c) of slot j close around M's whole row, and
-    the term's row is kappa's with each piece's row inserted contiguously
-    in its gap (the last piece is empty: kappa's Y is the term's).
-    Returns kappa's shape with 1 at every gap, each nonempty piece's shape
-    with 1 off its gap, and the term's shape, the words' axis left out.
-    The orders determine the block, so the cache holds one entry per
-    interior block and dim: 26 per dim up to MAX_MATRIX_ORDER.
+    Slot j of the first operand takes b M b': in rows, b's column and b''s
+    row are M's X and Y, so the operand's (r, c) of slot j close around M's
+    whole row, and the term's row is the operand's with each piece's row
+    inserted contiguously in its gap.  A last piece follows the operand's
+    Y, its r of the last slot: for a prefix block the term is the outer
+    product of the two rows, beta_j (x) m_(k-j).  Returns the operand's
+    shape with 1 at every gap, each nonempty piece's shape with 1 off its
+    gap, and the term's shape, the words' axis left out.  The orders
+    determine the block, so the cache holds one entry per row and dim: 26
+    interior and 15 prefix rows per dim up to MAX_MATRIX_ORDER.
     """
     shape, gaps, run = [], [], p  # kappa's X
     for order in orders[:-1]:
@@ -484,15 +441,18 @@ def _splice_recipe(p: int, orders: tuple) -> tuple:
             run = 1
         run *= p  # the slot's c
     shape.append(run * p)  # kappa's Y
+    if orders[-1]:
+        gaps.append(len(shape))
+        shape.append(p ** (2 * orders[-1]))
     kappa = tuple(1 if t in gaps else s for t, s in enumerate(shape))
     pieces = tuple(tuple(s if t == g else 1 for t, s in enumerate(shape)) for g in gaps)
     return kappa, pieces, tuple(shape)
 
 
 def _splice_cores(kappa: np.ndarray, moments: list, recipe: tuple, out: np.ndarray) -> np.ndarray:
-    """Rows of kappa(w|V) with the nonempty pieces' moment rows M in its slots, for a stack of words.
+    """Rows of kappa(w|V), or beta(w|V), with the nonempty pieces' moment rows M in its slots, for a stack of words.
 
-    V is an interior block and recipe its _splice_recipe; axis 0 of kappa
+    V is a plan row's block and recipe its _splice_recipe; axis 0 of kappa
     and of each M runs over the words, each row in the _row_first layout.
     No axis is summed: the terms are one broadcast product, kappa first,
     then the M in slot order, written into the flat buffer out (at least
@@ -527,15 +487,16 @@ def _spliced_recursion(data: dict, K: int, to_moments: bool, p: int) -> tuple[li
     layout through the term buffer and meets the table there a word at a
     time; their operand rows are gathered from the table or the output as
     they are needed.  A chunk, at most _SPLICE_CELLS cells or one word,
-    sums its terms as _gathered_recursion does: each interior block's
-    splice (_splice_cores), then each prefix cut beta_j (x) m_(k-j), a
-    plain outer product of two rows; then adds the given kappa or
-    subtracts the sum from the given moments, and keeps kappa plus the
-    splices as beta.  The top order's last cut, beta_(K-1) (x) m_1, is
-    written into its output array while order K - 1 is solved, so
-    beta_(K-1) is kept only a chunk at a time.  Operands are gathered
-    through the plan; a term whose kappa or beta operand is all zero adds
-    nothing and is skipped.
+    sums its terms as _gathered_recursion does, over the one row list of
+    its order (_plan_rows): the 2^(k-2) - 1 interior blocks read through
+    kappa, whose sum plus kappa it keeps as beta, then the k - 1 prefix
+    blocks read through beta, each spliced by _splice_cores (a prefix
+    block's term is beta_j (x) m_(k-j), an outer product of two rows); then
+    it adds the given kappa or subtracts the sum from the given moments.
+    The top order's last prefix row, beta_(K-1) (x) m_1, is written into
+    its output array while order K - 1 is solved, so beta_(K-1) is kept
+    only a chunk at a time.  Operands are gathered through the plan; a term
+    whose kappa or beta operand is all zero adds nothing and is skipped.
     """
     words = [None] + [_pattern_words(k)[-2 ** k:] for k in range(1, K + 1)]
     cells = [p ** (2 * k) for k in range(K + 1)]
@@ -564,37 +525,33 @@ def _spliced_recursion(data: dict, K: int, to_moments: bool, p: int) -> tuple[li
         codes = at - (2 ** order - 1)
         return side[order][codes] if stacked[order] else _row_first(gather(side[order], order, codes))
 
-    def splices(k: int, lo: int, hi: int):
-        kappa_at, moment_at, _ = _plan(k, 2, True)
-        for (block, pieces), kv, at in zip(_plan_rows(k, True), kappa_at[:, lo:hi],
-                                           moment_at[:, :, lo:hi]):
-            kap = operand(kappa, len(block), kv)
-            if kap.any():
-                orders = tuple(map(len, pieces))
-                yield _splice_cores(kap, [operand(moment, o, i) for o, i in zip(filter(None, orders), at)],
-                                    _splice_recipe(p, orders), buf)
-
-    def cuts(k: int, lo: int, hi: int):
-        codes = np.arange(lo, hi)
-        for j in range(1, min(k, K - 1)):  # the top order holds its last cut already
-            head = boolean[j][codes >> (k - j)]
+    def terms(k: int, lo: int, hi: int, through_beta: bool):
+        """The chunk's terms of its kappa rows, or of its beta rows, in plan order."""
+        first_at, moment_at = _plan(k, 2, True)
+        rows = slice(len(first_at) - (k - 1), None) if through_beta else slice(len(first_at) - (k - 1))
+        for (block, pieces), first, at in zip(_plan_rows(k, True)[rows], first_at[rows, lo:hi],
+                                              moment_at[rows, :, lo:hi]):
+            j = len(block)
+            if through_beta and j == K - 1:  # the top order's last prefix row is held already
+                continue
+            head = boolean[j][(first >> 1) - (2 ** j - 1)] if through_beta else operand(kappa, j, first >> 1)
             if head.any():
-                tail = operand(moment, k - j, (codes & (2 ** (k - j) - 1)) + 2 ** (k - j) - 1)
-                val = buf[:(hi - lo) * cells[k]].reshape(hi - lo, cells[j], cells[k - j])
-                yield np.multiply(head[:, :, None], tail[:, None, :], out=val).reshape(hi - lo, -1)
+                orders = tuple(map(len, pieces))
+                yield _splice_cores(head, [operand(moment, o, i) for o, i in zip(filter(None, orders), at)],
+                                    _splice_recipe(p, orders), buf)
 
     merge = np.add if to_moments else np.subtract  # the given side with the sum of the terms
     for k in range(1, K + 1):
         for lo in range(0, 2 ** k, steps[k]):
             hi = min(lo + steps[k], 2 ** k)
-            # zero, or the top order's last cut; row-first in the output where unstacked
+            # zero, or the top order's last prefix row; row-first in the output where unstacked
             acc = solved[k][lo:hi] if stacked[k] else out[k].reshape(2 ** k, -1)[lo:hi]
-            for term in splices(k, lo, hi):
+            for term in terms(k, lo, hi, False):
                 acc += term
             if k < K:
                 blocks = boolean[k][lo:hi] if k < K - 1 else last[:acc.size].reshape(acc.shape)
                 blocks[...] = acc
-            for term in cuts(k, lo, hi):
+            for term in terms(k, lo, hi, True):
                 acc += term
             if stacked[k]:
                 merge(given[k][lo:hi], acc, out=acc)
@@ -609,7 +566,7 @@ def _spliced_recursion(data: dict, K: int, to_moments: bool, p: int) -> tuple[li
                 if k < K:
                     kappa_rows = _row_first(gather(listed[k], k, range(lo, hi)) if to_moments else acc)
             _require_finite(acc)
-            if k < K:  # beta = kappa + the blocks
+            if k < K:  # beta = kappa + the kappa rows
                 np.add(kappa_rows, blocks, out=blocks)
                 if k == K - 1 and blocks.any():
                     np.multiply(blocks[:, None, :, None], operand(moment, 1, np.arange(1, 3))[None, :, None, :],
@@ -871,6 +828,14 @@ def _scaled_family_tensor(table, n: int, letters: str) -> tuple[np.ndarray, floa
     return tensor, scale
 
 
+def _require_tensor_call(k: int, coeffs) -> None:
+    """Refuse an order tensor of no letters, or coefficients other than the k + 1 interleaved ones."""
+    if k == 0:
+        raise InputMismatchError("joint moment tensors need k >= 1")
+    if coeffs is not None and len(coeffs) != k + 1:
+        raise InputMismatchError(f"need {k + 1} interleaved coefficients")
+
+
 def _family_tensor(table, n: int, letters: str, coeffs) -> np.ndarray:
     """_free_family_tensor with the interleaved coefficients b_0..b_k, identity when None.
 
@@ -880,11 +845,8 @@ def _family_tensor(table, n: int, letters: str, coeffs) -> np.ndarray:
     k = len(letters)
     if n ** k > TUPLE_BUDGET:
         raise BudgetError(f"{n}^{k} index words exceed the tuple budget")
-    if k == 0:
-        raise InputMismatchError("joint moment tensors need k >= 1")
     table.require_order(k)
-    if coeffs is not None and len(coeffs) != k + 1:
-        raise InputMismatchError(f"need {k + 1} interleaved coefficients")
+    _require_tensor_call(k, coeffs)
     p = table.dim
     if p == 1:
         tensor = _free_family_tensor(table, n, letters, None)
@@ -994,7 +956,7 @@ def multivariate_cumulants_from_joint_moments(oracle, K: int) -> MultiCumulantTa
     order the oracle is asked and the result keeps: orders ascending, index
     words in itertools.product order, then patterns in all_patterns order.
     The order plans of n <= 2 are kept between calls (_plan); those of
-    n = 3 take 10.3 MB and are built on each call.
+    n = 3 would take 11.7 MB and are built on each call.
     """
     n = int(oracle.n)
     dim = int(getattr(oracle, "dim", 1))

@@ -236,11 +236,18 @@ def family_order(m_max: int, classical: bool = False) -> FamilyOrder:
     return FamilyOrder(tags, {t: i for i, t in enumerate(tags)}, below, classes)
 
 
+def _shared_order(tags, classical: bool) -> FamilyOrder:
+    """The family order comparing these tags, at the next power of two of their largest modulus,
+    at least M_MAX_DEFAULT and at most M_MAX (or that modulus): pair loops share a few records."""
+    top = max([t.m or 0 for t in tags], default=0)
+    return family_order(min(max(M_MAX_DEFAULT, 1 << (top - 1).bit_length()), max(M_MAX, top)), classical)
+
+
 def family_below(a: FamilyTag, b: FamilyTag) -> bool:
     """Whether family a sits inside family b: a admits every pattern b admits."""
     if a.classical != b.classical:
         return False
-    order = family_order(max(M_MAX_DEFAULT, a.m or 0, b.m or 0), a.classical)
+    order = _shared_order((a, b), a.classical)
     return bool(order.below[order.index[b]] >> order.index[a] & 1)
 
 
@@ -254,7 +261,7 @@ def minimal_tags(tags) -> set:
     tags = set(tags)
     if len({t.classical for t in tags}) > 1:
         raise InputMismatchError("cannot compare free and classical tags")
-    order = family_order(max([M_MAX_DEFAULT] + [t.m or 0 for t in tags]), any(t.classical for t in tags))
+    order = _shared_order(tags, any(t.classical for t in tags))
     at, below = order.classes, order.below
     # s implies t when t's family admits every pattern s's family admits, and
     # t is self-adjoint or shifted only if s is

@@ -35,7 +35,7 @@ from itertools import product
 import numpy as np
 
 from .cumulants import (EITHER, MAX_SCALAR_ORDER, CumulantTable, _family_tensor, _ordered_coeff_product,
-                        _scaled_family_tensor, _tensor_scale, _times_coeff_product)
+                        _require_tensor_call, _scaled_family_tensor, _tensor_scale, _times_coeff_product)
 from .distributions import CumulantSpecSingle, _nonzero_patterns, sample_spec
 from .easy import all_family_tags, class_tags, family_below, governing_family
 from .errors import InputMismatchError, OrderBoundError
@@ -107,6 +107,7 @@ class TableJoint:
         """Order-k moments laid out as FreeIIDJoint.order_tensor's."""
         if k > self.order:
             raise OrderBoundError(f"order {k} exceeds the tabulated order {self.order}")
+        _require_tensor_call(k, coeffs)
         out = np.zeros((2, self.n) * k, dtype=complex)
         for (word, letters), v in self.data.items():
             if len(word) == k:

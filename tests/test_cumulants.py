@@ -754,10 +754,12 @@ def test_sparse_matrix_table_keeps_absent_orders_exact_zeros():
 
 @pytest.mark.parametrize("p,K", [(2, 5), (3, 4)])
 def test_splice_recipe_matches_the_per_cell_splice(p, K):
-    """_splice_cores bit for bit against reference_splice, on every interior block up to order K.
+    """_splice_cores bit for bit against reference_splice, on every free plan row up to order K.
 
-    The splice takes and gives rows (_row_first); its result is moved back
-    to the cores' axis order before the comparison.
+    The rows are the interior blocks and the prefix blocks, whose nonempty
+    last piece makes the term an outer product.  The splice takes and gives
+    rows (_row_first); its result is moved back to the cores' axis order
+    before the comparison.
     """
     rng = np.random.default_rng(90 + p)
 
@@ -765,8 +767,10 @@ def test_splice_recipe_matches_the_per_cell_splice(p, K):
         shape = (words,) + core_shape(p, order)
         return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
-    for k in range(3, K + 1):
+    prefixes = 0
+    for k in range(2, K + 1):
         for block, pieces in cumulants._plan_rows(k, True):
+            prefixes += bool(pieces[-1])
             recipe = cumulants._splice_recipe(p, tuple(map(len, pieces)))
             for words in (1, 3):
                 kappa = cores(words, len(block))
@@ -776,6 +780,7 @@ def test_splice_recipe_matches_the_per_cell_splice(p, K):
                                                recipe, np.empty(words * p ** (2 * k), dtype=complex))
                 got = cumulants._slots_first(rows, p).reshape((words,) + core_shape(p, k))
                 assert np.array_equal(got, reference_splice(kappa, moments)), (k, block, words)
+    assert prefixes == sum(range(1, K))
 
 
 def _probe_partition_sum(table, K, probes):
@@ -880,8 +885,9 @@ def test_scalar_boolean_split_against_its_definition():
     """m(w) = sum_j beta(w_1..w_j) m(w_j+1..w_k), and the recursion's two steps, on every word up to K=6.
 
     beta is boolean_partition_sum, the sum over noncrossing partitions with
-    1 and k in one block.  Order by order, the interior step (_block_sum)
-    must give beta - kappa and the cuts (_prefix_cuts) m - beta.
+    1 and k in one block.  Order by order, through the plan (_plan), the
+    rows read through kappa (even first operands) must sum to beta - kappa
+    and those read through beta (odd ones, the last k - 1) to m - beta.
     """
     K = 6
     kappa = random_cumulant_table(K, seed=96, scale=0.6)
@@ -897,13 +903,16 @@ def test_scalar_boolean_split_against_its_definition():
         return np.array([1 + 0j] + [complex(values.get(w, 0)) for w in words])
 
     flat_kappa, flat_m, flat_beta = flat(kappa.data), flat(m), flat(beta)
+    firsts = np.stack([flat_kappa, flat_beta], axis=1).ravel()
     for k in range(1, K + 1):
         run = slice(2 ** k - 1, 2 ** (k + 1) - 1)
-        plan = cumulants._plan(k, 2, True)
-        interior = cumulants._block_sum(flat_kappa, flat_m, plan)
-        assert np.max(np.abs(interior - (flat_beta[run] - flat_kappa[run]))) <= tol, k
-        cuts = cumulants._prefix_cuts(flat_beta, flat_m, plan)
-        assert np.max(np.abs(cuts - (flat_m[run] - flat_beta[run]))) <= tol, k
+        first_at, moment_at = cumulants._plan(k, 2, True)
+        interior = len(first_at) - (k - 1)
+        assert not np.any(first_at[:interior] % 2) and np.all(first_at[interior:] % 2), k
+        term = firsts[first_at] * np.prod(flat_m[moment_at], axis=1)
+        through_kappa, through_beta = term[:interior].sum(axis=0), term[interior:].sum(axis=0)
+        assert np.max(np.abs(through_kappa - (flat_beta[run] - flat_kappa[run]))) <= tol, k
+        assert np.max(np.abs(through_beta - (flat_m[run] - flat_beta[run]))) <= tol, k
 
 
 def test_matrix_boolean_split_against_its_definition():

@@ -21,6 +21,7 @@ from freesym.easy import (
     all_family_tags,
     class_tags,
     family_below,
+    family_order,
     governing_family,
     implies,
     relations,
@@ -55,6 +56,16 @@ def test_family_below_matches_the_hand_lattice():
     assert len(pairs) == 3600
     for a, b in pairs:
         assert family_below(a, b) == reference_family_below(a, b), (a, b)
+
+
+def test_pair_loops_share_a_few_family_orders():
+    """Every pair of all_family_tags(60) and of class_tags(60) reads at most four records, not one per modulus."""
+    tags, classes = all_family_tags(60), class_tags(60)
+    family_order.cache_clear()
+    assert all(family_below(a, b) == reference_family_below(a, b) for a in tags for b in tags)
+    assert family_order.cache_info().misses <= 4
+    assert all(implies(a, b) == reference_implies(a, b) for a in classes for b in classes)
+    assert family_order.cache_info().misses <= 4
 
 
 @pytest.mark.parametrize("classical", [False, True])

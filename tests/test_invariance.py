@@ -206,6 +206,19 @@ def test_tabulated_joint_is_scalar_and_stops_at_its_order():
         TableJoint(n=2, order=2, data={((1,), "1"): 1.0}).order_tensor(3)
 
 
+def test_tabulated_joint_refuses_the_calls_a_free_joint_refuses():
+    """order 0 and a coefficient count other than k + 1, with FreeIIDJoint's errors."""
+    table = TableJoint(n=2, order=2, data={((1, 1), "11"): 1.0})
+    free = FreeIIDJoint(spec_of("SEMICIRCULAR").to_table(), 2)
+    for joint in (table, free):
+        with pytest.raises(InputMismatchError, match="joint moment tensors need k >= 1"):
+            joint.order_tensor(0)
+        for coeffs in ([2.0], [1.0, 1.0], [1.0] * 5):
+            with pytest.raises(InputMismatchError, match="need 3 interleaved coefficients"):
+                joint.order_tensor(2, coeffs)
+    assert np.array_equal(table.order_tensor(2, [2.0, 1.0, 1.0]), 2 * table.order_tensor(2))
+
+
 def test_extractor_predicts_and_agrees():
     report = cumulant_identity_extractor(spec_of("SEMICIRCULAR"), unit_i_diag_rep(2))
     assert not report["predicted_invariant"]

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 
 # Each command imports the modules it needs, so that `enumerate` and
 # `--help` start without numpy.  Every error of freesym's (errors.py) is a
@@ -259,7 +260,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        return args.func(args)
+        with warnings.catch_warnings():  # an overflow is refused by the check after it, with one error line
+            warnings.simplefilter("ignore", RuntimeWarning)
+            return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -40,14 +40,14 @@ zeros.  The inverter places all (word, pattern) pairs of an order at once,
 from their digit arrays (_digits).  The plans of alphabets of at most 4
 letters (the star letters, and n <= 2 free copies) are kept between calls
 (_plan).  Matrix cores are held row-first inside their recursion
-(_spliced_recursion): a core's value pair and slots read (X, r_1, c_1, ...,
-Y) along the word (_row_first), converted at its edges.  In that layout a
-row's term is its first operand's row with each segment's moment row
-inserted contiguously in its gap, a prefix block's trailing segment after
-the operand's Y, which makes it an outer product (_splice_cores, its
-geometry worked out once per shape by _splice_recipe).  Every operand is
-gathered through the same plan from per-order stacks, a chunk of at most
-_SPLICE_CELLS cells of cores, or a single word, at a time.
+(_spliced_recursion), converted at its edges: an order-k core reads as its
+k letters along the word, each its (row, column) pair of p^2 cells
+(_row_first).  A row's term is then its first operand's letters with each
+nonempty segment's moment row as one run in its gap, an outer product for
+a prefix block (_splice_cores, the runs worked out once per shape by
+_splice_recipe).  Every order below the top is a row stack on both sides,
+read through the plan a chunk of at most _SPLICE_CELLS cells, or one word,
+at a time; the top order streams into its output.
 
 Joint moments of n free copies run the free recursion too, on whole index
 tensors (joint_moment_tensor); a matrix table's joint word is an entry of
@@ -93,7 +93,7 @@ from .partitions import ONE, STAR, StarPattern, first_blocks as _first_blocks
 MAX_DIM = 3
 MAX_SCALAR_ORDER = 8
 # Dense cores hold p^(2k) entries at order k: at dim 3 each order-6 table is
-# about 0.55 GB, and a dim-3, K=6 conversion peaks at about 1150 MiB RSS.
+# about 0.55 GB, and a dim-3, K=6 conversion peaks at about 1180 MiB RSS.
 MAX_MATRIX_ORDER = 6
 MAX_MULTI_ORDER = 6
 MAX_ALPHABET = 3
@@ -421,29 +421,25 @@ def _slots_first(rows: np.ndarray, p: int) -> np.ndarray:
 def _splice_recipe(p: int, orders: tuple) -> tuple:
     """The splice geometry of _splice_cores, for dim p and the orders of a plan row's pieces (0 for empty).
 
-    Slot j of the first operand takes b M b': in rows, b's column and b''s
-    row are M's X and Y, so the operand's (r, c) of slot j close around M's
-    whole row, and the term's row is the operand's with each piece's row
-    inserted contiguously in its gap.  A last piece follows the operand's
-    Y, its r of the last slot: for a prefix block the term is the outer
-    product of the two rows, beta_j (x) m_(k-j).  Returns the operand's
-    shape with 1 at every gap, each nonempty piece's shape with 1 off its
-    gap, and the term's shape, the words' axis left out.  The orders
-    determine the block, so the cache holds one entry per row and dim: 26
-    interior and 15 prefix rows per dim up to MAX_MATRIX_ORDER.
+    In a _row_first row letter t of the word is its (row, column) pair of
+    p^2 cells, (c_(t-1), r_t) for b_t = E(r_t, c_t), with c_0 = X and r_k =
+    Y.  The term's row is the operand's letters with each nonempty piece's
+    row as one run in the gap after its block letter, after Y for a prefix
+    block (the outer product beta_j (x) m_(k-j)), and adjacent block letters
+    merge into one run.  Returns the operand's shape with 1 at every gap,
+    each nonempty piece's shape with 1 off its gap, and the term's shape,
+    the words' axis left out.  The cache holds one entry per row and dim:
+    26 interior and 15 prefix rows per dim up to MAX_MATRIX_ORDER.
     """
-    shape, gaps, run = [], [], p  # kappa's X
-    for order in orders[:-1]:
-        run *= p  # the slot's r
+    shape, gaps, run = [], [], 1
+    for order in orders:
+        run *= p * p  # the block letter
         if order:
             gaps.append(len(shape) + 1)
             shape += [run, p ** (2 * order)]
             run = 1
-        run *= p  # the slot's c
-    shape.append(run * p)  # kappa's Y
-    if orders[-1]:
-        gaps.append(len(shape))
-        shape.append(p ** (2 * orders[-1]))
+    if not orders[-1]:
+        shape.append(run)
     kappa = tuple(1 if t in gaps else s for t, s in enumerate(shape))
     pieces = tuple(tuple(s if t == g else 1 for t, s in enumerate(shape)) for g in gaps)
     return kappa, pieces, tuple(shape)
@@ -478,52 +474,30 @@ def _spliced_recursion(data: dict, K: int, to_moments: bool, p: int) -> tuple[li
     data is the given side keyed by letters, absent entries exact zeros.
     Returns the other side as one (2^k,) + core array per order k (index 0
     unused), words in code order, and beta of the orders below K - 1 as
-    (2^k, p^2k) _row_first rows.  Inside, every operand is a row, and
-    layouts move at the edges.  An order below K whose chunks hold several
-    words is stacked as rows, on both sides, and the solved stacks are
-    moved into core arrays at the end.  The top order, and any order whose
-    cores go a word at a time, have no stack: a chunk of them sums its
-    terms row-first in place in its output array, moves into the core
-    layout through the term buffer and meets the table there a word at a
-    time; their operand rows are gathered from the table or the output as
-    they are needed.  A chunk, at most _SPLICE_CELLS cells or one word,
-    sums its terms as _gathered_recursion does, over the one row list of
-    its order (_plan_rows): the 2^(k-2) - 1 interior blocks read through
-    kappa, whose sum plus kappa it keeps as beta, then the k - 1 prefix
-    blocks read through beta, each spliced by _splice_cores (a prefix
-    block's term is beta_j (x) m_(k-j), an outer product of two rows); then
-    it adds the given kappa or subtracts the sum from the given moments.
-    The top order's last prefix row, beta_(K-1) (x) m_1, is written into
-    its output array while order K - 1 is solved, so beta_(K-1) is kept
-    only a chunk at a time.  Operands are gathered through the plan; a term
-    whose kappa or beta operand is all zero adds nothing and is skipped.
+    (2^k, p^2k) _row_first rows.  Every order below K is a row stack on
+    both sides, the given one copied once, and every operand is gathered
+    from the stacks through the plan; the top order is summed row-first in
+    its output array, then moved to the core layout and merged with the
+    table a word at a time.  A chunk, at most _SPLICE_CELLS cells or one
+    word, sums its order's rows (_plan_rows) as _gathered_recursion does,
+    each term spliced by _splice_cores and skipped where its first operand
+    is all zero.  The top order's last prefix row, beta_(K-1) (x) m_1, is
+    written while order K - 1 is solved, so beta_(K-1) is kept a chunk at a
+    time.
     """
     words = [None] + [_pattern_words(k)[-2 ** k:] for k in range(1, K + 1)]
     cells = [p ** (2 * k) for k in range(K + 1)]
     steps = [max(1, _SPLICE_CELLS // c) for c in cells]
-    stacked = [0 < k < K and steps[k] > 1 for k in range(K + 1)]
-
-    def gather(cores, order: int, codes) -> np.ndarray:
-        """The cores of one order at codes as one (words,) + core array, None an exact zero; one word is a view."""
-        values = [np.zeros(core_shape(p, order), dtype=complex) if cores[c] is None else cores[c] for c in codes]
-        return values[0][None] if len(values) == 1 else np.stack(values)
-
-    listed = [None] + [[data.get(w) for w in words[k]] for k in range(1, K + 1)]
-    out = [None] + [None if stacked[k] else np.zeros((2 ** k,) + core_shape(p, k), dtype=complex)
-                    for k in range(1, K + 1)]
-    given = [_row_first(gather(cores, k, range(2 ** k))) if stacked[k] else cores
-             for k, cores in enumerate(listed)]
-    solved = [np.zeros_like(given[k]) if stacked[k] else out[k] for k in range(K + 1)]
+    given = [None] + [_row_first(np.stack([data[w] if w in data else np.zeros(core_shape(p, k), dtype=complex)
+                                           for w in words[k]])) for k in range(1, K)]
+    top = np.zeros((2 ** K,) + core_shape(p, K), dtype=complex)
+    # the top order's rows are its output array, row-first until each chunk is moved
+    solved = [None] + [np.zeros_like(rows) for rows in given[1:]] + [top.reshape(2 ** K, -1)]
     boolean = [None] + [np.empty((2 ** k, cells[k]), dtype=complex) for k in range(1, K - 1)]
     kappa, moment = (given, solved) if to_moments else (solved, given)
     chunk = [min(steps[k], 2 ** k) * cells[k] for k in range(K + 1)]
     buf = np.empty(max(chunk[1:], default=0), dtype=complex)  # one term
     last = np.empty(chunk[K - 1] if K > 1 else 0, dtype=complex)  # beta_(K-1) of one chunk
-
-    def operand(side, order: int, at: np.ndarray) -> np.ndarray:
-        """Rows of one order of a side at the flat indices at."""
-        codes = at - (2 ** order - 1)
-        return side[order][codes] if stacked[order] else _row_first(gather(side[order], order, codes))
 
     def terms(k: int, lo: int, hi: int, through_beta: bool):
         """The chunk's terms of its kappa rows, or of its beta rows, in plan order."""
@@ -534,18 +508,17 @@ def _spliced_recursion(data: dict, K: int, to_moments: bool, p: int) -> tuple[li
             j = len(block)
             if through_beta and j == K - 1:  # the top order's last prefix row is held already
                 continue
-            head = boolean[j][(first >> 1) - (2 ** j - 1)] if through_beta else operand(kappa, j, first >> 1)
+            head = (boolean if through_beta else kappa)[j][(first >> 1) - (2 ** j - 1)]
             if head.any():
                 orders = tuple(map(len, pieces))
-                yield _splice_cores(head, [operand(moment, o, i) for o, i in zip(filter(None, orders), at)],
+                yield _splice_cores(head, [moment[o][i - (2 ** o - 1)] for o, i in zip(filter(None, orders), at)],
                                     _splice_recipe(p, orders), buf)
 
     merge = np.add if to_moments else np.subtract  # the given side with the sum of the terms
     for k in range(1, K + 1):
         for lo in range(0, 2 ** k, steps[k]):
             hi = min(lo + steps[k], 2 ** k)
-            # zero, or the top order's last prefix row; row-first in the output where unstacked
-            acc = solved[k][lo:hi] if stacked[k] else out[k].reshape(2 ** k, -1)[lo:hi]
+            acc = solved[k][lo:hi]  # zero, or the top order's last prefix row
             for term in terms(k, lo, hi, False):
                 acc += term
             if k < K:
@@ -553,30 +526,25 @@ def _spliced_recursion(data: dict, K: int, to_moments: bool, p: int) -> tuple[li
                 blocks[...] = acc
             for term in terms(k, lo, hi, True):
                 acc += term
-            if stacked[k]:
+            if k < K:
                 merge(given[k][lo:hi], acc, out=acc)
-                kappa_rows = given[k][lo:hi] if to_moments else acc
+                np.add(given[k][lo:hi] if to_moments else acc, blocks, out=blocks)  # beta = kappa + the kappa rows
+                if k == K - 1 and blocks.any():
+                    np.multiply(blocks[:, None, :, None], moment[1][None, :, None, :],
+                                out=solved[K][2 * lo:2 * hi].reshape(hi - lo, 2, cells[k], -1))
             else:  # moved into the core layout, then merged with the table a word at a time
                 rows = buf[:acc.size].reshape(acc.shape)
                 rows[...] = acc
-                acc = out[k][lo:hi]
+                acc = top[lo:hi]
                 acc.reshape(_slots_first(rows, p).shape)[...] = _slots_first(rows, p)
-                for core, value in zip(acc, listed[k][lo:hi]):
-                    merge(0j if value is None else value, core, out=core)
-                if k < K:
-                    kappa_rows = _row_first(gather(listed[k], k, range(lo, hi)) if to_moments else acc)
+                for core, w in zip(acc, words[K][lo:hi]):
+                    merge(data.get(w, 0j), core, out=core)
             _require_finite(acc)
-            if k < K:  # beta = kappa + the kappa rows
-                np.add(kappa_rows, blocks, out=blocks)
-                if k == K - 1 and blocks.any():
-                    np.multiply(blocks[:, None, :, None], operand(moment, 1, np.arange(1, 3))[None, :, None, :],
-                                out=out[K].reshape(2 ** K, -1)[2 * lo:2 * hi].reshape(hi - lo, 2, cells[k], -1))
     given.clear()  # before the solved stacks are moved, so that the two never add up
-    for k in range(1, K):
-        if stacked[k]:
-            out[k] = np.ascontiguousarray(_slots_first(solved[k], p)).reshape((2 ** k,) + core_shape(p, k))
-            solved[k] = None
-    return out, boolean
+    for k in range(1, K):  # each stack is dropped once its cores are moved
+        solved[k] = np.ascontiguousarray(_slots_first(solved[k], p)).reshape((2 ** k,) + core_shape(p, k))
+    solved[K] = top
+    return solved, boolean
 
 
 def _convert(table: _PatternTable, K: int, free: bool, to_moments: bool) -> _PatternTable:

@@ -70,6 +70,8 @@ class CumulantSpecSingle:
     dim: int = 1
 
     def __post_init__(self) -> None:
+        if self.dim < 1:
+            raise SchemaError(f"dim must be at least 1, got {self.dim}")
         clean = {}
         for pattern, value in self.entries.items():
             d = StarPattern.coerce(pattern)
@@ -164,8 +166,6 @@ def _classify(spec: CumulantSpecSingle, K: int, free: bool, m_scan: int):
         raise OrderBoundError(f"classification needs an order of at least 1, got {K}")
     if K > spec.order:
         raise IncompleteTableError(f"spec declares order {spec.order}, classification needs {K}")
-    if m_scan > M_MAX:
-        raise SizeLimitError(f"the modulus scan takes m_scan <= {M_MAX}, got {m_scan}")
     table = spec.to_table()
     patterns = [d for d in _nonzero_patterns(table) if len(d) <= K]
     shifted = any(len(d) == 1 for d in patterns)  # either order-1 entry carries the shift
@@ -189,8 +189,14 @@ def _classify(spec: CumulantSpecSingle, K: int, free: bool, m_scan: int):
 
 
 def _scan_bound(K: int, m_scan: int | None) -> int:
-    """The moduli a classification scans: m_scan, or 3..K capped at M_MAX_DEFAULT."""
-    return m_scan or min(max(3, K), M_MAX_DEFAULT)
+    """The moduli a classification scans: 3..m_scan, or 3..K capped at M_MAX_DEFAULT when m_scan is None."""
+    if m_scan is None:
+        return min(max(3, K), M_MAX_DEFAULT)
+    if m_scan < 3:
+        raise InputMismatchError(f"the modulus scan needs m_scan >= 3, got {m_scan}")
+    if m_scan > M_MAX:
+        raise SizeLimitError(f"the modulus scan takes m_scan <= {M_MAX}, got {m_scan}")
+    return m_scan
 
 
 def classify_free(spec: CumulantSpecSingle, K: int, m_scan: int | None = None):

@@ -34,7 +34,7 @@ from itertools import product
 
 import numpy as np
 
-from .cumulants import (EITHER, MAX_SCALAR_ORDER, CumulantTable, _family_tensor, _ordered_coeff_product,
+from .cumulants import (EITHER, MAX_SCALAR_ORDER, CumulantTable, _family_tensor, _finite, _ordered_coeff_product,
                         _require_tensor_call, _scaled_family_tensor, _tensor_scale, _times_coeff_product)
 from .distributions import CumulantSpecSingle, _nonzero_patterns, sample_spec
 from .easy import all_family_tags, class_tags, family_below, governing_family
@@ -101,6 +101,8 @@ class TableJoint:
                 raise InputMismatchError(f"entry {word}, {letters!r} needs one index in 1..{self.n} "
                                          f"per letter and 1..{self.order} letters")
             data[word, letters] = complex(v)
+            if not _finite(data[word, letters]):
+                raise InputMismatchError(f"entry {word}, {letters!r} is not finite")
         self.data = data
 
     def order_tensor(self, k: int, coeffs=None) -> np.ndarray:
@@ -298,6 +300,8 @@ def check_invariance(
         if held is not None and k not in held:  # an order of exact zeros, its tensor never built
             continue
         E, scale, factor = _order_moments(joint, k, matrix_coeffs, seed)
+        if not _finite(scale):  # inf or NaN moments: no residual could be judged against them
+            raise InputMismatchError(f"order {k} moments are not finite")
         if not scale:  # an order of exact zeros
             continue
         limit = tol * factor * scale

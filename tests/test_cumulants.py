@@ -847,12 +847,19 @@ def test_matrix_recursion_across_many_chunks(monkeypatch, cells):
                 assert np.array_equal(g.data[letters], w.data[letters]), letters
     assert relative_error(free_cumulants_to_moments(kappa, 5), partition_sum(kappa, 5, True)) < 1e-12
     lift = random_cumulant_table(3, dim=3, seed=76)
-    monkeypatch.setattr(cumulants, "_SPLICE_CELLS", 2 ** 15)
-    want = free_cumulants_to_moments(lift, 3)
-    monkeypatch.setattr(cumulants, "_SPLICE_CELLS", cells)
-    got = free_cumulants_to_moments(lift, 3)
-    for letters in want.data:
-        assert np.array_equal(got.data[letters], want.data[letters]), letters
+    # dim 3 at K=4: at one cell the orders below the top go a word per chunk too
+    dense = random_cumulant_table(4, dim=3, seed=79)
+
+    def converted(bound):
+        monkeypatch.setattr(cumulants, "_SPLICE_CELLS", bound)
+        return [free_cumulants_to_moments(lift, 3), free_cumulants_to_moments(dense, 4),
+                moments_to_free_cumulants(dense, 4)]
+
+    want = converted(2 ** 15)
+    for g, w in zip(converted(cells), want):
+        assert g.data.keys() == w.data.keys()
+        for letters in w.data:
+            assert np.array_equal(g.data[letters], w.data[letters]), letters
 
 
 def test_matrix_conversion_memory_bound():

@@ -153,6 +153,20 @@ def test_report_shape():
     assert report["m_scan"] == 4
 
 
+def test_a_modulus_scan_below_three_is_refused():
+    """m_scan 2, 1, 0 and -4 used to drop every M_UNITARY tag (0 fell back to the default); None keeps it."""
+    spec = sample_spec(F("M_UNITARY", 3))
+    for m in (2, 1, 0, -4):
+        with pytest.raises(InputMismatchError, match=f"the modulus scan needs m_scan >= 3, got {m}"):
+            classify_report(spec, 6, True, m)
+        with pytest.raises(InputMismatchError):
+            classify_free(spec, 6, m)
+        with pytest.raises(InputMismatchError):
+            classify_classical(spec, 6, m)
+    assert classify_report(spec, 6, True, None)["m_scan"] == 6
+    assert classify_report(spec, 6, True, 3)["minimal"] == ["M_UNITARY(3)"]
+
+
 def test_implication_relation():
     assert implies(F("M_UNITARY", 6), F("M_UNITARY", 3))
     assert not implies(F("M_UNITARY", 3), F("M_UNITARY", 6))

@@ -219,6 +219,36 @@ def test_tabulated_joint_refuses_the_calls_a_free_joint_refuses():
     assert np.array_equal(table.order_tensor(2, [2.0, 1.0, 1.0]), 2 * table.order_tensor(2))
 
 
+def test_tabulated_joint_refuses_non_finite_entries():
+    for value in (np.inf, -np.inf, np.nan, complex(0, np.inf)):
+        with pytest.raises(InputMismatchError, match=r"entry \(1, 2\), '1\*' is not finite"):
+            TableJoint(n=2, order=2, data={((1, 1), "11"): 1.0, ((1, 2), "1*"): value})
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_a_scan_refuses_an_order_whose_moments_overflow(monkeypatch, empty_law_memo):
+    """kappa_2 = 1e160 makes the order-4 moments inf, which made the limit inf
+    too: the law read invariant under a rotation that breaks it at unit
+    scale.  The order is refused before any of its chunks is acted on."""
+    rotation = rotation_rep(2)
+    unit = CumulantSpecSingle(order=4, entries={"11": 1.0, "1111": 1.0}, selfadjoint=True)
+    assert check_invariance(unit, rotation, 4).first_violation[:3] == (4, "1111", (1, 1, 1, 1))
+    huge = CumulantSpecSingle(order=4, entries={"11": 1e160, "1111": 1e300}, selfadjoint=True)
+    acted = []
+    monkeypatch.setattr(invariance, "_residual_norms", lambda X, mats: acted.append(len(mats)) or np.zeros(X.shape))
+    for matrix_coeffs in (False, True):
+        with pytest.raises(InputMismatchError, match="order 4 moments are not finite"):
+            check_invariance(huge, rotation, 4, matrix_coeffs=matrix_coeffs)
+        assert set(acted) == {2}, acted  # order 2 was scanned, order 4 not
+        acted.clear()
+    # a tabulated order of NaN, as a joint changed after its checks holds it
+    joint = TableJoint(n=2, order=2, data={((1, 1), "11"): 1.0})
+    joint.data[(1, 1), "11"] = complex(np.nan)
+    with pytest.raises(InputMismatchError, match="order 2 moments are not finite"):
+        check_invariance(joint, rotation, 2)
+    assert acted == []
+
+
 def test_extractor_predicts_and_agrees():
     report = cumulant_identity_extractor(spec_of("SEMICIRCULAR"), unit_i_diag_rep(2))
     assert not report["predicted_invariant"]

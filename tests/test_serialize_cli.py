@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -278,6 +279,36 @@ def test_convert_rejects_matrix_input(tmp_path, capsys):
     serialize.save_spec(spec, path)
     assert main(["convert", str(path), "--free", "--to-moments"]) == 2
     capsys.readouterr()
+
+
+def test_a_spec_of_dim_zero_exits_two_with_one_error_line(fx, tmp_path, capsys):
+    """It used to end in a TypeError traceback (exit 1) in every command that reads a spec."""
+    path = tmp_path / "dim0.json"
+    path.write_text('{"order": 2, "dim": 0, "entries": [{"pattern": "1", "value": []}]}')
+    with pytest.raises(SchemaError, match="dim must be at least 1, got 0"):
+        serialize.load_spec(path)
+    for args in (["classify-dist", str(path), "--free"], ["convert", str(path), "--free", "--to-moments"],
+                 ["check-invariance", "--dist", str(path), "--rep", str(fx / "rotation.json")]):
+        assert main(args) == 2, args
+        assert capsys.readouterr() == ("", "error: dim must be at least 1, got 0\n"), args
+
+
+def test_overflowing_moments_exit_two_with_one_error_line(fx, tmp_path, capsys):
+    """kappa_4 = 1e300 overflows the order-4 moments: the scan and the
+    conversion refuse them, and numpy's overflow warnings are not printed."""
+    path = tmp_path / "overflow.json"
+    serialize.save_spec(CumulantSpecSingle(order=4, entries={"11": 1e160, "1111": 1e300}, selfadjoint=True), path)
+    cases = [(["check-invariance", "--dist", str(path), "--rep", str(fx / "rotation.json")],
+              "error: order 4 moments are not finite\n"),
+             (["convert", str(path), "--free", "--to-moments"], "error: non-finite table value\n")]
+    for args, message in cases:
+        cumulants.release_law_memo()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(args) == 2, args
+        assert capsys.readouterr() == ("", message), args
+        assert caught == [], [str(w.message) for w in caught]
+    cumulants.release_law_memo()
 
 
 def _no_tensor(*args):

@@ -6,12 +6,13 @@ declared order; conditions quantifying over all orders are decided on the
 declared data only.
 
 A declared spec is exact: it keeps every entry and shift it is given, and
-only exact zeros are absent.  CumulantSpecSingle.to_table is the one place a
-spec becomes cumulants; every reader, classification included, reads that
-table.  Computed cumulants become a spec in one place,
-spec_from_cumulant_table, which sets parts of magnitude at most SNAP_TOL to
-0 (classification from moments, fixtures.haar_unitary_spec); a table written
-by convert --to-cumulants and read back is a declared spec, judged exactly.
+only exact zeros are absent.  A spec is frozen once checked, and to_table
+expands it to cumulants once, on the first call, into the read-only table
+that every reader, classification and the invariance scans included, reads.
+Computed cumulants become a spec in one place, spec_from_cumulant_table,
+which sets parts of magnitude at most SNAP_TOL to 0 (classification from
+moments, fixtures.haar_unitary_spec); a table written by convert
+--to-cumulants and read back is a declared spec, judged exactly.
 Classification reads a shift from either order-1 entry, kappa(1) or kappa(*),
 so a declared pair that disagrees gets one answer on either side of x <-> x*.
 sample_spec draws a witness for every class of both calculi.
@@ -20,10 +21,13 @@ sample_spec draws a witness for every class of both calculi.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
 from .cumulants import (
+    MAX_DIM,
     CumulantTable,
     _finite,
     _pattern_words,
@@ -51,7 +55,14 @@ SNAP_TOL = 1e-12
 SELFADJOINT_TOL = 1e-9
 
 
-@dataclass
+def _require_dim(dim: int) -> None:
+    if dim < 1:
+        raise SchemaError(f"dim must be at least 1, got {dim}")
+    if dim > MAX_DIM:
+        raise SchemaError(f"dim must be at most {MAX_DIM}, got {dim}")
+
+
+@dataclass(frozen=True)
 class CumulantSpecSingle:
     """Sparse cumulant data for one variable, plus an additive constant.
 
@@ -60,7 +71,7 @@ class CumulantSpecSingle:
     (StarPattern.conjugate) to its conjugate value when w* is not declared.
     For a self-adjoint variable the pattern is irrelevant, so entries may be
     given on any representative and are expanded per order; declared entries
-    of equal length must then agree and be real.
+    of equal length must then agree and be real.  Frozen once checked.
     """
 
     order: int
@@ -70,8 +81,9 @@ class CumulantSpecSingle:
     dim: int = 1
 
     def __post_init__(self) -> None:
-        if self.dim < 1:
-            raise SchemaError(f"dim must be at least 1, got {self.dim}")
+        _require_dim(self.dim)
+        if not isinstance(self.selfadjoint, bool):
+            raise SchemaError(f"bad type for key 'selfadjoint': must be true or false, got {self.selfadjoint!r}")
         clean = {}
         for pattern, value in self.entries.items():
             d = StarPattern.coerce(pattern)
@@ -83,6 +95,7 @@ class CumulantSpecSingle:
                 arr = complex(value)  # a number needs no array
             else:
                 arr = np.array(value, dtype=complex)
+                arr.flags.writeable = False
             if not _finite(arr):
                 raise SchemaError("non-finite cumulant entry")
             if self.dim > 1 and arr.shape not in ((self.dim, self.dim),):
@@ -92,46 +105,44 @@ class CumulantSpecSingle:
             value = arr if self.dim > 1 else complex(arr)
             if value.any() if self.dim > 1 else value != 0:
                 clean[d.letters] = value
-        self.entries = clean
-        self.shift = complex(self.shift)
-        if not np.isfinite(self.shift.real) or not np.isfinite(self.shift.imag):
+        object.__setattr__(self, "entries", MappingProxyType(clean))
+        object.__setattr__(self, "shift", complex(self.shift))
+        if not _finite(self.shift):
             raise SchemaError("non-finite shift")
         if self.dim > 1 and self.shift != 0:
             raise SchemaError("shifts are supported for scalar specs only")
         if self.selfadjoint:
-            self._validate_selfadjoint()
-
-    def _validate_selfadjoint(self) -> None:
-        if self.dim > 1:
-            raise SchemaError("self-adjoint expansion handles scalar specs only")
-        if self.shift.imag != 0:
-            raise SchemaError("self-adjoint spec needs a real shift")
-        by_len: dict[int, complex] = {}
-        for letters, value in self.entries.items():
-            if value.imag != 0:
-                raise SchemaError("self-adjoint cumulants must be real")
-            if by_len.setdefault(len(letters), value) != value:
-                raise SchemaError(
-                    "self-adjoint entries of one order must agree across patterns"
-                )
+            if self.dim > 1:
+                raise SchemaError("self-adjoint expansion handles scalar specs only")
+            if self.shift.imag != 0:
+                raise SchemaError("self-adjoint spec needs a real shift")
+            by_len: dict[int, complex] = {}
+            for letters, value in self.entries.items():
+                if value.imag != 0:
+                    raise SchemaError("self-adjoint cumulants must be real")
+                if by_len.setdefault(len(letters), value) != value:
+                    raise SchemaError(
+                        "self-adjoint entries of one order must agree across patterns"
+                    )
 
     def to_table(self) -> CumulantTable:
+        """The cumulant table, expanded on the first call (_table), read-only."""
+        return self._table
+
+    @cached_property
+    def _table(self) -> CumulantTable:
         """The cumulants: shift, self-adjoint orders, matrix blocks and the
-        undeclared conjugates of scalar entries, expanded here only."""
+        undeclared conjugates of scalar entries, expanded here only, once."""
         table = CumulantTable(order=self.order, dim=self.dim)
         if self.selfadjoint:
-            by_len = {}
-            for letters, value in self.entries.items():
-                by_len[len(letters)] = value
-            for k, value in by_len.items():
-                table.set(ONE * k, value)  # the order's first pattern, checked once for all of them
-                table.data.update(dict.fromkeys(_pattern_words(k)[-2 ** k:], table.data[ONE * k]))
+            for letters, value in self.entries.items():  # every pattern of the order, which agree
+                table.data.update(dict.fromkeys(_pattern_words(len(letters))[-2 ** len(letters):], value))
         elif self.dim > 1:
             for letters, value in self.entries.items():
                 table.set(letters, _matrix_entry_core(value, len(letters), self.dim))
+                table.data[letters].flags.writeable = False
         else:
-            for letters, value in self.entries.items():
-                table.set(letters, value)
+            table.data.update(self.entries)
             for letters, value in self.entries.items():
                 table.data.setdefault(conjugate_letters(letters), value.conjugate())
         if self.shift != 0:
@@ -139,6 +150,7 @@ class CumulantSpecSingle:
                 table.data[letters] = table.data.get(letters, 0j) + shift
                 if table.data[letters] == 0:
                     del table.data[letters]
+        table.data = MappingProxyType(table.data)
         return table
 
 
@@ -152,9 +164,8 @@ def _matrix_entry_core(value: np.ndarray, k: int, p: int) -> np.ndarray:
 
 
 def _nonzero_patterns(table: CumulantTable) -> list[StarPattern]:
-    """The patterns of the table's nonzero entries, in pattern_sort_key order."""
-    nonzero = [letters for letters, value in table.data.items() if (value != 0 if table.dim == 1 else value.any())]
-    return [StarPattern(letters) for letters in sorted(nonzero, key=pattern_sort_key)]
+    """The patterns of a spec's read-only table, which holds no zeros, in pattern_sort_key order."""
+    return [StarPattern(letters) for letters in sorted(table.data, key=pattern_sort_key)]
 
 
 def _classify(spec: CumulantSpecSingle, K: int, free: bool, m_scan: int):

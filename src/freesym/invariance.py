@@ -13,17 +13,18 @@ larger): a fixed slot acts with its letter's u or u*, an open one with
 diag(u, u*) on (letter, index).  2x2 residuals take their norm in closed
 form.  A residual is judged relative to its order's moments, not the law's units.
 
-That tensor (order_tensor) is all a joint gives the scan.  A scalar law's
-tensors are memoised in its law memo (cumulants._free_family_tensor keeps
-it) in the law's field, float64 when its table is real, each beside its
-scale once a scan has read it, and interleaved coefficients only scale its
-residual norms.  The model's letter matrices u, u* and diag(u, u*) are
-derived once per model (_scan_letters, through qgroups._derived), real
-when its entries are, so a real law under a real model is scanned in real
-matmuls.  A matrix-valued table's tensor carries the coefficients,
-(2n)^k p^2 complex entries built afresh per order.  A tabulated joint is
-held to the scalar order bound, and an order with no entry is skipped
-unbuilt.  The chunk size is qgroups' _CHUNK_CELLS.
+That tensor (order_tensor) is all a joint gives the scan.  Joints, like
+specs, are frozen once checked, and a spec is scanned through its one table
+(to_table).  A scalar law's tensors are memoised in its law memo
+(cumulants._free_family_tensor keeps it) in the law's field, float64 when
+its table is real, each beside its scale once a scan has read it, and
+interleaved coefficients only scale its residual norms.  The model's letter
+matrices u, u* and diag(u, u*) are derived once per model (_scan_letters,
+through qgroups._derived), real when its entries are, so a real law under a
+real model is scanned in real matmuls.  A matrix-valued table's tensor
+carries the coefficients, (2n)^k p^2 complex entries built afresh per
+order.  A tabulated joint is held to the scalar order bound, and an order
+with no entry is skipped unbuilt.  The chunk size is qgroups' _CHUNK_CELLS.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
+from types import MappingProxyType
 
 import numpy as np
 
@@ -45,7 +47,7 @@ from .qgroups import (_CHUNK_CELLS, MatrixRep, _checked_tol, _column_residuals, 
                       operator_norm, spectral_norms)
 
 
-@dataclass
+@dataclass(frozen=True)
 class FreeIIDJoint:
     """n free copies of one variable, described by its cumulant table.
 
@@ -59,6 +61,10 @@ class FreeIIDJoint:
 
     table: CumulantTable
     n: int
+
+    def __post_init__(self) -> None:
+        if self.n < 1:
+            raise InputMismatchError(f"a joint needs n >= 1 variables, got {self.n}")
 
     @property
     def order(self) -> int:
@@ -78,12 +84,13 @@ class FreeIIDJoint:
         return _family_tensor(self.table, self.n, EITHER * k, coeffs)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TableJoint:
     """Explicitly tabulated joint moments for an n-tuple, scalar-valued.
 
     data maps (word, letters) to a complex moment, with 1-based index
-    words of length 1..order; missing pairs count as zero.
+    words of length 1..order; missing pairs count as zero.  Checked once,
+    here, it becomes a read-only mapping.
     """
 
     n: int
@@ -94,6 +101,8 @@ class TableJoint:
     def __post_init__(self) -> None:
         if self.dim != 1:
             raise InputMismatchError("tabulated joints are scalar-valued only")
+        if self.n < 1:
+            raise InputMismatchError(f"a joint needs n >= 1 variables, got {self.n}")
         data = {}
         for (word, p), v in self.data.items():
             word, letters = tuple(int(i) for i in word), StarPattern.coerce(p).letters
@@ -103,7 +112,7 @@ class TableJoint:
             data[word, letters] = complex(v)
             if not _finite(data[word, letters]):
                 raise InputMismatchError(f"entry {word}, {letters!r} is not finite")
-        self.data = data
+        object.__setattr__(self, "data", MappingProxyType(data))
 
     def order_tensor(self, k: int, coeffs=None) -> np.ndarray:
         """Order-k moments laid out as FreeIIDJoint.order_tensor's."""
@@ -179,25 +188,6 @@ def _order_moments(joint, k: int, matrix_coeffs: bool, seed: int) -> tuple[np.nd
     return E, _tensor_scale(E), factor
 
 
-# the last scalar spec whose table a scan read: (a snapshot of its content, its table)
-_last_spec: tuple = (None, None)
-
-
-def _spec_table(spec: CumulantSpecSingle) -> CumulantTable:
-    """spec.to_table(), kept for the last scalar spec and reused while one of equal content comes back.
-
-    The content (order, shift, selfadjoint, entries) is compared to a
-    snapshot, so a spec changed between calls gets a table of its own.  A
-    matrix spec's table is built on each call.
-    """
-    global _last_spec
-    if spec.dim > 1:
-        return spec.to_table()
-    if _last_spec[0] != (spec.order, spec.shift, spec.selfadjoint, spec.entries):
-        _last_spec = (spec.order, spec.shift, spec.selfadjoint, dict(spec.entries)), spec.to_table()
-    return _last_spec[1]
-
-
 def _scan_letters(rep: MatrixRep) -> tuple:
     """The scan's letter matrices: u, its entrywise adjoint (as _flat) and diag(u, adjoint) on (letter, index).
 
@@ -271,11 +261,11 @@ def check_invariance(
     Orders and chunks of zero moments are skipped.  A cell violates above
     tol times its order's scale: the largest real or imaginary part of its
     moments, times the coefficient norm a scalar joint's residuals carry.
-    A spec's table is reused while a spec of equal content comes back
-    (_spec_table).
+    A spec is scanned as n free copies of its law, through the table it
+    expands once (CumulantSpecSingle.to_table).
     """
     if isinstance(joint, CumulantSpecSingle):
-        joint = FreeIIDJoint(_spec_table(joint), rep.n)
+        joint = FreeIIDJoint(joint.to_table(), rep.n)
     if joint.n != rep.n:
         raise InputMismatchError(f"joint distribution has n={joint.n} but the model has n={rep.n}")
     if max_order < 1:
@@ -346,7 +336,7 @@ def cumulant_identity_extractor(
         max_order = spec.order
     if max_order > spec.order:
         raise OrderBoundError(f"max_order {max_order} exceeds the input order {spec.order}")
-    table = _spec_table(spec)
+    table = spec.to_table()
     patterns = [d.letters for d in _nonzero_patterns(table) if len(d) <= max_order]
     limit = rep.tol if tol is None else _checked_tol(tol)
     failed = []

@@ -12,7 +12,7 @@ import json
 import numpy as np
 
 from .cumulants import pattern_sort_key
-from .distributions import CumulantSpecSingle
+from .distributions import CumulantSpecSingle, _require_dim
 from .errors import SchemaError, SizeLimitError
 from .partitions import StarPattern
 from .qgroups import DEFAULT_TOL, MAX_FLAT_DIM, MatrixRep, check_biunitary
@@ -129,9 +129,7 @@ def json_to_spec(obj) -> CumulantSpecSingle:
     dim = obj.get("dim", 1)
     if not isinstance(dim, int) or isinstance(dim, bool):
         raise SchemaError("bad type for key 'dim'")
-    selfadjoint = obj.get("selfadjoint", False)
-    if not isinstance(selfadjoint, bool):
-        raise SchemaError("bad type for key 'selfadjoint'")
+    _require_dim(dim)  # before any entry is read at that size
     shift = pair_to_complex(obj.get("shift", [0.0, 0.0]))
     records = _require(obj, "entries", list)
     entries = {}
@@ -156,7 +154,7 @@ def json_to_spec(obj) -> CumulantSpecSingle:
             order=order,
             entries=entries,
             shift=shift,
-            selfadjoint=selfadjoint,
+            selfadjoint=obj.get("selfadjoint", False),  # its type is the constructor's check
             dim=dim,
         )
     except ValueError as exc:

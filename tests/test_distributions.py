@@ -281,6 +281,15 @@ def test_to_table_merges_shift():
     assert table.get("*") == 1 - 2j
 
 
+def test_spec_refuses_a_selfadjoint_flag_that_is_not_a_bool_and_a_dim_outside_the_bound():
+    for flag in ("no", 1, None):
+        with pytest.raises(SchemaError, match="bad type for key 'selfadjoint': must be true or false"):
+            CumulantSpecSingle(order=2, entries={"11": 1.0}, selfadjoint=flag)
+    for dim, bound in ((0, "least 1"), (4, "most 3")):
+        with pytest.raises(SchemaError, match=f"dim must be at {bound}, got {dim}$"):
+            CumulantSpecSingle(order=2, dim=dim)
+
+
 def test_spec_validation_errors():
     with pytest.raises(SchemaError):
         CumulantSpecSingle(order=2, entries={"1*": 1j}, selfadjoint=True)

@@ -1,16 +1,18 @@
+import dataclasses
 import gc
 import hashlib
 import time
 import tracemalloc
 import weakref
 from itertools import product
+from types import MappingProxyType
 
 import numpy as np
 import pytest
 
 from freesym import cumulants, invariance, qgroups
 from freesym.cumulants import joint_moment_tensor, joint_moments_free_family, random_cumulant_table
-from freesym.distributions import CumulantSpecSingle, FreeClassTag, sample_spec
+from freesym.distributions import CumulantSpecSingle, FreeClassTag, classify_report, sample_spec
 from freesym.errors import InputMismatchError, OrderBoundError
 from freesym.fixtures import (
     bistochastic_orthogonal_rep,
@@ -206,6 +208,42 @@ def test_tabulated_joint_is_scalar_and_stops_at_its_order():
         TableJoint(n=2, order=2, data={((1,), "1"): 1.0}).order_tensor(3)
 
 
+def test_specs_and_joints_are_frozen_after_their_checks():
+    spec = CumulantSpecSingle(order=4, entries={"11": 1.0}, selfadjoint=True)
+    matrix = CumulantSpecSingle(order=2, dim=2, entries={"1*": np.eye(2)})
+    table = TableJoint(n=2, order=2, data={((1, 1), "11"): 1.0})
+    free = FreeIIDJoint(spec.to_table(), 2)
+    # the two edits that skipped the checks: a complex self-adjoint cumulant, an index past n
+    with pytest.raises(TypeError):
+        spec.entries["11"] = 1 + 1j
+    with pytest.raises(TypeError):
+        table.data[(3, 1), "11"] = 1.0
+    for mapping in (spec.to_table().data, matrix.to_table().data, table.data):
+        key = next(iter(mapping))
+        with pytest.raises(TypeError):
+            mapping[key] = 0.0
+        with pytest.raises(TypeError):
+            del mapping[key]
+    for block in (matrix.entries["1*"], matrix.to_table().data["1*"]):
+        with pytest.raises(ValueError):
+            block[0, 0] = 2.0
+    for value, name in ((spec, "entries"), (spec, "selfadjoint"), (table, "data"), (table, "n"), (free, "table"),
+                        (free, "n")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, name, getattr(value, name))
+    assert classify_report(spec, 4, True)["minimal"] == ["SEMICIRCULAR"]
+    assert table.order_tensor(2)[0, 0, 0, 0] == 1.0 and np.count_nonzero(table.order_tensor(2)) == 1
+
+
+def test_joints_refuse_fewer_than_one_variable():
+    table = spec_of("SEMICIRCULAR").to_table()
+    for n in (0, -2):
+        with pytest.raises(InputMismatchError, match=f"n >= 1 variables, got {n}"):
+            FreeIIDJoint(table, n)
+        with pytest.raises(InputMismatchError, match=f"n >= 1 variables, got {n}"):
+            TableJoint(n=n, order=2)
+
+
 def test_tabulated_joint_refuses_the_calls_a_free_joint_refuses():
     """order 0 and a coefficient count other than k + 1, with FreeIIDJoint's errors."""
     table = TableJoint(n=2, order=2, data={((1, 1), "11"): 1.0})
@@ -243,7 +281,7 @@ def test_a_scan_refuses_an_order_whose_moments_overflow(monkeypatch, empty_law_m
         acted.clear()
     # a tabulated order of NaN, as a joint changed after its checks holds it
     joint = TableJoint(n=2, order=2, data={((1, 1), "11"): 1.0})
-    joint.data[(1, 1), "11"] = complex(np.nan)
+    object.__setattr__(joint, "data", MappingProxyType({((1, 1), "11"): complex(np.nan)}))
     with pytest.raises(InputMismatchError, match="order 2 moments are not finite"):
         check_invariance(joint, rotation, 2)
     assert acted == []
@@ -682,17 +720,18 @@ def test_shared_order_tensors_give_the_cold_verdicts_bit_for_bit(empty_law_memo)
     assert cases == len(_PROBE_CLASSES) * 2 * 2 * sum(len(r) for r in reps.values())
 
 
-def test_a_spec_changed_between_scans_gets_its_own_verdict():
+def test_a_spec_cannot_change_and_a_spec_built_with_the_change_gets_the_cold_verdict():
     spec = spec_of("CIRCULAR")
     rep = unit_i_diag_rep(2)
     before = check_invariance(spec, rep, 4)
     assert before.invariant
-    spec.entries["11"] = 0.5  # the same object, now with a pattern the phases break
-    after = check_invariance(spec, rep, 4)
-    cold = _cold(check_invariance, FreeIIDJoint(spec.to_table(), 2), rep, 4)
+    with pytest.raises(TypeError):
+        spec.entries["11"] = 0.5
+    changed = dataclasses.replace(spec, entries={**spec.entries, "11": 0.5})  # a pattern the phases break
+    after = check_invariance(changed, rep, 4)
+    cold = _cold(check_invariance, FreeIIDJoint(changed.to_table(), 2), rep, 4)
     assert not after.invariant
     assert _verdict_fields(after) == _verdict_fields(cold)
-    del spec.entries["11"]
     assert _verdict_fields(check_invariance(spec, rep, 4)) == _verdict_fields(before)
 
 
@@ -925,25 +964,27 @@ def test_a_law_and_a_model_keep_the_field_of_their_data(empty_law_memo):
         assert np.array_equal(mats[0], rep.flatten()) and np.array_equal(mats[1], qgroups._flat(rep.adjoint_entries()))
 
 
-def test_a_spec_scan_reuses_the_table_of_an_equal_spec(monkeypatch):
-    built = []
-    to_table = CumulantSpecSingle.to_table
-    monkeypatch.setattr(CumulantSpecSingle, "to_table", lambda spec: built.append(spec.dim) or to_table(spec))
-    monkeypatch.setattr(invariance, "_last_spec", (None, None))
+def test_a_spec_expands_its_table_once(monkeypatch):
+    expanded = []  # the specs expanded, kept alive so that their ids stay distinct
+    expand = CumulantSpecSingle.__dict__["_table"]
+    monkeypatch.setattr(expand, "func", lambda spec, func=expand.func: expanded.append(spec) or func(spec))
     rep = rotation_rep(2)
-    for spec in (spec_of("CIRCULAR"), spec_of("CIRCULAR"), spec_of("CIRCULAR")):
-        check_invariance(spec, rep, 4)
-        cumulant_identity_extractor(spec, rep, 4)
-    assert built == [1]
-    spec = spec_of("CIRCULAR")
-    spec.entries["11"] = 0.5  # a change of content is a new table
-    check_invariance(spec, rep, 4)
-    assert built == [1, 1]
-    # a matrix spec's table is built on each call
-    matrix = CumulantSpecSingle(order=2, dim=2, entries={"1*": np.eye(2), "*1": np.eye(2)})
-    check_invariance(matrix, rep, 2)
-    check_invariance(matrix, rep, 2)
-    assert built == [1, 1, 2, 2]
+    specs = [spec_of("CIRCULAR"), spec_of("CIRCULAR"),
+             CumulantSpecSingle(order=2, dim=2, entries={"1*": np.eye(2), "*1": np.eye(2)})]
+    assert expanded == []  # a spec is checked at construction and expanded only when read
+    for spec in specs:
+        table = spec.to_table()
+        for _ in range(2):
+            check_invariance(spec, rep, 2)
+            cumulant_identity_extractor(spec, rep, 2)
+            if spec.dim == 1:
+                classify_report(spec, 4, True)
+        assert spec.to_table() is table
+    assert list(map(id, expanded)) == list(map(id, specs))
+    theorem1_probe(2, 3)
+    # the probe expands each sample spec it builds once, and no scan expands one again
+    assert len(expanded) == len(specs) + len(_PROBE_CLASSES)
+    assert len(set(map(id, expanded))) == len(expanded)
 
 
 def test_a_tabulated_joint_builds_only_the_orders_it_holds():

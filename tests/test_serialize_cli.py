@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from freesym import cumulants, serialize
+from freesym import cumulants, distributions, serialize
 from freesym.cli import main
 from freesym.distributions import CumulantSpecSingle
 from freesym.errors import SchemaError
@@ -135,6 +135,39 @@ def test_every_schema_check_of_a_file(tmp_path, capsys, kind, content, message):
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ") and message in err, err
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("dim, bound", [(-1, "least 1"), (4, "most 3")])
+def test_a_spec_file_of_an_unsupported_dim_exits_two_naming_it(fx, tmp_path, capsys, dim, bound):
+    """The dim is refused before any entry is read at it: -1 once failed on its
+    matrix rows, and 4 built a spec that failed only when its table was expanded."""
+    block = [[[1.0, 0.0]] * max(dim, 1)] * max(dim, 1)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"order": 2, "dim": dim, "entries": [{"pattern": "1*", "value": block}]}))
+    with pytest.raises(SchemaError, match=f"dim must be at {bound}, got {dim}$"):
+        serialize.load_spec(path)
+    for args in (["classify-dist", str(path), "--free"], ["check-invariance", "--dist", str(path),
+                                                          "--rep", str(fx / "rotation.json")]):
+        assert main(args) == 2
+        assert capsys.readouterr() == ("", f"error: dim must be at {bound}, got {dim}\n"), args
+
+
+def test_a_matrix_spec_file_its_command_refuses_builds_no_table(tmp_path, capsys, monkeypatch):
+    """classify-dist and convert refuse a matrix spec before its table is read,
+    so a long entry costs nothing: its dim-2, order-14 core would be 4.3 GB."""
+    def built(*args):
+        raise AssertionError("a matrix core was built")
+
+    monkeypatch.setattr(distributions, "_matrix_entry_core", built)
+    path = tmp_path / "spec.json"
+    block = [[[1.0, 0.0]] * 2] * 2
+    path.write_text(json.dumps({"order": 14, "dim": 2, "entries": [{"pattern": "1*" * 7, "value": block}]}))
+    for args, message in ((["classify-dist", str(path), "--free"], "classification handles scalar specs"),
+                          (["convert", str(path), "--free", "--to-moments"], "conversion handles scalar tables only")):
+        start = time.perf_counter()
+        assert main(args) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n"), args
+        assert time.perf_counter() - start < 1.0
 
 
 def _rotation_with_tol(fx, tmp_path, text: str):

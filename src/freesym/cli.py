@@ -54,7 +54,7 @@ def _cmd_convert(args) -> int:
     order = args.order if args.order is not None else spec.order
     table = spec.to_table()
     if args.to_cumulants:
-        moments = MomentTable(order=table.order, data=dict(table.data))
+        moments = MomentTable(order=table.order, data=table.data)
         out = (moments_to_free_cumulants if args.free else moments_to_classical_cumulants)(moments, order)
         kind = "cumulants"
     else:

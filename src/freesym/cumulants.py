@@ -55,15 +55,21 @@ one, a scalar table's runs on its own segments (joint_moments_free_family).
 Mixed free cumulants vanish, so a first block V contributes kappa(w|V) only
 where the indices on V agree.  Every recursion holds its order to one rule,
 _PatternTable.require_order: at most MAX_SCALAR_ORDER (8) for scalar tables
-and MAX_MATRIX_ORDER (6) for matrix ones, then the declared order.  The
-word segments and index tensors of a scalar law share one memo (_law_memo),
-which also keeps each order tensor's scale once a scan has asked for it; a
-word whose value is there is read after its checks, before any recursion is
-set up.  The memo decides a law's field once: float64 tensors for a real
-table (_LawTensors).  The memos of recent laws are kept too, least recently
-used first, and trimmed to _LAW_BYTES (16 MB) on each change of law, so the
-process holds the law in use plus at most 16 MB, until release_law_memo
-drops them.
+and MAX_MATRIX_ORDER (6) for matrix ones, then the declared order.
+
+A table is a value, built once from its whole dict, checked and frozen (a
+complex core passed in is made read-only in place).  Its memo lives on it
+and goes with it (_PatternTable._memo).  A scalar table's holds its word
+segments (at most _MEMO_SEGMENTS, then started over) and its
+coefficient-free index tensors at each n, each beside its scale once a scan
+has asked for it (_LawTensors, which decides the law's field once: float64
+for a real table); the largest is after an n=4, order-8 scan: 307 MB of
+tensors for a complex law (268 MB the order-8 one), plus at most some 16 MB
+of segments.  A matrix table's holds, for each pattern and m its
+coefficient-free words ask for, the tensor at m copies (m^k p^2 entries,
+joint_moments_free_family): at most 6.7 MB each at dim 3, 0.64 GB were
+every pattern to order 6 asked at every m.  A word whose value is there is
+read after its checks, before any recursion is set up.
 
 The defining sums over partitions, which these recursions reproduce, are
 the test suite's reference (tests/reference.py).
@@ -77,6 +83,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
+from types import MappingProxyType
 
 import numpy as np
 
@@ -130,40 +137,52 @@ def _require_finite(value) -> None:
         raise InputMismatchError("non-finite table value")
 
 
-@dataclass
+@dataclass(frozen=True)
 class _PatternTable:
-    """Values of one multilinear functional family, keyed by star pattern."""
+    """Values of one multilinear functional family, keyed by star pattern.
+
+    Checked once, here, and frozen: data becomes a read-only mapping from
+    letters to complex values, or to read-only cores.  A complex array the
+    caller passes is made read-only in place, not copied, so the caller can
+    no longer write to it either.  _memo is the table's law memo
+    (_free_family_word, _law_tensors), which lives and goes with it.
+    """
 
     order: int
     dim: int = 1
     data: dict = field(default_factory=dict)
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.order < 0:
             raise InputMismatchError("order must be nonnegative")
         if not 1 <= self.dim <= MAX_DIM:
             raise SizeLimitError(f"coefficient dimension must be 1..{MAX_DIM}")
-        for pattern, value in list(self.data.items()):
-            del self.data[pattern]
-            self.set(pattern, value)
-
-    def set(self, pattern, value) -> None:
-        d = StarPattern.coerce(pattern)
-        if not 1 <= len(d) <= self.order:
-            raise OrderBoundError(
-                f"pattern {d.letters!r} outside declared order {self.order}"
-            )
-        _require_finite(value)
+        raw, order = self.data, self.order
+        if not raw.keys() <= _TABLE_WORDS[min(order, MAX_SCALAR_ORDER)]:  # else letters already, in bound
+            raw = {StarPattern.coerce(pattern).letters: value for pattern, value in raw.items()}
+            for letters in raw:
+                if not 1 <= len(letters) <= order:
+                    raise OrderBoundError(
+                        f"pattern {letters!r} outside declared order {order}"
+                    )
         if self.dim == 1:
-            self.data[d.letters] = complex(value)
+            data = dict(zip(raw, map(complex, raw.values())))
+            if not all(map(cmath.isfinite, data.values())):
+                raise InputMismatchError("non-finite table value")
         else:
-            arr = np.asarray(value, dtype=complex)
-            want = core_shape(self.dim, len(d))
-            if arr.shape != want:
-                raise InputMismatchError(
-                    f"core for {d.letters!r} must have shape {want}, got {arr.shape}"
-                )
-            self.data[d.letters] = arr
+            data = {}
+            for letters, value in raw.items():
+                _require_finite(value)
+                arr = np.asarray(value, dtype=complex)
+                want = core_shape(self.dim, len(letters))
+                if arr.shape != want:
+                    raise InputMismatchError(
+                        f"core for {letters!r} must have shape {want}, got {arr.shape}"
+                    )
+                arr.flags.writeable = False
+                data[letters] = arr
+        object.__setattr__(self, "data", MappingProxyType(data))
 
     def get(self, pattern):
         """Stored value, or None when the entry is absent (an exact zero)."""
@@ -189,17 +208,17 @@ class _PatternTable:
         return worst
 
 
-@dataclass
+@dataclass(frozen=True)
 class CumulantTable(_PatternTable):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class MomentTable(_PatternTable):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class MultiCumulantTable:
     """Cumulants of an n-variable family, keyed by (index word, pattern).
 
@@ -211,6 +230,9 @@ class MultiCumulantTable:
     n: int
     dim: int = 1
     data: dict = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "data", MappingProxyType(dict(self.data)))
 
     def get(self, word, pattern):
         key = (tuple(int(i) for i in word), StarPattern.coerce(pattern).letters)
@@ -298,6 +320,9 @@ def _pattern_words(K: int) -> tuple[str, ...]:
     words of order k are _pattern_words(k)[-2 ** k:].
     """
     return tuple(d.letters for k in range(1, K + 1) for d in StarPattern.all_patterns(k))
+
+
+_TABLE_WORDS = tuple(frozenset(_pattern_words(k)) for k in range(MAX_SCALAR_ORDER + 1))  # keys taken as they are
 
 
 def _plan_rows(k: int, free: bool) -> tuple:
@@ -555,17 +580,16 @@ def _convert(table: _PatternTable, K: int, free: bool, to_moments: bool) -> _Pat
         raise OrderBoundError("order must be nonnegative")
     table.require_order(K)
     words = _pattern_words(K)
-    out = (MomentTable if to_moments else CumulantTable)(order=K, dim=p)
     if p == 1:
         known = np.array([0j] + [table.data.get(w, 0j) for w in words])
         values = _gathered_recursion(known, K, 2, free, to_moments)[1:]
-        _require_finite(values)
-        out.data = dict(zip(words, values.tolist()))
-        return out
-    # the cores are views into one array per order
-    for k, cores in enumerate(_spliced_recursion(table.data, K, to_moments, p)[0][1:], 1):
-        out.data.update(zip(words[2 ** k - 2:2 ** (k + 1) - 2], cores))
-    return out
+        data = dict(zip(words, values.tolist()))  # the table checks them finite
+    else:  # the cores are read-only views into one array per order
+        data = {}
+        for k, cores in enumerate(_spliced_recursion(table.data, K, to_moments, p)[0][1:], 1):
+            cores.flags.writeable = False
+            data.update(zip(words[2 ** k - 2:2 ** (k + 1) - 2], cores))
+    return (MomentTable if to_moments else CumulantTable)(K, p, data)
 
 
 def free_cumulants_to_moments(table: CumulantTable, K: int) -> MomentTable:
@@ -597,11 +621,13 @@ def joint_moments_free_family(table: CumulantTable, n: int, word, pattern, coeff
     One entry of joint_moment_tensor.  coeffs is the interleaved list
     b_0..b_k (length k+1), identity when omitted; the empty word gives b_0
     times the table's identity, complex.  The word and its order are checked
-    first.  A scalar table's value is read from its law memo, or built by the
+    first.  A scalar table's value is read from its memo, or built by the
     recursion on the word's segments (_free_family_word), since a word of
     many distinct indices has no tensor within TUPLE_BUDGET.  A matrix
     table's is a copy of an entry of the tensor at m copies (at most 6^6
-    index words): the word's m distinct indices relabelled by first occurrence.
+    index words): the word's m distinct indices relabelled by first
+    occurrence.  Without coefficients that tensor is the table memo's, so a
+    second word of one pattern and m is a lookup.
     """
     letters = StarPattern.coerce(pattern).letters
     idx = tuple(map(int, word))
@@ -617,7 +643,7 @@ def joint_moments_free_family(table: CumulantTable, n: int, word, pattern, coeff
     if p == 1:
         value = identity_element(1)
         if k:
-            shared = _law_memo(table).setdefault("words", {})
+            shared = table._memo.setdefault("words", {})
             value = shared.get(_segment_key(letters, idx))
             if value is None:
                 value = _free_family_word(table, idx, letters, shared)
@@ -625,60 +651,21 @@ def joint_moments_free_family(table: CumulantTable, n: int, word, pattern, coeff
     if not k:
         return np.array(_coerce_coeff(identity_element(p) if coeffs is None else coeffs[0], p))
     labels = list(dict.fromkeys(idx))
-    return _family_tensor(table, len(labels), letters, coeffs)[tuple(map(labels.index, idx))].copy()
+    kept = _law_tensors(table, len(labels)) if coeffs is None else {}
+    tensor = kept.get(letters)
+    if tensor is None:
+        tensor = kept[letters] = _family_tensor(table, len(labels), letters, coeffs)
+        tensor.flags.writeable = False
+    return tensor[tuple(map(labels.index, idx))].copy()
 
 
-# the scalar law in use: (a snapshot of its table's data, the snapshot's content key, its memo)
-_last_law: tuple = (None, None, {})
-# the laws not in use, least recently used first: content key -> (memo, its bytes by _law_bytes)
-_idle_laws: dict = {}
-# bytes the laws not in use may hold (16 MB); past it the oldest go first
-_LAW_BYTES = 2 ** 24
-# bytes counted per entry of a law's table (its content key) or of its word-segment memo
-_ENTRY_BYTES = 250
-
-
-def _law_bytes(key: frozenset, memo: dict) -> int:
-    """What a law holds: its tensors' bytes, and _ENTRY_BYTES per table entry and word segment."""
-    entries = len(key) + len(memo.get("words", ()))
-    return _ENTRY_BYTES * entries + sum(t.nbytes for n, tensors in memo.items() if n != "words"
-                                        for t in tensors.values())
-
-
-def _law_memo(table) -> dict:
-    """The memo of a scalar table's law: word segments under "words", tensors of n copies by letters under n.
-
-    A law is keyed on its table's content (frozenset of its items), so a
-    table changed between calls is a new law and a caller never gets another
-    law's values.  The law in use is recognised by dict equality alone.  On a
-    change of law the one put out of use is kept, and the laws not in use are
-    dropped, least recently used first, until their bytes fit _LAW_BYTES.
-    The law in use is never dropped, so the memo holds at most that law plus
-    16 MB.
-    """
-    global _last_law
-    if _last_law[0] != table.data:
-        snapshot = dict(table.data)
-        key = frozenset(snapshot.items())
-        memo = _idle_laws.pop(key, ({},))[0]
-        if _last_law[0] is not None:
-            _idle_laws[_last_law[1]] = (_last_law[2], _law_bytes(*_last_law[1:]))
-        _last_law = (snapshot, key, memo)
-        held = sum(size for _, size in _idle_laws.values())
-        while held > _LAW_BYTES:
-            held -= _idle_laws.pop(next(iter(_idle_laws)))[1]
-    return _last_law[2]
-
-
-def release_law_memo() -> None:
-    """Free every law's memo: the one in use may be large (268 MB after one n=4, order-8 scan of a complex law)."""
-    global _last_law
-    _last_law = (None, None, {})
-    _idle_laws.clear()
+# word segments one table's memo holds (some 16 MB of them, at about 250 bytes
+# each) before it starts over
+_MEMO_SEGMENTS = 67_108
 
 
 def _segment_key(letters: str, idx: tuple) -> tuple:
-    """A word segment's key in the law memo: its letters and its index kernel.
+    """A word segment's key in a table memo: its letters and its index kernel.
 
     The kernel gives each position the first position carrying its index,
     so two segments share it exactly when the same positions agree.
@@ -694,11 +681,11 @@ def _free_family_word(table, idx: tuple, letters: str, shared: dict) -> complex:
     first index, in the order of itertools.combinations.  A segment's value
     depends on its letters and its index kernel (which of its positions
     carry equal indices), not on the indices themselves or on n.  Segments
-    are memoised in shared, the law memo's "words" entry, by _segment_key,
+    are memoised in shared, the table memo's "words" entry, by _segment_key,
     with the word's own memo by position in front, so a segment is
-    relabelled at most once per word; shared starts over when full, at the
-    law budget's _LAW_BYTES // _ENTRY_BYTES entries (16 MB).  A term
-    multiplies kappa(w|V) by the segments in place, left to right.
+    relabelled at most once per word; shared starts over when it holds
+    _MEMO_SEGMENTS entries.  A term multiplies kappa(w|V) by the segments in
+    place, left to right.
     """
     memo = {}
     get = table.data.get
@@ -710,7 +697,7 @@ def _free_family_word(table, idx: tuple, letters: str, shared: dict) -> complex:
             s = shared.get(key)
             if s is None:
                 s = build(a, e)
-                if len(shared) >= _LAW_BYTES // _ENTRY_BYTES:
+                if len(shared) >= _MEMO_SEGMENTS:
                     shared.clear()
                 shared[key] = s
             memo[a, e] = s
@@ -745,8 +732,8 @@ def joint_moment_tensor(table: CumulantTable, n: int, k: int, pattern, coeffs=No
     interleaved list b_0..b_k, identity when omitted.  Computed by the free
     first-block recursion on whole index tensors; joint_moments_free_family
     computes one entry.  A scalar table's coefficient-free tensors are read
-    from and kept in its law memo at n, in the law's field; the caller gets
-    its own complex copy.
+    from and kept in its memo at n, in the law's field; the caller gets its
+    own complex copy.
     """
     d = StarPattern.coerce(pattern)
     if len(d) != k:
@@ -756,20 +743,30 @@ def joint_moment_tensor(table: CumulantTable, n: int, k: int, pattern, coeffs=No
 
 
 class _LawTensors(dict):
-    """A scalar law's tensors at one n, by letters (_free_family_tensor), and
-    beside them, by the same letters, the scales read so far (_scaled_family_tensor).
+    """A table's coefficient-free tensors at one n, by letters
+    (_free_family_tensor, joint_moments_free_family), and beside them, by
+    the same letters, the scales read so far (_scaled_family_tensor).
 
     dtype is the law's field, decided here once: float64 when every value of
-    its table has a zero imaginary part, else complex128.  The tensors are
-    built in it, so a real law's take half the bytes.
+    a scalar table has a zero imaginary part, else complex128.  The tensors
+    are built in it, so a real law's take half the bytes.
     """
 
     __slots__ = ("dtype", "scales")
 
     def __init__(self, table):
         super().__init__()
-        self.dtype = np.dtype(float if all(v.imag == 0 for v in table.data.values()) else complex)
+        real = table.dim == 1 and all(v.imag == 0 for v in table.data.values())
+        self.dtype = np.dtype(float if real else complex)
         self.scales = {}
+
+
+def _law_tensors(table, n: int) -> _LawTensors:
+    """The table memo's tensors at n, started on the first call."""
+    tensors = table._memo.get(n)
+    if tensors is None:
+        tensors = table._memo[n] = _LawTensors(table)
+    return tensors
 
 
 def _tensor_scale(tensor: np.ndarray) -> float:
@@ -779,17 +776,16 @@ def _tensor_scale(tensor: np.ndarray) -> float:
 
 
 def _scaled_family_tensor(table, n: int, letters: str) -> tuple[np.ndarray, float]:
-    """A scalar law's coefficient-free tensor and its _tensor_scale, kept side by side in the law memo.
+    """A scalar table's coefficient-free tensor and its _tensor_scale, kept side by side in its memo.
 
-    Once kept, both come from one law-memo lookup; a tensor is first built by
+    Once kept, both come from one memo lookup; a tensor is first built by
     _family_tensor, after its checks.  The caller checks the table's declared
     order (check_invariance does).
     """
-    tensors = _law_memo(table).get(n)
-    tensor = None if tensors is None else tensors.get(letters)
+    tensors = _law_tensors(table, n)
+    tensor = tensors.get(letters)
     if tensor is None:
         tensor = _family_tensor(table, n, letters, None)
-        tensors = _law_memo(table)[n]
     scale = tensors.scales.get(letters)
     if scale is None:
         scale = tensors.scales[letters] = _tensor_scale(tensor)
@@ -807,7 +803,7 @@ def _require_tensor_call(k: int, coeffs) -> None:
 def _family_tensor(table, n: int, letters: str, coeffs) -> np.ndarray:
     """_free_family_tensor with the interleaved coefficients b_0..b_k, identity when None.
 
-    A scalar table's tensor comes from its law memo, read-only, and its
+    A scalar table's tensor comes from its memo, read-only, and its
     coefficients multiply outside; a matrix table's are spliced in, b_0 first.
     """
     k = len(letters)
@@ -855,19 +851,16 @@ def _free_family_tensor(table, n: int, letters: str, cs) -> np.ndarray:
     skipped.  Each slot has an index axis, after a letter axis (0 for 1, 1
     for *) where its letter is EITHER: EITHER * k gives all of order k.
     Scalar tables take cs None; their segments, keyed by letters, are the
-    law memo's tensors at n (_law_memo(table)[n]), which this function alone
-    reads and fills and every call on one law and n shares, read-only.  They
-    are built in the law's field (_LawTensors.dtype): a real law's kappa
-    enter by their real parts.  Matrix tables stay complex and keep their
-    own segments per call; cs[i] is the coefficient after letter i, each
-    segment ends with its last coefficient, and a term is _spliced_term, the
-    (p, p) axes last.
+    table memo's tensors at n (_law_tensors), which every call on the table
+    and n shares, read-only.  They are built in the law's field
+    (_LawTensors.dtype): a real law's kappa enter by their real parts.
+    Matrix tables stay complex and keep their own segments per call; cs[i]
+    is the coefficient after letter i, each segment ends with its last
+    coefficient, and a term is _spliced_term, the (p, p) axes last.
     """
     matrix = cs is not None
     p = table.dim
-    memo = {} if matrix else _law_memo(table).get(n)
-    if memo is None:
-        memo = _law_memo(table)[n] = _LawTensors(table)
+    memo = {} if matrix else _law_tensors(table, n)
     dtype = np.dtype(complex) if matrix else memo.dtype
     real = dtype.kind == "f"
 
@@ -950,9 +943,9 @@ def multivariate_cumulants_from_joint_moments(oracle, K: int) -> MultiCumulantTa
                                  np.multiply if dim == 1 else np.matmul)
     _require_finite(values)
     entries = values[at]
-    out = MultiCumulantTable(order=K, n=n, dim=dim)
-    out.data = dict(zip(keys, entries.tolist() if dim == 1 else entries))
-    return out
+    entries.flags.writeable = False
+    data = dict(zip(keys, entries.tolist() if dim == 1 else entries))
+    return MultiCumulantTable(order=K, n=n, dim=dim, data=data)
 
 
 def random_cumulant_table(order: int, dim: int = 1, seed: int = 0,
@@ -964,7 +957,7 @@ def random_cumulant_table(order: int, dim: int = 1, seed: int = 0,
     moments near unit scale.
     """
     rng = np.random.default_rng(seed)
-    table = CumulantTable(order=order, dim=dim)
+    data = {}
     for k in range(1, order + 1):
         for d in StarPattern.all_patterns(k):
             if dim == 1:
@@ -973,5 +966,5 @@ def random_cumulant_table(order: int, dim: int = 1, seed: int = 0,
                 shape = core_shape(dim, k)
                 value = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
                 value *= scale ** k / dim
-            table.set(d, value)
-    return table
+            data[d.letters] = value
+    return CumulantTable(order=order, dim=dim, data=data)

@@ -21,13 +21,14 @@ sample_spec draws a witness for every class of both calculi.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from types import MappingProxyType
 
 import numpy as np
 
 from .cumulants import (
     MAX_DIM,
+    MAX_MATRIX_ORDER,
     CumulantTable,
     _finite,
     _pattern_words,
@@ -42,6 +43,7 @@ from .easy import (  # the tag types, implies and minimal_tags are also this mod
     ClassicalClassTag,
     ClassTag,
     FreeClassTag,
+    class_tags,
     family_order,
     governing_family,
     implies,
@@ -91,6 +93,9 @@ class CumulantSpecSingle:
                 raise SchemaError(
                     f"entry pattern {d.letters!r} outside order bound {self.order}"
                 )
+            if self.dim > 1 and len(d) > MAX_MATRIX_ORDER:  # no computation could read it
+                raise SchemaError(f"matrix spec entry {d.letters!r} exceeds the dim-{self.dim} "
+                                  f"bound {MAX_MATRIX_ORDER}")
             if self.dim == 1 and isinstance(value, (int, float, complex)):
                 arr = complex(value)  # a number needs no array
             else:
@@ -133,33 +138,31 @@ class CumulantSpecSingle:
     def _table(self) -> CumulantTable:
         """The cumulants: shift, self-adjoint orders, matrix blocks and the
         undeclared conjugates of scalar entries, expanded here only, once."""
-        table = CumulantTable(order=self.order, dim=self.dim)
-        if self.selfadjoint:
-            for letters, value in self.entries.items():  # every pattern of the order, which agree
-                table.data.update(dict.fromkeys(_pattern_words(len(letters))[-2 ** len(letters):], value))
+        if self.selfadjoint:  # every pattern of an entry's order, which agree
+            data = {w: value for letters, value in self.entries.items()
+                    for w in _pattern_words(len(letters))[-2 ** len(letters):]}
         elif self.dim > 1:
-            for letters, value in self.entries.items():
-                table.set(letters, _matrix_entry_core(value, len(letters), self.dim))
-                table.data[letters].flags.writeable = False
+            data = {letters: _matrix_entry_core(value, len(letters), self.dim)
+                    for letters, value in self.entries.items()}
         else:
-            table.data.update(self.entries)
+            data = dict(self.entries)
             for letters, value in self.entries.items():
-                table.data.setdefault(conjugate_letters(letters), value.conjugate())
+                data.setdefault(conjugate_letters(letters), value.conjugate())
         if self.shift != 0:
             for letters, shift in ((ONE, self.shift), (STAR, self.shift.conjugate())):
-                table.data[letters] = table.data.get(letters, 0j) + shift
-                if table.data[letters] == 0:
-                    del table.data[letters]
-        table.data = MappingProxyType(table.data)
-        return table
+                data[letters] = data.get(letters, 0j) + shift
+                if data[letters] == 0:
+                    del data[letters]
+        return CumulantTable(self.order, self.dim, data)
 
 
 def _matrix_entry_core(value: np.ndarray, k: int, p: int) -> np.ndarray:
-    """Core tensor for the product convention: value times the coefficients."""
+    """Core tensor for the product convention: value times the coefficients, read-only."""
     units = np.eye(p * p, dtype=complex).reshape(p * p, p, p)
     core = np.asarray(value, dtype=complex)
     for _ in range(k - 1):
         core = np.einsum("...xy,ayz->...axz", core, units)
+    core.flags.writeable = False
     return core
 
 
@@ -245,11 +248,15 @@ _SAMPLE_RECIPES = {
 }
 
 
+@lru_cache(maxsize=len(class_tags(3)))
 def sample_spec(tag: ClassTag, seed: int = 0) -> CumulantSpecSingle:
     """A witness spec whose classification is minimal exactly at the tag.
 
     Seed 0 gives exact unit weights; other seeds jitter the magnitudes
-    without disturbing which patterns are populated.
+    without disturbing which patterns are populated.  The spec is frozen,
+    so it is kept per (tag, seed), and with it its table's memo: every
+    theorem1_probe call on one seed scans the same nine tables.  The nine
+    last asked for are kept, as many as the probe's classes (class_tags(3)).
     """
     if seed < 0:
         raise InputMismatchError(f"seed must be nonnegative, got {seed}")

@@ -149,11 +149,8 @@ def haar_unitary_spec(order: int = 6) -> CumulantSpecSingle:
     The moment of a pattern is 1 exactly when the exponents cancel, 0
     otherwise; inversion then produces the alternating entries.
     """
-    moments = MomentTable(order=order)
-    for k in range(1, order + 1):
-        for d in StarPattern.all_patterns(k):
-            if d.imbalance == 0:
-                moments.set(d, 1.0)
+    moments = MomentTable(order=order, data={d: 1.0 for k in range(1, order + 1)
+                                             for d in StarPattern.all_patterns(k) if d.imbalance == 0})
     table = moments_to_free_cumulants(moments, order)
     return spec_from_cumulant_table(table)
 

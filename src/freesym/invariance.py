@@ -14,17 +14,17 @@ diag(u, u*) on (letter, index).  2x2 residuals take their norm in closed
 form.  A residual is judged relative to its order's moments, not the law's units.
 
 That tensor (order_tensor) is all a joint gives the scan.  Joints, like
-specs, are frozen once checked, and a spec is scanned through its one table
-(to_table).  A scalar law's tensors are memoised in its law memo
-(cumulants._free_family_tensor keeps it) in the law's field, float64 when
-its table is real, each beside its scale once a scan has read it, and
-interleaved coefficients only scale its residual norms.  The model's letter
-matrices u, u* and diag(u, u*) are derived once per model (_scan_letters,
-through qgroups._derived), real when its entries are, so a real law under a
-real model is scanned in real matmuls.  A matrix-valued table's tensor
-carries the coefficients, (2n)^k p^2 complex entries built afresh per
-order.  A tabulated joint is held to the scalar order bound, and an order
-with no entry is skipped unbuilt.  The chunk size is qgroups' _CHUNK_CELLS.
+specs and tables, are frozen once checked, and a spec is scanned through its
+one table (to_table).  A scalar law's tensors are memoised on its table
+(cumulants._PatternTable._memo) in the law's field, float64 when its table
+is real, each beside its scale once a scan has read it, and go when the
+table goes; interleaved coefficients only scale its residual norms.  The
+model's letter matrices u, u* and diag(u, u*) are derived once per model
+(_scan_letters, through qgroups._derived), real when its entries are, so a
+real law under a real model is scanned in real matmuls.  A matrix-valued
+table's tensor carries the coefficients, (2n)^k p^2 complex entries built
+afresh per order.  A tabulated joint is held to the scalar order bound, and
+an order with no entry is skipped unbuilt.  The chunk size is qgroups' _CHUNK_CELLS.
 """
 
 from __future__ import annotations
@@ -53,10 +53,11 @@ class FreeIIDJoint:
 
     The scan reads its moments as one tensor per order over the words of
     (letter, index) pairs (order_tensor), built by the free first-block
-    recursion.  A scalar law's tensors are memoised read-only by
-    cumulants._free_family_tensor, shared by every joint of that law and n:
-    a word's segments are shorter words, so the orders below are all it
-    reuses.  They are in the law's field, float64 for a real table.
+    recursion.  A scalar law's tensors are memoised read-only in its
+    table's memo, shared by every joint of that table and n and dropped
+    with the table; a table built again from equal data builds its own.
+    Its word segments are shorter words, so the orders below are all it
+    reuses, and its tensors are in its field, float64 for a real table.
     """
 
     table: CumulantTable
@@ -78,8 +79,9 @@ class FreeIIDJoint:
         """Order-k moments, axes (c_1, i_1, ..., c_k, i_k)[, p, q], c 0 for 1 and 1 for *.
 
         coeffs is the interleaved list b_0..b_k, identity when omitted.
-        Without them a scalar law's tensor is its law memo's own, read-only
-        and in the law's field; with them, and for a matrix table, it is complex.
+        Without them a scalar law's tensor is its table memo's own, read-only
+        and in the law's field; with them, and for a matrix table, it is
+        complex and the caller's.
         """
         return _family_tensor(self.table, self.n, EITHER * k, coeffs)
 
@@ -175,7 +177,7 @@ def _order_moments(joint, k: int, matrix_coeffs: bool, seed: int) -> tuple[np.nd
 
     A scalar joint's moments carry the coefficient product B outside, so
     each residual is kron(B, D) for the plain one D, of norm |B| |D|.  A
-    scalar law's tensor and scale come from one law-memo lookup
+    scalar law's tensor and scale come from one lookup in its table's memo
     (cumulants._scaled_family_tensor).
     """
     if joint.dim > 1:

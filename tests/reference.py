@@ -45,8 +45,9 @@ agree with it bit for bit.
 
 reference_first_violation finds an invariance scan's first violating cell
 with np.argwhere over each whole order, as freesym.invariance did before it
-took the first True cell by argmax; on orders the scan takes in one chunk the
-two must agree bit for bit.
+took the first True cell by argmax.  It reads only the joint's order tensors
+and sums the action and takes the norms its own way (np.einsum, LAPACK's
+SVD), so the cells must agree exactly and the residuals to rounding.
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ from freesym.cumulants import (
 from freesym.distributions import ClassTag
 from freesym.easy import M_MAX_DEFAULT, FamilyTag, all_family_tags
 from freesym.errors import CrossingPartitionError, IncompleteTableError, InputMismatchError
-from freesym.invariance import _order_moments, _residual_norms
+from freesym.invariance import matrix_b_coeffs
 from freesym.partitions import (
     ONE,
     STAR,
@@ -378,7 +379,7 @@ def scalar_partition_sum(table, K: int, free: bool) -> MomentTable:
     patterns = {k: list(StarPattern.all_patterns(k)) for k in range(1, K + 1)}
     values = {k: np.array([complex(table.data.get(d.letters, 0j)) for d in ds])
               for k, ds in patterns.items()}
-    out = MomentTable(order=K)
+    data = {}
     for k, ds in patterns.items():
         bits = np.array([[ch == STAR for ch in d.letters] for d in ds], dtype=np.int64)
         total = np.zeros(len(ds), dtype=complex)
@@ -388,9 +389,8 @@ def scalar_partition_sum(table, K: int, free: bool) -> MomentTable:
                 code = bits[:, [x - 1 for x in block]] @ (1 << np.arange(len(block) - 1, -1, -1))
                 term *= values[len(block)][code]
             total += term
-        for d, value in zip(ds, total):
-            out.set(d, value)
-    return out
+        data.update(zip(ds, total))
+    return MomentTable(order=K, data=data)
 
 
 def reference_family_below(a, b) -> bool:
@@ -849,19 +849,37 @@ def reference_first_violation(joint, rep: MatrixRep, max_order: int, matrix_coef
                               seed: int = 0, tol: float | None = None):
     """check_invariance's first_violation, from np.argwhere on each order's residuals in one piece.
 
-    Every word slot is left open (diag(u, entrywise adjoint) on (letter,
-    index)), the residuals are put letters first, and the first cell over tol
-    in C order is the first violation: (order, letters, 1-based word, residual).
+    Order k's moments are the joint's own tensor E (order_tensor), with
+    matrix_b_coeffs (dim 2 for a scalar joint) when asked.  The acted moment
+    of a cell, letters c and word j, is sum_i E(c, i) (x) u^c1_i1j1 ...
+    u^ck_ikjk, u^* the entrywise adjoint, summed by np.einsum a slot at a
+    time over every cell at once; its residual is np.linalg.norm(., 2) of
+    that minus E(c, j) (x) I, rows (p, A_0) and columns (q, A_k).  The
+    residuals are put letters first, and the first cell over tol in C order
+    is the first violation: (order, letters, 1-based word, residual).
     """
     tol = rep.tol if tol is None else tol
-    n, nd = rep.n, rep.n * rep.d
-    both = np.zeros((2, nd, 2, nd), dtype=complex)
+    n, d = rep.n, rep.d
+    # slot[c, i, c', j] = u^c_ij where c' = c, else 0: (letter, index) in and out
+    slot = np.zeros((2, n, 2, n, d, d), dtype=complex)
     for c, ch in enumerate((ONE, STAR)):
-        both[c, :, c] = rep.letter_array(ch).transpose(0, 2, 1, 3).reshape(nd, nd)
-    both = both.reshape(2 * nd, 2 * nd)
+        slot[c, :, c] = rep.letter_array(ch)
+    slot = slot.reshape(2 * n, 2 * n, d, d)
     for k in range(1, max_order + 1):
-        E, _, factor = _order_moments(joint, k, matrix_coeffs, seed)
-        res = _residual_norms(E.reshape((2 * n,) * k + E.shape[2 * k:]), [both] * k) * factor
+        dim = joint.dim if joint.dim > 1 else 2
+        E = joint.order_tensor(k, matrix_b_coeffs(k, seed, dim) if matrix_coeffs else None)
+        E = E.reshape((2 * n,) * k + (E.shape[2 * k:] or (1, 1)))
+        p, q = E.shape[k:]
+        # axes: the k slots, p, q, A_0, then the chain's open block index
+        acted = np.multiply.outer(E, np.eye(d))
+        rest = list(range(k, k + 4))
+        for t in range(k):
+            out = list(range(k)) + rest[:3] + [k + 5]
+            out[t] = k + 4
+            acted = np.einsum(acted, list(range(k)) + rest, slot, [t, k + 4, k + 3, k + 5], out)
+        acted -= np.multiply.outer(E, np.eye(d))
+        cells = acted.transpose(*range(k), k, k + 2, k + 1, k + 3).reshape((2 * n,) * k + (p * d, q * d))
+        res = np.linalg.norm(cells, 2, axis=(-2, -1))
         res = res.reshape((2, n) * k).transpose(*range(0, 2 * k, 2), *range(1, 2 * k, 2))
         hits = np.argwhere(res > tol)
         if len(hits):

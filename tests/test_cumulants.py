@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import itertools
 import tracemalloc
@@ -19,6 +20,7 @@ from freesym.cumulants import (
     multivariate_cumulants_from_joint_moments,
     random_cumulant_table,
 )
+from freesym.distributions import CumulantSpecSingle, classify_report
 from freesym.errors import (
     BudgetError,
     CrossingPartitionError,
@@ -46,21 +48,13 @@ from reference import (
 
 def selfadjoint_moments(values, order):
     # a self-adjoint variable has pattern-independent moments
-    t = MomentTable(order=order)
-    for k in range(1, order + 1):
-        for d in StarPattern.all_patterns(k):
-            t.set(d, values[k - 1])
-    return t
+    return MomentTable(order=order, data={d: values[k - 1] for k in range(1, order + 1)
+                                          for d in StarPattern.all_patterns(k)})
 
 
 def selfadjoint_cumulants(values, order):
-    t = CumulantTable(order=order)
-    for k in range(1, order + 1):
-        if values[k - 1] == 0:
-            continue
-        for d in StarPattern.all_patterns(k):
-            t.set(d, values[k - 1])
-    return t
+    return CumulantTable(order=order, data={d: values[k - 1] for k in range(1, order + 1) if values[k - 1] != 0
+                                            for d in StarPattern.all_patterns(k)})
 
 
 def test_free_fourth_cumulant_formula():
@@ -92,9 +86,7 @@ def test_semicircular_moments():
 
 
 def test_circular_trace_powers():
-    kappa = CumulantTable(order=6)
-    kappa.set("1*", 1)
-    kappa.set("*1", 1)
+    kappa = CumulantTable(order=6, data={"1*": 1, "*1": 1})
     m = free_cumulants_to_moments(kappa, 6)
     for k, want in [(1, 1), (2, 2), (3, 5)]:
         assert abs(m.get("1*" * k) - want) < 1e-12
@@ -113,8 +105,7 @@ def test_gaussian_moments_classical():
 
 def test_pure_shift_gives_powers():
     c = 0.5 + 0.25j
-    kappa = CumulantTable(order=5)
-    kappa.set("1", c)
+    kappa = CumulantTable(order=5, data={"1": c})
     m_free = free_cumulants_to_moments(kappa, 5)
     m_cl = classical_cumulants_to_moments(kappa, 5)
     for k in range(1, 6):
@@ -125,11 +116,8 @@ def test_pure_shift_gives_powers():
 def haar_unitary_moments(order):
     # a normal unitary with vanishing nonzero powers: the word collapses to
     # the net exponent, so the moment is 1 exactly when counts balance
-    t = MomentTable(order=order)
-    for k in range(1, order + 1):
-        for d in StarPattern.all_patterns(k):
-            t.set(d, 1.0 if d.imbalance == 0 else 0.0)
-    return t
+    return MomentTable(order=order, data={d: 1.0 if d.imbalance == 0 else 0.0 for k in range(1, order + 1)
+                                          for d in StarPattern.all_patterns(k)})
 
 
 def test_haar_unitary_cumulants():
@@ -184,6 +172,18 @@ def test_conversion_guards():
         CumulantTable(order=2, dim=4)
 
 
+def test_a_table_checks_each_key_against_its_declared_order():
+    """Keys may be letters, star patterns or letter sequences; each is held to 1..order letters."""
+    table = CumulantTable(order=3, data={"1*": 1, StarPattern("*1"): 2.0, ("*", "*", "1"): 3j})
+    assert dict(table.data) == {"1*": 1, "*1": 2, "**1": 3j}
+    for order, key in ((3, "1*1*"), (1, "11"), (0, "1"), (3, ""), (3, StarPattern("1111"))):
+        with pytest.raises(OrderBoundError, match="outside declared order"):
+            CumulantTable(order=order, data={key: 1.0})
+    assert list(MomentTable(order=10, data={"1" * 9: 1.0}).data) == ["1" * 9]
+    with pytest.raises(InputMismatchError):
+        CumulantTable(order=3, data={"1x": 1.0})
+
+
 def test_eval_free_rejects_crossing():
     kappa = random_cumulant_table(4, seed=3)
     crossing = Partition.of([[1, 3], [2, 4]])
@@ -196,9 +196,7 @@ def test_eval_free_rejects_crossing():
 
 
 def test_nested_scalar_example():
-    kappa = CumulantTable(order=2)
-    kappa.set("1", 0.5)
-    kappa.set("11", 2.0)
+    kappa = CumulantTable(order=2, data={"1": 0.5, "11": 2.0})
     part = Partition.of([[1, 3], [2]])
     a = [1.5, 3.0, 0.5 + 1j]
     # peel the singleton {2}: its value multiplies the first argument
@@ -375,19 +373,19 @@ def partition_sum(table, K, free):
     parts = enumerate_noncrossing if free else enumerate_all_partitions
     p = table.dim
     units = _coefficient_units(p)
-    out = MomentTable(order=K, dim=p)
+    data = {}
     for k in range(1, K + 1):
         stacks = [units.reshape((1,) * t + (p * p,) + (1,) * (k - 2 - t) + (p, p))
                   for t in range(k - 1)] + [np.eye(p, dtype=complex)]
         for d in StarPattern.all_patterns(k):
             if p == 1:
-                out.set(d, sum(evaluate(table, part, d) for part in parts(k)))
+                data[d] = sum(evaluate(table, part, d) for part in parts(k))
                 continue
             core = np.zeros(core_shape(p, k), dtype=complex)
             for part in parts(k):
                 core += evaluate(table, part, d, stacks)
-            out.set(d, core)
-    return out
+            data[d] = core
+    return MomentTable(order=K, dim=p, data=data)
 
 
 def relative_error(got, want):
@@ -484,9 +482,8 @@ def test_dim2_order6_round_trip():
 def test_dim3_order5_lifted_scalar():
     scalar = random_cumulant_table(5, seed=91)
     moments = free_cumulants_to_moments(scalar, 5)
-    lift = CumulantTable(order=5, dim=3)
-    for letters, value in scalar.data.items():
-        lift.set(letters, value * product_core(3, len(letters)))
+    lift = CumulantTable(order=5, dim=3, data={letters: value * product_core(3, len(letters))
+                                               for letters, value in scalar.data.items()})
     lifted_moments = free_cumulants_to_moments(lift, 5)
     back = moments_to_free_cumulants(lifted_moments, 5)
     for letters, value in moments.data.items():
@@ -687,7 +684,7 @@ class _TabulatedMatrixFamily:
 
 @pytest.mark.parametrize("family", ["free n=2 K=5", "free n=3 K=4", "tabulated n=2 K=4",
                                     "dim-2 n=2 K=4"])
-def test_multivariate_inverter_matches_the_per_word_construction(family, empty_law_memo):
+def test_multivariate_inverter_matches_the_per_word_construction(family):
     """Values bit for bit and keys in the same order: word-major, then all_patterns order."""
     oracle, K = {
         "free n=2 K=5": lambda: (_PointwiseFamily(random_cumulant_table(5, seed=92, scale=0.6), 2), 5),
@@ -993,9 +990,8 @@ def test_zero_cumulants_come_back_exactly_zero(K, dim):
     cumulant is m - (the terms) = 0 without rounding: classification from
     moments reads vanishing cumulants at any scale of the input.
     """
-    kappa = _without_orders(random_cumulant_table(K, dim, seed=101), set(range(1, K + 1)) - {2})
-    for letters in kappa.data:
-        kappa.data[letters] = kappa.data[letters] * 1e8
+    order_two = _without_orders(random_cumulant_table(K, dim, seed=101), set(range(1, K + 1)) - {2})
+    kappa = CumulantTable(order=K, dim=dim, data={w: v * 1e8 for w, v in order_two.data.items()})
     back = moments_to_free_cumulants(free_cumulants_to_moments(kappa, K), K)
     for letters, value in back.data.items():
         assert np.array_equal(value, kappa.data.get(letters, 0 * value)), letters
@@ -1050,7 +1046,7 @@ def test_word_recursion_matches_partition_sums_at_order_five(table_kind, coeff_k
 
 
 # ---------------------------------------------------------------------------
-# the word recursion's segments in the law memo, shared across calls on one scalar law
+# the word recursion's segments in a table's memo, shared across calls on that table
 
 
 def _bits(value):
@@ -1058,20 +1054,14 @@ def _bits(value):
     return value.real.hex(), value.imag.hex()
 
 
+def _rebuilt(table):
+    """A table of equal data built afresh: an empty memo of its own."""
+    return type(table)(order=table.order, dim=table.dim, data=table.data)
+
+
 def _cold(table, n, word, pattern, coeffs=None):
-    """joint_moments_free_family from an empty law memo, leaving the memo empty."""
-    cumulants.release_law_memo()
-    try:
-        return joint_moments_free_family(table, n, word, pattern, coeffs)
-    finally:
-        cumulants.release_law_memo()
-
-
-@pytest.fixture
-def empty_law_memo():
-    cumulants.release_law_memo()
-    yield
-    cumulants.release_law_memo()
+    """joint_moments_free_family on a rebuilt table, so from an empty memo."""
+    return joint_moments_free_family(_rebuilt(table), n, word, pattern, coeffs)
 
 
 def test_empty_word_is_b0_times_the_tables_identity():
@@ -1092,7 +1082,7 @@ def test_empty_word_is_b0_times_the_tables_identity():
         joint_moments_free_family(matrix, 2, (), "", [np.eye(3)])
 
 
-def test_shared_segments_are_bit_identical_across_interleaved_laws(empty_law_memo):
+def test_shared_segments_are_bit_identical_across_interleaved_laws():
     """Warm values equal cold ones bit for bit: laws A, B, A and n = 2, 3 interleaved."""
     a = random_cumulant_table(5, seed=82, scale=0.6)
     b = _without_orders(random_cumulant_table(5, seed=83, scale=0.6), (3,))
@@ -1104,44 +1094,75 @@ def test_shared_segments_are_bit_identical_across_interleaved_laws(empty_law_mem
             for word in itertools.product(range(1, n + 1), repeat=k):
                 for d in StarPattern.all_patterns(k):
                     warm[-1][word, d.letters] = joint_moments_free_family(table, n, word, d)
-        assert cumulants._last_law[0] == table.data
-    # the last run read the memo that law a's first two runs filled, kept while b was in use
-    assert len(cumulants._last_law[2]["words"]) > 682
+    # the last run read the memo that law a's first two runs filled, kept on a while b was in use
+    assert len(a._memo["words"]) > 682 and list(b._memo) == ["words"]
     for (table, n, _), values in zip(runs, warm):
         for (word, letters), value in values.items():
             assert _bits(value) == _bits(_cold(table, n, word, letters)), (n, word, letters)
 
 
-def test_table_mutated_in_place_is_a_new_law(empty_law_memo):
+def test_every_table_refuses_attribute_and_item_assignment():
+    """A table is checked once and frozen, its memo with it; a spec's table
+    too, which took a replacement of its data before."""
+    spec = CumulantSpecSingle(order=4, entries={"11": 1.0}, selfadjoint=True)
+    scalar, matrix = random_cumulant_table(3, seed=1), random_cumulant_table(3, dim=2, seed=1)
+    moments = free_cumulants_to_moments(matrix, 3)
+    multi = multivariate_cumulants_from_joint_moments(_PointwiseFamily(scalar, 2), 3)
+    for table in (spec.to_table(), scalar, matrix, moments, multi, MomentTable(order=2, data={"11": 1.0})):
+        for name, value in (("data", {"1": 3.0, "11": 1 + 1j}), ("order", 9), ("dim", 2), ("_memo", {})):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(table, name, value)
+        key = next(iter(table.data))
+        with pytest.raises(TypeError):
+            table.data[key] = table.data[key]
+        with pytest.raises(TypeError):
+            del table.data[key]
+    for table in (matrix, moments):
+        for core in table.data.values():
+            with pytest.raises(ValueError):
+                core[...] = 0
+    assert classify_report(spec, 4, True)["minimal"] == ["SEMICIRCULAR"]
+
+
+def test_a_table_built_with_a_change_is_a_new_law():
     table = random_cumulant_table(5, seed=84, scale=0.6)
     word, letters = (1, 2, 1, 1, 2), "1*1**"
     first = joint_moments_free_family(table, 2, word, letters)
-    law = cumulants._last_law[2]
-    kept = table.data["1*"]
-    table.data["1*"] = 0.25 + 0.5j
-    changed = joint_moments_free_family(table, 2, word, letters)
-    assert cumulants._last_law[2] is not law
-    table.data["1*"] = kept
-    # the first content again is the first law again, kept while the other was in use
-    assert _bits(joint_moments_free_family(table, 2, word, letters)) == _bits(first)
-    assert cumulants._last_law[2] is law
-    table.data["1*"] = 0.25 + 0.5j
-    assert _bits(changed) == _bits(_cold(table, 2, word, letters))
-    assert changed != first
+    memo = table._memo
+    changed = CumulantTable(order=5, data={**table.data, "1*": 0.25 + 0.5j})
+    value = joint_moments_free_family(changed, 2, word, letters)
+    assert changed._memo is not memo and changed._memo["words"] != memo["words"]
+    assert _bits(value) == _bits(_cold(changed, 2, word, letters)) and value != first
+    # the first table still reads its own law
+    assert _bits(joint_moments_free_family(table, 2, word, letters)) == _bits(first) and table._memo is memo
 
 
-def test_matrix_tables_and_coefficients_leave_the_shared_memo_alone(empty_law_memo):
+def test_equal_tables_built_twice_hold_two_memos():
+    table = random_cumulant_table(5, seed=97, scale=0.6)
+    twin = _rebuilt(table)
+    assert twin == table and twin._memo is not table._memo
+    word, letters = (1, 2, 1, 1, 2), "1*1**"
+    value = joint_moments_free_family(table, 2, word, letters)
+    assert twin._memo == {}
+    assert _bits(joint_moments_free_family(twin, 2, word, letters)) == _bits(value)
+    assert twin._memo["words"] == table._memo["words"] and twin._memo["words"] is not table._memo["words"]
+    tensor = joint_moment_tensor(table, 2, 3, "1*1")
+    assert 2 not in twin._memo and np.array_equal(joint_moment_tensor(twin, 2, 3, "1*1"), tensor)
+
+
+def test_matrix_tables_and_coefficients_leave_the_shared_memo_alone():
     scalar = random_cumulant_table(5, seed=85, scale=0.6)
     word, letters = (1, 2, 1, 1, 2), "1*1**"
     plain = joint_moments_free_family(scalar, 2, word, letters)
-    law = cumulants._last_law
-    held = dict(law[2]["words"])
+    held = dict(scalar._memo["words"])
     rng = np.random.default_rng(86)
     matrix = random_cumulant_table(5, dim=2, seed=87)
     joint_moments_free_family(matrix, 2, word, letters)
     joint_moments_free_family(matrix, 2, word, letters, _random_coeffs("matrix", 5, rng))
     joint_moment_tensor(matrix, 2, 3, "1*1")
-    assert cumulants._last_law is law and law[2]["words"] == held and not cumulants._idle_laws
+    assert list(scalar._memo) == ["words"] and scalar._memo["words"] == held
+    # a matrix table keeps the coefficient-free tensors of its words only, by m and letters
+    assert {m: sorted(tensors) for m, tensors in matrix._memo.items()} == {2: [letters]}
     # coefficients of a scalar table multiply outside the coefficient-free
     # value: that value is memoised, and nothing else is
     for kind in ("scalar", "matrix"):
@@ -1149,15 +1170,41 @@ def test_matrix_tables_and_coefficients_leave_the_shared_memo_alone(empty_law_me
         got = joint_moments_free_family(scalar, 2, word, letters, coeffs)
         want = cumulants._times_coeff_product(plain, coeffs)
         assert np.array_equal(got, want), kind
-        assert cumulants._last_law is law and law[2]["words"] == held
+        assert list(scalar._memo) == ["words"] and scalar._memo["words"] == held
 
 
-def test_word_checks_run_on_a_warm_law_memo(empty_law_memo):
+def test_a_second_matrix_word_of_one_pattern_builds_no_tensor(monkeypatch):
+    """Words of one pattern and m distinct indices are entries of one
+    coefficient-free tensor, built once per table; each value owns its data."""
+    table = random_cumulant_table(6, dim=2, seed=98)
+    letters = "1*1**1"
+    first = joint_moments_free_family(table, 3, (1, 2, 1, 3, 3, 2), letters)
+    builds = []
+    real = cumulants._free_family_tensor
+    monkeypatch.setattr(cumulants, "_free_family_tensor", lambda *args: builds.append(args) or real(*args))
+    words = [(2, 1, 2, 3, 3, 1), (3, 1, 3, 2, 2, 1), (1, 2, 3, 1, 2, 3), (1, 1, 2, 2, 3, 3)]
+    values = [joint_moments_free_family(table, 3, word, letters) for word in words]
+    assert builds == []
+    tensor = table._memo[3][letters]
+    assert not tensor.flags.writeable
+    for word, value in zip([(1, 2, 1, 3, 3, 2)] + words, [first] + values):
+        at = tuple(sorted(set(word), key=word.index).index(i) for i in word)
+        assert np.array_equal(value, tensor[at]) and value.flags.writeable and not np.shares_memory(value, tensor)
+    assert np.array_equal(values[0], first)  # one kernel, relabelled
+    # a fresh table of equal data builds it again, to the same bits
+    monkeypatch.setattr(cumulants, "_free_family_tensor", real)
+    fresh = [_cold(table, 3, word, letters) for word in words]
+    assert all(np.array_equal(a, b) for a, b in zip(values, fresh))
+    want = joint_moment_partition_sum(table, 3, words[2], letters)
+    assert np.max(np.abs(values[2] - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_word_checks_run_on_a_warm_law_memo():
     """Each bad call raises as from a cold memo although the memo holds its word's value."""
     table = random_cumulant_table(5, seed=96, scale=0.6)
     word, letters = (1, 2, 3, 1, 2), "1*1**"
     value = joint_moments_free_family(table, 3, word, letters)
-    words = cumulants._law_memo(table)["words"]
+    words = table._memo["words"]
     assert words[cumulants._segment_key(letters, word)] is value
     assert cumulants._segment_key(letters[1:], word[1:]) in words
     with pytest.raises(InputMismatchError, match=r"must lie in 1\.\.2"):
@@ -1168,35 +1215,34 @@ def test_word_checks_run_on_a_warm_law_memo(empty_law_memo):
         joint_moments_free_family(table, 3, word, letters[:-1])
     with pytest.raises(InputMismatchError, match="need 6 interleaved coefficients"):
         joint_moments_free_family(table, 3, word, letters, [1.0] * 5)
-    # a table of the same content is the same law; declared at order 4 it lacks the word
+    # the table's law declared at order 4 is a table of its own, which lacks the word
     lower = CumulantTable(order=4, data={w: v for w, v in table.data.items() if len(w) <= 4})
-    lower.data = table.data
-    assert cumulants._law_memo(lower) is cumulants._law_memo(table)
     with pytest.raises(IncompleteTableError, match="declares order 4, need 5"):
         joint_moments_free_family(lower, 3, word, letters)
-    assert joint_moments_free_family(lower, 3, word[1:], letters[1:]) is words[
-        cumulants._segment_key(letters[1:], word[1:])]
+    assert lower._memo == {}
+    assert _bits(joint_moments_free_family(lower, 3, word[1:], letters[1:])) == _bits(
+        words[cumulants._segment_key(letters[1:], word[1:])])
     assert joint_moments_free_family(table, 3, (), "") == 1 and joint_moments_free_family(table, 3, (), "", [2j]) == 2j
 
 
-def test_multivariate_inverter_builds_each_segment_once(empty_law_memo):
+def test_multivariate_inverter_builds_each_segment_once():
     """n = 2, K = 5 asks for 1,364 joint moments; 682 (letters, kernel) pairs are distinct."""
     table = random_cumulant_table(5, seed=88, scale=0.6)
     multivariate_cumulants_from_joint_moments(_PointwiseFamily(table, 2), 5)
-    assert len(cumulants._last_law[2]["words"]) == sum(2 ** k * 2 ** (k - 1) for k in range(1, 6)) == 682
+    assert len(table._memo["words"]) == sum(2 ** k * 2 ** (k - 1) for k in range(1, 6)) == 682
 
 
-def test_joint_moment_tensor_reads_and_fills_the_law_memo(empty_law_memo, monkeypatch):
+def test_joint_moment_tensor_reads_and_fills_the_law_memo(monkeypatch):
     table = random_cumulant_table(5, seed=91, scale=0.6)
     cold = joint_moment_tensor(table, 3, 4, "1*1*")
-    held = cumulants._law_memo(table)[3]["1*1*"]
+    held = table._memo[3]["1*1*"]
     assert not held.flags.writeable and np.array_equal(cold, held) and not np.shares_memory(cold, held)
     builds = []
     real = cumulants._first_blocks
     monkeypatch.setattr(cumulants, "_first_blocks", lambda *args: builds.append(args) or real(*args))
     warm = joint_moment_tensor(table, 3, 4, "1*1*")
     # its trailing segments were kept too
-    assert np.array_equal(joint_moment_tensor(table, 3, 3, "*1*"), cumulants._law_memo(table)[3]["*1*"])
+    assert np.array_equal(joint_moment_tensor(table, 3, 3, "*1*"), table._memo[3]["*1*"])
     assert builds == []
     assert warm.flags.writeable and not np.shares_memory(warm, held) and np.array_equal(warm, cold)
     warm[...] = 0
@@ -1230,13 +1276,13 @@ def _restricted_growth_words(k):
     return words
 
 
-def test_shared_memo_stays_within_its_cap(monkeypatch, empty_law_memo):
+def test_shared_memo_stays_within_its_cap(monkeypatch):
     """K = 8, n = 8: segments past the cap start the memo over, and memory stays bounded.
 
     An entry (key tuple, letters, kernel tuple, complex value, dict slot)
     takes 250 to 300 bytes, so the bound is 320 bytes an entry; a full
-    memo of 2^16 entries, near the real cap of _LAW_BYTES // _ENTRY_BYTES
-    = 67,108, held 15.8 MiB.  That cap takes some 12 s to fill under
+    memo of 2^16 entries, near the real cap of _MEMO_SEGMENTS = 67,108,
+    held 15.8 MiB.  That cap takes some 12 s to fill under
     tracemalloc, so the test lowers the budget to 2^11 entries and stores
     one and a half times that many segments: uncapped, they would outgrow
     the bound.
@@ -1244,7 +1290,7 @@ def test_shared_memo_stays_within_its_cap(monkeypatch, empty_law_memo):
     table = random_cumulant_table(8, seed=90)
     joint_moments_free_family(table, 8, (1,) * 8, "1" * 8)
     cap = 2 ** 11
-    monkeypatch.setattr(cumulants, "_LAW_BYTES", cap * cumulants._ENTRY_BYTES)
+    monkeypatch.setattr(cumulants, "_MEMO_SEGMENTS", cap)
     patterns = [d.letters for d in StarPattern.all_patterns(8)]
     stored = size = 0
     tracemalloc.start()
@@ -1254,7 +1300,7 @@ def test_shared_memo_stays_within_its_cap(monkeypatch, empty_law_memo):
             for letters in patterns:
                 # an index of its own in front: every call reaches its 7-letter suffix
                 joint_moments_free_family(table, 8, (8,) + rest, letters)
-                now = len(cumulants._last_law[2]["words"])
+                now = len(table._memo["words"])
                 assert now <= cap
                 stored += now - size if now >= size else now
                 size = now
@@ -1301,15 +1347,15 @@ def _kernel_words(k: int, n: int) -> list:
 
 def _sparse_matrix_table(dim: int, rng) -> CumulantTable:
     """Every pattern of an order whose cores fit 2^16 cells, else two of them."""
-    table = CumulantTable(order=6, dim=dim)
+    data = {}
     for k in range(1, 7):
         patterns = list(StarPattern.all_patterns(k))
         if dim ** (2 * k) * len(patterns) > 2 ** 16:
             patterns = [patterns[i] for i in rng.choice(len(patterns), 2, replace=False)]
         shape = core_shape(dim, k)
         for d in patterns:
-            table.set(d, (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * 0.4 ** k / dim)
-    return table
+            data[d] = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * 0.4 ** k / dim
+    return CumulantTable(order=6, dim=dim, data=data)
 
 
 def test_matrix_words_are_entries_of_their_kernels_tensor():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -243,12 +245,8 @@ def test_classical_mirror():
 def haar_scalar_moments(order):
     # z Haar-distributed on the unit circle: a word averages to 1 exactly
     # when its exponents cancel.
-    table = MomentTable(order=order)
-    for k in range(1, order + 1):
-        for d in StarPattern.all_patterns(k):
-            if d.imbalance == 0:
-                table.set(d, 1.0)
-    return table
+    return MomentTable(order=order, data={d: 1.0 for k in range(1, order + 1)
+                                          for d in StarPattern.all_patterns(k) if d.imbalance == 0})
 
 
 def test_uniform_circle_is_unitary_not_complex_gaussian():
@@ -288,6 +286,16 @@ def test_spec_refuses_a_selfadjoint_flag_that_is_not_a_bool_and_a_dim_outside_th
     for dim, bound in ((0, "least 1"), (4, "most 3")):
         with pytest.raises(SchemaError, match=f"dim must be at {bound}, got {dim}$"):
             CumulantSpecSingle(order=2, dim=dim)
+
+
+def test_a_matrix_spec_refuses_an_entry_past_the_matrix_order_bound():
+    """A dim > 1 entry of more than 6 letters could never be read (MAX_MATRIX_ORDER), so it is refused at once."""
+    block = np.eye(2)
+    CumulantSpecSingle(order=7, dim=2, entries={"1*1*1*": block})
+    for letters in ("1*1*1*1", "1*" * 7):
+        with pytest.raises(SchemaError, match=f"matrix spec entry '{re.escape(letters)}' exceeds the dim-2 bound 6"):
+            CumulantSpecSingle(order=14, dim=2, entries={letters: block})
+    assert CumulantSpecSingle(order=7, entries={"1*1*1*1": 1.0}).to_table().order == 7  # scalars go to 8
 
 
 def test_spec_validation_errors():
@@ -385,11 +393,10 @@ def test_haar_unitary_spec_keeps_its_entries():
 
 
 def test_rounding_level_odd_cumulants_are_dropped_from_moments():
-    moments = _moments_of({"11": 1.7}, free=True)
+    even = _moments_of({"11": 1.7}, free=True)
     # odd moments at rounding level, equal on every pattern of their order
-    for k in (1, 3, 5):
-        for d in StarPattern.all_patterns(k):
-            moments.set(d, 3e-16)
+    moments = MomentTable(order=even.order, data={**even.data, **{d.letters: 3e-16 for k in (1, 3, 5)
+                                                                   for d in StarPattern.all_patterns(k)}})
     cumulants = moments_to_free_cumulants(moments, 6)
     odd = [abs(cumulants.data["1" * k]) for k in (1, 3, 5)]
     assert all(0 < value <= 1e-12 for value in odd), odd

@@ -38,7 +38,7 @@ from freesym.invariance import (
     matrix_b_coeffs,
     theorem1_probe,
 )
-from freesym.partitions import StarPattern
+from freesym.partitions import ONE, STAR, StarPattern
 from freesym.qgroups import FamilyTag, MatrixRep, coproduct_lift, operator_norm, spectral_norms
 from reference import reference_first_violation
 
@@ -47,23 +47,15 @@ def spec_of(kind, m=None, seed=0):
     return sample_spec(FreeClassTag(kind, m), seed=seed)
 
 
-@pytest.fixture
-def empty_law_memo():
-    cumulants.release_law_memo()
-    yield
-    cumulants.release_law_memo()
+def fresh_spec(kind, m=None, seed=0):
+    """spec_of's law as a spec of its own, whose table starts with an empty memo."""
+    return dataclasses.replace(spec_of(kind, m, seed))
 
 
-def _cold(fn, *args, **kwargs):
-    """fn from an empty law memo, leaving the memo as it was."""
-    held, idle = cumulants._last_law, dict(cumulants._idle_laws)
-    cumulants.release_law_memo()
-    try:
-        return fn(*args, **kwargs)
-    finally:
-        cumulants._last_law = held
-        cumulants._idle_laws.clear()
-        cumulants._idle_laws.update(idle)
+def _cold(fn, joint, *args, **kwargs):
+    """fn on the free joint's law rebuilt as a table of its own, from an empty memo."""
+    table = joint.table
+    return fn(FreeIIDJoint(type(table)(order=table.order, dim=table.dim, data=table.data), joint.n), *args, **kwargs)
 
 
 def _counting_builds(monkeypatch) -> list:
@@ -153,16 +145,16 @@ def test_matrix_coefficients_ride_along():
     assert verdict.first_violation[:2] == (2, "11")
 
 
-def test_order_tensor_is_memoised(empty_law_memo):
-    joint = FreeIIDJoint(spec_of("SEMICIRCULAR").to_table(), 2)
+def test_order_tensor_is_memoised():
+    joint = FreeIIDJoint(fresh_spec("SEMICIRCULAR").to_table(), 2)
     a = joint.order_tensor(2)
     assert joint.order_tensor(2) is a
     assert joint.order_tensor(1) is joint.order_tensor(1)
-    assert sorted(cumulants._law_memo(joint.table)[2]) == ["?", "??"]  # one tensor per order
+    assert sorted(joint.table._memo[2]) == ["?", "??"]  # one tensor per order
     c = joint_moment_tensor(joint.table, 2, 2, "1*")
     assert np.array_equal(c, a[0, :, 1, :]) and not np.shares_memory(c, a)
     # a pattern's tensor is kept beside the order tensors, and its caller gets a writable copy
-    held = cumulants._law_memo(joint.table)[2]["1*"]
+    held = joint.table._memo[2]["1*"]
     assert c.flags.writeable and not held.flags.writeable and not np.shares_memory(c, held)
 
 
@@ -264,7 +256,7 @@ def test_tabulated_joint_refuses_non_finite_entries():
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-def test_a_scan_refuses_an_order_whose_moments_overflow(monkeypatch, empty_law_memo):
+def test_a_scan_refuses_an_order_whose_moments_overflow(monkeypatch):
     """kappa_2 = 1e160 makes the order-4 moments inf, which made the limit inf
     too: the law read invariant under a rotation that breaks it at unit
     scale.  The order is refused before any of its chunks is acted on."""
@@ -693,10 +685,10 @@ def _verdict_fields(verdict):
     return verdict.invariant, verdict.worst_residual, verdict.first_violation
 
 
-def test_shared_order_tensors_give_the_cold_verdicts_bit_for_bit(empty_law_memo):
-    # laws and n interleave (A n=2, B n=3, A n=3, A n=2), so the law in use
-    # changes and comes back from the laws kept; each scan equals one on a
-    # joint of its own, from an empty memo
+def test_shared_order_tensors_give_the_cold_verdicts_bit_for_bit():
+    # laws and n interleave (A n=2, B n=3, A n=3, A n=2), so a table's memo
+    # is read again after another table's scans; each scan equals one on a
+    # table of its own, rebuilt from the same data, from an empty memo
     reps = {n: [(name, rep) for name, (rep, _) in fixture_set().reps.items() if rep.n == n]
             for n in (2, 3)}
     cold = {}
@@ -714,9 +706,7 @@ def test_shared_order_tensors_give_the_cold_verdicts_bit_for_bit(empty_law_memo)
                     warm = check_invariance(spec, rep, 5, matrix_coeffs=matrix_coeffs)
                     assert _verdict_fields(warm) == cold[key], key
                     cases += 1
-        assert sorted(cumulants._last_law[2]) == [2, 3]  # the law in use, at both n
-        kept = frozenset(sample_spec(other, seed=0).to_table().data.items())
-        assert kept in cumulants._idle_laws or kept == cumulants._last_law[1]  # ORTHOGONAL's law is SEMICIRCULAR's
+        assert {2, 3} <= set(sample_spec(ctag, seed=0).to_table()._memo)  # the law's tensors at both n
     assert cases == len(_PROBE_CLASSES) * 2 * 2 * sum(len(r) for r in reps.values())
 
 
@@ -736,15 +726,18 @@ def test_a_spec_cannot_change_and_a_spec_built_with_the_change_gets_the_cold_ver
 
 
 def test_a_matrix_spec_scans_outside_the_shared_memo():
+    """A matrix law's scan builds its tensors afresh per order and keeps none on its table."""
     rng = np.random.default_rng(2)
     block = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     spec = CumulantSpecSingle(order=4, dim=2, entries={"1*": block @ block.conj().T, "*1": np.eye(2)})
-    check_invariance(spec_of("SEMICIRCULAR"), rotation_rep(2), 3)
-    law = cumulants._last_law
     for rep in (rotation_rep(2), unit_i_diag_rep(2), nilpotent_pair_rep(2)):
-        want = check_invariance(FreeIIDJoint(spec.to_table(), 2), rep, 4)
-        assert _verdict_fields(check_invariance(spec, rep, 4)) == _verdict_fields(want)
-    assert cumulants._last_law is law
+        for matrix_coeffs in (False, True):
+            want = _cold(check_invariance, FreeIIDJoint(spec.to_table(), 2), rep, 4, matrix_coeffs=matrix_coeffs)
+            got = check_invariance(spec, rep, 4, matrix_coeffs=matrix_coeffs)
+            assert _verdict_fields(got) == _verdict_fields(want), (rep, matrix_coeffs)
+    assert spec.to_table()._memo == {}
+    tensor = FreeIIDJoint(spec.to_table(), 2).order_tensor(3)
+    assert tensor.dtype == np.complex128 and tensor.flags.writeable and spec.to_table()._memo == {}
 
 
 def test_shared_tensors_and_coefficients_are_read_only():
@@ -752,7 +745,7 @@ def test_shared_tensors_and_coefficients_are_read_only():
     check_invariance(spec, rotation_rep(2), 3)
     joint = FreeIIDJoint(spec.to_table(), 2)
     tensor = joint.order_tensor(3)
-    assert tensor is cumulants._last_law[2][2]["???"]
+    assert tensor is joint.table._memo[2]["???"]
     with pytest.raises(ValueError):
         tensor[0, 0, 0, 0, 0, 0] = 1.0
     with pytest.raises(ValueError):
@@ -763,142 +756,137 @@ def test_shared_tensors_and_coefficients_are_read_only():
         coeffs[0][0, 0] = 0.0
 
 
-def test_the_memo_keeps_only_the_last_law(monkeypatch):
-    """With no bytes for the laws not in use, each change of law frees the last one."""
-    monkeypatch.setattr(cumulants, "_LAW_BYTES", 0)
+def test_the_memo_keeps_only_the_last_law():
+    """Laws scanned one after another, each dropped for the next: the process keeps the last law's tensors only."""
     reps = (rotation_rep(2), permutation_rep(3))
     laws = [sample_spec(_PROBE_CLASSES[i % len(_PROBE_CLASSES)], seed=i + 1) for i in range(12)]
     assert len({tuple(sorted(law.to_table().data.items())) for law in laws}) == 12
     one_law = sum((2 * rep.n) ** k for rep in reps for k in range(1, 7)) * np.dtype(float).itemsize  # real laws
     for rep in reps:
-        check_invariance(spec_of("SEMICIRCULAR"), rep, 6)  # warm the first-block tables
+        check_invariance(fresh_spec("SEMICIRCULAR"), rep, 6)  # warm the first-block tables
     tracemalloc.start()
     try:
         for law in laws:
+            spec = dataclasses.replace(law)  # the law as a table of its own, the last one's dropped
             for rep in reps:
-                check_invariance(law, rep, 6)
+                check_invariance(spec, rep, 6)
         gc.collect()  # empties the interpreter's free lists
         retained = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    held = sum(t.nbytes for memo in cumulants._last_law[2].values() for t in memo.values())
-    assert held == one_law and not cumulants._idle_laws
+    held = sum(t.nbytes for tensors in spec.to_table()._memo.values() for t in tensors.values())
+    assert held == one_law
     assert retained < one_law + 2 ** 16, (retained, one_law)
 
 
-def test_a_replaced_law_frees_its_tensors_without_a_gc_pass(monkeypatch):
-    monkeypatch.setattr(cumulants, "_LAW_BYTES", 0)
-    check_invariance(spec_of("SEMICIRCULAR"), rotation_rep(2), 4)
-    replaced = weakref.ref(cumulants._last_law[2][2]["????"])
-    gc.disable()
+def test_scanning_and_dropping_specs_keeps_memory_flat():
+    """100 specs of the fixture classes, each scanned at n = 3 to order 6 and
+    dropped: after the loop the process holds what it held after the first."""
+    laws = list(fixture_set().specs.values())
+    rep = permutation_rep(3)
+    tracemalloc.start()
     try:
-        check_invariance(spec_of("CIRCULAR"), rotation_rep(2), 4)
-        assert replaced() is None
+        for i in range(100):
+            check_invariance(dataclasses.replace(laws[i % len(laws)]), rep, 6)
+            if i == 0:
+                first = tracemalloc.get_traced_memory()[0]
+        gc.collect()
+        after = tracemalloc.get_traced_memory()[0]
     finally:
-        gc.enable()
+        tracemalloc.stop()
+    assert abs(after - first) < 2 ** 20, (first, after)
 
 
-def test_released_law_memo_frees_its_tensors_and_scans_as_cold(empty_law_memo):
-    spec = spec_of("R_DIAGONAL")
-    reps = (rotation_rep(2), unit_i_diag_rep(2), nilpotent_pair_rep(2))
-    check_invariance(spec_of("SEMICIRCULAR"), reps[0], 5)
-    idle = weakref.ref(cumulants._last_law[2][2]["?????"])
-    warm = [_verdict_fields(check_invariance(spec, rep, 5, matrix_coeffs=b)) for rep in reps for b in (False, True)]
-    held = weakref.ref(cumulants._last_law[2][2]["?????"])
-    assert idle() is not None and len(cumulants._idle_laws) == 1
-    gc.disable()
-    try:
-        cumulants.release_law_memo()
-        assert held() is None and idle() is None and not cumulants._idle_laws
-    finally:
-        gc.enable()
-    after = [_verdict_fields(check_invariance(spec, rep, 5, matrix_coeffs=b)) for rep in reps for b in (False, True)]
-    cold = [_verdict_fields(_cold(check_invariance, FreeIIDJoint(spec.to_table(), 2), rep, 5, matrix_coeffs=b))
-            for rep in reps for b in (False, True)]
-    assert after == cold == warm
-
-
-def test_scans_and_word_moments_share_one_law_memo(empty_law_memo):
-    spec = spec_of("SEMICIRCULAR")
+def test_a_replaced_law_frees_its_tensors_without_a_gc_pass():
+    spec = fresh_spec("SEMICIRCULAR")
     check_invariance(spec, rotation_rep(2), 4)
-    scanned = cumulants._last_law[2][2]["????"]
+    replaced = weakref.ref(spec.to_table()._memo[2]["????"])
+    gc.disable()
+    try:
+        spec = fresh_spec("CIRCULAR")
+        assert replaced() is None
+        check_invariance(spec, rotation_rep(2), 4)
+    finally:
+        gc.enable()
+
+
+def test_released_law_memo_frees_its_tensors_and_scans_as_cold():
+    """A dropped table releases its memo at once; the law's spec built again scans as the first did."""
+    spec = fresh_spec("R_DIAGONAL")
+    other = fresh_spec("SEMICIRCULAR")
+    reps = (rotation_rep(2), unit_i_diag_rep(2), nilpotent_pair_rep(2))
+    check_invariance(other, reps[0], 5)
+    idle = weakref.ref(other.to_table()._memo[2]["?????"])
+    warm = [_verdict_fields(check_invariance(spec, rep, 5, matrix_coeffs=b)) for rep in reps for b in (False, True)]
+    held = weakref.ref(spec.to_table()._memo[2]["?????"])
+    assert idle() is not None  # a table not in use keeps its memo while it lives
+    gc.disable()
+    try:
+        del spec, other
+        assert held() is None and idle() is None
+    finally:
+        gc.enable()
+    spec = fresh_spec("R_DIAGONAL")
+    after = [_verdict_fields(check_invariance(spec, rep, 5, matrix_coeffs=b)) for rep in reps for b in (False, True)]
+    assert after == warm
+
+
+def test_scans_and_word_moments_share_one_law_memo():
+    spec = fresh_spec("SEMICIRCULAR")
+    check_invariance(spec, rotation_rep(2), 4)
+    table = spec.to_table()
+    scanned = table._memo[2]["????"]
     other = random_cumulant_table(4, seed=5)
     joint_moments_free_family(other, 2, (1, 2, 1), "1*1")
-    assert cumulants._last_law[0] == other.data
-    assert list(cumulants._last_law[2]) == ["words"]
-    # back on the scanned law, its word segments join the tensors it kept
-    joint_moments_free_family(spec.to_table(), 2, (1, 2, 1), "1*1")
-    assert set(cumulants._last_law[2]) == {2, "words"}
-    assert cumulants._last_law[2][2]["????"] is scanned
+    assert list(other._memo) == ["words"] and list(table._memo) == [2]
+    # the scanned table's word segments join the tensors it kept
+    joint_moments_free_family(table, 2, (1, 2, 1), "1*1")
+    assert set(table._memo) == {2, "words"}
+    assert table._memo[2]["????"] is scanned
 
 
-def test_interleaved_laws_get_their_own_tensors_back(empty_law_memo, monkeypatch):
+def test_interleaved_laws_get_their_own_tensors_back(monkeypatch):
     """A, B, A: the second pass of A reads the tensors its first pass built, and builds none."""
-    a, b = (FreeIIDJoint(spec_of(kind).to_table(), 2) for kind in ("SEMICIRCULAR", "R_DIAGONAL"))
+    a, b = (FreeIIDJoint(fresh_spec(kind).to_table(), 2) for kind in ("SEMICIRCULAR", "R_DIAGONAL"))
     first = [a.order_tensor(k) for k in range(1, 6)]
     other = [b.order_tensor(k) for k in range(1, 6)]
     builds = _counting_builds(monkeypatch)
     assert all(a.order_tensor(k) is t for k, t in enumerate(first, 1))
     assert all(b.order_tensor(k) is t for k, t in enumerate(other, 1))
-    # a joint on another table of equal content is the same law
-    assert FreeIIDJoint(spec_of("SEMICIRCULAR").to_table(), 2).order_tensor(5) is first[4]
     assert builds == []
+    # a joint on another table of equal content is a law of its own, to the same bits
+    twin = FreeIIDJoint(fresh_spec("SEMICIRCULAR").to_table(), 2)
+    tensor = twin.order_tensor(5)
+    assert builds and tensor is not first[4] and np.array_equal(tensor, first[4])
 
 
-def test_idle_laws_stay_within_the_byte_budget(empty_law_memo, monkeypatch):
-    """After every change of law the laws not in use fit _LAW_BYTES, the least recently used going first."""
-    joints = [FreeIIDJoint(sample_spec(tag, seed=i + 1).to_table(), 2) for i, tag in enumerate(_PROBE_CLASSES)]
-    keys = [frozenset(joint.table.data.items()) for joint in joints]
-    assert len(set(keys)) == len(joints)
-    sizes = []
-    for joint, key in zip(joints, keys):
-        for k in range(1, 5):
-            joint.order_tensor(k)
-        sizes.append(cumulants._law_bytes(key, cumulants._law_memo(joint.table)))
-    cumulants.release_law_memo()
-    budget = 3 * min(sizes) + max(sizes) // 2
-    monkeypatch.setattr(cumulants, "_LAW_BYTES", budget)
-    order = [0, 1, 2, 3, 1, 4, 5, 0, 6, 7, 3, 8, 2, 1]
-    model, current, refs = [], None, {}
-    for i in order:
-        for k in range(1, 5):
-            refs[i] = weakref.ref(joints[i].order_tensor(k))
-        if current is not None:  # the least recently used law first, as _law_memo keeps them
-            model = [j for j in model if j != i] + [current]
-            while sum(sizes[j] for j in model) > budget:
-                model.pop(0)
-        current = i
-        assert list(cumulants._idle_laws) == [keys[j] for j in model], i
-        idle = [cumulants._law_bytes(key, memo) for key, (memo, _) in cumulants._idle_laws.items()]
-        assert idle == [size for _, size in cumulants._idle_laws.values()]
-        assert sum(idle) <= budget
-        # a dropped law's tensors are freed at once
-        assert all((ref() is None) == (j not in model + [i]) for j, ref in refs.items()), i
-    assert 0 < len(model) < len(set(order)) - 1  # some laws were kept and some dropped
-
-
-def test_a_law_over_the_budget_goes_when_it_goes_out_of_use(empty_law_memo, monkeypatch):
+def test_a_large_law_goes_when_its_table_goes_out_of_use():
     # 8^5 cells at n = 4: the order-5 tensor alone holds 512 KiB
-    monkeypatch.setattr(cumulants, "_LAW_BYTES", 2 ** 19)
     big = FreeIIDJoint(random_cumulant_table(5, seed=6), 4)
     check_invariance(big, permutation_rep(4), 5)
     held = weakref.ref(big.order_tensor(5))
-    check_invariance(spec_of("SEMICIRCULAR"), rotation_rep(2), 3)
-    assert held() is None and not cumulants._idle_laws
+    check_invariance(fresh_spec("SEMICIRCULAR"), rotation_rep(2), 3)
+    assert held() is not None  # another law's scan leaves it alone
+    gc.disable()
+    try:
+        del big
+        assert held() is None
+    finally:
+        gc.enable()
 
 
-def test_a_scalar_laws_order_scales_are_worked_out_once(empty_law_memo, monkeypatch):
+def test_a_scalar_laws_order_scales_are_worked_out_once(monkeypatch):
     """Each order tensor's scale is reduced once and kept beside it; every
     later scan of the law at that n, under any model, reads it."""
     calls = []
     real = cumulants._tensor_scale
     monkeypatch.setattr(cumulants, "_tensor_scale", lambda tensor: calls.append(tensor.shape) or real(tensor))
-    spec = spec_of("R_DIAGONAL")
+    spec = fresh_spec("R_DIAGONAL")
     for rep in (rotation_rep(2), unit_i_diag_rep(2), nilpotent_pair_rep(2)):
         for matrix_coeffs in (False, True):
             check_invariance(spec, rep, 5, matrix_coeffs=matrix_coeffs)
     assert calls == [(2, 2) * k for k in range(1, 6)]
-    tensors = cumulants._law_memo(spec.to_table())[2]
+    tensors = spec.to_table()._memo[2]
     assert sorted(tensors.scales) == sorted(tensors) == ["?" * k for k in range(1, 6)]
     for letters, scale in tensors.scales.items():
         reim = tensors[letters].view(float)
@@ -937,23 +925,23 @@ def test_a_scan_in_its_laws_field_matches_the_complex_path(n):
                     _same_scan(got, want.worst_residual, want.first_violation, (label, name, matrix_coeffs, K))
 
 
-def test_a_law_and_a_model_keep_the_field_of_their_data(empty_law_memo):
+def test_a_law_and_a_model_keep_the_field_of_their_data():
     real = spec_of("R_DIAGONAL").to_table()
     for table, field in ((real, np.float64), (_non_real_law(), np.complex128)):
         check_invariance(FreeIIDJoint(table, 2), rotation_rep(2), 4)
-        tensors = cumulants._law_memo(table)[2]
+        tensors = table._memo[2]
         assert tensors.dtype == field and {t.dtype for t in tensors.values()} == {np.dtype(field)}
     # one non-real cumulant keeps the whole law complex
     tilted = cumulants.CumulantTable(4, data={**real.data, "1111": 1e-3j})
     check_invariance(FreeIIDJoint(tilted, 2), rotation_rep(2), 4)
-    assert {t.dtype for t in cumulants._law_memo(tilted)[2].values()} == {np.dtype(complex)}
+    assert {t.dtype for t in tilted._memo[2].values()} == {np.dtype(complex)}
     # a matrix table's tensors are complex, real cores too
     pair = CumulantSpecSingle(order=2, dim=2, entries={"1*": np.eye(2), "*1": np.eye(2)})
     assert FreeIIDJoint(pair.to_table(), 2).order_tensor(2).dtype == np.complex128
     # the public arrays are complex128; a free joint's own tensor is the memo's, read-only
     assert joint_moment_tensor(real, 2, 3, "1*1").dtype == np.complex128
     assert FreeIIDJoint(real, 2).order_tensor(3, [1.0, 2.0, 1.0, 1.0]).dtype == np.complex128
-    assert FreeIIDJoint(real, 2).order_tensor(3) is cumulants._law_memo(real)[2]["???"]
+    assert FreeIIDJoint(real, 2).order_tensor(3) is real._memo[2]["???"]
     assert TableJoint(n=2, order=2, data={((1, 2), "1*"): 1.0}).order_tensor(2).dtype == np.complex128
     # the scan's letter matrices are the model's, real for a real model
     for rep, field in ((rotation_rep(2), np.float64), (nilpotent_pair_rep(2), np.float64),
@@ -969,7 +957,7 @@ def test_a_spec_expands_its_table_once(monkeypatch):
     expand = CumulantSpecSingle.__dict__["_table"]
     monkeypatch.setattr(expand, "func", lambda spec, func=expand.func: expanded.append(spec) or func(spec))
     rep = rotation_rep(2)
-    specs = [spec_of("CIRCULAR"), spec_of("CIRCULAR"),
+    specs = [fresh_spec("CIRCULAR"), fresh_spec("CIRCULAR"),
              CumulantSpecSingle(order=2, dim=2, entries={"1*": np.eye(2), "*1": np.eye(2)})]
     assert expanded == []  # a spec is checked at construction and expanded only when read
     for spec in specs:
@@ -981,10 +969,14 @@ def test_a_spec_expands_its_table_once(monkeypatch):
                 classify_report(spec, 4, True)
         assert spec.to_table() is table
     assert list(map(id, expanded)) == list(map(id, specs))
+    sample_spec.cache_clear()
     theorem1_probe(2, 3)
     # the probe expands each sample spec it builds once, and no scan expands one again
     assert len(expanded) == len(specs) + len(_PROBE_CLASSES)
     assert len(set(map(id, expanded))) == len(expanded)
+    # sample_spec keeps the specs, so a second probe on the seed reads the same tables
+    theorem1_probe(2, 3)
+    assert len(expanded) == len(specs) + len(_PROBE_CLASSES)
 
 
 def test_a_tabulated_joint_builds_only_the_orders_it_holds():
@@ -1008,17 +1000,42 @@ def test_a_tabulated_joint_builds_only_the_orders_it_holds():
     assert time.perf_counter() - start < 1
 
 
+def _one_piece_first_violation(joint, rep: MatrixRep, max_order: int, matrix_coeffs: bool):
+    """The scan's own residuals, each order in one piece (_order_moments, _residual_norms), first cell by np.argwhere."""
+    n, nd = rep.n, rep.n * rep.d
+    both = np.zeros((2, nd, 2, nd), dtype=complex)
+    for c, ch in enumerate((ONE, STAR)):
+        both[c, :, c] = rep.letter_array(ch).transpose(0, 2, 1, 3).reshape(nd, nd)
+    both = both.reshape(2 * nd, 2 * nd)
+    for k in range(1, max_order + 1):
+        E, _, factor = invariance._order_moments(joint, k, matrix_coeffs, 0)
+        res = invariance._residual_norms(E.reshape((2 * n,) * k + E.shape[2 * k:]), [both] * k) * factor
+        res = res.reshape((2, n) * k).transpose(*range(0, 2 * k, 2), *range(1, 2 * k, 2))
+        hits = np.argwhere(res > rep.tol)
+        if len(hits):
+            bad = tuple(hits[0])
+            letters = "".join(STAR if c else ONE for c in bad[:k])
+            return k, letters, tuple(int(j) + 1 for j in bad[k:]), float(res[bad])
+    return None
+
+
 def test_first_violation_is_the_first_argwhere_cell():
-    """Every violating scan of the fixture grid, at orders 4 to 6, with and without coefficients."""
+    """Every violating scan of the fixture grid, at orders 4 to 6, with and without coefficients:
+    bit for bit the scan's residuals in one piece, and the independent reference's cell."""
     violations = 0
     for name, (rep, _) in fixture_set().reps.items():
         for ctag in _PROBE_CLASSES:
             joint = FreeIIDJoint(sample_spec(ctag, seed=0).to_table(), rep.n)
             for matrix_coeffs in (False, True):
                 want = reference_first_violation(joint, rep, 6, matrix_coeffs)
+                whole = _one_piece_first_violation(joint, rep, 6, matrix_coeffs)
                 for order in (4, 5, 6):
                     got = check_invariance(joint, rep, order, matrix_coeffs=matrix_coeffs).first_violation
-                    assert got == (want if want is not None and want[0] <= order else None), (name, ctag, order)
+                    assert got == (whole if whole is not None and whole[0] <= order else None), (name, ctag, order)
+                    expected = want if want is not None and want[0] <= order else None
+                    assert (got and got[:3]) == (expected and expected[:3]), (name, ctag, order)
+                    if got is not None:  # the reference sums and takes norms its own way
+                        assert abs(got[3] - expected[3]) <= 1e-12 * expected[3], (name, ctag, order)
                     violations += got is not None
     assert violations > 100
 

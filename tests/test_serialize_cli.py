@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 import time
@@ -153,21 +154,43 @@ def test_a_spec_file_of_an_unsupported_dim_exits_two_naming_it(fx, tmp_path, cap
 
 
 def test_a_matrix_spec_file_its_command_refuses_builds_no_table(tmp_path, capsys, monkeypatch):
-    """classify-dist and convert refuse a matrix spec before its table is read,
-    so a long entry costs nothing: its dim-2, order-14 core would be 4.3 GB."""
+    """classify-dist and convert refuse a matrix spec before its table is
+    read, so its entries cost nothing: a dim-2 core of the longest entry a
+    spec takes, 6 letters, holds 16,384 cells."""
     def built(*args):
         raise AssertionError("a matrix core was built")
 
     monkeypatch.setattr(distributions, "_matrix_entry_core", built)
     path = tmp_path / "spec.json"
     block = [[[1.0, 0.0]] * 2] * 2
-    path.write_text(json.dumps({"order": 14, "dim": 2, "entries": [{"pattern": "1*" * 7, "value": block}]}))
+    path.write_text(json.dumps({"order": 14, "dim": 2, "entries": [{"pattern": "1*" * 3, "value": block}]}))
     for args, message in ((["classify-dist", str(path), "--free"], "classification handles scalar specs"),
                           (["convert", str(path), "--free", "--to-moments"], "conversion handles scalar tables only")):
         start = time.perf_counter()
         assert main(args) == 2
         assert capsys.readouterr() == ("", f"error: {message}\n"), args
         assert time.perf_counter() - start < 1.0
+
+
+def test_a_matrix_spec_file_with_an_entry_past_the_order_bound_exits_two(fx, tmp_path, capsys, monkeypatch):
+    """A dim-2 entry of 7 letters is refused when the spec is read: no
+    command could read it, and a 14-letter one's core would take 4.3 GB."""
+    def built(*args):
+        raise AssertionError("a matrix core was built")
+
+    monkeypatch.setattr(distributions, "_matrix_entry_core", built)
+    block = [[[1.0, 0.0]] * 2] * 2
+    for letters in ("1*1*1*1", "1*" * 7):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"order": 14, "dim": 2, "entries": [{"pattern": letters, "value": block}]}))
+        message = f"matrix spec entry {letters!r} exceeds the dim-2 bound 6"
+        with pytest.raises(SchemaError, match=re.escape(message)):
+            serialize.load_spec(path)
+        for args in (["check-invariance", "--dist", str(path), "--rep", str(fx / "rotation.json")],
+                     ["classify-dist", str(path), "--free"]):
+            assert main(args) == 2, args
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("error: ") and message in err and err.count("\n") == 1, err
 
 
 def _rotation_with_tol(fx, tmp_path, text: str):
@@ -335,13 +358,11 @@ def test_overflowing_moments_exit_two_with_one_error_line(fx, tmp_path, capsys):
               "error: order 4 moments are not finite\n"),
              (["convert", str(path), "--free", "--to-moments"], "error: non-finite table value\n")]
     for args, message in cases:
-        cumulants.release_law_memo()
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             assert main(args) == 2, args
         assert capsys.readouterr() == ("", message), args
         assert caught == [], [str(w.message) for w in caught]
-    cumulants.release_law_memo()
 
 
 def _no_tensor(*args):

@@ -50,26 +50,22 @@ read through the plan a chunk of at most _SPLICE_CELLS cells, or one word,
 at a time; the top order streams into its output.
 
 Joint moments of n free copies run the free recursion too, on whole index
-tensors (joint_moment_tensor); a matrix table's joint word is an entry of
-one, a scalar table's runs on its own segments (joint_moments_free_family).
-Mixed free cumulants vanish, so a first block V contributes kappa(w|V) only
-where the indices on V agree.  Every recursion holds its order to one rule,
-_PatternTable.require_order: at most MAX_SCALAR_ORDER (8) for scalar tables
-and MAX_MATRIX_ORDER (6) for matrix ones, then the declared order.
+tensors (joint_moment_tensor), or one word at any dim on its own segments
+(joint_moments_free_family).  Mixed free cumulants vanish, so a first block
+V contributes kappa(w|V) only where the indices on V agree.  Every
+recursion holds its order to one rule, _PatternTable.require_order: at most
+MAX_SCALAR_ORDER (8) for scalar tables and MAX_MATRIX_ORDER (6) for matrix
+ones, then the declared order.
 
-A table is a value, built once from its whole dict, checked and frozen (a
-complex core passed in is made read-only in place).  Its memo lives on it
-and goes with it (_PatternTable._memo).  A scalar table's holds its word
-segments (at most _MEMO_SEGMENTS, then started over) and its
+A table is a value, built once from its whole dict, checked and frozen.  Its
+memo lives on it and goes with it (_PatternTable._memo).  It holds the
+coefficient-free word segments at any dim (at most _MEMO_SEGMENTS, then
+started over: some 16 MB of them, 31 MB at dim 3) and a scalar table's
 coefficient-free index tensors at each n, each beside its scale once a scan
 has asked for it (_LawTensors, which decides the law's field once: float64
 for a real table); the largest is after an n=4, order-8 scan: 307 MB of
-tensors for a complex law (268 MB the order-8 one), plus at most some 16 MB
-of segments.  A matrix table's holds, for each pattern and m its
-coefficient-free words ask for, the tensor at m copies (m^k p^2 entries,
-joint_moments_free_family): at most 6.7 MB each at dim 3, 0.64 GB were
-every pattern to order 6 asked at every m.  A word whose value is there is
-read after its checks, before any recursion is set up.
+tensors for a complex law (268 MB the order-8 one).  A word whose value is
+there is read after its checks, before any recursion is set up.
 
 The defining sums over partitions, which these recursions reproduce, are
 the test suite's reference (tests/reference.py).
@@ -199,13 +195,9 @@ class _PatternTable:
             )
 
     def max_abs_difference(self, other: "_PatternTable") -> float:
-        keys = set(self.data) | set(other.data)
-        worst = 0.0
-        for key in keys:
-            a = np.asarray(self.data.get(key, 0j))
-            b = np.asarray(other.data.get(key, 0j))
-            worst = max(worst, float(np.max(np.abs(a - b))))
-        return worst
+        gaps = (np.abs(np.subtract(self.data.get(key, 0j), other.data.get(key, 0j)))
+                for key in self.data.keys() | other.data.keys())
+        return max((float(np.max(gap)) for gap in gaps), default=0.0)
 
 
 @dataclass(frozen=True)
@@ -223,7 +215,8 @@ class MultiCumulantTable:
     """Cumulants of an n-variable family, keyed by (index word, pattern).
 
     Values carry the identity interleaved-coefficient tuple; the full
-    bimodule functional is infinite-dimensional and out of scope.
+    bimodule functional is infinite-dimensional and out of scope.  At dim >
+    1 mixed entries certify freeness for product-convention laws only.
     """
 
     order: int
@@ -267,12 +260,7 @@ def _coerce_coeff(c, dim: int):
 
 def _ordered_coeff_product(coeffs) -> np.ndarray:
     """Ordered product of mixed scalar/matrix coefficients (one must be a matrix)."""
-    q = None
-    for c in coeffs:
-        arr = np.asarray(c)
-        if arr.ndim == 2:
-            q = arr.shape[0]
-            break
+    q = next((np.shape(c)[0] for c in coeffs if np.ndim(c) == 2), None)
     if q is None:
         raise InputMismatchError("expected at least one matrix coefficient")
     out = np.eye(q, dtype=complex)
@@ -621,13 +609,10 @@ def joint_moments_free_family(table: CumulantTable, n: int, word, pattern, coeff
     One entry of joint_moment_tensor.  coeffs is the interleaved list
     b_0..b_k (length k+1), identity when omitted; the empty word gives b_0
     times the table's identity, complex.  The word and its order are checked
-    first.  A scalar table's value is read from its memo, or built by the
-    recursion on the word's segments (_free_family_word), since a word of
-    many distinct indices has no tensor within TUPLE_BUDGET.  A matrix
-    table's is a copy of an entry of the tensor at m copies (at most 6^6
-    index words): the word's m distinct indices relabelled by first
-    occurrence.  Without coefficients that tensor is the table memo's, so a
-    second word of one pattern and m is a lookup.
+    first, then at every dim its value is read from the table's memo or
+    built on its segments (_free_family_word).  A scalar table's coefficients
+    multiply outside that value; a matrix table's are spliced into the
+    word's own segments, b_0 in front, and a matrix value is a fresh array.
     """
     letters = StarPattern.coerce(pattern).letters
     idx = tuple(map(int, word))
@@ -640,27 +625,23 @@ def joint_moments_free_family(table: CumulantTable, n: int, word, pattern, coeff
         raise InputMismatchError(f"need {k + 1} interleaved coefficients")
     table.require_order(k)
     p = table.dim
-    if p == 1:
-        value = identity_element(1)
-        if k:
-            shared = table._memo.setdefault("words", {})
-            value = shared.get(_segment_key(letters, idx))
-            if value is None:
-                value = _free_family_word(table, idx, letters, shared)
-        return value if coeffs is None else _times_coeff_product(value, coeffs)
+    cs = None if coeffs is None or p == 1 else [_coerce_coeff(c, p) for c in coeffs]
     if not k:
-        return np.array(_coerce_coeff(identity_element(p) if coeffs is None else coeffs[0], p))
-    labels = list(dict.fromkeys(idx))
-    kept = _law_tensors(table, len(labels)) if coeffs is None else {}
-    tensor = kept.get(letters)
-    if tensor is None:
-        tensor = kept[letters] = _family_tensor(table, len(labels), letters, coeffs)
-        tensor.flags.writeable = False
-    return tensor[tuple(map(labels.index, idx))].copy()
+        value = identity_element(p)
+    elif cs is not None:
+        value = _free_family_word(table, idx, letters, {}, cs[1:])
+    else:
+        shared = table._memo.setdefault("words", {})
+        value = shared.get(_segment_key(letters, idx))
+        if value is None:
+            value = _free_family_word(table, idx, letters, shared)
+    if p == 1:
+        return value if coeffs is None else _times_coeff_product(value, coeffs)
+    return value.copy() if cs is None else cs[0] @ value
 
 
 # word segments one table's memo holds (some 16 MB of them, at about 250 bytes
-# each) before it starts over
+# each; 460 bytes at dim 3) before it starts over
 _MEMO_SEGMENTS = 67_108
 
 
@@ -673,27 +654,30 @@ def _segment_key(letters: str, idx: tuple) -> tuple:
     return letters, tuple(map(idx.index, idx))
 
 
-def _free_family_word(table, idx: tuple, letters: str, shared: dict) -> complex:
-    """One entry of a scalar law's _free_family_tensor: its recursion on one word's segments.
+def _free_family_word(table, idx: tuple, letters: str, shared, cs=None):
+    """One entry of _free_family_tensor, at any dim: its recursion on one word's segments.
 
     A first block V of a segment counts only where the indices on V agree,
     so V runs over the subsets of the segment's positions that carry its
     first index, in the order of itertools.combinations.  A segment's value
-    depends on its letters and its index kernel (which of its positions
-    carry equal indices), not on the indices themselves or on n.  Segments
-    are memoised in shared, the table memo's "words" entry, by _segment_key,
-    with the word's own memo by position in front, so a segment is
-    relabelled at most once per word; shared starts over when it holds
-    _MEMO_SEGMENTS entries.  A term multiplies kappa(w|V) by the segments in
-    place, left to right.
+    depends on its letters and its index kernel, not on the indices or on
+    n.  Segments are memoised in shared, the table memo's "words" entry, by
+    _segment_key, with the word's own memo by position in front; shared
+    starts over when it holds _MEMO_SEGMENTS entries.  A scalar term
+    multiplies kappa(w|V) by the segments in place, left to right; a matrix
+    term is _spliced_term, the side after each element of V the segment
+    that follows it or the identity, and a matrix segment is read-only.
+    cs[i], the coefficient after letter i, ends each segment and multiplies
+    its side from the left; shared is then the word's own, keyed by position.
     """
     memo = {}
     get = table.data.get
+    matrix, eye = table.dim > 1, identity_element(table.dim)
 
-    def segment(a: int, e: int) -> complex:
+    def segment(a: int, e: int):
         s = memo.get((a, e))
         if s is None:
-            key = _segment_key(letters[a:e], idx[a:e])
+            key = _segment_key(letters[a:e], idx[a:e]) if cs is None else (a, e)
             s = shared.get(key)
             if s is None:
                 s = build(a, e)
@@ -703,13 +687,19 @@ def _free_family_word(table, idx: tuple, letters: str, shared: dict) -> complex:
             memo[a, e] = s
         return s
 
-    def build(a: int, e: int) -> complex:
+    def build(a: int, e: int):
         same = [j for j in range(a + 1, e) if idx[j] == idx[a]]
-        total = 0j
+        total = np.zeros_like(eye) if matrix else 0j
         for size in range(len(same) + 1):
             for rest in itertools.combinations(same, size):
                 term = get(letters[a] + "".join([letters[j] for j in rest]))
                 if term is None:
+                    continue
+                if matrix:
+                    sides = [segment(v + 1, end) if v + 1 < end else eye for v, end in zip((a,) + rest, rest + (e,))]
+                    if cs is not None:
+                        sides = [cs[v] if s is eye else cs[v] @ s for v, s in zip((a,) + rest, sides)]
+                    total += _spliced_term(term, sides)
                     continue
                 v = a + 1
                 for end in rest + (e,):
@@ -717,6 +707,8 @@ def _free_family_word(table, idx: tuple, letters: str, shared: dict) -> complex:
                         term *= segment(v, end)
                     v = end + 1
                 total += term
+        if matrix:
+            total.flags.writeable = False
         return total
 
     out = segment(0, len(idx))
@@ -743,20 +735,20 @@ def joint_moment_tensor(table: CumulantTable, n: int, k: int, pattern, coeffs=No
 
 
 class _LawTensors(dict):
-    """A table's coefficient-free tensors at one n, by letters
-    (_free_family_tensor, joint_moments_free_family), and beside them, by
-    the same letters, the scales read so far (_scaled_family_tensor).
+    """A scalar table's coefficient-free tensors at one n, by letters
+    (_free_family_tensor), and beside them, by the same letters, the scales
+    read so far (_scaled_family_tensor).
 
-    dtype is the law's field, decided here once: float64 when every value of
-    a scalar table has a zero imaginary part, else complex128.  The tensors
-    are built in it, so a real law's take half the bytes.
+    dtype is the law's field, decided here once: float64 when every value
+    has a zero imaginary part, else complex128.  The tensors are built in
+    it, so a real law's take half the bytes.
     """
 
     __slots__ = ("dtype", "scales")
 
     def __init__(self, table):
         super().__init__()
-        real = table.dim == 1 and all(v.imag == 0 for v in table.data.values())
+        real = all(v.imag == 0 for v in table.data.values())
         self.dtype = np.dtype(float if real else complex)
         self.scales = {}
 
@@ -834,11 +826,15 @@ def _diagonal(acc: np.ndarray, block, front=()) -> np.ndarray:
 def _spliced_term(kappa: np.ndarray, sides: list) -> np.ndarray:
     """kappa(w|V) with side t = b_t M(segment t) in core slot t, the last side multiplied from the right.
 
-    A side's index axes come before its (p, p) axes, in the result too.
+    A side's index axes come before its (p, p) axes, in the result too;
+    each slot is one matmul, the index axes so far in front of the slots left.
     """
+    p, heads, rest = kappa.shape[-1], (), kappa.size
     for side in sides[:-1]:
-        kappa = np.tensordot(kappa, side.reshape(side.shape[:-2] + (-1,)), axes=([0], [-1]))
-    return np.moveaxis(np.tensordot(kappa, sides[-1], axes=([1], [-2])), 0, -2)
+        rest //= p * p
+        heads += side.shape[:-2]
+        kappa = np.matmul(side.reshape(-1, p * p), kappa.reshape(-1, p * p, rest))
+    return np.matmul(kappa.reshape(heads + (1,) * (sides[-1].ndim - 2) + (p, p)), sides[-1])
 
 
 def _free_family_tensor(table, n: int, letters: str, cs) -> np.ndarray:
@@ -909,15 +905,18 @@ def _free_family_tensor(table, n: int, letters: str, cs) -> np.ndarray:
 def multivariate_cumulants_from_joint_moments(oracle, K: int) -> MultiCumulantTable:
     """Invert the multivariate moment sum, identity coefficients throughout.
 
-    The oracle exposes .n, .dim and .moment(word, pattern); mixed entries of
-    the result are the freeness certificate (zero iff the family is free).
-    The free first-block recursion runs on words over the 2n letters
-    (index, 1 or *), letter 2(i - 1) + [*].  The flat indices of an order's
+    The oracle exposes .n, .dim and .moment(word, pattern).  The free
+    first-block recursion runs on words over the 2n letters (index, 1 or *),
+    letter 2(i - 1) + [*], and at dim > 1 multiplies nested pieces as
+    matrices.  So mixed entries of the result are the freeness certificate
+    (zero iff the family is free) for scalar laws and for matrix laws of the
+    product convention, kappa(x b_1 x ... b_(k-1) x) = value b_1 ... b_(k-1),
+    which a matrix CumulantSpecSingle declares; free copies of dense cores
+    read mixed entries far from zero.  The flat indices of an order's
     (word, pattern) pairs come at once from their digit arrays, in the
     order the oracle is asked and the result keeps: orders ascending, index
-    words in itertools.product order, then patterns in all_patterns order.
-    The order plans of n <= 2 are kept between calls (_plan); those of
-    n = 3 would take 11.7 MB and are built on each call.
+    words in itertools.product order, then patterns in all_patterns order;
+    the plans of n <= 2 are kept between calls (_plan).
     """
     n = int(oracle.n)
     dim = int(getattr(oracle, "dim", 1))

@@ -1158,11 +1158,14 @@ def test_matrix_tables_and_coefficients_leave_the_shared_memo_alone():
     rng = np.random.default_rng(86)
     matrix = random_cumulant_table(5, dim=2, seed=87)
     joint_moments_free_family(matrix, 2, word, letters)
+    segments = dict(matrix._memo["words"])
     joint_moments_free_family(matrix, 2, word, letters, _random_coeffs("matrix", 5, rng))
     joint_moment_tensor(matrix, 2, 3, "1*1")
     assert list(scalar._memo) == ["words"] and scalar._memo["words"] == held
-    # a matrix table keeps the coefficient-free tensors of its words only, by m and letters
-    assert {m: sorted(tensors) for m, tensors in matrix._memo.items()} == {2: [letters]}
+    # a matrix table keeps the coefficient-free segments of its words only:
+    # a word with coefficients and a tensor add nothing
+    assert list(matrix._memo) == ["words"] and matrix._memo["words"].keys() == segments.keys()
+    assert all(matrix._memo["words"][key] is value for key, value in segments.items())
     # coefficients of a scalar table multiply outside the coefficient-free
     # value: that value is memoised, and nothing else is
     for kind in ("scalar", "matrix"):
@@ -1173,30 +1176,85 @@ def test_matrix_tables_and_coefficients_leave_the_shared_memo_alone():
         assert list(scalar._memo) == ["words"] and scalar._memo["words"] == held
 
 
-def test_a_second_matrix_word_of_one_pattern_builds_no_tensor(monkeypatch):
-    """Words of one pattern and m distinct indices are entries of one
-    coefficient-free tensor, built once per table; each value owns its data."""
+def test_a_second_matrix_word_of_one_kernel_builds_no_segment(monkeypatch):
+    """Words of one pattern and index kernel share their segments in the
+    table's memo, so a relabelled word is a lookup; each value owns its data."""
     table = random_cumulant_table(6, dim=2, seed=98)
-    letters = "1*1**1"
-    first = joint_moments_free_family(table, 3, (1, 2, 1, 3, 3, 2), letters)
-    builds = []
-    real = cumulants._free_family_tensor
-    monkeypatch.setattr(cumulants, "_free_family_tensor", lambda *args: builds.append(args) or real(*args))
-    words = [(2, 1, 2, 3, 3, 1), (3, 1, 3, 2, 2, 1), (1, 2, 3, 1, 2, 3), (1, 1, 2, 2, 3, 3)]
-    values = [joint_moments_free_family(table, 3, word, letters) for word in words]
-    assert builds == []
-    tensor = table._memo[3][letters]
-    assert not tensor.flags.writeable
-    for word, value in zip([(1, 2, 1, 3, 3, 2)] + words, [first] + values):
-        at = tuple(sorted(set(word), key=word.index).index(i) for i in word)
-        assert np.array_equal(value, tensor[at]) and value.flags.writeable and not np.shares_memory(value, tensor)
-    assert np.array_equal(values[0], first)  # one kernel, relabelled
-    # a fresh table of equal data builds it again, to the same bits
-    monkeypatch.setattr(cumulants, "_free_family_tensor", real)
-    fresh = [_cold(table, 3, word, letters) for word in words]
-    assert all(np.array_equal(a, b) for a, b in zip(values, fresh))
-    want = joint_moment_partition_sum(table, 3, words[2], letters)
-    assert np.max(np.abs(values[2] - want)) <= 1e-12 * np.max(np.abs(want))
+    word, letters = (1, 2, 1, 3, 3, 2), "1*1**1"
+    first = joint_moments_free_family(table, 3, word, letters)
+    terms = []
+    real = cumulants._spliced_term
+    monkeypatch.setattr(cumulants, "_spliced_term", lambda *args: terms.append(args) or real(*args))
+    words = [(2, 1, 2, 3, 3, 1), (3, 1, 3, 2, 2, 1), (2, 3, 2, 1, 1, 3)]
+    values = [joint_moments_free_family(table, 3, w, letters) for w in words]
+    assert terms == []
+    kept = table._memo["words"][cumulants._segment_key(letters, word)]
+    assert not kept.flags.writeable
+    for value in [first] + values:
+        assert np.array_equal(value, kept) and value.flags.writeable and value.flags.owndata
+        assert not np.shares_memory(value, kept)
+    value = joint_moments_free_family(table, 3, (1, 2, 3, 1, 2, 3), letters)  # another kernel
+    assert terms
+    want = joint_moment_partition_sum(table, 3, (1, 2, 3, 1, 2, 3), letters)
+    assert np.max(np.abs(value - want)) <= 1e-12 * np.max(np.abs(want))
+    # a fresh table of equal data builds them again, to the same bits
+    monkeypatch.setattr(cumulants, "_spliced_term", real)
+    for w, value in zip([word] + words, [first] + values):
+        assert _cold(table, 3, w, letters).tobytes() == value.tobytes()
+
+
+def test_matrix_words_keep_their_segments_only():
+    """8 patterns at m = 1..6 distinct indices of n = 6 on a dense dim-2,
+    order-6 table leave under 1 MiB in its memo; the m-copy tensors the
+    words were once entries of kept 32.8 MiB."""
+    table = random_cumulant_table(6, 2, seed=7)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for d in list(StarPattern.all_patterns(6))[:8]:
+            for m in range(1, 7):
+                joint_moments_free_family(table, 6, tuple(j % m + 1 for j in range(6)), d)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert list(table._memo) == ["words"]
+    assert held < 2 ** 20, held
+
+
+def test_joint_words_run_one_recursion_at_every_dim(monkeypatch):
+    """No joint word, at any dim and with or without coefficients, builds an index tensor."""
+    monkeypatch.setattr(cumulants, "_free_family_tensor", _no_tensor)
+    monkeypatch.setattr(cumulants, "_law_tensors", _no_tensor)
+    rng = np.random.default_rng(101)
+    word, letters = (1, 2, 3, 1, 2), "1*1**"
+    for dim in (1, 2, 3):
+        table = random_cumulant_table(5, dim, seed=102)
+        q = max(dim, 2)
+        for coeffs in (None, list(rng.standard_normal(6) + 1j),
+                       [rng.standard_normal((q, q)) + 1j * rng.standard_normal((q, q)) for _ in range(6)]):
+            got = joint_moments_free_family(table, 3, word, letters, coeffs)
+            want = joint_moment_partition_sum(table, 3, word, letters, coeffs)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), (dim, coeffs)
+
+
+def test_the_inverter_certifies_freeness_of_product_convention_laws():
+    """A matrix spec's cores are its values times the coefficients (the
+    product convention), and the inverter multiplies nested pieces as
+    matrices: fed the spec's free family, it reads mixed entries as zero and
+    pure ones as the spec's.  Dense cores are no such law, and their free
+    family reads mixed entries far from zero."""
+    rng = np.random.default_rng(5)
+    entries = {d.letters: (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))) * 0.4 ** k
+               for k in range(1, 5) for d in StarPattern.all_patterns(k)}
+    spec = CumulantSpecSingle(order=4, dim=2, entries=entries)
+    multi = multivariate_cumulants_from_joint_moments(_PointwiseFamily(spec.to_table(), 2), 4)
+    assert multi.largest_mixed()[2] <= 1e-12
+    pure = max(np.max(np.abs(v - entries[letters])) for (w, letters), v in multi.data.items() if len(set(w)) == 1)
+    assert pure <= 1e-12
+    dense = multivariate_cumulants_from_joint_moments(_PointwiseFamily(random_cumulant_table(4, 2, seed=7), 2), 4)
+    assert dense.largest_mixed()[2] > 0.1
 
 
 def test_word_checks_run_on_a_warm_law_memo():

@@ -4,6 +4,17 @@ Exit codes: 0 when the requested check passes (or a report was produced),
 1 when a check ran and failed, 2 for unusable input.  All JSON output is
 key-sorted with a trailing newline so identical invocations are
 byte-identical.
+
+A command loads only what it runs.  `enumerate` and `--help` load no numpy.
+A command that reads files reads and parses every one of them first
+(serialize.read_json), so a missing or malformed file exits 2 before numpy
+loads; then it builds its inputs and imports the layer it runs.  `convert`
+and `classify-dist` load the specs (distributions) and no qgroups;
+`check-rep` and `lattice-position` load the models (qgroups) and no
+distributions; `check-invariance` loads both and invariance, but not the
+fixture witnesses, which `theorem1-probe` and `fixtures` load.  No command
+imports numpy.random: the seeded draws of `--matrix-b` and of the probe's
+weights come from random.Random(seed).
 """
 
 from __future__ import annotations
@@ -12,10 +23,10 @@ import argparse
 import sys
 import warnings
 
-# Each command imports the modules it needs, so that `enumerate` and
-# `--help` start without numpy.  Every error of freesym's (errors.py) is a
-# ValueError, as are numpy's on unusable arguments, so main needs no list
-# of them: a ValueError or an OSError is unusable input.
+# Each command imports the modules it needs after it has read its files
+# (module docstring).  Every error of freesym's (errors.py) is a ValueError,
+# as are numpy's on unusable arguments, so main needs no list of them: a
+# ValueError or an OSError is unusable input.
 
 
 def _format_blocks(partition) -> str:
@@ -27,15 +38,15 @@ def _cmd_enumerate(args) -> int:
 
     k = args.nc if args.nc is not None else args.all
     parts = enumerate_noncrossing(k) if args.nc is not None else enumerate_all_partitions(k)
-    if args.list:
-        for p in parts:
-            print(_format_blocks(p))
-    print(len(parts))
+    lines = [_format_blocks(p) for p in parts] if args.list else []
+    sys.stdout.write("".join(line + "\n" for line in lines + [str(len(parts))]))
     return 0
 
 
 def _cmd_convert(args) -> int:
     from . import serialize
+
+    spec = serialize.load_spec(args.file)
     from .cumulants import (
         MomentTable,
         classical_cumulants_to_moments,
@@ -44,7 +55,6 @@ def _cmd_convert(args) -> int:
         moments_to_free_cumulants,
     )
 
-    spec = serialize.load_spec(args.file)
     if spec.dim != 1:
         print("error: conversion handles scalar tables only", file=sys.stderr)
         return 2
@@ -72,9 +82,10 @@ def _cmd_convert(args) -> int:
 
 def _cmd_classify_dist(args) -> int:
     from . import serialize
-    from .distributions import classify_report
 
     spec = serialize.load_spec(args.file)
+    from .distributions import classify_report
+
     order = args.order if args.order is not None else spec.order
     report = classify_report(spec, order, args.free)
     if args.json:
@@ -89,9 +100,10 @@ def _cmd_classify_dist(args) -> int:
 
 def _cmd_check_rep(args) -> int:
     from . import serialize
-    from .qgroups import FamilyTag, check_family, lattice_position
 
     rep = serialize.load_rep(args.file)
+    from .qgroups import FamilyTag, check_family, lattice_position
+
     if args.family is not None:
         tag = FamilyTag.parse(args.family)
         chk = check_family(rep, tag)
@@ -112,9 +124,10 @@ def _cmd_check_rep(args) -> int:
 
 def _cmd_lattice_position(args) -> int:
     from . import serialize
-    from .qgroups import lattice_position
 
     rep = serialize.load_rep(args.file)
+    from .qgroups import lattice_position
+
     pos = lattice_position(rep, args.mmax)
     payload = {key: pos[key] for key in ("satisfied", "minimal", "upward_consistent", "closure", "m_scan")}
     sys.stdout.write(serialize.dumps(payload))
@@ -123,10 +136,11 @@ def _cmd_lattice_position(args) -> int:
 
 def _cmd_check_invariance(args) -> int:
     from . import serialize
+
+    dist, model = serialize.read_json(args.dist), serialize.read_json(args.rep)
+    spec, rep = serialize.json_to_spec(dist), serialize.json_to_rep(model)
     from .invariance import check_invariance
 
-    spec = serialize.load_spec(args.dist)
-    rep = serialize.load_rep(args.rep)
     order = args.order if args.order is not None else spec.order
     verdict = check_invariance(
         spec, rep, order, matrix_coeffs=args.matrix_b, seed=args.seed

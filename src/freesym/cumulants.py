@@ -155,7 +155,7 @@ class _PatternTable:
         if not 1 <= self.dim <= MAX_DIM:
             raise SizeLimitError(f"coefficient dimension must be 1..{MAX_DIM}")
         raw, order = self.data, self.order
-        if not raw.keys() <= _TABLE_WORDS[min(order, MAX_SCALAR_ORDER)]:  # else letters already, in bound
+        if not raw.keys() <= _table_words(min(order, MAX_SCALAR_ORDER)):  # else letters already, in bound
             raw = {StarPattern.coerce(pattern).letters: value for pattern, value in raw.items()}
             for letters in raw:
                 if not 1 <= len(letters) <= order:
@@ -310,7 +310,10 @@ def _pattern_words(K: int) -> tuple[str, ...]:
     return tuple(d.letters for k in range(1, K + 1) for d in StarPattern.all_patterns(k))
 
 
-_TABLE_WORDS = tuple(frozenset(_pattern_words(k)) for k in range(MAX_SCALAR_ORDER + 1))  # keys taken as they are
+@lru_cache(maxsize=MAX_SCALAR_ORDER + 1)
+def _table_words(K: int) -> frozenset:
+    """The letters a table of order K takes as they are, built on first use."""
+    return frozenset(_pattern_words(K))
 
 
 def _plan_rows(k: int, free: bool) -> tuple:

@@ -20,6 +20,7 @@ sample_spec draws a witness for every class of both calculi.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from types import MappingProxyType
@@ -252,8 +253,12 @@ _SAMPLE_RECIPES = {
 def sample_spec(tag: ClassTag, seed: int = 0) -> CumulantSpecSingle:
     """A witness spec whose classification is minimal exactly at the tag.
 
-    Seed 0 gives exact unit weights; other seeds jitter the magnitudes
-    without disturbing which patterns are populated.  The spec is frozen,
+    Seed 0 gives exact unit weights and builds no generator; another seed
+    draws each weight as 1 + 0.5 * random.Random(seed).random(), in [1, 1.5),
+    which jitters the magnitudes without disturbing which patterns are
+    populated.  The stream is Python's, not numpy's, so the probe loads no
+    numpy.random; a seed gives other weights than it did under numpy's
+    generator, and the same classes.  The spec is frozen,
     so it is kept per (tag, seed), and with it its table's memo: every
     theorem1_probe call on one seed scans the same nine tables.  The nine
     last asked for are kept, as many as the probe's classes (class_tags(3)).
@@ -261,10 +266,10 @@ def sample_spec(tag: ClassTag, seed: int = 0) -> CumulantSpecSingle:
     if seed < 0:
         raise InputMismatchError(f"seed must be nonnegative, got {seed}")
     recipe = _SAMPLE_RECIPES[governing_family(tag).kind, tag.selfadjoint]
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed) if seed else None
 
     def w() -> float:
-        return 1.0 if seed == 0 else float(1.0 + 0.5 * rng.uniform())
+        return 1.0 if rng is None else 1.0 + 0.5 * rng.random()
 
     return CumulantSpecSingle(order=max(6, tag.m or 0), **recipe(w, tag.m))
 

@@ -29,6 +29,7 @@ an order with no entry is skipped unbuilt.  The chunk size is qgroups' _CHUNK_CE
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
@@ -41,7 +42,6 @@ from .cumulants import (EITHER, MAX_SCALAR_ORDER, CumulantTable, _family_tensor,
 from .distributions import CumulantSpecSingle, _nonzero_patterns, sample_spec
 from .easy import all_family_tags, class_tags, family_below, governing_family
 from .errors import InputMismatchError, OrderBoundError
-from .fixtures import witness_for_family
 from .partitions import ONE, STAR, StarPattern
 from .qgroups import (_CHUNK_CELLS, MatrixRep, _checked_tol, _column_residuals, _derived, _flat, lattice_position,
                       operator_norm, spectral_norms)
@@ -130,11 +130,24 @@ class TableJoint:
 
 @lru_cache(maxsize=16)
 def _coeff_pair(seed: int, dim: int) -> tuple:
-    """The seed's non-commuting dim x dim pair, drawn once and read-only."""
-    rng = np.random.default_rng(seed)
+    """The seed's non-commuting dim x dim pair, drawn once and read-only.
+
+    The entries are random.Random(seed).gauss(0.0, 1.0) draws, in the
+    order real parts of a, imaginary parts of a, then those of b, each
+    row-major; a commuting pair is drawn again from the same stream.  The
+    stream is Python's, not numpy's, so no scan loads numpy.random; a seed
+    gives another pair than it did under numpy's generator, and the same
+    verdicts.
+    """
+    rng = random.Random(seed)
+
+    def draw() -> np.ndarray:
+        re = [rng.gauss(0.0, 1.0) for _ in range(dim * dim)]
+        im = [rng.gauss(0.0, 1.0) for _ in range(dim * dim)]
+        return (np.array(re) + 1j * np.array(im)).reshape(dim, dim)
+
     while True:
-        a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        b = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        a, b = draw(), draw()
         if operator_norm(a @ b - b @ a) > 1e-3:
             break
     a.setflags(write=False)
@@ -147,6 +160,7 @@ def matrix_b_coeffs(k: int, seed: int = 0, dim: int = 2) -> list:
 
     A scan takes dim from a matrix-valued table, 2 for a scalar one.  The
     seed is a nonnegative int, and dim at least 2: 1 x 1 matrices commute.
+    The pair is drawn from random.Random(seed) (_coeff_pair).
     """
     if seed < 0:
         raise InputMismatchError(f"seed must be nonnegative, got {seed}")
@@ -374,6 +388,8 @@ def theorem1_probe(n: int = 2, max_order: int = 5, seed: int = 0) -> dict:
     """
     if n not in (2, 3):
         raise InputMismatchError(f"n must be 2 or 3, the sizes with a bistochastic orthogonal witness, got {n}")
+    from .fixtures import witness_for_family  # the witnesses only the probe needs
+
     witnesses = {fam: witness_for_family(fam, n) for fam in _PROBE_FAMILIES}
     # each witness is scanned once; every cell reads its expected verdict
     # from the witness's profile

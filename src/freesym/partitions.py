@@ -54,6 +54,17 @@ class Partition:
         return cls(k, blocks)
 
     @classmethod
+    def _canonical(cls, k: int, blocks: tuple) -> "Partition":
+        """A partition of blocks already in canonical form, taken unchecked.
+
+        The enumerations build only canonical blocks, so they skip
+        __post_init__'s sorting and checks, which user input keeps.
+        """
+        p = object.__new__(cls)
+        p.__dict__.update(k=k, blocks=blocks)
+        return p
+
+    @classmethod
     def singletons(cls, k: int) -> "Partition":
         return cls(k, tuple((i,) for i in range(1, k + 1)))
 
@@ -153,12 +164,11 @@ def enumerate_noncrossing(k: int) -> list[Partition]:
 
 @lru_cache(maxsize=None)
 def all_partitions_cached(k: int) -> tuple[Partition, ...]:
-    parts = [Partition(k, blocks) for blocks in _all_blocks(k)]
-    parts.sort(key=lambda p: p.blocks)
-    return tuple(parts)
+    return tuple(Partition._canonical(k, blocks) for blocks in sorted(_all_blocks(k)))
 
 
 def _all_blocks(k: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """Canonical blocks of every partition of {1..k}: k joins a block or opens a last one."""
     if k == 0:
         yield ()
         return
@@ -172,16 +182,17 @@ def _all_blocks(k: int) -> Iterator[tuple[tuple[int, ...], ...]]:
 def noncrossing_cached(k: int) -> tuple[Partition, ...]:
     """NC(k) by the first-block split: each free segment's partitions come from this cache, shifted."""
     if k == 0:
-        return (Partition(0, ()),)
+        return (Partition._canonical(0, ()),)
+    # the blocks of NC(m) on the segment after 0-based position v, which starts at 1-based v + 2
+    shifted = {(v, m): [tuple(tuple(x + v + 1 for x in blk) for blk in q.blocks) for q in noncrossing_cached(m)]
+               for v in range(k) for m in range(k - v)}
     parts = []
     for block, pieces in first_blocks(k, True):
-        # the segment after element v of the block starts at 1-based position v + 2
-        gaps = [[tuple(tuple(x + v + 1 for x in blk) for blk in q.blocks) for q in noncrossing_cached(len(piece))]
-                for v, piece in zip(block, pieces)]
+        # the segments follow each other, so the head block and theirs in turn are canonical
+        gaps = [shifted[v, len(piece)] for v, piece in zip(block, pieces)]
         head = (tuple(v + 1 for v in block),)
-        parts += [Partition(k, head + sum(combo, ())) for combo in itertools.product(*gaps)]
-    parts.sort(key=lambda p: p.blocks)
-    return tuple(parts)
+        parts += [head + sum(combo, ()) for combo in itertools.product(*gaps)]
+    return tuple(Partition._canonical(k, blocks) for blocks in sorted(parts))
 
 
 @lru_cache(maxsize=None)

@@ -3,19 +3,27 @@
 Complex scalars serialize as [re, im] pairs, matrices as row-major nested
 lists of pairs.  Dumps are sorted and indentation-stable so identical inputs
 produce byte-identical files; floats round-trip exactly through repr.
+
+Reading and parsing a file (read_json) needs json alone, so a missing or
+malformed file is refused before numpy loads.  Each converter imports numpy
+and the layer it builds when it runs: json_to_rep the models (qgroups),
+json_to_spec the specs (distributions).  A command reading a model loads no
+distributions, and one reading a spec no qgroups.
 """
 
 from __future__ import annotations
 
+import cmath
 import json
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .cumulants import pattern_sort_key
-from .distributions import CumulantSpecSingle, _require_dim
 from .errors import SchemaError, SizeLimitError
-from .partitions import StarPattern
-from .qgroups import DEFAULT_TOL, MAX_FLAT_DIM, MatrixRep, check_biunitary
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .distributions import CumulantSpecSingle
+    from .qgroups import MatrixRep
 
 
 def complex_to_pair(z) -> list:
@@ -31,16 +39,18 @@ def pair_to_complex(v) -> complex:
     ):
         raise SchemaError(f"expected a [re, im] pair, got {v!r}")
     z = complex(float(v[0]), float(v[1]))
-    if not np.isfinite(z.real) or not np.isfinite(z.imag):
+    if not cmath.isfinite(z):
         raise SchemaError("non-finite number in input")
     return z
 
 
 def matrix_to_rows(m: np.ndarray) -> list:
-    return [[complex_to_pair(z) for z in row] for row in np.asarray(m)]
+    return [[complex_to_pair(z) for z in row] for row in m]
 
 
 def rows_to_matrix(rows, shape: tuple) -> np.ndarray:
+    import numpy as np
+
     if not isinstance(rows, list) or len(rows) != shape[0]:
         raise SchemaError(f"expected {shape[0]} matrix rows")
     out = np.zeros(shape, dtype=complex)
@@ -78,6 +88,11 @@ def rep_to_json(rep: MatrixRep) -> dict:
 
 
 def json_to_rep(obj, require_biunitary: bool = True) -> MatrixRep:
+    """A parsed model file as a MatrixRep, checked biunitary unless asked not to."""
+    import numpy as np
+
+    from .qgroups import DEFAULT_TOL, MAX_FLAT_DIM, MatrixRep, check_biunitary
+
     if not isinstance(obj, dict):
         raise SchemaError("representation file must hold a JSON object")
     n = _require(obj, "n", int)
@@ -123,6 +138,10 @@ def spec_to_json(spec: CumulantSpecSingle) -> dict:
 
 
 def json_to_spec(obj) -> CumulantSpecSingle:
+    """A parsed spec file as a CumulantSpecSingle."""
+    from .distributions import CumulantSpecSingle, _require_dim
+    from .partitions import StarPattern
+
     if not isinstance(obj, dict):
         raise SchemaError("spec file must hold a JSON object")
     order = _require(obj, "order", int)
@@ -164,6 +183,10 @@ def json_to_spec(obj) -> CumulantSpecSingle:
 def table_records(data: dict) -> list:
     """Entries as pattern-sorted {"pattern", "value"} records: a number as a
     [re, im] pair, a matrix block as rows of pairs."""
+    import numpy as np
+
+    from .cumulants import pattern_sort_key
+
     return [{"pattern": letters, "value": (matrix_to_rows if np.ndim(data[letters]) else complex_to_pair)(data[letters])}
             for letters in sorted(data, key=pattern_sort_key)]
 
@@ -173,7 +196,8 @@ def save_rep(rep: MatrixRep, path) -> None:
         fh.write(dumps(rep_to_json(rep)))
 
 
-def _read_json(path):
+def read_json(path):
+    """The file's parsed JSON; an unreadable or malformed file raises before numpy loads."""
     try:
         with open(path) as fh:
             return json.load(fh)
@@ -182,7 +206,7 @@ def _read_json(path):
 
 
 def load_rep(path, require_biunitary: bool = True) -> MatrixRep:
-    return json_to_rep(_read_json(path), require_biunitary=require_biunitary)
+    return json_to_rep(read_json(path), require_biunitary=require_biunitary)
 
 
 def save_spec(spec: CumulantSpecSingle, path) -> None:
@@ -191,4 +215,4 @@ def save_spec(spec: CumulantSpecSingle, path) -> None:
 
 
 def load_spec(path) -> CumulantSpecSingle:
-    return json_to_spec(_read_json(path))
+    return json_to_spec(read_json(path))

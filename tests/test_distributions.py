@@ -1,3 +1,4 @@
+import random
 import re
 
 import numpy as np
@@ -66,6 +67,28 @@ def test_samples_classify_minimally(tag, seed):
     tags = classify_free(spec, K=spec.order, m_scan=max(6, tag.m or 3))
     assert tag in tags
     assert minimal_tags(tags) == {tag}
+
+
+def test_sample_weights_are_unit_at_seed_0_and_drawn_in_range_otherwise(monkeypatch):
+    """Seed 0 builds no generator and gives unit weights; another seed draws
+    every weight from random.Random(seed) into [1, 1.5]."""
+    tags = class_tags(6) + class_tags(6, classical=True)
+
+    def no_generator(seed):
+        raise AssertionError(f"a generator was built for seed {seed}")
+
+    sample_spec.cache_clear()
+    monkeypatch.setattr(random, "Random", no_generator)
+    for tag in tags:
+        spec = sample_spec(tag, seed=0)
+        assert {abs(v) for v in spec.entries.values()} | {abs(spec.shift)} <= {0.0, 1.0}, tag
+    monkeypatch.undo()
+    sample_spec.cache_clear()
+    for seed in (1, 2, 9):
+        specs = [sample_spec(tag, seed=seed) for tag in tags]
+        weights = [abs(v) for spec in specs for v in (*spec.entries.values(), spec.shift) if v]
+        assert all(1.0 <= w <= 1.5 for w in weights), seed
+        assert len(set(weights)) > 1, seed
 
 
 @pytest.mark.parametrize("tag", class_tags(6, classical=True), ids=lambda t: t.label())

@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import hashlib
+import random
 import time
 import tracemalloc
 import weakref
@@ -10,7 +11,7 @@ from types import MappingProxyType
 import numpy as np
 import pytest
 
-from freesym import cumulants, invariance, qgroups
+from freesym import cumulants, fixtures, invariance, qgroups
 from freesym.cumulants import joint_moment_tensor, joint_moments_free_family, random_cumulant_table
 from freesym.distributions import CumulantSpecSingle, FreeClassTag, classify_report, sample_spec
 from freesym.errors import InputMismatchError, OrderBoundError
@@ -377,7 +378,7 @@ def test_negative_seeds_and_probe_sizes_are_rejected_by_name(monkeypatch):
     with pytest.raises(InputMismatchError, match="seed must be nonnegative"):
         spec_of("CIRCULAR", seed=-1)
     # the probe's size is checked before any witness is built
-    monkeypatch.setattr(invariance, "witness_for_family", None)
+    monkeypatch.setattr(fixtures, "witness_for_family", None)
     for n in (-2, 0, 1, 4):
         with pytest.raises(InputMismatchError, match="n must be 2 or 3"):
             theorem1_probe(n=n)
@@ -590,19 +591,21 @@ def test_matrix_b_scans_a_dim_3_spec():
 
 
 def test_matrix_b_draws_at_dim_2_are_the_seed_stream():
+    """The pair is random.Random(seed)'s first gauss draws: real parts of a,
+    imaginary parts of a, then those of b, each row-major."""
     for seed in (0, 4):
-        rng = np.random.default_rng(seed)
-        a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        b = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        rng = random.Random(seed)
+        re_a, im_a, re_b, im_b = (np.array([rng.gauss(0.0, 1.0) for _ in range(4)]).reshape(2, 2) for _ in range(4))
+        a, b = re_a + 1j * im_a, re_b + 1j * im_b
         coeffs = matrix_b_coeffs(2, seed)
         assert np.array_equal(coeffs[0], a) and np.array_equal(coeffs[1], b) and coeffs[2] is coeffs[0]
 
 
 def test_matrix_b_coefficients_need_two_by_two_matrices(monkeypatch):
     """1 x 1 matrices commute, so no pair is drawn below dim 2; dims 2 and 3
-    draw the pairs they drew before the check."""
-    pins = {(2, 0): "9bb04c53bc286c64", (2, 1): "e2606f861b19ed89", (2, 7): "2471f447d53cf398",
-            (3, 0): "e67b958cf4db7449", (3, 1): "9b5f0f1ae962ca60", (3, 7): "a8409c8e1bfddc06"}
+    draw the pairs of random.Random(seed)'s stream."""
+    pins = {(2, 0): "84dfe52e5fe1959e", (2, 1): "65a79a54d212a1da", (2, 7): "6952897d568501bd",
+            (3, 0): "bb78b078b8aab6c2", (3, 1): "1ad0622b72f11f96", (3, 7): "c0d0dd4ed1ae8dc7"}
     for (dim, seed), pin in pins.items():
         a, b = matrix_b_coeffs(1, seed, dim)
         assert hashlib.sha256(a.tobytes() + b.tobytes()).hexdigest()[:16] == pin, (dim, seed)

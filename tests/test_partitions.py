@@ -66,6 +66,35 @@ def test_noncrossing_is_the_ordered_filter_of_all_partitions():
         assert enumerate_noncrossing(k) == [p for p in enumerate_all_partitions(k) if is_noncrossing(p)], k
 
 
+def _growth_partitions(k):
+    """Every partition of {1..k} through the checks, from restricted growth
+    strings: point i in block w[i], a new block numbered next."""
+    words = [()]
+    for _ in range(k):
+        words = [w + (b,) for w in words for b in range(max(w, default=-1) + 2)]
+    return [Partition.of([[i + 1 for i, b in enumerate(w) if b == j] for j in set(w)], k=k) for w in words]
+
+
+def _checked(p):
+    """p built again through the validating constructor, from scrambled blocks."""
+    return Partition.of([list(reversed(b)) for b in reversed(p.blocks)], k=p.k)
+
+
+def test_enumerations_equal_a_validating_construction():
+    """The enumerations build their partitions unchecked; each equals, in
+    blocks, order, == and hash, the one the checks build."""
+    for k in range(10):
+        got = enumerate_all_partitions(k)
+        want = sorted(_growth_partitions(k), key=lambda p: p.blocks)
+        assert [p.blocks for p in got] == [p.blocks for p in want], k
+        assert all(p == q and hash(p) == hash(q) for p, q in zip(got, want)), k
+    for k in range(11):
+        got = enumerate_noncrossing(k)
+        want = [_checked(p) for p in got]
+        assert [p.blocks for p in got] == [p.blocks for p in want] == sorted({p.blocks for p in want}), k
+        assert all(p == q and hash(p) == hash(q) for p, q in zip(got, want)), k
+
+
 def test_canonical_form_is_stable():
     p = Partition.of([[3, 1], [4, 2, 5]])
     assert p.blocks == ((1, 3), (2, 4, 5))
@@ -79,6 +108,8 @@ def test_invalid_partitions_rejected():
         Partition.of([[1], [3]], k=3)
     with pytest.raises(InputMismatchError):
         Partition(2, ((1,), ()))
+    with pytest.raises(InputMismatchError):
+        Partition.of([[1, 2], []])
 
 
 def test_size_guards(monkeypatch):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import subprocess
@@ -584,3 +585,78 @@ def test_enumerate_and_help_start_without_numpy():
     lines = proc.stdout.split("\n")
     assert lines[0] == "5"
     assert lines[-2] == "False"
+
+
+_FRESH = (
+    "import json, sys\n"
+    "from freesym.cli import main\n"
+    "code = main(json.loads(sys.argv[1]))\n"
+    "print(json.dumps({'code': code, 'modules': sorted(sys.modules)}))\n"
+)
+
+
+def _fresh(argv):
+    """main(argv) in a fresh interpreter: its exit code, stderr lines and the modules it loaded."""
+    proc = subprocess.run([sys.executable, "-c", _FRESH, json.dumps([str(a) for a in argv])],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    last = json.loads(proc.stdout.splitlines()[-1])
+    return last["code"], proc.stderr.splitlines(), set(last["modules"])
+
+
+_READERS = {
+    "convert": lambda fx, path: ["convert", path, "--free", "--to-moments"],
+    "classify-dist": lambda fx, path: ["classify-dist", path, "--free"],
+    "check-rep": lambda fx, path: ["check-rep", path],
+    "lattice-position": lambda fx, path: ["lattice-position", path],
+    "check-invariance-dist": lambda fx, path: ["check-invariance", "--dist", path, "--rep", fx / "rotation.json"],
+    "check-invariance-rep": lambda fx, path: ["check-invariance", "--dist", fx / "spec_circular.json", "--rep", path],
+}
+
+
+@pytest.mark.parametrize("bad", ["missing", "not_json"])
+@pytest.mark.parametrize("reader", sorted(_READERS))
+def test_unusable_files_are_refused_before_numpy_loads(fx, tmp_path, reader, bad):
+    """Every command reads and parses its files first: a missing or
+    malformed one exits 2 with one error line and numpy never loaded."""
+    path = tmp_path / "input.json"
+    if bad == "not_json":
+        path.write_text("{not json\n")
+    code, err, modules = _fresh(_READERS[reader](fx, path))
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert "numpy" not in modules
+
+
+def test_each_command_loads_only_the_layer_it_runs(fx):
+    """Models load no specs, specs no models, a scan no fixture witnesses,
+    and no seeded draw loads numpy.random (or the hashing it pulls in)."""
+    for argv in (["check-rep", fx / "rotation.json", "--family", "O_PLUS"], ["lattice-position", fx / "permutation.json"]):
+        code, _, modules = _fresh(argv)
+        assert code == 0 and {"freesym.qgroups", "numpy"} <= modules, argv
+        assert not modules & {"freesym.distributions", "freesym.invariance"}, argv
+    for argv in (["convert", fx / "spec_semicircular.json", "--free", "--to-moments"],
+                 ["classify-dist", fx / "spec_r_diagonal.json", "--free"]):
+        code, _, modules = _fresh(argv)
+        assert code == 0 and "freesym.distributions" in modules, argv
+        assert "freesym.qgroups" not in modules, argv
+    drawn = {"numpy.random", "secrets", "_hashlib"}
+    code, _, modules = _fresh(["check-invariance", "--dist", fx / "spec_m_unitary_3.json", "--rep",
+                               fx / "phase_diag_3.json", "--order", "5", "--matrix-b", "--seed", "4"])
+    assert code == 0 and "freesym.invariance" in modules
+    assert not modules & (drawn | {"freesym.fixtures"})
+    code, _, modules = _fresh(["theorem1-probe", "--n", "2", "--order", "4", "--seed", "3"])
+    assert code == 0 and "freesym.invariance" in modules
+    assert not modules & drawn
+
+
+@pytest.mark.parametrize("args, lines, digest", [
+    (["--all", "8"], 4141, "f94779cef9752554d566ed5ee71363ba62f1a314c9a28b47895be840d1fe47e3"),
+    (["--nc", "10"], 16797, "d39bda0fa9c612cb03d9f4794a3cca5acc92bb65dec7e418d2097f3777c27eda"),
+], ids=["all_8", "nc_10"])
+def test_enumerate_listings_are_pinned_byte_for_byte(capsys, args, lines, digest):
+    """The listings read as they did when every partition was built through the checks."""
+    assert main(["enumerate", *args, "--list"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("\n") == lines
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -1,9 +1,9 @@
 """Command line front end.
 
 Exit codes: 0 when the requested check passes (or a report was produced),
-1 when a check ran and failed, 2 for unusable input.  All JSON output is
-key-sorted with a trailing newline so identical invocations are
-byte-identical.
+1 when a check ran and failed, 2 for unusable input, one that does not fit
+in memory included.  All JSON output is key-sorted with a trailing newline
+so identical invocations are byte-identical.
 
 A command loads only what it runs.  `enumerate` and `--help` load no numpy.
 A command that reads files reads and parses every one of them first
@@ -26,7 +26,7 @@ import warnings
 # Each command imports the modules it needs after it has read its files
 # (module docstring).  Every error of freesym's (errors.py) is a ValueError,
 # as are numpy's on unusable arguments, so main needs no list of them: a
-# ValueError or an OSError is unusable input.
+# ValueError, an OSError or a MemoryError is unusable input.
 
 
 def _format_blocks(partition) -> str:
@@ -230,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-rep", help="relation checks for a matrix model")
     p.add_argument("file", help="model JSON")
-    p.add_argument("--family", default=None, help="e.g. O_PLUS or H_M_PLUS:3")
+    p.add_argument("--family", default=None, help="e.g. O_PLUS, 'H_M_PLUS(3) classical' or H_M_PLUS:3:classical")
     p.add_argument("--mmax", type=int, default=12)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_check_rep)
@@ -277,8 +277,8 @@ def main(argv=None) -> int:
         with warnings.catch_warnings():  # an overflow is refused by the check after it, with one error line
             warnings.simplefilter("ignore", RuntimeWarning)
             return args.func(args)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:  # a MemoryError: an input too large for this machine
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

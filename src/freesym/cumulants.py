@@ -374,13 +374,12 @@ def _plan(k: int, a: int, free: bool) -> tuple[np.ndarray, np.ndarray]:
     return (_kept_plan if a <= 4 else _order_plan)(k, a, free)
 
 
-def _gathered_recursion(known: np.ndarray, K: int, a: int, free: bool, to_moments: bool,
-                        mul=np.multiply) -> np.ndarray:
+def _gathered_recursion(known: np.ndarray, K: int, a: int, free: bool, to_moments: bool) -> np.ndarray:
     """The recursion on values at flat indices, an order at a time.
 
     known holds the given side at the flat index of every word up to order K,
     absent entries as exact zeros (slot 0, the empty word, is ignored).
-    Values are scalars, or p x p matrices multiplied by mul=np.matmul.
+    Values are scalars, or p x p matrices (known.ndim > 1) multiplied by np.matmul.
     kappa and beta sit side by side, at 2i and 2i + 1 for flat index i, so
     an order's rows (_order_plan) are one gather of their first operands,
     multiplied in place by the piece moments, and two sums.  Classically
@@ -394,7 +393,7 @@ def _gathered_recursion(known: np.ndarray, K: int, a: int, free: bool, to_moment
     pair = np.zeros((len(known), 2) + known.shape[1:], dtype=known.dtype)
     kappa, boolean, moment = pair[:, 0], pair[:, 1], np.zeros_like(known)
     (kappa if to_moments else moment)[...] = known
-    moment[0] = np.eye(known.shape[-1]) if known.ndim > 1 else 1
+    moment[0], mul = (np.eye(known.shape[-1]), np.matmul) if known.ndim > 1 else (1, np.multiply)
     firsts = pair.reshape((-1,) + known.shape[1:])
     for k in range(1, K + 1):
         start = _order_start(k, a)
@@ -787,6 +786,12 @@ def _scaled_family_tensor(table, n: int, letters: str) -> tuple[np.ndarray, floa
     return tensor, scale
 
 
+def _require_budget(n: int, k: int) -> None:
+    """Refuse an order-k tensor over n indices past TUPLE_BUDGET index words, before it is built."""
+    if n ** k > TUPLE_BUDGET:
+        raise BudgetError(f"{n}^{k} index words exceed the tuple budget")
+
+
 def _require_tensor_call(k: int, coeffs) -> None:
     """Refuse an order tensor of no letters, or coefficients other than the k + 1 interleaved ones."""
     if k == 0:
@@ -802,8 +807,7 @@ def _family_tensor(table, n: int, letters: str, coeffs) -> np.ndarray:
     coefficients multiply outside; a matrix table's are spliced in, b_0 first.
     """
     k = len(letters)
-    if n ** k > TUPLE_BUDGET:
-        raise BudgetError(f"{n}^{k} index words exceed the tuple budget")
+    _require_budget(n, k)
     table.require_order(k)
     _require_tensor_call(k, coeffs)
     p = table.dim
@@ -941,8 +945,7 @@ def multivariate_cumulants_from_joint_moments(oracle, K: int) -> MultiCumulantTa
             known[i] = oracle.moment(word, d)
             keys.append((word, d.letters))
         at += order_at
-    values = _gathered_recursion(known, K, a, True, False,
-                                 np.multiply if dim == 1 else np.matmul)
+    values = _gathered_recursion(known, K, a, True, False)
     _require_finite(values)
     entries = values[at]
     entries.flags.writeable = False

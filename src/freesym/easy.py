@@ -29,6 +29,7 @@ family.  Every reader of the order reads that record:
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from operator import and_
@@ -133,23 +134,19 @@ class FamilyTag:
 
     @staticmethod
     def parse(text: str) -> "FamilyTag":
-        parts = text.strip().split(":")
-        classical = False
-        if parts and parts[-1].lower() == "classical":
-            classical = True
-            parts = parts[:-1]
-        if not parts or not parts[0]:
+        """A tag from its label (O_PLUS classical, H_M_PLUS(3)) or its spelling (O_PLUS:classical, H_M_PLUS:3)."""
+        match = re.fullmatch(r"([^\s:()]+)(?:\(([^()]*)\)|:([^:\s]*))??(?:(?::|\s+)(classical))?",
+                             text.strip(), re.IGNORECASE)
+        if match is None:
             raise InputMismatchError(f"cannot parse family tag {text!r}")
-        kind = parts[0].upper()
-        m = None
-        if len(parts) == 2:
-            try:
-                m = int(parts[1])
-            except ValueError:
-                raise InputMismatchError(f"bad modulus in family tag {text!r}")
-        elif len(parts) > 2:
-            raise InputMismatchError(f"cannot parse family tag {text!r}")
-        return FamilyTag(kind, m, classical)
+        kind, paren, colon, classical = match.groups()
+        m = paren if colon is None else colon
+        if m is not None and not m.isdecimal():
+            raise InputMismatchError(f"bad modulus in family tag {text!r}")
+        try:
+            return FamilyTag(kind.upper(), None if m is None else int(m), classical is not None)
+        except InputMismatchError as exc:
+            raise InputMismatchError(f"{exc} in family tag {text!r}") from None
 
 
 @dataclass(frozen=True, order=True)

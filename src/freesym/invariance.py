@@ -13,18 +13,21 @@ larger): a fixed slot acts with its letter's u or u*, an open one with
 diag(u, u*) on (letter, index).  2x2 residuals take their norm in closed
 form.  A residual is judged relative to its order's moments, not the law's units.
 
-That tensor (order_tensor) is all a joint gives the scan.  Joints, like
-specs and tables, are frozen once checked, and a spec is scanned through its
-one table (to_table).  A scalar law's tensors are memoised on its table
-(cumulants._PatternTable._memo) in the law's field, float64 when its table
-is real, each beside its scale once a scan has read it, and go when the
-table goes; interleaved coefficients only scale its residual norms.  The
-model's letter matrices u, u* and diag(u, u*) are derived once per model
-(_scan_letters, through qgroups._derived), real when its entries are, so a
-real law under a real model is scanned in real matmuls.  A matrix-valued
-table's tensor carries the coefficients, (2n)^k p^2 complex entries built
-afresh per order.  A tabulated joint is held to the scalar order bound, and
-an order with no entry is skipped unbuilt.  The chunk size is qgroups' _CHUNK_CELLS.
+A joint gives the scan its n and order, its order rule (require_order: its
+kind's order bound and the one cumulants.TUPLE_BUDGET check, before any
+tensor is built) and, per order, its moments and their scale
+(order_moments), or nothing for an order it holds no entry at; the scan
+reads nothing else of it.  The model gives the one tolerance.  Joints, like
+specs, tables and models, are frozen once checked, and a spec is scanned
+through its one table (to_table).  A scalar law's tensors are memoised on
+its table (cumulants._PatternTable._memo) in the law's field, float64 when
+its table is real, each beside its scale once a scan has read it, and go
+when the table goes; interleaved coefficients only scale its residual
+norms.  The model's letter matrices u, u* and diag(u, u*) are derived once
+per model (_scan_letters, through qgroups._derived), real when its entries
+are, so a real law under a real model is scanned in real matmuls.  A
+matrix-valued table's tensor carries the coefficients, (2n)^k p^2 complex
+entries built afresh per order.  The chunk size is qgroups' _CHUNK_CELLS.
 """
 
 from __future__ import annotations
@@ -38,13 +41,14 @@ from types import MappingProxyType
 import numpy as np
 
 from .cumulants import (EITHER, MAX_SCALAR_ORDER, CumulantTable, _family_tensor, _finite, _ordered_coeff_product,
-                        _require_tensor_call, _scaled_family_tensor, _tensor_scale, _times_coeff_product)
+                        _require_budget, _require_tensor_call, _scaled_family_tensor, _tensor_scale,
+                        _times_coeff_product)
 from .distributions import CumulantSpecSingle, _nonzero_patterns, sample_spec
 from .easy import all_family_tags, class_tags, family_below, governing_family
 from .errors import InputMismatchError, OrderBoundError
 from .partitions import ONE, STAR, StarPattern
-from .qgroups import (_CHUNK_CELLS, MatrixRep, _checked_tol, _column_residuals, _derived, _flat, lattice_position,
-                      operator_norm, spectral_norms)
+from .qgroups import (_CHUNK_CELLS, MatrixRep, _column_residuals, _derived, _flat, lattice_position, operator_norm,
+                      spectral_norms)
 
 
 @dataclass(frozen=True)
@@ -71,9 +75,10 @@ class FreeIIDJoint:
     def order(self) -> int:
         return self.table.order
 
-    @property
-    def dim(self) -> int:
-        return self.table.dim
+    def require_order(self, k: int) -> None:
+        """Refuse a scan to order k past the table's bounds (CumulantTable.require_order) or the tuple budget."""
+        self.table.require_order(k)
+        _require_budget(self.n, k)
 
     def order_tensor(self, k: int, coeffs=None) -> np.ndarray:
         """Order-k moments, axes (c_1, i_1, ..., c_k, i_k)[, p, q], c 0 for 1 and 1 for *.
@@ -84,6 +89,14 @@ class FreeIIDJoint:
         complex and the caller's.
         """
         return _family_tensor(self.table, self.n, EITHER * k, coeffs)
+
+    def order_moments(self, k: int, seed: int | None = None) -> tuple[np.ndarray, float]:
+        """The scan's order-k moments and their _tensor_scale.  A matrix table's carry matrix_b_coeffs(k, seed,
+        dim) when a seed is given; a scalar law's carry none and come with their scale from its table's memo."""
+        if self.table.dim == 1:
+            return _scaled_family_tensor(self.table, self.n, EITHER * k)
+        E = self.order_tensor(k, None if seed is None else matrix_b_coeffs(k, seed, self.table.dim))
+        return E, _tensor_scale(E)
 
 
 @dataclass(frozen=True)
@@ -98,11 +111,8 @@ class TableJoint:
     n: int
     order: int
     data: dict = field(default_factory=dict)
-    dim: int = 1
 
     def __post_init__(self) -> None:
-        if self.dim != 1:
-            raise InputMismatchError("tabulated joints are scalar-valued only")
         if self.n < 1:
             raise InputMismatchError(f"a joint needs n >= 1 variables, got {self.n}")
         data = {}
@@ -116,16 +126,31 @@ class TableJoint:
                 raise InputMismatchError(f"entry {word}, {letters!r} is not finite")
         object.__setattr__(self, "data", MappingProxyType(data))
 
+    def require_order(self, k: int) -> None:
+        """Refuse a scan to order k past the scalar bound, or whose last order with entries is over the tuple budget."""
+        if k > MAX_SCALAR_ORDER:
+            raise OrderBoundError(f"order {k} exceeds the dim-1 bound {MAX_SCALAR_ORDER}")
+        _require_budget(self.n, max((len(word) for word, _ in self.data if len(word) <= k), default=0))
+
     def order_tensor(self, k: int, coeffs=None) -> np.ndarray:
         """Order-k moments laid out as FreeIIDJoint.order_tensor's."""
         if k > self.order:
             raise OrderBoundError(f"order {k} exceeds the tabulated order {self.order}")
         _require_tensor_call(k, coeffs)
+        _require_budget(self.n, k)
         out = np.zeros((2, self.n) * k, dtype=complex)
         for (word, letters), v in self.data.items():
             if len(word) == k:
                 out[tuple(x for ch, i in zip(letters, word) for x in (int(ch == STAR), i - 1))] = v
         return out if coeffs is None else _times_coeff_product(out, coeffs)
+
+    def order_moments(self, k: int, seed: int | None = None) -> tuple[np.ndarray, float] | None:
+        """The scan's order-k moments, scalar so a seed adds no coefficients, and their _tensor_scale; None,
+        unbuilt, for an order with no entries."""
+        if all(len(word) != k for word, _ in self.data):
+            return None
+        E = self.order_tensor(k)
+        return E, _tensor_scale(E)
 
 
 @lru_cache(maxsize=16)
@@ -185,25 +210,6 @@ class InvarianceVerdict:
     tol: float
 
 
-def _order_moments(joint, k: int, matrix_coeffs: bool, seed: int) -> tuple[np.ndarray, float, float]:
-    """Order-k moments with letter axes, (c_1, i_1, ..., c_k, i_k)[, p, q],
-    their _tensor_scale and a norm factor.
-
-    A scalar joint's moments carry the coefficient product B outside, so
-    each residual is kron(B, D) for the plain one D, of norm |B| |D|.  A
-    scalar law's tensor and scale come from one lookup in its table's memo
-    (cumulants._scaled_family_tensor).
-    """
-    if joint.dim > 1:
-        E = joint.order_tensor(k, matrix_b_coeffs(k, seed, joint.dim) if matrix_coeffs else None)
-        return E, _tensor_scale(E), 1.0
-    factor = _coeff_norm(seed, k, 2) if matrix_coeffs else 1.0
-    if isinstance(joint, FreeIIDJoint):
-        return *_scaled_family_tensor(joint.table, joint.n, EITHER * k), factor
-    E = joint.order_tensor(k)
-    return E, _tensor_scale(E), factor
-
-
 def _scan_letters(rep: MatrixRep) -> tuple:
     """The scan's letter matrices: u, its entrywise adjoint (as _flat) and diag(u, adjoint) on (letter, index).
 
@@ -261,24 +267,20 @@ def _residual_norms(X: np.ndarray, mats: list) -> np.ndarray:
     return spectral_norms(Y.transpose(3, 0, 2, 1, 4).reshape(-1, p * d, q * d)).reshape(X.shape[:k])
 
 
-def check_invariance(
-    joint,
-    rep: MatrixRep,
-    max_order: int,
-    matrix_coeffs: bool = False,
-    seed: int = 0,
-    tol: float | None = None,
-) -> InvarianceVerdict:
+def check_invariance(joint, rep: MatrixRep, max_order: int, matrix_coeffs: bool = False,
+                     seed: int = 0) -> InvarianceVerdict:
     """Compare the acted tuple's moments against the original ones.
 
     Scans orders 1..max_order in chunks (module docstring), recording the
     worst residual and the lexicographically first violating cell: orders
     ascending, plain letters before stars, words in 1-based lex order.
     Orders and chunks of zero moments are skipped.  A cell violates above
-    tol times its order's scale: the largest real or imaginary part of its
-    moments, times the coefficient norm a scalar joint's residuals carry.
-    A spec is scanned as n free copies of its law, through the table it
-    expands once (CumulantSpecSingle.to_table).
+    the model's tol times its order's scale: the largest real or imaginary
+    part of its moments, times the coefficient norm scalar moments' residuals
+    carry.  The joint refuses an order it cannot give before any tensor is
+    built (require_order), then gives each order's moments and scale
+    (order_moments).  A spec is scanned as n free copies of its law, through
+    the table it expands once (CumulantSpecSingle.to_table).
     """
     if isinstance(joint, CumulantSpecSingle):
         joint = FreeIIDJoint(joint.to_table(), rep.n)
@@ -288,29 +290,24 @@ def check_invariance(
         raise InputMismatchError("max_order must be at least 1")
     if max_order > joint.order:
         raise OrderBoundError(f"max_order {max_order} exceeds the joint's order {joint.order}")
-    # the order rule, before any order tensor is built
-    held = None  # the orders a tabulated joint has entries at
-    if isinstance(joint, FreeIIDJoint):
-        joint.table.require_order(max_order)
-    elif isinstance(joint, TableJoint):
-        if max_order > MAX_SCALAR_ORDER:
-            raise OrderBoundError(f"order {max_order} exceeds the dim-1 bound {MAX_SCALAR_ORDER}")
-        held = {len(word) for word, _ in joint.data}
-    tol = rep.tol if tol is None else _checked_tol(tol)
+    joint.require_order(max_order)
 
     n = rep.n
     *U, both = _derived(rep, "scan letters", _scan_letters)
     worst = 0.0
     first: tuple | None = None
     for k in range(1, max_order + 1):
-        if held is not None and k not in held:  # an order of exact zeros, its tensor never built
+        moments = joint.order_moments(k, seed if matrix_coeffs else None)
+        if moments is None:  # an order of exact zeros, its tensor never built
             continue
-        E, scale, factor = _order_moments(joint, k, matrix_coeffs, seed)
+        E, scale = moments
+        # scalar moments carry the coefficient product B outside: each residual is kron(B, D), of norm |B| |D|
+        factor = _coeff_norm(seed, k, 2) if matrix_coeffs and E.ndim == 2 * k else 1.0
         if not _finite(scale):  # inf or NaN moments: no residual could be judged against them
             raise InputMismatchError(f"order {k} moments are not finite")
         if not scale:  # an order of exact zeros
             continue
-        limit = tol * factor * scale
+        limit = rep.tol * factor * scale
         cells = E.size * rep.d ** 2
         fixed = next(m for m in range(k + 1) if m == k or cells >> m <= _CHUNK_CELLS)
         for head in product((0, 1), repeat=fixed):
@@ -331,22 +328,18 @@ def check_invariance(
                 letters = "".join(STAR if c else ONE for c in np.add(head + (0,) * (k - fixed), bad[:k]))
                 first = (k, letters, tuple(int(j) + 1 for j in bad[k:]), float(res[bad]))
     return InvarianceVerdict(invariant=first is None, worst_residual=worst, first_violation=first,
-                             orders_checked=max_order, tol=tol)
+                             orders_checked=max_order, tol=rep.tol)
 
 
-def cumulant_identity_extractor(
-    spec: CumulantSpecSingle,
-    rep: MatrixRep,
-    max_order: int | None = None,
-    cross_validate: bool = True,
-    tol: float | None = None,
-) -> dict:
+def cumulant_identity_extractor(spec: CumulantSpecSingle, rep: MatrixRep, max_order: int | None = None,
+                                cross_validate: bool = True) -> dict:
     """Column identities the model must satisfy for this input class.
 
     Every pattern carrying a nonzero cumulant forces the summed entry
-    chain at each column to be the identity; a failed identity predicts
-    a moment violation at that order or below.  The prediction is then
-    cross-checked against the direct scan when asked.
+    chain at each column to be the identity; a failed identity (residual
+    over the model's tol) predicts a moment violation at that order or
+    below.  The prediction is then cross-checked against the direct scan,
+    at the same tol, when asked.
     """
     if max_order is None:
         max_order = spec.order
@@ -354,17 +347,16 @@ def cumulant_identity_extractor(
         raise OrderBoundError(f"max_order {max_order} exceeds the input order {spec.order}")
     table = spec.to_table()
     patterns = [d.letters for d in _nonzero_patterns(table) if len(d) <= max_order]
-    limit = rep.tol if tol is None else _checked_tol(tol)
     failed = []
     for letters in patterns:
         residuals = _column_residuals(rep, letters)
         failed.extend(
             {"pattern": letters, "column": int(j), "residual": float(residuals[j])}
-            for j in np.flatnonzero(residuals > limit)
+            for j in np.flatnonzero(residuals > rep.tol)
         )
     out = {"predicted_invariant": not failed, "failed_identities": failed, "patterns_checked": patterns}
     if cross_validate:
-        verdict = check_invariance(FreeIIDJoint(table, rep.n), rep, max_order, tol=tol)
+        verdict = check_invariance(FreeIIDJoint(table, rep.n), rep, max_order)
         out["invariant"] = verdict.invariant
         out["agree"] = verdict.invariant == out["predicted_invariant"]
         out["verdict"] = verdict

@@ -29,18 +29,19 @@ process, one core of a shared Xeon).
 The residual table too depends only on (n, p, q), not on where the letters
 sit, so a d = 1 model keeps per (p, q) the worst residual and the tied worst
 orbits that can hold a first tuple (_commuting_orbits); each pattern reads
-its own witness from them (_lex_first).  A model has one cache, its memo,
-filled only through _derived: every residual a relation check reads is
-derived there once per model from the entries alone and judged against
-rep.tol at each call.  It holds biunitarity's four norms, the sum,
-projection and commutativity residuals, the d = 1 orbits above, each d > 1
-delta identity's worst residual and witness, each block identity's column
-residuals, and the invariance scan's letter matrices u, u* and diag(u, u*),
-real when the entries are (the arrays read-only).  The entries are a
-read-only copy, and the memo dies with the model and holds no plan or
-table: about 83 KiB after lattice_position(rep, 300) at n = 3, and 5.4 KiB
-after lattice_position and structural_consequences on the n = 3, d = 4
-nilpotent lift.  Nothing is kept between models.
+its own witness from them (_lex_first).  A model is a value: its entries (a
+read-only copy) and its one tolerance are fixed at construction, and its
+one cache, its memo, is filled only through _derived.  Every residual a
+relation check reads is derived there once per model from the entries
+alone and judged against rep.tol.  It holds biunitarity's four norms, the
+sum, projection and commutativity residuals, the d = 1 orbits above, each
+d > 1 delta identity's worst residual and witness, each block identity's
+column residuals, and the invariance scan's letter matrices u, u* and
+diag(u, u*), real when the entries are (the arrays read-only).  The memo
+dies with the model and holds no plan or table: about 83 KiB after
+lattice_position(rep, 300) at n = 3, and 5.4 KiB after lattice_position and
+structural_consequences on the n = 3, d = 4 nilpotent lift.  Nothing is
+kept between models.
 
 Every other relation is entrywise: its residual is the largest spectral
 norm over one stack of d x d matrices (_worst), an (n, n, d, d) stack for
@@ -62,7 +63,7 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 
 import numpy as np
 
@@ -92,7 +93,10 @@ class Check:
 
 
 class MatrixRep:
-    """Generator matrices u_{ij}, stored as an (n, n, d, d) complex array."""
+    """Generator matrices u_{ij}, stored as an (n, n, d, d) complex array, and the one tolerance.
+
+    No attribute can be set once checked here: a verdict at another tolerance
+    is MatrixRep(rep.entries, tol=t)'s.  Equal and hashed by identity."""
 
     def __init__(self, entries, tol: float = DEFAULT_TOL):
         arr = np.array(entries, dtype=complex)  # a copy: the memo below trusts it never changes
@@ -102,17 +106,17 @@ class MatrixRep:
             raise InputMismatchError(f"entries must form an (n, n, d, d) array, n, d >= 1, got shape {arr.shape}")
         if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
             raise InputMismatchError("non-finite entry in representation")
+        n, d = arr.shape[1:3]
+        if n * d > MAX_FLAT_DIM:
+            raise SizeLimitError(f"flattened dimension {n * d} exceeds {MAX_FLAT_DIM}")
         arr.setflags(write=False)
-        self.entries = arr
-        self.n = arr.shape[0]
-        self.d = arr.shape[2]
-        if self.n * self.d > MAX_FLAT_DIM:
-            raise SizeLimitError(
-                f"flattened dimension {self.n * self.d} exceeds {MAX_FLAT_DIM}"
-            )
-        self.tol = _checked_tol(tol)
-        # what relation checks derive from the entries alone, never tol (_derived)
-        self._relations: dict = {}
+        # _relations holds what relation checks derive from the entries alone (_derived), the one mutable part
+        self.__dict__.update(entries=arr, n=n, d=d, tol=_checked_tol(tol), _relations={})
+
+    def __setattr__(self, name, value=None):  # also __delattr__
+        raise FrozenInstanceError(f"cannot assign to field {name!r}: a model is fixed at construction")
+
+    __delattr__ = __setattr__
 
     def adjoint_entries(self) -> np.ndarray:
         return np.conj(self.entries).swapaxes(2, 3)

@@ -721,14 +721,12 @@ def reference_commuting_delta(rep: MatrixRep, pattern) -> Check:
     return Check(holds=worst <= rep.tol, residual=worst, witness=witness)
 
 
-def reference_identity_failures(rep: MatrixRep, patterns, tol=None) -> list:
+def reference_identity_failures(rep: MatrixRep, patterns) -> list:
     """cumulant_identity_extractor's failed identities, one column at a time."""
     failed = []
     for letters in patterns:
         for j in range(rep.n):
             chk = reference_block_identity_holds(rep, letters, j)
-            if tol is not None:
-                chk.holds = chk.residual <= tol
             if not chk.holds:
                 failed.append(
                     {"pattern": letters, "column": j, "residual": chk.residual}
@@ -845,8 +843,7 @@ def reference_coproduct_lift(a: MatrixRep, b: MatrixRep) -> MatrixRep:
     return MatrixRep(out, tol=max(a.tol, b.tol))
 
 
-def reference_first_violation(joint, rep: MatrixRep, max_order: int, matrix_coeffs: bool = False,
-                              seed: int = 0, tol: float | None = None):
+def reference_first_violation(joint, rep: MatrixRep, max_order: int, matrix_coeffs: bool = False, seed: int = 0):
     """check_invariance's first_violation, from np.argwhere on each order's residuals in one piece.
 
     Order k's moments are the joint's own tensor E (order_tensor), with
@@ -855,10 +852,9 @@ def reference_first_violation(joint, rep: MatrixRep, max_order: int, matrix_coef
     u^ck_ikjk, u^* the entrywise adjoint, summed by np.einsum a slot at a
     time over every cell at once; its residual is np.linalg.norm(., 2) of
     that minus E(c, j) (x) I, rows (p, A_0) and columns (q, A_k).  The
-    residuals are put letters first, and the first cell over tol in C order
+    residuals are put letters first, and the first cell over rep.tol in C order
     is the first violation: (order, letters, 1-based word, residual).
     """
-    tol = rep.tol if tol is None else tol
     n, d = rep.n, rep.d
     # slot[c, i, c', j] = u^c_ij where c' = c, else 0: (letter, index) in and out
     slot = np.zeros((2, n, 2, n, d, d), dtype=complex)
@@ -866,7 +862,7 @@ def reference_first_violation(joint, rep: MatrixRep, max_order: int, matrix_coef
         slot[c, :, c] = rep.letter_array(ch)
     slot = slot.reshape(2 * n, 2 * n, d, d)
     for k in range(1, max_order + 1):
-        dim = joint.dim if joint.dim > 1 else 2
+        dim = max(joint.table.dim, 2)
         E = joint.order_tensor(k, matrix_b_coeffs(k, seed, dim) if matrix_coeffs else None)
         E = E.reshape((2 * n,) * k + (E.shape[2 * k:] or (1, 1)))
         p, q = E.shape[k:]
@@ -881,7 +877,7 @@ def reference_first_violation(joint, rep: MatrixRep, max_order: int, matrix_coef
         cells = acted.transpose(*range(k), k, k + 2, k + 1, k + 3).reshape((2 * n,) * k + (p * d, q * d))
         res = np.linalg.norm(cells, 2, axis=(-2, -1))
         res = res.reshape((2, n) * k).transpose(*range(0, 2 * k, 2), *range(1, 2 * k, 2))
-        hits = np.argwhere(res > tol)
+        hits = np.argwhere(res > rep.tol)
         if len(hits):
             bad = tuple(hits[0])
             letters = "".join(STAR if c else ONE for c in bad[:k])

@@ -659,8 +659,7 @@ def _per_word_inverter(oracle, K):
                 i = where[word, d.letters] = flat_index(
                     [2 * (t - 1) + (ch == "*") for t, ch in zip(word, d.letters)])
                 known[i] = oracle.moment(word, d)
-    values = cumulants._gathered_recursion(known, K, a, True, False,
-                                           np.multiply if dim == 1 else np.matmul)
+    values = cumulants._gathered_recursion(known, K, a, True, False)
     return {key: values[i] for key, i in where.items()}
 
 

@@ -14,7 +14,7 @@ import pytest
 from freesym import cumulants, fixtures, invariance, qgroups
 from freesym.cumulants import joint_moment_tensor, joint_moments_free_family, random_cumulant_table
 from freesym.distributions import CumulantSpecSingle, FreeClassTag, classify_report, sample_spec
-from freesym.errors import InputMismatchError, OrderBoundError
+from freesym.errors import BudgetError, InputMismatchError, OrderBoundError
 from freesym.fixtures import (
     bistochastic_orthogonal_rep,
     fixture_set,
@@ -170,6 +170,56 @@ def test_order_and_size_guards():
         check_invariance(spec, rotation_rep(2), 0)
 
 
+class _InterfaceOnly:
+    """A joint of the test's own: n, order, require_order and order_moments, read from a wrapped joint."""
+
+    __slots__ = ("n", "order", "require_order", "order_moments")
+
+    def __init__(self, joint):
+        self.n, self.order = joint.n, joint.order
+        self.require_order, self.order_moments = joint.require_order, joint.order_moments
+
+
+def test_a_joint_is_read_through_its_interface_alone():
+    """The scan branches on no joint type: a class it has never seen, giving
+    only the interface, gets the verdicts of the joint it wraps."""
+    tables = _other_joints()["table"], TableJoint(n=2, order=3, data={((1, 2), "1*"): 1.0, ((2, 2, 1), "*11"): 2.0})
+    reps = [rotation_rep(2), permutation_rep(2), unit_i_diag_rep(2),
+            coproduct_lift(nilpotent_pair_rep(2), rotation_rep(2))]
+    for joint in tables:
+        for rep in reps:
+            for matrix_coeffs in (False, True):
+                want = check_invariance(joint, rep, joint.order, matrix_coeffs=matrix_coeffs, seed=3)
+                got = check_invariance(_InterfaceOnly(joint), rep, joint.order, matrix_coeffs=matrix_coeffs, seed=3)
+                assert got == want, (joint.order, rep.entries.shape, matrix_coeffs)
+    assert not check_invariance(_InterfaceOnly(tables[0]), rotation_rep(2), 4).invariant
+
+
+def test_a_tabulated_joint_meets_the_tuple_budget_before_it_builds(monkeypatch):
+    """At n=16 an order-5 tensor has 16^5 > TUPLE_BUDGET index words: a free
+    joint refused it, a tabulated one built a 512 MiB tensor.  Both are now
+    refused with _family_tensor's message before any order tensor exists."""
+    built = []
+    real = TableJoint.order_tensor
+    monkeypatch.setattr(TableJoint, "order_tensor",
+                        lambda self, k, coeffs=None: built.append(k) or real(self, k, coeffs))
+    rep = permutation_rep(16)
+    data = {((1,) * k, "1" * k): 1.0 for k in range(1, 6)}
+    dense, free = TableJoint(n=16, order=5, data=data), FreeIIDJoint(spec_of("SEMICIRCULAR").to_table(), 16)
+    for joint in (dense, free):
+        with pytest.raises(BudgetError, match=r"^16\^5 index words exceed the tuple budget$"):
+            check_invariance(joint, rep, 5)
+    with pytest.raises(BudgetError, match=r"^16\^5 index words exceed the tuple budget$"):
+        dense.order_tensor(5)
+    assert built == [5] and 16 not in free.table._memo
+    # orders without entries stay unbuilt, so a law held at orders <= 2 scans to order 5
+    sparse = TableJoint(n=16, order=5, data={((1,), "1"): 1.0, ((2, 2), "1*"): 1.0})
+    built.clear()
+    verdict = check_invariance(sparse, rep, 5)
+    assert built == [1, 2] and not verdict.invariant and verdict.orders_checked == 5
+    assert check_invariance(sparse, MatrixRep(np.eye(16)), 5).invariant
+
+
 def test_tabulated_joint_takes_mixed_coefficients():
     data = {((i, j), "11"): 3.0 if i == j else 5.0 for i in (1, 2) for j in (1, 2)}
     joint = TableJoint(n=2, order=2, data=data)
@@ -195,7 +245,7 @@ def test_tabulated_joint_rejects_malformed_entries():
 
 
 def test_tabulated_joint_is_scalar_and_stops_at_its_order():
-    with pytest.raises(InputMismatchError, match="scalar-valued only"):
+    with pytest.raises(TypeError, match="dim"):
         TableJoint(n=2, order=2, dim=2)
     with pytest.raises(OrderBoundError, match="order 3 exceeds the tabulated order 2"):
         TableJoint(n=2, order=2, data={((1,), "1"): 1.0}).order_tensor(3)
@@ -303,13 +353,20 @@ def test_extractor_predicts_and_agrees():
 def test_scans_and_the_extractor_refuse_an_unusable_tolerance(tol):
     """A NaN tolerance made every comparison false, so a violated law read
     invariant (the default tolerance reads it violated); an infinite one
-    passes everything and a negative one nothing.  Each is refused by name."""
+    passes everything and a negative one nothing.  The model owns the one
+    tolerance: each is refused by name when the model is built, and it can
+    be set no other way, so the scan and the extractor read the violation."""
     spec, rep = spec_of("SYMMETRIC"), rotation_rep(2)
-    assert not check_invariance(spec, rep, 4).invariant
     with pytest.raises(InputMismatchError, match="tolerance must be nonnegative and finite"):
-        check_invariance(spec, rep, 4, tol=tol)
-    with pytest.raises(InputMismatchError, match="tolerance must be nonnegative and finite"):
-        cumulant_identity_extractor(spec, rep, tol=tol)
+        MatrixRep(rep.entries, tol=tol)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rep.tol = tol
+    for call in (check_invariance, cumulant_identity_extractor):
+        with pytest.raises(TypeError, match="tol"):
+            call(spec, rep, 4, tol=tol)
+    assert rep.tol == qgroups.DEFAULT_TOL and not check_invariance(spec, rep, 4).invariant
+    report = cumulant_identity_extractor(spec, rep, 4)
+    assert not report["predicted_invariant"] and not report["invariant"]
 
 
 def test_extractor_agreement_on_selected_pairs():
@@ -497,8 +554,9 @@ def _reference_scans(joint, rep, max_order, matrix_coeffs):
     its residuals, in pattern order.
     """
     out, worst, first = {}, 0.0, None
+    dim = max(joint.table.dim if isinstance(joint, FreeIIDJoint) else 1, 2)  # a tabulated joint is scalar
     for k in range(1, max_order + 1):
-        coeffs = matrix_b_coeffs(k, 0, max(joint.dim, 2)) if matrix_coeffs else None
+        coeffs = matrix_b_coeffs(k, 0, dim) if matrix_coeffs else None
         for d in StarPattern.all_patterns(k):
             E = np.asarray(_pattern_moments(joint, k, d.letters, coeffs), dtype=complex)
             res = _residual_tensor(_einsum_action(E, rep, d.letters), E, k, rep.d)
@@ -1004,14 +1062,15 @@ def test_a_tabulated_joint_builds_only_the_orders_it_holds():
 
 
 def _one_piece_first_violation(joint, rep: MatrixRep, max_order: int, matrix_coeffs: bool):
-    """The scan's own residuals, each order in one piece (_order_moments, _residual_norms), first cell by np.argwhere."""
+    """The scan's own residuals, each order in one piece (order_moments, _residual_norms), first cell by np.argwhere."""
     n, nd = rep.n, rep.n * rep.d
     both = np.zeros((2, nd, 2, nd), dtype=complex)
     for c, ch in enumerate((ONE, STAR)):
         both[c, :, c] = rep.letter_array(ch).transpose(0, 2, 1, 3).reshape(nd, nd)
     both = both.reshape(2 * nd, 2 * nd)
     for k in range(1, max_order + 1):
-        E, _, factor = invariance._order_moments(joint, k, matrix_coeffs, 0)
+        E, _ = joint.order_moments(k, 0 if matrix_coeffs else None)
+        factor = invariance._coeff_norm(0, k, 2) if matrix_coeffs and E.ndim == 2 * k else 1.0
         res = invariance._residual_norms(E.reshape((2 * n,) * k + E.shape[2 * k:]), [both] * k) * factor
         res = res.reshape((2, n) * k).transpose(*range(0, 2 * k, 2), *range(1, 2 * k, 2))
         hits = np.argwhere(res > rep.tol)

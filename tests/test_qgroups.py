@@ -1,7 +1,9 @@
+import dataclasses
 import gc
 import itertools
 import math
 import random
+import re
 import tracemalloc
 
 import numpy as np
@@ -785,6 +787,45 @@ def test_a_model_keeps_its_own_read_only_entries(shape):
         rep.entries[0, 0, 0, 0] = 5.0
 
 
+@pytest.mark.parametrize("name", ["tol", "entries", "n", "d", "_relations"])
+def test_a_model_is_fixed_at_construction(name):
+    """No attribute of a model can be set or deleted, so its memo and its one
+    tolerance stay those of the entries it was built from."""
+    rep = permutation_rep(2)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(rep, name, getattr(rep, name))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        delattr(rep, name)
+    assert rep.tol == qgroups.DEFAULT_TOL and rep.entries.shape == (2, 2, 1, 1) and (rep.n, rep.d) == (2, 1)
+    assert rep == rep and rep != permutation_rep(2) and len({rep, rep, permutation_rep(2)}) == 2  # by identity
+
+
+def test_an_edit_after_the_checks_stops_at_the_assignment():
+    """An entries assignment left the memo saying S_PLUS held for entries that
+    fail it: the permutation model's verdict stands, and a model of the
+    rotation's entries fails S_PLUS on its own."""
+    rep, rotation = permutation_rep(2), rotation_rep(2)
+    assert check_family(rep, F("S_PLUS")).holds
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rep.entries = rotation.entries
+    assert check_family(rep, F("S_PLUS")).holds and np.array_equal(rep.entries, permutation_rep(2).entries)
+    assert not check_family(MatrixRep(rotation.entries), F("S_PLUS")).holds
+
+
+def test_labels_and_spellings_parse_to_their_tag():
+    """check-rep and lattice-position print labels (H_M_PLUS(3) classical);
+    both they and the colon spellings parse back."""
+    for classical in (False, True):
+        for tag in all_family_tags(12, classical):
+            assert FamilyTag.parse(tag.label()) == FamilyTag.parse(tag.spell()) == tag, tag
+    assert FamilyTag.parse(" h_m_plus(4)  Classical ") == F("H_M_PLUS", 4, classical=True)
+    for text, message in (("H_M_PLUS(", "cannot parse family tag"), ("H_M_PLUS(x)", "bad modulus in family tag"),
+                          ("O_PLUS(3)", "O_PLUS takes no modulus in family tag"),
+                          ("H_M_PLUS(2) classical", "needs a modulus m >= 3 in family tag")):
+        with pytest.raises(InputMismatchError, match=re.escape(f"{message}") + ".*" + re.escape(repr(text))):
+            FamilyTag.parse(text)
+
+
 def test_biunitarity_is_worked_out_once_and_judged_at_each_call(monkeypatch):
     rep = uncorrected_bistochastic_unitary_rep(3)
     norms = []
@@ -795,11 +836,14 @@ def test_biunitarity_is_worked_out_once_and_judged_at_each_call(monkeypatch):
     check_family(rep, F("S_PLUS"))
     assert len(norms) == 4  # the four sides, once
     assert not first.holds and first.residual == pytest.approx(3.0, abs=1e-12)
-    rep.tol = 4.0
-    again = check_biunitary(rep)
+    assert check_biunitary(rep) == first and len(norms) == 4
+    # a model's tolerance is fixed, so a verdict at another is one of a second
+    # model, which works out its own four norms
+    loose = MatrixRep(rep.entries, tol=4.0)
+    again = check_biunitary(loose)
     assert again.holds and again.residual == first.residual and again.details == first.details
-    assert check_family(rep, F("S_PLUS")).details["biunitary"] == first.residual
-    assert len(norms) == 4
+    assert check_family(loose, F("S_PLUS")).details["biunitary"] == first.residual
+    assert len(norms) == 8 and not check_biunitary(rep).holds
 
 
 def _memo_models() -> dict:

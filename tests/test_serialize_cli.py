@@ -1,6 +1,8 @@
 import hashlib
 import json
+import os
 import re
+import resource
 import subprocess
 import sys
 import time
@@ -276,6 +278,20 @@ def test_check_rep_command(fx, capsys):
     assert "H_M_PLUS(3)" not in report["satisfied"]
 
 
+def test_check_rep_takes_the_labels_it_prints(fx, capsys):
+    """Every family lattice-position reports as satisfied, passed back to check-rep --family as printed, holds."""
+    for model, label in (("phase_diag_3", "H_M_PLUS(3)"), ("rotation", "O_PLUS classical")):
+        assert main(["check-rep", str(fx / f"{model}.json"), "--family", label]) == 0
+        assert capsys.readouterr().out.startswith(f"{label} holds")
+    for model in ("phase_diag_3", "rotation", "nilpotent_pair", "permutation"):
+        assert main(["lattice-position", str(fx / f"{model}.json")]) == 0
+        satisfied = json.loads(capsys.readouterr().out)["satisfied"]
+        for label in satisfied:
+            assert main(["check-rep", str(fx / f"{model}.json"), "--family", label, "--json"]) == 0, (model, label)
+            report = json.loads(capsys.readouterr().out)
+            assert report["holds"] is True and report["family"] == label, (model, label)
+
+
 def test_classify_command(fx, capsys):
     assert main(["classify-dist", str(fx / "haar_unitary.json"), "--free"]) == 0
     out = capsys.readouterr().out
@@ -523,6 +539,33 @@ def test_numpy_value_errors_exit_two_without_a_traceback(monkeypatch, capsys):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stderr == "error: seed must be nonnegative, got -1\n"
+
+
+def test_a_memory_error_exits_two_with_one_error_line(monkeypatch, capsys, tmp_path):
+    """An input inside every bound can still not fit in memory: exit 2 and one
+    error line, not a traceback and exit 1, the code of a failed check."""
+    from freesym import cli
+
+    def raising(args):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "_cmd_enumerate", raising)
+    assert main(["enumerate", "--nc", "3"]) == 2
+    assert capsys.readouterr() == ("", "error: out of memory\n")
+    # a dense order-8 law under permutation_rep(5): 5^8 words, a 1.49 GiB order-8
+    # tensor, in a child whose address space is capped below it
+    dist, rep = tmp_path / "dense8.json", tmp_path / "perm5.json"
+    dense = cumulants.random_cumulant_table(8, seed=3)
+    serialize.save_spec(CumulantSpecSingle(order=8, entries=dict(dense.data)), dist)
+    serialize.save_rep(permutation_rep(5), rep)
+    cap = 1_200_000 * 1024  # ulimit -v 1200000
+    proc = subprocess.run([sys.executable, "-m", "freesym.cli", "check-invariance", "--dist", str(dist),
+                           "--rep", str(rep), "--order", "8"], capture_output=True, text=True,
+                          env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},  # no per-thread BLAS buffers under the cap
+                          preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+    assert proc.returncode == 2 and proc.stdout == "", proc.stderr
+    shape = r"\(2, 5(, 2, 5){7}\)"  # the order-8 tensor
+    assert re.fullmatch(rf"error: Unable to allocate \S+ GiB for an array with shape {shape} .*\n", proc.stderr)
 
 
 def test_theorem1_probe_command(capsys):
